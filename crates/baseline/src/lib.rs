@@ -22,25 +22,19 @@
 //! decode, O(file) I/O), and `write_sink` falls back to buffering the clip
 //! and batch-writing at finish — contrast with VSS, where both directions
 //! are O(GOP).
-//!
-//! The historical [`VideoStore`] trait (with its per-store
-//! [`StoreReadResult`]/[`StoreWriteResult`]) is deprecated; every
-//! [`VideoStorage`] implementor satisfies it through a blanket shim. Port
-//! call sites to request-based calls, e.g.
-//! `store.read(&ReadRequest::new(name, start, end, codec))`.
 
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use vss_codec::{codec_instance, encode_to_gops, Codec, EncodedGop, EncoderConfig};
 use vss_core::{
     ChunkStats, ReadChunk, ReadRequest, ReadResult, ReadStream, StorageBudget, VideoMetadata,
     VideoStorage, VssError, WriteReport, WriteRequest,
 };
-use vss_frame::{FrameSequence, Resolution};
+use vss_frame::FrameSequence;
 
 /// Errors produced by the baseline stores (legacy vocabulary; the
 /// [`VideoStorage`] methods speak [`VssError`] directly, and the two convert
@@ -522,113 +516,10 @@ impl VideoStorage for VStoreLike {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated `VideoStore` shim
-// ---------------------------------------------------------------------------
-
-/// The result of a legacy store read.
-#[deprecated(note = "use vss_core::VideoStorage::read, which returns ReadResult")]
-#[derive(Debug)]
-pub struct StoreReadResult {
-    /// Decoded frames (always produced so callers can verify content).
-    pub frames: FrameSequence,
-    /// Time spent inside the store.
-    pub elapsed: Duration,
-    /// Bytes read from disk.
-    pub bytes_read: u64,
-}
-
-/// The result of a legacy store write.
-#[deprecated(note = "use vss_core::VideoStorage::write, which returns WriteReport")]
-#[derive(Debug)]
-pub struct StoreWriteResult {
-    /// Time spent inside the store.
-    pub elapsed: Duration,
-    /// Bytes written to disk.
-    pub bytes_written: u64,
-}
-
-/// The historical uniform store interface, superseded by
-/// [`vss_core::VideoStorage`] (which additionally covers create/delete,
-/// streaming reads, incremental writes and metadata). Every `VideoStorage`
-/// implementor satisfies this trait through a blanket impl, so legacy call
-/// sites keep compiling while they migrate.
-#[deprecated(note = "use vss_core::VideoStorage; see the crate docs for the migration mapping")]
-pub trait VideoStore {
-    /// Human-readable name used in benchmark output.
-    fn label(&self) -> &'static str;
-
-    /// Writes a video in the given codec.
-    #[allow(deprecated)]
-    fn write_video(
-        &mut self,
-        name: &str,
-        codec: Codec,
-        frames: &FrameSequence,
-    ) -> Result<StoreWriteResult, BaselineError>;
-
-    /// Reads `[start, end)` seconds of a video, converted to the requested
-    /// codec and optional resolution.
-    #[allow(deprecated)]
-    fn read_video(
-        &mut self,
-        name: &str,
-        start: f64,
-        end: f64,
-        resolution: Option<Resolution>,
-        codec: Codec,
-    ) -> Result<StoreReadResult, BaselineError>;
-
-    /// True if the store can serve a read converting `from` into `to`.
-    fn supports_conversion(&self, from: Codec, to: Codec) -> bool;
-}
-
-#[allow(deprecated)]
-impl<S: VideoStorage + ?Sized> VideoStore for S {
-    fn label(&self) -> &'static str {
-        VideoStorage::label(self)
-    }
-
-    fn write_video(
-        &mut self,
-        name: &str,
-        codec: Codec,
-        frames: &FrameSequence,
-    ) -> Result<StoreWriteResult, BaselineError> {
-        let report = VideoStorage::write(self, &WriteRequest::new(name, codec), frames)?;
-        Ok(StoreWriteResult { elapsed: report.elapsed, bytes_written: report.bytes_written })
-    }
-
-    fn read_video(
-        &mut self,
-        name: &str,
-        start: f64,
-        end: f64,
-        resolution: Option<Resolution>,
-        codec: Codec,
-    ) -> Result<StoreReadResult, BaselineError> {
-        let started = Instant::now();
-        let mut request = ReadRequest::new(name, start, end, codec);
-        if let Some(resolution) = resolution {
-            request = request.resolution(resolution);
-        }
-        let result = VideoStorage::read(self, &request)?;
-        Ok(StoreReadResult {
-            frames: result.frames,
-            elapsed: started.elapsed(),
-            bytes_read: result.stats.bytes_read,
-        })
-    }
-
-    fn supports_conversion(&self, from: Codec, to: Codec) -> bool {
-        VideoStorage::supports_conversion(self, from, to)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vss_frame::{pattern, PixelFormat};
+    use vss_frame::{pattern, PixelFormat, Resolution};
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -758,22 +649,6 @@ mod tests {
         assert_eq!(scaled.frames.frames()[0].width(), 32);
         assert!(VideoStorage::supports_conversion(store, Codec::H264, Codec::Hevc));
         assert_eq!(VideoStorage::label(store), "vss");
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn legacy_video_store_shim_still_works() {
-        #![allow(deprecated)]
-        let root = temp_root("legacy-shim");
-        let mut store = LocalFs::new(&root).unwrap();
-        let written = VideoStore::write_video(&mut store, "v", Codec::H264, &sequence(30)).unwrap();
-        assert!(written.bytes_written > 0);
-        let read = VideoStore::read_video(&mut store, "v", 0.0, 1.0, None, Codec::H264).unwrap();
-        assert_eq!(read.frames.len(), 30);
-        assert!(matches!(
-            VideoStore::read_video(&mut store, "v", 0.0, 1.0, None, Codec::Hevc),
-            Err(BaselineError::Unsupported(_))
-        ));
         let _ = fs::remove_dir_all(root);
     }
 

@@ -13,17 +13,6 @@
 //! transcode; VStore-like staging serves only pre-declared formats) return
 //! [`VssError::Unsupported`]; [`supports_conversion`](VideoStorage::supports_conversion)
 //! lets drivers ask first, as the paper's application does.
-//!
-//! # Migration from `vss_baseline::VideoStore`
-//!
-//! The historical `VideoStore` trait (per-store result structs, positional
-//! read arguments) is deprecated and shimmed in terms of this trait. Port
-//! call sites by constructing [`ReadRequest`]/[`WriteRequest`] values:
-//!
-//! ```text
-//! store.read_video("v", 0.0, 1.0, None, codec)        // before
-//! store.read(&ReadRequest::new("v", 0.0, 1.0, codec)) // after
-//! ```
 
 use crate::engine::{Engine, WriteReport};
 use crate::params::{ReadRequest, StorageBudget, WriteRequest};

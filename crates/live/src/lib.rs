@@ -36,8 +36,8 @@
 //!   videos nobody is tailing), and deleting a video terminates its
 //!   subscriptions with [`SubEvent::End`].
 //! * **Remote delivery.** Over `vss-net`, each remote feed is one
-//!   multiplexed stream on the client's single connection (protocol v3):
-//!   the server-side relay worker pulls from its [`Subscription`]
+//!   multiplexed stream on the client's single connection: the
+//!   server-side relay worker pulls from its [`Subscription`]
 //!   credit-paced, so a stalled remote consumer parks the relay — the hub's
 //!   bounded queue and lag policy absorb the overflow — without slowing
 //!   sibling streams, and dropping the client feed resets just that stream.

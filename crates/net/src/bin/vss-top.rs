@@ -1,7 +1,7 @@
 //! `vss-top` — a live admin view of a running VSS server.
 //!
-//! Polls a server's version-3 admin plane over one control connection and
-//! renders, every interval: the per-shard table, live sessions, active mux
+//! Polls a server's admin plane over one connection and renders, every
+//! interval: the per-shard table, live sessions, active mux
 //! streams with their credit state, recent traced requests, and the labeled
 //! metric series (`server.shard.*{shard=N}`, `net.mux.*{kind=...}`, ...)
 //! with per-second rates computed from consecutive snapshots.

@@ -2,30 +2,24 @@
 //! [`VideoStorage`] contract against a [`NetServer`](crate::server::NetServer)
 //! over TCP.
 //!
-//! On a protocol-version-3 connection a `RemoteStore` holds **one**
-//! multiplexed connection for everything: the control plane (create /
-//! delete / metadata / stats) plus any number of concurrent reads, sinks,
-//! appends and subscriptions, each on its own stream id. A demultiplexing
-//! reader thread routes inbound frames to per-stream bounded channels;
-//! dropping a half-consumed stream sends a typed `MuxReset` (the server
-//! cancels just that stream's worker) without disturbing the socket the
-//! sibling streams share. Against a pre-v3 server the store negotiates
-//! down to the historical layout — a persistent control connection plus a
-//! dedicated connection per streaming operation, where closing the socket
-//! is the cancellation signal.
+//! A `RemoteStore` holds **one** multiplexed connection for everything: the
+//! control plane (create / delete / metadata / stats / admin) plus any
+//! number of concurrent reads, sinks, appends and subscriptions, each on its
+//! own stream id. A demultiplexing reader thread routes inbound frames to
+//! per-stream bounded channels; dropping a half-consumed stream sends a
+//! typed `MuxReset` (the server cancels just that stream's worker) without
+//! disturbing the socket the sibling streams share.
 //!
 //! Flow control is per stream, in credits: the client grants a window of
 //! data frames (`MuxCredit`) when it opens a stream and tops it up one
 //! frame at a time as the consumer drains its channel, so a slow consumer
 //! parks only its own stream while siblings keep flowing — with O(GOP)
-//! memory per stream at every hop. On the legacy dedicated connection the
-//! bounded channel plus TCP flow control provide the same bound per
-//! connection.
+//! memory per stream at every hop.
 
 use crate::wire::{
-    fragment_boundaries, read_message, write_chunk_message, write_message, write_mux_chunk_message,
-    write_mux_message, write_tagged_message, write_traced_message, AdminTable, Message, WireError,
-    MAX_METRICS, MIN_PROTOCOL_VERSION, PROTOCOL_MAGIC, PROTOCOL_VERSION,
+    fragment_boundaries, read_message, write_message, write_mux_chunk_message, write_mux_message,
+    write_traced_message, AdminTable, Message, WireError, MAX_METRICS, PROTOCOL_MAGIC,
+    PROTOCOL_VERSION,
 };
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use std::collections::HashMap;
@@ -109,7 +103,7 @@ enum Attempt<T> {
 }
 
 /// Mints request ids for client-originated operations. The id rides the
-/// wire in a tagged envelope (protocol version 2+) and shows up in span
+/// wire in the traced envelope and shows up in span
 /// records on both sides of the connection — where ids from *every* client
 /// process share one registry, so the counter starts at a per-process
 /// offset (pid and clock folded over the upper bits, low bits clear for
@@ -135,85 +129,8 @@ fn next_request_id() -> u64 {
     base.wrapping_add(NEXT.fetch_add(1, Ordering::Relaxed)).max(1)
 }
 
-/// One handshaken TCP connection.
-struct Connection {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    session: u64,
-    /// Protocol version agreed with the server during the handshake.
-    negotiated: u16,
-}
-
-impl Connection {
-    /// Dials and handshakes, offering `min(cap, PROTOCOL_VERSION)` and
-    /// accepting whatever the server negotiates down to within the supported
-    /// window. `cap` exists so tests (and cautious deployments) can force an
-    /// old protocol version against a newer server.
-    fn dial(addr: SocketAddr, cap: u16) -> Result<Self, VssError> {
-        let offered = cap.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-        let stream = TcpStream::connect(addr).map_err(io_error)?;
-        stream.set_nodelay(true).map_err(io_error)?;
-        let reader = BufReader::new(stream.try_clone().map_err(io_error)?);
-        // Until the ack lands, hold the negotiated version at the floor so
-        // the handshake itself is never wrapped in a tagged envelope (the
-        // server parses Hello with the version-agnostic plain decoder).
-        let mut connection = Self {
-            reader,
-            writer: BufWriter::new(stream),
-            session: 0,
-            negotiated: MIN_PROTOCOL_VERSION,
-        };
-        connection.send(&Message::Hello { magic: PROTOCOL_MAGIC, version: offered })?;
-        match connection.recv()? {
-            Message::HelloAck { version, session }
-                if (MIN_PROTOCOL_VERSION..=offered).contains(&version) =>
-            {
-                connection.session = session;
-                connection.negotiated = version;
-                Ok(connection)
-            }
-            Message::HelloAck { version, .. } => Err(protocol_error(format!(
-                "server negotiated unsupported protocol version {version}"
-            ))),
-            Message::Error(error) => Err(error.into_error()),
-            other => Err(protocol_error(format!("unexpected handshake reply {}", other.kind_name()))),
-        }
-    }
-
-    fn send(&mut self, message: &Message) -> Result<(), VssError> {
-        // On a version-2 connection, requests sent while a telemetry request
-        // scope is active carry the request id in a tagged envelope, so the
-        // server's spans for this operation join the client's trace. A
-        // version-3 connection additionally carries the caller's span id, so
-        // the server-side spans *parent* under the client span — one
-        // connected tree per request instead of a flat id-tagged bag.
-        match vss_telemetry::current_request_id() {
-            Some(request_id) if self.negotiated >= 3 => {
-                let parent = vss_telemetry::current_parent_span();
-                write_traced_message(&mut self.writer, request_id, parent, message)?;
-            }
-            Some(request_id) if self.negotiated >= 2 => {
-                write_tagged_message(&mut self.writer, request_id, message)?;
-            }
-            _ => write_message(&mut self.writer, message)?,
-        }
-        self.writer.flush().map_err(io_error)
-    }
-
-    /// Sends one `WriteChunk` serialized directly from borrowed frames (no
-    /// pixel-buffer clone on the ingest hot path).
-    fn send_frame_slab(&mut self, frames: &[Frame]) -> Result<(), VssError> {
-        write_chunk_message(&mut self.writer, frames)?;
-        self.writer.flush().map_err(io_error)
-    }
-
-    fn recv(&mut self) -> Result<Message, VssError> {
-        read_message(&mut self.reader)
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Version-3 multiplexing: one shared connection, many streams
+// Multiplexing: one shared connection, many streams
 // ---------------------------------------------------------------------------
 
 /// Slack on top of a stream's credit window when sizing its inbound channel:
@@ -271,7 +188,7 @@ impl MuxShared {
     }
 }
 
-/// A version-3 multiplexed connection: the store's single socket, shared by
+/// A multiplexed connection: the store's single socket, shared by
 /// the control plane and every concurrent stream. Live streams hold an
 /// `Arc` to it, so the connection — and the **one** admission slot it
 /// occupies server-side — outlives the [`RemoteStore`] that dialed it until
@@ -286,15 +203,35 @@ struct MuxConn {
     unary_gate: Mutex<()>,
     next_stream: AtomicU32,
     session: u64,
-    negotiated: u16,
 }
 
 impl MuxConn {
-    /// Converts a freshly handshaken v3 connection into a multiplexed one,
-    /// spawning its demultiplexing reader thread.
-    fn spawn(connection: Connection) -> Result<Arc<Self>, VssError> {
-        let Connection { reader, writer, session, negotiated } = connection;
-        let socket = reader.get_ref().try_clone().map_err(io_error)?;
+    /// Dials and handshakes (the one exchange that is never wrapped in a
+    /// traced envelope), then spawns the demultiplexing reader thread.
+    fn dial(addr: SocketAddr) -> Result<Arc<Self>, VssError> {
+        let socket = TcpStream::connect(addr).map_err(io_error)?;
+        socket.set_nodelay(true).map_err(io_error)?;
+        let mut reader = BufReader::new(socket.try_clone().map_err(io_error)?);
+        let mut writer = BufWriter::new(socket.try_clone().map_err(io_error)?);
+        let hello = Message::Hello { magic: PROTOCOL_MAGIC, version: PROTOCOL_VERSION };
+        write_message(&mut writer, &hello)?;
+        writer.flush().map_err(io_error)?;
+        let session = match read_message(&mut reader)? {
+            Message::HelloAck { version: PROTOCOL_VERSION, session } => session,
+            Message::HelloAck { version, .. } => {
+                return Err(protocol_error(format!(
+                    "server acknowledged protocol version {version}, this client speaks \
+                     {PROTOCOL_VERSION}"
+                )))
+            }
+            Message::Error(error) => return Err(error.into_error()),
+            other => {
+                return Err(protocol_error(format!(
+                    "unexpected handshake reply {}",
+                    other.kind_name()
+                )))
+            }
+        };
         let shared = Arc::new(MuxShared::new());
         let conn = Arc::new(Self {
             socket,
@@ -304,7 +241,6 @@ impl MuxConn {
             unary_gate: Mutex::new(()),
             next_stream: AtomicU32::new(1),
             session,
-            negotiated,
         });
         let thread = std::thread::spawn(move || {
             let mut reader = reader;
@@ -326,10 +262,9 @@ impl MuxConn {
         self.shared.dead().unwrap_or_else(|| protocol_error("multiplexed connection closed"))
     }
 
-    /// Sends one top-level frame. A multiplexed connection is version 3 by
-    /// construction, so an active request scope travels as a traced envelope
-    /// — request id plus the caller's span id — and the server's spans
-    /// parent under the client span.
+    /// Sends one top-level frame. An active request scope travels as a
+    /// traced envelope — request id plus the caller's span id — and the
+    /// server's spans parent under the client span.
     fn send(&self, message: &Message) -> Result<(), VssError> {
         let mut writer = self.writer.lock().expect("writer lock");
         match vss_telemetry::current_request_id() {
@@ -559,54 +494,17 @@ impl Drop for MuxStreamHandle {
     }
 }
 
-/// The store's control-plane transport: a plain connection on protocol ≤ 2,
-/// the shared multiplexed connection on 3.
-enum ControlHandle {
-    Legacy(Connection),
-    Mux(Arc<MuxConn>),
-}
-
-impl ControlHandle {
-    fn negotiated(&self) -> u16 {
-        match self {
-            ControlHandle::Legacy(connection) => connection.negotiated,
-            ControlHandle::Mux(conn) => conn.negotiated,
-        }
-    }
-
-    fn session(&self) -> u64 {
-        match self {
-            ControlHandle::Legacy(connection) => connection.session,
-            ControlHandle::Mux(conn) => conn.session,
-        }
-    }
-
-    /// One request/reply exchange on the control plane.
-    fn exchange(&mut self, message: &Message) -> Result<Message, VssError> {
-        match self {
-            ControlHandle::Legacy(connection) => {
-                connection.send(message).and_then(|()| connection.recv())
-            }
-            ControlHandle::Mux(conn) => conn.unary(message),
-        }
-    }
-}
-
 /// A remote VSS store: the full [`VideoStorage`] contract over the `vss-net`
 /// wire protocol, so the workload driver, harness and tests run unmodified
 /// against a store living in another process.
 ///
-/// Every connection the store dials is admitted through the server's
+/// The store's connection is admitted through the server's
 /// [`ServerConfig`](vss_server::ServerConfig) gate; an overloaded server
-/// surfaces as [`VssError::Overloaded`] here. On protocol version 3 a store
-/// holds exactly **one** admission slot no matter how many streams it runs:
-/// the control plane and every concurrent read, sink, append and
-/// subscription share one multiplexed connection, so a streaming client can
-/// no longer shed or starve *itself* at low `max_concurrent_sessions`.
-/// (Against a pre-v3 server the historical layout still applies — one
-/// session for the control connection plus one per live streaming
-/// operation — and when a streaming call is shed there, back off **without
-/// holding the store**: drop it and re-dial.) Remote reads stream
+/// surfaces as [`VssError::Overloaded`] here. A store holds exactly **one**
+/// admission slot no matter how many streams it runs: the control plane and
+/// every concurrent read, sink, append and subscription share one
+/// multiplexed connection, so a streaming client cannot shed or starve
+/// *itself* at low `max_concurrent_sessions`. Remote reads stream
 /// GOP-at-a-time and never admit to the server's cache of materialized views
 /// ([`read`](VideoStorage::read) is a client-side drain of
 /// [`read_stream`](VideoStorage::read_stream), byte-identical by
@@ -615,20 +513,15 @@ impl ControlHandle {
 /// local batch write of the same frames.
 pub struct RemoteStore {
     addr: SocketAddr,
-    /// The control transport: the shared multiplexed connection on v3, a
-    /// plain dedicated connection against older peers.
-    control: Mutex<Option<ControlHandle>>,
-    /// Chunks buffered client-side between the socket reader and the
-    /// consumer (the bounded-channel depth); also sizes the credit window
-    /// granted to each multiplexed stream.
+    /// The shared multiplexed connection (`None` until dialed, and again
+    /// after a transport failure — see [`mux_conn`](Self::mux_conn)).
+    control: Mutex<Option<Arc<MuxConn>>>,
+    /// Chunks buffered client-side between the demultiplexer and the
+    /// consumer; sizes the credit window granted to each stream.
     chunk_buffer: usize,
     /// Retry/backoff policy for safely retryable failures (`None`, the
     /// default, fails fast — see [`RetryPolicy`]).
     retry: Option<RetryPolicy>,
-    /// Highest protocol version this store will offer when dialing
-    /// (defaults to [`PROTOCOL_VERSION`]; see
-    /// [`with_protocol_cap`](Self::with_protocol_cap)).
-    protocol_cap: u16,
 }
 
 impl std::fmt::Debug for RemoteStore {
@@ -641,27 +534,13 @@ impl std::fmt::Debug for RemoteStore {
 }
 
 impl RemoteStore {
-    /// Dials and handshakes the control connection to a
+    /// Dials and handshakes the store's connection to a
     /// [`NetServer`](crate::server::NetServer) (`addr` resolves to its
     /// listen address). Fails with
     /// [`VssError::Overloaded`] when the server's admission control sheds
     /// the session.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, VssError> {
-        let addr = addr
-            .to_socket_addrs()
-            .map_err(io_error)?
-            .next()
-            .ok_or_else(|| protocol_error("address resolved to nothing"))?;
-        let store = Self {
-            addr,
-            control: Mutex::new(None),
-            chunk_buffer: 2,
-            retry: None,
-            protocol_cap: PROTOCOL_VERSION,
-        };
-        let control = store.dial_control()?;
-        *store.control.lock().expect("control lock") = Some(control);
-        Ok(store)
+        Self::dial_new(addr, None)
     }
 
     /// Like [`connect`](Self::connect), but retries the initial dial under
@@ -673,23 +552,21 @@ impl RemoteStore {
         addr: impl ToSocketAddrs,
         policy: RetryPolicy,
     ) -> Result<Self, VssError> {
+        Self::dial_new(addr, Some(policy))
+    }
+
+    /// Resolves `addr` and dials the first connection under `retry`.
+    fn dial_new(addr: impl ToSocketAddrs, retry: Option<RetryPolicy>) -> Result<Self, VssError> {
         let addr = addr
             .to_socket_addrs()
             .map_err(io_error)?
             .next()
             .ok_or_else(|| protocol_error("address resolved to nothing"))?;
-        let store = Self {
-            addr,
-            control: Mutex::new(None),
-            chunk_buffer: 2,
-            retry: Some(policy),
-            protocol_cap: PROTOCOL_VERSION,
-        };
-        let control = store.run_with_retry(|| match store.dial_control() {
-            Ok(handle) => Attempt::Done(Ok(handle)),
+        let store = Self { addr, control: Mutex::new(None), chunk_buffer: 2, retry };
+        store.run_with_retry(|| match store.mux_conn() {
+            Ok(_) => Attempt::Done(Ok(())),
             Err(error) => Attempt::Retry(error),
         })?;
-        *store.control.lock().expect("control lock") = Some(control);
         Ok(store)
     }
 
@@ -703,67 +580,22 @@ impl RemoteStore {
     }
 
     /// Overrides the number of streamed chunks buffered client-side between
-    /// the socket reader and the consumer (default 2). Higher values smooth
+    /// the demultiplexer and the consumer (default 2). Higher values smooth
     /// bursty consumers at the cost of up to that many GOPs of memory.
     pub fn with_chunk_buffer(mut self, chunks: usize) -> Self {
         self.chunk_buffer = chunks.max(1);
         self
     }
 
-    /// Caps the protocol version this store offers when dialing (clamped to
-    /// the supported window). Any already-dialed control connection is
-    /// dropped so the cap applies to every subsequent exchange. Used by
-    /// negotiation-fallback tests to emulate an old client against a newer
-    /// server; version-2 features ([`stats_snapshot`](Self::stats_snapshot),
-    /// request-id tagging) degrade gracefully on a capped connection.
-    pub fn with_protocol_cap(mut self, cap: u16) -> Self {
-        self.protocol_cap = cap.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-        *self.control.lock().expect("control lock") = None;
-        self
-    }
-
     /// Requests the server's live telemetry snapshot (counters, gauges and
-    /// histogram summaries) over the control connection. Requires a
-    /// version-2 connection; on an older negotiated version this fails with
-    /// a typed [`VssError::Unsupported`] without sending anything.
-    ///
-    /// On a version-3 connection the registry is fetched in pages
+    /// histogram summaries). The registry is fetched in pages
     /// ([`Message::StatsPageRequest`]) and reassembled, so a labeled
-    /// registry of any size arrives complete — the one-frame
-    /// `StatsSnapshot` cap cannot truncate it. A version-2 server still
-    /// answers with the single-frame snapshot (and errors, rather than
-    /// truncates, if its registry outgrew the frame).
+    /// registry of any size arrives complete. Pages keep the registry's
+    /// sorted section order, so concatenation reassembles the exact
+    /// snapshot.
     pub fn stats_snapshot(&self) -> Result<vss_telemetry::TelemetrySnapshot, VssError> {
-        let request_id = next_request_id();
-        let _scope = vss_telemetry::request_scope(request_id);
+        let _scope = vss_telemetry::request_scope(next_request_id());
         let _span = vss_telemetry::span("client", "stats", "");
-        let mut slot = self.control.lock().expect("control lock");
-        if slot.is_none() {
-            *slot = Some(self.dial_control()?);
-        }
-        let negotiated = slot.as_ref().expect("dialed above").negotiated();
-        if negotiated < 2 {
-            return Err(VssError::Unsupported(format!(
-                "stats snapshots require protocol version >= 2 (negotiated {negotiated})"
-            )));
-        }
-        if negotiated < 3 {
-            let handle = slot.as_mut().expect("dialed above");
-            return match handle.exchange(&Message::StatsRequest) {
-                Ok(Message::StatsSnapshot(snapshot)) => Ok(snapshot),
-                Ok(Message::Error(error)) => Err(error.into_error()),
-                Ok(other) => {
-                    Err(protocol_error(format!("unexpected stats reply {}", other.kind_name())))
-                }
-                Err(error) => {
-                    *slot = None;
-                    Err(error)
-                }
-            };
-        }
-        // Version 3: walk the flattened registry page by page. Pages keep
-        // the registry's sorted section order, so concatenation reassembles
-        // the exact single-frame snapshot.
         let mut merged = vss_telemetry::TelemetrySnapshot {
             counters: Vec::new(),
             gauges: Vec::new(),
@@ -772,8 +604,8 @@ impl RemoteStore {
         let mut start = 0u32;
         loop {
             let request = Message::StatsPageRequest { start, max: MAX_METRICS as u32 };
-            match slot.as_mut().expect("dialed above").exchange(&request) {
-                Ok(Message::StatsPage { total, start: page_start, snapshot }) => {
+            match self.unary(request)? {
+                Message::StatsPage { total, start: page_start, snapshot } => {
                     if page_start != start {
                         return Err(protocol_error(format!(
                             "stats page started at {page_start}, expected {start}"
@@ -795,16 +627,11 @@ impl RemoteStore {
                         )));
                     }
                 }
-                Ok(Message::Error(error)) => return Err(error.into_error()),
-                Ok(other) => {
+                other => {
                     return Err(protocol_error(format!(
                         "unexpected stats page reply {}",
                         other.kind_name()
                     )))
-                }
-                Err(error) => {
-                    *slot = None;
-                    return Err(error);
                 }
             }
         }
@@ -812,117 +639,51 @@ impl RemoteStore {
 
     /// Fetches one pre-rendered admin table — live sessions, active mux
     /// streams with credit state, the per-shard table, or recent span trees
-    /// (see [`crate::wire::admin_topic`]). Requires a version-3 connection;
-    /// the server owns the schema, so callers (and `vss-top`) only print.
+    /// (see [`crate::wire::admin_topic`]). The server owns the schema, so
+    /// callers (and `vss-top`) only print.
     pub fn admin_table(&self, topic: u8, arg: u64) -> Result<AdminTable, VssError> {
         let _scope = vss_telemetry::request_scope(next_request_id());
         let _span = vss_telemetry::span("client", "admin", "");
-        let mut slot = self.control.lock().expect("control lock");
-        if slot.is_none() {
-            *slot = Some(self.dial_control()?);
-        }
-        let handle = slot.as_mut().expect("dialed above");
-        if handle.negotiated() < 3 {
-            return Err(VssError::Unsupported(format!(
-                "the admin plane requires protocol version >= 3 (negotiated {})",
-                handle.negotiated()
-            )));
-        }
-        match handle.exchange(&Message::AdminRequest { topic, arg }) {
-            Ok(Message::AdminTable(table)) => Ok(table),
-            Ok(Message::Error(error)) => Err(error.into_error()),
-            Ok(other) => {
-                Err(protocol_error(format!("unexpected admin reply {}", other.kind_name())))
-            }
-            Err(error) => {
-                *slot = None;
-                Err(error)
-            }
+        match self.unary(Message::AdminRequest { topic, arg })? {
+            Message::AdminTable(table) => Ok(table),
+            other => Err(protocol_error(format!("unexpected admin reply {}", other.kind_name()))),
         }
     }
 
     /// Fetches the server registry as Prometheus-style text exposition.
-    /// Requires a version-3 connection.
     pub fn metrics_text(&self) -> Result<String, VssError> {
         let _scope = vss_telemetry::request_scope(next_request_id());
         let _span = vss_telemetry::span("client", "metrics_text", "");
-        let mut slot = self.control.lock().expect("control lock");
-        if slot.is_none() {
-            *slot = Some(self.dial_control()?);
-        }
-        let handle = slot.as_mut().expect("dialed above");
-        if handle.negotiated() < 3 {
-            return Err(VssError::Unsupported(format!(
-                "the text exposition requires protocol version >= 3 (negotiated {})",
-                handle.negotiated()
-            )));
-        }
-        match handle.exchange(&Message::MetricsTextRequest) {
-            Ok(Message::MetricsText { text }) => Ok(text),
-            Ok(Message::Error(error)) => Err(error.into_error()),
-            Ok(other) => {
-                Err(protocol_error(format!("unexpected metrics reply {}", other.kind_name())))
-            }
-            Err(error) => {
-                *slot = None;
-                Err(error)
-            }
+        match self.unary(Message::MetricsTextRequest)? {
+            Message::MetricsText { text } => Ok(text),
+            other => Err(protocol_error(format!("unexpected metrics reply {}", other.kind_name()))),
         }
     }
 
-    /// Opens a live tailing subscription on a dedicated connection: GOPs
-    /// persisted to `name` after (or, with [`SubscribeFrom::Start`], before)
-    /// this call stream back exactly as stored — already encoded, never
-    /// re-encoded. Requires a version-2 connection.
+    /// Opens a live tailing subscription as one stream of the store's
+    /// connection: GOPs persisted to `name` after (or, with
+    /// [`SubscribeFrom::Start`], before) this call stream back exactly as
+    /// stored — already encoded, never re-encoded.
     ///
     /// Under a [`RetryPolicy`], dial failures and `Overloaded` sheds of the
     /// subscription *open* back off and retry; once the feed is live it is
     /// never silently reopened — a mid-stream transport failure surfaces as
-    /// an error event. Dropping the [`LiveFeed`] closes the connection; the
-    /// server notices and unregisters the subscriber, so an abandoned feed
-    /// never delays ingest.
+    /// an error event. Dropping the [`LiveFeed`] resets its stream; the
+    /// server unregisters the subscriber, so an abandoned feed never delays
+    /// ingest.
     pub fn subscribe(&self, name: &str, from: SubscribeFrom) -> Result<LiveFeed, VssError> {
         check_name(name)?;
-        if self.protocol_cap < 2 {
-            return Err(VssError::Unsupported(format!(
-                "subscriptions require protocol version >= 2 (capped at {})",
-                self.protocol_cap
-            )));
-        }
         let _scope = vss_telemetry::request_scope(next_request_id());
         let _span = vss_telemetry::span("client", "subscribe", name);
         let open = Message::Subscribe { name: name.into(), from };
-        let opened = self.open_mux(&open, self.stream_window(), |reply, handle| match reply {
+        let handle = self.open_mux(&open, self.stream_window(), |reply, handle| match reply {
             Message::Ok => Attempt::Done(Ok(handle)),
             other => Attempt::Done(Err(protocol_error(format!(
                 "unexpected subscribe reply {}",
                 other.kind_name()
             )))),
         })?;
-        if let Some(handle) = opened {
-            return Ok(LiveFeed { inner: FeedInner::Mux { handle, done: false } });
-        }
-        // Pre-v3 peer: a dedicated connection drained by a reader thread.
-        let connection = self.open_stream(&open, |reply, connection| match reply {
-            Message::Ok => Attempt::Done(Ok(connection)),
-            other => Attempt::Done(Err(protocol_error(format!(
-                "unexpected subscribe reply {}",
-                other.kind_name()
-            )))),
-        })?;
-        let socket = connection.reader.get_ref().try_clone().ok();
-        let (sender, receiver) = bounded(self.chunk_buffer);
-        let reader = std::thread::spawn(move || {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                feed_reader(connection, &sender)
-            }));
-            if outcome.is_err() {
-                let _ = sender.send(Err(protocol_error("feed reader thread panicked")));
-            }
-        });
-        Ok(LiveFeed {
-            inner: FeedInner::Legacy { receiver: Some(receiver), reader: Some(reader), socket },
-        })
+        Ok(LiveFeed { handle, done: false })
     }
 
     /// The server address this store dials.
@@ -930,55 +691,24 @@ impl RemoteStore {
         self.addr
     }
 
-    /// The server-side session id of the control connection — on protocol
-    /// version 3, the session every stream of this store shares.
+    /// The server-side session id of the store's connection — the one
+    /// session every stream of this store shares.
     pub fn session_id(&self) -> Result<u64, VssError> {
-        let mut slot = self.control.lock().expect("control lock");
-        if slot.is_none() {
-            *slot = Some(self.dial_control()?);
-        }
-        Ok(slot.as_ref().expect("dialed above").session())
+        Ok(self.mux_conn()?.session)
     }
 
-    /// The protocol version negotiated on the control connection (dialing it
-    /// first if necessary).
-    pub fn negotiated_version(&self) -> Result<u16, VssError> {
+    /// The store's connection — the one accessor every operation goes
+    /// through. A connection the demultiplexer has recorded dead (server
+    /// restart, idle reset) is dropped and redialed here, before anything is
+    /// sent on it.
+    fn mux_conn(&self) -> Result<Arc<MuxConn>, VssError> {
         let mut slot = self.control.lock().expect("control lock");
-        if slot.is_none() {
-            *slot = Some(self.dial_control()?);
+        if let Some(conn) = slot.as_ref().filter(|conn| conn.shared.dead().is_none()) {
+            return Ok(Arc::clone(conn));
         }
-        Ok(slot.as_ref().expect("dialed above").negotiated())
-    }
-
-    /// Dials and handshakes the control transport: a v3 peer yields the
-    /// shared multiplexed connection, an older one a plain connection.
-    fn dial_control(&self) -> Result<ControlHandle, VssError> {
-        let connection = Connection::dial(self.addr, self.protocol_cap)?;
-        if connection.negotiated >= 3 {
-            Ok(ControlHandle::Mux(MuxConn::spawn(connection)?))
-        } else {
-            Ok(ControlHandle::Legacy(connection))
-        }
-    }
-
-    /// Ensures the control transport is dialed and returns the shared
-    /// multiplexed connection when the peer negotiated v3. `None` means a
-    /// pre-v3 peer: the caller falls back to a dedicated connection per
-    /// stream. A dead multiplexed connection is dropped and redialed.
-    fn mux_conn(&self) -> Result<Option<Arc<MuxConn>>, VssError> {
-        let mut slot = self.control.lock().expect("control lock");
-        if let Some(ControlHandle::Mux(conn)) = slot.as_ref() {
-            if conn.shared.dead().is_some() {
-                *slot = None;
-            }
-        }
-        if slot.is_none() {
-            *slot = Some(self.dial_control()?);
-        }
-        match slot.as_ref().expect("dialed above") {
-            ControlHandle::Mux(conn) => Ok(Some(Arc::clone(conn))),
-            ControlHandle::Legacy(_) => Ok(None),
-        }
+        let conn = MuxConn::dial(self.addr)?;
+        *slot = Some(Arc::clone(&conn));
+        Ok(conn)
     }
 
     /// Data-frame credit window granted to each multiplexed read/subscribe
@@ -989,20 +719,19 @@ impl RemoteStore {
     }
 
     /// Opens one stream on the shared multiplexed connection under the
-    /// store's retry policy. `Ok(None)` means the peer is pre-v3 — fall back
-    /// to a dedicated connection. Dial failures and typed `Overloaded`
-    /// replies (including overload resets) back off and retry; once a
-    /// stream is open it is never silently reopened.
+    /// store's retry policy. Dial failures and typed `Overloaded` replies
+    /// (including overload resets) back off and retry; once a stream is
+    /// open it is never silently reopened; `classify` decides what the
+    /// opening reply means.
     fn open_mux<T>(
         &self,
         open: &Message,
         window: u32,
         mut classify: impl FnMut(Message, MuxStreamHandle) -> Attempt<T>,
-    ) -> Result<Option<T>, VssError> {
+    ) -> Result<T, VssError> {
         self.run_with_retry(|| {
             let conn = match self.mux_conn() {
-                Ok(Some(conn)) => conn,
-                Ok(None) => return Attempt::Done(Ok(None)),
+                Ok(conn) => conn,
                 Err(error) => return Attempt::Retry(error),
             };
             let handle = match conn.open_stream(open, window) {
@@ -1014,19 +743,15 @@ impl RemoteStore {
                     shed @ VssError::Overloaded(_) => Attempt::Retry(shed),
                     other => Attempt::Done(Err(other)),
                 },
-                Ok(reply) => match classify(reply, handle) {
-                    Attempt::Done(Ok(value)) => Attempt::Done(Ok(Some(value))),
-                    Attempt::Done(Err(error)) => Attempt::Done(Err(error)),
-                    Attempt::Retry(error) => Attempt::Retry(error),
-                },
+                Ok(reply) => classify(reply, handle),
                 Err(shed @ VssError::Overloaded(_)) => Attempt::Retry(shed),
                 Err(error) => Attempt::Done(Err(error)),
             }
         })
     }
 
-    /// Runs one request/response exchange on the control connection,
-    /// redialing a broken connection on the next call. Under a
+    /// Runs one request/response exchange on the control plane, redialing
+    /// a broken connection on the next call. Under a
     /// [`RetryPolicy`], dial failures and typed [`VssError::Overloaded`]
     /// sheds back off and retry (the request was provably not applied);
     /// mid-exchange transport failures never do.
@@ -1035,17 +760,13 @@ impl RemoteStore {
     }
 
     fn unary_once(&self, message: &Message) -> Attempt<Message> {
-        let mut slot = self.control.lock().expect("control lock");
-        if slot.is_none() {
-            match self.dial_control() {
-                Ok(handle) => *slot = Some(handle),
-                // Nothing was sent: transient connect failures (and
-                // admission sheds during the handshake) are retryable.
-                Err(error) => return Attempt::Retry(error),
-            }
-        }
-        let handle = slot.as_mut().expect("dialed above");
-        match handle.exchange(message) {
+        let conn = match self.mux_conn() {
+            Ok(conn) => conn,
+            // Nothing was sent: transient connect failures (and admission
+            // sheds during the handshake) are retryable.
+            Err(error) => return Attempt::Retry(error),
+        };
+        match conn.unary(message) {
             // A typed server error leaves the exchange aligned; keep the
             // connection. An `Overloaded` shed means the server refused the
             // request before executing it — safe to retry.
@@ -1058,37 +779,13 @@ impl RemoteStore {
             // applied the request, so surface it; drop the connection so the
             // next unary call redials.
             Err(error) => {
-                *slot = None;
+                let mut slot = self.control.lock().expect("control lock");
+                if slot.as_ref().is_some_and(|current| Arc::ptr_eq(current, &conn)) {
+                    *slot = None;
+                }
                 Attempt::Done(Err(error))
             }
         }
-    }
-
-    /// Dials the dedicated connection for one streaming operation and runs
-    /// its opening exchange. Under a [`RetryPolicy`], dial failures
-    /// (including handshake-time admission sheds) and typed `Overloaded`
-    /// replies to the open message back off and retry — the server refused
-    /// the stream before starting it. Once a stream is open it is never
-    /// silently reopened; `classify` decides what the opening reply means.
-    fn open_stream<T>(
-        &self,
-        open: &Message,
-        mut classify: impl FnMut(Message, Connection) -> Attempt<T>,
-    ) -> Result<T, VssError> {
-        self.run_with_retry(|| {
-            let mut connection = match Connection::dial(self.addr, self.protocol_cap) {
-                Ok(connection) => connection,
-                Err(error) => return Attempt::Retry(error),
-            };
-            match connection.send(open).and_then(|()| connection.recv()) {
-                Ok(Message::Error(error)) => match error.into_error() {
-                    shed @ VssError::Overloaded(_) => Attempt::Retry(shed),
-                    other => Attempt::Done(Err(other)),
-                },
-                Ok(reply) => classify(reply, connection),
-                Err(error) => Attempt::Done(Err(error)),
-            }
-        })
     }
 
     /// Drives attempts of a safely-retryable operation under the store's
@@ -1124,126 +821,18 @@ impl RemoteStore {
     }
 }
 
-/// Iterator over streamed chunks, fed by a socket-reader thread through a
-/// bounded channel. Dropping it mid-stream closes the dedicated connection
-/// (cancelling the server-side drain) and joins the reader thread.
-struct ChunkIter {
-    receiver: Option<Receiver<Result<ReadChunk, VssError>>>,
-    reader: Option<JoinHandle<()>>,
-}
-
-impl Iterator for ChunkIter {
-    type Item = Result<ReadChunk, VssError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        // A closed channel is the clean end of the stream: the reader thread
-        // always sends a final Err before exiting abnormally.
-        self.receiver.as_ref()?.recv().ok()
-    }
-}
-
-impl Drop for ChunkIter {
-    fn drop(&mut self) {
-        // Close the channel first so a reader blocked on send() wakes and
-        // exits (dropping its connection, which aborts the server-side
-        // drain), then join it — streams never leak threads.
-        self.receiver = None;
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
-    }
-}
-
-/// The socket-reader half of a streamed read: reassembles chunk fragments
-/// and hands completed chunks to the bounded channel. Exits when the stream
-/// ends, errors, or the consumer goes away.
-fn stream_reader(
-    mut connection: Connection,
-    sender: &crossbeam::channel::Sender<Result<ReadChunk, VssError>>,
-) {
-    let mut pending: Vec<Frame> = Vec::new();
-    let mut pending_bytes = 0u64;
-    loop {
-        match connection.recv() {
-            Ok(Message::StreamChunk { frame_rate, last, frames, encoded_gop, delta }) => {
-                pending_bytes += frames.iter().map(|f| f.byte_len() as u64).sum::<u64>();
-                pending.extend(frames);
-                // Receiver-side accumulation guard: a peer that keeps
-                // sending `last = false` fragments cannot grow this side
-                // unboundedly (the per-hop O(GOP) discipline).
-                if pending.len() > crate::wire::MAX_CHUNK_FRAMES
-                    || pending_bytes > crate::wire::MAX_CHUNK_BYTES
-                {
-                    let _ = sender.send(Err(protocol_error(format!(
-                        "chunk reassembly exceeded {} frames / {} bytes",
-                        crate::wire::MAX_CHUNK_FRAMES,
-                        crate::wire::MAX_CHUNK_BYTES
-                    ))));
-                    return;
-                }
-                if !last {
-                    continue;
-                }
-                pending_bytes = 0;
-                let frames = std::mem::take(&mut pending);
-                let sequence = if frames.is_empty() {
-                    FrameSequence::empty(frame_rate)
-                } else {
-                    FrameSequence::new(frames, frame_rate)
-                };
-                let item = sequence
-                    .map(|frames| ReadChunk { frames, encoded_gop, stats_delta: delta })
-                    .map_err(VssError::Frame);
-                let failed = item.is_err();
-                if sender.send(item).is_err() || failed {
-                    return; // consumer dropped, or the stream is poisoned
-                }
-            }
-            Ok(Message::StreamEnd) => return,
-            Ok(Message::Error(error)) => {
-                let _ = sender.send(Err(error.into_error()));
-                return;
-            }
-            Ok(other) => {
-                let _ = sender
-                    .send(Err(protocol_error(format!("unexpected message in stream: {}", other.kind_name()))));
-                return;
-            }
-            Err(error) => {
-                let _ = sender.send(Err(error));
-                return;
-            }
-        }
-    }
-}
-
-/// A live tailing feed: an iterator of [`SubEvent`]s. On a multiplexed
-/// (v3) connection the feed is one credit-paced stream — a consumer that
-/// stops draining simply stops granting credits, parking the server-side
-/// relay while the hub's lag policy (drop + catch-up reads) absorbs the
-/// overflow; the ingest path and the store's sibling streams never wait on
-/// this feed. On a pre-v3 dedicated connection the same bound comes from a
-/// socket-reader thread, a bounded channel, and TCP flow control. The
-/// iterator finishes after [`SubEvent::End`] (the video was deleted) or an
-/// error event; dropping it mid-feed cancels the subscription (a typed
-/// `MuxReset` on v3, closing the connection before) without leaking any
-/// thread.
+/// A live tailing feed: an iterator of [`SubEvent`]s, carried by one
+/// credit-paced stream of the store's connection — a consumer that stops
+/// draining simply stops granting credits, parking the server-side relay
+/// while the hub's lag policy (drop + catch-up reads) absorbs the overflow;
+/// the ingest path and the store's sibling streams never wait on this feed.
+/// The iterator finishes after [`SubEvent::End`] (the video was deleted) or
+/// an error event; dropping it mid-feed cancels the subscription with a
+/// typed `MuxReset` — the feed owns no thread, and the shared connection
+/// lives on for the store's other streams.
 pub struct LiveFeed {
-    inner: FeedInner,
-}
-
-enum FeedInner {
-    /// Pre-v3: a dedicated connection drained by a socket-reader thread.
-    Legacy {
-        receiver: Option<Receiver<Result<SubEvent, VssError>>>,
-        reader: Option<JoinHandle<()>>,
-        /// A clone of the feed's socket, shut down on drop so a reader
-        /// blocked mid-`recv` wakes and exits.
-        socket: Option<TcpStream>,
-    },
-    /// One stream of the shared multiplexed connection: events arrive from
-    /// the demultiplexer, credits flow back as the consumer drains.
-    Mux { handle: MuxStreamHandle, done: bool },
+    handle: MuxStreamHandle,
+    done: bool,
 }
 
 impl std::fmt::Debug for LiveFeed {
@@ -1256,197 +845,48 @@ impl Iterator for LiveFeed {
     type Item = Result<SubEvent, VssError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            // A closed channel is the end of the feed: the reader thread
-            // always sends a final End or Err before exiting.
-            FeedInner::Legacy { receiver, .. } => receiver.as_ref()?.recv().ok(),
-            FeedInner::Mux { handle, done } => {
-                if *done {
-                    return None;
-                }
-                match handle.recv() {
-                    Ok(Message::SubChunk {
-                        seq,
-                        start_time,
-                        end_time,
-                        frame_rate,
-                        frame_count,
-                        gop,
-                    }) => {
-                        // The event left the channel: hand its credit back.
-                        let _ = handle.grant(1);
-                        Some(Ok(SubEvent::Gop(LiveGop {
-                            seq,
-                            start_time,
-                            end_time,
-                            frame_count: frame_count as usize,
-                            frame_rate,
-                            gop: Arc::new(gop),
-                        })))
-                    }
-                    Ok(Message::SubGap { from_seq, to_seq }) => {
-                        let _ = handle.grant(1);
-                        Some(Ok(SubEvent::Gap { from_seq, to_seq }))
-                    }
-                    Ok(Message::SubEnd) => {
-                        *done = true;
-                        handle.finish();
-                        Some(Ok(SubEvent::End))
-                    }
-                    Ok(Message::Error(error)) => {
-                        *done = true;
-                        handle.finish();
-                        Some(Err(error.into_error()))
-                    }
-                    Ok(other) => {
-                        *done = true;
-                        Some(Err(protocol_error(format!(
-                            "unexpected message in feed: {}",
-                            other.kind_name()
-                        ))))
-                    }
-                    Err(error) => {
-                        *done = true;
-                        handle.finish();
-                        Some(Err(error))
-                    }
-                }
-            }
+        if self.done {
+            return None;
         }
-    }
-}
-
-impl Drop for LiveFeed {
-    fn drop(&mut self) {
-        match &mut self.inner {
-            FeedInner::Legacy { receiver, reader, socket } => {
-                // Shut the socket first so a reader blocked on recv() wakes,
-                // then close the channel so one blocked on send() wakes,
-                // then join — feeds never leak threads.
-                if let Some(socket) = socket.take() {
-                    let _ = socket.shutdown(Shutdown::Both);
-                }
-                *receiver = None;
-                if let Some(reader) = reader.take() {
-                    let _ = reader.join();
-                }
-            }
-            // A multiplexed feed owns no thread: dropping its handle sends
-            // a typed reset and the server unregisters the subscriber; the
-            // shared connection and its demultiplexer live on for the
-            // store's other streams.
-            FeedInner::Mux { .. } => {}
-        }
-    }
-}
-
-/// The socket-reader half of a live feed: decodes subscription events and
-/// hands them to the bounded channel. Exits on [`Message::SubEnd`], an error
-/// event, a transport failure, or when the consumer goes away.
-fn feed_reader(mut connection: Connection, sender: &crossbeam::channel::Sender<Result<SubEvent, VssError>>) {
-    loop {
-        match connection.recv() {
+        match self.handle.recv() {
             Ok(Message::SubChunk { seq, start_time, end_time, frame_rate, frame_count, gop }) => {
-                let event = SubEvent::Gop(LiveGop {
+                // The event left the channel: hand its credit back.
+                let _ = self.handle.grant(1);
+                Some(Ok(SubEvent::Gop(LiveGop {
                     seq,
                     start_time,
                     end_time,
                     frame_count: frame_count as usize,
                     frame_rate,
                     gop: Arc::new(gop),
-                });
-                if sender.send(Ok(event)).is_err() {
-                    return; // consumer dropped the feed
-                }
+                })))
             }
             Ok(Message::SubGap { from_seq, to_seq }) => {
-                if sender.send(Ok(SubEvent::Gap { from_seq, to_seq })).is_err() {
-                    return;
-                }
+                let _ = self.handle.grant(1);
+                Some(Ok(SubEvent::Gap { from_seq, to_seq }))
             }
             Ok(Message::SubEnd) => {
-                let _ = sender.send(Ok(SubEvent::End));
-                return;
+                self.done = true;
+                self.handle.finish();
+                Some(Ok(SubEvent::End))
             }
             Ok(Message::Error(error)) => {
-                let _ = sender.send(Err(error.into_error()));
-                return;
+                self.done = true;
+                self.handle.finish();
+                Some(Err(error.into_error()))
             }
             Ok(other) => {
-                let _ = sender.send(Err(protocol_error(format!(
+                self.done = true;
+                Some(Err(protocol_error(format!(
                     "unexpected message in feed: {}",
                     other.kind_name()
-                ))));
-                return;
+                ))))
             }
             Err(error) => {
-                let _ = sender.send(Err(error));
-                return;
+                self.done = true;
+                self.handle.finish();
+                Some(Err(error))
             }
-        }
-    }
-}
-
-/// Sink backend that relays GOPs to the server over a dedicated connection.
-/// Dropping it unfinished sends a best-effort abort and closes the socket;
-/// the server then discards unpersisted GOPs (PR 4 abort semantics), so only
-/// fully persisted GOPs survive a client crash mid-ingest.
-struct RemoteSinkBackend {
-    connection: Option<Connection>,
-}
-
-impl RemoteSinkBackend {
-    fn connection(&mut self) -> Result<&mut Connection, VssError> {
-        self.connection
-            .as_mut()
-            .ok_or_else(|| protocol_error("write connection already finished"))
-    }
-
-    /// Sends frames in slabs cut by the shared [`fragment_boundaries`] rule,
-    /// keeping every wire message under the envelope cap. Slabs are
-    /// serialized straight from the borrowed frames
-    /// ([`write_chunk_message`]) — the write hot path never clones a pixel
-    /// buffer.
-    fn send_frames(&mut self, frames: &[Frame]) -> Result<(), VssError> {
-        let connection = self.connection()?;
-        let mut start = 0usize;
-        for end in fragment_boundaries(frames) {
-            if end > start {
-                connection.send_frame_slab(&frames[start..end])?;
-            }
-            start = end;
-        }
-        Ok(())
-    }
-
-    fn finish_exchange(&mut self) -> Result<WriteReport, VssError> {
-        let connection = self.connection()?;
-        connection.send(&Message::WriteFinish)?;
-        let reply = connection.recv()?;
-        self.connection = None; // exchange complete either way
-        match reply {
-            Message::WriteReport(report) => Ok(report.into_report()),
-            Message::Error(error) => Err(error.into_error()),
-            other => Err(protocol_error(format!("unexpected write reply {}", other.kind_name()))),
-        }
-    }
-}
-
-impl GopWriteBackend for RemoteSinkBackend {
-    fn flush_gop(&mut self, frames: &[Frame]) -> Result<(), VssError> {
-        self.send_frames(frames)
-    }
-
-    fn finish(&mut self) -> Result<WriteReport, VssError> {
-        self.finish_exchange()
-    }
-}
-
-impl Drop for RemoteSinkBackend {
-    fn drop(&mut self) {
-        if let Some(mut connection) = self.connection.take() {
-            // Best-effort explicit abort; closing the socket aborts too.
-            let _ = connection.send(&Message::WriteAbort);
         }
     }
 }
@@ -1555,7 +995,7 @@ impl MuxSinkBackend {
     /// Spends one data-frame credit: drains banked grants first, then
     /// blocks until the server tops the window up. A typed error frame
     /// arriving instead (the server failed or shed the ingest) surfaces
-    /// immediately — the legacy path only reports it at finish.
+    /// immediately.
     fn take_credit(&mut self) -> Result<(), VssError> {
         loop {
             let Some(handle) = self.handle.as_ref() else {
@@ -1591,7 +1031,8 @@ impl MuxSinkBackend {
 
     /// Sends frames in slabs cut by the shared [`fragment_boundaries`] rule,
     /// spending one credit per slab; slabs go straight from the borrowed
-    /// frames onto the wire, as on the legacy path.
+    /// frames onto the wire ([`write_mux_chunk_message`]) — the write hot
+    /// path never clones a pixel buffer.
     fn send_frames(&mut self, frames: &[Frame]) -> Result<(), VssError> {
         let mut start = 0usize;
         for end in fragment_boundaries(frames) {
@@ -1692,27 +1133,14 @@ impl VideoStorage for RemoteStore {
         let _scope = vss_telemetry::request_scope(next_request_id());
         let _span = vss_telemetry::span("client", "append", name);
         let begin = Message::AppendBegin { name: name.into(), frame_rate: frames.frame_rate() };
-        let opened = self.open_mux(&begin, 0, |reply, handle| match reply {
+        let handle = self.open_mux(&begin, 0, |reply, handle| match reply {
             Message::Ok => Attempt::Done(Ok(handle)),
             other => Attempt::Done(Err(protocol_error(format!(
                 "unexpected append reply {}",
                 other.kind_name()
             )))),
         })?;
-        if let Some(handle) = opened {
-            let mut backend = MuxSinkBackend { handle: Some(handle), credit: 0 };
-            backend.send_frames(frames.frames())?;
-            return backend.finish_exchange();
-        }
-        // Pre-v3 peer: dedicated connection per append.
-        let connection = self.open_stream(&begin, |reply, connection| match reply {
-            Message::Ok => Attempt::Done(Ok(connection)),
-            other => Attempt::Done(Err(protocol_error(format!(
-                "unexpected append reply {}",
-                other.kind_name()
-            )))),
-        })?;
-        let mut backend = RemoteSinkBackend { connection: Some(connection) };
+        let mut backend = MuxSinkBackend { handle: Some(handle), credit: 0 };
         backend.send_frames(frames.frames())?;
         backend.finish_exchange()
     }
@@ -1727,13 +1155,13 @@ impl VideoStorage for RemoteStore {
 
     fn read_stream(&mut self, request: &ReadRequest) -> Result<ReadStream, VssError> {
         check_name(&request.name)?;
-        // The scope covers the stream *open* — the tagged envelope carries
+        // The scope covers the stream *open* — the traced envelope carries
         // the id to the server, whose spans for the whole drain then join
         // this trace; the client-side span measures time-to-first-chunk.
         let _scope = vss_telemetry::request_scope(next_request_id());
         let _span = vss_telemetry::span("client", "read_stream", request.name.as_str());
         let open = Message::OpenReadStream { request: request.clone() };
-        let opened = self.open_mux(&open, self.stream_window(), |reply, handle| match reply {
+        self.open_mux(&open, self.stream_window(), |reply, handle| match reply {
             Message::StreamBegin { frame_rate, compressed } => Attempt::Done(Ok(
                 ReadStream::from_chunks(frame_rate, compressed, MuxChunkIter::new(handle)),
             )),
@@ -1741,37 +1169,7 @@ impl VideoStorage for RemoteStore {
                 "unexpected stream reply {}",
                 other.kind_name()
             )))),
-        })?;
-        if let Some(stream) = opened {
-            return Ok(stream);
-        }
-        // Pre-v3 peer: dedicated connection per streamed read.
-        let (connection, frame_rate, compressed) =
-            self.open_stream(&open, |reply, connection| match reply {
-                Message::StreamBegin { frame_rate, compressed } => {
-                    Attempt::Done(Ok((connection, frame_rate, compressed)))
-                }
-                other => Attempt::Done(Err(protocol_error(format!(
-                    "unexpected stream reply {}",
-                    other.kind_name()
-                )))),
-            })?;
-        let (sender, receiver) = bounded(self.chunk_buffer);
-        let reader = std::thread::spawn(move || {
-            // A panic inside the reader must surface as a stream
-            // error, not as a clean (silently truncated) end.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                stream_reader(connection, &sender)
-            }));
-            if outcome.is_err() {
-                let _ = sender.send(Err(protocol_error("stream reader thread panicked")));
-            }
-        });
-        Ok(ReadStream::from_chunks(
-            frame_rate,
-            compressed,
-            ChunkIter { receiver: Some(receiver), reader: Some(reader) },
-        ))
+        })
     }
 
     fn write_sink(
@@ -1783,32 +1181,15 @@ impl VideoStorage for RemoteStore {
         let _scope = vss_telemetry::request_scope(next_request_id());
         let _span = vss_telemetry::span("client", "write", request.name.as_str());
         let open = Message::WriteBegin { request: request.clone(), frame_rate };
-        let opened = self.open_mux(&open, 0, |reply, handle| match reply {
+        let (handle, gop_size) = self.open_mux(&open, 0, |reply, handle| match reply {
             Message::WriteReady { gop_size } => Attempt::Done(Ok((handle, gop_size))),
             other => Attempt::Done(Err(protocol_error(format!(
                 "unexpected write-begin reply {}",
                 other.kind_name()
             )))),
         })?;
-        if let Some((handle, gop_size)) = opened {
-            return Ok(WriteSink::from_backend(
-                Box::new(MuxSinkBackend { handle: Some(handle), credit: 0 }),
-                frame_rate,
-                // Chunk pushes on the server's own GOP boundary so each
-                // flush relays exactly one server-side GOP.
-                gop_size.clamp(1, u32::MAX as u64) as usize,
-            ));
-        }
-        // Pre-v3 peer: dedicated connection per sink.
-        let (connection, gop_size) = self.open_stream(&open, |reply, connection| match reply {
-            Message::WriteReady { gop_size } => Attempt::Done(Ok((connection, gop_size))),
-            other => Attempt::Done(Err(protocol_error(format!(
-                "unexpected write-begin reply {}",
-                other.kind_name()
-            )))),
-        })?;
         Ok(WriteSink::from_backend(
-            Box::new(RemoteSinkBackend { connection: Some(connection) }),
+            Box::new(MuxSinkBackend { handle: Some(handle), credit: 0 }),
             frame_rate,
             // Chunk pushes on the server's own GOP boundary so each
             // flush relays exactly one server-side GOP.
@@ -1832,13 +1213,12 @@ mod tests {
     use super::*;
 
     /// The workload driver boxes stores as `dyn VideoStorage + Send` and
-    /// moves streams across threads; both must stay `Send` — including the
-    /// multiplexed variants, which carry an `Arc<MuxConn>` across threads.
+    /// moves streams across threads; both must stay `Send` — they carry an
+    /// `Arc<MuxConn>` across threads.
     #[test]
     fn remote_handles_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<RemoteStore>();
-        assert_send::<ChunkIter>();
         assert_send::<MuxChunkIter>();
         assert_send::<MuxSinkBackend>();
         assert_send::<LiveFeed>();

@@ -30,10 +30,9 @@
 //! # Protocol specification
 //!
 //! The protocol is a length-prefixed, versioned binary exchange over TCP.
-//! All integers are little-endian. From version 3 on, one connection carries
-//! the control plane **and** any number of concurrent streaming operations,
-//! multiplexed frame-by-frame; before version 3, each streaming operation
-//! dialed a dedicated connection.
+//! All integers are little-endian. One connection carries the control plane
+//! **and** any number of concurrent streaming operations, multiplexed
+//! frame-by-frame.
 //!
 //! ## Frame grammar
 //!
@@ -41,31 +40,31 @@
 //! connection  = hello hello-ack frame*
 //! envelope    = length:u32 payload            ; 1 <= length <= 64 MiB
 //! payload     = kind:u8 fields                ; kinds 0x01.. client→server,
-//!               | 0x7F rid:u64 kind:u8 fields ;       0x81.. server→client;
-//!               | 0x7E rid:u64 parent:u64     ; 0x7F = request-id-tagged
-//!                 kind:u8 fields              ;        envelope, version >= 2
-//!                                             ; 0x7E = traced envelope
-//!                                             ;        (+ parent span id,
-//!                                             ;        0 = none), version >= 3
+//!               | 0x7E rid:u64 parent:u64     ;       0x81.. server→client;
+//!                 kind:u8 fields              ; 0x7E = traced envelope
+//!                                             ;  (request id + parent span
+//!                                             ;  id, 0 = none), requests only
 //!
 //! hello       = 0x01 magic:u32 version:u16    ; magic = "VSSN" (0x5653534E)
 //! hello-ack   = 0x81 version:u16 session:u64  ; or error (e.g. OVERLOADED)
+//!                                             ; version = 3 on both
 //!
-//! frame       = operation                     ; version 1–2: one at a time
-//!             | mux | mux-credit | mux-reset  ; version >= 3: interleaved
+//! frame       = unary | mux | mux-credit | mux-reset   ; interleaved
 //!
-//! ;; ---- multiplexing (version >= 3) --------------------------------
+//! ;; ---- multiplexing ------------------------------------------------
 //! ;; A mux frame binds one operation message to one stream. A stream is
 //! ;; opened by the first client frame carrying a fresh id (its inner
 //! ;; message must be an opener: read-stream, write, append or subscribe);
 //! ;; every later frame of that operation rides the same id. Mux frames
-//! ;; never nest. Unary operations (create/delete/metadata/stats) travel
-//! ;; un-muxed on the same connection, serviced between stream frames.
+//! ;; never nest. Unary operations (create/delete/metadata/admin) travel
+//! ;; un-muxed on the same connection, serviced between stream frames; an
+//! ;; opener sent un-muxed is answered with a typed protocol error.
 //! mux         = 0x7D stream_id:u32 payload    ; 1 <= stream_id <= 2^20
 //! mux-credit  = 0x7C stream_id:u32 frames:u32 ; 1 <= frames <= 2^16
 //! mux-reset   = 0x7B stream_id:u32 error:opt<error-fields>
 //!
-//! operation   = unary | read-stream | write | append | subscribe
+//! ;; The mux payloads of one stream, both directions, spell one operation:
+//! operation   = read-stream | write | append | subscribe
 //! unary       = (create | delete | metadata | admin) (ok | error)
 //! create      = 0x02 name:str budget:opt<budget>
 //! delete      = 0x03 name:str
@@ -91,7 +90,7 @@
 //! write-report= 0x89 physical_id:u64 gops:u64 frames:u64 bytes:u64
 //!                    deferred:bytes elapsed_us:u64
 //!
-//! subscribe   = 0x0C name:str from            ; version >= 2
+//! subscribe   = 0x0C name:str from
 //!               ( error
 //!               | ok (sub-chunk | sub-gap)* (sub-end | error) )
 //! from        = 0x00 | 0x01 seq:u64 | 0x02    ; start | seq(n) | live
@@ -100,8 +99,8 @@
 //! sub-gap     = 0x8C from_seq:u64 to_seq:u64
 //! sub-end     = 0x8D
 //!
-//! ;; ---- admin plane (version >= 3) ----------------------------------
-//! ;; Unary introspection over the control connection. An unknown topic
+//! ;; ---- admin plane --------------------------------------------------
+//! ;; Unary introspection over the same connection. An unknown topic
 //! ;; byte decodes fine and is answered with a typed UNSUPPORTED error —
 //! ;; never by dropping the connection.
 //! admin       = admin-req (admin-table | error)
@@ -137,10 +136,10 @@
 //! connection ends. Stores of such frames remain fully usable in-process;
 //! intra-frame fragmentation is a ROADMAP follow-on.
 //!
-//! ## Credit-based flow control (version >= 3)
+//! ## Credit-based flow control
 //!
 //! Per-connection TCP backpressure cannot pace streams independently: one
-//! slow consumer would stall every stream sharing the socket. Version 3
+//! slow consumer would stall every stream sharing the socket. The protocol
 //! therefore paces each stream by an explicit window of **data frames**:
 //!
 //! * Data frames are the ones that carry bulk payload: `stream-chunk`,
@@ -175,17 +174,17 @@
 //! teardowns, and `net.mux.credit_stall_ns` records how long server workers
 //! actually parked on closed windows.
 //!
-//! ## Introspection plane (version >= 3)
+//! ## Introspection plane
 //!
-//! Version 3 adds a unary **admin plane** over the control connection (see
-//! the grammar above): `sessions`, `streams` (with per-stream credit
-//! state), `shards` and `spans` tables; a **paginated** registry fetch
-//! (`stats-page-req`) that replaces the single-frame `stats` message for
-//! registries larger than its per-section cap; and the Prometheus-style
-//! text exposition (`metrics-req`). The `vss-top` binary renders all of it
-//! live against a running server.
+//! A unary **admin plane** rides the same connection (see the grammar
+//! above): `sessions`, `streams` (with per-stream credit state), `shards`
+//! and `spans` tables; a **paginated** registry fetch (`stats-page-req`,
+//! the one way to read the server's telemetry registry — a registry of any
+//! size arrives complete); and the Prometheus-style text exposition
+//! (`metrics-req`). The `vss-top` binary renders all of it live against a
+//! running server.
 //!
-//! Tracing rides the same version: every version-3 payload travels in a
+//! Tracing: a request sent under an active telemetry scope travels in a
 //! `0x7E` **traced envelope** carrying `(request id, parent span id)`, so
 //! the spans a server opens while serving a request attach under the
 //! client's operation span. One client op therefore yields a single
@@ -196,25 +195,21 @@
 //! recorder** of recent wire events, dumped into the log on errors and
 //! slow operations and listed in the `sessions` table.
 //!
-//! ## Version negotiation
+//! ## Versioning
 //!
-//! The client's `Hello` carries the protocol magic and the highest version
-//! it speaks; the server answers at `min(client, server)` in its `HelloAck`
-//! (a client older than the server's minimum gets a typed protocol error
-//! naming the supported range). Both sides then speak the negotiated
-//! version's feature set — nothing version-gated is ever sent downward:
+//! Exactly one protocol version (3) is spoken. The client's `Hello` carries
+//! the protocol magic and that version; a `Hello` offering less is answered
+//! with a typed protocol error naming the supported version and closed
+//! **before** admission, and a client refuses a `HelloAck` at any other
+//! version. Anything other than a valid `Hello` on a fresh connection is a
+//! protocol error. Nothing after the handshake branches on a version.
 //!
-//! | negotiated | envelopes            | streaming ops                  | features                    |
-//! |------------|----------------------|--------------------------------|-----------------------------|
-//! | 1          | untagged only        | dedicated connection per op    | core data plane             |
-//! | 2          | request-id tagged    | dedicated connection per op    | + stats, live subscriptions |
-//! | 3          | traced (span-tagged) | multiplexed on one connection  | + credit flow, mux resets, admin plane, paginated stats, distributed span trees |
-//!
-//! Anything other than a valid `Hello` on a fresh connection is a protocol
-//! error. A v3 client talking to a v1/v2 server transparently falls back to
-//! the dedicated-connection layout (and one admission slot per streaming
-//! op — the pre-v3 accounting); v1/v2 clients against a v3 server are
-//! served exactly as before.
+//! First-payload bytes of retired messages (`0x7F`, `0x0B`, `0x8A`) stay
+//! reserved: never reassigned, and refused by the ordinary unknown-kind
+//! decode error. Client and server ship from the same commit, so a future
+//! version **replaces** this wire in one commit — bump the constant, change
+//! the grammar, delete what it obsoletes. It does not fork a second layout
+//! beside the old one.
 //!
 //! ## Admission control
 //!
@@ -226,10 +221,9 @@
 //! and closed. Clients should back off and retry. A shutting-down server
 //! refuses new connections the same way while in-flight operations drain.
 //!
-//! On version 3 the admission slot is **per connection, not per operation**:
-//! a [`RemoteStore`] holds exactly one slot however many streams it runs
-//! concurrently (pre-v3, every streaming op's dedicated connection was a
-//! second session — a client could shed *itself* at low session limits).
+//! The admission slot is **per connection, not per operation**: a
+//! [`RemoteStore`] holds exactly one slot however many streams it runs
+//! concurrently, so a client can never shed *itself* at low session limits.
 //! Within an admitted connection, concurrent streams are capped (64) and an
 //! opener past the cap is refused with a per-stream `OVERLOADED` reset, not
 //! a connection error.
@@ -244,10 +238,9 @@
 //!   fragments of oversized GOPs share its frame rate, and the `last`
 //!   fragment carries the chunk's encoded GOP and stats delta. The client
 //!   reassembles chunks from its per-stream **bounded channel** (fed by the
-//!   demultiplexer thread on v3, a dedicated socket-reader pre-v3; depth
-//!   derived from [`RemoteStore::with_chunk_buffer`], default 2): a slow
-//!   consumer stops granting credit (pre-v3: stops draining the socket and
-//!   TCP pushes back), the server worker for that stream parks off the
+//!   demultiplexer thread; depth derived from
+//!   [`RemoteStore::with_chunk_buffer`], default 2): a slow consumer stops
+//!   granting credit, the server worker for that stream parks off the
 //!   shared socket, and the in-flight bytes stay counted in the server's
 //!   gauge — which feeds the admission gate. End-to-end memory stays O(GOP)
 //!   per stream.
@@ -255,28 +248,25 @@
 //!   pushes frames in GOP-aligned chunks and the server persists through
 //!   [`vss_server::Session::write_sink`]: shard write lock per GOP, encode
 //!   overlapped with persistence when readahead is enabled, store bytes
-//!   identical to a local batch write. The socket is the pipeline: the
+//!   identical to a local batch write. The stream is the pipeline: the
 //!   client never needs more than one GOP in hand.
-//! * **Subscriptions** — `subscribe` (version ≥ 2) opens a live tailing
-//!   feed: every GOP persisted to the video fans out to every subscriber
-//!   **exactly as stored** — already encoded, never re-encoded. A slow
-//!   client is paced by its credit window (pre-v3: TCP flow control on the
-//!   feed's dedicated connection); when its hub queue overflows, the hub
-//!   drops the queue and the subscription transparently re-reads the missed
+//! * **Subscriptions** — `subscribe` opens a live tailing feed: every GOP
+//!   persisted to the video fans out to every subscriber **exactly as
+//!   stored** — already encoded, never re-encoded. A slow client is paced
+//!   by its credit window; when its hub queue overflows, the hub drops the
+//!   queue and the subscription transparently re-reads the missed
 //!   GOPs from disk (cursor-based catch-up over the ordinary read path),
 //!   re-seaming onto the live feed without duplicating or skipping a GOP —
 //!   ingest never waits on a subscriber. GOPs trimmed by retention before a
 //!   subscriber reaches them surface as an explicit `sub-gap`. Deleting the
 //!   video ends the feed with `sub-end`; dropping the client-side
-//!   [`LiveFeed`] sends a `mux-reset` for its stream (pre-v3: closes the
-//!   feed connection, noticed within the server's idle-probe interval).
+//!   [`LiveFeed`] sends a `mux-reset` for its stream.
 //! * **Cancellation** — dropping a client-side stream, sink or feed sends a
 //!   `mux-reset` for exactly that stream; the shared connection and every
 //!   sibling stream continue untouched. The server cancels the stream's
 //!   worker and aborts its operation: a read drain stops (its readahead
 //!   workers are cancelled and joined), an ingest drops its sink so **only
-//!   fully persisted GOPs remain on disk**. Pre-v3 the same semantics come
-//!   from closing the operation's dedicated connection.
+//!   fully persisted GOPs remain on disk**.
 //!
 //! ## Error mapping
 //!

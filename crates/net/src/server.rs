@@ -1,10 +1,11 @@
 //! The network front-end: [`NetServer`] serves the wire protocol over TCP
 //! on top of a [`VssServer`].
 //!
-//! One handler thread per connection. Every connection is admitted through
-//! [`VssServer::try_session`], so the [`ServerConfig`](vss_server::ServerConfig)
-//! limits govern remote clients: an over-limit connection is answered with a
-//! typed `Overloaded` error and closed. Reads drain
+//! One dispatcher thread per connection plus one worker per open stream.
+//! Every connection is admitted through [`VssServer::try_session`], so the
+//! [`ServerConfig`](vss_server::ServerConfig) limits govern remote clients:
+//! an over-limit connection is answered with a typed `Overloaded` error and
+//! closed. Reads drain
 //! [`Session::read_stream`] — the shard lock is released when the plan
 //! snapshot is taken, before the first chunk hits the socket — and writes
 //! flow through [`Session::write_sink`], persisting GOP-at-a-time under the
@@ -21,8 +22,7 @@
 use crate::wire::{
     admin_topic, fragment_boundaries, read_envelope, read_message, snapshot_page, write_message,
     write_mux_message, AdminTable, Message, WireError, WireWriteReport, FRAGMENT_BYTES,
-    MAX_ADMIN_ROWS, MAX_METRICS, MAX_STRING_BYTES, MIN_PROTOCOL_VERSION, PROTOCOL_MAGIC,
-    PROTOCOL_VERSION,
+    MAX_ADMIN_ROWS, MAX_STRING_BYTES, PROTOCOL_MAGIC, PROTOCOL_VERSION,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Read as IoRead, Write};
@@ -143,8 +143,6 @@ struct ConnState {
     id: u64,
     /// Peer address, or `?` when the socket can no longer say.
     peer: String,
-    /// Negotiated protocol version.
-    version: u16,
     /// The admitted session's server-side id.
     session_id: u64,
     /// Recent wire events (shared with every stream's [`StreamCtl`] so
@@ -351,9 +349,9 @@ fn accept_loop(inner: &Arc<NetInner>, listener: TcpListener) {
     }
 }
 
-/// Serves one connection: handshake, admission, then the request loop. Any
-/// transport error ends the connection; dropping the [`Session`] releases
-/// its admission slot.
+/// Serves one connection: handshake, admission, then the dispatcher loop
+/// ([`serve_mux_connection`]). Any transport error ends the connection;
+/// dropping the [`Session`] releases its admission slot.
 fn handle_connection(inner: &Arc<NetInner>, stream: TcpStream) {
     metrics::accepted().incr();
     metrics::active().add(1);
@@ -385,21 +383,16 @@ fn handle_connection(inner: &Arc<NetInner>, stream: TcpStream) {
     };
 
     // --- handshake + admission --------------------------------------------
-    // The server speaks min(client, server) within the supported window; a
-    // newer client is negotiated down rather than rejected, an older-than-
-    // MIN client gets a typed protocol error.
-    let negotiated = match read_message(&mut reader) {
-        Ok(Message::Hello { magic: PROTOCOL_MAGIC, version })
-            if version >= MIN_PROTOCOL_VERSION =>
-        {
-            version.min(PROTOCOL_VERSION)
-        }
+    // One protocol version: a client offering less is refused with a typed
+    // protocol error before it can take an admission slot.
+    match read_message(&mut reader) {
+        Ok(Message::Hello { magic: PROTOCOL_MAGIC, version }) if version >= PROTOCOL_VERSION => {}
         Ok(Message::Hello { magic: PROTOCOL_MAGIC, version }) => {
             let _ = send(
                 &mut writer,
                 &Message::Error(WireError::protocol(format!(
                     "unsupported protocol version {version} (this server speaks \
-                     {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
+                     {PROTOCOL_VERSION})"
                 ))),
             );
             return;
@@ -411,11 +404,11 @@ fn handle_connection(inner: &Arc<NetInner>, stream: TcpStream) {
             );
             return;
         }
-    };
+    }
     // One admission slot per connection — the connection's one `Session` is
-    // shared by its control plane and (version ≥ 3) every multiplexed
-    // stream, so a client with an open control session can stream without
-    // being shed against itself.
+    // shared by its control plane and every multiplexed stream, so a client
+    // with an open control session can stream without being shed against
+    // itself.
     let session = match inner.server.try_session() {
         Ok(session) => Arc::new(session),
         Err(error) => {
@@ -425,9 +418,8 @@ fn handle_connection(inner: &Arc<NetInner>, stream: TcpStream) {
             return;
         }
     };
-    if send(&mut writer, &Message::HelloAck { version: negotiated, session: session.id() })
-        .is_err()
-    {
+    let ack = Message::HelloAck { version: PROTOCOL_VERSION, session: session.id() };
+    if send(&mut writer, &ack).is_err() {
         return;
     }
     // Admitted: the session now counts against the server's limits, so the
@@ -443,7 +435,6 @@ fn handle_connection(inner: &Arc<NetInner>, stream: TcpStream) {
     let conn = Arc::new(ConnState {
         id: inner.next_conn.fetch_add(1, Ordering::Relaxed),
         peer,
-        version: negotiated,
         session_id: session.id(),
         recorder: Arc::new(FlightRecorder::new()),
         streams: Mutex::new(BTreeMap::new()),
@@ -451,90 +442,7 @@ fn handle_connection(inner: &Arc<NetInner>, stream: TcpStream) {
     inner.conns.lock().expect("conns lock").insert(conn.id, Arc::clone(&conn));
     let _registration = ConnRegistration { inner: Arc::clone(inner), id: conn.id };
 
-    if negotiated >= 3 {
-        // Version 3: the handler becomes a per-connection dispatcher that
-        // routes multiplexed frames to per-stream workers (and still serves
-        // plain v1/v2-style operations inline).
-        serve_mux_connection(inner, &session, &conn, &mut reader, writer);
-        return;
-    }
-
-    // --- request loop ------------------------------------------------------
-    loop {
-        // Version-2 clients may tag any request with a request id (version-3
-        // envelopes additionally carry the caller's span id); both are
-        // installed as this thread's telemetry trace scope, so the server-
-        // and engine-layer spans of the operation carry the id and parent
-        // under the caller's span.
-        let envelope = match read_envelope(&mut reader) {
-            Ok(envelope) => envelope,
-            Err(_) => return, // disconnect (or garbage): drop the session
-        };
-        let _scope = envelope
-            .request_id
-            .map(|id| vss_telemetry::trace_scope(id, envelope.parent_span_id));
-        let outcome = match envelope.message {
-            Message::Create { name, budget } => {
-                let _span = vss_telemetry::span("net", "create", name.as_str());
-                reply_unit(&mut writer, session.create(&name, budget))
-            }
-            Message::Delete { name } => {
-                let _span = vss_telemetry::span("net", "delete", name.as_str());
-                reply_unit(&mut writer, session.delete(&name))
-            }
-            Message::Metadata { name } => {
-                let _span = vss_telemetry::span("net", "metadata", name.as_str());
-                match session.metadata(&name) {
-                    Ok(metadata) => send(&mut writer, &Message::MetadataReply(metadata)),
-                    Err(error) => {
-                        send(&mut writer, &Message::Error(WireError::from_error(&error)))
-                    }
-                }
-            }
-            Message::OpenReadStream { request } => {
-                let _span = vss_telemetry::span("net", "read_stream", request.name.as_str());
-                serve_read_stream(inner, &session, &request, &mut writer)
-            }
-            Message::WriteBegin { request, frame_rate } => {
-                let _span = vss_telemetry::span("net", "write", request.name.as_str());
-                serve_write(inner, &session, &request, frame_rate, &mut reader, &mut writer)
-            }
-            Message::AppendBegin { name, frame_rate } => {
-                let _span = vss_telemetry::span("net", "append", name.as_str());
-                serve_append(inner, &session, &name, frame_rate, &mut reader, &mut writer)
-            }
-            Message::StatsRequest if negotiated >= 2 => {
-                let _span = vss_telemetry::span("net", "stats", "");
-                send(&mut writer, &stats_snapshot_reply())
-            }
-            Message::AdminRequest { .. }
-            | Message::StatsPageRequest { .. }
-            | Message::MetricsTextRequest => send(
-                &mut writer,
-                &Message::Error(WireError::from_error(&VssError::Unsupported(format!(
-                    "the admin plane requires protocol version 3 (negotiated {negotiated})"
-                )))),
-            ),
-            Message::Subscribe { name, from } if negotiated >= 2 => {
-                let _span = vss_telemetry::span("net", "subscribe", name.as_str());
-                // A subscription is its connection's last operation (the
-                // liveness probes in `serve_subscribe` read the socket raw,
-                // unaligning the request framing): serve it and close.
-                let _ = serve_subscribe(inner, &session, &name, from, &mut reader, &mut writer);
-                return;
-            }
-            other => send(
-                &mut writer,
-                &Message::Error(WireError::protocol(format!(
-                    "unexpected message {} outside any operation",
-                    other.kind_name()
-                ))),
-            ),
-        };
-        if outcome.is_err() {
-            return; // transport failure: connection is gone
-        }
-    }
+    serve_mux_connection(inner, &session, &conn, &mut reader, writer);
 }
 
 fn reply_unit(
@@ -549,50 +457,9 @@ fn reply_unit(
     writer.flush().map_err(io_error)
 }
 
-/// Drains a `Session::read_stream` onto the socket GOP-at-a-time. The shard
-/// lock was released inside `read_stream` (plan-snapshot design), so this
-/// loop runs lock-free; TCP flow control paces it against the client, and
-/// each chunk's bytes are counted in flight while they queue on the socket.
-fn serve_read_stream(
-    inner: &Arc<NetInner>,
-    session: &Session,
-    request: &vss_core::ReadRequest,
-    writer: &mut ConnWriter,
-) -> Result<(), VssError> {
-    let stream = match session.read_stream(request) {
-        Ok(stream) => stream,
-        Err(error) => {
-            write_message(writer, &Message::Error(WireError::from_error(&error)))?;
-            return writer.flush().map_err(io_error);
-        }
-    };
-    write_message(
-        writer,
-        &Message::StreamBegin {
-            frame_rate: stream.output_frame_rate(),
-            compressed: stream.is_compressed(),
-        },
-    )?;
-    writer.flush().map_err(io_error)?;
-    for chunk in stream {
-        match chunk {
-            Ok(chunk) => send_chunk(inner, writer, chunk)?,
-            Err(error) => {
-                // Errors surface in plan order, exactly like a local stream;
-                // the stream is fused after this.
-                write_message(writer, &Message::Error(WireError::from_error(&error)))?;
-                return writer.flush().map_err(io_error);
-            }
-        }
-    }
-    write_message(writer, &Message::StreamEnd)?;
-    writer.flush().map_err(io_error)
-}
-
 /// Cuts one owned chunk into its wire fragments — `(message, payload
 /// bytes)` pairs in send order — by the shared [`fragment_boundaries`]
-/// rule. Both the dedicated-connection and the multiplexed send paths
-/// consume this, so the two transports fragment byte-identically.
+/// rule.
 fn chunk_fragments(mut chunk: ReadChunk) -> Vec<(Message, u64)> {
     let frame_rate = chunk.frames.frame_rate();
     let mut frames: Vec<Frame> = chunk.frames.into_frames();
@@ -637,46 +504,9 @@ fn chunk_fragments(mut chunk: ReadChunk) -> Vec<(Message, u64)> {
     fragments
 }
 
-/// Writes one chunk, fragmenting GOPs whose pixel payload would overflow the
-/// wire envelope. The fragment bytes are tracked as in flight until the
-/// socket accepts them, so slow clients raise the admission gauge.
-fn send_chunk(
-    inner: &Arc<NetInner>,
-    writer: &mut ConnWriter,
-    chunk: ReadChunk,
-) -> Result<(), VssError> {
-    for (message, bytes) in chunk_fragments(chunk) {
-        let _in_flight = inner.server.track_in_flight(bytes);
-        write_message(writer, &message)?;
-        writer.flush().map_err(io_error)?;
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // Admin plane: introspection tables + registry paging + text exposition
 // ---------------------------------------------------------------------------
-
-/// The reply to a legacy [`Message::StatsRequest`]. A registry small enough
-/// for one frame is returned whole; a registry that the wire codec would
-/// silently truncate (any section past [`MAX_METRICS`]) is refused with a
-/// typed error pointing at [`Message::StatsPageRequest`] — an overflowing
-/// labeled registry must never be truncated unnoticed.
-fn stats_snapshot_reply() -> Message {
-    let snapshot = vss_telemetry::snapshot();
-    let widest = snapshot
-        .counters
-        .len()
-        .max(snapshot.gauges.len())
-        .max(snapshot.histograms.len());
-    if widest > MAX_METRICS {
-        return Message::Error(WireError::from_error(&VssError::Unsupported(format!(
-            "registry section has {widest} series, more than one StatsSnapshot frame's \
-             {MAX_METRICS}; fetch pages with StatsPageRequest"
-        ))));
-    }
-    Message::StatsSnapshot(snapshot)
-}
 
 /// The registry as Prometheus-style text, truncated at a line boundary to
 /// fit the wire's string bound (a registry that large should be paged, but
@@ -698,7 +528,7 @@ fn admin_table(inner: &Arc<NetInner>, topic: u8, arg: u64) -> Result<AdminTable,
             let conns = inner.conns.lock().expect("conns lock");
             AdminTable {
                 title: "sessions".into(),
-                columns: ["conn", "peer", "version", "session", "streams"]
+                columns: ["conn", "peer", "session", "streams"]
                     .map(String::from)
                     .to_vec(),
                 rows: conns
@@ -707,7 +537,6 @@ fn admin_table(inner: &Arc<NetInner>, topic: u8, arg: u64) -> Result<AdminTable,
                         vec![
                             conn.id.to_string(),
                             conn.peer.clone(),
-                            conn.version.to_string(),
                             conn.session_id.to_string(),
                             conn.streams.lock().expect("conn streams lock").len().to_string(),
                         ]
@@ -833,7 +662,7 @@ fn admin_table(inner: &Arc<NetInner>, topic: u8, arg: u64) -> Result<AdminTable,
 }
 
 // ---------------------------------------------------------------------------
-// Version-3 multiplexing: per-connection dispatcher + per-stream workers
+// Multiplexing: per-connection dispatcher + per-stream workers
 // ---------------------------------------------------------------------------
 
 /// Initial client→server data-frame window granted to every multiplexed
@@ -926,8 +755,7 @@ impl StreamCtl {
 
 /// One frame routed from the dispatcher to an ingest worker. Chunk frames
 /// carry their in-flight-byte guard, so queued-but-unconsumed pixels keep
-/// feeding the admission gauge exactly like blocked socket writes do on a
-/// dedicated connection.
+/// feeding the admission gauge.
 enum IngestFrame {
     Chunk { frames: Vec<Frame>, guard: InFlightBytes },
     Finish,
@@ -1022,12 +850,11 @@ fn reset_unknown_stream(
     )
 }
 
-/// The version-3 request loop: one dispatcher thread routes every inbound
-/// frame — mux opens spawn per-stream workers, data frames feed ingest
-/// queues, credit grants top up [`StreamCtl`]s, resets tear streams down —
-/// while plain (un-muxed) operations keep their exact v1/v2 inline
-/// semantics. All streams share the connection's one [`Session`]: admission
-/// is per client, not per stream.
+/// The request loop: one dispatcher thread routes every inbound frame — mux
+/// opens spawn per-stream workers, data frames feed ingest queues, credit
+/// grants top up [`StreamCtl`]s, resets tear streams down — and serves the
+/// unary control-plane operations inline. All streams share the
+/// connection's one [`Session`]: admission is per client, not per stream.
 fn serve_mux_connection(
     inner: &Arc<NetInner>,
     session: &Arc<Session>,
@@ -1109,10 +936,6 @@ fn serve_mux_connection(
                 };
                 send_plain(&writer, &reply)
             }
-            Message::StatsRequest => {
-                let _span = vss_telemetry::span("net", "stats", "");
-                send_plain(&writer, &stats_snapshot_reply())
-            }
             Message::AdminRequest { topic, arg } => {
                 let _span = vss_telemetry::span("net", "admin", "");
                 let reply = match admin_table(inner, topic, arg) {
@@ -1130,34 +953,6 @@ fn serve_mux_connection(
             Message::MetricsTextRequest => {
                 let _span = vss_telemetry::span("net", "metrics_text", "");
                 send_plain(&writer, &Message::MetricsText { text: metrics_text_bounded() })
-            }
-            // --- plain (un-muxed) streaming ops keep v2 semantics ---------
-            Message::OpenReadStream { request } => {
-                let _span = vss_telemetry::span("net", "read_stream", request.name.as_str());
-                serve_read_stream(
-                    inner,
-                    session,
-                    &request,
-                    &mut writer.lock().expect("writer lock"),
-                )
-            }
-            Message::WriteBegin { request, frame_rate } => {
-                let _span = vss_telemetry::span("net", "write", request.name.as_str());
-                let mut writer = writer.lock().expect("writer lock");
-                serve_write(inner, session, &request, frame_rate, reader, &mut writer)
-            }
-            Message::AppendBegin { name, frame_rate } => {
-                let _span = vss_telemetry::span("net", "append", name.as_str());
-                let mut writer = writer.lock().expect("writer lock");
-                serve_append(inner, session, &name, frame_rate, reader, &mut writer)
-            }
-            Message::Subscribe { name, from } => {
-                let _span = vss_telemetry::span("net", "subscribe", name.as_str());
-                // A plain subscription is its connection's last operation,
-                // exactly as on v2 (its liveness probes read the socket raw).
-                let mut writer = writer.lock().expect("writer lock");
-                let _ = serve_subscribe(inner, session, &name, from, reader, &mut writer);
-                break;
             }
             other => send_plain(
                 &writer,
@@ -1580,9 +1375,8 @@ fn mux_ingest_worker(
 
 /// Services one multiplexed live subscription: relays hub events
 /// credit-paced, so a stalled feed consumer parks here (hub lag policy
-/// absorbing the overflow) while sibling streams keep flowing. No raw-socket
-/// liveness probe is needed — a departed client sends `MuxReset`, and the
-/// cancel flag is checked every idle tick.
+/// absorbing the overflow) while sibling streams keep flowing. A departed
+/// client sends `MuxReset`; the cancel flag is checked every idle tick.
 #[allow(clippy::too_many_arguments)]
 fn mux_subscribe_worker(
     inner: &Arc<NetInner>,
@@ -1648,251 +1442,6 @@ fn mux_subscribe_worker(
                 let _ =
                     send_mux(writer, stream_id, &Message::Error(WireError::from_error(&error)));
                 return;
-            }
-        }
-    }
-}
-
-/// Serves one live subscription on its dedicated connection: acknowledges
-/// with [`Message::Ok`], then relays hub events as
-/// [`Message::SubChunk`]/[`Message::SubGap`] until the video is deleted
-/// ([`Message::SubEnd`]), the server shuts down, or the client goes away.
-/// Between events the handler probes the socket so a departed client is
-/// noticed promptly — dropping the `Subscription` unregisters it from the
-/// hub, so a dead subscriber never delays ingest. TCP flow control paces a
-/// slow client: blocked chunk writes keep the subscription's queue filling,
-/// and the hub's lag policy (drop + catch-up) absorbs the overflow instead
-/// of the ingest path.
-fn serve_subscribe(
-    inner: &Arc<NetInner>,
-    session: &Session,
-    name: &str,
-    from: SubscribeFrom,
-    reader: &mut ConnReader,
-    writer: &mut ConnWriter,
-) -> Result<(), VssError> {
-    let mut subscription = session.subscribe(name, from);
-    write_message(writer, &Message::Ok)?;
-    writer.flush().map_err(io_error)?;
-    loop {
-        if inner.stop.load(Ordering::SeqCst) {
-            write_message(writer, &Message::SubEnd)?;
-            return writer.flush().map_err(io_error);
-        }
-        match subscription.next_timeout(std::time::Duration::from_millis(100)) {
-            Ok(Some(SubEvent::Gop(gop))) => {
-                let bytes = gop.gop.byte_len() as u64;
-                let message = Message::SubChunk {
-                    seq: gop.seq,
-                    start_time: gop.start_time,
-                    end_time: gop.end_time,
-                    frame_rate: gop.frame_rate,
-                    frame_count: gop.frame_count as u64,
-                    gop: (*gop.gop).clone(),
-                };
-                let _in_flight = inner.server.track_in_flight(bytes);
-                write_message(writer, &message)?;
-                writer.flush().map_err(io_error)?;
-            }
-            Ok(Some(SubEvent::Gap { from_seq, to_seq })) => {
-                write_message(writer, &Message::SubGap { from_seq, to_seq })?;
-                writer.flush().map_err(io_error)?;
-            }
-            Ok(Some(SubEvent::End)) => {
-                write_message(writer, &Message::SubEnd)?;
-                return writer.flush().map_err(io_error);
-            }
-            // Idle tick: probe the socket so a departed client is noticed
-            // even when no events flow.
-            Ok(None) => {
-                if !client_still_listening(reader) {
-                    return Ok(());
-                }
-            }
-            Err(error) => {
-                write_message(writer, &Message::Error(WireError::from_error(&error)))?;
-                return writer.flush().map_err(io_error);
-            }
-        }
-    }
-}
-
-/// Probes a subscription connection for liveness with a near-zero read
-/// timeout. A subscriber never sends after `Subscribe`, so EOF *or* a stray
-/// byte both mean the client is done with the stream.
-fn client_still_listening(reader: &mut ConnReader) -> bool {
-    let stream = &reader.get_ref().inner;
-    if stream.set_read_timeout(Some(std::time::Duration::from_millis(1))).is_err() {
-        return false;
-    }
-    let mut probe = [0u8; 1];
-    match (&mut &*stream).read(&mut probe) {
-        Ok(0) => false, // EOF: the client closed its end.
-        Ok(_) => false, // A subscriber never sends: a stray byte also means done.
-        Err(error) => matches!(
-            error.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        ),
-    }
-}
-
-/// Services one incremental write: frames stream in, each server-side GOP
-/// persists under the shard write lock per GOP (overlapped encode when
-/// readahead is on). A disconnect mid-ingest drops the sink — only fully
-/// persisted GOPs remain.
-fn serve_write(
-    inner: &Arc<NetInner>,
-    session: &Session,
-    request: &vss_core::WriteRequest,
-    frame_rate: f64,
-    reader: &mut ConnReader,
-    writer: &mut ConnWriter,
-) -> Result<(), VssError> {
-    let sink = match session.write_sink(request, frame_rate) {
-        Ok(sink) => sink,
-        Err(error) => {
-            write_message(writer, &Message::Error(WireError::from_error(&error)))?;
-            return writer.flush().map_err(io_error);
-        }
-    };
-    write_message(writer, &Message::WriteReady { gop_size: sink.gop_size() as u64 })?;
-    writer.flush().map_err(io_error)?;
-    ingest(inner, reader, writer, IngestTarget::Sink(Box::new(sink)))
-}
-
-/// Services one append: frames are buffered (append is a batch operation in
-/// the engine — the buffered bytes count as in flight, feeding the admission
-/// gate) and applied on finish.
-fn serve_append(
-    inner: &Arc<NetInner>,
-    session: &Session,
-    name: &str,
-    frame_rate: f64,
-    reader: &mut ConnReader,
-    writer: &mut ConnWriter,
-) -> Result<(), VssError> {
-    // Fail fast: reject an append to a nonexistent video at begin, before
-    // the client ships (and this side buffers) the whole clip.
-    if let Err(error) = session.metadata(name) {
-        write_message(writer, &Message::Error(WireError::from_error(&error)))?;
-        return writer.flush().map_err(io_error);
-    }
-    write_message(writer, &Message::Ok)?;
-    writer.flush().map_err(io_error)?;
-    ingest(
-        inner,
-        reader,
-        writer,
-        IngestTarget::Append { session, name: name.to_string(), frame_rate, frames: Vec::new() },
-    )
-}
-
-enum IngestTarget<'a> {
-    Sink(Box<WriteSink<'static>>),
-    Append { session: &'a Session, name: String, frame_rate: f64, frames: Vec<Frame> },
-}
-
-/// Shared chunk-consumption loop for writes and appends. After a storage
-/// error the typed reply has already been sent; remaining chunks are
-/// discarded so the client's pipelined sends cannot desynchronize the
-/// connection, and its `finish` reads the earlier error.
-fn ingest(
-    inner: &Arc<NetInner>,
-    reader: &mut ConnReader,
-    writer: &mut ConnWriter,
-    mut target: IngestTarget<'_>,
-) -> Result<(), VssError> {
-    let mut failed = false;
-    // In-flight accounting for buffered appends lives as long as the buffer.
-    let mut buffered_guards = Vec::new();
-    loop {
-        // A disconnect mid-ingest propagates the error: dropping the sink
-        // aborts it (only fully persisted GOPs remain on disk). Read through
-        // the envelope decoder: a version-2 client tags any client→server
-        // message sent under an active request scope (`WriteFinish` of an
-        // append, a sink's `WriteAbort`), and the ingest loop must accept
-        // those exactly like the top-level request loop does. The request id
-        // is already scoped from the operation's opening message.
-        let message = read_envelope(reader)?.message;
-        match message {
-            Message::WriteChunk { frames } => {
-                if failed {
-                    continue; // discard until the client finishes or aborts
-                }
-                let bytes: u64 = frames.iter().map(|f| f.byte_len() as u64).sum();
-                match &mut target {
-                    IngestTarget::Sink(sink) => {
-                        let _in_flight = inner.server.track_in_flight(bytes);
-                        for frame in frames {
-                            if let Err(error) = sink.push_frame(frame) {
-                                write_message(
-                                    writer,
-                                    &Message::Error(WireError::from_error(&error)),
-                                )?;
-                                writer.flush().map_err(io_error)?;
-                                failed = true;
-                                break;
-                            }
-                        }
-                    }
-                    IngestTarget::Append { frames: buffer, .. } => {
-                        buffered_guards.push(inner.server.track_in_flight(bytes));
-                        buffer.extend(frames);
-                        // The in-flight-byte limit gates *active* transfers
-                        // too, not just new sessions: an admitted client
-                        // streaming an unbounded append is shed with a typed
-                        // Overloaded before it can exhaust server memory.
-                        let limit = inner.server.server_config().max_in_flight_bytes;
-                        if limit > 0 && inner.server.in_flight_bytes() > limit {
-                            let error = VssError::Overloaded(format!(
-                                "append transfer exceeded the in-flight byte limit \
-                                 ({} of {limit} bytes in flight)",
-                                inner.server.in_flight_bytes()
-                            ));
-                            write_message(writer, &Message::Error(WireError::from_error(&error)))?;
-                            writer.flush().map_err(io_error)?;
-                            buffer.clear();
-                            buffer.shrink_to_fit();
-                            buffered_guards.clear();
-                            failed = true;
-                        }
-                    }
-                }
-            }
-            Message::WriteFinish => {
-                if !failed {
-                    let result = match target {
-                        IngestTarget::Sink(sink) => sink.finish(),
-                        IngestTarget::Append { session, name, frame_rate, frames } => {
-                            let sequence = if frames.is_empty() {
-                                vss_frame::FrameSequence::empty(frame_rate)
-                            } else {
-                                vss_frame::FrameSequence::new(frames, frame_rate)
-                            }
-                            .map_err(VssError::Frame);
-                            sequence.and_then(|frames| session.append(&name, &frames))
-                        }
-                    };
-                    let message = match result {
-                        Ok(report) => Message::WriteReport(WireWriteReport::from_report(&report)),
-                        Err(error) => Message::Error(WireError::from_error(&error)),
-                    };
-                    write_message(writer, &message)?;
-                    writer.flush().map_err(io_error)?;
-                }
-                return Ok(());
-            }
-            Message::WriteAbort => return Ok(()), // drop the target: abort
-            other => {
-                write_message(
-                    writer,
-                    &Message::Error(WireError::protocol(format!(
-                        "unexpected message {} during an ingest",
-                        other.kind_name()
-                    ))),
-                )?;
-                writer.flush().map_err(io_error)?;
-                return Ok(()); // treat as abort; connection stays aligned
             }
         }
     }

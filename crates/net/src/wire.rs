@@ -20,7 +20,7 @@
 //!   checks availability before slicing, and [`decode_message`] requires the
 //!   payload to be consumed exactly).
 //!
-//! # Admin frame grammar (version ≥ 3)
+//! # Admin frame grammar
 //!
 //! The introspection plane is four unary request/reply pairs, all riding
 //! the ordinary envelope (and, over a multiplexed connection, the control
@@ -41,23 +41,27 @@
 //! `StatsPageRequest` walks the registry flattened as counters → gauges →
 //! histograms, each section in sorted series order; a client concatenates
 //! pages until `start + page-len == total`, so a registry of any size
-//! crosses the wire without hitting the per-message [`MAX_METRICS`] cap
-//! (the legacy unary `StatsRequest` instead answers a typed overflow error
-//! when the registry exceeds one message). `MetricsText` is the
-//! Prometheus-style exposition of the same registry. On a version < 3
-//! connection every admin request is refused with a typed
-//! [`code::UNSUPPORTED`] error.
+//! crosses the wire without hitting the per-message [`MAX_METRICS`] cap.
+//! `MetricsText` is the Prometheus-style exposition of the same registry.
 //!
-//! # Traced request envelope (version ≥ 3)
+//! # Traced request envelope
 //!
 //! ```text
 //! traced = 0x7e request_id:u64 parent_span_id:u64 message
-//! tagged = 0x7f request_id:u64 message              ; version >= 2
 //! ```
 //!
-//! The traced form adds the client's innermost open span id (0 = none) so
-//! the server's spans chain under the client's op span and one request
-//! yields one connected [`vss_telemetry::span_tree`] across processes.
+//! A request sent under an active telemetry scope carries its request id
+//! and the client's innermost open span id (0 = none), so the server's
+//! spans chain under the client's op span and one request yields one
+//! connected [`vss_telemetry::span_tree`] across processes.
+//!
+//! # Reserved bytes
+//!
+//! Three first-payload bytes belonged to retired protocol versions and stay
+//! reserved — never reassigned, and refused by [`decode_message`] as unknown
+//! kinds: `0x7f` (the request-id-only envelope), `0x0b` (one-frame stats
+//! request) and `0x8a` (its one-frame snapshot reply; [`Message::StatsPage`]
+//! is the one registry fetch).
 
 use std::io::{Read, Write};
 use vss_codec::{Codec, CodecError, EncodedGop};
@@ -71,31 +75,11 @@ use vss_telemetry::{HistogramSummary, TelemetrySnapshot};
 
 /// Protocol magic carried by the client's `Hello` ("VSSN").
 pub const PROTOCOL_MAGIC: u32 = 0x5653_534e;
-/// Newest protocol version spoken by this build. Version 2 added the tagged
-/// request-id envelope ([`ENVELOPE_TAGGED`]), the
-/// [`Message::StatsRequest`]/[`Message::StatsSnapshot`] pair and the live
-/// subscription flow ([`Message::Subscribe`] and its
-/// [`Message::SubChunk`]/[`Message::SubGap`]/[`Message::SubEnd`] events).
-/// Version 3 added stream multiplexing: the [`Message::Mux`] frame carries
-/// any operation's message on a client-chosen stream id, so one connection
-/// interleaves the control plane with N concurrent reads, writes and
-/// subscriptions, paced per stream by [`Message::MuxCredit`] window grants
-/// and torn down per stream by [`Message::MuxReset`].
-///
-/// Version 3 also carries the **introspection plane**: the traced envelope
-/// ([`ENVELOPE_TRACED`], adding a parent span id to the request tag), the
-/// unary admin messages ([`Message::AdminRequest`] →
-/// [`Message::AdminTable`]), paginated telemetry fetch
-/// ([`Message::StatsPageRequest`] → [`Message::StatsPage`]) and the
-/// Prometheus-style exposition ([`Message::MetricsTextRequest`] →
-/// [`Message::MetricsText`]). All are gated on a negotiated version ≥ 3.
+/// The one protocol version this build speaks. A `Hello` offering less is
+/// refused with a typed protocol error before admission; the server always
+/// acknowledges at exactly this version, and a client refuses a `HelloAck`
+/// carrying any other.
 pub const PROTOCOL_VERSION: u16 = 3;
-/// Oldest protocol version this build still speaks. The handshake
-/// negotiates `min(client, server)` within
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] and rejects anything
-/// older; on a version-1 connection neither side emits version-2 constructs
-/// (no tagged envelopes, no stats messages).
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
 /// Ceiling on one message's payload, checked before any allocation.
 pub const MAX_MESSAGE_BYTES: usize = 64 << 20;
 /// Ceiling on one string field (names, error text).
@@ -116,33 +100,26 @@ pub const MAX_CHUNK_FRAMES: usize = 1 << 16;
 /// Ceiling on the pixel bytes one reassembled chunk may accumulate across
 /// its fragments.
 pub const MAX_CHUNK_BYTES: u64 = 1 << 30;
-/// First payload byte of a version-2 tagged envelope: `[0x7f][request id:
-/// u64 LE][message]`. The value collides with no message kind (client kinds
-/// are `0x01..=0x7a`, server kinds `0x81..`), so a tagged payload is
-/// unambiguous — and a version-1 decoder rejects it as an unknown kind,
-/// which is why tagging is only used after the handshake negotiates ≥ 2.
-pub const ENVELOPE_TAGGED: u8 = 0x7f;
-/// First payload byte of a version-3 **traced** envelope:
-/// `[0x7e][request id: u64 LE][parent span id: u64 LE][message]`. The
-/// traced form extends the tagged one with the sender's innermost open span
-/// id (0 encodes "no parent"), so server-side spans chain under the
-/// client's op span and [`vss_telemetry::span_tree`] reassembles one
-/// connected tree per request. Like the tagged marker, the value collides
-/// with no message kind; only sent after the handshake negotiates ≥ 3.
+/// First payload byte of a **traced** envelope:
+/// `[0x7e][request id: u64 LE][parent span id: u64 LE][message]`. It tags a
+/// request with its id and the sender's innermost open span id (0 encodes
+/// "no parent"), so server-side spans chain under the client's op span and
+/// [`vss_telemetry::span_tree`] reassembles one connected tree per request.
+/// The value collides with no message kind (client kinds are `0x01..=0x7a`,
+/// server kinds `0x81..`), so a traced payload is unambiguous; the
+/// handshake itself is never wrapped.
 pub const ENVELOPE_TRACED: u8 = 0x7e;
-/// Ceiling on the metrics one [`Message::StatsSnapshot`] or
-/// [`Message::StatsPage`] section (counters, gauges or histograms) may
-/// carry, checked before any allocation. A registry larger than this is
-/// fetched with [`Message::StatsPageRequest`] pages; the unary
-/// [`Message::StatsRequest`] answers a typed overflow error instead of
-/// truncating.
+/// Ceiling on the metrics one [`Message::StatsPage`] section (counters,
+/// gauges or histograms) may carry, checked before any allocation. A
+/// registry larger than this arrives as several
+/// [`Message::StatsPageRequest`] pages.
 pub const MAX_METRICS: usize = 4096;
 /// Ceiling on the columns of one [`Message::AdminTable`].
 pub const MAX_ADMIN_COLUMNS: usize = 32;
 /// Ceiling on the rows of one [`Message::AdminTable`]; servers truncate
 /// (and say so in the table title) rather than exceed it.
 pub const MAX_ADMIN_ROWS: usize = 4096;
-/// Ceiling on a multiplexed stream id (version 3). Ids are client-chosen,
+/// Ceiling on a multiplexed stream id. Ids are client-chosen,
 /// start at 1 (0 is reserved for the connection's control plane and always
 /// invalid on the wire) and are validated **before** the frame's inner
 /// payload is decoded, so a corrupt id can never steer an allocation.
@@ -189,12 +166,11 @@ pub mod code {
     pub const PROTOCOL: u16 = 100;
 }
 
-/// Topic selectors for [`Message::AdminRequest`] (version ≥ 3). Each topic
+/// Topic selectors for [`Message::AdminRequest`]. Each topic
 /// answers with one [`Message::AdminTable`]; `arg` is topic-specific and 0
 /// when unused.
 pub mod admin_topic {
-    /// Live sessions: id, peer, negotiated version, age, open mux streams,
-    /// recent flight-recorder events.
+    /// Live sessions: connection id, peer, session id, open mux streams.
     pub const SESSIONS: u8 = 1;
     /// Active mux streams across all sessions: session, stream id, kind,
     /// remaining credit, frames sent.
@@ -395,9 +371,8 @@ pub enum Message {
     Hello {
         /// Must be [`PROTOCOL_MAGIC`].
         magic: u32,
-        /// Newest version the client speaks; the server negotiates
-        /// `min(client, server)` and rejects anything below
-        /// [`MIN_PROTOCOL_VERSION`].
+        /// Newest version the client speaks; the server refuses anything
+        /// below [`PROTOCOL_VERSION`] with a typed protocol error.
         version: u16,
     },
     /// Creates a logical video.
@@ -450,24 +425,20 @@ pub enum Message {
     /// Abandons an in-progress write or append: the server discards
     /// unpersisted data (for a sink, only fully persisted GOPs remain).
     WriteAbort,
-    /// Requests the server's telemetry snapshot (version ≥ 2 only); the
-    /// server replies [`Message::StatsSnapshot`].
-    StatsRequest,
-    /// Opens a live tailing subscription on a dedicated connection
-    /// (version ≥ 2 only). The server acknowledges with [`Message::Ok`] and
-    /// then streams [`Message::SubChunk`]/[`Message::SubGap`] events until
-    /// the video is deleted ([`Message::SubEnd`]) or the client closes the
-    /// connection.
+    /// Opens a live tailing subscription. The server acknowledges with
+    /// [`Message::Ok`] and then streams
+    /// [`Message::SubChunk`]/[`Message::SubGap`] events until the video is
+    /// deleted ([`Message::SubEnd`]) or the client resets the stream.
     Subscribe {
         /// Logical video name (need not exist yet — the subscription waits).
         name: String,
         /// Where the subscription starts.
         from: SubscribeFrom,
     },
-    /// Handshake acknowledgement: negotiated version and the admitted
+    /// Handshake acknowledgement: the protocol version and the admitted
     /// session's server-unique id.
     HelloAck {
-        /// Version the server will speak: `min(client, server)`.
+        /// Always [`PROTOCOL_VERSION`]; a client refuses anything else.
         version: u16,
         /// Server-side session id.
         session: u64,
@@ -512,9 +483,6 @@ pub enum Message {
     },
     /// Reply to [`Message::WriteFinish`].
     WriteReport(WireWriteReport),
-    /// Reply to [`Message::StatsRequest`]: the server process's full
-    /// telemetry snapshot (version ≥ 2 only).
-    StatsSnapshot(TelemetrySnapshot),
     /// One subscribed GOP, exactly as persisted (already encoded — no
     /// re-encode on the fan-out path).
     SubChunk {
@@ -541,7 +509,7 @@ pub enum Message {
     },
     /// The subscribed video was deleted; no further events follow.
     SubEnd,
-    /// One multiplexed frame (version ≥ 3, both directions): `inner` belongs
+    /// One multiplexed frame (both directions): `inner` belongs
     /// to the stream `stream_id`. A stream is opened by the first client
     /// frame carrying its id (an [`Message::OpenReadStream`],
     /// [`Message::WriteBegin`], [`Message::AppendBegin`] or
@@ -550,10 +518,10 @@ pub enum Message {
     Mux {
         /// Stream this frame belongs to (`1..=`[`MAX_STREAM_ID`]).
         stream_id: u32,
-        /// The operation message, exactly as it would travel un-muxed.
+        /// The operation message.
         inner: Box<Message>,
     },
-    /// A cumulative credit grant (version ≥ 3, both directions): the sender
+    /// A cumulative credit grant (both directions): the sender
     /// allows `frames` more *data* frames — [`Message::StreamChunk`],
     /// [`Message::SubChunk`] and [`Message::SubGap`] toward a client,
     /// [`Message::WriteChunk`] toward a server — on stream `stream_id`.
@@ -564,8 +532,8 @@ pub enum Message {
         /// Additional data frames allowed (`1..=`[`MAX_CREDIT_FRAMES`]).
         frames: u32,
     },
-    /// Tears down one stream without touching the connection (version ≥ 3,
-    /// both directions). A client reset cancels the server-side operation
+    /// Tears down one stream without touching the connection (both
+    /// directions). A client reset cancels the server-side operation
     /// (an unfinished ingest aborts — only fully persisted GOPs remain); a
     /// server reset carries the typed error that ended the stream. Resetting
     /// an unknown stream is answered (or ignored) per stream — never by
@@ -576,7 +544,7 @@ pub enum Message {
         /// Why the stream ended (absent on a plain cancellation).
         error: Option<WireError>,
     },
-    /// Requests one admin table (version ≥ 3 only); the server replies
+    /// Requests one admin table; the server replies
     /// [`Message::AdminTable`].
     AdminRequest {
         /// Which table — an [`admin_topic`] selector.
@@ -584,8 +552,8 @@ pub enum Message {
         /// Topic-specific argument (0 when unused).
         arg: u64,
     },
-    /// Requests one page of the server's telemetry registry (version ≥ 3
-    /// only); the server replies [`Message::StatsPage`]. Pages walk the
+    /// Requests one page of the server's telemetry registry; the server
+    /// replies [`Message::StatsPage`]. Pages walk the
     /// registry flattened as counters, then gauges, then histograms, each
     /// in sorted series order.
     StatsPageRequest {
@@ -594,8 +562,8 @@ pub enum Message {
         /// Maximum series in the reply (`1..=`[`MAX_METRICS`]).
         max: u32,
     },
-    /// Requests the registry as Prometheus-style text (version ≥ 3 only);
-    /// the server replies [`Message::MetricsText`].
+    /// Requests the registry as Prometheus-style text; the server replies
+    /// [`Message::MetricsText`].
     MetricsTextRequest,
     /// Reply to [`Message::AdminRequest`]: one pre-rendered table.
     AdminTable(AdminTable),
@@ -632,7 +600,6 @@ impl Message {
             Message::WriteChunk { .. } => "WriteChunk",
             Message::WriteFinish => "WriteFinish",
             Message::WriteAbort => "WriteAbort",
-            Message::StatsRequest => "StatsRequest",
             Message::Subscribe { .. } => "Subscribe",
             Message::HelloAck { .. } => "HelloAck",
             Message::Ok => "Ok",
@@ -643,7 +610,6 @@ impl Message {
             Message::StreamEnd => "StreamEnd",
             Message::WriteReady { .. } => "WriteReady",
             Message::WriteReport(_) => "WriteReport",
-            Message::StatsSnapshot(_) => "StatsSnapshot",
             Message::SubChunk { .. } => "SubChunk",
             Message::SubGap { .. } => "SubGap",
             Message::SubEnd => "SubEnd",
@@ -670,7 +636,7 @@ const KIND_APPEND_BEGIN: u8 = 0x07;
 const KIND_WRITE_CHUNK: u8 = 0x08;
 const KIND_WRITE_FINISH: u8 = 0x09;
 const KIND_WRITE_ABORT: u8 = 0x0a;
-const KIND_STATS_REQUEST: u8 = 0x0b;
+// 0x0b is reserved (see the module docs).
 const KIND_SUBSCRIBE: u8 = 0x0c;
 const KIND_HELLO_ACK: u8 = 0x81;
 const KIND_OK: u8 = 0x82;
@@ -681,12 +647,12 @@ const KIND_STREAM_CHUNK: u8 = 0x86;
 const KIND_STREAM_END: u8 = 0x87;
 const KIND_WRITE_READY: u8 = 0x88;
 const KIND_WRITE_REPORT: u8 = 0x89;
-const KIND_STATS_SNAPSHOT: u8 = 0x8a;
+// 0x8a is reserved.
 const KIND_SUB_CHUNK: u8 = 0x8b;
 const KIND_SUB_GAP: u8 = 0x8c;
 const KIND_SUB_END: u8 = 0x8d;
 // Mux frames travel both directions, so their kinds live in the gap between
-// the client (0x01..) and marker (0x7f) namespaces.
+// the client (0x01..) and envelope-marker (0x7e; 0x7f reserved) namespaces.
 const KIND_MUX_RESET: u8 = 0x7b;
 const KIND_MUX_CREDIT: u8 = 0x7c;
 const KIND_MUX: u8 = 0x7d;
@@ -833,7 +799,7 @@ impl<'a> Cursor<'a> {
 // Composite codecs
 // ---------------------------------------------------------------------------
 
-/// Reads and validates a multiplexed stream id — the first field of every v3
+/// Reads and validates a multiplexed stream id — the first field of every mux
 /// frame, checked before anything after it is decoded.
 fn get_stream_id(cursor: &mut Cursor<'_>) -> DecodeResult<u32> {
     let id = cursor.get_u32()?;
@@ -1208,7 +1174,6 @@ pub fn encode_message(message: &Message) -> Vec<u8> {
         }
         Message::WriteFinish => out.push(KIND_WRITE_FINISH),
         Message::WriteAbort => out.push(KIND_WRITE_ABORT),
-        Message::StatsRequest => out.push(KIND_STATS_REQUEST),
         Message::Subscribe { name, from } => {
             out.push(KIND_SUBSCRIBE);
             put_str(&mut out, name);
@@ -1256,10 +1221,6 @@ pub fn encode_message(message: &Message) -> Vec<u8> {
         Message::WriteReport(report) => {
             out.push(KIND_WRITE_REPORT);
             put_report(&mut out, report);
-        }
-        Message::StatsSnapshot(snapshot) => {
-            out.push(KIND_STATS_SNAPSHOT);
-            put_snapshot(&mut out, snapshot);
         }
         Message::SubChunk { seq, start_time, end_time, frame_rate, frame_count, gop } => {
             out.push(KIND_SUB_CHUNK);
@@ -1362,7 +1323,6 @@ pub fn decode_message(payload: &[u8]) -> DecodeResult<Message> {
         KIND_WRITE_CHUNK => Message::WriteChunk { frames: get_frames(&mut cursor)? },
         KIND_WRITE_FINISH => Message::WriteFinish,
         KIND_WRITE_ABORT => Message::WriteAbort,
-        KIND_STATS_REQUEST => Message::StatsRequest,
         KIND_SUBSCRIBE => {
             let name = cursor.get_str()?;
             let from = match cursor.get_u8()? {
@@ -1398,7 +1358,6 @@ pub fn decode_message(payload: &[u8]) -> DecodeResult<Message> {
         KIND_STREAM_END => Message::StreamEnd,
         KIND_WRITE_READY => Message::WriteReady { gop_size: cursor.get_u64()? },
         KIND_WRITE_REPORT => Message::WriteReport(get_report(&mut cursor)?),
-        KIND_STATS_SNAPSHOT => Message::StatsSnapshot(get_snapshot(&mut cursor)?),
         KIND_SUB_CHUNK => {
             let seq = cursor.get_u64()?;
             let start_time = cursor.get_f64()?;
@@ -1413,7 +1372,7 @@ pub fn decode_message(payload: &[u8]) -> DecodeResult<Message> {
             Message::SubGap { from_seq: cursor.get_u64()?, to_seq: cursor.get_u64()? }
         }
         KIND_SUB_END => Message::SubEnd,
-        // Every v3 decoder validates the stream id (and any credit window)
+        // Every mux decoder validates the stream id (and any credit window)
         // *before* touching the rest of the payload — the decode-before-alloc
         // discipline — so a corrupt frame is refused before the inner
         // message's length fields can steer an allocation.
@@ -1444,8 +1403,7 @@ pub fn decode_message(payload: &[u8]) -> DecodeResult<Message> {
         }
         KIND_ADMIN_REQUEST => {
             // Any topic byte decodes; the server answers unknown topics with
-            // a typed Unsupported error so the control connection survives
-            // (and newer clients can probe for topics this build predates).
+            // a typed Unsupported error so the control connection survives.
             Message::AdminRequest { topic: cursor.get_u8()?, arg: cursor.get_u64()? }
         }
         KIND_STATS_PAGE_REQUEST => {
@@ -1524,36 +1482,22 @@ pub fn write_message(writer: &mut impl Write, message: &Message) -> Result<(), V
     write_payload(writer, &encode_message(message))
 }
 
-/// One decoded payload: the message plus the request id its version-2
-/// tagged envelope carried, if any.
+/// One decoded payload: the message plus the trace context its
+/// [`ENVELOPE_TRACED`] envelope carried, if any.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
-    /// Request id from the [`ENVELOPE_TAGGED`] or [`ENVELOPE_TRACED`]
-    /// extension (absent on plain version-1 payloads).
+    /// Request id from the traced envelope (absent on plain payloads).
     pub request_id: Option<u64>,
-    /// Parent span id from the [`ENVELOPE_TRACED`] extension: the sender's
-    /// innermost open span when the request was encoded. Absent on tagged
-    /// and plain payloads (and when the traced envelope carried 0).
+    /// Parent span id from the traced envelope: the sender's innermost open
+    /// span when the request was encoded. Absent on plain payloads (and
+    /// when the traced envelope carried 0).
     pub parent_span_id: Option<u64>,
     /// The message itself.
     pub message: Message,
 }
 
-/// Encodes one message wrapped in the version-2 tagged envelope. Only send
-/// this on a connection whose negotiated version is ≥ 2 — a version-1 peer
-/// rejects the marker byte as an unknown kind.
-pub fn encode_tagged(request_id: u64, message: &Message) -> Vec<u8> {
-    let body = encode_message(message);
-    let mut out = Vec::with_capacity(9 + body.len());
-    out.push(ENVELOPE_TAGGED);
-    put_u64(&mut out, request_id);
-    out.extend_from_slice(&body);
-    out
-}
-
-/// Encodes one message wrapped in the version-3 traced envelope, carrying
-/// both the request id and the sender's parent span id (`None` encodes as
-/// 0). Only send this on a connection whose negotiated version is ≥ 3.
+/// Encodes one message wrapped in the traced envelope, carrying both the
+/// request id and the sender's parent span id (`None` encodes as 0).
 pub fn encode_traced(request_id: u64, parent_span_id: Option<u64>, message: &Message) -> Vec<u8> {
     let body = encode_message(message);
     let mut out = Vec::with_capacity(17 + body.len());
@@ -1564,21 +1508,10 @@ pub fn encode_traced(request_id: u64, parent_span_id: Option<u64>, message: &Mes
     out
 }
 
-/// Decodes one payload that may or may not carry the tagged- or
-/// traced-envelope extension. Total, like [`decode_message`].
+/// Decodes one payload that may or may not carry the traced envelope.
+/// Total, like [`decode_message`].
 pub fn decode_envelope(payload: &[u8]) -> DecodeResult<Envelope> {
     match payload.first() {
-        Some(&ENVELOPE_TAGGED) => {
-            if payload.len() < 9 {
-                return Err("truncated tagged envelope".into());
-            }
-            let request_id = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
-            Ok(Envelope {
-                request_id: Some(request_id),
-                parent_span_id: None,
-                message: decode_message(&payload[9..])?,
-            })
-        }
         Some(&ENVELOPE_TRACED) => {
             if payload.len() < 17 {
                 return Err("truncated traced envelope".into());
@@ -1599,17 +1532,7 @@ pub fn decode_envelope(payload: &[u8]) -> DecodeResult<Envelope> {
     }
 }
 
-/// Writes one message wrapped in the version-2 tagged envelope (see
-/// [`encode_tagged`]).
-pub fn write_tagged_message(
-    writer: &mut impl Write,
-    request_id: u64,
-    message: &Message,
-) -> Result<(), VssError> {
-    write_payload(writer, &encode_tagged(request_id, message))
-}
-
-/// Writes one message wrapped in the version-3 traced envelope (see
+/// Writes one message wrapped in the traced envelope (see
 /// [`encode_traced`]).
 pub fn write_traced_message(
     writer: &mut impl Write,
@@ -1646,28 +1569,16 @@ pub fn snapshot_page(snapshot: &TelemetrySnapshot, start: u32, max: u32) -> (u32
 }
 
 /// Reads one length-prefixed payload and decodes it as an [`Envelope`]
-/// (tagged or plain). Servers read requests through this so a version-2
-/// client's request ids are surfaced; [`read_message`] is the plain
-/// equivalent for reply streams, which are never tagged.
+/// (traced or plain). Servers read requests through this so a client's
+/// trace context is surfaced; [`read_message`] is the plain equivalent for
+/// reply streams, which are never wrapped.
 pub fn read_envelope(reader: &mut impl Read) -> Result<Envelope, VssError> {
     let payload = read_payload(reader)?;
     decode_envelope(&payload).map_err(protocol_error)
 }
 
-/// Writes a [`Message::WriteChunk`] directly from borrowed frames — the
-/// write hot path serializes pixel buffers straight into the payload instead
-/// of cloning them into an owned message first.
-pub fn write_chunk_message(writer: &mut impl Write, frames: &[Frame]) -> Result<(), VssError> {
-    let bytes: usize = frames.iter().map(|f| f.byte_len() + 32).sum();
-    let mut payload = Vec::with_capacity(1 + 4 + bytes);
-    payload.push(KIND_WRITE_CHUNK);
-    put_frames(&mut payload, frames);
-    write_payload(writer, &payload)
-}
-
 /// Writes one message wrapped in a [`Message::Mux`] frame for `stream_id`
-/// (see [`encode_mux`]). Only send this on a connection whose negotiated
-/// version is ≥ 3.
+/// (see [`encode_mux`]).
 pub fn write_mux_message(
     writer: &mut impl Write,
     stream_id: u32,
@@ -1676,9 +1587,9 @@ pub fn write_mux_message(
     write_payload(writer, &encode_mux(stream_id, message))
 }
 
-/// [`write_chunk_message`] on a multiplexed stream: serializes the
-/// [`Message::WriteChunk`] straight from borrowed frames inside the mux
-/// frame — the v3 ingest hot path clones no pixel buffer either.
+/// Writes a mux-wrapped [`Message::WriteChunk`] serialized straight from
+/// borrowed frames — the ingest hot path writes pixel buffers into the
+/// payload instead of cloning them into an owned message first.
 pub fn write_mux_chunk_message(
     writer: &mut impl Write,
     stream_id: u32,
@@ -1737,7 +1648,7 @@ fn read_payload(reader: &mut impl Read) -> Result<Vec<u8>, VssError> {
 
 /// Reads one length-prefixed message. The length is validated against
 /// [`MAX_MESSAGE_BYTES`] before the payload buffer is allocated. Rejects
-/// tagged envelopes — replies are never tagged; use [`read_envelope`] on
+/// traced envelopes — replies are never wrapped; use [`read_envelope`] on
 /// the request path.
 pub fn read_message(reader: &mut impl Read) -> Result<Message, VssError> {
     decode_message(&read_payload(reader)?).map_err(protocol_error)
@@ -1752,10 +1663,10 @@ mod tests {
     fn admin_messages_round_trip() {
         let table = AdminTable {
             title: "sessions".into(),
-            columns: vec!["session".into(), "peer".into(), "version".into()],
+            columns: vec!["conn".into(), "peer".into(), "session".into()],
             rows: vec![
                 vec!["1".into(), "127.0.0.1:9".into(), "3".into()],
-                vec!["2".into(), "127.0.0.1:10".into(), "1".into()],
+                vec!["2".into(), "127.0.0.1:10".into(), "4".into()],
             ],
         };
         let messages = vec![
@@ -1802,22 +1713,45 @@ mod tests {
     }
 
     #[test]
-    fn traced_envelopes_round_trip_and_stay_v1_incompatible() {
-        let message = Message::StatsRequest;
+    fn traced_envelopes_round_trip_and_plain_payloads_pass_through() {
+        let message = Message::Metadata { name: "cam-7".into() };
         let traced = encode_traced(11, Some(77), &message);
-        let envelope = decode_envelope(&traced).expect("traced decodes");
-        assert_eq!(envelope.request_id, Some(11));
-        assert_eq!(envelope.parent_span_id, Some(77));
+        assert_eq!(traced[0], ENVELOPE_TRACED);
+        assert_eq!(
+            decode_envelope(&traced).unwrap(),
+            Envelope { request_id: Some(11), parent_span_id: Some(77), message: message.clone() }
+        );
         // 0 encodes "no parent".
         let traced = encode_traced(11, None, &message);
-        let envelope = decode_envelope(&traced).expect("traced decodes");
-        assert_eq!(envelope.parent_span_id, None);
-        // A v1 decoder rejects the marker; a strict prefix errors.
+        assert_eq!(decode_envelope(&traced).expect("traced decodes").parent_span_id, None);
+        assert_eq!(
+            decode_envelope(&encode_message(&message)).unwrap(),
+            Envelope { request_id: None, parent_span_id: None, message: message.clone() }
+        );
+        // The plain decoder (reply path) rejects the marker as an unknown
+        // kind instead of misreading the payload.
         assert!(decode_message(&traced).is_err());
-        assert!(decode_envelope(&traced[..9]).is_err());
-        // Tagged envelopes still decode with no parent.
-        let tagged = encode_tagged(11, &message);
-        assert_eq!(decode_envelope(&tagged).expect("tagged decodes").parent_span_id, None);
+        // Strict prefixes of a traced envelope always error.
+        for len in 0..traced.len() {
+            assert!(decode_envelope(&traced[..len]).is_err(), "prefix of {len} bytes decoded");
+        }
+    }
+
+    #[test]
+    fn retired_kind_bytes_decode_to_the_unknown_kind_error() {
+        // 0x7f was the request-id-only envelope, 0x0b / 0x8a the one-frame
+        // stats pair. All stay reserved: a well-formed retired payload is
+        // refused exactly like any other unknown kind, on both decoders.
+        let mut old_tagged = vec![0x7f];
+        put_u64(&mut old_tagged, 99);
+        old_tagged.extend_from_slice(&encode_message(&Message::Ok));
+        let mut old_snapshot = vec![0x8a];
+        put_snapshot(&mut old_snapshot, &TelemetrySnapshot::default());
+        for payload in [old_tagged, vec![0x0b], old_snapshot] {
+            let error = decode_message(&payload).expect_err("retired kind decoded");
+            assert!(error.contains("unknown message kind"), "{error}");
+            assert!(decode_envelope(&payload).is_err());
+        }
     }
 
     #[test]
@@ -1982,11 +1916,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_messages_round_trip() {
-        assert_eq!(
-            decode_message(&encode_message(&Message::StatsRequest)).unwrap(),
-            Message::StatsRequest
-        );
+    fn stats_pages_round_trip_with_every_section() {
         let snapshot = TelemetrySnapshot {
             counters: vec![("engine.read.ops".into(), 42), ("wal.append.ops".into(), 7)],
             gauges: vec![("server.admission.queue_depth".into(), -3)],
@@ -1995,37 +1925,17 @@ mod tests {
                 HistogramSummary { count: 10, sum: 1000, max: 400, p50: 90, p90: 300, p99: 400 },
             )],
         };
-        let message = Message::StatsSnapshot(snapshot);
+        let message = Message::StatsPage { total: 4, start: 0, snapshot };
         assert_eq!(decode_message(&encode_message(&message)).unwrap(), message);
     }
 
     #[test]
     fn snapshot_metric_count_is_capped_before_allocation() {
-        let mut payload = vec![KIND_STATS_SNAPSHOT];
+        let mut payload = vec![KIND_STATS_PAGE];
+        put_u32(&mut payload, 1);
+        put_u32(&mut payload, 0);
         put_u32(&mut payload, u32::MAX);
         assert!(decode_message(&payload).is_err());
-    }
-
-    #[test]
-    fn tagged_envelopes_round_trip_and_plain_payloads_pass_through() {
-        let message = Message::Metadata { name: "cam-7".into() };
-        let tagged = encode_tagged(99, &message);
-        assert_eq!(tagged[0], ENVELOPE_TAGGED);
-        assert_eq!(
-            decode_envelope(&tagged).unwrap(),
-            Envelope { request_id: Some(99), parent_span_id: None, message: message.clone() }
-        );
-        assert_eq!(
-            decode_envelope(&encode_message(&message)).unwrap(),
-            Envelope { request_id: None, parent_span_id: None, message: message.clone() }
-        );
-        // A version-1 decoder (plain decode_message) rejects the marker as
-        // an unknown kind instead of misreading the payload.
-        assert!(decode_message(&tagged).is_err());
-        // Strict prefixes of a tagged envelope always error.
-        for len in 0..tagged.len() {
-            assert!(decode_envelope(&tagged[..len]).is_err(), "prefix of {len} bytes decoded");
-        }
     }
 
     #[test]
@@ -2105,7 +2015,7 @@ mod tests {
 
     #[test]
     fn mux_fields_are_validated_before_the_inner_payload_is_touched() {
-        // Stream id 0 and over-cap ids are refused for every v3 kind.
+        // Stream id 0 and over-cap ids are refused for every mux kind.
         for kind in [KIND_MUX, KIND_MUX_CREDIT, KIND_MUX_RESET] {
             for id in [0u32, MAX_STREAM_ID + 1, u32::MAX] {
                 let mut payload = vec![kind];

@@ -1,4 +1,4 @@
-//! Introspection-plane acceptance over loopback: one read over mux v3
+//! Introspection-plane acceptance over loopback: one multiplexed read
 //! yields a single connected span tree spanning every layer; the admin
 //! tables, paginated stats and text exposition round-trip over the wire;
 //! and the `vss-top` binary's `--once` view prints the labeled per-shard
@@ -28,7 +28,7 @@ fn sequence(frames: usize, seed: u64) -> FrameSequence {
     FrameSequence::new(frames, 30.0).unwrap()
 }
 
-/// The tentpole's acceptance: one read issued over a multiplexed v3
+/// The tentpole's acceptance: one read issued over a multiplexed
 /// connection produces a **single connected span tree** — the client op is
 /// the root, and client, net, server and engine layers all hang off it.
 #[test]
@@ -37,7 +37,6 @@ fn one_mux_read_yields_a_connected_span_tree() {
     let server = VssServer::open_sharded(VssConfig::new(&root), 2).unwrap();
     let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
     let mut store = RemoteStore::connect(net.local_addr()).unwrap();
-    assert_eq!(store.negotiated_version().unwrap(), 3);
 
     store.write(&WriteRequest::new("cam", Codec::H264), &sequence(60, 11)).unwrap();
     let read =
@@ -86,7 +85,7 @@ fn one_mux_read_yields_a_connected_span_tree() {
 }
 
 /// Admin tables, paginated stats and text exposition all round-trip over
-/// the same v3 control connection, and the labeled series re-keyed in this
+/// the same connection, and the labeled series re-keyed in this
 /// PR (`server.shard.*{shard=N}`, `net.mux.*{kind=...}`) arrive in them.
 #[test]
 fn admin_plane_round_trips_over_loopback() {
@@ -100,11 +99,15 @@ fn admin_plane_round_trips_over_loopback() {
         store.read(&ReadRequest::new("cam", 0.0, 1.0, Codec::Raw(PixelFormat::Yuv420))).unwrap();
     assert_eq!(read.frames.len(), 30);
 
-    // Sessions: this connection is listed, at version 3.
+    // Sessions: this connection is listed under its own session id.
     let sessions = store.admin_table(admin_topic::SESSIONS, 0).unwrap();
-    assert!(!sessions.rows.is_empty(), "the asking connection is a live session");
-    let version_col = sessions.columns.iter().position(|c| c == "version").unwrap();
-    assert!(sessions.rows.iter().any(|row| row[version_col] == "3"));
+    let session_col = sessions.columns.iter().position(|c| c == "session").unwrap();
+    let own = store.session_id().unwrap().to_string();
+    assert!(
+        sessions.rows.iter().any(|row| row[session_col] == own),
+        "the asking connection is a live session:\n{}",
+        sessions.to_text()
+    );
 
     // Shards: one row per shard, and the shard that served the read shows
     // its ops.
@@ -154,35 +157,6 @@ fn admin_plane_round_trips_over_loopback() {
         other => panic!("expected a typed Unsupported error, got {other:?}"),
     }
     assert!(store.metadata("cam").is_ok(), "control connection survives the refusal");
-
-    net.shutdown();
-    let _ = std::fs::remove_dir_all(root);
-}
-
-/// Pre-v3 clients get typed refusals from the admin plane (client-side
-/// gate: nothing is even sent), and the legacy one-frame stats path still
-/// works.
-#[test]
-fn admin_plane_degrades_on_old_protocols() {
-    let root = temp_root("degrade");
-    let server = VssServer::open_sharded(VssConfig::new(&root), 1).unwrap();
-    let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
-    let mut store = RemoteStore::connect(net.local_addr()).unwrap().with_protocol_cap(2);
-    assert_eq!(store.negotiated_version().unwrap(), 2);
-
-    store.create("cam", None).unwrap();
-    match store.admin_table(admin_topic::SHARDS, 0) {
-        Err(VssError::Unsupported(message)) => {
-            assert!(message.contains("version"), "typed refusal: {message}")
-        }
-        other => panic!("expected a typed Unsupported error, got {other:?}"),
-    }
-    match store.metrics_text() {
-        Err(VssError::Unsupported(_)) => {}
-        other => panic!("expected a typed Unsupported error, got {other:?}"),
-    }
-    // The v2 single-frame stats path still answers.
-    assert!(store.stats_snapshot().unwrap().counters.iter().any(|(n, _)| n == "net.conn.accepted"));
 
     net.shutdown();
     let _ = std::fs::remove_dir_all(root);

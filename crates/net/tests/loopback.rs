@@ -1,11 +1,14 @@
-//! End-to-end loopback coverage of the protocol flows: unary operations,
-//! streaming reads/writes, typed errors (including admission shed),
-//! cancellation and shutdown.
+//! End-to-end loopback coverage of the protocol flows: the handshake's
+//! version check, unary operations, streaming reads/writes, typed errors
+//! (including admission shed), cancellation and shutdown.
 
+use std::io::{BufReader, Read};
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 use vss_codec::Codec;
 use vss_core::{ReadRequest, VideoStorage, VssConfig, VssError, WriteRequest};
 use vss_frame::{pattern, FrameSequence, PixelFormat};
+use vss_net::wire::{self, read_message, write_message, Message, PROTOCOL_MAGIC};
 use vss_net::{NetServer, RemoteStore};
 use vss_server::{ServerConfig, VssServer};
 
@@ -93,37 +96,111 @@ fn full_contract_round_trips_over_loopback() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// Version coexistence: a v1 client (dedicated connections, untagged
-/// envelopes) and a v3 client (one multiplexed connection) run the full data
+/// A client offering an older protocol version is refused during the
+/// handshake with a typed protocol error naming the one supported version,
+/// then sees EOF — and the refusal happens **before** admission, so it never
+/// consumes the server's single session slot.
+#[test]
+fn hellos_below_the_protocol_version_are_refused_before_admission() {
+    let root = temp_root("old-hello");
+    let server = VssServer::open_configured(
+        VssConfig::new(&root),
+        1,
+        ServerConfig { max_concurrent_sessions: 1, ..ServerConfig::default() },
+    )
+    .unwrap();
+    let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
+
+    // Both refused sockets stay open until the real client below has been
+    // admitted: had either taken the slot, that connect would be shed.
+    let mut refused = Vec::new();
+    for version in [1u16, 2] {
+        let mut socket = TcpStream::connect(net.local_addr()).unwrap();
+        socket.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        write_message(&mut socket, &Message::Hello { magic: PROTOCOL_MAGIC, version }).unwrap();
+        let mut reader = BufReader::new(socket);
+        match read_message(&mut reader).unwrap() {
+            Message::Error(error) => {
+                assert_eq!(error.code, wire::code::PROTOCOL, "typed protocol error: {error:?}");
+                assert!(
+                    error.message.contains(&format!("version {version}"))
+                        && error.message.contains("speaks 3"),
+                    "refusal names both versions: {}",
+                    error.message
+                );
+            }
+            other => panic!("Hello at version {version} answered with {}", other.kind_name()),
+        }
+        let mut rest = Vec::new();
+        assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "EOF follows the refusal");
+        refused.push(reader);
+    }
+    assert_eq!(server.rejected_sessions(), 0, "refused before the admission gate");
+
+    let mut store = RemoteStore::connect(net.local_addr()).unwrap();
+    store.create("cam", None).unwrap();
+    drop(refused);
+
+    net.shutdown();
+    drop(store);
+    assert!(server.shutdown(Duration::from_secs(10)));
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A peer that acknowledges the handshake at another version is not a
+/// server this client can talk to: `connect` fails with a typed protocol
+/// error instead of hanging or limping along.
+#[test]
+fn a_hello_ack_at_another_version_fails_the_connect() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let fake = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().unwrap();
+        let hello = read_message(&mut BufReader::new(socket.try_clone().unwrap())).unwrap();
+        assert!(matches!(hello, Message::Hello { magic: PROTOCOL_MAGIC, version: 3 }));
+        write_message(&mut socket, &Message::HelloAck { version: 2, session: 7 }).unwrap();
+        // Hold the socket open until the client hangs up, so a client that
+        // wrongly waited for more would block here rather than see EOF.
+        let _ = socket.read(&mut [0u8; 1]);
+    });
+    match RemoteStore::connect(addr) {
+        Err(VssError::Remote { code, message }) => {
+            assert_eq!(code, wire::code::PROTOCOL);
+            assert!(message.contains("version 2"), "error names the bad version: {message}");
+        }
+        other => panic!("expected a typed protocol error, got {other:?}"),
+    }
+    fake.join().unwrap();
+}
+
+/// Two clients, each on its one multiplexed connection, run the full data
 /// plane against the same server at the same time, and each sees exactly the
 /// bytes the in-process engine produces.
 #[test]
-fn v1_and_v3_clients_share_a_server_concurrently() {
-    let root = temp_root("mixed-versions");
+fn two_clients_share_a_server_concurrently() {
+    let root = temp_root("two-clients");
     let server = VssServer::open_sharded(VssConfig::new(&root), 2).unwrap();
     let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
     let addr = net.local_addr();
 
-    let clients: Vec<_> = [1u16, 3]
+    let clients: Vec<_> = [1u64, 2]
         .into_iter()
-        .map(|cap| {
+        .map(|client| {
             std::thread::spawn(move || {
-                let mut store =
-                    RemoteStore::connect(addr).unwrap().with_protocol_cap(cap);
-                assert_eq!(store.negotiated_version().unwrap(), cap);
-                let name = format!("cam-v{cap}");
-                let clip = sequence(75, cap as u64);
+                let mut store = RemoteStore::connect(addr).unwrap();
+                let name = format!("cam-{client}");
+                let clip = sequence(75, client);
                 store.create(&name, None).unwrap();
                 let report = store.write(&WriteRequest::new(&name, Codec::H264), &clip).unwrap();
                 assert_eq!(report.frames_written, 75);
-                store.append(&name, &sequence(30, 100 + cap as u64)).unwrap();
+                store.append(&name, &sequence(30, 100 + client)).unwrap();
 
                 let request = ReadRequest::new(&name, 0.0, 2.5, Codec::Hevc).uncacheable();
                 let remote = store.read(&request).unwrap();
                 assert_eq!(remote.frames.len(), 75);
 
                 // Incremental sink, plus a half-consumed stream dropped early.
-                let sink_name = format!("sink-v{cap}");
+                let sink_name = format!("sink-{client}");
                 let mut sink =
                     store.write_sink(&WriteRequest::new(&sink_name, Codec::H264), 30.0).unwrap();
                 for frame in clip.frames() {
@@ -141,7 +218,7 @@ fn v1_and_v3_clients_share_a_server_concurrently() {
         })
         .collect();
     for client in clients {
-        let (name, request) = client.join().expect("versioned client panicked");
+        let (name, request) = client.join().expect("client panicked");
         // Each client's store content matches the in-process engine's view.
         let local = server.session().read(&request).unwrap();
         assert_eq!(local.frames.len(), 75, "{name} diverged");
@@ -163,9 +240,9 @@ fn admission_shed_surfaces_as_overloaded_and_cancellation_aborts_cleanly() {
     .unwrap();
     let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
 
-    // Sessions released by a finished/cancelled operation free up
-    // asynchronously (the handler observes the closed socket), so a real
-    // client backs off and retries on Overloaded; these helpers do the same.
+    // A dropped client's session frees up asynchronously (the handler
+    // observes the closed socket), so a real client backs off and retries on
+    // Overloaded; these helpers do the same.
     fn retry<T>(mut op: impl FnMut() -> Result<T, VssError>) -> T {
         for _ in 0..500 {
             match op() {
@@ -179,19 +256,19 @@ fn admission_shed_surfaces_as_overloaded_and_cancellation_aborts_cleanly() {
 
     let mut first = RemoteStore::connect(net.local_addr()).unwrap();
     let second = retry(|| RemoteStore::connect(net.local_addr()));
-    // Two control connections hold both slots; the third client is shed with
-    // a typed Overloaded.
+    // Two connections hold both slots; the third client is shed with a typed
+    // Overloaded.
     match RemoteStore::connect(net.local_addr()) {
         Err(VssError::Overloaded(_)) => {}
         other => panic!("expected Overloaded, got {other:?}"),
     }
     assert!(server.rejected_sessions() >= 1);
-    drop(second); // free a slot for `first`'s dedicated streaming connections
+    drop(second);
 
     retry(|| first.write(&WriteRequest::new("cam", Codec::H264), &sequence(150, 0)));
 
-    // Dropping a half-consumed remote stream closes its dedicated
-    // connection; the server aborts the drain and the store stays usable.
+    // Dropping a half-consumed remote stream resets just that stream; the
+    // server aborts the drain and the store's connection stays usable.
     let mut stream = retry(|| {
         first.read_stream(&ReadRequest::new("cam", 0.0, 5.0, Codec::Hevc).uncacheable())
     });

@@ -39,7 +39,6 @@ fn eight_concurrent_streams_share_one_connection() {
     .unwrap();
     let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
     let mut store = RemoteStore::connect(net.local_addr()).unwrap();
-    assert_eq!(store.negotiated_version().unwrap(), 3);
 
     store.create("cam", None).unwrap();
     let clip = sequence(90, 0);

@@ -19,22 +19,22 @@ use vss_core::{
     ChunkStats, PlannerKind, ReadRequest, StorageBudget, VideoMetadata, WriteRequest,
 };
 use vss_frame::{pattern, Frame, PixelFormat, RegionOfInterest, Resolution};
+use vss_net::SubscribeFrom;
 use vss_net::wire::{
     admin_topic, decode_message, encode_message, read_message, AdminTable, Message, WireError,
     WireWriteReport, MAX_CREDIT_FRAMES, MAX_MESSAGE_BYTES, MAX_METRICS, MAX_STREAM_ID,
 };
 
-/// 19 pre-v3 kinds plus the three multiplexing frames and the six admin
-/// frames. (The live/stats extension kinds have dedicated round-trip suites
-/// in `wire.rs`.)
-const KIND_COUNT: u8 = 28;
-/// Kinds `0..PLAIN_KIND_COUNT` are the un-muxed operation messages — the
-/// population a `Mux` frame's `inner` is drawn from (mux frames never nest).
-const PLAIN_KIND_COUNT: u8 = 19;
-/// Kinds `PLAIN_KIND_COUNT..MUX_KIND_END` are the three v3 multiplexing
+/// Every variant of `Message`: 23 operation messages, the three
+/// multiplexing frames and the six admin frames.
+const KIND_COUNT: u8 = 32;
+/// Kinds `0..PLAIN_KIND_COUNT` are the operation messages — the population
+/// a `Mux` frame's `inner` is drawn from (mux frames never nest).
+const PLAIN_KIND_COUNT: u8 = 23;
+/// Kinds `PLAIN_KIND_COUNT..MUX_KIND_END` are the three multiplexing
 /// frames (credit, reset, mux) — the ones whose wire layout starts with a
 /// validated stream id.
-const MUX_KIND_END: u8 = 22;
+const MUX_KIND_END: u8 = 26;
 
 fn arbitrary_string(rng: &mut TestRng) -> String {
     let len = rng.next_below(12) as usize;
@@ -118,7 +118,7 @@ fn arbitrary_stream_id(rng: &mut TestRng) -> u32 {
 }
 
 /// Builds one arbitrary message of the given kind — together the kinds
-/// cover every frame type of the core protocol, v3 multiplexing included.
+/// cover every frame type of the protocol.
 fn arbitrary_message(kind: u8, rng: &mut TestRng) -> Message {
     match kind % KIND_COUNT {
         0 => Message::Hello { magic: rng.next_u64() as u32, version: rng.next_u64() as u16 },
@@ -185,31 +185,55 @@ fn arbitrary_message(kind: u8, rng: &mut TestRng) -> Message {
         }
         16 => Message::StreamEnd,
         17 => Message::WriteReady { gop_size: 1 + rng.next_below(300) },
-        19 => Message::MuxCredit {
+        19 => Message::Subscribe {
+            name: arbitrary_string(rng),
+            from: match rng.next_below(3) {
+                0 => SubscribeFrom::Start,
+                1 => SubscribeFrom::Seq(rng.next_u64()),
+                _ => SubscribeFrom::Live,
+            },
+        },
+        20 => Message::SubChunk {
+            seq: rng.next_u64(),
+            start_time: rng.next_f64() * 100.0,
+            end_time: 100.0 + rng.next_f64(),
+            frame_rate: 1.0 + rng.next_f64() * 59.0,
+            frame_count: 1 + rng.next_below(300),
+            gop: codec_instance(Codec::H264)
+                .encode_slice(
+                    &[pattern::gradient(16, 12, PixelFormat::Yuv420, rng.next_u64())],
+                    30.0,
+                    &EncoderConfig::default(),
+                )
+                .unwrap(),
+        },
+        21 => Message::SubGap { from_seq: rng.next_u64(), to_seq: rng.next_u64() },
+        22 => Message::SubEnd,
+        23 => Message::MuxCredit {
             stream_id: arbitrary_stream_id(rng),
             frames: 1 + rng.next_below(MAX_CREDIT_FRAMES as u64) as u32,
         },
-        20 => Message::MuxReset {
+        24 => Message::MuxReset {
             stream_id: arbitrary_stream_id(rng),
             error: if rng.next_below(2) == 0 { None } else { Some(arbitrary_error(rng)) },
         },
-        21 => Message::Mux {
+        25 => Message::Mux {
             stream_id: arbitrary_stream_id(rng),
             inner: Box::new(arbitrary_message(
                 (rng.next_below(PLAIN_KIND_COUNT as u64)) as u8,
                 rng,
             )),
         },
-        22 => Message::AdminRequest {
+        26 => Message::AdminRequest {
             topic: (admin_topic::SESSIONS + rng.next_below(4) as u8),
             arg: rng.next_u64(),
         },
-        23 => Message::StatsPageRequest {
+        27 => Message::StatsPageRequest {
             start: rng.next_u64() as u32,
             max: 1 + rng.next_below(MAX_METRICS as u64) as u32,
         },
-        24 => Message::MetricsTextRequest,
-        25 => {
+        28 => Message::MetricsTextRequest,
+        29 => {
             let columns = 1 + rng.next_below(4) as usize;
             Message::AdminTable(AdminTable {
                 title: arbitrary_string(rng),
@@ -219,7 +243,7 @@ fn arbitrary_message(kind: u8, rng: &mut TestRng) -> Message {
                     .collect(),
             })
         }
-        26 => Message::StatsPage {
+        30 => Message::StatsPage {
             total: rng.next_u64() as u32,
             start: rng.next_u64() as u32,
             snapshot: vss_telemetry::TelemetrySnapshot {
@@ -232,7 +256,7 @@ fn arbitrary_message(kind: u8, rng: &mut TestRng) -> Message {
                 histograms: Vec::new(),
             },
         },
-        27 => Message::MetricsText { text: arbitrary_string(rng) },
+        31 => Message::MetricsText { text: arbitrary_string(rng) },
         _ => Message::WriteReport(WireWriteReport {
             physical_id: rng.next_u64(),
             gops_written: rng.next_below(1000),
@@ -317,7 +341,7 @@ proptest! {
     ) {
         let stream_id =
             if zero { 0 } else { MAX_STREAM_ID + 1 + raw % (u32::MAX - MAX_STREAM_ID) };
-        // Every v3 decoder validates its stream id before allocating for the
+        // Every mux decoder validates its stream id before allocating for the
         // body: patch a valid frame's id field (bytes 1..5 after the kind
         // tag) out of range and the whole frame must be refused.
         let mut rng = TestRng::new(seed);

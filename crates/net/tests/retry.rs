@@ -62,9 +62,7 @@ fn connect_with_retry_waits_out_an_admission_shed() {
             .unwrap();
     release.join().unwrap();
 
-    // The connection that finally got through carries real traffic (unary
-    // only: with a single admission slot the control connection is the
-    // session, and streaming ops would need a second slot).
+    // The connection that finally got through carries real traffic.
     store.create("cam", None).unwrap();
     assert_eq!(store.metadata("cam").unwrap().bytes_used, 0);
 
@@ -108,9 +106,10 @@ fn stream_open_retries_on_shed_but_streams_are_never_reopened_mid_flight() {
     store.create("cam", None).unwrap();
     store.write(&WriteRequest::new("cam", Codec::H264), &sequence(60, 0)).unwrap();
 
-    // The control connection plus one open stream hold both session slots;
-    // opening a second stream is shed until the first finishes. The policy
-    // waits that out at *open* time (the server refused before starting).
+    // A live stream and a second open share the store's one connection and
+    // session; a shed of the *open* (the server refused before starting) is
+    // the only thing the policy would wait out — the live stream is never
+    // reopened.
     let request = ReadRequest::new("cam", 0.0, 2.0, Codec::Raw(PixelFormat::Yuv420)).uncacheable();
     let mut first = store.read_stream(&request).unwrap();
     first.next().unwrap().unwrap(); // stream is live, slot held
@@ -142,10 +141,9 @@ fn subscribe_open_retries_on_shed_but_a_live_feed_is_never_reopened() {
     store.create("cam", None).unwrap();
     store.write(&WriteRequest::new("cam", Codec::H264), &sequence(30, 0)).unwrap();
 
-    // The control connection plus one open stream hold both admission
-    // slots; the subscription open is shed until the stream finishes. The
-    // policy waits that out at *open* time — the server refused before the
-    // feed existed, so a retry is provably safe.
+    // A live stream and the subscription open share the store's one
+    // connection and session; a shed of the *open* — the server refused
+    // before the feed existed — is the only thing the policy would wait out.
     let request = ReadRequest::new("cam", 0.0, 1.0, Codec::Raw(PixelFormat::Yuv420)).uncacheable();
     let mut occupant = store.read_stream(&request).unwrap();
     occupant.next().unwrap().unwrap(); // stream live, slot held
@@ -213,6 +211,54 @@ fn connect_with_retry_rides_out_a_late_listener() {
     let (server, net) = binder.join().unwrap();
     store.create("cam", None).unwrap();
     assert_eq!(store.metadata("cam").unwrap().bytes_used, 0);
+
+    net.shutdown();
+    drop(store);
+    assert!(server.shutdown(Duration::from_secs(10)));
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A store whose connection died (the server restarted) redials on its very
+/// next unary call instead of surfacing the dead connection's stale error:
+/// nothing was sent on the dead socket, so the failure is provably
+/// unapplied and the late listener is ridden out under the policy.
+#[test]
+fn unary_ops_redial_a_connection_known_to_be_dead() {
+    let root = temp_root("redial");
+    let (server, net) = tiny_server(&root, 4);
+    let addr = net.local_addr();
+
+    let mut store = RemoteStore::connect(addr)
+        .unwrap()
+        .with_retry(RetryPolicy::with_deadline(Duration::from_secs(10)));
+    store.create("cam", None).unwrap();
+    store.write(&WriteRequest::new("cam", Codec::H264), &sequence(300, 0)).unwrap();
+    // A stream left undrained parks server-side on its credit window, so it
+    // is still open when the server goes away.
+    let request = ReadRequest::new("cam", 0.0, 10.0, Codec::Raw(PixelFormat::Yuv420)).uncacheable();
+    let mut parked = store.read_stream(&request).unwrap();
+
+    // Restart: the old listener and every connection go away, and a new
+    // server comes up on the same port a while later.
+    net.shutdown();
+    drop(net);
+    assert!(server.shutdown(Duration::from_secs(10)));
+    drop(server);
+    // The parked stream ends in an error exactly when the client's
+    // demultiplexer has recorded the connection dead — the state under test.
+    assert!(parked.by_ref().any(|chunk| chunk.is_err()), "the stream outlived its connection");
+    drop(parked);
+    let root_clone = root.clone();
+    let binder = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(150));
+        let server = VssServer::open_sharded(VssConfig::new(&root_clone), 1).unwrap();
+        let net = NetServer::bind(server.clone(), addr).unwrap();
+        (server, net)
+    });
+
+    // The very next call succeeds, on a fresh connection.
+    assert!(store.metadata("cam").unwrap().bytes_used > 0);
+    let (server, net) = binder.join().unwrap();
 
     net.shutdown();
     drop(store);

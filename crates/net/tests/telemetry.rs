@@ -1,10 +1,9 @@
 //! End-to-end telemetry coverage over loopback: one request id traced
-//! through client, server and engine span records; stats snapshots fetched
-//! over the wire; and graceful degradation when the client caps the
-//! protocol at version 1.
+//! through client, server and engine span records, and stats snapshots
+//! fetched over the wire.
 
 use vss_codec::Codec;
-use vss_core::{ReadRequest, VideoStorage, VssConfig, VssError, WriteRequest};
+use vss_core::{ReadRequest, VideoStorage, VssConfig, WriteRequest};
 use vss_frame::{pattern, FrameSequence, PixelFormat};
 use vss_net::{NetServer, RemoteStore};
 use vss_server::VssServer;
@@ -36,7 +35,6 @@ fn request_ids_trace_through_client_server_and_engine() {
     let server = VssServer::open_sharded(VssConfig::new(&root), 1).unwrap();
     let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
     let mut store = RemoteStore::connect(net.local_addr()).unwrap();
-    assert_eq!(store.negotiated_version().unwrap(), 3);
 
     store.create("cam", None).unwrap();
     store.write(&WriteRequest::new("cam", Codec::H264), &sequence(60, 0)).unwrap();
@@ -83,7 +81,7 @@ fn request_ids_trace_through_client_server_and_engine() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// A post-v1 client can pull the server's whole telemetry snapshot over
+/// A client can pull the server's whole telemetry snapshot over
 /// the wire, and the snapshot reflects the work the connection performed
 /// (wire-byte counters, admission gauges, engine histograms).
 #[test]
@@ -113,36 +111,3 @@ fn stats_snapshot_round_trips_over_loopback() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// Negotiation fallback: a client capped at protocol version 1 still runs
-/// the full contract against a version-2 server, its requests simply travel
-/// untagged, and version-2-only features fail with a typed error instead of
-/// a protocol violation.
-#[test]
-fn version_one_clients_degrade_gracefully() {
-    let root = temp_root("fallback");
-    let server = VssServer::open_sharded(VssConfig::new(&root), 1).unwrap();
-    let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
-    let mut store = RemoteStore::connect(net.local_addr()).unwrap().with_protocol_cap(1);
-    assert_eq!(store.negotiated_version().unwrap(), 1);
-
-    // The v1 data plane is fully functional.
-    store.create("cam", None).unwrap();
-    store.write(&WriteRequest::new("cam", Codec::H264), &sequence(60, 3)).unwrap();
-    let read =
-        store.read(&ReadRequest::new("cam", 0.0, 1.0, Codec::Raw(PixelFormat::Yuv420))).unwrap();
-    assert_eq!(read.frames.len(), 30);
-    assert!(store.metadata("cam").unwrap().bytes_used > 0);
-
-    // Version-2 features degrade to a typed error, not a broken connection.
-    match store.stats_snapshot() {
-        Err(VssError::Unsupported(message)) => {
-            assert!(message.contains("version"), "typed unsupported error: {message}")
-        }
-        other => panic!("expected a typed Unsupported error, got {other:?}"),
-    }
-    // The control connection survives the refused call.
-    assert!(store.metadata("cam").is_ok());
-
-    net.shutdown();
-    let _ = std::fs::remove_dir_all(root);
-}

@@ -1,87 +1,71 @@
-//! Property tests for the version-2 wire extensions: tagged request-id
-//! envelopes and telemetry snapshots must round-trip for arbitrary values,
-//! and a version-1 decoder must always reject tagged payloads (the
-//! negotiation-fallback invariant) rather than misparse them.
+//! Property tests for the request envelope and the reserved kind bytes:
+//! traced envelopes must round-trip for arbitrary trace contexts, strict
+//! prefixes of them must always error, and any payload starting with a
+//! retired kind byte must decode to an error — never a panic, never a
+//! misparse as some live message.
 
 use proptest::prelude::*;
-use vss_net::wire::{decode_envelope, decode_message, encode_message, encode_tagged, Message};
-use vss_telemetry::{HistogramSummary, TelemetrySnapshot};
+use vss_net::wire::{decode_envelope, decode_message, encode_message, encode_traced, Message};
 
-fn snapshot_from(counters: &[u64], gauges: &[i64], histograms: &[u64]) -> TelemetrySnapshot {
-    TelemetrySnapshot {
-        counters: counters
-            .iter()
-            .enumerate()
-            .map(|(i, &value)| (format!("test.counter.c{i}"), value))
-            .collect(),
-        gauges: gauges
-            .iter()
-            .enumerate()
-            .map(|(i, &value)| (format!("test.gauge.g{i}"), value))
-            .collect(),
-        histograms: histograms
-            .iter()
-            .enumerate()
-            .map(|(i, &seed)| {
-                let summary = HistogramSummary {
-                    count: seed,
-                    sum: seed.wrapping_mul(3),
-                    max: seed.wrapping_add(7),
-                    p50: seed / 2,
-                    p90: seed / 2 + seed / 4,
-                    p99: seed,
-                };
-                (format!("test.histogram.h{i}_ns"), summary)
-            })
-            .collect(),
-    }
-}
+/// First-payload bytes of messages retired with protocol versions 1 and 2:
+/// the request-id-only envelope, the one-frame stats request and its
+/// snapshot reply. They stay reserved.
+const RETIRED_KINDS: [u8; 3] = [0x7f, 0x0b, 0x8a];
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Any request id wrapped around any unary message survives the tagged
+    /// Any trace context wrapped around a unary message survives the traced
     /// envelope round trip, and the same bytes are rejected by the plain
-    /// version-1 decoder (`0x7f` is not a message kind there).
+    /// decoder the reply path uses (`0x7e` is not a message kind).
     #[test]
-    fn tagged_envelopes_round_trip_for_any_request_id(request_id in any::<u64>()) {
-        let message = Message::StatsRequest;
-        let tagged = encode_tagged(request_id, &message);
-        let envelope = decode_envelope(&tagged).expect("tagged payload decodes");
+    fn traced_envelopes_round_trip_for_any_trace_context(
+        request_id in any::<u64>(),
+        parent in any::<u64>(),
+    ) {
+        let message = Message::Metadata { name: "cam".into() };
+        let parent = (parent != 0).then_some(parent);
+        let traced = encode_traced(request_id, parent, &message);
+        let envelope = decode_envelope(&traced).expect("traced payload decodes");
         prop_assert_eq!(envelope.request_id, Some(request_id));
-        prop_assert!(matches!(envelope.message, Message::StatsRequest));
+        prop_assert_eq!(envelope.parent_span_id, parent);
+        prop_assert_eq!(&envelope.message, &message);
         prop_assert!(
-            decode_message(&tagged).is_err(),
-            "a version-1 decoder must reject the tagged marker"
+            decode_message(&traced).is_err(),
+            "the plain decoder must reject the traced marker"
         );
-        // Untagged payloads pass through decode_envelope unchanged.
-        let plain = encode_message(&message);
-        let envelope = decode_envelope(&plain).expect("plain payload decodes");
+        // Plain payloads pass through decode_envelope unchanged.
+        let envelope = decode_envelope(&encode_message(&message)).expect("plain payload decodes");
         prop_assert_eq!(envelope.request_id, None);
+        prop_assert_eq!(envelope.parent_span_id, None);
     }
 
-    /// Telemetry snapshots of arbitrary shape and values round-trip through
-    /// the StatsSnapshot codec exactly.
+    /// A strict prefix of a traced envelope never decodes.
     #[test]
-    fn stats_snapshots_round_trip(
-        counters in proptest::collection::vec(any::<u64>(), 0..8),
-        gauges in proptest::collection::vec(any::<i64>(), 0..8),
-        histograms in proptest::collection::vec(any::<u64>(), 0..8),
+    fn strict_prefixes_of_traced_envelopes_always_error(
         request_id in any::<u64>(),
+        parent in any::<u64>(),
+        name_len in 0usize..13,
     ) {
-        let snapshot = snapshot_from(&counters, &gauges, &histograms);
-        let message = Message::StatsSnapshot(snapshot.clone());
-        let decoded = decode_message(&encode_message(&message)).expect("snapshot decodes");
-        let Message::StatsSnapshot(back) = decoded else {
-            return Err(TestCaseError::fail("wrong kind"));
-        };
-        prop_assert_eq!(&back.counters, &snapshot.counters);
-        prop_assert_eq!(&back.gauges, &snapshot.gauges);
-        prop_assert_eq!(&back.histograms, &snapshot.histograms);
-        // Snapshots also survive the tagged envelope (replies are plain on
-        // the wire today, but the framing must compose).
-        let envelope =
-            decode_envelope(&encode_tagged(request_id, &message)).expect("tagged snapshot");
-        prop_assert_eq!(envelope.request_id, Some(request_id));
+        let message = Message::Metadata { name: "c".repeat(name_len) };
+        let traced = encode_traced(request_id, Some(parent), &message);
+        for len in 0..traced.len() {
+            prop_assert!(
+                decode_envelope(&traced[..len]).is_err(),
+                "prefix of {} bytes decoded", len
+            );
+        }
+    }
+
+    /// Whatever follows a retired kind byte, both decoders answer an error.
+    #[test]
+    fn retired_kind_bytes_always_decode_to_an_error(
+        kind in 0usize..RETIRED_KINDS.len(),
+        tail in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let mut payload = vec![RETIRED_KINDS[kind]];
+        payload.extend_from_slice(&tail);
+        prop_assert!(decode_message(&payload).is_err());
+        prop_assert!(decode_envelope(&payload).is_err());
     }
 }

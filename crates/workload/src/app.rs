@@ -25,8 +25,7 @@
 //! storage manager itself provides the concurrency — there is no driver-side
 //! lock at all. Stores that are not internally thread-safe (the local file
 //! system and VStore-like baselines) are adapted by [`shared_store`], whose
-//! per-client handles serialize on one mutex exactly like the historical
-//! `Arc<Mutex<Box<dyn VideoStore>>>` driver did.
+//! per-client handles serialize on one mutex.
 
 use crate::detector::{detect_vehicles, Detection, DetectorParams};
 use parking_lot::Mutex;

@@ -163,13 +163,12 @@ fn remote_store_passes_the_streaming_equivalence_matrix_over_loopback() {
     }
 }
 
-/// PR 9 regression (streaming double-admission): on the multiplexed
-/// protocol a `RemoteStore` holds exactly **one** admission slot no matter
-/// how many concurrent streams it runs. At `max_concurrent_sessions = 1` a
-/// client whose control session is live must still complete streaming reads,
-/// writes and a live subscription — before multiplexing, every streaming op
-/// dialed a dedicated connection that counted as a second session, so the
-/// client shed *itself* with `Overloaded`.
+/// PR 9 regression (streaming double-admission): a `RemoteStore` holds
+/// exactly **one** admission slot no matter how many concurrent streams it
+/// runs. At `max_concurrent_sessions = 1` a client whose control session is
+/// live must still complete streaming reads, writes and a live subscription
+/// — a streaming op that counted as a second session would make the client
+/// shed *itself* with `Overloaded`.
 #[test]
 fn single_admission_slot_serves_control_plus_streams() {
     let root = scratch("one-slot");
@@ -260,12 +259,9 @@ fn eight_tcp_clients_with_admission_limit_leave_a_byte_identical_store() {
 
     // Mixed ops per client: wire write of its own video, streamed reads
     // (drained and early-dropped), an append, and an aborted sink mid-clip —
-    // all while the session limit (4) gates 8 clients plus their dedicated
-    // streaming connections. Each attempt dials a fresh store inside its
-    // backoff loop, so a shed client holds **zero** sessions while it
-    // sleeps — the documented client discipline that keeps a saturated
-    // admission gate live (a client that kept its control connection while
-    // waiting for a streaming slot could livelock the fleet).
+    // all while the session limit (4) gates 8 clients, one connection each.
+    // Each attempt dials a fresh store inside its backoff loop, so a shed
+    // client holds **zero** sessions while it sleeps.
     let clips: Vec<FrameSequence> = (0..STRESS_CLIENTS)
         .map(|client| {
             let renderer = SceneRenderer::new(SceneConfig {
@@ -295,8 +291,8 @@ fn eight_tcp_clients_with_admission_limit_leave_a_byte_identical_store() {
             });
 
             // Drained stream + early-dropped stream. The store handle drops
-            // at the end of the closure; the stream keeps only its own
-            // dedicated connection.
+            // at the end of the closure; the stream keeps the connection
+            // (and its one session) alive until it finishes.
             let stream = with_backoff(|| {
                 RemoteStore::connect(addr)?
                     .read_stream(&ReadRequest::new(&name, 0.0, 2.0, Codec::Hevc).uncacheable())
@@ -352,8 +348,7 @@ fn eight_tcp_clients_with_admission_limit_leave_a_byte_identical_store() {
     }
     assert!(
         server.rejected_sessions() > 0,
-        "8 clients × dedicated stream connections against a limit of {SESSION_LIMIT} \
-         must exercise admission control"
+        "8 clients against a limit of {SESSION_LIMIT} sessions must exercise admission control"
     );
 
     // Build the reference store sequentially and compare byte-for-byte.
