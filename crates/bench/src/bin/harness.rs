@@ -315,8 +315,8 @@ fn fig10(scale: &ScaleConfig) -> Report {
     // Baseline: reading the original with an empty cache.
     let full_read = |planner: PlannerKind| {
         let started = Instant::now();
-        vss.read_with_planner(&ReadRequest::new("video", 0.0, duration, Codec::Hevc).uncacheable(), planner)
-            .expect("full read");
+        let request = ReadRequest::new("video", 0.0, duration, Codec::Hevc);
+        vss.read(&request.uncacheable().planner(planner)).expect("full read");
         started.elapsed().as_secs_f64()
     };
     let original_seconds = full_read(PlannerKind::Optimal);

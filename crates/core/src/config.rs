@@ -96,16 +96,17 @@ pub struct VssConfig {
     /// setting produces byte-identical output — the knob only changes wall
     /// time.
     pub parallelism: usize,
-    /// Streaming readahead depth, in GOPs. `0` (the default) keeps the
-    /// historical fully synchronous streaming paths: a
-    /// [`ReadStream`](crate::ReadStream) loads and decodes each GOP on the
-    /// consumer's thread, and a [`WriteSink`](crate::WriteSink) encodes each
-    /// GOP inline before persisting it. With `readahead = N > 0`:
+    /// Streaming readahead depth, in GOPs — decides which thread runs the
+    /// one GOP stage of each direction, nothing else. At `0` (the default)
+    /// a [`ReadStream`](crate::ReadStream)'s consumer loads and decodes each
+    /// GOP itself and the thread pushing into a
+    /// [`WriteSink`](crate::WriteSink) encodes each GOP itself. With
+    /// `readahead = N > 0` the same two functions run on workers:
     ///
-    /// * a `ReadStream` prefetches file bytes and decodes up to `N` GOPs
-    ///   ahead of the consumer on a bounded worker pool (restoring cross-GOP
-    ///   decode parallelism on the streaming path), raising the stream's
-    ///   peak buffered memory bound from ~2 GOPs to ~`2 + N` GOPs; and
+    /// * a `ReadStream` reads file bytes and decodes up to `N` GOPs ahead
+    ///   of the consumer on a bounded worker pool (cross-GOP decode
+    ///   parallelism on the streaming path), raising the stream's peak
+    ///   buffered memory bound from ~2 GOPs to ~`2 + N` GOPs; and
     /// * a `WriteSink` encodes GOP *n + 1* on a worker while GOP *n* is
     ///   being persisted, keeping up to `N` encoded GOPs in flight.
     ///
@@ -185,8 +186,8 @@ impl VssConfig {
         self
     }
 
-    /// Overrides the streaming readahead depth in GOPs (`0` = synchronous
-    /// streaming, `N` = prefetch/encode up to `N` GOPs ahead — see
+    /// Overrides the streaming readahead depth in GOPs (`0` = the calling
+    /// thread runs each GOP, `N` = workers run up to `N` GOPs ahead — see
     /// [`readahead`](Self::readahead)).
     pub fn with_readahead(mut self, gops: usize) -> Self {
         self.readahead = gops;
@@ -216,7 +217,7 @@ mod tests {
         assert_eq!(c.joint.duplicate_epsilon, 0.1);
         assert!(matches!(c.default_budget, StorageBudget::MultipleOfOriginal(m) if m == 10.0));
         assert_eq!(c.parallelism, 0, "default uses every available core");
-        assert_eq!(c.readahead, 0, "default streaming is synchronous");
+        assert_eq!(c.readahead, 0, "by default the calling thread runs each GOP");
     }
 
     #[test]

@@ -50,23 +50,23 @@
 //!   each GOP as it fills; a pipelining consumer holds O(GOP) memory, and the
 //!   plan is snapshotted up front so decoding runs lock-free.
 //!
-//! The materialized entry points are thin wrappers that drain the stream
-//! (reads) or drive the sink's per-GOP persistence path (writes), so the two
-//! flavours are **byte-identical** for the same request and store state. See
-//! the [`stream`](crate::ReadStream) and [`sink`](crate::WriteSink) docs.
+//! The materialized entry points are drives of the streaming primitives:
+//! `read` opens the stream and drains it; `write`/`append` par-encode their
+//! GOPs with the same encoder a sink uses, then persist them in order
+//! through the same per-GOP call. The two flavours are therefore
+//! **byte-identical** for the same request and store state by construction.
+//! See the [`stream`] and [`sink`] module docs.
 //!
-//! Next to [`VssConfig::parallelism`] sits [`VssConfig::readahead`]: with
-//! `readahead = N > 0`, a `ReadStream` prefetches file bytes and decodes up
-//! to `N` GOPs ahead of the consumer on a bounded in-order worker pool, and
-//! a `WriteSink` encodes GOP *n + 1* on a worker while GOP *n*'s file write
-//! persists — both hot paths overlap I/O with codec work while staying
-//! byte-identical at every depth (a streaming consumer's memory bound grows
-//! from ~2 to ~`2 + N` GOPs). This restores the cross-GOP decode
-//! parallelism the drained read path temporarily traded away when plan
-//! execution moved into `ReadStream`: within a plan segment the synchronous
-//! (`readahead = 0`) stream decodes GOPs one at a time, but with readahead
-//! enabled multiple GOPs decode concurrently again, on workers that never
-//! touch the engine or its locks.
+//! There is one GOP stage per direction — one function decodes and
+//! normalizes a GOP, one encodes a GOP — and [`VssConfig::readahead`] only
+//! decides which thread runs it. At `0` the consumer (or pushing) thread
+//! does; with `readahead = N > 0`, a `ReadStream`'s bounded in-order worker
+//! pool reads and decodes up to `N` GOPs ahead of (and concurrently with)
+//! the consumer, and a `WriteSink`'s worker encodes GOP *n + 1* while GOP
+//! *n*'s file write persists — both hot paths overlap I/O with codec work
+//! while staying byte-identical at every depth (a streaming consumer's
+//! memory bound grows from ~2 to ~`2 + N` GOPs). Workers never touch the
+//! engine or its locks.
 //!
 //! # Concurrency and sharding
 //!
@@ -78,9 +78,11 @@
 //! per-shard background maintenance scheduler and per-shard statistics.
 //! Two engine features exist specifically for that layer:
 //!
-//! * [`Engine::read_shared`] executes a read through `&self` (no cache
-//!   admission, no persistence) with byte-identical output, so
-//!   non-cacheable reads can run under a *shared* lock; and
+//! * the lock-scoped primitives take the engine only briefly —
+//!   [`Engine::read_stream`] snapshots a plan through `&self` and the stream
+//!   decodes with no engine at all; the incremental-write primitives need
+//!   `&mut self` per persisted GOP only, never for an encode — so a shard
+//!   lock is never held across GOP file reads or codec work; and
 //! * GOP recency clocks are atomic ([`vss_catalog::AtomicClock`]), so
 //!   read-only traffic bumps LRU state without exclusive access.
 //!
@@ -175,7 +177,7 @@ pub use publish::{GopPublication, GopPublisher};
 pub use quality::{QualityModel, DEFAULT_QUALITY_THRESHOLD};
 pub use read::ReadResult;
 pub use select::{GopFingerprint, PairSelector};
-pub use sink::{GopWriteBackend, IncrementalWrite, SinkEncoder, WriteSink};
+pub use sink::{EncodedGopBackend, GopWriteBackend, IncrementalWrite, SinkEncoder, WriteSink};
 pub use storage::{VideoMetadata, VideoStorage};
 pub use stream::{ChunkStats, ReadChunk, ReadStream};
 
@@ -219,28 +221,20 @@ impl Vss {
 
     /// Writes a frame sequence to a logical video (creating it if needed).
     pub fn write(&self, request: &WriteRequest, frames: &FrameSequence) -> Result<WriteReport, VssError> {
-        self.engine.lock().write(request, frames)
+        let write = self.engine.lock().begin_incremental_write(request, frames.frame_rate())?;
+        write.commit_batch("write", frames, || self.engine.lock())
     }
 
     /// Appends frames to a logical video's original representation
     /// (streaming ingest); readers may query any prefix already written.
     pub fn append(&self, name: &str, frames: &FrameSequence) -> Result<WriteReport, VssError> {
-        self.engine.lock().append(name, frames)
+        let write = self.engine.lock().begin_incremental_append(name, frames.frame_rate())?;
+        write.commit_batch("append", frames, || self.engine.lock())
     }
 
     /// Executes a read planned by `request.planner` (optimal by default).
     pub fn read(&self, request: &ReadRequest) -> Result<ReadResult, VssError> {
         self.engine.lock().read(request)
-    }
-
-    /// Executes a read with an explicit planner choice (the greedy planner
-    /// exists for baseline comparisons).
-    pub fn read_with_planner(
-        &self,
-        request: &ReadRequest,
-        planner: PlannerKind,
-    ) -> Result<ReadResult, VssError> {
-        self.engine.lock().read_with_planner(request, planner)
     }
 
     /// Opens a GOP-at-a-time streaming read. The engine lock is held only
@@ -253,46 +247,27 @@ impl Vss {
     }
 
     /// Opens an incremental write: each GOP is encoded and persisted as it
-    /// fills, taking the engine lock per GOP rather than for the whole
-    /// ingest (with [`VssConfig::readahead`] `> 0`, encoding happens on a
-    /// worker thread, overlapped with the previous GOP's persist — the lock
-    /// is still only ever taken on the caller's thread, per GOP). The
-    /// resulting store is byte-identical to a batch [`write`](Self::write)
-    /// of the same frames.
+    /// fills. The engine lock is taken per GOP, for the persist only —
+    /// encode never holds the lock, at any [`VssConfig::readahead`] depth
+    /// (at `0` the pushing thread encodes, otherwise a worker does,
+    /// overlapped with the previous GOP's persist). The resulting store is
+    /// byte-identical to a batch [`write`](Self::write) of the same frames.
     pub fn write_sink(&self, request: &WriteRequest, frame_rate: f64) -> Result<WriteSink<'static>, VssError> {
-        let (gop_size, encoder, write) = {
-            let engine = self.engine.lock();
-            (
-                engine.write_gop_size(request.codec),
-                engine.sink_encoder(request),
-                engine.begin_incremental_write(request, frame_rate)?,
-            )
-        };
+        let write = self.engine.lock().begin_incremental_write(request, frame_rate)?;
         struct VssSinkBackend {
             vss: Vss,
             write: IncrementalWrite,
         }
-        impl GopWriteBackend for VssSinkBackend {
-            fn flush_gop(&mut self, frames: &[vss_frame::Frame]) -> Result<(), VssError> {
-                self.vss.engine.lock().push_incremental_gop(&mut self.write, frames)
-            }
-            fn flush_encoded(
-                &mut self,
-                frames: &[vss_frame::Frame],
-                gop: vss_codec::EncodedGop,
-            ) -> Result<(), VssError> {
-                self.vss.engine.lock().push_incremental_encoded(&mut self.write, frames, &gop)
+        impl EncodedGopBackend for VssSinkBackend {
+            fn flush_encoded(&mut self, gop: vss_codec::EncodedGop) -> Result<(), VssError> {
+                self.vss.engine.lock().push_incremental_encoded(&mut self.write, &gop)
             }
             fn finish(&mut self) -> Result<WriteReport, VssError> {
                 self.vss.engine.lock().finish_incremental_write(&mut self.write)
             }
         }
-        Ok(WriteSink::overlapped(
-            Box::new(VssSinkBackend { vss: self.clone(), write }),
-            frame_rate,
-            gop_size,
-            encoder,
-        ))
+        let encoder = write.encoder();
+        Ok(WriteSink::encoding(Box::new(VssSinkBackend { vss: self.clone(), write }), encoder))
     }
 
     /// Storage accounting for one logical video.

@@ -22,7 +22,7 @@
 
 use crate::engine::{Engine, ReadStats};
 use crate::fragments::CandidateSet;
-use crate::params::{PlannerKind, ReadRequest};
+use crate::params::ReadRequest;
 use crate::quality::QualityModel;
 use crate::VssError;
 use vss_codec::EncodedGop;
@@ -49,18 +49,8 @@ impl Engine {
     /// Executes a read planned by `request.planner` (the optimal planner by
     /// default).
     pub fn read(&mut self, request: &ReadRequest) -> Result<ReadResult, VssError> {
-        self.read_with_planner(request, request.planner)
-    }
-
-    /// Executes a read with an explicit planner choice (overriding
-    /// `request.planner`).
-    pub fn read_with_planner(
-        &mut self,
-        request: &ReadRequest,
-        planner: PlannerKind,
-    ) -> Result<ReadResult, VssError> {
         let _span = vss_telemetry::span("engine", "read", request.name.as_str());
-        let stream = self.plan_stream(request, planner, true)?;
+        let stream = self.plan_stream(request, self.may_admit(request))?;
         let (mut result, admission) = stream.drain_with_admission()?;
         // --- cache admission -----------------------------------------------
         // Results assembled partly from pass-through GOP reuse are not
@@ -92,31 +82,19 @@ impl Engine {
         Ok(result)
     }
 
-    /// Executes a read through a shared (`&self`) reference: plans, decodes
-    /// and normalizes exactly like [`read_with_planner`](Self::read_with_planner)
-    /// but never admits the result to the cache, runs no deferred-compression
-    /// step and does not persist the catalog. Recency bookkeeping still
-    /// happens (the LRU clocks are atomic).
-    ///
-    /// For the same request against the same store state, the returned frames
-    /// and encoded GOPs are **byte-identical** to the exclusive path — this is
-    /// what lets `vss-server` serve non-cacheable reads under a shard's
-    /// shared read lock, concurrently with other readers.
-    pub fn read_shared(
-        &self,
-        request: &ReadRequest,
-        planner: PlannerKind,
-    ) -> Result<ReadResult, VssError> {
-        let _span = vss_telemetry::span("engine", "read", request.name.as_str());
-        // Shared reads never admit, so no admission-quality measurement.
-        self.plan_stream(request, planner, false)?.drain()
+    /// Whether a read's result can be admitted to the cache at all: not when
+    /// the read was marked non-cacheable, caching is disabled, or a region
+    /// of interest was applied (cropped results are not reusable as general
+    /// fragments). Decides both whether the stream takes the admission
+    /// measurement and whether admission is attempted, so the two cannot
+    /// drift.
+    fn may_admit(&self, request: &ReadRequest) -> bool {
+        request.cacheable && self.config.caching_enabled && request.spatial.region.is_none()
     }
 
-    /// Admits a read result into the cache of materialized views, unless the
-    /// read was marked non-cacheable, caching is disabled, a region of
-    /// interest was applied (cropped results are not reusable as general
-    /// fragments), or the plan was a pure pass-through of an existing
-    /// fragment in the requested configuration.
+    /// Admits a read result into the cache of materialized views, unless
+    /// the read [may not admit](Self::may_admit) or the plan was a pure
+    /// pass-through of an existing fragment in the requested configuration.
     #[allow(clippy::too_many_arguments)]
     fn maybe_admit_result(
         &mut self,
@@ -129,7 +107,7 @@ impl Engine {
         source_mse_bound: f64,
         output_resolution: Resolution,
     ) -> Result<bool, VssError> {
-        if !request.cacheable || !self.config.caching_enabled || request.spatial.region.is_some() {
+        if !self.may_admit(request) {
             return Ok(false);
         }
         // Pass-through check: a single fragment already stores exactly the
@@ -175,14 +153,22 @@ impl Engine {
                 }
             }
             None => {
-                self.store_sequence(
+                // Raw results have no encoded form yet: the write path's
+                // batch drive onto the physical video registered above
+                // (the read persists the catalog itself).
+                let mut write = self.incremental_write(
                     &request.name,
-                    physical_id,
                     request.physical.codec,
                     request.physical.encoder_quality,
-                    request.temporal.start,
-                    output,
-                )?;
+                    output.frame_rate(),
+                    Some(physical_id),
+                    None,
+                    Some(request.temporal.start),
+                );
+                for gop in &write.encode_batch(output)? {
+                    self.push_incremental_encoded(&mut write, gop)?;
+                }
+                self.establish_budget(&request.name)?;
             }
         }
         Ok(true)
@@ -194,7 +180,7 @@ mod tests {
     use super::*;
     use crate::engine::test_support::temp_engine;
     use crate::fragments::build_candidates;
-    use crate::params::{ReadRequest, WriteRequest};
+    use crate::params::{PlannerKind, ReadRequest, WriteRequest};
     use vss_codec::Codec;
     use vss_frame::{pattern, quality, PixelFormat, RegionOfInterest};
 
@@ -321,20 +307,15 @@ mod tests {
         engine.write(&WriteRequest::new("v", Codec::H264), &sequence(60, 64, 48)).unwrap();
         engine.read(&ReadRequest::new("v", 0.5, 1.5, Codec::Hevc)).unwrap();
         let result = engine
-            .read_with_planner(&ReadRequest::new("v", 0.0, 2.0, Codec::Hevc), PlannerKind::Greedy)
+            .read(&ReadRequest::new("v", 0.0, 2.0, Codec::Hevc).planner(PlannerKind::Greedy))
             .unwrap();
         assert!(result.stats.plan.covers_range(0.0, 2.0));
         assert_eq!(result.frames.len(), 60);
-        // The request-level builder selects the same planner.
-        let via_request = engine
-            .read(&ReadRequest::new("v", 0.0, 2.0, Codec::Hevc).planner(PlannerKind::Greedy))
-            .unwrap();
-        assert_eq!(via_request.frames.len(), 60);
         let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
-    fn shared_read_is_byte_identical_to_exclusive_read() {
+    fn drained_shared_stream_is_byte_identical_to_exclusive_read() {
         let (mut engine, root) = temp_engine("read-shared");
         engine.write(&WriteRequest::new("v", Codec::H264), &sequence(60, 64, 48)).unwrap();
         // Populate the cache so plans can involve non-original fragments too.
@@ -346,8 +327,8 @@ mod tests {
                 .at_resolution(Resolution::new(32, 24))
                 .uncacheable(),
         ] {
-            let shared = engine.read_shared(&request, PlannerKind::Optimal).unwrap();
-            let exclusive = engine.read_with_planner(&request, PlannerKind::Optimal).unwrap();
+            let shared = engine.read_stream(&request).unwrap().drain().unwrap();
+            let exclusive = engine.read(&request).unwrap();
             assert_eq!(shared.frames.frames(), exclusive.frames.frames());
             let shared_bytes: Option<Vec<Vec<u8>>> =
                 shared.encoded.as_ref().map(|g| g.iter().map(|g| g.to_bytes()).collect());

@@ -1,44 +1,51 @@
-//! Incremental, GOP-at-a-time writes.
+//! Incremental, GOP-at-a-time writes — and the one write path.
 //!
 //! [`WriteSink`] is the write-side counterpart of
 //! [`ReadStream`](crate::ReadStream): frames are pushed incrementally, each
 //! GOP is encoded and persisted **as it fills**, and
-//! [`finish`](WriteSink::finish) returns the same
-//! [`WriteReport`] a batch write would. An ingest
-//! pipeline therefore holds at most one GOP of frames, instead of the whole
-//! clip [`Engine::write`] requires up front — and because the sink persists
-//! through the exact per-GOP path the batch write uses (same GOP boundaries,
-//! same deferred-compression decisions, in the same order), the resulting
-//! store is **byte-identical** to a batch write of the same frames.
+//! [`finish`](WriteSink::finish) returns the [`WriteReport`] of the whole
+//! ingest, so an ingest pipeline holds at most one GOP of frames instead of
+//! the whole clip.
 //!
-//! Three layers cooperate:
+//! Every write in the system is a drive of the same three primitives:
 //!
-//! * [`Engine::begin_incremental_write`] / [`Engine::push_incremental_gop`] /
-//!   [`Engine::finish_incremental_write`] are the lock-scoped primitives: each
-//!   call needs the engine only briefly, so callers that guard the engine with
-//!   a lock (the [`Vss`](crate::Vss) mutex, a `vss-server` shard lock) hold it
-//!   per GOP, not for the whole ingest.
-//! * [`GopWriteBackend`] adapts those primitives to a particular locking
-//!   discipline (or, for the baseline stores, to a buffer-then-batch-write
-//!   fallback — baselines write monolithic files and genuinely cannot stream,
-//!   which is exactly the contrast the paper draws).
-//! * [`WriteSink`] owns the frame buffer and GOP chunking on top of any
-//!   backend.
+//! * **begin** — [`Engine::begin_incremental_write`] (a new physical video)
+//!   or [`Engine::begin_incremental_append`] (continue the original's
+//!   timeline; the original's resolution and frame rate are captured and a
+//!   mismatch is rejected before anything is persisted). Both take `&self`
+//!   and capture the [`SinkEncoder`] every GOP of the write is encoded with.
+//! * **encode** — [`SinkEncoder::encode`], the only encode site. It needs no
+//!   engine, so it never runs under an engine or shard lock: a `WriteSink`
+//!   calls it inline or on its worker, batch writes call it for all GOPs at
+//!   once under `try_par_map` ([`IncrementalWrite::commit_batch`]).
+//! * **persist** — [`Engine::push_incremental_encoded`] per GOP, then
+//!   [`Engine::finish_incremental_write`]; callers that guard the engine
+//!   with a lock (the [`Vss`](crate::Vss) mutex, a `vss-server` shard lock)
+//!   hold it only for these calls.
+//!
+//! `write`/`append` par-encode then drive the persist primitives
+//! ([`IncrementalWrite::commit_batch`]); a sink drives them GOP-at-a-time
+//! through an [`EncodedGopBackend`] that adapts them to a locking
+//! discipline. Same GOP boundaries, same encoder, same persist calls in the
+//! same order — so a sink, a batch write and a remote write of the same
+//! frames leave **byte-identical** stores by construction.
+//! ([`GopWriteBackend`] is the other kind of sink target: it takes each
+//! GOP's frames as they are — remote sinks forward them to the server, the
+//! monolithic-file baselines buffer them and batch-write at finish, which is
+//! exactly the contrast the paper draws.)
 //!
 //! # Overlapped encoding
 //!
-//! With [`VssConfig::readahead`](crate::VssConfig::readahead) `= N > 0`, the
-//! sink encodes off-thread: each full GOP is handed to a dedicated encode
-//! worker and the caller's thread persists previously encoded GOPs through
-//! the backend, so the encode of GOP *n + 1* overlaps the file write of GOP
-//! *n* (at most `N` encoded GOPs in flight). The worker uses exactly the
-//! parameters [`Engine::sink_encoder`] captures and GOPs persist strictly in
-//! submission order, so the resulting store stays **byte-identical** to both
-//! the synchronous sink and a batch write. Backends never move threads: the
-//! lock-scoped persist calls stay on the caller, which is what keeps the
-//! `vss-server` shard-locking discipline (write lock per GOP) unchanged.
-//! Dropping an overlapped sink mid-clip joins the worker and discards
-//! in-flight GOPs — only fully persisted GOPs remain on disk.
+//! [`VssConfig::readahead`](crate::VssConfig::readahead) only decides which
+//! thread calls [`SinkEncoder::encode`]: at `0` the pushing thread does, and
+//! with `N > 0` each full GOP is handed to a dedicated encode worker while
+//! the caller's thread persists previously encoded GOPs, so the encode of
+//! GOP *n + 1* overlaps the file write of GOP *n* (at most `N` encoded GOPs
+//! in flight). GOPs persist strictly in submission order on the caller's
+//! thread at every depth, which keeps the `vss-server` shard-locking
+//! discipline (write lock per GOP) unchanged. Dropping a sink mid-clip joins
+//! the worker and discards in-flight GOPs — only fully persisted GOPs remain
+//! on disk.
 
 use crate::engine::{Engine, WriteReport};
 use crate::params::WriteRequest;
@@ -48,17 +55,26 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use vss_catalog::PhysicalVideoId;
 use vss_codec::{codec_instance, Codec, CodecError, EncodedGop, EncoderConfig};
-use vss_frame::{Frame, FrameError, FrameSequence};
+use vss_frame::{Frame, FrameError, FrameSequence, Resolution};
 
 /// In-flight state of one incremental write. Opaque to callers; thread it
 /// through the [`Engine`] incremental-write methods.
 #[derive(Debug)]
 pub struct IncrementalWrite {
-    request: WriteRequest,
-    frame_rate: f64,
-    /// Established on the first flushed GOP.
+    name: String,
+    encoder: SinkEncoder,
+    /// Threads [`encode_batch`](Self::encode_batch) encodes on.
+    parallelism: usize,
+    /// Where the GOPs go; a new physical video is registered by the first
+    /// persisted GOP.
     physical_id: Option<PhysicalVideoId>,
-    time: f64,
+    /// The resolution every GOP must have: the original's for an append,
+    /// otherwise fixed by the first persisted GOP.
+    resolution: Option<Resolution>,
+    /// Start time of the next GOP. `None` continues the physical video's
+    /// timeline from wherever it ends when the GOP is persisted (appends —
+    /// so concurrent appenders interleave whole GOPs, never overlap).
+    next_time: Option<f64>,
     gops_written: usize,
     frames_written: usize,
     bytes_written: u64,
@@ -69,19 +85,55 @@ pub struct IncrementalWrite {
 impl IncrementalWrite {
     /// The logical video being written.
     pub fn name(&self) -> &str {
-        &self.request.name
+        &self.name
     }
 
-    /// Frames persisted so far.
-    pub fn frames_written(&self) -> usize {
-        self.frames_written
+    /// The parameters every GOP of this write must be encoded with.
+    pub fn encoder(&self) -> SinkEncoder {
+        self.encoder
+    }
+
+    /// Splits a whole clip on the GOP boundary and encodes every GOP on the
+    /// parallel pipeline (each chunk is independent and encoded straight
+    /// from the borrowed slice), in order.
+    pub(crate) fn encode_batch(&self, frames: &FrameSequence) -> Result<Vec<EncodedGop>, VssError> {
+        if frames.is_empty() {
+            return Err(VssError::EmptyWrite);
+        }
+        let all = frames.frames();
+        let ranges = vss_parallel::chunk_ranges(all.len(), self.encoder.encoder.gop_size);
+        let gops = vss_parallel::try_par_map(self.parallelism, &ranges, |_, &(start, end)| {
+            self.encoder.encode(&all[start..end])
+        })?;
+        Ok(gops)
+    }
+
+    /// The batch drive behind every store's `write`/`append`: encodes all
+    /// of `frames` up front, *then* takes the engine through `exclusive` —
+    /// `|| engine` for a bare engine, a lock acquisition for a guarded one,
+    /// so the lock is never held across an encode — persists the GOPs in
+    /// order and finishes. Persisting stays sequential: write-time deferred
+    /// compression depends on the budget fraction, which evolves with each
+    /// persisted GOP. `op` names the `engine.*` span.
+    pub fn commit_batch<G: std::ops::DerefMut<Target = Engine>>(
+        mut self,
+        op: &'static str,
+        frames: &FrameSequence,
+        exclusive: impl FnOnce() -> G,
+    ) -> Result<WriteReport, VssError> {
+        let _span = vss_telemetry::span("engine", op, self.name.as_str());
+        let gops = self.encode_batch(frames)?;
+        let mut engine = exclusive();
+        for gop in &gops {
+            engine.push_incremental_encoded(&mut self, gop)?;
+        }
+        engine.finish_incremental_write(&mut self)
     }
 }
 
 impl Engine {
     /// Frames per persisted block for the given codec (compressed GOP size or
-    /// uncompressed block size) — the boundary at which a [`WriteSink`]
-    /// flushes, chosen to match the batch write path exactly.
+    /// uncompressed block size) — the boundary every write chunks on.
     pub fn write_gop_size(&self, codec: Codec) -> usize {
         if codec.is_compressed() {
             self.config.gop_size
@@ -90,11 +142,46 @@ impl Engine {
         }
     }
 
+    /// Captures everything a write needs from the engine up front: the
+    /// encode parameters and the batch thread count.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn incremental_write(
+        &self,
+        name: &str,
+        codec: Codec,
+        quality: Option<u8>,
+        frame_rate: f64,
+        physical_id: Option<PhysicalVideoId>,
+        resolution: Option<Resolution>,
+        next_time: Option<f64>,
+    ) -> IncrementalWrite {
+        IncrementalWrite {
+            name: name.to_string(),
+            encoder: SinkEncoder {
+                codec,
+                encoder: EncoderConfig {
+                    quality: quality.unwrap_or(self.config.default_encoder_quality),
+                    gop_size: self.write_gop_size(codec),
+                },
+                frame_rate,
+                depth: self.config.readahead,
+            },
+            parallelism: self.config.parallelism,
+            physical_id,
+            resolution,
+            next_time,
+            gops_written: 0,
+            frames_written: 0,
+            bytes_written: 0,
+            deferred_levels: Vec::new(),
+            started: Instant::now(),
+        }
+    }
+
     /// Begins an incremental write of `request` at the given frame rate
     /// (which must be positive and finite, as in a [`FrameSequence`]).
     /// Nothing is created until the first GOP is pushed (so an abandoned
-    /// sink leaves no trace, and an empty one errors at finish just like an
-    /// empty batch write).
+    /// write leaves no trace, and an empty one errors at finish).
     pub fn begin_incremental_write(
         &self,
         request: &WriteRequest,
@@ -103,125 +190,120 @@ impl Engine {
         if !(frame_rate > 0.0 && frame_rate.is_finite()) {
             return Err(VssError::Frame(FrameError::InvalidFrameRate));
         }
-        Ok(IncrementalWrite {
-            request: request.clone(),
+        Ok(self.incremental_write(
+            &request.name,
+            request.codec,
+            request.encoder_quality,
             frame_rate,
-            physical_id: None,
-            time: request.start_time,
-            gops_written: 0,
-            frames_written: 0,
-            bytes_written: 0,
-            deferred_levels: Vec::new(),
-            started: Instant::now(),
-        })
+            None,
+            None,
+            Some(request.start_time),
+        ))
     }
 
-    /// The encoder parameters an incremental write of `request` uses for
-    /// every GOP — captured once so an off-thread encoder (the overlapped
-    /// [`WriteSink`] pipeline) produces bit-identical GOPs to the inline
-    /// [`push_incremental_gop`](Self::push_incremental_gop) path.
-    pub fn sink_encoder(&self, request: &WriteRequest) -> SinkEncoder {
-        SinkEncoder {
-            codec: request.codec,
-            encoder: EncoderConfig {
-                quality: request.encoder_quality.unwrap_or(self.config.default_encoder_quality),
-                gop_size: self.write_gop_size(request.codec),
-            },
-            depth: self.config.readahead,
+    /// Begins an incremental write that continues a video's **original**
+    /// timeline (streaming ingest): the physical video, codec, resolution
+    /// and frame rate are the original's. `frame_rate` is the incoming
+    /// frames' rate and must equal the original's
+    /// ([`FrameError::InvalidFrameRate`] otherwise); GOPs of another
+    /// resolution are rejected with [`FrameError::ShapeMismatch`] before
+    /// they are persisted. Pixel layout is free — the codec converts it.
+    pub fn begin_incremental_append(
+        &self,
+        name: &str,
+        frame_rate: f64,
+    ) -> Result<IncrementalWrite, VssError> {
+        let original = self
+            .catalog
+            .video(name)?
+            .original()
+            .ok_or_else(|| VssError::Unsatisfiable("append requires an existing original".into()))?;
+        let codec = original
+            .codec()
+            .ok_or_else(|| VssError::Unsatisfiable("original has an unknown codec".into()))?;
+        if (frame_rate - original.frame_rate).abs() > 1e-9 {
+            return Err(VssError::Frame(FrameError::InvalidFrameRate));
         }
+        Ok(self.incremental_write(
+            name,
+            codec,
+            None,
+            original.frame_rate,
+            Some(original.id),
+            Some(original.resolution()),
+            None,
+        ))
     }
 
-    /// Encodes and persists one GOP of an incremental write — the inline
-    /// ([`sink_encoder`](Self::sink_encoder)-equivalent) encode followed by
-    /// [`push_incremental_encoded`](Self::push_incremental_encoded).
-    pub fn push_incremental_gop(
-        &mut self,
-        write: &mut IncrementalWrite,
-        frames: &[Frame],
-    ) -> Result<(), VssError> {
-        if frames.is_empty() {
-            return Ok(());
-        }
-        // One derivation of the encode parameters for both the inline and
-        // the overlapped path — the byte-identity guarantee depends on the
-        // two never disagreeing.
-        let encoder = self.sink_encoder(&write.request);
-        let gop = codec_instance(encoder.codec).encode_slice(
-            frames,
-            write.frame_rate,
-            &encoder.encoder,
-        )?;
-        self.push_incremental_encoded(write, frames, &gop)
-    }
-
-    /// Persists one pre-encoded GOP of an incremental write. The GOP must
-    /// have been encoded from exactly `frames` with the write's
-    /// [`sink_encoder`](Self::sink_encoder) parameters (the overlapped
-    /// [`WriteSink`] pipeline guarantees this), so the stored bytes are
-    /// identical to the inline-encoding path. The first push creates the
-    /// logical video if needed and registers the physical video (the
-    /// original, if none exists yet) — mirroring what a batch write does
-    /// before its first GOP.
+    /// Persists one GOP of an incremental write — the only persist site of
+    /// the write path. The GOP must have been encoded with the write's
+    /// [`encoder`](IncrementalWrite::encoder). The first GOP of a new
+    /// physical video creates the logical video if needed and registers the
+    /// physical video (the original, if none exists yet).
     pub fn push_incremental_encoded(
         &mut self,
         write: &mut IncrementalWrite,
-        frames: &[Frame],
         gop: &EncodedGop,
     ) -> Result<(), VssError> {
-        if frames.is_empty() {
-            return Ok(());
+        let resolution = Resolution::new(gop.width(), gop.height());
+        if write.resolution.is_some_and(|expected| expected != resolution) {
+            return Err(VssError::Frame(FrameError::ShapeMismatch));
         }
-        let name = write.request.name.clone();
-        let codec = write.request.codec;
+        let codec = write.encoder.codec;
+        let frame_rate = write.encoder.frame_rate;
         let physical_id = match write.physical_id {
             Some(id) => id,
             None => {
-                if !self.catalog.contains_video(&name) {
-                    self.create_video(&name, None)?;
+                if !self.catalog.contains_video(&write.name) {
+                    self.create_video(&write.name, None)?;
                 }
-                let is_original = self.catalog.video(&name)?.original().is_none();
-                let resolution = frames[0].resolution();
-                let id = self.catalog.add_physical(
-                    &name,
+                let is_original = self.catalog.video(&write.name)?.original().is_none();
+                self.catalog.add_physical(
+                    &write.name,
                     resolution.width,
                     resolution.height,
-                    write.frame_rate,
+                    frame_rate,
                     &codec.name(),
                     is_original,
                     0.0,
-                )?;
-                write.physical_id = Some(id);
-                id
+                )?
             }
         };
-        let (bytes, level) = self.persist_gop(
-            &name,
-            physical_id,
-            codec,
-            gop,
-            write.time,
-            frames.len(),
-            write.frame_rate,
-        )?;
+        write.physical_id = Some(physical_id);
+        write.resolution = Some(resolution);
+        let time = match write.next_time {
+            Some(time) => time,
+            None => self
+                .catalog
+                .video(&write.name)?
+                .physical_by_id(physical_id)
+                .ok_or(vss_catalog::CatalogError::PhysicalNotFound(physical_id))?
+                .end_time(),
+        };
+        let frame_count = gop.frame_count();
+        let (bytes, level) =
+            self.persist_gop(&write.name, physical_id, codec, gop, time, frame_count, frame_rate)?;
         write.bytes_written += bytes;
         write.deferred_levels.push(level);
         write.gops_written += 1;
-        write.frames_written += frames.len();
-        write.time += frames.len() as f64 / write.frame_rate;
+        write.frames_written += frame_count;
+        if let Some(time) = &mut write.next_time {
+            *time += frame_count as f64 / frame_rate;
+        }
         Ok(())
     }
 
     /// Completes an incremental write: establishes the storage budget (once
     /// the original's size is known) and persists the catalog. Errors with
-    /// [`VssError::EmptyWrite`] if no frames were pushed.
+    /// [`VssError::EmptyWrite`] if no GOP was pushed.
     pub fn finish_incremental_write(
         &mut self,
         write: &mut IncrementalWrite,
     ) -> Result<WriteReport, VssError> {
-        let Some(physical_id) = write.physical_id else {
+        let Some(physical_id) = write.physical_id.filter(|_| write.gops_written > 0) else {
             return Err(VssError::EmptyWrite);
         };
-        self.establish_budget(&write.request.name)?;
+        self.establish_budget(&write.name)?;
         self.catalog.persist()?;
         Ok(WriteReport {
             physical_id,
@@ -253,49 +335,53 @@ mod metrics {
     }
 }
 
-/// Adapts a storage backend's locking discipline to [`WriteSink`]. Each
-/// `flush_gop` call receives exactly one GOP-sized (or final partial) run of
-/// frames, in order; `finish` is called once, after the last flush.
-///
-/// Implementations exist for the engine itself, the [`Vss`](crate::Vss)
-/// handle, `vss-server` sessions and (as a buffer-then-write fallback) every
-/// other [`VideoStorage`](crate::VideoStorage) implementor.
+/// A [`WriteSink`] target that takes each GOP's frames as they are (remote
+/// sinks forward them, the baseline stores buffer them). Each `flush_gop`
+/// call receives exactly one GOP-sized (or final partial) run of frames, in
+/// order; `finish` is called once, after the last flush.
 pub trait GopWriteBackend {
-    /// Encodes and persists one GOP's worth of frames.
+    /// Takes one GOP's worth of frames.
     fn flush_gop(&mut self, frames: &[Frame]) -> Result<(), VssError>;
-
-    /// Persists one GOP that was already encoded off-thread (the overlapped
-    /// [`WriteSink`] pipeline). The GOP was encoded from exactly `frames`
-    /// with the backend's [`SinkEncoder`] parameters, so backends that can
-    /// persist pre-encoded GOPs skip the redundant encode; the default
-    /// ignores `gop` and re-encodes via [`flush_gop`](Self::flush_gop) —
-    /// byte-identical either way.
-    fn flush_encoded(&mut self, frames: &[Frame], gop: EncodedGop) -> Result<(), VssError> {
-        let _ = gop;
-        self.flush_gop(frames)
-    }
 
     /// Completes the write and produces its report.
     fn finish(&mut self) -> Result<WriteReport, VssError>;
 }
 
-/// The parameters an overlapped [`WriteSink`] encode worker needs to produce
-/// GOPs bit-identical to the inline
-/// [`Engine::push_incremental_gop`] path, plus the pipeline depth
-/// (`depth = 0` disables overlapping). Obtain from [`Engine::sink_encoder`].
+/// A [`WriteSink`] target that persists GOPs the sink has already encoded —
+/// the adapter between [`Engine::push_incremental_encoded`] /
+/// [`Engine::finish_incremental_write`] and a particular locking discipline
+/// (the engine itself, the [`Vss`](crate::Vss) mutex, a `vss-server` shard
+/// lock). Encoding never happens behind this trait, so it never holds the
+/// backend's lock.
+pub trait EncodedGopBackend {
+    /// Persists one GOP, encoded with the write's [`SinkEncoder`].
+    fn flush_encoded(&mut self, gop: EncodedGop) -> Result<(), VssError>;
+
+    /// Completes the write and produces its report.
+    fn finish(&mut self) -> Result<WriteReport, VssError>;
+}
+
+/// The parameters every GOP of one write is encoded with, captured once at
+/// begin ([`IncrementalWrite::encoder`]), plus the pipeline depth.
 #[derive(Debug, Clone, Copy)]
 pub struct SinkEncoder {
     /// Codec every GOP is encoded with.
     pub codec: Codec,
-    /// Encoder parameters (quality and GOP size) captured at sink creation.
+    /// Encoder parameters (quality and GOP size).
     pub encoder: EncoderConfig,
-    /// Maximum encoded-but-unpersisted GOPs in flight (0 = inline encoding).
+    /// Frame rate recorded in every GOP.
+    pub frame_rate: f64,
+    /// Maximum encoded-but-unpersisted GOPs in flight in a [`WriteSink`]
+    /// (0 = the pushing thread encodes).
     pub depth: usize,
 }
 
-/// One GOP through the encode worker: the source frames (needed by the
-/// persist call) and the encode outcome, delivered in submission order.
-type EncodedUnit = (Vec<Frame>, Result<EncodedGop, CodecError>);
+impl SinkEncoder {
+    /// Encodes one GOP — the write path's only encode site.
+    pub fn encode(&self, frames: &[Frame]) -> Result<EncodedGop, CodecError> {
+        codec_instance(self.codec).encode_slice(frames, self.frame_rate, &self.encoder)
+    }
+}
 
 /// The encode worker of an overlapped [`WriteSink`]: full GOPs are handed to
 /// a dedicated thread that encodes them in submission order while the
@@ -308,40 +394,30 @@ type EncodedUnit = (Vec<Frame>, Result<EncodedGop, CodecError>);
 struct EncodePipeline {
     /// Work channel; `None` once closed (drop/teardown).
     submit: Option<Sender<Vec<Frame>>>,
-    /// Completed (frames, encode result) pairs, in submission order.
-    complete: Option<Receiver<EncodedUnit>>,
+    /// Encode results, in submission order.
+    complete: Option<Receiver<Result<EncodedGop, CodecError>>>,
     worker: Option<JoinHandle<()>>,
     /// GOPs submitted but not yet retired (≤ depth).
     in_flight: usize,
-    depth: usize,
 }
 
 impl EncodePipeline {
-    fn spawn(encoder: SinkEncoder, frame_rate: f64) -> Self {
-        let depth = encoder.depth.max(1);
+    fn spawn(encoder: SinkEncoder) -> Self {
         // Both channels hold `depth + 1` slots: a flush submits the new GOP
         // *before* retiring down to `depth`, so occupancy momentarily
         // reaches `depth + 1` — the headroom guarantees neither side ever
         // blocks on a full channel, leaving the deliberate in-order wait in
-        // `retire_one` as the only blocking point.
-        let (submit, work) = bounded::<Vec<Frame>>(depth + 1);
-        let (done, complete) = bounded::<EncodedUnit>(depth + 1);
+        // `retire_down_to` as the only blocking point.
+        let (submit, work) = bounded::<Vec<Frame>>(encoder.depth + 1);
+        let (done, complete) = bounded(encoder.depth + 1);
         let worker = std::thread::spawn(move || {
-            let implementation = codec_instance(encoder.codec);
             while let Ok(frames) = work.recv() {
-                let encoded = implementation.encode_slice(&frames, frame_rate, &encoder.encoder);
-                if done.send((frames, encoded)).is_err() {
+                if done.send(encoder.encode(&frames)).is_err() {
                     break; // sink dropped; stop encoding
                 }
             }
         });
-        Self {
-            submit: Some(submit),
-            complete: Some(complete),
-            worker: Some(worker),
-            in_flight: 0,
-            depth,
-        }
+        Self { submit: Some(submit), complete: Some(complete), worker: Some(worker), in_flight: 0 }
     }
 }
 
@@ -359,11 +435,24 @@ impl Drop for EncodePipeline {
     }
 }
 
+/// Where a sink's GOPs go.
+enum SinkTarget<'a> {
+    /// Each GOP's frames are handed over as they are.
+    Frames(Box<dyn GopWriteBackend + 'a>),
+    /// Each GOP is encoded by the sink (inline, or on the lazily spawned
+    /// worker when `encoder.depth > 0`), then persisted.
+    Encoded {
+        encoder: SinkEncoder,
+        backend: Box<dyn EncodedGopBackend + 'a>,
+        pipeline: Option<EncodePipeline>,
+    },
+}
+
 /// An incremental writer: push frames, each GOP is encoded and persisted as
 /// it fills, `finish()` returns the [`WriteReport`]. See the
 /// [module docs](self).
 pub struct WriteSink<'a> {
-    backend: Box<dyn GopWriteBackend + 'a>,
+    target: SinkTarget<'a>,
     pending: Vec<Frame>,
     frame_rate: f64,
     gop_size: usize,
@@ -371,10 +460,6 @@ pub struct WriteSink<'a> {
     /// (the per-sink equivalent of `FrameSequence`'s shape check — it must
     /// not reset when `pending` drains at a GOP boundary).
     shape: Option<(u32, u32, vss_frame::PixelFormat)>,
-    /// Overlapped-encode parameters (worker spawned lazily on the first full
-    /// GOP); `None` or `depth == 0` keeps the synchronous flush path.
-    encoder: Option<SinkEncoder>,
-    pipeline: Option<EncodePipeline>,
 }
 
 impl std::fmt::Debug for WriteSink<'_> {
@@ -387,102 +472,88 @@ impl std::fmt::Debug for WriteSink<'_> {
 }
 
 impl<'a> WriteSink<'a> {
-    /// Builds a sink over a backend. `gop_size` is the flush boundary; pass
-    /// [`Engine::write_gop_size`] for engine-backed sinks so the chunking
-    /// matches batch writes byte-for-byte.
+    fn new(target: SinkTarget<'a>, frame_rate: f64, gop_size: usize) -> Self {
+        Self { target, pending: Vec::new(), frame_rate, gop_size: gop_size.max(1), shape: None }
+    }
+
+    /// Builds a sink that hands each `gop_size` frames to `backend` as they
+    /// are.
     pub fn from_backend(
         backend: Box<dyn GopWriteBackend + 'a>,
         frame_rate: f64,
         gop_size: usize,
     ) -> Self {
-        Self {
-            backend,
-            pending: Vec::new(),
-            frame_rate,
-            gop_size: gop_size.max(1),
-            shape: None,
-            encoder: None,
-            pipeline: None,
-        }
+        Self::new(SinkTarget::Frames(backend), frame_rate, gop_size)
     }
 
-    /// [`from_backend`](Self::from_backend) with overlapped encoding: when
-    /// `encoder.depth > 0`, full GOPs are encoded on a worker thread (with
-    /// exactly the given parameters) while previously encoded GOPs persist
-    /// through the backend on the caller's thread, keeping at most
-    /// `encoder.depth` encoded GOPs in flight. `depth == 0` is exactly
-    /// `from_backend`. The store produced is byte-identical either way; see
-    /// [`VssConfig::readahead`](crate::VssConfig::readahead).
-    pub fn overlapped(
-        backend: Box<dyn GopWriteBackend + 'a>,
-        frame_rate: f64,
-        gop_size: usize,
-        encoder: SinkEncoder,
-    ) -> Self {
-        let mut sink = Self::from_backend(backend, frame_rate, gop_size);
-        if encoder.depth > 0 {
-            sink.encoder = Some(encoder);
-        }
-        sink
+    /// Builds a sink that encodes each GOP with `encoder` (the
+    /// [`IncrementalWrite::encoder`] of the write `backend` persists into)
+    /// and hands the encoded GOP to `backend`. When `encoder.depth > 0`,
+    /// full GOPs are encoded on a worker thread while previously encoded
+    /// GOPs persist on the caller's thread, keeping at most `encoder.depth`
+    /// encoded GOPs in flight; the store produced is byte-identical either
+    /// way — see [`VssConfig::readahead`](crate::VssConfig::readahead).
+    pub fn encoding(backend: Box<dyn EncodedGopBackend + 'a>, encoder: SinkEncoder) -> Self {
+        Self::new(
+            SinkTarget::Encoded { encoder, backend, pipeline: None },
+            encoder.frame_rate,
+            encoder.encoder.gop_size,
+        )
     }
 
-    /// GOPs handed to the encode worker and not yet persisted (always 0 for
-    /// synchronous sinks).
+    /// GOPs handed to the encode worker and not yet persisted (always 0
+    /// when the pushing thread encodes).
     pub fn in_flight_gops(&self) -> usize {
-        self.pipeline.as_ref().map_or(0, |p| p.in_flight)
+        match &self.target {
+            SinkTarget::Encoded { pipeline: Some(pipeline), .. } => pipeline.in_flight,
+            _ => 0,
+        }
     }
 
-    /// Routes one full (or final partial) GOP to the backend: directly when
-    /// synchronous, through the encode worker when overlapped.
+    /// Routes one full (or final partial) GOP to its target.
     fn dispatch_gop(&mut self, frames: Vec<Frame>) -> Result<(), VssError> {
-        let Some(encoder) = self.encoder else {
-            return self.backend.flush_gop(&frames);
+        let (encoder, backend, pipeline) = match &mut self.target {
+            SinkTarget::Frames(backend) => return backend.flush_gop(&frames),
+            SinkTarget::Encoded { encoder, backend, pipeline } => (*encoder, backend, pipeline),
         };
-        if self.pipeline.is_none() {
-            self.pipeline = Some(EncodePipeline::spawn(encoder, self.frame_rate));
+        // The one place the depth matters: who calls `encode`.
+        if encoder.depth == 0 {
+            return backend.flush_encoded(encoder.encode(&frames)?);
         }
         // Submit the new GOP *first*, then persist completed GOPs (in
         // submission order) back down to the depth limit: the worker encodes
         // the GOP just submitted while this thread writes its predecessors —
         // overlap holds even at depth 1.
-        let pipeline = self.pipeline.as_mut().expect("pipeline spawned above");
+        let pipeline = pipeline.get_or_insert_with(|| EncodePipeline::spawn(encoder));
         let submit = pipeline.submit.as_ref().expect("open work channel");
         submit.send(frames).map_err(|_| {
             VssError::Unsatisfiable("sink encode worker exited unexpectedly".into())
         })?;
         pipeline.in_flight += 1;
-        while self.pipeline.as_ref().is_some_and(|p| p.in_flight > p.depth) {
-            self.retire_one()?;
-        }
-        Ok(())
+        self.retire_down_to(encoder.depth)
     }
 
-    /// Receives the oldest in-flight GOP from the encode worker and persists
-    /// it through the backend. The two timed phases quantify the overlap:
-    /// `encode_wait` is how long this thread blocked on the worker (zero when
-    /// encoding hid entirely behind the previous persist), `persist` is the
-    /// backend write itself.
-    fn retire_one(&mut self) -> Result<(), VssError> {
-        let pipeline = self.pipeline.as_mut().expect("retire with an active pipeline");
-        let complete = pipeline.complete.as_ref().expect("open completion channel");
-        let wait_started = Instant::now();
-        let (frames, encoded) = complete.recv().map_err(|_| {
-            VssError::Unsatisfiable("sink encode worker exited unexpectedly".into())
-        })?;
-        metrics::encode_wait().record_duration(wait_started.elapsed());
-        pipeline.in_flight -= 1;
-        let persist_started = Instant::now();
-        let outcome = self.backend.flush_encoded(&frames, encoded?);
-        metrics::persist().record_duration(persist_started.elapsed());
-        outcome
-    }
-
-    /// Persists every in-flight GOP and retires the encode worker.
-    fn drain_pipeline(&mut self) -> Result<(), VssError> {
-        while self.pipeline.as_ref().is_some_and(|p| p.in_flight > 0) {
-            self.retire_one()?;
+    /// Persists in-flight GOPs, oldest first, until at most `limit` remain.
+    /// The two timed phases quantify the overlap: `encode_wait` is how long
+    /// this thread blocked on the worker (zero when encoding hid entirely
+    /// behind the previous persist), `persist` is the backend write itself.
+    fn retire_down_to(&mut self, limit: usize) -> Result<(), VssError> {
+        let SinkTarget::Encoded { backend, pipeline: Some(pipeline), .. } = &mut self.target else {
+            return Ok(());
+        };
+        while pipeline.in_flight > limit {
+            let complete = pipeline.complete.as_ref().expect("open completion channel");
+            let wait_started = Instant::now();
+            let encoded = complete.recv().map_err(|_| {
+                VssError::Unsatisfiable("sink encode worker exited unexpectedly".into())
+            })?;
+            metrics::encode_wait().record_duration(wait_started.elapsed());
+            pipeline.in_flight -= 1;
+            let persist_started = Instant::now();
+            let outcome = backend.flush_encoded(encoded?);
+            metrics::persist().record_duration(persist_started.elapsed());
+            outcome?;
         }
-        self.pipeline = None; // worker is idle; drop closes channels and joins
         Ok(())
     }
 
@@ -535,15 +606,21 @@ impl<'a> WriteSink<'a> {
         Ok(())
     }
 
-    /// Flushes the final partial GOP and completes the write. (Overlapped
-    /// sinks first persist every in-flight GOP, in submission order.)
+    /// Flushes the final partial GOP, persists every in-flight GOP (in
+    /// submission order) and completes the write.
     pub fn finish(mut self) -> Result<WriteReport, VssError> {
-        self.drain_pipeline()?;
         if !self.pending.is_empty() {
-            let chunk: Vec<Frame> = self.pending.drain(..).collect();
-            self.backend.flush_gop(&chunk)?;
+            let chunk = std::mem::take(&mut self.pending);
+            self.dispatch_gop(chunk)?;
         }
-        self.backend.finish()
+        self.retire_down_to(0)?;
+        match &mut self.target {
+            SinkTarget::Frames(backend) => backend.finish(),
+            SinkTarget::Encoded { backend, pipeline, .. } => {
+                *pipeline = None; // worker is idle; drop closes channels and joins
+                backend.finish()
+            }
+        }
     }
 }
 
@@ -554,13 +631,9 @@ pub(crate) struct EngineSinkBackend<'a> {
     pub(crate) write: IncrementalWrite,
 }
 
-impl GopWriteBackend for EngineSinkBackend<'_> {
-    fn flush_gop(&mut self, frames: &[Frame]) -> Result<(), VssError> {
-        self.engine.push_incremental_gop(&mut self.write, frames)
-    }
-
-    fn flush_encoded(&mut self, frames: &[Frame], gop: EncodedGop) -> Result<(), VssError> {
-        self.engine.push_incremental_encoded(&mut self.write, frames, &gop)
+impl EncodedGopBackend for EngineSinkBackend<'_> {
+    fn flush_encoded(&mut self, gop: EncodedGop) -> Result<(), VssError> {
+        self.engine.push_incremental_encoded(&mut self.write, &gop)
     }
 
     fn finish(&mut self) -> Result<WriteReport, VssError> {
@@ -595,47 +668,47 @@ impl<S: crate::VideoStorage + ?Sized> GopWriteBackend for BufferedSinkBackend<'_
 mod tests {
     use super::*;
     use crate::engine::test_support::temp_engine;
+    use crate::params::ReadRequest;
+    use crate::VideoStorage;
     use vss_frame::{pattern, PixelFormat};
 
     fn frames(count: usize) -> Vec<Frame> {
         (0..count).map(|i| pattern::gradient(64, 48, PixelFormat::Yuv420, i as u64)).collect()
     }
 
+    fn sequence(frames: Vec<Frame>) -> FrameSequence {
+        FrameSequence::new(frames, 30.0).unwrap()
+    }
+
+    /// Every file under `root`, by relative path — the whole on-disk store.
+    fn collect_pages(root: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+        let mut pages: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut pending = vec![root.to_path_buf()];
+        while let Some(dir) = pending.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    pending.push(path);
+                } else {
+                    let relative = path.strip_prefix(root).unwrap().to_string_lossy().into_owned();
+                    pages.push((relative, std::fs::read(&path).unwrap()));
+                }
+            }
+        }
+        pages.sort_by(|a, b| a.0.cmp(&b.0));
+        pages
+    }
+
     #[test]
     fn sink_write_is_byte_identical_to_batch_write() {
         let source = frames(75); // 2 full GOPs + 1 partial at gop_size 30
-        let collect_pages = |root: &std::path::Path| {
-            let mut pages: Vec<(String, Vec<u8>)> = Vec::new();
-            let mut pending = vec![root.to_path_buf()];
-            while let Some(dir) = pending.pop() {
-                for entry in std::fs::read_dir(&dir).unwrap() {
-                    let path = entry.unwrap().path();
-                    if path.is_dir() {
-                        pending.push(path);
-                    } else {
-                        let relative =
-                            path.strip_prefix(root).unwrap().to_string_lossy().into_owned();
-                        pages.push((relative, std::fs::read(&path).unwrap()));
-                    }
-                }
-            }
-            pages.sort_by(|a, b| a.0.cmp(&b.0));
-            pages
-        };
-
         let (mut batch_engine, batch_root) = temp_engine("sink-batch");
-        let sequence = FrameSequence::new(source.clone(), 30.0).unwrap();
-        let batch_report =
-            batch_engine.write(&WriteRequest::new("v", Codec::H264), &sequence).unwrap();
+        let request = WriteRequest::new("v", Codec::H264);
+        let batch_report = batch_engine.write(&request, &sequence(source.clone())).unwrap();
 
         let (mut sink_engine, sink_root) = temp_engine("sink-inc");
-        let request = WriteRequest::new("v", Codec::H264);
         let gop_size = sink_engine.write_gop_size(request.codec);
-        let backend = EngineSinkBackend {
-            write: sink_engine.begin_incremental_write(&request, 30.0).unwrap(),
-            engine: &mut sink_engine,
-        };
-        let mut sink = WriteSink::from_backend(Box::new(backend), 30.0, gop_size);
+        let mut sink = sink_engine.write_sink(&request, 30.0).unwrap();
         for frame in source {
             sink.push_frame(frame).unwrap();
             assert!(sink.buffered_frames() < gop_size, "sink never holds a full GOP");
@@ -658,35 +731,10 @@ mod tests {
     #[test]
     fn overlapped_sink_store_is_byte_identical_to_the_synchronous_sink() {
         let source = frames(100); // 3 full GOPs + 1 partial at gop_size 30
-        let collect_pages = |root: &std::path::Path| {
-            let mut pages: Vec<(String, Vec<u8>)> = Vec::new();
-            let mut pending = vec![root.to_path_buf()];
-            while let Some(dir) = pending.pop() {
-                for entry in std::fs::read_dir(&dir).unwrap() {
-                    let path = entry.unwrap().path();
-                    if path.is_dir() {
-                        pending.push(path);
-                    } else {
-                        let relative =
-                            path.strip_prefix(root).unwrap().to_string_lossy().into_owned();
-                        pages.push((relative, std::fs::read(&path).unwrap()));
-                    }
-                }
-            }
-            pages.sort_by(|a, b| a.0.cmp(&b.0));
-            pages
-        };
         let run = |tag: &str, depth: usize| {
             let (mut engine, root) = temp_engine(tag);
             engine.config.readahead = depth;
-            let request = WriteRequest::new("v", Codec::H264);
-            let gop_size = engine.write_gop_size(request.codec);
-            let encoder = engine.sink_encoder(&request);
-            let backend = EngineSinkBackend {
-                write: engine.begin_incremental_write(&request, 30.0).unwrap(),
-                engine: &mut engine,
-            };
-            let mut sink = WriteSink::overlapped(Box::new(backend), 30.0, gop_size, encoder);
+            let mut sink = engine.write_sink(&WriteRequest::new("v", Codec::H264), 30.0).unwrap();
             let mut saw_in_flight = false;
             for frame in source.clone() {
                 sink.push_frame(frame).unwrap();
@@ -717,17 +765,71 @@ mod tests {
     }
 
     #[test]
+    fn append_sink_is_byte_identical_to_batch_append() {
+        let source = frames(135); // write 60, then append 2 full GOPs + 1 partial
+        let (head, tail) = source.split_at(60);
+        let request = WriteRequest::new("v", Codec::H264);
+        let (mut batch_engine, batch_root) = temp_engine("append-batch");
+        batch_engine.write(&request, &sequence(head.to_vec())).unwrap();
+        let batch_report = batch_engine.append("v", &sequence(tail.to_vec())).unwrap();
+        let batch_pages = collect_pages(&batch_root);
+        for depth in [0usize, 1, 4] {
+            let (mut engine, root) = temp_engine(&format!("append-sink-{depth}"));
+            engine.config.readahead = depth;
+            engine.write(&request, &sequence(head.to_vec())).unwrap();
+            let write = engine.begin_incremental_append("v", 30.0).unwrap();
+            let encoder = write.encoder();
+            let backend = EngineSinkBackend { engine: &mut engine, write };
+            let mut sink = WriteSink::encoding(Box::new(backend), encoder);
+            for frame in tail {
+                sink.push_frame(frame.clone()).unwrap();
+            }
+            let report = sink.finish().unwrap();
+            assert_eq!(report.physical_id, batch_report.physical_id);
+            assert_eq!(report.gops_written, 3);
+            assert_eq!(report.bytes_written, batch_report.bytes_written);
+            assert_eq!(collect_pages(&root), batch_pages, "append sink diverged at depth {depth}");
+            let _ = std::fs::remove_dir_all(root);
+        }
+        let _ = std::fs::remove_dir_all(batch_root);
+    }
+
+    #[test]
+    fn append_rejects_mismatched_frames_before_persisting_anything() {
+        let (mut engine, root) = temp_engine("append-shape");
+        engine.write(&WriteRequest::new("v", Codec::H264), &sequence(frames(30))).unwrap();
+        let before = collect_pages(&root);
+        let small: Vec<Frame> =
+            (0..30).map(|i| pattern::gradient(32, 24, PixelFormat::Yuv420, i)).collect();
+        assert!(matches!(
+            engine.append("v", &sequence(small)),
+            Err(VssError::Frame(FrameError::ShapeMismatch))
+        ));
+        let slow = FrameSequence::new(frames(30), 15.0).unwrap();
+        assert!(matches!(
+            engine.append("v", &slow),
+            Err(VssError::Frame(FrameError::InvalidFrameRate))
+        ));
+        assert_eq!(collect_pages(&root), before, "a rejected append leaves the store untouched");
+        // Pixel layout stays free (the codec converts it), and the video
+        // still reads end to end afterwards.
+        let rgb: Vec<Frame> =
+            (0..30).map(|i| pattern::gradient(64, 48, PixelFormat::Rgb8, i)).collect();
+        engine.append("v", &sequence(rgb)).unwrap();
+        assert_eq!(engine.video_time_range("v").unwrap(), (0.0, 2.0));
+        let read =
+            engine.read(&ReadRequest::new("v", 0.0, 2.0, Codec::H264).uncacheable()).unwrap();
+        assert_eq!(read.frames.len(), 60);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
     fn aborted_overlapped_sink_leaves_only_fully_persisted_gops() {
         let (mut engine, root) = temp_engine("sink-abort");
         engine.config.readahead = 1;
         let request = WriteRequest::new("v", Codec::H264);
         let gop_size = engine.write_gop_size(request.codec);
-        let encoder = engine.sink_encoder(&request);
-        let backend = EngineSinkBackend {
-            write: engine.begin_incremental_write(&request, 30.0).unwrap(),
-            engine: &mut engine,
-        };
-        let mut sink = WriteSink::overlapped(Box::new(backend), 30.0, gop_size, encoder);
+        let mut sink = engine.write_sink(&request, 30.0).unwrap();
         // 3 full GOPs submitted; with depth 1 at least two retire (persist),
         // the last may still be in flight — plus a partial that never flushes.
         for frame in frames(3 * gop_size + 10) {
@@ -736,9 +838,8 @@ mod tests {
         drop(sink); // abort: joins the worker, discards in-flight work
         // Whatever prefix was persisted is complete and fully readable.
         let (start, end) = engine.video_time_range("v").unwrap();
-        let persisted = engine
-            .read(&crate::params::ReadRequest::new("v", start, end, Codec::H264).uncacheable())
-            .unwrap();
+        let persisted =
+            engine.read(&ReadRequest::new("v", start, end, Codec::H264).uncacheable()).unwrap();
         assert!(persisted.frames.len() >= 2 * gop_size, "retired GOPs survive the abort");
         assert_eq!(persisted.frames.len() % gop_size, 0, "no partial GOP reaches disk");
         let _ = std::fs::remove_dir_all(root);
@@ -747,12 +848,7 @@ mod tests {
     #[test]
     fn empty_sink_errors_like_an_empty_write() {
         let (mut engine, root) = temp_engine("sink-empty");
-        let request = WriteRequest::new("v", Codec::H264);
-        let backend = EngineSinkBackend {
-            write: engine.begin_incremental_write(&request, 30.0).unwrap(),
-            engine: &mut engine,
-        };
-        let sink = WriteSink::from_backend(Box::new(backend), 30.0, 30);
+        let sink = engine.write_sink(&WriteRequest::new("v", Codec::H264), 30.0).unwrap();
         assert!(matches!(sink.finish(), Err(VssError::EmptyWrite)));
         // Nothing was created.
         assert!(engine.video_names().is_empty());
@@ -763,11 +859,7 @@ mod tests {
     fn sink_rejects_shape_and_rate_mismatches() {
         let (mut engine, root) = temp_engine("sink-shape");
         let request = WriteRequest::new("v", Codec::H264);
-        let backend = EngineSinkBackend {
-            write: engine.begin_incremental_write(&request, 30.0).unwrap(),
-            engine: &mut engine,
-        };
-        let mut sink = WriteSink::from_backend(Box::new(backend), 30.0, 30);
+        let mut sink = engine.write_sink(&request, 30.0).unwrap();
         sink.push_frame(pattern::gradient(64, 48, PixelFormat::Yuv420, 0)).unwrap();
         assert!(matches!(
             sink.push_frame(pattern::gradient(32, 24, PixelFormat::Yuv420, 0)),

@@ -147,15 +147,9 @@ impl VideoStorage for Engine {
         request: &WriteRequest,
         frame_rate: f64,
     ) -> Result<WriteSink<'_>, VssError> {
-        let gop_size = self.write_gop_size(request.codec);
-        let encoder = self.sink_encoder(request);
         let write = self.begin_incremental_write(request, frame_rate)?;
-        Ok(WriteSink::overlapped(
-            Box::new(EngineSinkBackend { engine: self, write }),
-            frame_rate,
-            gop_size,
-            encoder,
-        ))
+        let encoder = write.encoder();
+        Ok(WriteSink::encoding(Box::new(EngineSinkBackend { engine: self, write }), encoder))
     }
 
     fn metadata(&self, name: &str) -> Result<VideoMetadata, VssError> {

@@ -21,27 +21,28 @@
 //!
 //! # Equivalence with materialized reads
 //!
-//! `Engine::read`/`read_shared` are thin wrappers that open a stream and
-//! [`drain`](ReadStream::drain) it, so draining a stream is *by construction*
-//! byte-identical to a materialized read of the same request against the same
-//! store state. Chunk boundaries follow the plan: pass-through segments yield
-//! one chunk per reused stored GOP; re-encoded segments yield one chunk per
-//! output GOP of the configured GOP size. Streaming reads never admit their
-//! result to the cache of materialized views (use [`Engine::read`] when cache
-//! admission is wanted).
+//! [`Engine::read`] opens a stream and [`drain`](ReadStream::drain)s it, so
+//! draining a stream is *by construction* byte-identical to a materialized
+//! read of the same request against the same store state. Chunk boundaries
+//! follow the plan: pass-through segments yield one chunk per reused stored
+//! GOP; re-encoded segments yield one chunk per output GOP of the configured
+//! GOP size. Streaming reads never admit their result to the cache of
+//! materialized views (use [`Engine::read`] when cache admission is wanted).
 //!
-//! # Readahead
+//! # One GOP stage; readahead picks the thread
 //!
-//! With [`VssConfig::readahead`](crate::VssConfig::readahead) `= N > 0`, the
-//! snapshot's GOP work list is handed to a bounded
-//! [`OrderedPrefetch`] worker pool at open time: workers read file bytes and
-//! decode up to `N` GOPs ahead of the consumer, restoring the cross-GOP
-//! decode parallelism the drained path traded away when plan execution moved
-//! to this stream. Delivery is strictly in plan order and the sequential
-//! stages (retiming, output-GOP chunking, re-encoding, the admission
-//! measurement) stay on the consumer's thread, so **chunk order and bytes
-//! are identical at every readahead depth by construction**. Workers touch
-//! only the snapshot and the GOP files — never the engine or any lock — and
+//! The snapshot is one flat, plan-ordered list of GOP jobs. A single
+//! function (`decode_gop_job`) loads, decompresses, decodes and normalizes a
+//! GOP, and a single consumer stage (`PlanState::step`) runs the sequential
+//! work on its output (retiming, output-GOP chunking, re-encoding, the
+//! admission measurement). [`VssConfig::readahead`](crate::VssConfig::readahead)
+//! only decides *which thread* runs the GOP function: at `0` the consumer
+//! calls it inline, one GOP per step; at `N > 0` the job list is handed to a
+//! bounded [`OrderedPrefetch`] worker pool at open time and up to `N` GOPs
+//! decode ahead of (and concurrently with) the consumer. Delivery is
+//! strictly in plan order either way, so **chunk order and bytes are
+//! identical at every readahead depth by construction**. Workers touch only
+//! the snapshot and the GOP files — never the engine or any lock — and
 //! dropping the stream mid-flight cancels and joins them.
 //!
 //! # Memory accounting
@@ -55,13 +56,12 @@
 //! [`ReadStats`]. For reads that need no frame-rate conversion the peak is
 //! bounded by **`2 + readahead` GOPs** (one being assembled, one awaiting
 //! the consumer, plus up to `readahead` prefetched ahead — two GOPs total in
-//! the default synchronous configuration); frame-rate-converted segments are
+//! the default inline configuration); frame-rate-converted segments are
 //! the documented exception — retiming is a whole-segment operation, so such
-//! segments are buffered in full before conversion. (Exclusive
-//! cache-admitting reads additionally accumulate the first resized segment
-//! for the admission-quality measurement — but those reads drain the whole
-//! result anyway; streams opened through `read_stream` skip that
-//! measurement.)
+//! segments are buffered in full before conversion. (A materialized read
+//! that may admit its result additionally accumulates the first resized
+//! segment for the admission-quality measurement — but it drains the whole
+//! result anyway; every other stream skips that measurement.)
 
 use crate::engine::{Engine, ReadStats};
 use crate::fragments::{build_candidates, CandidateSet};
@@ -122,36 +122,40 @@ struct GopWork {
     last: usize,
 }
 
-/// A by-value copy of one segment's transform descriptors, taken per step so
-/// the mutable borrow of the segment queue can end before chunks are emitted.
+/// One plan segment's snapshot: how its GOPs must be transformed.
 #[derive(Debug, Clone, Copy)]
 struct SegmentShape {
     source_codec: Codec,
     frame_rate: f64,
     resolution: Resolution,
+    /// Stored GOPs can be handed to the output without re-encoding.
     passthrough: bool,
+    /// Frame-rate conversion required (whole-segment operation).
     retime: bool,
+    /// This segment measures the resampling MSE for cache admission.
     measure_mse: bool,
-    /// True when the step consumed the segment's final GOP.
-    last_gop: bool,
 }
 
-/// One readahead work unit: a fully resolved GOP plus the by-value segment
-/// descriptors a worker needs to decode and normalize it without the engine.
+/// One unit of GOP work: a fully resolved GOP plus a by-value copy of its
+/// segment's descriptors, so whichever thread runs [`decode_gop_job`] needs
+/// nothing but the job.
 #[derive(Debug)]
 struct PrefetchJob {
     work: GopWork,
-    /// Absolute index of the owning segment in the plan snapshot.
+    /// Index of the owning segment in the plan snapshot.
     segment: usize,
     shape: SegmentShape,
+    /// True for the segment's final GOP.
+    last_gop: bool,
 }
 
-/// A worker's output for one GOP: everything the consumer-side sequential
-/// stages (retiming, chunking, re-encode, admission measurement) need.
+/// [`decode_gop_job`]'s output for one GOP: everything the consumer-side
+/// sequential stages (retiming, chunking, re-encode, admission measurement)
+/// need.
 #[derive(Debug)]
 struct PrefetchedGop {
     segment: usize,
-    shape: SegmentShape,
+    last_gop: bool,
     /// The stored encoded GOP (pass-through segments reuse it verbatim).
     encoded: Option<EncodedGop>,
     /// Sliced source frames, kept only when this segment measures the
@@ -162,6 +166,16 @@ struct PrefetchedGop {
     bytes_read: u64,
     frames_decoded: usize,
     decoding: Duration,
+}
+
+impl PrefetchedGop {
+    fn held_frames(&self) -> usize {
+        self.frames.len() + self.source.len()
+    }
+
+    fn held_bytes(&self) -> u64 {
+        byte_len(&self.frames) + byte_len(&self.source)
+    }
 }
 
 /// Process-wide readahead telemetry (`stream.readahead.*`), cached so the
@@ -230,9 +244,9 @@ impl InflightGauge {
     }
 }
 
-/// The per-GOP work a readahead worker performs: load the file, decode,
-/// slice and normalize — exactly the stages [`PlanState::step`] runs inline
-/// when readahead is off, so both paths produce identical frames.
+/// The per-GOP stage — load the file, undo deferred compression, decode,
+/// slice and normalize. The only code that does so: the consumer calls it
+/// inline at `readahead = 0`, the worker pool calls it otherwise.
 fn decode_gop_job(
     job: &PrefetchJob,
     target_format: PixelFormat,
@@ -251,7 +265,7 @@ fn decode_gop_job(
     let sliced = &decoded.frames()[job.work.first.min(decoded.len())..];
     let mut item = PrefetchedGop {
         segment: job.segment,
-        shape: job.shape,
+        last_gop: job.last_gop,
         encoded: None,
         source: Vec::new(),
         frames: Vec::new(),
@@ -289,21 +303,6 @@ fn decode_gop_job(
     }
     item.decoding = started.elapsed();
     Ok(item)
-}
-
-/// One plan segment's snapshot: where its GOPs live and how to transform them.
-#[derive(Debug)]
-struct SegmentWork {
-    source_codec: Codec,
-    frame_rate: f64,
-    resolution: Resolution,
-    /// Stored GOPs can be handed to the output without re-encoding.
-    passthrough: bool,
-    /// Frame-rate conversion required (whole-segment operation).
-    retime: bool,
-    /// This segment measures the resampling MSE for cache admission.
-    measure_mse: bool,
-    gops: VecDeque<GopWork>,
 }
 
 /// Everything the exclusive read path needs, beyond the drained result, to
@@ -362,12 +361,11 @@ struct PlanState {
     region: Option<RegionOfInterest>,
     output_resolution: Resolution,
     output_fps: f64,
-    segments: VecDeque<SegmentWork>,
-    /// Absolute plan index of the front segment (how many have finished).
+    segments: Vec<SegmentShape>,
+    /// Index of the first unfinished segment.
     segment_cursor: usize,
-    /// Bounded worker pool decoding GOPs ahead of the consumer
-    /// (`readahead > 0` only); owns the flattened GOP work list.
-    prefetch: Option<OrderedPrefetch<Result<PrefetchedGop, VssError>>>,
+    /// The plan's GOPs, decoded in plan order.
+    gops: GopSource,
     /// Decoded frames currently held by readahead workers.
     gauge: Arc<InflightGauge>,
     /// Cropped frames awaiting enough material for one output GOP.
@@ -381,6 +379,14 @@ struct PlanState {
     mse_normalized: Vec<Frame>,
     derivation_measured: bool,
     carry: AdmissionCarry,
+}
+
+/// Who runs [`decode_gop_job`] — the one thing `readahead` decides.
+enum GopSource {
+    /// `readahead = 0`: the consumer decodes each job itself, one per step.
+    Inline(std::vec::IntoIter<PrefetchJob>),
+    /// `readahead = N`: a bounded worker pool decodes up to `N` jobs ahead.
+    Workers(OrderedPrefetch<Result<PrefetchedGop, VssError>>),
 }
 
 enum StreamSource {
@@ -505,11 +511,11 @@ impl ReadStream {
 
     /// Consumes the stream, materializing the equivalent [`ReadResult`].
     ///
-    /// The drained output is byte-identical to [`Engine::read`] /
-    /// [`Engine::read_shared`] for the same request and store state (those
-    /// methods are implemented as exactly this drain). Draining necessarily
-    /// accumulates the whole result, so the reported peak buffered memory is
-    /// O(clip) — the number streaming consumers avoid.
+    /// The drained output is byte-identical to [`Engine::read`] for the same
+    /// request and store state (which is implemented as exactly this drain).
+    /// Draining necessarily accumulates the whole result, so the reported
+    /// peak buffered memory is O(clip) — the number streaming consumers
+    /// avoid.
     pub fn drain(self) -> Result<ReadResult, VssError> {
         self.drain_with_admission().map(|(result, _)| result)
     }
@@ -620,147 +626,51 @@ impl StreamBase {
 }
 
 impl PlanState {
-    /// Advances the stream by one unit of work — at most one GOP load/decode
-    /// or one segment finalization — pushing any completed chunks into
-    /// `ready`. Returns `Ok(false)` once all segments are exhausted.
+    /// Produces the next decoded GOP in plan order: decodes it here when the
+    /// source is inline, otherwise receives it from the worker pool.
+    fn next_gop(&mut self, base: &mut StreamBase) -> Option<Result<PrefetchedGop, VssError>> {
+        match &mut self.gops {
+            GopSource::Inline(jobs) => jobs.next().map(|job| {
+                decode_gop_job(&job, self.target_format, self.output_resolution, self.parallelism)
+            }),
+            GopSource::Workers(pool) => {
+                let stall_started = Instant::now();
+                let received = pool.recv();
+                metrics::stall().record_duration(stall_started.elapsed());
+                self.merge_gauge_peaks(base);
+                match &received {
+                    Some(Ok(item)) => self.gauge.sub(item.held_frames(), item.held_bytes()),
+                    // Exhausted or failed: nothing more to deliver, and
+                    // dropping the pool cancels and joins its workers.
+                    _ => self.gops = GopSource::Inline(Vec::new().into_iter()),
+                }
+                received
+            }
+        }
+    }
+
+    /// Advances the stream by one unit of work — at most one GOP or one
+    /// segment finalization — pushing any completed chunks into `ready`.
+    /// Returns `Ok(false)` once all segments are exhausted.
     fn step(
         &mut self,
         base: &mut StreamBase,
         ready: &mut VecDeque<ReadChunk>,
     ) -> Result<bool, VssError> {
-        if self.prefetch.is_some() {
-            return self.step_prefetch(base, ready);
-        }
-        let Some(front) = self.segments.front_mut() else {
-            return Ok(false);
-        };
-        let Some(work) = front.gops.pop_front() else {
-            self.finish_segment(base, ready)?;
-            return Ok(true);
-        };
-        // Copy out the segment descriptors so the front borrow ends here.
-        let segment = SegmentShape {
-            source_codec: front.source_codec,
-            frame_rate: front.frame_rate,
-            resolution: front.resolution,
-            passthrough: front.passthrough,
-            retime: front.retime,
-            measure_mse: front.measure_mse,
-            last_gop: front.gops.is_empty(),
-        };
-
-        // --- load + decode (the formerly lock-held part, now lock-free) ----
-        let started = Instant::now();
-        let bytes = std::fs::read(&work.path)
-            .map_err(|e| VssError::Catalog(vss_catalog::CatalogError::Io(e)))?;
-        base.gops_read += 1;
-        base.bytes_read += bytes.len() as u64;
-        let container = if work.lossless { lossless::decompress(&bytes)? } else { bytes };
-        let gop = EncodedGop::from_bytes(&container)?;
-        let implementation = codec_instance(segment.source_codec);
-        let decoded = implementation.decode_prefix(&gop, work.last)?;
-        base.frames_decoded += decoded.len();
-        let sliced = &decoded.frames()[work.first.min(decoded.len())..];
-        base.decoding += started.elapsed();
-        self.note_buffered(base, ready, decoded.len(), decoded.byte_len() as u64);
-        if sliced.is_empty() {
-            if segment.last_gop {
-                self.finish_segment(base, ready)?;
-            }
-            return Ok(true);
-        }
-
-        if segment.passthrough {
-            // The stored GOP already matches the requested configuration:
-            // convert the physical layout only and reuse the encoded bytes.
-            let started = Instant::now();
-            let target = self.target_format;
-            let frames = vss_parallel::try_par_map(self.parallelism, sliced, |_, frame| {
-                frame.convert(target)
-            })?;
-            base.decoding += started.elapsed();
-            self.carry.reused_any = true;
-            let rate = segment.frame_rate;
-            let chunk = ReadChunk {
-                frames: FrameSequence::new(frames, rate)?,
-                encoded_gop: Some(gop),
-                stats_delta: ChunkStats::default(),
-            };
-            self.note_buffered(base, ready, chunk.frames.len(), chunk.frames.byte_len() as u64);
-            ready.push_back(chunk);
-        } else {
-            // Normalize spatial configuration and physical layout per frame.
-            let resize_needed = self.output_resolution != segment.resolution;
-            let (width, height) = (self.output_resolution.width, self.output_resolution.height);
-            let output_resolution = self.output_resolution;
-            let target = self.target_format;
-            let started = Instant::now();
-            let normalized = vss_parallel::try_par_map(
-                self.parallelism,
-                sliced,
-                |_, frame| -> Result<Frame, vss_frame::FrameError> {
-                    let resized = if resize_needed && frame.resolution() != output_resolution {
-                        resize_bilinear(frame, width, height)?
-                    } else {
-                        frame.clone()
-                    };
-                    resized.convert(target)
-                },
-            )?;
-            base.decoding += started.elapsed();
-            if segment.measure_mse && !self.derivation_measured {
-                self.mse_source.extend_from_slice(sliced);
-                self.mse_normalized.extend_from_slice(&normalized);
-            }
-            if segment.retime {
-                self.retime_buffer.extend(normalized);
-                self.note_buffered(base, ready, 0, 0);
-            } else {
-                let rate = segment.frame_rate;
-                self.emit_output(normalized, rate, base, ready)?;
-            }
-        }
-        if segment.last_gop {
-            self.finish_segment(base, ready)?;
-        }
-        Ok(true)
-    }
-
-    /// The readahead counterpart of [`step`](Self::step): receives the next
-    /// decoded GOP from the worker pool (in plan order) and runs the
-    /// sequential stages on it. One call consumes at most one GOP or closes
-    /// out one segment, mirroring the synchronous path exactly.
-    fn step_prefetch(
-        &mut self,
-        base: &mut StreamBase,
-        ready: &mut VecDeque<ReadChunk>,
-    ) -> Result<bool, VssError> {
-        let stall_started = Instant::now();
-        let received = self.prefetch.as_mut().expect("prefetch mode").recv();
-        metrics::stall().record_duration(stall_started.elapsed());
-        self.merge_gauge_peaks(base);
-        let item = match received {
+        let item = match self.next_gop(base) {
             None => {
                 // Every GOP has been delivered; close out the remaining
                 // segments (retime/partial-GOP flushes) one per step.
-                if self.segments.is_empty() {
-                    self.prefetch = None; // workers already exited; join them
+                if self.segment_cursor == self.segments.len() {
                     return Ok(false);
                 }
                 self.finish_segment(base, ready)?;
                 return Ok(true);
             }
-            // Errors surface in plan order, like the synchronous path; drop
-            // the pool so remaining workers are cancelled and joined.
-            Some(Err(error)) => {
-                self.prefetch = None;
-                return Err(error);
-            }
+            // Errors surface in plan order.
+            Some(Err(error)) => return Err(error),
             Some(Ok(item)) => item,
         };
-        let held_frames = item.frames.len() + item.source.len();
-        let held_bytes = byte_len(&item.frames) + byte_len(&item.source);
-        self.gauge.sub(held_frames, held_bytes);
         // Segments the work list skipped entirely (no decodable GOPs) still
         // finish in plan order before this GOP's segment is processed.
         while self.segment_cursor < item.segment {
@@ -770,15 +680,17 @@ impl PlanState {
         base.bytes_read += item.bytes_read;
         base.frames_decoded += item.frames_decoded;
         base.decoding += item.decoding;
-        self.note_buffered(base, ready, held_frames, held_bytes);
-        let shape = item.shape;
+        self.note_buffered(base, ready, item.held_frames(), item.held_bytes());
+        let shape = self.segments[item.segment];
         if item.frames.is_empty() {
-            if shape.last_gop {
+            if item.last_gop {
                 self.finish_segment(base, ready)?;
             }
             return Ok(true);
         }
         if shape.passthrough {
+            // The stored GOP already matches the requested configuration:
+            // only the physical layout was converted; reuse the encoded bytes.
             self.carry.reused_any = true;
             let chunk = ReadChunk {
                 frames: FrameSequence::new(item.frames, shape.frame_rate)?,
@@ -799,7 +711,7 @@ impl PlanState {
                 self.emit_output(item.frames, shape.frame_rate, base, ready)?;
             }
         }
-        if shape.last_gop {
+        if item.last_gop {
             self.finish_segment(base, ready)?;
         }
         Ok(true)
@@ -813,14 +725,15 @@ impl PlanState {
             base.peak_buffered_bytes.max(self.gauge.peak_bytes.load(Ordering::SeqCst));
     }
 
-    /// Closes out the front segment: measures the admission MSE, retimes the
-    /// buffered segment if needed and flushes the partial output GOP.
+    /// Closes out the first unfinished segment: measures the admission MSE,
+    /// retimes the buffered segment if needed and flushes the partial output
+    /// GOP.
     fn finish_segment(
         &mut self,
         base: &mut StreamBase,
         ready: &mut VecDeque<ReadChunk>,
     ) -> Result<(), VssError> {
-        let Some(segment) = self.segments.pop_front() else { return Ok(()) };
+        let Some(&segment) = self.segments.get(self.segment_cursor) else { return Ok(()) };
         self.segment_cursor += 1;
         if segment.measure_mse && !self.derivation_measured && !self.mse_source.is_empty() {
             let source =
@@ -953,18 +866,17 @@ impl Engine {
         // drain happens on the caller's schedule, tracked by the readahead
         // stall/occupancy metrics instead.
         let _span = vss_telemetry::span("engine", "read_stream", request.name.as_str());
-        self.plan_stream(request, request.planner, false)
+        self.plan_stream(request, false)
     }
 
-    /// [`read_stream`](Self::read_stream) with an explicit planner choice.
-    /// `for_admission` is set by the exclusive read path only: it enables the
-    /// whole-segment quality measurement cache admission needs, which
-    /// (deliberately) costs O(segment) memory — pure streaming reads never
-    /// admit, so they skip it and keep the O(GOP) bound even on resizes.
+    /// Plans `request` and snapshots the plan into a self-contained stream.
+    /// `for_admission` is set only by a materialized read that may admit its
+    /// result: it enables the whole-segment quality measurement cache
+    /// admission needs, which (deliberately) costs O(segment) memory — every
+    /// other stream skips it and keeps the O(GOP) bound even on resizes.
     pub(crate) fn plan_stream(
         &self,
         request: &ReadRequest,
-        planner: PlannerKind,
         for_admission: bool,
     ) -> Result<ReadStream, VssError> {
         let video = self.catalog.video(&request.name)?;
@@ -997,7 +909,7 @@ impl Engine {
             resolution: output_resolution,
             codec: request.physical.codec,
         };
-        let plan = match planner {
+        let plan = match request.planner {
             PlannerKind::Optimal => plan_read(&plan_request, &candidates.candidates, &self.cost_model)?,
             PlannerKind::Greedy => {
                 plan_read_greedy(&plan_request, &candidates.candidates, &self.cost_model)?
@@ -1012,8 +924,10 @@ impl Engine {
         // --- snapshot the plan's GOPs ---------------------------------------
         // Resolve every planned GOP to its on-disk file, perform the recency
         // bookkeeping (atomic — `&self` suffices) and record how each segment
-        // must be transformed. After this loop the stream is self-contained.
-        let mut segments: VecDeque<SegmentWork> = VecDeque::new();
+        // must be transformed, flattening the plan into one ordered job
+        // list. After this loop the stream is self-contained.
+        let mut segments: Vec<SegmentShape> = Vec::new();
+        let mut jobs: Vec<PrefetchJob> = Vec::new();
         let mut cached_segments = 0usize;
         let mut source_mse_bound = 0.0f64;
         let mut mse_segment_assigned = false;
@@ -1042,7 +956,7 @@ impl Engine {
             let gop_map = physical.gop_index_map();
             let gop_fps =
                 if physical.frame_rate > 0.0 { physical.frame_rate } else { output_fps };
-            let mut gops: VecDeque<GopWork> = VecDeque::new();
+            let mut gops: Vec<GopWork> = Vec::new();
             for &gop_index in &run.gop_indices {
                 let Some(gop_record) = gop_map.get(&gop_index) else {
                     continue;
@@ -1061,7 +975,7 @@ impl Engine {
                     .min(gop_record.frame_count)
                     .max(first + 1);
                 self.catalog.touch_gop(&request.name, run.physical_id, gop_index)?;
-                gops.push_back(GopWork {
+                gops.push(GopWork {
                     path: self.catalog.gop_path(&request.name, physical, gop_index),
                     lossless: gop_record.lossless_level.is_some(),
                     first,
@@ -1072,15 +986,22 @@ impl Engine {
             let measure_mse =
                 for_admission && !mse_segment_assigned && resize_needed && !gops.is_empty();
             mse_segment_assigned |= measure_mse;
-            segments.push_back(SegmentWork {
+            let shape = SegmentShape {
                 source_codec,
                 frame_rate: physical.frame_rate,
                 resolution: physical.resolution(),
                 passthrough,
                 retime,
                 measure_mse,
-                gops,
-            });
+            };
+            let gop_count = gops.len();
+            jobs.extend(gops.into_iter().enumerate().map(|(position, work)| PrefetchJob {
+                work,
+                segment: segments.len(),
+                shape,
+                last_gop: position + 1 == gop_count,
+            }));
+            segments.push(shape);
         }
 
         let encoder = EncoderConfig {
@@ -1090,19 +1011,40 @@ impl Engine {
                 .unwrap_or(self.config.default_encoder_quality),
             gop_size: self.config.gop_size,
         };
-        let mut state = PlanState {
+        let gauge = Arc::new(InflightGauge::default());
+        let parallelism = self.config.parallelism;
+        // The one place `readahead` matters: at 0 the consumer decodes each
+        // job inline; otherwise a bounded in-order worker pool starts on the
+        // job list immediately — workers touch only the snapshot and the GOP
+        // files, never the engine — while the sequential stages stay on the
+        // consumer.
+        let readahead = self.config.readahead;
+        let gops = if readahead == 0 || jobs.is_empty() {
+            GopSource::Inline(jobs.into_iter())
+        } else {
+            let gauge = Arc::clone(&gauge);
+            GopSource::Workers(OrderedPrefetch::spawn(parallelism, readahead, jobs, move |_, job| {
+                let result = decode_gop_job(job, target_format, output_resolution, parallelism);
+                if let Ok(item) = &result {
+                    gauge.add(item.held_frames(), item.held_bytes());
+                }
+                result
+            }))
+        };
+        let fragments_available = candidates.candidates.len();
+        let state = PlanState {
             codec: request.physical.codec,
             encoder,
             gop_size: self.config.gop_size,
-            parallelism: self.config.parallelism,
+            parallelism,
             target_format,
             region: request.spatial.region,
             output_resolution,
             output_fps,
             segments,
             segment_cursor: 0,
-            prefetch: None,
-            gauge: Arc::new(InflightGauge::default()),
+            gops,
+            gauge,
             pending: Vec::new(),
             pending_rate: output_fps,
             retime_buffer: Vec::new(),
@@ -1117,55 +1059,6 @@ impl Engine {
                 output_resolution,
             },
         };
-        // Readahead: flatten the snapshot's GOPs into an owned work list and
-        // hand it to a bounded in-order worker pool. Workers start decoding
-        // immediately — they touch only the snapshot and the GOP files, never
-        // the engine — while the sequential stages stay on the consumer.
-        let readahead = self.config.readahead;
-        if readahead > 0 {
-            let mut jobs: Vec<PrefetchJob> = Vec::new();
-            for (segment_index, segment) in state.segments.iter_mut().enumerate() {
-                let gop_count = segment.gops.len();
-                for (position, work) in segment.gops.drain(..).enumerate() {
-                    jobs.push(PrefetchJob {
-                        work,
-                        segment: segment_index,
-                        shape: SegmentShape {
-                            source_codec: segment.source_codec,
-                            frame_rate: segment.frame_rate,
-                            resolution: segment.resolution,
-                            passthrough: segment.passthrough,
-                            retime: segment.retime,
-                            measure_mse: segment.measure_mse,
-                            last_gop: position + 1 == gop_count,
-                        },
-                    });
-                }
-            }
-            if !jobs.is_empty() {
-                let gauge = Arc::clone(&state.gauge);
-                let target_format = state.target_format;
-                let worker_resolution = state.output_resolution;
-                let parallelism = state.parallelism;
-                state.prefetch = Some(OrderedPrefetch::spawn(
-                    parallelism,
-                    readahead,
-                    jobs,
-                    move |_, job| {
-                        let result =
-                            decode_gop_job(job, target_format, worker_resolution, parallelism);
-                        if let Ok(item) = &result {
-                            gauge.add(
-                                item.frames.len() + item.source.len(),
-                                byte_len(&item.frames) + byte_len(&item.source),
-                            );
-                        }
-                        result
-                    },
-                ));
-            }
-        }
-        let fragments_available = state.carry.candidates.candidates.len();
         Ok(ReadStream {
             source: StreamSource::Plan(Box::new(state)),
             base: StreamBase {

@@ -8,13 +8,18 @@
 //! compression (Section 5.2): once the storage budget passes the activation
 //! threshold, newly written blocks are losslessly compressed at a level that
 //! scales with the remaining budget.
+//!
+//! `write` and `append` are batch drives of the incremental primitives in
+//! [`crate::sink`] ([`IncrementalWrite::commit_batch`](crate::IncrementalWrite::commit_batch)):
+//! begin, par-encode every GOP, then persist them in order through
+//! `push_incremental_encoded` — the same calls a
+//! [`WriteSink`](crate::WriteSink) makes GOP-at-a-time.
 
 use crate::engine::{Engine, WriteReport};
 use crate::params::WriteRequest;
 use crate::VssError;
-use std::time::Instant;
 use vss_catalog::PhysicalVideoId;
-use vss_codec::{codec_instance, lossless, Codec, EncodedGop, EncoderConfig};
+use vss_codec::{lossless, Codec, EncodedGop};
 use vss_frame::FrameSequence;
 
 impl Engine {
@@ -22,128 +27,24 @@ impl Engine {
     /// the default budget) if it does not exist yet; the first write becomes
     /// the original physical video.
     pub fn write(&mut self, request: &WriteRequest, frames: &FrameSequence) -> Result<WriteReport, VssError> {
-        let _span = vss_telemetry::span("engine", "write", request.name.as_str());
-        if frames.is_empty() {
-            return Err(VssError::EmptyWrite);
-        }
-        if !self.catalog.contains_video(&request.name) {
-            self.create_video(&request.name, None)?;
-        }
-        let is_original = self.catalog.video(&request.name)?.original().is_none();
-        let resolution = frames.resolution().expect("non-empty sequence");
-        let physical_id = self.catalog.add_physical(
-            &request.name,
-            resolution.width,
-            resolution.height,
-            frames.frame_rate(),
-            &request.codec.name(),
-            is_original,
-            0.0,
-        )?;
-        let report = self.store_sequence(
-            &request.name,
-            physical_id,
-            request.codec,
-            request.encoder_quality,
-            request.start_time,
-            frames,
-        )?;
-        self.catalog.persist()?;
-        Ok(report)
+        let write = self.begin_incremental_write(request, frames.frame_rate())?;
+        write.commit_batch("write", frames, || self)
     }
 
     /// Appends additional frames to a logical video's original physical
-    /// video (streaming ingest). The frames must match the original's
-    /// configuration; they are stored continuing from its current end time.
+    /// video (streaming ingest), continuing from its current end time. The
+    /// frames must have the original's resolution and frame rate; a mismatch
+    /// is rejected with a typed frame error before anything is persisted.
     /// Readers may query any prefix of the data written so far.
     pub fn append(&mut self, name: &str, frames: &FrameSequence) -> Result<WriteReport, VssError> {
-        let _span = vss_telemetry::span("engine", "append", name);
-        if frames.is_empty() {
-            return Err(VssError::EmptyWrite);
-        }
-        let video = self.catalog.video(name)?;
-        let original = video
-            .original()
-            .ok_or_else(|| VssError::Unsatisfiable("append requires an existing original".into()))?;
-        let codec = original
-            .codec()
-            .ok_or_else(|| VssError::Unsatisfiable("original has an unknown codec".into()))?;
-        let physical_id = original.id;
-        let start_time = original.end_time();
-        let report = self.store_sequence(name, physical_id, codec, None, start_time, frames)?;
-        self.catalog.persist()?;
-        Ok(report)
-    }
-
-    /// Encodes a frame sequence into GOPs of the configured size and persists
-    /// them under an existing physical video, applying deferred compression
-    /// to uncompressed blocks when the budget calls for it.
-    pub(crate) fn store_sequence(
-        &mut self,
-        name: &str,
-        physical_id: PhysicalVideoId,
-        codec: Codec,
-        encoder_quality: Option<u8>,
-        start_time: f64,
-        frames: &FrameSequence,
-    ) -> Result<WriteReport, VssError> {
-        let started = Instant::now();
-        let gop_size = if codec.is_compressed() {
-            self.config.gop_size
-        } else {
-            self.config.uncompressed_gop_frames
-        };
-        let encoder_config = EncoderConfig {
-            quality: encoder_quality.unwrap_or(self.config.default_encoder_quality),
-            gop_size,
-        };
-        let implementation = codec_instance(codec);
-        let frame_rate = frames.frame_rate();
-        let all = frames.frames();
-        // Encode every GOP chunk up front on the parallel pipeline (each
-        // chunk is independent and encoded straight from the borrowed frame
-        // slice), then persist sequentially: write-time deferred compression
-        // depends on the budget fraction, which evolves with each appended
-        // GOP, so the persistence order is part of the on-disk semantics.
-        let ranges = vss_parallel::chunk_ranges(all.len(), gop_size);
-        let encoded = vss_parallel::try_par_map(
-            self.config.parallelism,
-            &ranges,
-            |_, &(chunk_start, chunk_end)| {
-                implementation.encode_slice(&all[chunk_start..chunk_end], frame_rate, &encoder_config)
-            },
-        )?;
-        let mut gops_written = 0usize;
-        let mut bytes_written = 0u64;
-        let mut deferred_levels = Vec::new();
-        let mut time = start_time;
-        for (&(chunk_start, chunk_end), gop) in ranges.iter().zip(&encoded) {
-            let frame_count = chunk_end - chunk_start;
-            let (bytes, level) =
-                self.persist_gop(name, physical_id, codec, gop, time, frame_count, frame_rate)?;
-            bytes_written += bytes;
-            deferred_levels.push(level);
-            gops_written += 1;
-            time += frame_count as f64 / frame_rate;
-        }
-        self.establish_budget(name)?;
-        Ok(WriteReport {
-            physical_id,
-            gops_written,
-            frames_written: all.len(),
-            bytes_written,
-            deferred_levels,
-            elapsed: started.elapsed(),
-        })
+        let write = self.begin_incremental_append(name, frames.frame_rate())?;
+        write.commit_batch("append", frames, || self)
     }
 
     /// Serializes and persists one encoded GOP under an existing physical
     /// video, applying write-time deferred compression when the budget calls
-    /// for it. This is the unit of persistence shared by the batch write path
-    /// above and the incremental [`WriteSink`](crate::WriteSink) path —
-    /// the two produce byte-identical stores because they both come through
-    /// here with identical GOP boundaries, in the same order. Returns the
-    /// bytes stored and the lossless level applied (0 = none).
+    /// for it — every WAL/fsync/rename step of a write happens under here.
+    /// Returns the bytes stored and the lossless level applied (0 = none).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn persist_gop(
         &mut self,

@@ -247,9 +247,19 @@
 //! * **Writes** — `write-ready` announces the server's GOP size; the client
 //!   pushes frames in GOP-aligned chunks and the server persists through
 //!   [`vss_server::Session::write_sink`]: shard write lock per GOP, encode
-//!   overlapped with persistence when readahead is enabled, store bytes
-//!   identical to a local batch write. The stream is the pipeline: the
-//!   client never needs more than one GOP in hand.
+//!   outside the lock (overlapped with persistence when readahead is
+//!   enabled), store bytes identical to a local batch write. The stream is
+//!   the pipeline: the client never needs more than one GOP in hand.
+//! * **Appends** — the same pipeline through
+//!   [`vss_server::Session::append_sink`], onto the video's original
+//!   timeline: the server holds at most one GOP of an append however long
+//!   the transfer, and the stored bytes are identical to a local append of
+//!   the same frames. `append` is answered with an error instead of `ok`
+//!   when the video has no original or `frame_rate` is not the original's;
+//!   frames of another resolution are refused with the typed frame error
+//!   before any of them is persisted. An append that is aborted or reset
+//!   has sink abort semantics, exactly like a write: the GOPs that filled
+//!   are persisted whole, nothing partial is.
 //! * **Subscriptions** — `subscribe` opens a live tailing feed: every GOP
 //!   persisted to the video fans out to every subscriber **exactly as
 //!   stored** — already encoded, never re-encoded. A slow client is paced

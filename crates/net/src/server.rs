@@ -8,9 +8,10 @@
 //! closed. Reads drain
 //! [`Session::read_stream`] — the shard lock is released when the plan
 //! snapshot is taken, before the first chunk hits the socket — and writes
-//! flow through [`Session::write_sink`], persisting GOP-at-a-time under the
-//! shard's write lock per GOP (with overlapped encode when the store's
-//! readahead is enabled). Chunk payloads in motion are counted into the
+//! and appends flow through [`Session::write_sink`] /
+//! [`Session::append_sink`], persisting GOP-at-a-time under the shard's
+//! write lock per GOP (with overlapped encode when the store's readahead is
+//! enabled). Chunk payloads in motion are counted into the
 //! server's in-flight-byte gauge, which feeds the admission gate.
 //!
 //! [`NetServer::shutdown`] stops the listener, closes every live connection
@@ -1121,28 +1122,18 @@ fn spawn_mux_stream(
                 Message::WriteBegin { request, frame_rate } => {
                     let span = vss_telemetry::span("net", "write", request.name.as_str());
                     let receiver = receiver.expect("ingest queue");
-                    mux_ingest_worker(
-                        &inner,
-                        &session,
-                        &writer,
-                        stream_id,
-                        MuxIngestKind::Sink { request, frame_rate },
-                        &receiver,
-                        span,
-                    );
+                    let opened = session.write_sink(&request, frame_rate).map(|sink| {
+                        (Message::WriteReady { gop_size: sink.gop_size() as u64 }, sink)
+                    });
+                    mux_ingest_worker(&writer, stream_id, opened, &receiver, span);
                 }
                 Message::AppendBegin { name, frame_rate } => {
                     let span = vss_telemetry::span("net", "append", name.as_str());
                     let receiver = receiver.expect("ingest queue");
-                    mux_ingest_worker(
-                        &inner,
-                        &session,
-                        &writer,
-                        stream_id,
-                        MuxIngestKind::Append { name, frame_rate },
-                        &receiver,
-                        span,
-                    );
+                    // An append is a sink onto the original's timeline.
+                    let opened =
+                        session.append_sink(&name, frame_rate).map(|sink| (Message::Ok, sink));
+                    mux_ingest_worker(&writer, stream_id, opened, &receiver, span);
                 }
                 Message::Subscribe { name, from } => {
                     let span = vss_telemetry::span("net", "subscribe", name.as_str());
@@ -1218,21 +1209,17 @@ fn mux_read_worker(
     let _ = send_mux(writer, stream_id, &Message::StreamEnd);
 }
 
-enum MuxIngestKind {
-    Sink { request: vss_core::WriteRequest, frame_rate: f64 },
-    Append { name: String, frame_rate: f64 },
-}
-
-/// Services one multiplexed write or append: opens the target, grants the
-/// client its write window, then consumes queued chunks — replenishing one
-/// credit per dequeued chunk — until finish, abort, or teardown (a closed
-/// queue drops the sink, so only fully persisted GOPs remain).
+/// Services one multiplexed write or append over its freshly opened sink
+/// (`opened` pairs it with the reply that announces it; an open that failed
+/// — missing video, frame-rate mismatch — is answered typed before the
+/// client ships the clip): grants the client its write window, then consumes
+/// queued chunks GOP-at-a-time — replenishing one credit per dequeued chunk
+/// — until finish, abort, or teardown (a closed queue drops the sink, so
+/// only fully persisted GOPs remain).
 fn mux_ingest_worker(
-    inner: &Arc<NetInner>,
-    session: &Arc<Session>,
     writer: &Mutex<ConnWriter>,
     stream_id: u32,
-    kind: MuxIngestKind,
+    opened: Result<(Message, WriteSink<'static>), VssError>,
     receiver: &crossbeam::channel::Receiver<IngestFrame>,
     span: vss_telemetry::Span,
 ) {
@@ -1240,44 +1227,17 @@ fn mux_ingest_worker(
     // view (Error / WriteReport), so the span is visible to a snapshot taken
     // right after the reply — see `mux_read_worker`.
     let mut span = Some(span);
-    enum Target<'a> {
-        Sink(Box<WriteSink<'static>>),
-        Append { session: &'a Session, name: String, frame_rate: f64, frames: Vec<Frame> },
-    }
-    let mut target = match kind {
-        MuxIngestKind::Sink { request, frame_rate } => {
-            match session.write_sink(&request, frame_rate) {
-                Ok(sink) => {
-                    let ready = Message::WriteReady { gop_size: sink.gop_size() as u64 };
-                    if send_mux(writer, stream_id, &ready).is_err() {
-                        return;
-                    }
-                    Target::Sink(Box::new(sink))
-                }
-                Err(error) => {
-                    span.take();
-                    let _ = send_mux(
-                        writer,
-                        stream_id,
-                        &Message::Error(WireError::from_error(&error)),
-                    );
-                    return;
-                }
+    let mut sink = match opened {
+        Ok((ready, sink)) => {
+            if send_mux(writer, stream_id, &ready).is_err() {
+                return;
             }
+            sink
         }
-        MuxIngestKind::Append { name, frame_rate } => {
-            // Fail fast: reject an append to a nonexistent video at begin,
-            // before the client ships the whole clip.
-            if let Err(error) = session.metadata(&name) {
-                span.take();
-                let _ =
-                    send_mux(writer, stream_id, &Message::Error(WireError::from_error(&error)));
-                return;
-            }
-            if send_mux(writer, stream_id, &Message::Ok).is_err() {
-                return;
-            }
-            Target::Append { session, name, frame_rate, frames: Vec::new() }
+        Err(error) => {
+            span.take();
+            let _ = send_mux(writer, stream_id, &Message::Error(WireError::from_error(&error)));
+            return;
         }
     };
     if send_plain(writer, &Message::MuxCredit { stream_id, frames: SERVER_WRITE_WINDOW }).is_err()
@@ -1285,11 +1245,9 @@ fn mux_ingest_worker(
         return;
     }
     let mut failed = false;
-    // In-flight accounting for buffered appends lives as long as the buffer.
-    let mut buffered_guards = Vec::new();
     loop {
         let Ok(item) = receiver.recv() else {
-            return; // reset or teardown: drop the target, aborting it
+            return; // reset or teardown: drop the sink, aborting it
         };
         match item {
             IngestFrame::Chunk { frames, guard } => {
@@ -1303,63 +1261,22 @@ fn mux_ingest_worker(
                 if failed {
                     continue; // discard until the client finishes or aborts
                 }
-                match &mut target {
-                    Target::Sink(sink) => {
-                        let _in_flight = guard;
-                        for frame in frames {
-                            if let Err(error) = sink.push_frame(frame) {
-                                span.take();
-                                let reply = Message::Error(WireError::from_error(&error));
-                                if send_mux(writer, stream_id, &reply).is_err() {
-                                    return;
-                                }
-                                failed = true;
-                                break;
-                            }
+                let _in_flight = guard;
+                for frame in frames {
+                    if let Err(error) = sink.push_frame(frame) {
+                        span.take();
+                        let reply = Message::Error(WireError::from_error(&error));
+                        if send_mux(writer, stream_id, &reply).is_err() {
+                            return;
                         }
-                    }
-                    Target::Append { frames: buffer, .. } => {
-                        buffered_guards.push(guard);
-                        buffer.extend(frames);
-                        // The in-flight-byte limit gates active transfers
-                        // too: an admitted client streaming an unbounded
-                        // append is shed with a typed Overloaded before it
-                        // can exhaust server memory.
-                        let limit = inner.server.server_config().max_in_flight_bytes;
-                        if limit > 0 && inner.server.in_flight_bytes() > limit {
-                            let error = VssError::Overloaded(format!(
-                                "append transfer exceeded the in-flight byte limit \
-                                 ({} of {limit} bytes in flight)",
-                                inner.server.in_flight_bytes()
-                            ));
-                            span.take();
-                            let reply = Message::Error(WireError::from_error(&error));
-                            if send_mux(writer, stream_id, &reply).is_err() {
-                                return;
-                            }
-                            buffer.clear();
-                            buffer.shrink_to_fit();
-                            buffered_guards.clear();
-                            failed = true;
-                        }
+                        failed = true;
+                        break;
                     }
                 }
             }
             IngestFrame::Finish => {
                 if !failed {
-                    let result = match target {
-                        Target::Sink(sink) => sink.finish(),
-                        Target::Append { session, name, frame_rate, frames } => {
-                            let sequence = if frames.is_empty() {
-                                vss_frame::FrameSequence::empty(frame_rate)
-                            } else {
-                                vss_frame::FrameSequence::new(frames, frame_rate)
-                            }
-                            .map_err(VssError::Frame);
-                            sequence.and_then(|frames| session.append(&name, &frames))
-                        }
-                    };
-                    let reply = match result {
+                    let reply = match sink.finish() {
                         Ok(report) => Message::WriteReport(WireWriteReport::from_report(&report)),
                         Err(error) => Message::Error(WireError::from_error(&error)),
                     };
@@ -1368,7 +1285,7 @@ fn mux_ingest_worker(
                 }
                 return;
             }
-            IngestFrame::Abort => return, // drop the target: abort
+            IngestFrame::Abort => return, // drop the sink: abort
         }
     }
 }

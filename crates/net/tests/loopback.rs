@@ -309,3 +309,161 @@ fn admission_shed_surfaces_as_overloaded_and_cancellation_aborts_cleanly() {
     assert!(server.shutdown(Duration::from_secs(10)));
     let _ = std::fs::remove_dir_all(root);
 }
+
+/// Every file under `root`, by relative path — the whole on-disk store.
+fn store_pages(root: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut pages = Vec::new();
+    let mut pending = vec![root.to_path_buf()];
+    while let Some(dir) = pending.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let relative = path.strip_prefix(root).unwrap().to_string_lossy().into_owned();
+                pages.push((relative, std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    pages.sort();
+    pages
+}
+
+/// `AppendBegin` carries a client-chosen frame rate and the chunks carry
+/// client-chosen frames: an append that does not match the original's
+/// resolution or frame rate is refused with the typed frame error before
+/// anything is persisted, and the video stays readable.
+#[test]
+fn a_mismatched_wire_append_is_refused_typed_and_persists_nothing() {
+    let root = temp_root("append-shape");
+    let server = VssServer::open_sharded(VssConfig::new(&root), 2).unwrap();
+    let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
+    let mut store = RemoteStore::connect(net.local_addr()).unwrap();
+    store.write(&WriteRequest::new("cam", Codec::H264), &sequence(60, 0)).unwrap();
+    let before = store_pages(&root);
+
+    let small: Vec<_> =
+        (0..30).map(|i| pattern::gradient(24, 18, PixelFormat::Yuv420, i)).collect();
+    let wrong_resolution = store.append("cam", &FrameSequence::new(small, 30.0).unwrap());
+    let wrong_rate =
+        store.append("cam", &FrameSequence::new(sequence(30, 60).into_frames(), 15.0).unwrap());
+    for (refused, text) in [(wrong_resolution, "resolution"), (wrong_rate, "frame rate")] {
+        match refused {
+            Err(VssError::Remote { code, message }) => {
+                assert_eq!(code, wire::code::FRAME, "typed frame error: {message}");
+                assert!(message.contains(text), "error names the mismatch: {message}");
+            }
+            other => panic!("expected a typed frame error, got {other:?}"),
+        }
+    }
+    assert_eq!(store_pages(&root), before, "a refused append leaves the store untouched");
+
+    let read = store.read(&ReadRequest::new("cam", 0.0, 2.0, Codec::H264).uncacheable()).unwrap();
+    assert_eq!(read.frames.len(), 60);
+    // The connection and the video both still take a well-formed append.
+    store.append("cam", &sequence(30, 60)).unwrap();
+    assert_eq!(store.metadata("cam").unwrap().time_range, Some((0.0, 3.0)));
+
+    net.shutdown();
+    drop(store);
+    assert!(server.shutdown(Duration::from_secs(10)));
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A wire append is a sink: the server persists it GOP-at-a-time instead of
+/// buffering the clip, so an append several times larger than
+/// `max_in_flight_bytes` goes through — and leaves exactly the files a local
+/// append of the same frames leaves.
+#[test]
+fn a_wire_append_larger_than_the_in_flight_limit_matches_a_local_append() {
+    let head = sequence(60, 0);
+    let tail = sequence(150, 60);
+    let tail_bytes: usize = tail.frames().iter().map(|f| f.byte_len()).sum();
+    let limit = 100_000u64;
+    assert!(tail_bytes as u64 > 3 * limit, "the append is several times the limit");
+
+    let local_root = temp_root("append-local");
+    let local = VssServer::open_sharded(VssConfig::new(&local_root), 2).unwrap();
+    let session = local.session();
+    session.write(&WriteRequest::new("cam", Codec::H264), &head).unwrap();
+    let local_report = session.append("cam", &tail).unwrap();
+    drop(session);
+    assert!(local.shutdown(Duration::from_secs(10)));
+
+    let root = temp_root("append-oversize");
+    let server = VssServer::open_configured(
+        VssConfig::new(&root),
+        2,
+        ServerConfig { max_in_flight_bytes: limit, ..ServerConfig::default() },
+    )
+    .unwrap();
+    let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
+    let mut store = RemoteStore::connect(net.local_addr()).unwrap();
+    store.write(&WriteRequest::new("cam", Codec::H264), &head).unwrap();
+    let report = store.append("cam", &tail).unwrap();
+    assert_eq!(report.frames_written, 150);
+    assert_eq!(report.gops_written, local_report.gops_written);
+    assert_eq!(report.bytes_written, local_report.bytes_written);
+    assert_eq!(server.in_flight_bytes(), 0, "every chunk's guard was released");
+    net.shutdown();
+    drop(store);
+    assert!(server.shutdown(Duration::from_secs(10)));
+
+    assert_eq!(store_pages(&root), store_pages(&local_root), "wire and local appends diverged");
+    let _ = std::fs::remove_dir_all(root);
+    let _ = std::fs::remove_dir_all(local_root);
+}
+
+/// A wire append reset mid-transfer has sink abort semantics, exactly like
+/// an aborted `WriteBegin`: the GOPs that filled are persisted and readable,
+/// the partial GOP is discarded. (Raw socket: `RemoteStore::append` cannot
+/// be interrupted half way.)
+#[test]
+fn a_wire_append_reset_mid_transfer_leaves_only_whole_gops() {
+    let root = temp_root("append-abort");
+    let server = VssServer::open_sharded(VssConfig::new(&root), 2).unwrap();
+    server.session().write(&WriteRequest::new("cam", Codec::H264), &sequence(60, 0)).unwrap();
+    let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
+
+    let mut socket = TcpStream::connect(net.local_addr()).unwrap();
+    socket.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut reader = BufReader::new(socket.try_clone().unwrap());
+    write_message(&mut socket, &Message::Hello { magic: PROTOCOL_MAGIC, version: 3 }).unwrap();
+    assert!(matches!(read_message(&mut reader).unwrap(), Message::HelloAck { version: 3, .. }));
+
+    let begin = Message::AppendBegin { name: "cam".into(), frame_rate: 30.0 };
+    wire::write_mux_message(&mut socket, 1, &begin).unwrap();
+    match read_message(&mut reader).unwrap() {
+        Message::Mux { stream_id: 1, inner } => assert!(matches!(*inner, Message::Ok)),
+        other => panic!("append-begin answered with {}", other.kind_name()),
+    }
+    match read_message(&mut reader).unwrap() {
+        Message::MuxCredit { stream_id: 1, frames } => assert!(frames >= 1),
+        other => panic!("expected the write window, got {}", other.kind_name()),
+    }
+    // Two full GOPs and ten frames of a third, then a reset instead of a
+    // finish. The dispatcher joins the stream's worker while handling the
+    // reset, so the metadata reply below sees the final state.
+    wire::write_mux_chunk_message(&mut socket, 1, sequence(70, 60).frames()).unwrap();
+    write_message(&mut socket, &Message::MuxReset { stream_id: 1, error: None }).unwrap();
+    write_message(&mut socket, &Message::Metadata { name: "cam".into() }).unwrap();
+    let metadata = loop {
+        match read_message(&mut reader).unwrap() {
+            Message::MuxCredit { .. } => continue,
+            Message::MetadataReply(metadata) => break metadata,
+            other => panic!("unexpected {} after the reset", other.kind_name()),
+        }
+    };
+    assert_eq!(metadata.time_range, Some((0.0, 4.0)), "the two whole GOPs persisted");
+    drop((socket, reader));
+
+    let read = server
+        .session()
+        .read(&ReadRequest::new("cam", 0.0, 4.0, Codec::H264).uncacheable())
+        .unwrap();
+    assert_eq!(read.frames.len(), 120, "whole GOPs only, all readable");
+
+    net.shutdown();
+    assert!(server.shutdown(Duration::from_secs(10)));
+    let _ = std::fs::remove_dir_all(root);
+}

@@ -1,8 +1,8 @@
-//! Multiplexing smoke test (also the CI smoke step, run there under
-//! `VSS_STREAM_READAHEAD=2`): eight concurrent streams ride **one**
-//! connection — the server is capped at a single admission slot, so a second
-//! connection could not even be dialed — and per-stream credit flow keeps
-//! seven streams draining while the eighth consumes nothing at all.
+//! Multiplexing smoke test (also the CI smoke step): eight concurrent
+//! streams ride **one** connection — the server is capped at a single
+//! admission slot, so a second connection could not even be dialed — and
+//! per-stream credit flow keeps seven streams draining while the eighth
+//! consumes nothing at all.
 
 use std::time::Duration;
 use vss_codec::Codec;

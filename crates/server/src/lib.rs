@@ -14,11 +14,13 @@
 //! deferred-compression queue behind its own reader-writer lock:
 //!
 //! * clients on videos in **different shards** proceed fully in parallel;
-//! * **non-cacheable reads** on the same shard share its read lock (the
+//! * **non-cacheable reads** on the same shard share its read lock, and
+//!   only to snapshot their plan — decoding runs after it is released (the
 //!   engine's recency clocks are atomic, so even read-only traffic needs no
 //!   exclusive access);
-//! * writes, cacheable reads (which may admit a new materialized view) and
-//!   maintenance take the owning shard's write lock only.
+//! * writes take the owning shard's write lock only to persist GOPs they
+//!   encoded with no lock held; cacheable reads (which may admit a new
+//!   materialized view) and maintenance hold it for the operation.
 //!
 //! Sharding never changes results: for any shard count, every operation's
 //! output is byte-identical to the monolithic sequential engine, because a
@@ -94,7 +96,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vss_core::{
-    Engine, GopWriteBackend, IncrementalWrite, JointOutcome, MergeFunction, PlannerKind,
+    EncodedGopBackend, Engine, IncrementalWrite, JointOutcome, MergeFunction,
     ReadRequest, ReadResult, ReadStream, StorageBudget, VideoMetadata, VideoStorage, VssConfig,
     VssError, WriteRequest, WriteReport, WriteSink,
 };
@@ -242,8 +244,8 @@ impl Drop for ActivityPermit {
 }
 
 /// RAII record of bytes currently in flight through a streaming transfer
-/// (one GOP chunk on its way to or from a socket, one slab of append frames
-/// buffered server-side). Obtained from [`VssServer::track_in_flight`];
+/// (one chunk of frames on its way to or from a socket, held until it has
+/// been sent or persisted). Obtained from [`VssServer::track_in_flight`];
 /// dropping it subtracts the bytes and wakes admission waiters.
 pub struct InFlightBytes {
     inner: Arc<ServerInner>,
@@ -656,15 +658,6 @@ impl Session {
         self.engine().read(request)
     }
 
-    /// Executes a read with an explicit planner choice.
-    pub fn read_with_planner(
-        &self,
-        request: &ReadRequest,
-        planner: PlannerKind,
-    ) -> Result<ReadResult, VssError> {
-        self.engine().read_with_planner(request, planner)
-    }
-
     /// Opens a GOP-at-a-time streaming read: the plan is snapshotted under
     /// the owning shard's **read** lock and the lock is released before this
     /// returns — decoding runs lock-free, concurrently with every other
@@ -681,22 +674,34 @@ impl Session {
         self.engine().read_stream(request)
     }
 
-    /// Opens an incremental write: each GOP is encoded and persisted under
-    /// the owning shard's write lock **per GOP**, so a slow producer never
-    /// holds the shard across its whole ingest. With
-    /// [`VssConfig::readahead`] `> 0`, encoding runs on a worker thread that
-    /// holds **no** shard lock — the lock is taken only for each in-order
-    /// persist on the caller's thread, so the encode of GOP *n + 1* overlaps
-    /// the locked file write of GOP *n*. The resulting store is
-    /// byte-identical to a batch [`write`](Self::write) of the same frames
-    /// at every readahead setting; aborting the sink (dropping it mid-clip)
-    /// joins the worker and leaves only fully persisted GOPs behind.
+    /// Opens an incremental write: each GOP is persisted under the owning
+    /// shard's write lock **per GOP**, so a slow producer never holds the
+    /// shard across its whole ingest — and encode never holds the lock, at
+    /// any [`VssConfig::readahead`] depth: at `0` the pushing thread encodes
+    /// each GOP before taking the lock, otherwise a worker thread does, so
+    /// the encode of GOP *n + 1* overlaps the locked file write of GOP *n*.
+    /// The resulting store is byte-identical to a batch
+    /// [`write`](Self::write) of the same frames at every readahead setting;
+    /// aborting the sink (dropping it mid-clip) joins the worker and leaves
+    /// only fully persisted GOPs behind.
     pub fn write_sink(
         &self,
         request: &WriteRequest,
         frame_rate: f64,
     ) -> Result<WriteSink<'static>, VssError> {
-        let (gop_size, encoder, write) = self.engine().begin_sink(request, frame_rate)?;
+        Ok(self.sink(self.engine().begin_sink(request, frame_rate)?))
+    }
+
+    /// Opens an incremental append: [`write_sink`](Self::write_sink) onto
+    /// the video's original timeline. The frames must have the original's
+    /// frame rate (checked here) and resolution (checked before the first
+    /// GOP is persisted); each GOP continues the timeline where it stands
+    /// when persisted, so concurrent appenders interleave whole GOPs.
+    pub fn append_sink(&self, name: &str, frame_rate: f64) -> Result<WriteSink<'static>, VssError> {
+        Ok(self.sink(self.engine().begin_append_sink(name, frame_rate)?))
+    }
+
+    fn sink(&self, write: IncrementalWrite) -> WriteSink<'static> {
         struct SessionSinkBackend {
             server: VssServer,
             write: IncrementalWrite,
@@ -705,31 +710,23 @@ impl Session {
             /// opened it is dropped first, so no write is cut off mid-GOP.
             _permit: ActivityPermit,
         }
-        impl GopWriteBackend for SessionSinkBackend {
-            fn flush_gop(&mut self, frames: &[vss_frame::Frame]) -> Result<(), VssError> {
-                self.server.inner.engine.push_sink_gop(&mut self.write, frames)
-            }
-            fn flush_encoded(
-                &mut self,
-                frames: &[vss_frame::Frame],
-                gop: vss_codec::EncodedGop,
-            ) -> Result<(), VssError> {
-                self.server.inner.engine.push_sink_encoded(&mut self.write, frames, &gop)
+        impl EncodedGopBackend for SessionSinkBackend {
+            fn flush_encoded(&mut self, gop: vss_codec::EncodedGop) -> Result<(), VssError> {
+                self.server.inner.engine.push_sink_encoded(&mut self.write, &gop)
             }
             fn finish(&mut self) -> Result<WriteReport, VssError> {
                 self.server.inner.engine.finish_sink(&mut self.write)
             }
         }
-        Ok(WriteSink::overlapped(
+        let encoder = write.encoder();
+        WriteSink::encoding(
             Box::new(SessionSinkBackend {
                 write,
                 _permit: ActivityPermit::acquire(&self.server.inner),
                 server: self.server.clone(),
             }),
-            frame_rate,
-            gop_size,
             encoder,
-        ))
+        )
     }
 
     /// Opens a tailing live subscription on a video: every original-timeline

@@ -37,7 +37,7 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use vss_core::{
-    joint_compress_sequences, Engine, JointOutcome, JointTimings, MergeFunction, PlannerKind,
+    joint_compress_sequences, Engine, JointOutcome, JointTimings, MergeFunction,
     ReadRequest, ReadResult, ReadStream, StorageBudget, VssConfig, VssError, WriteRequest,
     WriteReport,
 };
@@ -201,43 +201,41 @@ impl ShardedEngine {
     }
 
     /// Writes a frame sequence to a logical video (creating it if needed).
+    /// The GOPs are encoded with **no** shard lock held; the exclusive lock
+    /// is taken once, to persist them all in order.
     pub fn write(&self, request: &WriteRequest, frames: &FrameSequence) -> Result<WriteReport, VssError> {
         let shard = self.shard(&request.name);
-        let report = shard.write().write(request, frames)?;
+        let write = shard.read().begin_incremental_write(request, frames.frame_rate())?;
+        let report = write.commit_batch("write", frames, || shard.write())?;
         shard.stats.record_write(&report);
         Ok(report)
     }
 
-    /// Appends frames to a logical video's original representation.
+    /// Appends frames to a logical video's original representation (locking
+    /// like [`write`](Self::write)).
     pub fn append(&self, name: &str, frames: &FrameSequence) -> Result<WriteReport, VssError> {
         let shard = self.shard(name);
-        let report = shard.write().append(name, frames)?;
+        let write = shard.read().begin_incremental_append(name, frames.frame_rate())?;
+        let report = write.commit_batch("append", frames, || shard.write())?;
         shard.stats.record_write(&report);
         Ok(report)
     }
 
     /// Executes a read planned by `request.planner` (optimal by default).
-    pub fn read(&self, request: &ReadRequest) -> Result<ReadResult, VssError> {
-        self.read_with_planner(request, request.planner)
-    }
-
-    /// Executes a read with an explicit planner choice.
     ///
     /// Cacheable reads may admit their result as a new materialized view, so
-    /// they take the shard's exclusive lock; non-cacheable reads go through
-    /// [`Engine::read_shared`] under the shard's *shared* lock and run
-    /// concurrently with other readers of the same shard. Both paths return
-    /// byte-identical results for the same request and store state.
-    pub fn read_with_planner(
-        &self,
-        request: &ReadRequest,
-        planner: PlannerKind,
-    ) -> Result<ReadResult, VssError> {
+    /// they take the shard's exclusive lock. Non-cacheable reads never
+    /// admit: their plan is snapshotted under the shard's *shared* lock and
+    /// the stream is drained after releasing it, concurrently with every
+    /// other client of the shard. Both paths return byte-identical results
+    /// for the same request and store state.
+    pub fn read(&self, request: &ReadRequest) -> Result<ReadResult, VssError> {
         let shard = self.shard(&request.name);
         let result = if request.cacheable {
-            shard.write().read_with_planner(request, planner)?
+            shard.write().read(request)?
         } else {
-            shard.read().read_shared(request, planner)?
+            let stream = shard.read().read_stream(request)?;
+            stream.drain()?
         };
         shard.stats.record_read(&result.stats);
         Ok(result)
@@ -266,45 +264,35 @@ impl ShardedEngine {
         Ok(stream)
     }
 
-    /// Begins an incremental write: captures the GOP-size boundary, the
-    /// encode parameters (for the overlapped-encode worker) and the write
-    /// state under the shard lock, releasing it between GOPs.
+    /// Begins an incremental write under the shard's shared lock (released
+    /// before this returns; the sink re-takes the lock per GOP).
     pub(crate) fn begin_sink(
         &self,
         request: &WriteRequest,
         frame_rate: f64,
-    ) -> Result<(usize, vss_core::SinkEncoder, vss_core::IncrementalWrite), VssError> {
-        let shard = self.shard(&request.name);
-        let engine = shard.read();
-        Ok((
-            engine.write_gop_size(request.codec),
-            engine.sink_encoder(request),
-            engine.begin_incremental_write(request, frame_rate)?,
-        ))
+    ) -> Result<vss_core::IncrementalWrite, VssError> {
+        self.shard(&request.name).read().begin_incremental_write(request, frame_rate)
+    }
+
+    /// Begins an incremental append (see [`begin_sink`](Self::begin_sink)).
+    pub(crate) fn begin_append_sink(
+        &self,
+        name: &str,
+        frame_rate: f64,
+    ) -> Result<vss_core::IncrementalWrite, VssError> {
+        self.shard(name).read().begin_incremental_append(name, frame_rate)
     }
 
     /// Persists one GOP of an incremental write under the owning shard's
-    /// exclusive lock (held per GOP, not for the whole ingest).
-    pub(crate) fn push_sink_gop(
-        &self,
-        write: &mut vss_core::IncrementalWrite,
-        frames: &[vss_frame::Frame],
-    ) -> Result<(), VssError> {
-        let shard = self.shard(write.name());
-        shard.write().push_incremental_gop(write, frames)
-    }
-
-    /// Persists one pre-encoded GOP of an incremental write (the overlapped
-    /// sink path: the GOP was encoded off-thread, **without** any shard
-    /// lock; only this persist call takes the owning shard's write lock).
+    /// exclusive lock (held per GOP, not for the whole ingest). The GOP was
+    /// encoded by the sink, **without** any shard lock.
     pub(crate) fn push_sink_encoded(
         &self,
         write: &mut vss_core::IncrementalWrite,
-        frames: &[vss_frame::Frame],
         gop: &vss_codec::EncodedGop,
     ) -> Result<(), VssError> {
         let shard = self.shard(write.name());
-        shard.write().push_incremental_encoded(write, frames, gop)
+        shard.write().push_incremental_encoded(write, gop)
     }
 
     /// Completes an incremental write and accounts it in the shard's stats.
@@ -481,10 +469,12 @@ impl ShardedEngine {
         }
         let raw = vss_codec::Codec::Raw(PixelFormat::Rgb8);
         let left_frames = left_engine
-            .read_shared(&ReadRequest::new(left, start, end, raw).uncacheable(), PlannerKind::Optimal)?
+            .read_stream(&ReadRequest::new(left, start, end, raw).uncacheable())?
+            .drain()?
             .frames;
         let right_frames = right_engine
-            .read_shared(&ReadRequest::new(right, start, end, raw).uncacheable(), PlannerKind::Optimal)?
+            .read_stream(&ReadRequest::new(right, start, end, raw).uncacheable())?
+            .drain()?
             .frames;
         let encoder = vss_codec::EncoderConfig {
             quality: left_engine.config.default_encoder_quality,

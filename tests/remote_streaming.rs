@@ -9,9 +9,6 @@
 //!   admission limit exercised) verifies byte-identical stores vs. the
 //!   sequential engine, with **zero leaked threads** and **no partial GOPs**
 //!   after shutdown.
-//!
-//! `VSS_STREAM_READAHEAD=<n>` appends a depth to the readahead axis, like
-//! the local streaming suite.
 
 use vss::net::{NetServer, RemoteStore};
 use vss::prelude::*;
@@ -20,15 +17,7 @@ use vss::workload::{SceneConfig, SceneRenderer};
 use vss_core::VssError;
 
 fn readahead_depths() -> Vec<usize> {
-    let mut depths = vec![0usize, 1, 4];
-    if let Ok(value) = std::env::var("VSS_STREAM_READAHEAD") {
-        if let Ok(depth) = value.trim().parse::<usize>() {
-            if !depths.contains(&depth) {
-                depths.push(depth);
-            }
-        }
-    }
-    depths
+    vec![0, 1, 4]
 }
 
 /// Count of live threads in this process (Linux); `None` where unsupported.

@@ -14,28 +14,15 @@
 //! * dropping a `ReadStream` (or aborting a `WriteSink`) with readahead
 //!   workers in flight joins every worker, leaves no partial GOP on disk and
 //!   never wedges a shard lock.
-//!
-//! Setting `VSS_STREAM_READAHEAD=<n>` adds depth `n` to the readahead axis
-//! (CI uses this to re-run the suite in an extra readahead-enabled
-//! configuration).
 
 use vss::prelude::*;
 use vss::workload::{SceneConfig, SceneRenderer};
 use vss_server::VssServer;
 
-/// The readahead axis of the equivalence matrix: synchronous, minimal
-/// pipelining and a deeper pool; `VSS_STREAM_READAHEAD` appends an extra
-/// depth so CI can force a readahead-enabled re-run of the whole suite.
+/// The readahead axis of the equivalence matrix: inline, minimal pipelining
+/// and a deeper pool.
 fn readahead_depths() -> Vec<usize> {
-    let mut depths = vec![0usize, 1, 4];
-    if let Ok(value) = std::env::var("VSS_STREAM_READAHEAD") {
-        if let Ok(depth) = value.trim().parse::<usize>() {
-            if !depths.contains(&depth) {
-                depths.push(depth);
-            }
-        }
-    }
-    depths
+    vec![0, 1, 4]
 }
 
 /// Count of live threads in this process (Linux); used to prove readahead
