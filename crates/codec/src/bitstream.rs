@@ -5,6 +5,11 @@
 //! module. The format is deliberately simple (no arithmetic coding) but is a
 //! real entropy-reducing representation: long zero runs — which dominate
 //! temporally coherent video — collapse to a couple of bytes.
+//!
+//! The coder is streaming: `ResidualWriter` takes residuals as the plane
+//! kernels produce them and `ResidualReader` hands out non-zero residuals
+//! by position, so neither side holds a plane of residuals.
+//! [`encode_residuals`] and [`decode_residuals`] are thin wrappers of them.
 
 use crate::CodecError;
 
@@ -51,62 +56,134 @@ pub fn unzigzag(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
 }
 
+/// The one zero-run writer. A block is its residual count, then `(zero run,
+/// non-zero value)` varint pairs, then — if it ends in zeros — the trailing
+/// run followed by a zig-zag 0, which no non-zero residual can produce.
+/// Residuals are pushed one at a time, as an encoder's kernels produce them.
+pub(crate) struct ResidualWriter<'a> {
+    out: &'a mut Vec<u8>,
+    zero_run: u64,
+}
+
+impl<'a> ResidualWriter<'a> {
+    /// Starts a block of `count` residuals.
+    pub(crate) fn new(out: &'a mut Vec<u8>, count: usize) -> Self {
+        write_varint(out, count as u64);
+        Self { out, zero_run: 0 }
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, residual: i32) {
+        if residual == 0 {
+            self.zero_run += 1;
+        } else {
+            write_varint(self.out, self.zero_run);
+            write_varint(self.out, zigzag(i64::from(residual)));
+            self.zero_run = 0;
+        }
+    }
+
+    pub(crate) fn finish(self) {
+        if self.zero_run > 0 {
+            write_varint(self.out, self.zero_run);
+            write_varint(self.out, zigzag(0));
+        }
+    }
+}
+
 /// Encodes a slice of quantized residuals using zero-run-length + zig-zag
 /// varint coding. The output begins with the residual count so the decoder
 /// knows when to stop.
 pub fn encode_residuals(residuals: &[i32], out: &mut Vec<u8>) {
-    write_varint(out, residuals.len() as u64);
-    let mut zero_run = 0u64;
-    for &r in residuals {
-        if r == 0 {
-            zero_run += 1;
-        } else {
-            write_varint(out, zero_run);
-            write_varint(out, zigzag(i64::from(r)));
-            zero_run = 0;
+    let mut writer = ResidualWriter::new(out, residuals.len());
+    residuals.iter().for_each(|&r| writer.push(r));
+    writer.finish();
+}
+
+/// The one zero-run reader: walks a block's non-zero residuals, so a decoder
+/// consumes residuals as they are parsed.
+pub(crate) struct ResidualReader<'a> {
+    data: &'a [u8],
+    /// Offset of the first byte not yet parsed.
+    pub(crate) pos: usize,
+    /// Residuals in the block.
+    pub(crate) count: usize,
+    /// The next non-zero residual as `(position in the block, value)`;
+    /// `None` once only zeros are left.
+    pub(crate) next: Option<(usize, i32)>,
+    /// Residuals parsed so far, `next` included.
+    parsed: usize,
+    /// Residuals `fill` has handed out.
+    filled: usize,
+}
+
+impl<'a> ResidualReader<'a> {
+    /// Opens the block starting at `data[pos]`.
+    pub(crate) fn new(data: &'a [u8], mut pos: usize) -> Result<Self, CodecError> {
+        let count = read_varint(data, &mut pos)?;
+        if count > 1 << 28 {
+            return Err(CodecError::Corrupt(format!("residual count {count} implausibly large")));
         }
+        let mut reader = Self { data, pos, count: count as usize, next: None, parsed: 0, filled: 0 };
+        reader.advance()?;
+        Ok(reader)
     }
-    if zero_run > 0 {
-        // Trailing zero run, marked by a zig-zag value of 0 (which cannot be
-        // produced by a non-zero residual).
-        write_varint(out, zero_run);
-        write_varint(out, zigzag(0));
+
+    /// Moves `next` on. A zero run is checked against what remains of the
+    /// count before it moves the position, so no length a corrupt stream
+    /// claims can overflow or pass the end of the block.
+    pub(crate) fn advance(&mut self) -> Result<(), CodecError> {
+        self.next = None;
+        if self.parsed == self.count {
+            return Ok(());
+        }
+        let zero_run = read_varint(self.data, &mut self.pos)?;
+        if zero_run > (self.count - self.parsed) as u64 {
+            return Err(CodecError::Corrupt("zero run exceeds residual count".into()));
+        }
+        self.parsed += zero_run as usize;
+        let value = unzigzag(read_varint(self.data, &mut self.pos)?);
+        if value == 0 && self.parsed < self.count {
+            // A zero marker is only legal as the final trailing-run marker.
+            return Err(CodecError::Corrupt("premature trailing-run marker".into()));
+        } else if value != 0 && self.parsed == self.count {
+            return Err(CodecError::Corrupt("residual value after full count".into()));
+        } else if value != 0 {
+            let value = i32::try_from(value)
+                .map_err(|_| CodecError::Corrupt("residual out of i32 range".into()))?;
+            self.next = Some((self.parsed, value));
+            self.parsed += 1;
+        }
+        Ok(())
+    }
+
+    /// Writes the next `out.len()` residuals of the block into `out`.
+    pub(crate) fn fill(&mut self, out: &mut [i32]) -> Result<(), CodecError> {
+        out.fill(0);
+        let from = self.filled;
+        self.filled += out.len();
+        while let Some((at, value)) = self.next.filter(|&(at, _)| at < self.filled) {
+            out[at - from] = value;
+            self.advance()?;
+        }
+        Ok(())
     }
 }
 
 /// Decodes a residual slice produced by [`encode_residuals`], advancing `pos`.
 pub fn decode_residuals(data: &[u8], pos: &mut usize) -> Result<Vec<i32>, CodecError> {
-    let count = read_varint(data, pos)? as usize;
-    if count > 1 << 28 {
-        return Err(CodecError::Corrupt(format!("residual count {count} implausibly large")));
-    }
+    let mut reader = ResidualReader::new(data, *pos)?;
     // Cap the pre-allocation: a corrupt header claiming a huge (but
     // below-limit) count must not commit gigabytes before the payload check
     // fails. Legitimate blocks grow past the cap via ordinary resizing.
-    let mut out = Vec::with_capacity(count.min(1 << 16));
-    while out.len() < count {
-        let zero_run = read_varint(data, pos)? as usize;
-        if out.len() + zero_run > count {
-            return Err(CodecError::Corrupt("zero run exceeds residual count".into()));
-        }
-        out.resize(out.len() + zero_run, 0);
-        let value = unzigzag(read_varint(data, pos)?);
-        if value != 0 {
-            if out.len() == count {
-                return Err(CodecError::Corrupt("residual value after full count".into()));
-            }
-            let v = i32::try_from(value)
-                .map_err(|_| CodecError::Corrupt("residual out of i32 range".into()))?;
-            out.push(v);
-        } else if out.len() < count {
-            // A zero marker before the buffer is full is only legal as the
-            // final trailing-run marker.
-            if out.len() != count {
-                // Trailing marker must complete the buffer exactly.
-                return Err(CodecError::Corrupt("premature trailing-run marker".into()));
-            }
-        }
+    let mut out = Vec::with_capacity(reader.count.min(1 << 16));
+    while let Some((at, value)) = reader.next {
+        out.resize(at, 0);
+        out.push(value);
+        reader.advance()?;
     }
+    out.resize(reader.count, 0);
+    *pos = reader.pos;
     Ok(out)
 }
 
@@ -197,6 +274,38 @@ mod tests {
         assert_eq!(read_u32(&buf, &mut pos).unwrap(), 0xDEAD_BEEF);
         assert_eq!(read_u32(&buf, &mut pos).unwrap(), 7);
         assert!(read_u32(&buf, &mut pos).is_err());
+    }
+
+    #[test]
+    fn a_zero_run_that_would_overflow_the_position_is_corrupt() {
+        // One decoded value, then a run of u64::MAX: `position + run`
+        // overflowed (a panic in debug builds, a wrap past the check and a
+        // shrinking `resize` in release) before runs were checked against
+        // what remains of the count.
+        let mut buf = Vec::new();
+        write_varint(&mut buf, 5);
+        write_varint(&mut buf, 1);
+        write_varint(&mut buf, zigzag(1));
+        write_varint(&mut buf, u64::MAX);
+        write_varint(&mut buf, zigzag(1));
+        let mut pos = 0;
+        assert!(matches!(decode_residuals(&buf, &mut pos), Err(CodecError::Corrupt(_))));
+    }
+
+    #[test]
+    fn fill_hands_out_rows_across_run_boundaries() {
+        let residuals: Vec<i32> = vec![0, 0, 3, 0, 0, 0, 0, -2, 9, 0, 0, 0];
+        let mut buf = Vec::new();
+        encode_residuals(&residuals, &mut buf);
+        for row in [1usize, 2, 3, 4, 6, 12] {
+            let mut reader = ResidualReader::new(&buf, 0).unwrap();
+            let mut out = vec![7i32; row];
+            for expected in residuals.chunks(row) {
+                reader.fill(&mut out).unwrap();
+                assert_eq!(out, expected, "rows of {row}");
+            }
+            assert_eq!(reader.pos, buf.len());
+        }
     }
 
     #[test]

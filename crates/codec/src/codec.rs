@@ -132,24 +132,19 @@ pub trait VideoCodec: Send + Sync {
     fn codec(&self) -> Codec;
 
     /// Encodes a frame sequence into a single GOP.
-    fn encode(&self, frames: &FrameSequence, config: &EncoderConfig) -> Result<EncodedGop, CodecError>;
+    fn encode(&self, frames: &FrameSequence, config: &EncoderConfig) -> Result<EncodedGop, CodecError> {
+        self.encode_slice(frames.frames(), frames.frame_rate(), config)
+    }
 
     /// Encodes a borrowed frame slice into a single GOP without building an
-    /// intermediate [`FrameSequence`].
-    ///
-    /// This is the zero-copy entry point the GOP pipeline uses when chunking
-    /// a long sequence: the default implementation clones the slice into a
-    /// sequence, but the codecs in this crate override it to encode straight
-    /// from the borrowed frames.
+    /// intermediate [`FrameSequence`]: the zero-copy entry point the GOP
+    /// pipeline uses when chunking a long sequence.
     fn encode_slice(
         &self,
         frames: &[vss_frame::Frame],
         frame_rate: f64,
         config: &EncoderConfig,
-    ) -> Result<EncodedGop, CodecError> {
-        let sequence = FrameSequence::new(frames.to_vec(), frame_rate)?;
-        self.encode(&sequence, config)
-    }
+    ) -> Result<EncodedGop, CodecError>;
 
     /// Decodes every frame of a GOP.
     fn decode(&self, gop: &EncodedGop) -> Result<FrameSequence, CodecError> {

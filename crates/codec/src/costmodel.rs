@@ -46,8 +46,11 @@ pub struct CostModel {
 }
 
 impl Default for CostModel {
-    /// Representative values for the simulated codecs (measured once on a
-    /// typical x86-64 host; used when no calibration pass has been run).
+    /// Representative values for the simulated codecs, used when no
+    /// calibration pass has been run. They are relative plan weights — what
+    /// the planner relies on is their ordering (HEVC > H.264 > raw; see
+    /// `calibration_keeps_the_orderings_the_planner_relies_on`) — not
+    /// measurements of this build's kernels.
     fn default() -> Self {
         let mut samples = BTreeMap::new();
         let entry = |dec: f64, enc: f64| {
@@ -231,6 +234,23 @@ mod tests {
         assert_eq!(lookback_cost(2, 0), 2.0);
         assert!((lookback_cost(0, 2) - 2.9).abs() < 1e-9);
         assert!(lookback_cost(1, 1) > lookback_cost(2, 0));
+    }
+
+    #[test]
+    fn calibration_keeps_the_orderings_the_planner_relies_on() {
+        let resolutions = [Resolution::new(128, 128), Resolution::new(256, 256)];
+        let raw = Codec::Raw(PixelFormat::Yuv420);
+        let ordered = |m: &CostModel| {
+            resolutions.iter().map(Resolution::pixels).all(|px| {
+                m.encode_cost_per_pixel(Codec::Hevc, px) > m.encode_cost_per_pixel(Codec::H264, px)
+                    && m.encode_cost_per_pixel(Codec::H264, px) > m.encode_cost_per_pixel(raw, px)
+                    && m.decode_cost_per_pixel(Codec::H264, px) > m.decode_cost_per_pixel(raw, px)
+                    && m.decode_cost_per_pixel(Codec::Hevc, px) > m.decode_cost_per_pixel(raw, px)
+            })
+        };
+        // Calibration is one wall-clock sample per cell, so a pass the
+        // scheduler disturbed is taken again; the gaps are 2× and more.
+        assert!((0..3).any(|_| ordered(&CostModel::calibrate(&resolutions, 4))));
     }
 
     #[test]

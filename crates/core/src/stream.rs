@@ -260,9 +260,10 @@ fn decode_gop_job(
     let container = if job.work.lossless { lossless::decompress(&bytes)? } else { bytes };
     let gop = EncodedGop::from_bytes(&container)?;
     let implementation = codec_instance(job.shape.source_codec);
-    let decoded = implementation.decode_prefix(&gop, job.work.last)?;
-    let frames_decoded = decoded.len();
-    let sliced = &decoded.frames()[job.work.first.min(decoded.len())..];
+    // By value: a frame that needs no change below is moved into the result.
+    let mut sliced = implementation.decode_prefix(&gop, job.work.last)?.into_frames();
+    let frames_decoded = sliced.len();
+    sliced.drain(..job.work.first.min(frames_decoded));
     let mut item = PrefetchedGop {
         segment: job.segment,
         last_gop: job.last_gop,
@@ -273,33 +274,31 @@ fn decode_gop_job(
         frames_decoded,
         decoding: Duration::ZERO,
     };
-    if sliced.is_empty() {
+    let Some(first) = sliced.first() else {
         item.decoding = started.elapsed();
         return Ok(item);
+    };
+    // One GOP's frames share a shape, so what they need is decided once.
+    let measure = job.shape.measure_mse && !job.shape.passthrough;
+    let resize = !job.shape.passthrough
+        && output_resolution != job.shape.resolution
+        && first.resolution() != output_resolution;
+    let (width, height) = (output_resolution.width, output_resolution.height);
+    if resize || first.format() != target_format {
+        item.frames = vss_parallel::try_par_map(parallelism, &sliced, |_, frame| match resize {
+            false => frame.convert(target_format),
+            true => match resize_bilinear(frame, width, height)? {
+                resized if resized.format() == target_format => Ok(resized),
+                resized => resized.convert(target_format),
+            },
+        })?;
+        item.source = if measure { sliced } else { Vec::new() };
+    } else {
+        item.source = if measure { sliced.clone() } else { Vec::new() };
+        item.frames = sliced;
     }
     if job.shape.passthrough {
-        item.frames = vss_parallel::try_par_map(parallelism, sliced, |_, frame| {
-            frame.convert(target_format)
-        })?;
         item.encoded = Some(gop);
-    } else {
-        let resize_needed = output_resolution != job.shape.resolution;
-        let (width, height) = (output_resolution.width, output_resolution.height);
-        item.frames = vss_parallel::try_par_map(
-            parallelism,
-            sliced,
-            |_, frame| -> Result<Frame, vss_frame::FrameError> {
-                let resized = if resize_needed && frame.resolution() != output_resolution {
-                    resize_bilinear(frame, width, height)?
-                } else {
-                    frame.clone()
-                };
-                resized.convert(target_format)
-            },
-        )?;
-        if job.shape.measure_mse {
-            item.source = sliced.to_vec();
-        }
     }
     item.decoding = started.elapsed();
     Ok(item)
