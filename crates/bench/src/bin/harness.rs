@@ -1,10 +1,10 @@
-//! Benchmark harness regenerating every table and figure of the paper's
+//! Paper-figure printer: regenerates every table and figure of the paper's
 //! evaluation (Section 6).
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run -p vss-bench --release --bin harness -- [--baseline <dir>] <experiment|all>
+//! cargo run -p vss-bench --release --bin harness -- [<experiment>|all]
 //! ```
 //!
 //! where `<experiment>` is one of `table1`, `fig10` … `fig21`, `table2`.
@@ -12,11 +12,9 @@
 //! Experiment sizes are controlled by the `VSS_SCALE`, `VSS_MAX_FRAMES` and
 //! `VSS_ITERATIONS` environment variables (see `vss_bench::ScaleConfig`).
 //!
-//! `--baseline <dir>` diffs every report against a prior `results/`
-//! directory (e.g. one checked out from the previous release): comparable
-//! metrics that got ≥10% worse are flagged as warnings, ≥25% worse as severe
-//! regressions, and any severe regression makes the harness exit non-zero —
-//! the guard rail every performance PR runs before and after its change.
+//! The numbers are reproduction evidence, not a regression gate: whether a
+//! change made the system faster is answered by `vssbench/` against the
+//! bounds in `BENCHMARK.json`.
 
 use std::time::Instant;
 use vss_baseline::{LocalFs, VStoreLike};
@@ -29,196 +27,55 @@ use vss_core::{
 };
 use vss_frame::{quality, FrameSequence, PixelFormat, PsnrDb, Resolution};
 use vss_server::VssServer;
-use vss_net::{NetServer, RemoteStore, SubEvent, SubscribeFrom};
-use vss_server::ServerConfig;
 use vss_workload::{
-    net_store, random_pairs, run_client_with, run_clients, server_store, shared_store, AppConfig,
-    CameraMotion, DatasetSpec, GroundTruthPairs, QueryWorkload, SceneConfig, SceneRenderer,
+    random_pairs, run_clients, server_store, shared_store, AppConfig, CameraMotion, DatasetSpec,
+    GroundTruthPairs, QueryWorkload, SceneConfig, SceneRenderer,
 };
 
-/// Thresholds for the `--baseline` comparison mode: flag ≥10% regressions,
-/// fail the run on ≥25% regressions.
-const BASELINE_WARN_FRACTION: f64 = 0.10;
-const BASELINE_SEVERE_FRACTION: f64 = 0.25;
+type Experiment = fn(&ScaleConfig) -> Report;
 
-/// Thresholds for the `--telemetry` comparison mode. Telemetry snapshots mix
-/// deterministic counters with wall-clock latency distributions, which vary
-/// far more between machines and runs than the scaled experiment metrics do,
-/// so the bands are much wider: flag ≥50% regressions, fail only on ≥300%
-/// (4x) regressions.
-const TELEMETRY_WARN_FRACTION: f64 = 0.50;
-const TELEMETRY_SEVERE_FRACTION: f64 = 3.00;
+/// The paper's evaluation, in the order `all` runs it.
+const EXPERIMENTS: [(&str, Experiment); 14] = [
+    ("table1", table1),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("fig17", fig17),
+    ("fig18", fig18),
+    ("fig19", fig19),
+    ("fig20", fig20),
+    ("fig21", fig21),
+    ("table2", table2),
+];
 
 fn main() {
     let scale = ScaleConfig::from_env();
-    let mut baseline_dir: Option<std::path::PathBuf> = None;
-    let mut telemetry = false;
-    let mut argument = "all".to_string();
     let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--baseline" => match args.next() {
-                Some(dir) => baseline_dir = Some(dir.into()),
-                None => {
-                    eprintln!("--baseline requires a directory of prior results/*.json");
-                    std::process::exit(2);
-                }
-            },
-            "--telemetry" => telemetry = true,
-            other => argument = other.to_string(),
-        }
+    let argument = args.next().unwrap_or_else(|| "all".to_string());
+    let selected: Vec<_> =
+        EXPERIMENTS.iter().filter(|(name, _)| argument == "all" || argument == *name).collect();
+    if selected.is_empty() {
+        eprintln!("unknown experiment '{argument}'");
+        std::process::exit(2);
     }
-    let experiments: Vec<&str> = if argument == "all" {
-        vec![
-            "table1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-            "fig18", "fig19", "fig20", "fig21", "fig21_scale", "fig21_net", "stream_mem",
-            "live_ingest", "table2",
-        ]
-    } else {
-        vec![Box::leak(argument.clone().into_boxed_str())]
-    };
-    let mut severe_regressions = 0usize;
-    for experiment in experiments {
+    if let Some(extra) = args.next() {
+        eprintln!("unexpected argument '{extra}' (usage: harness [<experiment>|all])");
+        std::process::exit(2);
+    }
+    for (_, experiment) in selected {
         let started = Instant::now();
-        let report = match experiment {
-            "table1" => table1(&scale),
-            "fig10" => fig10(&scale),
-            "fig11" => fig11(&scale),
-            "fig12" => fig12(&scale),
-            "fig13" => fig13(&scale),
-            "fig14" => fig14(&scale),
-            "fig15" => fig15(&scale),
-            "fig16" => fig16(&scale),
-            "fig17" => fig17(&scale),
-            "fig18" => fig18(&scale),
-            "fig19" => fig19(&scale),
-            "fig20" => fig20(&scale),
-            "fig21" => fig21(&scale),
-            "fig21_scale" => fig21_scale(&scale),
-            "fig21_net" => fig21_net(&scale),
-            "stream_mem" => stream_mem(&scale),
-            "live_ingest" => live_ingest(&scale),
-            "table2" => table2(&scale),
-            other => {
-                eprintln!("unknown experiment '{other}'");
-                std::process::exit(2);
-            }
-        };
+        let report = experiment(&scale);
         println!("{}", report.to_table());
         println!("(completed in {:.1}s)\n", started.elapsed().as_secs_f64());
-        // Compare before writing: if the baseline directory is the output
-        // directory (`--baseline results`), the diff must run against the
-        // *previous* run's file, not the one this run is about to write.
-        if let Some(dir) = &baseline_dir {
-            severe_regressions += compare_against_baseline(dir, &report);
-        }
         match report.write_json("results") {
             Ok(path) => println!("wrote {}\n", path.display()),
             Err(error) => eprintln!("failed to write results: {error}\n"),
         }
-        if telemetry {
-            severe_regressions += write_telemetry_snapshot(experiment, &report);
-        }
     }
-    if severe_regressions > 0 {
-        eprintln!("{severe_regressions} severe regression(s) against the baseline");
-        std::process::exit(1);
-    }
-}
-
-/// Diffs one report against `<baseline_dir>/<experiment>.json`, printing the
-/// comparison. Returns the number of severe regressions found (a missing or
-/// unreadable baseline file is reported but not counted — new experiments
-/// have no baseline yet).
-fn compare_against_baseline(baseline_dir: &std::path::Path, report: &Report) -> usize {
-    let path = baseline_dir.join(format!("{}.json", report.experiment));
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(error) => {
-            eprintln!("no baseline for {} ({}: {error})\n", report.experiment, path.display());
-            return 0;
-        }
-    };
-    let baseline = match Report::from_json(&text) {
-        Ok(baseline) => baseline,
-        Err(error) => {
-            eprintln!("unreadable baseline {}: {error}\n", path.display());
-            return 0;
-        }
-    };
-    let comparison = vss_bench::compare_to_baseline(
-        &baseline,
-        report,
-        BASELINE_WARN_FRACTION,
-        BASELINE_SEVERE_FRACTION,
-    );
-    println!("{}", comparison.to_table(&report.experiment));
-    if !comparison.warnings.is_empty() {
-        println!(
-            "{} warning(s), {} severe regression(s)\n",
-            comparison.warnings.len() - comparison.severe.len(),
-            comparison.severe.len()
-        );
-    }
-    comparison.severe.len()
-}
-
-/// The `--telemetry` step for one experiment: folds the process-wide
-/// telemetry snapshot (plus the experiment's own rows) into a
-/// `BENCH_<experiment>` report, diffs it against the checked-in
-/// `BENCH_<experiment>.json` at the repo root (wide tolerance bands — see
-/// [`TELEMETRY_SEVERE_FRACTION`]), writes the comparison as
-/// `BENCH_<experiment>.md`, then overwrites the JSON with this run's
-/// snapshot. Returns the number of severe regressions. Snapshots are
-/// process-cumulative, so run one experiment per invocation for clean
-/// numbers.
-fn write_telemetry_snapshot(experiment: &str, results: &Report) -> usize {
-    let current = vss_bench::telemetry_report(experiment, results, &vss_telemetry::snapshot());
-    let json_path = std::path::Path::new(&format!("{}.json", current.experiment)).to_path_buf();
-    let markdown_path = format!("{}.md", current.experiment);
-    // Compare before overwriting: the baseline is the previous (checked-in)
-    // snapshot at the repo root.
-    let mut severe = 0usize;
-    let markdown = match std::fs::read_to_string(&json_path).ok().map(|t| Report::from_json(&t)) {
-        Some(Ok(baseline)) => {
-            let comparison = vss_bench::compare_to_baseline(
-                &baseline,
-                &current,
-                TELEMETRY_WARN_FRACTION,
-                TELEMETRY_SEVERE_FRACTION,
-            );
-            println!("{}", comparison.to_table(&current.experiment));
-            severe = comparison.severe.len();
-            comparison.to_markdown(&current.experiment)
-        }
-        Some(Err(error)) => {
-            eprintln!("unreadable telemetry baseline {}: {error}\n", json_path.display());
-            format!(
-                "## `{}` telemetry comparison\n\n_Baseline file was unreadable; wrote a fresh \
-                 snapshot._\n",
-                current.experiment
-            )
-        }
-        None => format!(
-            "## `{}` telemetry comparison\n\n_No baseline snapshot yet; wrote the first one._\n",
-            current.experiment
-        ),
-    };
-    if let Err(error) = std::fs::write(&markdown_path, markdown) {
-        eprintln!("failed to write {markdown_path}: {error}");
-    }
-    match current.write_json(".") {
-        Ok(path) => println!("wrote {}\n", path.display()),
-        Err(error) => eprintln!("failed to write telemetry snapshot: {error}\n"),
-    }
-    if severe > 0 {
-        eprintln!(
-            "{severe} severe telemetry regression(s) in {} (≥{:.0}% worse)\n",
-            current.experiment,
-            TELEMETRY_SEVERE_FRACTION * 100.0
-        );
-    }
-    severe
 }
 
 // ---------------------------------------------------------------------------
@@ -1015,653 +872,6 @@ fn fig21(scale: &ScaleConfig) -> Report {
                 .with("fs_streaming_s", max_phase(&fs_results, |t| t.streaming.as_secs_f64())),
         );
     }
-    report
-}
-
-// ---------------------------------------------------------------------------
-// Figure 21 (scaling) — multi-client scaling on the sharded server
-// ---------------------------------------------------------------------------
-
-fn fig21_scale(scale: &ScaleConfig) -> Report {
-    let mut report = Report::new(
-        "fig21_scale",
-        "Multi-client scaling: C concurrent clients each run the three-phase application against \
-         their own camera video on the sharded vss-server (per-client sessions, per-shard locks) \
-         vs. the same clients serialized on the single-mutex monolithic engine. A correctness \
-         gate asserts the server's reads are byte-identical to the sequential engine. On a \
-         single-core host both variants are expected to be comparable; the shards pay off with \
-         real parallelism.",
-    );
-    let spec = DatasetSpec::by_name("visualroad-2k-30").expect("preset");
-    let resolution = spec.scaled_resolution(scale.resolution_divisor * 2);
-    let index_resolution =
-        Resolution::new((resolution.width / 2).max(32) & !1, (resolution.height / 2).max(32) & !1);
-    let videos = 4usize;
-    let frames_per_video: Vec<FrameSequence> = (0..videos)
-        .map(|video| {
-            SceneRenderer::new(SceneConfig {
-                resolution,
-                format: PixelFormat::Rgb8,
-                frame_rate: 30.0,
-                vehicles: 6,
-                noise_amplitude: 1,
-                seed: 90 + video as u64,
-                ..Default::default()
-            })
-            .render_sequence(0, scale.max_frames.min(60))
-        })
-        .collect();
-    let configs: Vec<AppConfig> = (0..videos)
-        .map(|video| AppConfig {
-            video: format!("cam-{video}"),
-            duration: frames_per_video[video].duration_seconds(),
-            source_resolution: resolution,
-            source_codec: Codec::H264,
-            index_resolution,
-            detect_every: 10,
-            target_color: (200, 40, 40),
-            color_threshold: 60.0,
-            clip_length: 1.0,
-        })
-        .collect();
-
-    // Three stores holding identical content: the sharded server, the
-    // single-mutex monolithic engine, and a sequential (parallelism = 1)
-    // reference used only for the correctness gate.
-    let server_root = scratch_dir("fig21s-server");
-    let server = VssServer::open_sharded(VssConfig::new(&server_root), 4).expect("server");
-    let (mono, mono_root) = open_vss("fig21s-mono");
-    let seq_root = scratch_dir("fig21s-seq");
-    let sequential =
-        Vss::open(VssConfig::new(&seq_root).with_parallelism(1)).expect("sequential engine");
-    let session = server.session();
-    for (video, frames) in frames_per_video.iter().enumerate() {
-        let request = WriteRequest::new(format!("cam-{video}"), Codec::H264);
-        session.write(&request, frames).expect("server write");
-        mono.write(&request, frames).expect("mono write");
-        sequential.write(&request, frames).expect("sequential write");
-    }
-
-    // Correctness gate (CI runs this experiment as a smoke target): every
-    // video read through the sharded server must be byte-identical to the
-    // sequential engine. A divergence panics and fails the harness run.
-    for config in &configs {
-        let request = ReadRequest::new(
-            &config.video,
-            0.0,
-            config.duration.min(1.0),
-            Codec::Raw(PixelFormat::Yuv420),
-        )
-        .uncacheable();
-        let concurrent = session.read(&request).expect("server read");
-        let reference = sequential.read(&request).expect("sequential read");
-        assert_eq!(
-            concurrent.frames.frames(),
-            reference.frames.frames(),
-            "sharded server output diverged from the sequential engine on {}",
-            config.video
-        );
-    }
-    cleanup(&seq_root);
-
-    let shared_server = server_store(server.clone());
-    let shared_mono = shared_store(Box::new(mono));
-    for clients in [1usize, 2, 4] {
-        let run = |shared: &vss_workload::SharedStore| -> f64 {
-            let started = Instant::now();
-            let mut handles = Vec::new();
-            for client in 0..clients {
-                let shared = std::sync::Arc::clone(shared);
-                let config = configs[client % videos].clone();
-                handles.push(std::thread::spawn(move || {
-                    run_client_with(&mut *shared.client(), &config).expect("app client")
-                }));
-            }
-            for handle in handles {
-                handle.join().expect("client thread panicked");
-            }
-            started.elapsed().as_secs_f64()
-        };
-        // Lock wait and hit rate are windowed to this client count's run
-        // (the server is reused across rows, so lifetime totals would mix
-        // configurations).
-        let before = server.stats();
-        let server_wall = run(&shared_server);
-        let after = server.stats();
-        let lock_wait = (after.total_lock_wait() - before.total_lock_wait()).as_secs_f64();
-        let window_reads = after.total_read_ops() - before.total_read_ops();
-        let window_hits = after.total_cache_hit_reads() - before.total_cache_hit_reads();
-        let hit_pct = if window_reads == 0 {
-            0.0
-        } else {
-            window_hits as f64 / window_reads as f64 * 100.0
-        };
-        let mono_wall = run(&shared_mono);
-        report.push(
-            Row::new(format!("{clients} client(s)"))
-                .with("server_wall_s", server_wall)
-                .with("single_mutex_wall_s", mono_wall)
-                .with("server_lock_wait_s", lock_wait)
-                .with("server_cache_hit_pct", hit_pct),
-        );
-    }
-    cleanup(&server_root);
-    cleanup(&mono_root);
-    report
-}
-
-// ---------------------------------------------------------------------------
-// Figure 21 (network) — in-process sessions vs. loopback TCP via vss-net
-// ---------------------------------------------------------------------------
-
-fn fig21_net(scale: &ScaleConfig) -> Report {
-    let mut report = Report::new(
-        "fig21_net",
-        "Multi-process service: C concurrent clients each run the three-phase application against \
-         their own camera video, once through in-process vss-server sessions and once through \
-         vss-net RemoteStores over loopback TCP (one session per TCP connection, GOP-at-a-time \
-         wire streaming, admission control on). A correctness gate asserts the remote reads are \
-         byte-identical to a sequential engine; an admission row exercises the session limit and \
-         counts typed Overloaded sheds. Wall clocks (seconds, best of two after an untimed \
-         warm-up) are informational: the arms differ by the wire protocol's serialization + \
-         loopback cost minus the cache-admission work remote reads skip (they stream \
-         GOP-at-a-time and never admit materialized views, so the in-process arm does strictly \
-         more caching work).",
-    );
-    let spec = DatasetSpec::by_name("visualroad-2k-30").expect("preset");
-    let resolution = spec.scaled_resolution(scale.resolution_divisor * 2);
-    let index_resolution =
-        Resolution::new((resolution.width / 2).max(32) & !1, (resolution.height / 2).max(32) & !1);
-    let videos = 4usize;
-    let frames_per_video: Vec<FrameSequence> = (0..videos)
-        .map(|video| {
-            SceneRenderer::new(SceneConfig {
-                resolution,
-                format: PixelFormat::Rgb8,
-                frame_rate: 30.0,
-                vehicles: 6,
-                noise_amplitude: 1,
-                seed: 130 + video as u64,
-                ..Default::default()
-            })
-            .render_sequence(0, scale.max_frames.min(60))
-        })
-        .collect();
-    let configs: Vec<AppConfig> = (0..videos)
-        .map(|video| AppConfig {
-            video: format!("cam-{video}"),
-            duration: frames_per_video[video].duration_seconds(),
-            source_resolution: resolution,
-            source_codec: Codec::H264,
-            index_resolution,
-            detect_every: 10,
-            target_color: (200, 40, 40),
-            color_threshold: 60.0,
-            clip_length: 1.0,
-        })
-        .collect();
-
-    // One sharded server serves both arms; content is ingested **over the
-    // wire** so the wire write path is under test too. A sequential
-    // (parallelism = 1) engine holds the ground truth.
-    let server_root = scratch_dir("fig21n-server");
-    let server = VssServer::open_sharded(VssConfig::new(&server_root), 4).expect("server");
-    let net = NetServer::bind(server.clone(), "127.0.0.1:0").expect("bind loopback");
-    let seq_root = scratch_dir("fig21n-seq");
-    let sequential =
-        Vss::open(VssConfig::new(&seq_root).with_parallelism(1)).expect("sequential engine");
-    {
-        let mut remote = RemoteStore::connect(net.local_addr()).expect("dial for ingest");
-        for (video, frames) in frames_per_video.iter().enumerate() {
-            let request = WriteRequest::new(format!("cam-{video}"), Codec::H264);
-            remote.write(&request, frames).expect("remote write");
-            sequential.write(&request, frames).expect("sequential write");
-        }
-
-        // Correctness gate (CI smoke-runs this experiment): every video read
-        // back over TCP must be byte-identical to the sequential engine —
-        // wire write + wire read round the trip. A divergence panics and
-        // fails the harness run.
-        for config in &configs {
-            let request = ReadRequest::new(
-                &config.video,
-                0.0,
-                config.duration.min(1.0),
-                Codec::Raw(PixelFormat::Yuv420),
-            )
-            .uncacheable();
-            let over_wire = remote.read(&request).expect("remote read");
-            let reference = sequential.read(&request).expect("sequential read");
-            assert_eq!(
-                over_wire.frames.frames(),
-                reference.frames.frames(),
-                "vss-net output diverged from the sequential engine on {}",
-                config.video
-            );
-        }
-    }
-    cleanup(&seq_root);
-
-    let shared_sessions = server_store(server.clone());
-    let shared_net = net_store(net.local_addr());
-    // Untimed warm-up: run each config's phases once so cache admissions
-    // settle before either timed arm — otherwise whichever arm runs first
-    // pays the warm-up and the comparison measures cache state, not the
-    // wire. (The arms still differ by design: remote reads stream and skip
-    // cache-admission work.)
-    for config in &configs {
-        run_client_with(&mut *shared_sessions.client(), config).expect("warmup client");
-    }
-    for clients in [1usize, 2, 4] {
-        let run_once = |shared: &vss_workload::SharedStore| -> f64 {
-            let started = Instant::now();
-            let mut handles = Vec::new();
-            for client in 0..clients {
-                let shared = std::sync::Arc::clone(shared);
-                let config = configs[client % videos].clone();
-                handles.push(std::thread::spawn(move || {
-                    run_client_with(&mut *shared.client(), &config).expect("app client")
-                }));
-            }
-            for handle in handles {
-                handle.join().expect("client thread panicked");
-            }
-            started.elapsed().as_secs_f64()
-        };
-        // Best of two: these walls are tens of milliseconds, so a single
-        // sample is too noisy for the --baseline regression diff.
-        let run = |shared: &vss_workload::SharedStore| run_once(shared).min(run_once(shared));
-        let in_process_wall = run(&shared_sessions);
-        let loopback_wall = run(&shared_net);
-        // No derived "overhead" ratio (the arms do different caching work —
-        // see the description), and the walls are deliberately *informational*
-        // metrics (no `_s` suffix): tens-of-milliseconds timings are too
-        // noisy for the --baseline ±25% gate, whose real fig21_net checks
-        // are the in-run byte-identity and admission asserts.
-        report.push(
-            Row::new(format!("{clients} client(s)"))
-                .with("wall_in_process", in_process_wall)
-                .with("wall_loopback_tcp", loopback_wall),
-        );
-    }
-    net.shutdown();
-
-    // Admission-control row: a tightly limited server sheds the overflow of
-    // a small dial burst with typed Overloaded errors.
-    let gated_root = scratch_dir("fig21n-gated");
-    let gated = VssServer::open_configured(
-        VssConfig::new(&gated_root),
-        2,
-        ServerConfig { max_concurrent_sessions: 2, ..ServerConfig::default() },
-    )
-    .expect("gated server");
-    let gated_net = NetServer::bind(gated.clone(), "127.0.0.1:0").expect("bind gated");
-    let mut admitted = Vec::new();
-    let mut shed = 0usize;
-    for _ in 0..6 {
-        match RemoteStore::connect(gated_net.local_addr()) {
-            Ok(store) => admitted.push(store),
-            Err(vss_core::VssError::Overloaded(_)) => shed += 1,
-            Err(other) => panic!("unexpected admission error: {other:?}"),
-        }
-    }
-    assert_eq!(admitted.len(), 2, "the session limit admits exactly the configured count");
-    assert_eq!(shed as u64, gated.rejected_sessions());
-    report.push(
-        Row::new("admission limit 2, 6 dials")
-            .with("admitted", admitted.len() as f64)
-            .with("shed_overloaded", shed as f64),
-    );
-    drop(admitted);
-    gated_net.shutdown();
-    cleanup(&gated_root);
-    cleanup(&server_root);
-    report
-}
-
-// ---------------------------------------------------------------------------
-// Live ingest — pub/sub fan-out over growing videos (vss-live)
-// ---------------------------------------------------------------------------
-
-fn live_ingest(scale: &ScaleConfig) -> Report {
-    let mut report = Report::new(
-        "live_ingest",
-        "Live ingest fan-out: one writer appends GOPs to a growing video while N loopback-TCP \
-         subscribers tail it through vss-live subscriptions (persisted GOPs fan out already \
-         encoded — zero re-encode on the hot path). Correctness gates assert every subscriber's \
-         drained bytes are byte-identical to a full read of the final video, and a forced-lag arm \
-         overflows a two-GOP subscriber queue to assert the lag → catch-up → re-seam path \
-         engages and still delivers every GOP exactly once. Fan-out rates and delivery lags are \
-         informational wall clocks; each subscriber's lag distribution rides the --telemetry \
-         snapshot as its own labeled series (live.sub.delivery_lag_ns{sub=N}).",
-    );
-    let gop_frames = 30usize;
-    let gops = (scale.max_frames / gop_frames).clamp(4, 8);
-    let spec = DatasetSpec::by_name("visualroad-2k-30").expect("preset");
-    let resolution = spec.scaled_resolution(scale.resolution_divisor * 2);
-    let clip = SceneRenderer::new(SceneConfig {
-        resolution,
-        format: PixelFormat::Rgb8,
-        frame_rate: 30.0,
-        vehicles: 6,
-        noise_amplitude: 1,
-        seed: 17,
-        ..Default::default()
-    })
-    .render_sequence(0, gops * gop_frames);
-    let batch = |index: usize| {
-        FrameSequence::new(
-            clip.frames()[index * gop_frames..(index + 1) * gop_frames].to_vec(),
-            30.0,
-        )
-        .expect("uniform batch")
-    };
-
-    let server_root = scratch_dir("live-ingest");
-    let server = VssServer::open_sharded(VssConfig::new(&server_root), 2).expect("server");
-    let net = NetServer::bind(server.clone(), "127.0.0.1:0").expect("bind loopback");
-    let addr = net.local_addr();
-
-    /// Concatenated container bytes of a full same-codec read — the
-    /// byte-identity reference every subscriber must match.
-    fn full_read_bytes(server: &VssServer, name: &str) -> Vec<u8> {
-        let session = server.session();
-        let (start, end) =
-            session.with_engine(name, |e| e.video_time_range(name)).expect("time range");
-        let stream = session
-            .read_stream(&ReadRequest::new(name, start, end, Codec::H264).uncacheable())
-            .expect("reference stream");
-        let mut bytes = Vec::new();
-        for chunk in stream {
-            let chunk = chunk.expect("reference chunk");
-            bytes.extend_from_slice(&chunk.encoded_gop.expect("passthrough read").to_bytes());
-        }
-        bytes
-    }
-
-    for subscribers in [1usize, 2, 4, 8] {
-        let video = format!("live-{subscribers}");
-        // The writer stamps each sequence number as its append returns; a
-        // subscriber's delivery lag is receive-time minus that stamp
-        // (publication happens just before the stamp, so lags are a slight
-        // underestimate — comparable across runs, which is what matters).
-        let published: std::sync::Arc<Vec<std::sync::OnceLock<Instant>>> =
-            std::sync::Arc::new((0..gops).map(|_| std::sync::OnceLock::new()).collect());
-        let ready = std::sync::Arc::new(std::sync::Barrier::new(subscribers + 1));
-        let mut tails = Vec::new();
-        for _ in 0..subscribers {
-            let ready = std::sync::Arc::clone(&ready);
-            let published = std::sync::Arc::clone(&published);
-            let video = video.clone();
-            tails.push(std::thread::spawn(move || {
-                let store = RemoteStore::connect(addr).expect("subscriber dial");
-                let mut feed =
-                    store.subscribe(&video, SubscribeFrom::Start).expect("subscribe");
-                ready.wait();
-                let mut bytes = Vec::new();
-                let mut lags_micros = Vec::new();
-                for expected in 0..gops as u64 {
-                    match feed.next() {
-                        Some(Ok(SubEvent::Gop(gop))) => {
-                            assert_eq!(gop.seq, expected, "GOP duplicated or skipped");
-                            if let Some(stamp) = published[gop.seq as usize].get() {
-                                let lag = Instant::now().saturating_duration_since(*stamp);
-                                lags_micros.push(lag.as_micros() as f64);
-                            }
-                            bytes.extend_from_slice(&gop.gop.to_bytes());
-                        }
-                        other => panic!("expected GOP {expected}, got {other:?}"),
-                    }
-                }
-                (bytes, lags_micros)
-            }));
-        }
-        ready.wait();
-        let started = Instant::now();
-        let mut writer = RemoteStore::connect(addr).expect("writer dial");
-        writer.write(&WriteRequest::new(&video, Codec::H264), &batch(0)).expect("live write");
-        published[0].set(Instant::now()).expect("stamp once");
-        for index in 1..gops {
-            writer.append(&video, &batch(index)).expect("live append");
-            published[index].set(Instant::now()).expect("stamp once");
-        }
-        let mut lags = Vec::new();
-        let mut fanned_bytes = 0usize;
-        let reference = full_read_bytes(&server, &video);
-        for tail in tails {
-            let (bytes, tail_lags) = tail.join().expect("subscriber thread panicked");
-            assert_eq!(
-                bytes, reference,
-                "a subscriber's drained bytes diverged from a full read of {video}"
-            );
-            fanned_bytes += bytes.len();
-            lags.extend(tail_lags);
-        }
-        let wall = started.elapsed().as_secs_f64();
-        lags.sort_by(|a, b| a.partial_cmp(b).expect("finite lags"));
-        let p99 = if lags.is_empty() {
-            0.0
-        } else {
-            lags[((lags.len() - 1) as f64 * 0.99) as usize]
-        };
-        report.push(
-            Row::new(format!("{subscribers} subscriber(s)"))
-                .with("gops", gops as f64)
-                .with("fanout_gops_per_sec", (subscribers * gops) as f64 / wall)
-                .with("fanout_mb_per_sec", fanned_bytes as f64 / wall / 1.0e6)
-                .with("delivery_lag_p99_micros", p99),
-        );
-    }
-    net.shutdown();
-
-    // Forced-lag arm: a two-GOP queue plus a subscriber that sits idle
-    // through the burst must overflow, fall back to catch-up reads and
-    // re-seam without duplicating or skipping a GOP.
-    let gated_root = scratch_dir("live-ingest-lag");
-    let gated = VssServer::open_configured(
-        VssConfig::new(&gated_root),
-        2,
-        ServerConfig { live_queue_capacity: 2, ..ServerConfig::default() },
-    )
-    .expect("gated server");
-    {
-        let session = gated.session();
-        session.write(&WriteRequest::new("cam", Codec::H264), &batch(0)).expect("lag write");
-        let mut slow = session.subscribe("cam", SubscribeFrom::Start);
-        match slow.next_timeout(std::time::Duration::from_secs(20)).expect("first event") {
-            Some(SubEvent::Gop(gop)) => assert_eq!(gop.seq, 0),
-            other => panic!("expected the first GOP, got {other:?}"),
-        }
-        // Idle at the head so the subscription seams onto the live queue,
-        // then burst far past its capacity.
-        assert!(slow
-            .next_timeout(std::time::Duration::from_millis(50))
-            .expect("idle poll")
-            .is_none());
-        for index in 1..gops {
-            session.append("cam", &batch(index)).expect("lag append");
-        }
-        let mut bytes = full_read_bytes(&gated, "cam")[..0].to_vec();
-        for expected in 0..gops as u64 {
-            if expected == 0 {
-                // Sequence 0 was drained above; re-subscribe replays it for
-                // the byte gate.
-                let mut replay = session.subscribe("cam", SubscribeFrom::Seq(0));
-                match replay.next_timeout(std::time::Duration::from_secs(20)).expect("replay") {
-                    Some(SubEvent::Gop(gop)) => bytes.extend_from_slice(&gop.gop.to_bytes()),
-                    other => panic!("expected replayed GOP 0, got {other:?}"),
-                }
-                continue;
-            }
-            match slow.next_timeout(std::time::Duration::from_secs(20)).expect("lagged event") {
-                Some(SubEvent::Gop(gop)) => {
-                    assert_eq!(gop.seq, expected, "lagged subscriber duplicated or skipped");
-                    bytes.extend_from_slice(&gop.gop.to_bytes());
-                }
-                other => panic!("expected GOP {expected}, got {other:?}"),
-            }
-        }
-        assert_eq!(bytes, full_read_bytes(&gated, "cam"), "re-seamed bytes diverged");
-        assert!(
-            slow.lag_transitions() >= 1,
-            "the burst must have overflowed the two-GOP queue"
-        );
-        report.push(
-            Row::new("forced lag (queue capacity 2)")
-                .with("gops", gops as f64)
-                .with("lag_transitions", slow.lag_transitions() as f64)
-                .with("catchup_rounds", slow.catchup_rounds() as f64),
-        );
-    }
-    cleanup(&gated_root);
-    cleanup(&server_root);
-    report
-}
-
-// ---------------------------------------------------------------------------
-// Streaming memory — O(GOP) streaming reads vs. O(clip) materialized reads
-// ---------------------------------------------------------------------------
-
-fn stream_mem(scale: &ScaleConfig) -> Report {
-    let mut report = Report::new(
-        "stream_mem",
-        "Peak buffered frames/bytes per read: materialized read() vs. a GOP-at-a-time \
-         read_stream() consumer, for raw and transcoding reads at readahead depths 0 (synchronous) \
-         and 2 (bounded prefetch workers). Same bytes out everywhere — correctness gates assert \
-         chunk-concatenation equals the materialized result byte-for-byte at every depth, that \
-         depths agree with each other, and that an overlapped WriteSink ingest matches the \
-         synchronous sink's report",
-    );
-    let spec = DatasetSpec::by_name("visualroad-2k-30").expect("preset");
-    let dataset = spec.generate(scale.resolution_divisor, scale.max_frames.max(90));
-    let frames = dataset.primary();
-    let duration = frames.duration_seconds();
-    let root = scratch_dir("stream-mem");
-    Vss::open(VssConfig::new(&root))
-        .expect("open vss")
-        .write(&WriteRequest::new("video", Codec::H264), frames)
-        .expect("write");
-
-    for (label, codec) in [
-        ("h264_to_raw", Codec::Raw(PixelFormat::Yuv420)),
-        ("h264_to_hevc", Codec::Hevc),
-    ] {
-        let request = ReadRequest::new("video", 0.0, duration, codec).uncacheable();
-        // Byte-identity reference across the readahead axis (depth 0 fills it).
-        let mut reference: Option<(Vec<vss_frame::Frame>, Vec<Vec<u8>>)> = None;
-        for readahead in [0usize, 2] {
-            let vss =
-                Vss::open(VssConfig::new(&root).with_readahead(readahead)).expect("reopen vss");
-
-            // Streaming first (it admits nothing, so the later materialized
-            // read sees identical store state).
-            let started = Instant::now();
-            let mut stream = vss.read_stream(&request).expect("stream open");
-            let mut streamed_frames = 0usize;
-            let mut streamed_chunks: Vec<vss_core::ReadChunk> = Vec::new();
-            for chunk in &mut stream {
-                let chunk = chunk.expect("stream chunk");
-                streamed_frames += chunk.frames.len();
-                streamed_chunks.push(chunk); // kept only for the correctness gate
-            }
-            let stream_seconds = started.elapsed().as_secs_f64();
-            let stream_stats = stream.stats();
-
-            let started = Instant::now();
-            let materialized = vss.read(&request).expect("materialized read");
-            let read_seconds = started.elapsed().as_secs_f64();
-
-            // Correctness gate: the streamed chunks concatenate to exactly the
-            // materialized result. A divergence panics and fails the harness run.
-            let mut concat = vss_frame::FrameSequence::empty(materialized.frames.frame_rate())
-                .expect("sequence");
-            let mut concat_gops: Vec<Vec<u8>> = Vec::new();
-            for chunk in streamed_chunks {
-                concat.extend(chunk.frames).expect("extend");
-                if let Some(gop) = chunk.encoded_gop {
-                    concat_gops.push(gop.to_bytes());
-                }
-            }
-            assert_eq!(
-                concat.frames(),
-                materialized.frames.frames(),
-                "streamed frames diverged from the materialized read ({label}, readahead {readahead})"
-            );
-            let materialized_gops: Vec<Vec<u8>> = materialized
-                .encoded
-                .iter()
-                .flatten()
-                .map(|g| g.to_bytes())
-                .collect();
-            assert_eq!(
-                concat_gops, materialized_gops,
-                "streamed GOPs diverged from the materialized read ({label}, readahead {readahead})"
-            );
-            // Cross-depth gate: every readahead depth yields the bytes the
-            // synchronous stream yielded.
-            match &reference {
-                None => reference = Some((concat.frames().to_vec(), concat_gops)),
-                Some((reference_frames, reference_gops)) => {
-                    assert_eq!(
-                        concat.frames(),
-                        &reference_frames[..],
-                        "readahead {readahead} changed streamed frames ({label})"
-                    );
-                    assert_eq!(
-                        &concat_gops, reference_gops,
-                        "readahead {readahead} changed streamed GOPs ({label})"
-                    );
-                }
-            }
-
-            report.push(
-                Row::new(format!("{label}_ra{readahead}"))
-                    .with("frames", streamed_frames as f64)
-                    .with("stream_peak_frames", stream_stats.peak_buffered_frames as f64)
-                    .with("stream_peak_kb", stream_stats.peak_buffered_bytes as f64 / 1024.0)
-                    .with("read_peak_frames", materialized.stats.peak_buffered_frames as f64)
-                    .with("read_peak_kb", materialized.stats.peak_buffered_bytes as f64 / 1024.0)
-                    .with("stream_seconds", stream_seconds)
-                    .with("read_seconds", read_seconds),
-            );
-        }
-    }
-
-    // Overlapped-sink arm: frame-by-frame ingest with the encode worker off
-    // (ra0) and on (ra2); the write reports must agree exactly.
-    let mut sink_reference: Option<(usize, u64)> = None;
-    for readahead in [0usize, 2] {
-        let sink_root = scratch_dir(&format!("stream-mem-sink-{readahead}"));
-        let vss = Vss::open(VssConfig::new(&sink_root).with_readahead(readahead)).expect("open");
-        let started = Instant::now();
-        let mut sink =
-            vss.write_sink(&WriteRequest::new("ingest", Codec::H264), frames.frame_rate())
-                .expect("sink open");
-        for frame in frames.frames() {
-            sink.push_frame(frame.clone()).expect("sink push");
-        }
-        let sink_report = sink.finish().expect("sink finish");
-        let sink_seconds = started.elapsed().as_secs_f64();
-        match sink_reference {
-            None => sink_reference = Some((sink_report.gops_written, sink_report.bytes_written)),
-            Some((gops, bytes)) => {
-                assert_eq!(
-                    (sink_report.gops_written, sink_report.bytes_written),
-                    (gops, bytes),
-                    "overlapped sink diverged from the synchronous sink"
-                );
-            }
-        }
-        report.push(
-            Row::new(format!("sink_ingest_ra{readahead}"))
-                .with("frames", sink_report.frames_written as f64)
-                .with("gops", sink_report.gops_written as f64)
-                .with("bytes_kb", sink_report.bytes_written as f64 / 1024.0)
-                .with("sink_seconds", sink_seconds),
-        );
-        cleanup(&sink_root);
-    }
-    cleanup(&root);
     report
 }
 

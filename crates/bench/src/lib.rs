@@ -1,20 +1,21 @@
 //! # vss-bench
 //!
-//! Shared infrastructure for the benchmark harness that regenerates every
+//! Shared infrastructure for the paper-figure printer that regenerates every
 //! table and figure of the paper's evaluation (Section 6).
 //!
 //! The `harness` binary (`cargo run -p vss-bench --release --bin harness --
 //! <experiment>`) produces one [`Report`] per experiment: a set of labelled
 //! rows that mirror the series/rows of the corresponding paper figure or
 //! table. Reports are printed as aligned text tables and written as JSON
-//! under `results/` so EXPERIMENTS.md can reference them.
+//! under `results/`.
 //!
 //! Experiment sizes are controlled by [`ScaleConfig`], read from the
-//! `VSS_SCALE` / `VSS_MAX_FRAMES` environment variables: the paper's datasets
-//! are hours of 1K–4K video, which the simulated CPU codecs cannot chew
-//! through in minutes, so the harness runs spatially and temporally
-//! scaled-down versions by default. The *relative* comparisons (who wins,
-//! crossover points) are what EXPERIMENTS.md records.
+//! `VSS_SCALE` / `VSS_MAX_FRAMES` / `VSS_ITERATIONS` environment variables:
+//! the paper's datasets are hours of 1K–4K video, which the simulated CPU
+//! codecs cannot chew through in minutes, so the harness runs spatially and
+//! temporally scaled-down versions by default. The *relative* comparisons
+//! (who wins, crossover points) are what the figures reproduce; whether a
+//! change made the system faster is `vssbench/`'s question, not this crate's.
 
 #![warn(missing_docs)]
 
@@ -114,266 +115,6 @@ impl Report {
         fs::write(&path, serde_json::to_string_pretty(self).expect("report serializes"))?;
         Ok(path)
     }
-
-    /// Parses a report previously written by [`write_json`](Self::write_json)
-    /// (used by the harness's `--baseline` comparison mode).
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let value: serde_json::Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        let experiment =
-            value["experiment"].as_str().ok_or("missing 'experiment'")?.to_string();
-        let description =
-            value["description"].as_str().unwrap_or_default().to_string();
-        let mut rows = Vec::new();
-        for row in value["rows"].as_array().ok_or("missing 'rows'")? {
-            let label = row["label"].as_str().ok_or("row missing 'label'")?.to_string();
-            let mut values = BTreeMap::new();
-            if let Some(map) = row["values"].as_object() {
-                for (key, value) in map {
-                    if let Some(number) = value.as_f64() {
-                        values.insert(key.clone(), number);
-                    }
-                }
-            }
-            rows.push(Row { label, values });
-        }
-        Ok(Self { experiment, description, rows })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Baseline comparison (the harness's `--baseline` mode)
-// ---------------------------------------------------------------------------
-
-/// Whether a larger value of a metric is an improvement or a regression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricDirection {
-    /// Throughput-like metrics (`*fps*`, `*_db`): larger is better.
-    HigherIsBetter,
-    /// Cost-like metrics (`*seconds*`, `*_s`, `*_kb`, `*_bytes`): smaller is
-    /// better.
-    LowerIsBetter,
-    /// Descriptive metrics (resolutions, counts, levels): not compared.
-    Informational,
-}
-
-/// Classifies a report metric by its naming convention.
-pub fn metric_direction(key: &str) -> MetricDirection {
-    let key = key.to_ascii_lowercase();
-    if key.contains("fps") || key.ends_with("_db") || key.contains("pct_smaller") {
-        return MetricDirection::HigherIsBetter;
-    }
-    if key.contains("seconds")
-        || key.ends_with("_s")
-        || key.ends_with("_ms")
-        || key.ends_with("_ns")
-        || key.ends_with("_kb")
-        || key.ends_with("_bytes")
-    {
-        return MetricDirection::LowerIsBetter;
-    }
-    MetricDirection::Informational
-}
-
-/// One metric's baseline-vs-current comparison.
-#[derive(Debug, Clone)]
-pub struct MetricDelta {
-    /// Row label the metric belongs to.
-    pub row: String,
-    /// Metric name.
-    pub metric: String,
-    /// Value in the baseline report.
-    pub baseline: f64,
-    /// Value in the current report.
-    pub current: f64,
-    /// Signed relative change where positive means *worse* (slower, bigger).
-    pub regression_fraction: f64,
-}
-
-/// Result of diffing a current report against a baseline report.
-#[derive(Debug, Clone, Default)]
-pub struct BaselineComparison {
-    /// Every comparable metric present in both reports.
-    pub deltas: Vec<MetricDelta>,
-    /// Deltas at least `warn` worse than baseline (subset of `deltas`).
-    pub warnings: Vec<MetricDelta>,
-    /// Deltas at least `severe` worse than baseline (subset of `warnings`).
-    pub severe: Vec<MetricDelta>,
-}
-
-impl BaselineComparison {
-    /// Renders the comparison as an aligned text table; regressions are
-    /// flagged with `!` (warning) or `!!` (severe).
-    pub fn to_table(&self, experiment: &str) -> String {
-        let mut out = format!("# {experiment} — baseline comparison\n");
-        if self.deltas.is_empty() {
-            out.push_str("(no comparable metrics in common)\n");
-            return out;
-        }
-        let label_width =
-            self.deltas.iter().map(|d| d.row.len() + d.metric.len() + 1).max().unwrap_or(8) + 2;
-        out.push_str(&format!(
-            "{:<label_width$}{:>14}{:>14}{:>10}\n",
-            "row/metric", "baseline", "current", "change"
-        ));
-        for delta in &self.deltas {
-            let flag = if self.severe.iter().any(|d| same_metric(d, delta)) {
-                " !!"
-            } else if self.warnings.iter().any(|d| same_metric(d, delta)) {
-                " !"
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "{:<label_width$}{:>14.3}{:>14.3}{:>+9.1}%{flag}\n",
-                format!("{}/{}", delta.row, delta.metric),
-                delta.baseline,
-                delta.current,
-                delta.regression_fraction * 100.0,
-            ));
-        }
-        out
-    }
-    /// Renders the comparison as a GitHub-flavoured markdown table (the
-    /// `--telemetry` report artifact). Regressions are flagged ⚠️ (warning)
-    /// or ❌ (severe); improvements and unchanged metrics render unflagged.
-    pub fn to_markdown(&self, experiment: &str) -> String {
-        let mut out = format!("## `{experiment}` telemetry comparison\n\n");
-        if self.deltas.is_empty() {
-            out.push_str("_No comparable metrics in common with the baseline._\n");
-            return out;
-        }
-        out.push_str("| row / metric | baseline | current | change | |\n");
-        out.push_str("|---|---:|---:|---:|---|\n");
-        for delta in &self.deltas {
-            let flag = if self.severe.iter().any(|d| same_metric(d, delta)) {
-                "❌ severe"
-            } else if self.warnings.iter().any(|d| same_metric(d, delta)) {
-                "⚠️ warning"
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "| `{}/{}` | {:.3} | {:.3} | {:+.1}% | {flag} |\n",
-                delta.row,
-                delta.metric,
-                delta.baseline,
-                delta.current,
-                delta.regression_fraction * 100.0,
-            ));
-        }
-        out.push_str(&format!(
-            "\n{} metric(s) compared, {} warning(s), {} severe regression(s).\n",
-            self.deltas.len(),
-            self.warnings.len() - self.severe.len(),
-            self.severe.len()
-        ));
-        out
-    }
-}
-
-fn same_metric(a: &MetricDelta, b: &MetricDelta) -> bool {
-    a.row == b.row && a.metric == b.metric
-}
-
-/// Folds a process-wide [`vss_telemetry::TelemetrySnapshot`] into a
-/// comparable [`Report`] named `BENCH_<experiment>`: the experiment's own
-/// result rows come first (the primary regression signal), then one
-/// `telemetry/<metric>` row per counter, gauge and histogram. Histogram rows
-/// expose `count`, `mean_ns` and the `p50/p90/p99/max` nanosecond summaries,
-/// which the `_ns` naming convention marks lower-is-better for baseline
-/// diffs. Snapshots are process-cumulative, so one experiment per process
-/// (how `--telemetry` is meant to run) gives clean numbers.
-pub fn telemetry_report(
-    experiment: &str,
-    results: &Report,
-    snapshot: &vss_telemetry::TelemetrySnapshot,
-) -> Report {
-    let mut report = Report::new(
-        format!("BENCH_{experiment}"),
-        format!("telemetry snapshot after the {experiment} experiment"),
-    );
-    for row in &results.rows {
-        report.push(Row { label: format!("result/{}", row.label), values: row.values.clone() });
-    }
-    for (name, value) in &snapshot.counters {
-        report.push(Row::new(format!("telemetry/{name}")).with("total", *value as f64));
-    }
-    for (name, value) in &snapshot.gauges {
-        report.push(Row::new(format!("telemetry/{name}")).with("level", *value as f64));
-    }
-    for (name, summary) in &snapshot.histograms {
-        let mut row = Row::new(format!("telemetry/{name}"))
-            .with("count", summary.count as f64)
-            .with("mean_ns", summary.mean());
-        // Tail quantiles of a handful of samples are single observations —
-        // pure scheduling noise that would flood the comparison with false
-        // severe regressions. Emit them only once the histogram has enough
-        // samples for a tail to mean something; low-count histograms keep
-        // count and mean, and missing columns are skipped by the diff.
-        if summary.count >= TELEMETRY_QUANTILE_MIN_COUNT {
-            row = row
-                .with("p50_ns", summary.p50 as f64)
-                .with("p90_ns", summary.p90 as f64)
-                .with("p99_ns", summary.p99 as f64)
-                .with("max_ns", summary.max as f64);
-        }
-        report.push(row);
-    }
-    report
-}
-
-/// Minimum histogram sample count before [`telemetry_report`] publishes
-/// p50/p90/p99/max columns (below it, quantiles are individual samples and
-/// comparing them across runs is noise).
-pub const TELEMETRY_QUANTILE_MIN_COUNT: u64 = 16;
-
-/// Diffs `current` against `baseline`, flagging metrics that got worse by at
-/// least `warn_fraction` (warning) or `severe_fraction` (severe). Rows and
-/// metrics missing from either side are skipped — reports may gain or lose
-/// rows between revisions.
-pub fn compare_to_baseline(
-    baseline: &Report,
-    current: &Report,
-    warn_fraction: f64,
-    severe_fraction: f64,
-) -> BaselineComparison {
-    let mut comparison = BaselineComparison::default();
-    for row in &current.rows {
-        let Some(baseline_row) = baseline.rows.iter().find(|r| r.label == row.label) else {
-            continue;
-        };
-        for (metric, &current_value) in &row.values {
-            let direction = metric_direction(metric);
-            if direction == MetricDirection::Informational {
-                continue;
-            }
-            let Some(&baseline_value) = baseline_row.values.get(metric) else { continue };
-            if baseline_value.abs() < 1e-12 {
-                continue;
-            }
-            let change = (current_value - baseline_value) / baseline_value.abs();
-            let regression_fraction = match direction {
-                MetricDirection::HigherIsBetter => -change,
-                MetricDirection::LowerIsBetter => change,
-                MetricDirection::Informational => unreachable!("filtered above"),
-            };
-            let delta = MetricDelta {
-                row: row.label.clone(),
-                metric: metric.clone(),
-                baseline: baseline_value,
-                current: current_value,
-                regression_fraction,
-            };
-            if regression_fraction >= severe_fraction {
-                comparison.severe.push(delta.clone());
-                comparison.warnings.push(delta.clone());
-            } else if regression_fraction >= warn_fraction {
-                comparison.warnings.push(delta.clone());
-            }
-            comparison.deltas.push(delta);
-        }
-    }
-    comparison
 }
 
 /// Spatial/temporal scaling applied to every experiment.
@@ -464,60 +205,5 @@ mod tests {
     fn fps_helper() {
         assert_eq!(fps(30, Duration::from_secs(1)), 30.0);
         assert_eq!(fps(10, Duration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn report_json_round_trips_through_from_json() {
-        let mut report = Report::new("figY", "round trip");
-        report.push(Row::new("a").with("vss_fps", 12.5).with("stored_kb", 64.0));
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back = Report::from_json(&json).unwrap();
-        assert_eq!(back.experiment, "figY");
-        assert_eq!(back.rows.len(), 1);
-        assert_eq!(back.rows[0].values["vss_fps"], 12.5);
-        assert!(Report::from_json("{}").is_err());
-    }
-
-    #[test]
-    fn metric_directions_follow_naming_conventions() {
-        assert_eq!(metric_direction("vss_fps"), MetricDirection::HigherIsBetter);
-        assert_eq!(metric_direction("unprojected_left_db"), MetricDirection::HigherIsBetter);
-        assert_eq!(metric_direction("greedy_seconds"), MetricDirection::LowerIsBetter);
-        assert_eq!(metric_direction("vss_indexing_s"), MetricDirection::LowerIsBetter);
-        assert_eq!(metric_direction("stored_kb"), MetricDirection::LowerIsBetter);
-        assert_eq!(metric_direction("paper_width"), MetricDirection::Informational);
-        assert_eq!(metric_direction("compression_level"), MetricDirection::Informational);
-    }
-
-    #[test]
-    fn baseline_comparison_flags_regressions_in_the_right_direction() {
-        let mut baseline = Report::new("x", "");
-        baseline.push(Row::new("r").with("vss_fps", 100.0).with("read_seconds", 1.0));
-        let mut current = Report::new("x", "");
-        // fps halved (severe regression), seconds improved (not flagged).
-        current.push(Row::new("r").with("vss_fps", 50.0).with("read_seconds", 0.5));
-        let comparison = compare_to_baseline(&baseline, &current, 0.10, 0.25);
-        assert_eq!(comparison.deltas.len(), 2);
-        assert_eq!(comparison.severe.len(), 1);
-        assert_eq!(comparison.severe[0].metric, "vss_fps");
-        assert!(comparison.severe[0].regression_fraction > 0.49);
-        let faster = comparison.deltas.iter().find(|d| d.metric == "read_seconds").unwrap();
-        assert!(faster.regression_fraction < 0.0, "improvements are negative regressions");
-        let table = comparison.to_table("x");
-        assert!(table.contains("!!"));
-    }
-
-    #[test]
-    fn baseline_comparison_warns_between_thresholds_and_skips_unknown_rows() {
-        let mut baseline = Report::new("x", "");
-        baseline.push(Row::new("r").with("write_seconds", 1.0));
-        baseline.push(Row::new("gone").with("write_seconds", 1.0));
-        let mut current = Report::new("x", "");
-        current.push(Row::new("r").with("write_seconds", 1.15));
-        current.push(Row::new("new").with("write_seconds", 9.0));
-        let comparison = compare_to_baseline(&baseline, &current, 0.10, 0.25);
-        assert_eq!(comparison.deltas.len(), 1, "only rows present in both sides compare");
-        assert_eq!(comparison.warnings.len(), 1);
-        assert!(comparison.severe.is_empty());
     }
 }

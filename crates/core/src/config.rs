@@ -118,12 +118,6 @@ pub struct VssConfig {
     /// caller's thread), and dropping a stream or sink cancels and joins its
     /// workers.
     pub readahead: usize,
-    /// Size in bytes past which the catalog's write-ahead journal is folded
-    /// into its JSON checkpoint at the next transaction boundary. Durability
-    /// does not depend on this value (every mutation is journaled and
-    /// fsynced before it is acknowledged); it only trades steady-state
-    /// append cost against replay time on the next open.
-    pub wal_checkpoint_bytes: u64,
 }
 
 impl VssConfig {
@@ -145,19 +139,12 @@ impl VssConfig {
             joint: JointConfig::default(),
             parallelism: 0,
             readahead: 0,
-            wal_checkpoint_bytes: vss_catalog::DEFAULT_CHECKPOINT_THRESHOLD,
         }
     }
 
     /// Disables result caching (used by baseline comparisons and ablations).
     pub fn without_caching(mut self) -> Self {
         self.caching_enabled = false;
-        self
-    }
-
-    /// Uses plain LRU eviction (ablation of LRU_VSS).
-    pub fn with_plain_lru(mut self) -> Self {
-        self.eviction_policy = EvictionPolicy::Lru;
         self
     }
 
@@ -193,13 +180,6 @@ impl VssConfig {
         self.readahead = gops;
         self
     }
-
-    /// Overrides the journal-checkpoint threshold — see
-    /// [`wal_checkpoint_bytes`](Self::wal_checkpoint_bytes).
-    pub fn with_wal_checkpoint_bytes(mut self, bytes: u64) -> Self {
-        self.wal_checkpoint_bytes = bytes;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -224,7 +204,6 @@ mod tests {
     fn builders_toggle_features() {
         let c = VssConfig::new("/tmp/x")
             .without_caching()
-            .with_plain_lru()
             .without_deferred_compression()
             .with_gop_size(0)
             .with_default_budget(StorageBudget::Bytes(123))
@@ -232,7 +211,6 @@ mod tests {
             .with_readahead(4);
         assert!(!c.caching_enabled);
         assert!(!c.deferred_compression);
-        assert_eq!(c.eviction_policy, EvictionPolicy::Lru);
         assert_eq!(c.gop_size, 1);
         assert_eq!(c.default_budget, StorageBudget::Bytes(123));
         assert_eq!(c.parallelism, 2);

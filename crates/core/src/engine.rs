@@ -142,8 +142,7 @@ impl Engine {
     /// metrics and, when anything had to be repaired or replayed, as one
     /// structured `recovery` log line.
     pub fn open(config: VssConfig) -> Result<Self, VssError> {
-        let mut catalog = Catalog::open(&config.root)?;
-        catalog.set_checkpoint_threshold(config.wal_checkpoint_bytes);
+        let catalog = Catalog::open(&config.root)?;
         let report = catalog.recovery_report();
         vss_telemetry::counter("engine.recovery.opens").incr();
         vss_telemetry::counter("engine.recovery.wal_records_replayed")

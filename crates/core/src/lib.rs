@@ -32,9 +32,9 @@
 //! (the default) means one worker per available core, `1` reproduces fully
 //! sequential execution. Results are always collected in input order, so
 //! **every `parallelism` setting produces byte-identical stores and read
-//! results**; the knob only changes wall-clock time. Benchmarks live in
-//! `crates/bench/benches` (`codec_throughput`'s `encode_parallel` /
-//! `decode_parallel` groups measure the scaling).
+//! results**; the knob only changes wall-clock time. The scaling is
+//! measured by `vssbench`'s `parallel.pipeline.speedup` probe (the
+//! traced run of its `transcode_scan` workload).
 //!
 //! # Streaming API
 //!

@@ -256,13 +256,15 @@ fn admission_shed_surfaces_as_overloaded_and_cancellation_aborts_cleanly() {
 
     let mut first = RemoteStore::connect(net.local_addr()).unwrap();
     let second = retry(|| RemoteStore::connect(net.local_addr()));
-    // Two connections hold both slots; the third client is shed with a typed
-    // Overloaded.
-    match RemoteStore::connect(net.local_addr()) {
-        Err(VssError::Overloaded(_)) => {}
-        other => panic!("expected Overloaded, got {other:?}"),
+    // Two connections hold both slots; every further dial is shed with a
+    // typed Overloaded, and the server counts exactly those sheds.
+    for _ in 0..4 {
+        match RemoteStore::connect(net.local_addr()) {
+            Err(VssError::Overloaded(_)) => {}
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
     }
-    assert!(server.rejected_sessions() >= 1);
+    assert_eq!(server.rejected_sessions(), 4, "the limit admits exactly the configured count");
     drop(second);
 
     retry(|| first.write(&WriteRequest::new("cam", Codec::H264), &sequence(150, 0)));

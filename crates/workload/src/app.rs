@@ -116,35 +116,6 @@ pub fn server_store(server: VssServer) -> SharedStore {
     Arc::new(ServerStoreFactory { server })
 }
 
-/// Wraps a remote `vss-net` server for the application driver: every client
-/// handle is its own [`vss_net::RemoteStore`] (one TCP session per client,
-/// admitted through the server's admission control), so the same
-/// multi-client phases run against a storage service in another process.
-///
-/// Dialing happens when a client handle is requested; an unreachable or
-/// overloaded server panics there, matching the driver's treatment of other
-/// unrecoverable setup failures.
-pub fn net_store(addr: std::net::SocketAddr) -> SharedStore {
-    Arc::new(NetStoreFactory { addr })
-}
-
-struct NetStoreFactory {
-    addr: std::net::SocketAddr,
-}
-
-impl StoreFactory for NetStoreFactory {
-    fn label(&self) -> &'static str {
-        "vss-net"
-    }
-
-    fn client(&self) -> Box<dyn VideoStorage + Send> {
-        Box::new(
-            vss_net::RemoteStore::connect(self.addr)
-                .expect("dial the vss-net server for a client handle"),
-        )
-    }
-}
-
 struct MutexStoreFactory {
     label: &'static str,
     store: Arc<Mutex<Box<dyn VideoStorage + Send>>>,
@@ -450,30 +421,6 @@ mod tests {
         let results = run_clients(&shared, &config, 2).unwrap();
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(|t| t.indexed_ranges > 0));
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn application_runs_against_a_remote_store_over_loopback_tcp() {
-        let (config, frames, root) = scenario("net");
-        let server = vss_server::VssServer::open_sharded(
-            vss_core::VssConfig::new(root.join("net")),
-            2,
-        )
-        .unwrap();
-        server
-            .session()
-            .write(&WriteRequest::new(&config.video, config.source_codec), &frames)
-            .unwrap();
-        let net = vss_net::NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
-        let shared = net_store(net.local_addr());
-        assert_eq!(shared.label(), "vss-net");
-        let results = run_clients(&shared, &config, 2).unwrap();
-        assert_eq!(results.len(), 2);
-        assert!(results.iter().all(|t| t.indexed_ranges > 0));
-        assert!(server.stats().total_read_ops() > 0, "remote reads hit the shards");
-        net.shutdown();
-        assert!(server.shutdown(std::time::Duration::from_secs(10)));
         let _ = std::fs::remove_dir_all(root);
     }
 

@@ -27,8 +27,7 @@ pub mod queries;
 pub mod scene;
 
 pub use app::{
-    net_store, run_client, run_client_with, run_clients, server_store, shared_store, AppConfig,
-    PhaseTimings,
+    run_client, run_client_with, run_clients, server_store, shared_store, AppConfig, PhaseTimings,
     SharedStore, StoreFactory,
 };
 pub use datasets::{DatasetSpec, GeneratedDataset};
