@@ -131,19 +131,29 @@ pub trait VideoCodec: Send + Sync {
     /// The codec identifier this implementation produces.
     fn codec(&self) -> Codec;
 
-    /// Encodes a frame sequence into a single GOP.
+    /// Encodes a frame sequence into a single GOP on the calling thread.
     fn encode(&self, frames: &FrameSequence, config: &EncoderConfig) -> Result<EncodedGop, CodecError> {
-        self.encode_slice(frames.frames(), frames.frame_rate(), config)
+        self.encode_slice(frames.frames(), frames.frame_rate(), config, 1)
     }
 
     /// Encodes a borrowed frame slice into a single GOP without building an
     /// intermediate [`FrameSequence`]: the zero-copy entry point the GOP
-    /// pipeline uses when chunking a long sequence.
+    /// pipeline uses when chunking a long sequence. The frames must share
+    /// one width, height and pixel format
+    /// ([`FrameError::ShapeMismatch`](vss_frame::FrameError::ShapeMismatch)
+    /// otherwise).
+    ///
+    /// `threads` is the budget the encode may spend *inside* the GOP (`0` =
+    /// every core, `1` = the calling thread alone): the lossy codecs code a
+    /// frame's planes, and HEVC's two candidates, side by side. The bytes
+    /// are the same for every budget, and every thread an encode starts has
+    /// exited when it returns.
     fn encode_slice(
         &self,
         frames: &[vss_frame::Frame],
         frame_rate: f64,
         config: &EncoderConfig,
+        threads: usize,
     ) -> Result<EncodedGop, CodecError>;
 
     /// Decodes every frame of a GOP.

@@ -94,7 +94,10 @@ pub struct VssConfig {
     /// execution bit-identically (no worker threads are spawned). Because
     /// GOPs are independent and results are collected in input order, every
     /// setting produces byte-identical output — the knob only changes wall
-    /// time.
+    /// time. The same budget is spent *inside* a GOP where there is only one
+    /// to encode — a `ReadStream`'s output GOP, a `WriteSink`'s GOP — on the
+    /// frame's planes and HEVC's two candidates; a multi-GOP write spends it
+    /// on whole GOPs first and gives each GOP what is left over.
     pub parallelism: usize,
     /// Streaming readahead depth, in GOPs — decides which thread runs the
     /// one GOP stage of each direction, nothing else. At `0` (the default)

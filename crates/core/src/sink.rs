@@ -63,8 +63,6 @@ use vss_frame::{Frame, FrameError, FrameSequence, Resolution};
 pub struct IncrementalWrite {
     name: String,
     encoder: SinkEncoder,
-    /// Threads [`encode_batch`](Self::encode_batch) encodes on.
-    parallelism: usize,
     /// Where the GOPs go; a new physical video is registered by the first
     /// persisted GOP.
     physical_id: Option<PhysicalVideoId>,
@@ -95,15 +93,19 @@ impl IncrementalWrite {
 
     /// Splits a whole clip on the GOP boundary and encodes every GOP on the
     /// parallel pipeline (each chunk is independent and encoded straight
-    /// from the borrowed slice), in order.
+    /// from the borrowed slice), in order. The write's threads are spent on
+    /// whole GOPs first; a GOP gets inside itself what the GOP count leaves.
     pub(crate) fn encode_batch(&self, frames: &FrameSequence) -> Result<Vec<EncodedGop>, VssError> {
         if frames.is_empty() {
             return Err(VssError::EmptyWrite);
         }
         let all = frames.frames();
         let ranges = vss_parallel::chunk_ranges(all.len(), self.encoder.encoder.gop_size);
-        let gops = vss_parallel::try_par_map(self.parallelism, &ranges, |_, &(start, end)| {
-            self.encoder.encode(&all[start..end])
+        let threads = vss_parallel::resolve_threads(self.encoder.threads);
+        let per_gop =
+            SinkEncoder { threads: vss_parallel::threads_per_job(threads, ranges.len()), ..self.encoder };
+        let gops = vss_parallel::try_par_map(threads, &ranges, |_, &(start, end)| {
+            per_gop.encode(&all[start..end])
         })?;
         Ok(gops)
     }
@@ -165,8 +167,8 @@ impl Engine {
                 },
                 frame_rate,
                 depth: self.config.readahead,
+                threads: self.config.parallelism,
             },
-            parallelism: self.config.parallelism,
             physical_id,
             resolution,
             next_time,
@@ -374,12 +376,16 @@ pub struct SinkEncoder {
     /// Maximum encoded-but-unpersisted GOPs in flight in a [`WriteSink`]
     /// (0 = the pushing thread encodes).
     pub depth: usize,
+    /// Threads one GOP's encode may use inside the GOP — the engine's
+    /// [`parallelism`](crate::VssConfig::parallelism) (0 = every core).
+    pub threads: usize,
 }
 
 impl SinkEncoder {
-    /// Encodes one GOP — the write path's only encode site.
+    /// Encodes one GOP — the only encode site of either direction, and the
+    /// one place the in-GOP thread budget is passed.
     pub fn encode(&self, frames: &[Frame]) -> Result<EncodedGop, CodecError> {
-        codec_instance(self.codec).encode_slice(frames, self.frame_rate, &self.encoder)
+        codec_instance(self.codec).encode_slice(frames, self.frame_rate, &self.encoder, self.threads)
     }
 }
 

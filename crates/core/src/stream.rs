@@ -68,6 +68,7 @@ use crate::fragments::{build_candidates, CandidateSet};
 use crate::params::{PlannerKind, ReadRequest};
 use crate::quality::QualityModel;
 use crate::read::ReadResult;
+use crate::sink::SinkEncoder;
 use crate::VssError;
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -352,8 +353,8 @@ struct StreamBase {
 
 /// The decode-side state of a plan-backed stream.
 struct PlanState {
-    codec: Codec,
-    encoder: EncoderConfig,
+    /// How output GOPs are encoded (the frame rate is each GOP's own).
+    encoder: SinkEncoder,
     gop_size: usize,
     parallelism: usize,
     target_format: PixelFormat,
@@ -751,7 +752,7 @@ impl PlanState {
             self.emit_output(retimed.into_frames(), self.output_fps, base, ready)?;
         }
         // Output GOPs never span plan segments: flush the partial GOP.
-        if self.codec.is_compressed() && !self.pending.is_empty() {
+        if self.encoder.codec.is_compressed() && !self.pending.is_empty() {
             let frames = std::mem::take(&mut self.pending);
             let rate = self.pending_rate;
             self.emit_encoded(frames, rate, base, ready)?;
@@ -778,7 +779,7 @@ impl PlanState {
             None => frames,
         };
         base.encoding += started.elapsed();
-        if self.codec.is_compressed() {
+        if self.encoder.codec.is_compressed() {
             self.pending.extend(cropped);
             self.pending_rate = rate;
             self.note_buffered(base, ready, 0, 0);
@@ -807,7 +808,7 @@ impl PlanState {
         ready: &mut VecDeque<ReadChunk>,
     ) -> Result<(), VssError> {
         let started = Instant::now();
-        let gop = codec_instance(self.codec).encode_slice(&frames, rate, &self.encoder)?;
+        let gop = SinkEncoder { frame_rate: rate, ..self.encoder }.encode(&frames)?;
         base.encoding += started.elapsed();
         let chunk = ReadChunk {
             frames: FrameSequence::new(frames, rate)?,
@@ -1003,15 +1004,21 @@ impl Engine {
             segments.push(shape);
         }
 
-        let encoder = EncoderConfig {
-            quality: request
-                .physical
-                .encoder_quality
-                .unwrap_or(self.config.default_encoder_quality),
-            gop_size: self.config.gop_size,
-        };
         let gauge = Arc::new(InflightGauge::default());
         let parallelism = self.config.parallelism;
+        let encoder = SinkEncoder {
+            codec: request.physical.codec,
+            encoder: EncoderConfig {
+                quality: request
+                    .physical
+                    .encoder_quality
+                    .unwrap_or(self.config.default_encoder_quality),
+                gop_size: self.config.gop_size,
+            },
+            frame_rate: output_fps,
+            depth: 0,
+            threads: parallelism,
+        };
         // The one place `readahead` matters: at 0 the consumer decodes each
         // job inline; otherwise a bounded in-order worker pool starts on the
         // job list immediately — workers touch only the snapshot and the GOP
@@ -1032,7 +1039,6 @@ impl Engine {
         };
         let fragments_available = candidates.candidates.len();
         let state = PlanState {
-            codec: request.physical.codec,
             encoder,
             gop_size: self.config.gop_size,
             parallelism,

@@ -616,6 +616,7 @@ mod tests {
                 &[frame],
                 30.0,
                 &vss_codec::EncoderConfig { quality: 80, gop_size: 1 },
+                1,
             )
             .unwrap();
         LiveGop {

@@ -1861,7 +1861,7 @@ mod tests {
         let frames: Vec<Frame> =
             (0..3).map(|i| pattern::gradient(32, 24, PixelFormat::Yuv420, i)).collect();
         let gop = vss_codec::codec_instance(Codec::H264)
-            .encode_slice(&frames, 30.0, &vss_codec::EncoderConfig::default())
+            .encode_slice(&frames, 30.0, &vss_codec::EncoderConfig::default(), 1)
             .unwrap();
         let message = Message::StreamChunk {
             frame_rate: 30.0,
@@ -1947,7 +1947,7 @@ mod tests {
         let frames: Vec<Frame> =
             (0..3).map(|i| pattern::gradient(32, 24, PixelFormat::Yuv420, i)).collect();
         let gop = vss_codec::codec_instance(Codec::H264)
-            .encode_slice(&frames, 30.0, &vss_codec::EncoderConfig::default())
+            .encode_slice(&frames, 30.0, &vss_codec::EncoderConfig::default(), 1)
             .unwrap();
         let chunk = Message::SubChunk {
             seq: 7,

@@ -167,7 +167,7 @@ fn arbitrary_message(kind: u8, rng: &mut TestRng) -> Message {
             } else {
                 Some(
                     codec_instance(Codec::H264)
-                        .encode_slice(&frames, 30.0, &EncoderConfig::default())
+                        .encode_slice(&frames, 30.0, &EncoderConfig::default(), 1)
                         .unwrap(),
                 )
             };
@@ -204,6 +204,7 @@ fn arbitrary_message(kind: u8, rng: &mut TestRng) -> Message {
                     &[pattern::gradient(16, 12, PixelFormat::Yuv420, rng.next_u64())],
                     30.0,
                     &EncoderConfig::default(),
+                    1,
                 )
                 .unwrap(),
         },

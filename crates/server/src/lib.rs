@@ -900,6 +900,7 @@ impl CatchupSource for SessionCatchupSource {
                         chunk.frames.frames(),
                         manifest.frame_rate,
                         &vss_codec::EncoderConfig { quality: 0, gop_size: span.frame_count.max(1) },
+                        1,
                     )
                     .map_err(|e| {
                         VssError::Unsatisfiable(format!("catch-up raw re-pack failed: {e}"))
