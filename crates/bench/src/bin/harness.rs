@@ -104,7 +104,6 @@ fn scaled_joint_config() -> JointConfig {
         min_correspondences: 6,
         quality_threshold: PsnrDb(26.0),
         recovery_threshold: PsnrDb(22.0),
-        ..JointConfig::default()
     }
 }
 

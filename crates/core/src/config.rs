@@ -32,11 +32,6 @@ pub struct JointConfig {
     /// Minimum number of unambiguous feature correspondences for a GOP pair
     /// to be considered related (prototype m = 20).
     pub min_correspondences: usize,
-    /// Maximum squared feature distance for a correspondence (prototype d = 400).
-    pub max_feature_distance_sq: f64,
-    /// `||H − I||₂` below which two frames are treated as exact duplicates
-    /// and stored as a pointer (prototype ε = 0.1).
-    pub duplicate_epsilon: f64,
     /// Minimum recovered quality before joint compression of a GOP pair is
     /// aborted (prototype 24 dB for the re-estimation check).
     pub recovery_threshold: PsnrDb,
@@ -48,8 +43,6 @@ impl Default for JointConfig {
     fn default() -> Self {
         Self {
             min_correspondences: 20,
-            max_feature_distance_sq: 400.0,
-            duplicate_epsilon: 0.1,
             recovery_threshold: PsnrDb(24.0),
             quality_threshold: PsnrDb(40.0),
         }
@@ -71,19 +64,12 @@ pub struct VssConfig {
     pub default_encoder_quality: u8,
     /// Frames per GOP for compressed representations.
     pub gop_size: usize,
-    /// Frames per block for uncompressed representations (the prototype
-    /// bounds uncompressed blocks at ~25 MB; small synthetic frames use a
-    /// fixed small frame count instead).
-    pub uncompressed_gop_frames: usize,
     /// Whether read results may be admitted to the cache of materialized views.
     pub caching_enabled: bool,
     /// Eviction policy applied when the storage budget is exceeded.
     pub eviction_policy: EvictionPolicy,
     /// Whether deferred (lossless) compression of uncompressed entries is enabled.
     pub deferred_compression: bool,
-    /// Fraction of the budget at which deferred compression activates
-    /// (prototype: 25%).
-    pub deferred_activation_fraction: f64,
     /// Whether physical video compaction is enabled.
     pub compaction_enabled: bool,
     /// Joint-compression parameters.
@@ -99,28 +85,6 @@ pub struct VssConfig {
     /// frame's planes and HEVC's two candidates; a multi-GOP write spends it
     /// on whole GOPs first and gives each GOP what is left over.
     pub parallelism: usize,
-    /// Streaming readahead depth, in GOPs — decides which thread runs the
-    /// one GOP stage of each direction, nothing else. At `0` (the default)
-    /// a [`ReadStream`](crate::ReadStream)'s consumer loads and decodes each
-    /// GOP itself and the thread pushing into a
-    /// [`WriteSink`](crate::WriteSink) encodes each GOP itself. With
-    /// `readahead = N > 0` the same two functions run on workers:
-    ///
-    /// * a `ReadStream` reads file bytes and decodes up to `N` GOPs ahead
-    ///   of the consumer on a bounded worker pool (cross-GOP decode
-    ///   parallelism on the streaming path), raising the stream's peak
-    ///   buffered memory bound from ~2 GOPs to ~`2 + N` GOPs; and
-    /// * a `WriteSink` encodes GOP *n + 1* on a worker while GOP *n* is
-    ///   being persisted, keeping up to `N` encoded GOPs in flight.
-    ///
-    /// Results are delivered strictly in input order, so every `readahead`
-    /// setting produces byte-identical read output and byte-identical
-    /// on-disk stores — like [`parallelism`](Self::parallelism), the knob
-    /// only trades memory for wall time. Workers never touch the engine or
-    /// its locks (streams snapshot their plan first; sinks persist on the
-    /// caller's thread), and dropping a stream or sink cancels and joins its
-    /// workers.
-    pub readahead: usize,
 }
 
 impl VssConfig {
@@ -133,15 +97,12 @@ impl VssConfig {
             default_quality_threshold: PsnrDb(40.0),
             default_encoder_quality: 85,
             gop_size: 30,
-            uncompressed_gop_frames: 3,
             caching_enabled: true,
             eviction_policy: EvictionPolicy::default(),
             deferred_compression: true,
-            deferred_activation_fraction: 0.25,
             compaction_enabled: true,
             joint: JointConfig::default(),
             parallelism: 0,
-            readahead: 0,
         }
     }
 
@@ -175,14 +136,6 @@ impl VssConfig {
         self.parallelism = threads;
         self
     }
-
-    /// Overrides the streaming readahead depth in GOPs (`0` = the calling
-    /// thread runs each GOP, `N` = workers run up to `N` GOPs ahead — see
-    /// [`readahead`](Self::readahead)).
-    pub fn with_readahead(mut self, gops: usize) -> Self {
-        self.readahead = gops;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -193,14 +146,13 @@ mod tests {
     fn defaults_match_prototype_constants() {
         let c = VssConfig::new("/tmp/x");
         assert_eq!(c.default_quality_threshold, PsnrDb(40.0));
-        assert_eq!(c.deferred_activation_fraction, 0.25);
+        assert_eq!(crate::write::DEFERRED_ACTIVATION_FRACTION, 0.25);
         assert!(matches!(c.eviction_policy, EvictionPolicy::LruVss { gamma, zeta } if gamma == 2.0 && zeta == 1.0));
         assert_eq!(c.joint.min_correspondences, 20);
-        assert_eq!(c.joint.max_feature_distance_sq, 400.0);
-        assert_eq!(c.joint.duplicate_epsilon, 0.1);
+        assert_eq!(crate::joint::MAX_FEATURE_DISTANCE_SQ, 400.0);
+        assert_eq!(crate::joint::DUPLICATE_EPSILON, 0.1);
         assert!(matches!(c.default_budget, StorageBudget::MultipleOfOriginal(m) if m == 10.0));
         assert_eq!(c.parallelism, 0, "default uses every available core");
-        assert_eq!(c.readahead, 0, "by default the calling thread runs each GOP");
     }
 
     #[test]
@@ -210,13 +162,11 @@ mod tests {
             .without_deferred_compression()
             .with_gop_size(0)
             .with_default_budget(StorageBudget::Bytes(123))
-            .with_parallelism(2)
-            .with_readahead(4);
+            .with_parallelism(2);
         assert!(!c.caching_enabled);
         assert!(!c.deferred_compression);
         assert_eq!(c.gop_size, 1);
         assert_eq!(c.default_budget, StorageBudget::Bytes(123));
         assert_eq!(c.parallelism, 2);
-        assert_eq!(c.readahead, 4);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Uncompressed video is vastly larger than its compressed counterpart, so
 //! caching raw read results quickly exhausts the storage budget. Once a
-//! video's cache passes an activation threshold (25% of budget by default),
+//! video's cache passes an activation threshold (25 % of its budget),
 //! VSS losslessly compresses the uncompressed entry *least likely to be
 //! evicted* on every read, and keeps compressing entries from a background
 //! maintenance worker. The compression level scales linearly with budget
@@ -11,7 +11,7 @@
 
 use crate::cache::eviction_order;
 use crate::engine::Engine;
-use crate::write::deferred_level_for_fraction;
+use crate::write::{deferred_level_for_fraction, DEFERRED_ACTIVATION_FRACTION};
 use crate::VssError;
 use vss_catalog::PhysicalVideoId;
 use vss_codec::lossless;
@@ -47,14 +47,14 @@ impl Engine {
             return Ok(0);
         }
         let Some(fraction) = self.budget_fraction(name)? else { return Ok(0) };
-        if fraction < self.config.deferred_activation_fraction {
+        if fraction < DEFERRED_ACTIVATION_FRACTION {
             return Ok(0);
         }
         let pages = self.least_evictable_uncompressed(name, max_pages)?;
         if pages.is_empty() {
             return Ok(0);
         }
-        let level = deferred_level_for_fraction(fraction, self.config.deferred_activation_fraction);
+        let level = deferred_level_for_fraction(fraction, DEFERRED_ACTIVATION_FRACTION);
         // Sequential I/O, parallel CPU-bound compression.
         let mut raw_pages = Vec::with_capacity(pages.len());
         for &(physical_id, gop_index) in &pages {
@@ -73,7 +73,7 @@ impl Engine {
             if rewritten > 0 {
                 let still_active = self
                     .budget_fraction(name)?
-                    .is_some_and(|fraction| fraction >= self.config.deferred_activation_fraction);
+                    .is_some_and(|fraction| fraction >= DEFERRED_ACTIVATION_FRACTION);
                 if !still_active {
                     break;
                 }

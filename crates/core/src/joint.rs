@@ -25,6 +25,13 @@ use vss_vision::{
     KeypointParams, MatchParams, RansacParams,
 };
 
+/// Maximum squared feature distance for a correspondence (prototype d = 400).
+pub(crate) const MAX_FEATURE_DISTANCE_SQ: f64 = 400.0;
+
+/// `||H − I||₂` below which two frames are treated as exact duplicates and
+/// stored as a pointer (prototype ε = 0.1).
+pub(crate) const DUPLICATE_EPSILON: f64 = 0.1;
+
 /// How overlapping pixels from the two views are merged (paper Section 5.1.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeFunction {
@@ -145,7 +152,7 @@ pub fn frame_homography(
 
     let started = std::time::Instant::now();
     let match_params = MatchParams {
-        max_distance_sq: config.max_feature_distance_sq,
+        max_distance_sq: MAX_FEATURE_DISTANCE_SQ,
         ..MatchParams::default()
     };
     let matches = match_descriptors(&descriptors_left, &descriptors_right, &match_params);
@@ -297,7 +304,7 @@ fn joint_compress_inner(
         return Ok(JointOutcome::Aborted(JointAbort::NoHomography));
     };
     // Exact-duplicate fast path.
-    if homography.distance_from_identity() <= config.duplicate_epsilon {
+    if homography.distance_from_identity() <= DUPLICATE_EPSILON {
         return Ok(JointOutcome::Duplicate);
     }
 
@@ -589,7 +596,6 @@ mod tests {
             min_correspondences: 6,
             quality_threshold: PsnrDb(26.0),
             recovery_threshold: PsnrDb(22.0),
-            ..JointConfig::default()
         };
         (config, EncoderConfig::with_quality(90))
     }

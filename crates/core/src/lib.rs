@@ -58,15 +58,13 @@
 //! See the [`stream`] and [`sink`] module docs.
 //!
 //! There is one GOP stage per direction — one function decodes and
-//! normalizes a GOP, one encodes a GOP — and [`VssConfig::readahead`] only
-//! decides which thread runs it. At `0` the consumer (or pushing) thread
-//! does; with `readahead = N > 0`, a `ReadStream`'s bounded in-order worker
-//! pool reads and decodes up to `N` GOPs ahead of (and concurrently with)
-//! the consumer, and a `WriteSink`'s worker encodes GOP *n + 1* while GOP
-//! *n*'s file write persists — both hot paths overlap I/O with codec work
-//! while staying byte-identical at every depth (a streaming consumer's
-//! memory bound grows from ~2 to ~`2 + N` GOPs). Workers never touch the
-//! engine or its locks.
+//! normalizes a GOP, one encodes a GOP — and one thread model: the thread
+//! that drains a `ReadStream` decodes each GOP, the thread that pushes into
+//! a `WriteSink` encodes each GOP and then persists it (so a returned push
+//! is the durability acknowledgement). Neither starts a thread of its own;
+//! the only helpers a GOP has are the scoped ones [`VssConfig::parallelism`]
+//! buys inside it, which never touch the engine or its locks. A streaming
+//! consumer buffers at most ~2 GOPs.
 //!
 //! # Concurrency and sharding
 //!
@@ -181,8 +179,8 @@ pub use sink::{EncodedGopBackend, GopWriteBackend, IncrementalWrite, SinkEncoder
 pub use storage::{VideoMetadata, VideoStorage};
 pub use stream::{ChunkStats, ReadChunk, ReadStream};
 
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -247,11 +245,9 @@ impl Vss {
     }
 
     /// Opens an incremental write: each GOP is encoded and persisted as it
-    /// fills. The engine lock is taken per GOP, for the persist only —
-    /// encode never holds the lock, at any [`VssConfig::readahead`] depth
-    /// (at `0` the pushing thread encodes, otherwise a worker does,
-    /// overlapped with the previous GOP's persist). The resulting store is
-    /// byte-identical to a batch [`write`](Self::write) of the same frames.
+    /// fills, by the pushing thread. The engine lock is taken per GOP, for
+    /// the persist only — encode never holds the lock. The resulting store
+    /// is byte-identical to a batch [`write`](Self::write) of the same frames.
     pub fn write_sink(&self, request: &WriteRequest, frame_rate: f64) -> Result<WriteSink<'static>, VssError> {
         let write = self.engine.lock().begin_incremental_write(request, frame_rate)?;
         struct VssSinkBackend {
@@ -316,12 +312,12 @@ impl Vss {
     /// deferred compression and compaction while the store is otherwise
     /// idle. The worker stops when the returned guard is dropped.
     pub fn start_background_worker(&self, interval: Duration) -> BackgroundWorker {
-        let (stop_tx, stop_rx) = bounded::<()>(1);
+        let (stop_tx, stop_rx) = sync_channel::<()>(1);
         let engine = Arc::clone(&self.engine);
         let handle = std::thread::spawn(move || loop {
             match stop_rx.recv_timeout(interval) {
-                Ok(()) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                Ok(()) | Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => {
                     // Only run maintenance when no foreground request holds
                     // the engine (the paper performs this work "when no other
                     // requests are being executed").
@@ -383,7 +379,7 @@ impl VideoStorage for Vss {
 
 /// Guard for the background maintenance worker; dropping it stops the thread.
 pub struct BackgroundWorker {
-    stop: Option<Sender<()>>,
+    stop: Option<SyncSender<()>>,
     handle: Option<JoinHandle<()>>,
 }
 

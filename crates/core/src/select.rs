@@ -9,6 +9,7 @@
 //! quality and may still abort.
 
 use crate::config::JointConfig;
+use crate::joint::MAX_FEATURE_DISTANCE_SQ;
 use std::collections::HashMap;
 use vss_frame::{Frame, FrameSequence, PixelFormat};
 use vss_vision::{
@@ -87,7 +88,7 @@ impl PairSelector {
         let mut paired: std::collections::HashSet<u64> = std::collections::HashSet::new();
         let keypoint_params = KeypointParams::default();
         let match_params = MatchParams {
-            max_distance_sq: self.config.max_feature_distance_sq,
+            max_distance_sq: MAX_FEATURE_DISTANCE_SQ,
             ..MatchParams::default()
         };
         for cluster in self.tree.clusters_by_radius(2).into_iter().take(max_clusters.max(1)) {

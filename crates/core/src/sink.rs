@@ -16,8 +16,9 @@
 //!   and capture the [`SinkEncoder`] every GOP of the write is encoded with.
 //! * **encode** — [`SinkEncoder::encode`], the only encode site. It needs no
 //!   engine, so it never runs under an engine or shard lock: a `WriteSink`
-//!   calls it inline or on its worker, batch writes call it for all GOPs at
-//!   once under `try_par_map` ([`IncrementalWrite::commit_batch`]).
+//!   calls it on the pushing thread as each GOP fills, batch writes call it
+//!   for all GOPs at once under `try_par_map`
+//!   ([`IncrementalWrite::commit_batch`]).
 //! * **persist** — [`Engine::push_incremental_encoded`] per GOP, then
 //!   [`Engine::finish_incremental_write`]; callers that guard the engine
 //!   with a lock (the [`Vss`](crate::Vss) mutex, a `vss-server` shard lock)
@@ -34,24 +35,21 @@
 //! monolithic-file baselines buffer them and batch-write at finish, which is
 //! exactly the contrast the paper draws.)
 //!
-//! # Overlapped encoding
+//! # One thread per GOP, and a fuse
 //!
-//! [`VssConfig::readahead`](crate::VssConfig::readahead) only decides which
-//! thread calls [`SinkEncoder::encode`]: at `0` the pushing thread does, and
-//! with `N > 0` each full GOP is handed to a dedicated encode worker while
-//! the caller's thread persists previously encoded GOPs, so the encode of
-//! GOP *n + 1* overlaps the file write of GOP *n* (at most `N` encoded GOPs
-//! in flight). GOPs persist strictly in submission order on the caller's
-//! thread at every depth, which keeps the `vss-server` shard-locking
-//! discipline (write lock per GOP) unchanged. Dropping a sink mid-clip joins
-//! the worker and discards in-flight GOPs — only fully persisted GOPs remain
-//! on disk.
+//! The thread that pushes the frame completing a GOP encodes that GOP
+//! (spending [`VssConfig::parallelism`](crate::VssConfig::parallelism)
+//! *inside* it — see [`SinkEncoder::threads`]) and then persists it, so when
+//! the push returns the GOP is on disk, journaled and fsynced: a push is the
+//! acknowledgement. A sink starts no thread of its own and dropping one
+//! mid-clip leaves exactly the GOPs whose pushes returned. If a GOP fails to
+//! encode or persist, its frames are gone and the timeline would have a
+//! hole, so the sink fuses: every later `push_frame`/`push_sequence`/`finish`
+//! returns an error and nothing more is persisted.
 
 use crate::engine::{Engine, WriteReport};
 use crate::params::WriteRequest;
 use crate::VssError;
-use crossbeam::channel::{bounded, Receiver, Sender};
-use std::thread::JoinHandle;
 use std::time::Instant;
 use vss_catalog::PhysicalVideoId;
 use vss_codec::{codec_instance, Codec, CodecError, EncodedGop, EncoderConfig};
@@ -133,6 +131,11 @@ impl IncrementalWrite {
     }
 }
 
+/// Frames per block for uncompressed representations (the prototype bounds
+/// uncompressed blocks at ~25 MB; small synthetic frames use a fixed small
+/// frame count instead).
+const UNCOMPRESSED_GOP_FRAMES: usize = 3;
+
 impl Engine {
     /// Frames per persisted block for the given codec (compressed GOP size or
     /// uncompressed block size) — the boundary every write chunks on.
@@ -140,7 +143,7 @@ impl Engine {
         if codec.is_compressed() {
             self.config.gop_size
         } else {
-            self.config.uncompressed_gop_frames
+            UNCOMPRESSED_GOP_FRAMES
         }
     }
 
@@ -166,7 +169,6 @@ impl Engine {
                     gop_size: self.write_gop_size(codec),
                 },
                 frame_rate,
-                depth: self.config.readahead,
                 threads: self.config.parallelism,
             },
             physical_id,
@@ -318,23 +320,12 @@ impl Engine {
     }
 }
 
-/// Process-wide overlapped-sink telemetry (`sink.pipeline.*`), cached so the
-/// ingest hot path never takes the registry lock.
-mod metrics {
-    use std::sync::OnceLock;
-
-    /// Time the persisting thread blocked waiting for the encode worker to
-    /// deliver the oldest in-flight GOP (zero = perfect overlap).
-    pub(super) fn encode_wait() -> &'static vss_telemetry::Histogram {
-        static H: OnceLock<&'static vss_telemetry::Histogram> = OnceLock::new();
-        H.get_or_init(|| vss_telemetry::histogram("sink.pipeline.encode_wait_ns"))
-    }
-
-    /// Time spent persisting one already-encoded GOP through the backend.
-    pub(super) fn persist() -> &'static vss_telemetry::Histogram {
-        static H: OnceLock<&'static vss_telemetry::Histogram> = OnceLock::new();
-        H.get_or_init(|| vss_telemetry::histogram("sink.pipeline.persist_ns"))
-    }
+/// Time a [`WriteSink`] spent persisting one already-encoded GOP through its
+/// backend (`sink.pipeline.persist_ns`), cached so the ingest hot path never
+/// takes the registry lock.
+fn persist_histogram() -> &'static vss_telemetry::Histogram {
+    static H: std::sync::OnceLock<&'static vss_telemetry::Histogram> = std::sync::OnceLock::new();
+    H.get_or_init(|| vss_telemetry::histogram("sink.pipeline.persist_ns"))
 }
 
 /// A [`WriteSink`] target that takes each GOP's frames as they are (remote
@@ -364,7 +355,7 @@ pub trait EncodedGopBackend {
 }
 
 /// The parameters every GOP of one write is encoded with, captured once at
-/// begin ([`IncrementalWrite::encoder`]), plus the pipeline depth.
+/// begin ([`IncrementalWrite::encoder`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SinkEncoder {
     /// Codec every GOP is encoded with.
@@ -373,9 +364,6 @@ pub struct SinkEncoder {
     pub encoder: EncoderConfig,
     /// Frame rate recorded in every GOP.
     pub frame_rate: f64,
-    /// Maximum encoded-but-unpersisted GOPs in flight in a [`WriteSink`]
-    /// (0 = the pushing thread encodes).
-    pub depth: usize,
     /// Threads one GOP's encode may use inside the GOP — the engine's
     /// [`parallelism`](crate::VssConfig::parallelism) (0 = every core).
     pub threads: usize,
@@ -389,69 +377,29 @@ impl SinkEncoder {
     }
 }
 
-/// The encode worker of an overlapped [`WriteSink`]: full GOPs are handed to
-/// a dedicated thread that encodes them in submission order while the
-/// caller's thread persists previously encoded GOPs through the backend —
-/// encode of GOP *n + 1* overlaps the file write of GOP *n*. At most `depth`
-/// GOPs are in flight between pushes (`depth + 1` momentarily, while a flush
-/// retires); dropping the pipeline (sink abort) closes the work
-/// channel and joins the worker, discarding any not-yet-persisted GOPs so no
-/// partial GOP ever reaches disk.
-struct EncodePipeline {
-    /// Work channel; `None` once closed (drop/teardown).
-    submit: Option<Sender<Vec<Frame>>>,
-    /// Encode results, in submission order.
-    complete: Option<Receiver<Result<EncodedGop, CodecError>>>,
-    worker: Option<JoinHandle<()>>,
-    /// GOPs submitted but not yet retired (≤ depth).
-    in_flight: usize,
-}
-
-impl EncodePipeline {
-    fn spawn(encoder: SinkEncoder) -> Self {
-        // Both channels hold `depth + 1` slots: a flush submits the new GOP
-        // *before* retiring down to `depth`, so occupancy momentarily
-        // reaches `depth + 1` — the headroom guarantees neither side ever
-        // blocks on a full channel, leaving the deliberate in-order wait in
-        // `retire_down_to` as the only blocking point.
-        let (submit, work) = bounded::<Vec<Frame>>(encoder.depth + 1);
-        let (done, complete) = bounded(encoder.depth + 1);
-        let worker = std::thread::spawn(move || {
-            while let Ok(frames) = work.recv() {
-                if done.send(encoder.encode(&frames)).is_err() {
-                    break; // sink dropped; stop encoding
-                }
-            }
-        });
-        Self { submit: Some(submit), complete: Some(complete), worker: Some(worker), in_flight: 0 }
-    }
-}
-
-impl Drop for EncodePipeline {
-    fn drop(&mut self) {
-        // Close both channels first so a worker blocked on either side wakes
-        // with a disconnect, then join it — the pipeline never leaks threads,
-        // and unpersisted GOPs are simply discarded (a persisted prefix is
-        // all an aborted sink leaves behind).
-        self.submit = None;
-        self.complete = None;
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
 /// Where a sink's GOPs go.
 enum SinkTarget<'a> {
     /// Each GOP's frames are handed over as they are.
     Frames(Box<dyn GopWriteBackend + 'a>),
-    /// Each GOP is encoded by the sink (inline, or on the lazily spawned
-    /// worker when `encoder.depth > 0`), then persisted.
-    Encoded {
-        encoder: SinkEncoder,
-        backend: Box<dyn EncodedGopBackend + 'a>,
-        pipeline: Option<EncodePipeline>,
-    },
+    /// Each GOP is encoded by the pushing thread, then persisted.
+    Encoded { encoder: SinkEncoder, backend: Box<dyn EncodedGopBackend + 'a> },
+}
+
+impl SinkTarget<'_> {
+    /// Takes one GOP's frames: handed over as they are, or encoded and then
+    /// persisted — on the calling thread either way.
+    fn flush(&mut self, frames: &[Frame]) -> Result<(), VssError> {
+        match self {
+            SinkTarget::Frames(backend) => backend.flush_gop(frames),
+            SinkTarget::Encoded { encoder, backend } => {
+                let gop = encoder.encode(frames)?;
+                let started = Instant::now();
+                let outcome = backend.flush_encoded(gop);
+                persist_histogram().record_duration(started.elapsed());
+                outcome
+            }
+        }
+    }
 }
 
 /// An incremental writer: push frames, each GOP is encoded and persisted as
@@ -466,6 +414,8 @@ pub struct WriteSink<'a> {
     /// (the per-sink equivalent of `FrameSequence`'s shape check — it must
     /// not reset when `pending` drains at a GOP boundary).
     shape: Option<(u32, u32, vss_frame::PixelFormat)>,
+    /// Set once a GOP failed to encode or persist; the sink then fuses.
+    failed: bool,
 }
 
 impl std::fmt::Debug for WriteSink<'_> {
@@ -479,7 +429,14 @@ impl std::fmt::Debug for WriteSink<'_> {
 
 impl<'a> WriteSink<'a> {
     fn new(target: SinkTarget<'a>, frame_rate: f64, gop_size: usize) -> Self {
-        Self { target, pending: Vec::new(), frame_rate, gop_size: gop_size.max(1), shape: None }
+        Self {
+            target,
+            pending: Vec::new(),
+            frame_rate,
+            gop_size: gop_size.max(1),
+            shape: None,
+            failed: false,
+        }
     }
 
     /// Builds a sink that hands each `gop_size` frames to `backend` as they
@@ -494,71 +451,29 @@ impl<'a> WriteSink<'a> {
 
     /// Builds a sink that encodes each GOP with `encoder` (the
     /// [`IncrementalWrite::encoder`] of the write `backend` persists into)
-    /// and hands the encoded GOP to `backend`. When `encoder.depth > 0`,
-    /// full GOPs are encoded on a worker thread while previously encoded
-    /// GOPs persist on the caller's thread, keeping at most `encoder.depth`
-    /// encoded GOPs in flight; the store produced is byte-identical either
-    /// way — see [`VssConfig::readahead`](crate::VssConfig::readahead).
+    /// and hands the encoded GOP to `backend`, both on the pushing thread.
     pub fn encoding(backend: Box<dyn EncodedGopBackend + 'a>, encoder: SinkEncoder) -> Self {
         Self::new(
-            SinkTarget::Encoded { encoder, backend, pipeline: None },
+            SinkTarget::Encoded { encoder, backend },
             encoder.frame_rate,
             encoder.encoder.gop_size,
         )
     }
 
-    /// GOPs handed to the encode worker and not yet persisted (always 0
-    /// when the pushing thread encodes).
-    pub fn in_flight_gops(&self) -> usize {
-        match &self.target {
-            SinkTarget::Encoded { pipeline: Some(pipeline), .. } => pipeline.in_flight,
-            _ => 0,
-        }
-    }
-
-    /// Routes one full (or final partial) GOP to its target.
+    /// Routes one full (or final partial) GOP to its target, fusing the sink
+    /// if that fails.
     fn dispatch_gop(&mut self, frames: Vec<Frame>) -> Result<(), VssError> {
-        let (encoder, backend, pipeline) = match &mut self.target {
-            SinkTarget::Frames(backend) => return backend.flush_gop(&frames),
-            SinkTarget::Encoded { encoder, backend, pipeline } => (*encoder, backend, pipeline),
-        };
-        // The one place the depth matters: who calls `encode`.
-        if encoder.depth == 0 {
-            return backend.flush_encoded(encoder.encode(&frames)?);
-        }
-        // Submit the new GOP *first*, then persist completed GOPs (in
-        // submission order) back down to the depth limit: the worker encodes
-        // the GOP just submitted while this thread writes its predecessors —
-        // overlap holds even at depth 1.
-        let pipeline = pipeline.get_or_insert_with(|| EncodePipeline::spawn(encoder));
-        let submit = pipeline.submit.as_ref().expect("open work channel");
-        submit.send(frames).map_err(|_| {
-            VssError::Unsatisfiable("sink encode worker exited unexpectedly".into())
-        })?;
-        pipeline.in_flight += 1;
-        self.retire_down_to(encoder.depth)
+        let outcome = self.target.flush(&frames);
+        self.failed = outcome.is_err();
+        outcome
     }
 
-    /// Persists in-flight GOPs, oldest first, until at most `limit` remain.
-    /// The two timed phases quantify the overlap: `encode_wait` is how long
-    /// this thread blocked on the worker (zero when encoding hid entirely
-    /// behind the previous persist), `persist` is the backend write itself.
-    fn retire_down_to(&mut self, limit: usize) -> Result<(), VssError> {
-        let SinkTarget::Encoded { backend, pipeline: Some(pipeline), .. } = &mut self.target else {
-            return Ok(());
-        };
-        while pipeline.in_flight > limit {
-            let complete = pipeline.complete.as_ref().expect("open completion channel");
-            let wait_started = Instant::now();
-            let encoded = complete.recv().map_err(|_| {
-                VssError::Unsatisfiable("sink encode worker exited unexpectedly".into())
-            })?;
-            metrics::encode_wait().record_duration(wait_started.elapsed());
-            pipeline.in_flight -= 1;
-            let persist_started = Instant::now();
-            let outcome = backend.flush_encoded(encoded?);
-            metrics::persist().record_duration(persist_started.elapsed());
-            outcome?;
+    /// Errors once the sink has fused.
+    fn check_not_failed(&self) -> Result<(), VssError> {
+        if self.failed {
+            return Err(VssError::Unsatisfiable(
+                "an earlier GOP of this write sink failed; the write cannot continue".into(),
+            ));
         }
         Ok(())
     }
@@ -584,6 +499,7 @@ impl<'a> WriteSink<'a> {
     /// all share the first frame's shape (as in a [`FrameSequence`]) — across
     /// the whole ingest, exactly like a batch write of the same frames.
     pub fn push_frame(&mut self, frame: Frame) -> Result<(), VssError> {
+        self.check_not_failed()?;
         let shape = (frame.width(), frame.height(), frame.format());
         match self.shape {
             None => self.shape = Some(shape),
@@ -603,6 +519,7 @@ impl<'a> WriteSink<'a> {
     /// Pushes every frame of a sequence (its frame rate must match the
     /// sink's).
     pub fn push_sequence(&mut self, frames: &FrameSequence) -> Result<(), VssError> {
+        self.check_not_failed()?;
         if (frames.frame_rate() - self.frame_rate).abs() > 1e-9 {
             return Err(VssError::Frame(FrameError::InvalidFrameRate));
         }
@@ -612,20 +529,16 @@ impl<'a> WriteSink<'a> {
         Ok(())
     }
 
-    /// Flushes the final partial GOP, persists every in-flight GOP (in
-    /// submission order) and completes the write.
+    /// Flushes the final partial GOP and completes the write.
     pub fn finish(mut self) -> Result<WriteReport, VssError> {
+        self.check_not_failed()?;
         if !self.pending.is_empty() {
             let chunk = std::mem::take(&mut self.pending);
             self.dispatch_gop(chunk)?;
         }
-        self.retire_down_to(0)?;
         match &mut self.target {
             SinkTarget::Frames(backend) => backend.finish(),
-            SinkTarget::Encoded { backend, pipeline, .. } => {
-                *pipeline = None; // worker is idle; drop closes channels and joins
-                backend.finish()
-            }
+            SinkTarget::Encoded { backend, .. } => backend.finish(),
         }
     }
 }
@@ -735,42 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_sink_store_is_byte_identical_to_the_synchronous_sink() {
-        let source = frames(100); // 3 full GOPs + 1 partial at gop_size 30
-        let run = |tag: &str, depth: usize| {
-            let (mut engine, root) = temp_engine(tag);
-            engine.config.readahead = depth;
-            let mut sink = engine.write_sink(&WriteRequest::new("v", Codec::H264), 30.0).unwrap();
-            let mut saw_in_flight = false;
-            for frame in source.clone() {
-                sink.push_frame(frame).unwrap();
-                saw_in_flight |= sink.in_flight_gops() > 0;
-            }
-            assert_eq!(
-                saw_in_flight,
-                depth > 0,
-                "overlap pipeline engaged iff readahead > 0 (depth {depth})"
-            );
-            let report = sink.finish().unwrap();
-            (report, collect_pages(&root), root)
-        };
-        let (baseline_report, baseline_pages, baseline_root) = run("sink-overlap-0", 0);
-        for depth in [1usize, 2, 4] {
-            let (report, pages, root) = run(&format!("sink-overlap-{depth}"), depth);
-            assert_eq!(report.gops_written, baseline_report.gops_written);
-            assert_eq!(report.frames_written, baseline_report.frames_written);
-            assert_eq!(report.bytes_written, baseline_report.bytes_written);
-            assert_eq!(report.deferred_levels, baseline_report.deferred_levels);
-            assert_eq!(
-                pages, baseline_pages,
-                "overlapped sink (depth {depth}) must write an identical store"
-            );
-            let _ = std::fs::remove_dir_all(root);
-        }
-        let _ = std::fs::remove_dir_all(baseline_root);
-    }
-
-    #[test]
     fn append_sink_is_byte_identical_to_batch_append() {
         let source = frames(135); // write 60, then append 2 full GOPs + 1 partial
         let (head, tail) = source.split_at(60);
@@ -779,9 +656,9 @@ mod tests {
         batch_engine.write(&request, &sequence(head.to_vec())).unwrap();
         let batch_report = batch_engine.append("v", &sequence(tail.to_vec())).unwrap();
         let batch_pages = collect_pages(&batch_root);
-        for depth in [0usize, 1, 4] {
-            let (mut engine, root) = temp_engine(&format!("append-sink-{depth}"));
-            engine.config.readahead = depth;
+        for parallelism in [1usize, 4] {
+            let (mut engine, root) = temp_engine(&format!("append-sink-{parallelism}"));
+            engine.config.parallelism = parallelism;
             engine.write(&request, &sequence(head.to_vec())).unwrap();
             let write = engine.begin_incremental_append("v", 30.0).unwrap();
             let encoder = write.encoder();
@@ -794,7 +671,11 @@ mod tests {
             assert_eq!(report.physical_id, batch_report.physical_id);
             assert_eq!(report.gops_written, 3);
             assert_eq!(report.bytes_written, batch_report.bytes_written);
-            assert_eq!(collect_pages(&root), batch_pages, "append sink diverged at depth {depth}");
+            assert_eq!(
+                collect_pages(&root),
+                batch_pages,
+                "append sink diverged at parallelism {parallelism}"
+            );
             let _ = std::fs::remove_dir_all(root);
         }
         let _ = std::fs::remove_dir_all(batch_root);
@@ -830,24 +711,68 @@ mod tests {
     }
 
     #[test]
-    fn aborted_overlapped_sink_leaves_only_fully_persisted_gops() {
+    fn aborted_sink_leaves_exactly_the_gops_whose_pushes_returned() {
         let (mut engine, root) = temp_engine("sink-abort");
-        engine.config.readahead = 1;
         let request = WriteRequest::new("v", Codec::H264);
         let gop_size = engine.write_gop_size(request.codec);
         let mut sink = engine.write_sink(&request, 30.0).unwrap();
-        // 3 full GOPs submitted; with depth 1 at least two retire (persist),
-        // the last may still be in flight — plus a partial that never flushes.
+        // 3 full GOPs, each persisted by the push that completed it, plus a
+        // partial that never flushes.
         for frame in frames(3 * gop_size + 10) {
             sink.push_frame(frame).unwrap();
         }
-        drop(sink); // abort: joins the worker, discards in-flight work
-        // Whatever prefix was persisted is complete and fully readable.
+        drop(sink); // abort
         let (start, end) = engine.video_time_range("v").unwrap();
         let persisted =
             engine.read(&ReadRequest::new("v", start, end, Codec::H264).uncacheable()).unwrap();
-        assert!(persisted.frames.len() >= 2 * gop_size, "retired GOPs survive the abort");
-        assert_eq!(persisted.frames.len() % gop_size, 0, "no partial GOP reaches disk");
+        assert_eq!(persisted.frames.len(), 3 * gop_size, "no partial GOP reaches disk");
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// Persists through the engine, except that the second flush fails.
+    struct FailsSecondFlush<'a> {
+        inner: EngineSinkBackend<'a>,
+        flushes: usize,
+    }
+
+    impl EncodedGopBackend for FailsSecondFlush<'_> {
+        fn flush_encoded(&mut self, gop: EncodedGop) -> Result<(), VssError> {
+            self.flushes += 1;
+            if self.flushes == 2 {
+                return Err(VssError::Unsupported("injected flush failure".into()));
+            }
+            self.inner.flush_encoded(gop)
+        }
+
+        fn finish(&mut self) -> Result<WriteReport, VssError> {
+            self.inner.finish()
+        }
+    }
+
+    #[test]
+    fn a_failed_flush_fuses_the_sink() {
+        let (mut engine, root) = temp_engine("sink-fuse");
+        let write =
+            engine.begin_incremental_write(&WriteRequest::new("v", Codec::H264), 30.0).unwrap();
+        let encoder = write.encoder();
+        let gop_size = encoder.encoder.gop_size;
+        let inner = EngineSinkBackend { engine: &mut engine, write };
+        let mut sink =
+            WriteSink::encoding(Box::new(FailsSecondFlush { inner, flushes: 0 }), encoder);
+        let mut source = frames(3 * gop_size + 1).into_iter();
+        for frame in source.by_ref().take(2 * gop_size - 1) {
+            sink.push_frame(frame).unwrap();
+        }
+        // The push that completes the second GOP reports the failure...
+        assert!(matches!(sink.push_frame(source.next().unwrap()), Err(VssError::Unsupported(_))));
+        // ...and the GOP's frames are gone, so nothing may follow it: a whole
+        // third GOP and a final partial one are refused, as is the finish.
+        for frame in source {
+            assert!(matches!(sink.push_frame(frame), Err(VssError::Unsatisfiable(_))));
+        }
+        assert!(sink.push_sequence(&sequence(frames(1))).is_err());
+        assert!(sink.finish().is_err(), "a video with a missing GOP must not report success");
+        assert_eq!(engine.video_time_range("v").unwrap(), (0.0, 1.0), "only the first GOP");
         let _ = std::fs::remove_dir_all(root);
     }
 

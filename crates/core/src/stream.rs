@@ -29,36 +29,32 @@
 //! GOP size. Streaming reads never admit their result to the cache of
 //! materialized views (use [`Engine::read`] when cache admission is wanted).
 //!
-//! # One GOP stage; readahead picks the thread
+//! # One GOP stage, on the consumer's thread
 //!
 //! The snapshot is one flat, plan-ordered list of GOP jobs. A single
 //! function (`decode_gop_job`) loads, decompresses, decodes and normalizes a
 //! GOP, and a single consumer stage (`PlanState::step`) runs the sequential
 //! work on its output (retiming, output-GOP chunking, re-encoding, the
-//! admission measurement). [`VssConfig::readahead`](crate::VssConfig::readahead)
-//! only decides *which thread* runs the GOP function: at `0` the consumer
-//! calls it inline, one GOP per step; at `N > 0` the job list is handed to a
-//! bounded [`OrderedPrefetch`] worker pool at open time and up to `N` GOPs
-//! decode ahead of (and concurrently with) the consumer. Delivery is
-//! strictly in plan order either way, so **chunk order and bytes are
-//! identical at every readahead depth by construction**. Workers touch only
-//! the snapshot and the GOP files — never the engine or any lock — and
-//! dropping the stream mid-flight cancels and joins them.
+//! admission measurement). Both run on the thread that drains the stream,
+//! one GOP per step: a stream starts no thread of its own, so dropping one
+//! mid-flight leaves nothing to cancel or join. The only helpers a GOP ever
+//! has are the scoped ones [`VssConfig::parallelism`](crate::VssConfig::parallelism)
+//! buys inside it — `par_map` over its frames, the encode's in-GOP crew —
+//! which touch only the snapshot and the GOP files, never the engine or any
+//! lock, and are gone when the step returns.
 //!
 //! # Memory accounting
 //!
 //! The stream tracks how many frames (and pixel-buffer bytes) it holds at any
 //! moment — pending encoder input, retiming buffers, quality-measurement
-//! accumulators, decoded GOPs held by readahead workers and chunks awaiting
-//! the consumer — and records the high-water mark, exposed as
-//! [`ReadStream::peak_buffered_frames`] /
+//! accumulators and chunks awaiting the consumer — and records the
+//! high-water mark, exposed as [`ReadStream::peak_buffered_frames`] /
 //! [`peak_buffered_bytes`](ReadStream::peak_buffered_bytes) and reported in
 //! [`ReadStats`]. For reads that need no frame-rate conversion the peak is
-//! bounded by **`2 + readahead` GOPs** (one being assembled, one awaiting
-//! the consumer, plus up to `readahead` prefetched ahead — two GOPs total in
-//! the default inline configuration); frame-rate-converted segments are
-//! the documented exception — retiming is a whole-segment operation, so such
-//! segments are buffered in full before conversion. (A materialized read
+//! bounded by **two GOPs** (one being assembled, one awaiting the
+//! consumer); frame-rate-converted segments are the documented exception —
+//! retiming is a whole-segment operation, so such segments are buffered in
+//! full before conversion. (A materialized read
 //! that may admit its result additionally accumulates the first resized
 //! segment for the admission-quality measurement — but it drains the whole
 //! result anyway; every other stream skips that measurement.)
@@ -72,10 +68,7 @@ use crate::sink::SinkEncoder;
 use crate::VssError;
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vss_parallel::OrderedPrefetch;
 use vss_codec::{codec_instance, lossless, Codec, EncodedGop, EncoderConfig};
 use vss_frame::{
     convert_frame_rate, crop, resize_bilinear, Frame, FrameSequence, PixelFormat,
@@ -138,10 +131,9 @@ struct SegmentShape {
 }
 
 /// One unit of GOP work: a fully resolved GOP plus a by-value copy of its
-/// segment's descriptors, so whichever thread runs [`decode_gop_job`] needs
-/// nothing but the job.
+/// segment's descriptors, so [`decode_gop_job`] needs nothing but the job.
 #[derive(Debug)]
-struct PrefetchJob {
+struct GopJob {
     work: GopWork,
     /// Index of the owning segment in the plan snapshot.
     segment: usize,
@@ -154,7 +146,7 @@ struct PrefetchJob {
 /// sequential stages (retiming, chunking, re-encode, admission measurement)
 /// need.
 #[derive(Debug)]
-struct PrefetchedGop {
+struct DecodedGop {
     segment: usize,
     last_gop: bool,
     /// The stored encoded GOP (pass-through segments reuse it verbatim).
@@ -169,7 +161,7 @@ struct PrefetchedGop {
     decoding: Duration,
 }
 
-impl PrefetchedGop {
+impl DecodedGop {
     fn held_frames(&self) -> usize {
         self.frames.len() + self.source.len()
     }
@@ -179,81 +171,14 @@ impl PrefetchedGop {
     }
 }
 
-/// Process-wide readahead telemetry (`stream.readahead.*`), cached so the
-/// hot path never takes the registry lock.
-mod metrics {
-    use std::sync::OnceLock;
-
-    /// Time the consumer spent blocked waiting for the next prefetched GOP
-    /// (zero when the worker pool stays ahead of the drain).
-    pub(super) fn stall() -> &'static vss_telemetry::Histogram {
-        static H: OnceLock<&'static vss_telemetry::Histogram> = OnceLock::new();
-        H.get_or_init(|| vss_telemetry::histogram("stream.readahead.stall_ns"))
-    }
-
-    /// Decoded bytes currently held by readahead workers across all live
-    /// streams (produced but not yet received by a consumer).
-    pub(super) fn buffered_bytes() -> &'static vss_telemetry::Gauge {
-        static G: OnceLock<&'static vss_telemetry::Gauge> = OnceLock::new();
-        G.get_or_init(|| vss_telemetry::gauge("stream.readahead.buffered_bytes"))
-    }
-
-    /// Decoded frames currently held by readahead workers across all live
-    /// streams.
-    pub(super) fn buffered_frames() -> &'static vss_telemetry::Gauge {
-        static G: OnceLock<&'static vss_telemetry::Gauge> = OnceLock::new();
-        G.get_or_init(|| vss_telemetry::gauge("stream.readahead.buffered_frames"))
-    }
-}
-
-/// Shared gauge of decoded frames held by readahead workers (produced but
-/// not yet received by the consumer), folded into the stream's buffered-
-/// memory high-water marks so the reported peak covers the whole pipeline.
-/// Mirrored into the process-wide `stream.readahead.buffered_*` telemetry
-/// gauges (those aggregate every live stream's pool occupancy).
-#[derive(Debug, Default)]
-struct InflightGauge {
-    frames: AtomicUsize,
-    bytes: AtomicU64,
-    peak_frames: AtomicUsize,
-    peak_bytes: AtomicU64,
-}
-
-impl InflightGauge {
-    fn add(&self, frames: usize, bytes: u64) {
-        let now = self.frames.fetch_add(frames, Ordering::SeqCst) + frames;
-        self.peak_frames.fetch_max(now, Ordering::SeqCst);
-        let now = self.bytes.fetch_add(bytes, Ordering::SeqCst) + bytes;
-        self.peak_bytes.fetch_max(now, Ordering::SeqCst);
-        metrics::buffered_frames().add(frames as i64);
-        metrics::buffered_bytes().add(bytes as i64);
-    }
-
-    fn sub(&self, frames: usize, bytes: u64) {
-        self.frames.fetch_sub(frames, Ordering::SeqCst);
-        self.bytes.fetch_sub(bytes, Ordering::SeqCst);
-        metrics::buffered_frames().sub(frames as i64);
-        metrics::buffered_bytes().sub(bytes as i64);
-    }
-
-    fn held_frames(&self) -> usize {
-        self.frames.load(Ordering::SeqCst)
-    }
-
-    fn held_bytes(&self) -> u64 {
-        self.bytes.load(Ordering::SeqCst)
-    }
-}
-
 /// The per-GOP stage — load the file, undo deferred compression, decode,
-/// slice and normalize. The only code that does so: the consumer calls it
-/// inline at `readahead = 0`, the worker pool calls it otherwise.
+/// slice and normalize. The only code that does so.
 fn decode_gop_job(
-    job: &PrefetchJob,
+    job: &GopJob,
     target_format: PixelFormat,
     output_resolution: Resolution,
     parallelism: usize,
-) -> Result<PrefetchedGop, VssError> {
+) -> Result<DecodedGop, VssError> {
     let started = Instant::now();
     let bytes = std::fs::read(&job.work.path)
         .map_err(|e| VssError::Catalog(vss_catalog::CatalogError::Io(e)))?;
@@ -265,7 +190,7 @@ fn decode_gop_job(
     let mut sliced = implementation.decode_prefix(&gop, job.work.last)?.into_frames();
     let frames_decoded = sliced.len();
     sliced.drain(..job.work.first.min(frames_decoded));
-    let mut item = PrefetchedGop {
+    let mut item = DecodedGop {
         segment: job.segment,
         last_gop: job.last_gop,
         encoded: None,
@@ -364,10 +289,8 @@ struct PlanState {
     segments: Vec<SegmentShape>,
     /// Index of the first unfinished segment.
     segment_cursor: usize,
-    /// The plan's GOPs, decoded in plan order.
-    gops: GopSource,
-    /// Decoded frames currently held by readahead workers.
-    gauge: Arc<InflightGauge>,
+    /// The plan's GOPs, decoded in plan order, one per step.
+    gops: std::vec::IntoIter<GopJob>,
     /// Cropped frames awaiting enough material for one output GOP.
     pending: Vec<Frame>,
     pending_rate: f64,
@@ -379,14 +302,6 @@ struct PlanState {
     mse_normalized: Vec<Frame>,
     derivation_measured: bool,
     carry: AdmissionCarry,
-}
-
-/// Who runs [`decode_gop_job`] — the one thing `readahead` decides.
-enum GopSource {
-    /// `readahead = 0`: the consumer decodes each job itself, one per step.
-    Inline(std::vec::IntoIter<PrefetchJob>),
-    /// `readahead = N`: a bounded worker pool decodes up to `N` jobs ahead.
-    Workers(OrderedPrefetch<Result<PrefetchedGop, VssError>>),
 }
 
 enum StreamSource {
@@ -626,29 +541,6 @@ impl StreamBase {
 }
 
 impl PlanState {
-    /// Produces the next decoded GOP in plan order: decodes it here when the
-    /// source is inline, otherwise receives it from the worker pool.
-    fn next_gop(&mut self, base: &mut StreamBase) -> Option<Result<PrefetchedGop, VssError>> {
-        match &mut self.gops {
-            GopSource::Inline(jobs) => jobs.next().map(|job| {
-                decode_gop_job(&job, self.target_format, self.output_resolution, self.parallelism)
-            }),
-            GopSource::Workers(pool) => {
-                let stall_started = Instant::now();
-                let received = pool.recv();
-                metrics::stall().record_duration(stall_started.elapsed());
-                self.merge_gauge_peaks(base);
-                match &received {
-                    Some(Ok(item)) => self.gauge.sub(item.held_frames(), item.held_bytes()),
-                    // Exhausted or failed: nothing more to deliver, and
-                    // dropping the pool cancels and joins its workers.
-                    _ => self.gops = GopSource::Inline(Vec::new().into_iter()),
-                }
-                received
-            }
-        }
-    }
-
     /// Advances the stream by one unit of work — at most one GOP or one
     /// segment finalization — pushing any completed chunks into `ready`.
     /// Returns `Ok(false)` once all segments are exhausted.
@@ -657,20 +549,17 @@ impl PlanState {
         base: &mut StreamBase,
         ready: &mut VecDeque<ReadChunk>,
     ) -> Result<bool, VssError> {
-        let item = match self.next_gop(base) {
-            None => {
-                // Every GOP has been delivered; close out the remaining
-                // segments (retime/partial-GOP flushes) one per step.
-                if self.segment_cursor == self.segments.len() {
-                    return Ok(false);
-                }
-                self.finish_segment(base, ready)?;
-                return Ok(true);
+        let Some(job) = self.gops.next() else {
+            // Every GOP has been delivered; close out the remaining
+            // segments (retime/partial-GOP flushes) one per step.
+            if self.segment_cursor == self.segments.len() {
+                return Ok(false);
             }
-            // Errors surface in plan order.
-            Some(Err(error)) => return Err(error),
-            Some(Ok(item)) => item,
+            self.finish_segment(base, ready)?;
+            return Ok(true);
         };
+        let item =
+            decode_gop_job(&job, self.target_format, self.output_resolution, self.parallelism)?;
         // Segments the work list skipped entirely (no decodable GOPs) still
         // finish in plan order before this GOP's segment is processed.
         while self.segment_cursor < item.segment {
@@ -715,14 +604,6 @@ impl PlanState {
             self.finish_segment(base, ready)?;
         }
         Ok(true)
-    }
-
-    /// Folds the workers' in-flight high-water marks into the stream's.
-    fn merge_gauge_peaks(&self, base: &mut StreamBase) {
-        base.peak_buffered_frames =
-            base.peak_buffered_frames.max(self.gauge.peak_frames.load(Ordering::SeqCst));
-        base.peak_buffered_bytes =
-            base.peak_buffered_bytes.max(self.gauge.peak_bytes.load(Ordering::SeqCst));
     }
 
     /// Closes out the first unfinished segment: measures the admission MSE,
@@ -835,14 +716,12 @@ impl PlanState {
             + self.mse_source.len()
             + self.mse_normalized.len()
             + ready.iter().map(|c| c.frames.len()).sum::<usize>()
-            + self.gauge.held_frames()
             + transient_frames;
         let held_bytes = byte_len(&self.pending)
             + byte_len(&self.retime_buffer)
             + byte_len(&self.mse_source)
             + byte_len(&self.mse_normalized)
             + ready.iter().map(|c| c.frames.byte_len() as u64).sum::<u64>()
-            + self.gauge.held_bytes()
             + transient_bytes;
         base.peak_buffered_frames = base.peak_buffered_frames.max(held_frames);
         base.peak_buffered_bytes = base.peak_buffered_bytes.max(held_bytes);
@@ -863,8 +742,7 @@ impl Engine {
     /// to the cache of materialized views.
     pub fn read_stream(&self, request: &ReadRequest) -> Result<ReadStream, VssError> {
         // The span covers the open (candidate collection + planning); the
-        // drain happens on the caller's schedule, tracked by the readahead
-        // stall/occupancy metrics instead.
+        // drain happens on the caller's schedule.
         let _span = vss_telemetry::span("engine", "read_stream", request.name.as_str());
         self.plan_stream(request, false)
     }
@@ -927,7 +805,7 @@ impl Engine {
         // must be transformed, flattening the plan into one ordered job
         // list. After this loop the stream is self-contained.
         let mut segments: Vec<SegmentShape> = Vec::new();
-        let mut jobs: Vec<PrefetchJob> = Vec::new();
+        let mut jobs: Vec<GopJob> = Vec::new();
         let mut cached_segments = 0usize;
         let mut source_mse_bound = 0.0f64;
         let mut mse_segment_assigned = false;
@@ -995,7 +873,7 @@ impl Engine {
                 measure_mse,
             };
             let gop_count = gops.len();
-            jobs.extend(gops.into_iter().enumerate().map(|(position, work)| PrefetchJob {
+            jobs.extend(gops.into_iter().enumerate().map(|(position, work)| GopJob {
                 work,
                 segment: segments.len(),
                 shape,
@@ -1004,7 +882,6 @@ impl Engine {
             segments.push(shape);
         }
 
-        let gauge = Arc::new(InflightGauge::default());
         let parallelism = self.config.parallelism;
         let encoder = SinkEncoder {
             codec: request.physical.codec,
@@ -1016,26 +893,7 @@ impl Engine {
                 gop_size: self.config.gop_size,
             },
             frame_rate: output_fps,
-            depth: 0,
             threads: parallelism,
-        };
-        // The one place `readahead` matters: at 0 the consumer decodes each
-        // job inline; otherwise a bounded in-order worker pool starts on the
-        // job list immediately — workers touch only the snapshot and the GOP
-        // files, never the engine — while the sequential stages stay on the
-        // consumer.
-        let readahead = self.config.readahead;
-        let gops = if readahead == 0 || jobs.is_empty() {
-            GopSource::Inline(jobs.into_iter())
-        } else {
-            let gauge = Arc::clone(&gauge);
-            GopSource::Workers(OrderedPrefetch::spawn(parallelism, readahead, jobs, move |_, job| {
-                let result = decode_gop_job(job, target_format, output_resolution, parallelism);
-                if let Ok(item) = &result {
-                    gauge.add(item.held_frames(), item.held_bytes());
-                }
-                result
-            }))
         };
         let fragments_available = candidates.candidates.len();
         let state = PlanState {
@@ -1048,8 +906,7 @@ impl Engine {
             output_fps,
             segments,
             segment_cursor: 0,
-            gops,
-            gauge,
+            gops: jobs.into_iter(),
             pending: Vec::new(),
             pending_rate: output_fps,
             retime_buffer: Vec::new(),
@@ -1150,69 +1007,6 @@ mod tests {
         assert_eq!(delta.frames_decoded, stats.frames_decoded);
         assert_eq!(delta.bytes_read, stats.bytes_read);
         assert!(stats.gops_read >= 2);
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn readahead_streams_are_byte_identical_to_synchronous_streams() {
-        let (mut engine, root) = temp_engine("stream-readahead");
-        engine.write(&WriteRequest::new("v", Codec::H264), &sequence(120)).unwrap();
-        let requests = [
-            ReadRequest::new("v", 0.0, 4.0, Codec::Hevc).uncacheable(),
-            ReadRequest::new("v", 0.0, 4.0, Codec::Raw(PixelFormat::Yuv420)).uncacheable(),
-            ReadRequest::new("v", 0.5, 3.5, Codec::H264).uncacheable(),
-            ReadRequest::new("v", 0.0, 3.0, Codec::Raw(PixelFormat::Yuv420))
-                .fps(15.0)
-                .uncacheable(),
-        ];
-        for request in requests {
-            let baseline = {
-                engine.config.readahead = 0;
-                engine.read_stream(&request).unwrap().drain().unwrap()
-            };
-            for depth in [1usize, 2, 4, 16] {
-                engine.config.readahead = depth;
-                let piped = engine.read_stream(&request).unwrap().drain().unwrap();
-                assert_eq!(
-                    piped.frames.frames(),
-                    baseline.frames.frames(),
-                    "frames diverged at readahead {depth} ({request:?})"
-                );
-                let base_gops: Vec<Vec<u8>> =
-                    baseline.encoded.iter().flatten().map(|g| g.to_bytes()).collect();
-                let piped_gops: Vec<Vec<u8>> =
-                    piped.encoded.iter().flatten().map(|g| g.to_bytes()).collect();
-                assert_eq!(piped_gops, base_gops, "GOPs diverged at readahead {depth}");
-                assert_eq!(piped.stats.gops_read, baseline.stats.gops_read);
-                assert_eq!(piped.stats.bytes_read, baseline.stats.bytes_read);
-                assert_eq!(piped.stats.frames_decoded, baseline.stats.frames_decoded);
-            }
-        }
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn dropping_a_readahead_stream_mid_flight_joins_its_workers() {
-        let (mut engine, root) = temp_engine("stream-earlydrop");
-        engine.write(&WriteRequest::new("v", Codec::H264), &sequence(150)).unwrap();
-        engine.config.readahead = 4;
-        for consumed in [0usize, 1, 3] {
-            let mut stream = engine
-                .read_stream(&ReadRequest::new("v", 0.0, 5.0, Codec::Hevc).uncacheable())
-                .unwrap();
-            for _ in 0..consumed {
-                stream.next().unwrap().unwrap();
-            }
-            drop(stream); // cancels the pool; Drop joins every worker
-            // The engine is immediately usable again, and a full read still
-            // sees consistent bytes.
-            let full = engine
-                .read_stream(&ReadRequest::new("v", 0.0, 5.0, Codec::Hevc).uncacheable())
-                .unwrap()
-                .drain()
-                .unwrap();
-            assert_eq!(full.frames.len(), 150);
-        }
         let _ = std::fs::remove_dir_all(root);
     }
 

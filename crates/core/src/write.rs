@@ -128,14 +128,17 @@ impl Engine {
         let Some(fraction) = self.budget_fraction(name)? else {
             return Ok((serialized, 0));
         };
-        let activation = self.config.deferred_activation_fraction;
-        if fraction < activation {
+        if fraction < DEFERRED_ACTIVATION_FRACTION {
             return Ok((serialized, 0));
         }
-        let level = deferred_level_for_fraction(fraction, activation);
+        let level = deferred_level_for_fraction(fraction, DEFERRED_ACTIVATION_FRACTION);
         Ok((lossless::compress(&serialized, level), level))
     }
 }
+
+/// Fraction of a video's storage budget at which deferred compression
+/// activates (prototype: 25 %).
+pub(crate) const DEFERRED_ACTIVATION_FRACTION: f64 = 0.25;
 
 /// Maps budget consumption to a deferred-compression level: the level scales
 /// linearly from 1 (just past the activation threshold) to 19 (budget

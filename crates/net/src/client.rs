@@ -485,9 +485,8 @@ impl Drop for MuxStreamHandle {
         self.conn.shared.streams.lock().expect("streams lock").remove(&self.stream_id);
         if !self.finished {
             // Typed per-stream cancellation: the server cancels this
-            // stream's worker (aborting an unfinished ingest, joining
-            // readahead); the shared socket and every sibling stream are
-            // untouched.
+            // stream's worker (aborting an unfinished ingest); the shared
+            // socket and every sibling stream are untouched.
             let _ =
                 self.conn.send(&Message::MuxReset { stream_id: self.stream_id, error: None });
         }

@@ -232,11 +232,11 @@
 //!
 //! * **Reads** — the server drains [`vss_server::Session::read_stream`]: the
 //!   plan is snapshotted under the shard's *read* lock and the lock is
-//!   released **before the first chunk hits the socket**; decoding (with
-//!   readahead workers when the store's `readahead > 0`) overlaps the
-//!   transfer. One `stream-chunk` message carries (a fragment of) one GOP;
-//!   fragments of oversized GOPs share its frame rate, and the `last`
-//!   fragment carries the chunk's encoded GOP and stats delta. The client
+//!   released **before the first chunk hits the socket**; the stream's
+//!   worker decodes each GOP and then sends it. One `stream-chunk` message
+//!   carries (a fragment of) one GOP; fragments of oversized GOPs share its
+//!   frame rate, and the `last` fragment carries the chunk's encoded GOP
+//!   and stats delta. The client
 //!   reassembles chunks from its per-stream **bounded channel** (fed by the
 //!   demultiplexer thread; depth derived from
 //!   [`RemoteStore::with_chunk_buffer`], default 2): a slow consumer stops
@@ -247,8 +247,7 @@
 //! * **Writes** — `write-ready` announces the server's GOP size; the client
 //!   pushes frames in GOP-aligned chunks and the server persists through
 //!   [`vss_server::Session::write_sink`]: shard write lock per GOP, encode
-//!   outside the lock (overlapped with persistence when readahead is
-//!   enabled), store bytes identical to a local batch write. The stream is
+//!   outside the lock, store bytes identical to a local batch write. The stream is
 //!   the pipeline: the client never needs more than one GOP in hand.
 //! * **Appends** — the same pipeline through
 //!   [`vss_server::Session::append_sink`], onto the video's original
@@ -274,9 +273,8 @@
 //! * **Cancellation** — dropping a client-side stream, sink or feed sends a
 //!   `mux-reset` for exactly that stream; the shared connection and every
 //!   sibling stream continue untouched. The server cancels the stream's
-//!   worker and aborts its operation: a read drain stops (its readahead
-//!   workers are cancelled and joined), an ingest drops its sink so **only
-//!   fully persisted GOPs remain on disk**.
+//!   worker and aborts its operation: a read drain stops, an ingest drops
+//!   its sink so **only fully persisted GOPs remain on disk**.
 //!
 //! ## Error mapping
 //!

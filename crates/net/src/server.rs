@@ -10,8 +10,7 @@
 //! snapshot is taken, before the first chunk hits the socket — and writes
 //! and appends flow through [`Session::write_sink`] /
 //! [`Session::append_sink`], persisting GOP-at-a-time under the shard's
-//! write lock per GOP (with overlapped encode when the store's readahead is
-//! enabled). Chunk payloads in motion are counted into the
+//! write lock per GOP. Chunk payloads in motion are counted into the
 //! server's in-flight-byte gauge, which feeds the admission gate.
 //!
 //! [`NetServer::shutdown`] stops the listener, closes every live connection
@@ -280,9 +279,9 @@ impl NetServer {
 
     /// Stops the listener, closes every live connection and joins the accept
     /// and handler threads. Handlers whose socket closes mid-operation abort
-    /// that operation exactly like a client disconnect: streams cancel and
-    /// join their readahead workers, sinks discard unpersisted GOPs and drop
-    /// their session. Idempotent. Does **not** drain in-process sessions —
+    /// that operation exactly like a client disconnect: streams stop
+    /// draining, sinks discard their buffered partial GOP and drop their
+    /// session. Idempotent. Does **not** drain in-process sessions —
     /// follow with [`VssServer::shutdown`] for a full drain.
     pub fn shutdown(&self) {
         if self.inner.stop.swap(true, Ordering::SeqCst) {
@@ -1182,7 +1181,7 @@ fn mux_read_worker(
     }
     for chunk in stream {
         if ctl.is_cancelled() {
-            return; // dropping the stream cancels and joins its readahead workers
+            return;
         }
         match chunk {
             Ok(chunk) => {

@@ -233,7 +233,7 @@ fn two_clients_share_a_server_concurrently() {
 fn admission_shed_surfaces_as_overloaded_and_cancellation_aborts_cleanly() {
     let root = temp_root("admission");
     let server = VssServer::open_configured(
-        VssConfig::new(&root).with_readahead(2),
+        VssConfig::new(&root),
         2,
         ServerConfig { max_concurrent_sessions: 2, ..ServerConfig::default() },
     )

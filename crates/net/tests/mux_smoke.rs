@@ -32,7 +32,7 @@ fn sequence(frames: usize, seed: u64) -> FrameSequence {
 fn eight_concurrent_streams_share_one_connection() {
     let root = temp_root("eight");
     let server = VssServer::open_configured(
-        VssConfig::new(&root).with_readahead(2),
+        VssConfig::new(&root),
         2,
         ServerConfig { max_concurrent_sessions: 1, ..ServerConfig::default() },
     )

@@ -23,11 +23,9 @@
 
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Condvar, Mutex};
 
 /// Number of worker threads the machine can usefully run.
 pub fn available_parallelism() -> usize {
@@ -274,184 +272,6 @@ impl<E> CrewShared<E> {
     }
 }
 
-/// A bounded, in-order background prefetcher: a pool of worker threads maps
-/// `f` over a list of owned work items, delivering the results **in input
-/// order** through [`recv`](OrderedPrefetch::recv) while never running more
-/// than `depth` items ahead of the consumer.
-///
-/// This is the pipelining counterpart of [`par_map`]: where `par_map` is a
-/// barrier (the caller blocks until every output exists), `OrderedPrefetch`
-/// overlaps production with consumption — the VSS streaming read path uses it
-/// to decode GOP *n + k* on a worker while the consumer is still processing
-/// GOP *n*. The in-order delivery makes the consumer's view identical to a
-/// sequential loop over the items, so pipelined output is byte-identical to
-/// synchronous output by construction.
-///
-/// Work items are **moved in** (and shared behind an `Arc`), so the bounds on
-/// this type never force callers to make *their* data `'static` — the
-/// prefetcher owns everything it touches, which is what lets `ReadStream`
-/// keep its snapshot-then-iterate API unchanged.
-///
-/// Dropping the prefetcher cancels it: unclaimed items are abandoned, workers
-/// finish (at most) the item they are currently computing, and every worker
-/// thread is joined before `drop` returns — no threads outlive the value.
-pub struct OrderedPrefetch<T> {
-    shared: Arc<PrefetchShared<T>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-struct PrefetchShared<T> {
-    state: Mutex<PrefetchState<T>>,
-    /// Signalled when a claim becomes available (consumer advanced) or on
-    /// cancellation; workers wait here.
-    work_ready: Condvar,
-    /// Signalled when a result lands (or on worker panic / cancellation);
-    /// the consumer waits here.
-    result_ready: Condvar,
-}
-
-struct PrefetchState<T> {
-    /// Completed results awaiting in-order delivery, keyed by input index.
-    done: BTreeMap<usize, T>,
-    /// Next input index a worker may claim.
-    next_claim: usize,
-    /// Next input index the consumer will receive.
-    next_deliver: usize,
-    total: usize,
-    /// Maximum claimed-but-undelivered items (the lookahead window).
-    depth: usize,
-    cancelled: bool,
-    /// Set when a worker's closure panicked, so the consumer fails loudly
-    /// instead of waiting forever for an index that will never arrive.
-    poisoned: bool,
-}
-
-/// Marks the prefetcher poisoned if the worker closure unwinds.
-struct PoisonGuard<'a, T> {
-    shared: &'a PrefetchShared<T>,
-    armed: bool,
-}
-
-impl<T> Drop for PoisonGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.shared.state.lock().unwrap_or_else(|e| e.into_inner()).poisoned = true;
-            self.shared.result_ready.notify_all();
-        }
-    }
-}
-
-impl<T: Send + 'static> OrderedPrefetch<T> {
-    /// Spawns a prefetcher over `items` with up to `threads` workers
-    /// (resolved via [`resolve_threads`], then capped by `depth` and the item
-    /// count) and a lookahead window of `depth` items (minimum 1).
-    pub fn spawn<I, F>(threads: usize, depth: usize, items: Vec<I>, f: F) -> Self
-    where
-        I: Send + Sync + 'static,
-        F: Fn(usize, &I) -> T + Send + Sync + 'static,
-    {
-        let depth = depth.max(1);
-        let total = items.len();
-        let workers = resolve_threads(threads).min(depth).min(total.max(1));
-        let shared = Arc::new(PrefetchShared {
-            state: Mutex::new(PrefetchState {
-                done: BTreeMap::new(),
-                next_claim: 0,
-                next_deliver: 0,
-                total,
-                depth,
-                cancelled: false,
-                poisoned: false,
-            }),
-            work_ready: Condvar::new(),
-            result_ready: Condvar::new(),
-        });
-        let items = Arc::new(items);
-        let f = Arc::new(f);
-        let handles = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let items = Arc::clone(&items);
-                let f = Arc::clone(&f);
-                std::thread::spawn(move || loop {
-                    let index = {
-                        let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-                        loop {
-                            if state.cancelled || state.next_claim >= state.total {
-                                return;
-                            }
-                            if state.next_claim < state.next_deliver + state.depth {
-                                break;
-                            }
-                            state =
-                                shared.work_ready.wait(state).unwrap_or_else(|e| e.into_inner());
-                        }
-                        let index = state.next_claim;
-                        state.next_claim += 1;
-                        index
-                    };
-                    let mut guard = PoisonGuard { shared: &shared, armed: true };
-                    let value = f(index, &items[index]);
-                    guard.armed = false;
-                    drop(guard);
-                    let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-                    if state.cancelled {
-                        return;
-                    }
-                    state.done.insert(index, value);
-                    shared.result_ready.notify_all();
-                })
-            })
-            .collect();
-        Self { shared, workers: handles }
-    }
-
-    /// Receives the next result in input order, blocking until a worker
-    /// produces it. Returns `None` once every item has been delivered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker's closure panicked (the work that index represents
-    /// can never be delivered).
-    pub fn recv(&mut self) -> Option<T> {
-        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            assert!(!state.poisoned, "prefetch worker panicked");
-            if state.next_deliver >= state.total {
-                return None;
-            }
-            let next = state.next_deliver;
-            if let Some(value) = state.done.remove(&next) {
-                state.next_deliver += 1;
-                // Advancing the consumer cursor frees one claim slot.
-                self.shared.work_ready.notify_all();
-                return Some(value);
-            }
-            state = self.shared.result_ready.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Items claimed by workers but not yet delivered (bounded by `depth`).
-    pub fn in_flight(&self) -> usize {
-        let state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.next_claim - state.next_deliver
-    }
-}
-
-impl<T> Drop for OrderedPrefetch<T> {
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.cancelled = true;
-        }
-        self.shared.work_ready.notify_all();
-        self.shared.result_ready.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// Splits `total` items into contiguous `(start, end)` chunks of at most
 /// `chunk_size`, in order — the GOP boundaries of an encode.
 pub fn chunk_ranges(total: usize, chunk_size: usize) -> Vec<(usize, usize)> {
@@ -618,80 +438,6 @@ mod tests {
     fn empty_input_yields_empty_output() {
         let empty: Vec<u8> = Vec::new();
         assert!(par_map(4, &empty, |_, &v| v).is_empty());
-    }
-
-    #[test]
-    fn ordered_prefetch_delivers_in_input_order() {
-        let items: Vec<u64> = (0..64).collect();
-        for (threads, depth) in [(1, 1), (2, 2), (4, 4), (4, 8)] {
-            let mut prefetch =
-                OrderedPrefetch::spawn(threads, depth, items.clone(), |i, &v| (i, v * 3));
-            let mut received = Vec::new();
-            while let Some(value) = prefetch.recv() {
-                received.push(value);
-            }
-            let expected: Vec<(usize, u64)> =
-                items.iter().enumerate().map(|(i, &v)| (i, v * 3)).collect();
-            assert_eq!(received, expected);
-            assert!(prefetch.recv().is_none(), "exhausted prefetch stays exhausted");
-        }
-    }
-
-    #[test]
-    fn ordered_prefetch_respects_the_lookahead_window() {
-        // With depth 2 and a blocked consumer, workers may run at most 2
-        // items ahead; the produced counter can never exceed consumed + 2.
-        let produced = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&produced);
-        let items: Vec<u32> = (0..32).collect();
-        let mut prefetch = OrderedPrefetch::spawn(4, 2, items, move |_, &v| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            v
-        });
-        let mut consumed = 0usize;
-        while prefetch.recv().is_some() {
-            consumed += 1;
-            let ahead = produced.load(Ordering::SeqCst).saturating_sub(consumed);
-            assert!(ahead <= 2, "workers ran {ahead} items ahead of a depth-2 window");
-        }
-        assert_eq!(consumed, 32);
-    }
-
-    #[test]
-    fn ordered_prefetch_drop_cancels_and_joins() {
-        // Drop after one receive: remaining work is abandoned, all workers
-        // join, and far fewer than `total` items were computed.
-        let produced = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&produced);
-        let items: Vec<u32> = (0..1000).collect();
-        let mut prefetch = OrderedPrefetch::spawn(4, 3, items, move |_, &v| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            v
-        });
-        assert_eq!(prefetch.recv(), Some(0));
-        drop(prefetch); // joins every worker before returning
-        let total = produced.load(Ordering::SeqCst);
-        assert!(total <= 16, "cancellation should abandon unclaimed work, computed {total}");
-    }
-
-    #[test]
-    fn ordered_prefetch_empty_input_is_exhausted_immediately() {
-        let mut prefetch = OrderedPrefetch::spawn(4, 4, Vec::<u8>::new(), |_, &v| v);
-        assert_eq!(prefetch.recv(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "prefetch worker panicked")]
-    fn ordered_prefetch_worker_panics_surface_on_recv() {
-        let items: Vec<u8> = (0..8).collect();
-        let mut prefetch = OrderedPrefetch::spawn(2, 2, items, |_, &v| {
-            if v == 0 {
-                panic!("boom");
-            }
-            v
-        });
-        while prefetch.recv().is_some() {}
     }
 
     #[test]

@@ -664,26 +664,19 @@ impl Session {
     /// client of the shard (the shard lock is never held across GOP file
     /// reads). Draining the stream is byte-identical to
     /// [`read`](Self::read); streaming reads never admit to the cache.
-    ///
-    /// With [`VssConfig::readahead`] `> 0` the returned stream decodes GOPs
-    /// ahead of the consumer on a bounded worker pool; the workers read only
-    /// the snapshot's GOP files and never touch a shard lock, and dropping
-    /// the stream mid-flight cancels and joins them without blocking any
-    /// other client of the shard.
+    /// The stream decodes on the thread that drains it and starts none of
+    /// its own, so dropping it mid-flight leaves nothing to join.
     pub fn read_stream(&self, request: &ReadRequest) -> Result<ReadStream, VssError> {
         self.engine().read_stream(request)
     }
 
     /// Opens an incremental write: each GOP is persisted under the owning
     /// shard's write lock **per GOP**, so a slow producer never holds the
-    /// shard across its whole ingest — and encode never holds the lock, at
-    /// any [`VssConfig::readahead`] depth: at `0` the pushing thread encodes
-    /// each GOP before taking the lock, otherwise a worker thread does, so
-    /// the encode of GOP *n + 1* overlaps the locked file write of GOP *n*.
-    /// The resulting store is byte-identical to a batch
-    /// [`write`](Self::write) of the same frames at every readahead setting;
-    /// aborting the sink (dropping it mid-clip) joins the worker and leaves
-    /// only fully persisted GOPs behind.
+    /// shard across its whole ingest — and encode never holds the lock: the
+    /// pushing thread encodes each GOP before taking it. The resulting
+    /// store is byte-identical to a batch [`write`](Self::write) of the same
+    /// frames; aborting the sink (dropping it mid-clip) leaves exactly the
+    /// GOPs whose pushes returned.
     pub fn write_sink(
         &self,
         request: &WriteRequest,

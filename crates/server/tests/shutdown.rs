@@ -111,8 +111,7 @@ fn in_flight_byte_gate_sheds_new_sessions() {
 #[test]
 fn shutdown_waits_for_in_flight_sinks_and_leaves_no_partial_gop() {
     let root = temp_root("drain");
-    let server =
-        VssServer::open_sharded(VssConfig::new(&root).with_readahead(2), 2).unwrap();
+    let server = VssServer::open_sharded(VssConfig::new(&root), 2).unwrap();
     let scheduler = server.start_maintenance(Duration::from_millis(5));
     let gop_size = 30usize;
 
@@ -167,8 +166,7 @@ fn shutdown_waits_for_in_flight_sinks_and_leaves_no_partial_gop() {
 #[test]
 fn shutdown_overlapping_an_aborted_sink_leaves_only_full_gops() {
     let root = temp_root("abort");
-    let server =
-        VssServer::open_sharded(VssConfig::new(&root).with_readahead(1), 2).unwrap();
+    let server = VssServer::open_sharded(VssConfig::new(&root), 2).unwrap();
     let gop_size = 30usize;
 
     // Push 3 full GOPs plus a partial, then *abort* (drop) the sink while a
@@ -186,7 +184,7 @@ fn shutdown_overlapping_an_aborted_sink_leaves_only_full_gops() {
             }
             pushed_tx.send(()).unwrap();
             abort_rx.recv().unwrap();
-            drop(sink); // abort mid-clip: in-flight GOPs are discarded
+            drop(sink); // abort mid-clip: the buffered partial GOP is discarded
         })
     };
     pushed_rx.recv().unwrap();

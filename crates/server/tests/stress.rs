@@ -3,9 +3,8 @@
 //! `THREADS` client threads issue a mix of reads, streaming reads (drained
 //! and early-dropped), writes/appends, streaming sink ingest and
 //! create/delete churn across many logical videos while the per-shard
-//! maintenance scheduler runs underneath — with **readahead enabled**, so
-//! every stream decodes on prefetch workers and every sink encodes on an
-//! overlapped worker while shard locks churn. The test asserts:
+//! maintenance scheduler runs underneath, so every stream decodes and every
+//! sink encodes outside the shard locks while they churn. The test asserts:
 //!
 //! * **no deadlock** — every thread finishes within a generous watchdog
 //!   timeout (a lock-ordering bug would hang here, not fail an assertion);
@@ -28,8 +27,6 @@ use vss_server::VssServer;
 
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 12;
-/// Streams prefetch-decode and sinks encode up to this many GOPs ahead.
-const READAHEAD: usize = 2;
 const VERIFY_VIDEOS: usize = 3;
 const CHURN_VIDEOS: usize = 2;
 const WATCHDOG: Duration = Duration::from_secs(120);
@@ -52,10 +49,9 @@ fn sequence(seed: u64, frames: usize) -> FrameSequence {
 fn mixed_concurrent_workload_is_deadlock_free_and_byte_identical() {
     let server_root = temp_root("server");
     let reference_root = temp_root("reference");
-    let server =
-        VssServer::open_sharded(VssConfig::new(&server_root).with_readahead(READAHEAD), 4).unwrap();
-    // The sequential ground truth: the monolithic engine, one worker thread,
-    // no readahead — the configuration every pipelined result must match.
+    let server = VssServer::open_sharded(VssConfig::new(&server_root), 4).unwrap();
+    // The sequential ground truth: the monolithic engine, one worker thread —
+    // the configuration every concurrent result must match.
     let reference = Vss::open(VssConfig::new(&reference_root).with_parallelism(1)).unwrap();
 
     for video in 0..VERIFY_VIDEOS {
@@ -118,9 +114,9 @@ fn mixed_concurrent_workload_is_deadlock_free_and_byte_identical() {
                             "encoded GOPs diverged from the sequential engine"
                         );
                     }
-                    // Streaming verification read: drained chunk-by-chunk on
-                    // readahead workers, still byte-identical to the
-                    // sequential engine's materialized read.
+                    // Streaming verification read: drained chunk-by-chunk,
+                    // byte-identical to the sequential engine's materialized
+                    // read.
                     1 => {
                         let video = format!("verify-{}", (thread + op) % VERIFY_VIDEOS);
                         let start = f64::from(((thread * 5 + op) % 3) as u32) * 0.5;
@@ -163,9 +159,8 @@ fn mixed_concurrent_workload_is_deadlock_free_and_byte_identical() {
                             .unwrap();
                     }
                     // Streaming ingest into a thread-private video: the first
-                    // write goes through an overlapped WriteSink (encode
-                    // worker in flight while shard locks churn), later ones
-                    // append.
+                    // write goes through a WriteSink (encoding outside the
+                    // shard lock while the locks churn), later ones append.
                     3 => {
                         let video = format!("private-{thread}");
                         if session.bytes_used(&video).is_err() {
@@ -181,8 +176,8 @@ fn mixed_concurrent_workload_is_deadlock_free_and_byte_identical() {
                             session.append(&video, &sequence(300 + thread as u64, 30)).unwrap();
                         }
                     }
-                    // Early drop: abandon a stream with readahead workers in
-                    // flight — must not wedge the shard or leak threads.
+                    // Early drop: abandon a stream mid-clip — must not wedge
+                    // the shard.
                     4 => {
                         let video = format!("verify-{}", (thread + op) % VERIFY_VIDEOS);
                         let mut stream = session

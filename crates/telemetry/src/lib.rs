@@ -90,8 +90,8 @@
 //! span records, which is how a single slow read is traced across layers.
 //! The thread-local design matches the service's synchronous
 //! one-thread-per-connection request path; work handed to helper threads
-//! (readahead workers, encoders) reports metrics but not request-scoped
-//! spans.
+//! (a GOP's scoped `par_map` and encode-crew helpers) reports metrics but
+//! not request-scoped spans.
 //!
 //! ## Span trees
 //!

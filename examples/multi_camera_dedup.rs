@@ -47,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         min_correspondences: 6,
         quality_threshold: vss::frame::PsnrDb(26.0),
         recovery_threshold: vss::frame::PsnrDb(22.0),
-        ..JointConfig::default()
     };
     for merge in [MergeFunction::Unprojected, MergeFunction::Mean] {
         let mut timings = JointTimings::default();

@@ -4,8 +4,8 @@
 //! TCP front-end before it, and drives it through `RemoteStore` — the same
 //! `VideoStorage` contract every in-process store speaks:
 //!
-//! * streaming ingest over the wire (the server persists GOP-at-a-time,
-//!   overlapping encode with file writes via its readahead),
+//! * streaming ingest over the wire (the server encodes and persists
+//!   GOP-at-a-time),
 //! * a GOP-at-a-time streaming read whose chunks arrive over TCP through a
 //!   bounded client-side buffer (O(GOP) memory end to end),
 //! * admission control shedding a client burst with typed `Overloaded`
@@ -24,11 +24,10 @@ fn main() {
     let root = std::env::temp_dir().join(format!("vss-example-remote-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
-    // A sharded server with readahead-enabled streaming and room for three
-    // concurrent sessions; the TCP front-end admits every connection through
-    // this gate.
+    // A sharded server with room for three concurrent sessions; the TCP
+    // front-end admits every connection through this gate.
     let server = VssServer::open_configured(
-        VssConfig::new(&root).with_readahead(2),
+        VssConfig::new(&root),
         4,
         ServerConfig { max_concurrent_sessions: 3, ..ServerConfig::default() },
     )

@@ -4,12 +4,10 @@
 //! plays HEVC — the whole pipeline never holds more than a few GOPs of
 //! frames, regardless of clip length.
 //!
-//! `VssConfig::readahead` turns both hot paths into overlapped pipelines:
-//! the sink encodes each GOP on a worker while the previous GOP's file
-//! write persists, and the stream decodes up to `readahead` GOPs ahead of
-//! the consumer on a bounded worker pool. Output is byte-identical at every
-//! depth — the knob trades a bounded amount of memory (~`2 + readahead`
-//! GOPs peak) for wall time.
+//! Both directions do their per-GOP work on the calling thread: the push
+//! that completes a GOP encodes and persists it before it returns, and the
+//! stream decodes one GOP per step — so the sink holds less than one GOP of
+//! frames and the stream at most two, whatever the clip length.
 //!
 //! Run with:
 //!
@@ -23,8 +21,7 @@ use vss::workload::{SceneConfig, SceneRenderer};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let root = std::env::temp_dir().join("vss-example-streaming");
     let _ = std::fs::remove_dir_all(&root);
-    // Readahead 2: decode (and encode) up to two GOPs ahead of the consumer.
-    let vss = Vss::open(VssConfig::new(&root).with_readahead(2))?;
+    let vss = Vss::open(VssConfig::new(&root))?;
 
     // --- Ingest: a camera delivering one frame at a time --------------------
     let renderer = SceneRenderer::new(SceneConfig {
@@ -36,11 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sink = vss.write_sink(&WriteRequest::new("camera", Codec::H264), 30.0)?;
     for frame in live.frames() {
         sink.push_frame(frame.clone())?;
-        // The sink never buffers a full GOP: each one is handed to the
-        // encode worker the moment it fills (at most `readahead` in flight)
-        // and persisted in order, holding the engine lock per GOP.
+        // The sink never buffers a full GOP: the push that fills one encodes
+        // it and persists it, holding the engine lock for the persist only.
         assert!(sink.buffered_frames() < 30);
-        assert!(sink.in_flight_gops() <= 2);
     }
     let report = sink.finish()?;
     println!(
@@ -60,6 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // a real player would ship `chunk.encoded_gop` and drop the chunk.
         shipped += chunk.encoded_gop.map(|g| g.byte_len()).unwrap_or(0);
     }
+    assert!(stream.peak_buffered_frames() <= 2 * 30, "at most two GOPs buffered");
     println!(
         "transcoded 5s to HEVC in GOP chunks: {} KiB shipped, peak buffer {} frames \
          (a materialized read would have held all {} frames)",

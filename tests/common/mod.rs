@@ -1,5 +1,5 @@
 //! Helpers shared by the loopback suites (`remote_streaming`,
-//! `remote_stress`).
+//! `remote_stress`) and `early_drop`.
 #![allow(dead_code)] // each suite uses its own subset
 
 use vss::prelude::*;

@@ -176,7 +176,6 @@ fn joint_compression_end_to_end_on_table1_style_pair() {
         min_correspondences: 6,
         quality_threshold: PsnrDb(26.0),
         recovery_threshold: PsnrDb(22.0),
-        ..JointConfig::default()
     };
     let mut timings = vss::core::JointTimings::default();
     let outcome = joint_compress_sequences(

@@ -37,7 +37,7 @@ fn single_admission_slot_serves_control_plus_streams() {
     let _alone = LEAK_CHECK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let root = scratch("one-slot");
     let server = VssServer::open_configured(
-        VssConfig::new(&root).with_readahead(2),
+        VssConfig::new(&root),
         1,
         ServerConfig { max_concurrent_sessions: 1, ..ServerConfig::default() },
     )
@@ -111,14 +111,14 @@ fn eight_tcp_clients_with_admission_limit_leave_a_byte_identical_store() {
     let server_root = scratch("stress-server");
     let reference_root = scratch("stress-reference");
     let server = VssServer::open_configured(
-        VssConfig::new(&server_root).with_readahead(2),
+        VssConfig::new(&server_root),
         4,
         ServerConfig { max_concurrent_sessions: SESSION_LIMIT, ..ServerConfig::default() },
     )
     .unwrap();
     let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
     let addr = net.local_addr();
-    // Sequential ground truth: monolithic engine, one worker, no readahead.
+    // Sequential ground truth: monolithic engine, one worker.
     let reference = Vss::open(VssConfig::new(&reference_root).with_parallelism(1)).unwrap();
     let baseline_threads = live_threads();
 
@@ -273,8 +273,8 @@ fn eight_tcp_clients_with_admission_limit_leave_a_byte_identical_store() {
     }
     drop(session);
 
-    // Zero leaked threads (Linux-only check): handlers, readers and
-    // readahead workers were all joined.
+    // Zero leaked threads (Linux-only check): handlers and readers were all
+    // joined.
     if let (Some(before), Some(after)) = (baseline_threads, live_threads()) {
         assert!(after <= before, "stress run leaked threads: {before} -> {after}");
     }
