@@ -1,0 +1,94 @@
+//! A corrupt lossless GOP file must cost only itself on reopen.
+//!
+//! `Catalog::open` classifies every GOP file whose size disagrees with its
+//! record, which means decompressing it. On the parent of this test a
+//! 10-byte `VSSL` stream claiming a 2^34-byte original aborted the process
+//! (`memory allocation of 17179869184 bytes failed`), so one bad file made
+//! the whole store unopenable. The contract is that an unreadable file is
+//! dropped and itemised in the `RecoveryReport`, like a missing one.
+//!
+//! This is its own test binary: where the decoder is unbounded the abort
+//! kills every test in the binary, and it must kill only this one.
+
+use std::fs;
+use std::path::PathBuf;
+use vss_catalog::Catalog;
+use vss_codec::bitstream::write_varint;
+use vss_codec::{lossless, Codec, EncodedGop, FrameInfo};
+use vss_frame::PixelFormat;
+
+fn temp_root(tag: &str) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("vss-corrupt-lossless-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    root
+}
+
+/// A small raw GOP, losslessly compressed the way deferred compression
+/// stores it.
+fn lossless_gop(seed: u8) -> Vec<u8> {
+    let frames = 2;
+    let infos = (0..frames).map(|i| FrameInfo { is_intra: i == 0, offset: i * 48, len: 48 }).collect();
+    let payload = (0..frames * 48).map(|i| (i as u8 / 4).wrapping_add(seed)).collect();
+    let gop = EncodedGop::new(Codec::Raw(PixelFormat::Rgb8), 4, 4, 30.0, 10, infos, payload);
+    lossless::compress(&gop.to_bytes(), 9)
+}
+
+/// The stream header: magic, level, claimed original length.
+fn header(original_len: u64) -> Vec<u8> {
+    let mut stream = b"VSSL".to_vec();
+    stream.push(9);
+    write_varint(&mut stream, original_len);
+    stream
+}
+
+/// 10 bytes: a header claiming a 2^34-byte original, and no tokens.
+fn huge_claim() -> Vec<u8> {
+    header(1 << 34)
+}
+
+/// 16 bytes: a 1-byte literal, then one 2^30-byte match under a claimed
+/// original of 2 bytes.
+fn huge_match() -> Vec<u8> {
+    let mut stream = header(2);
+    stream.extend_from_slice(&[0x00, 1, b'x', 0x01]);
+    write_varint(&mut stream, 1 << 30);
+    write_varint(&mut stream, 1);
+    stream
+}
+
+#[test]
+fn a_corrupt_lossless_gop_file_is_dropped_on_reopen_not_fatal() {
+    let root = temp_root("reopen");
+    let (dir, intact) = {
+        let mut catalog = Catalog::open(&root).unwrap();
+        catalog.create_video("v").unwrap();
+        let id = catalog.add_physical("v", 4, 4, 30.0, "rgb", false, 0.0).unwrap();
+        for (index, seed) in [0u8, 1, 2].into_iter().enumerate() {
+            let gop = lossless_gop(seed);
+            catalog.append_gop("v", id, index as f64, index as f64 + 1.0, 2, &gop, Some(9)).unwrap();
+        }
+        let physical = &catalog.video("v").unwrap().physical[0];
+        let dir = root.join("v").join(physical.directory_name());
+        (dir, catalog.read_gop("v", id, 2).unwrap())
+    };
+    assert_eq!(huge_claim().len(), 10);
+    assert_eq!(huge_match().len(), 16);
+    // A different size from the record makes `open` classify the file.
+    fs::write(dir.join("0.gop"), huge_claim()).unwrap();
+    fs::write(dir.join("1.gop"), huge_match()).unwrap();
+
+    let catalog = Catalog::open(&root).expect("a corrupt GOP file must not make the store unopenable");
+    let report = catalog.recovery_report();
+    assert_eq!(report.gop_records_dropped, 2, "{report:?}");
+    assert_eq!(report.gop_records_healed, 0, "{report:?}");
+    let physical = &catalog.video("v").unwrap().physical[0];
+    let indices: Vec<u64> = physical.gops.iter().map(|g| g.index).collect();
+    assert_eq!(indices, [2], "only the intact GOP survives");
+    assert_eq!(catalog.read_gop("v", physical.id, 2).unwrap(), intact);
+    assert!(!dir.join("0.gop").exists() && !dir.join("1.gop").exists(), "dropped files are removed");
+    drop(catalog);
+
+    let again = Catalog::open(&root).unwrap();
+    assert!(!again.recovery_report().repaired_anything(), "{:?}", again.recovery_report());
+    fs::remove_dir_all(&root).unwrap();
+}

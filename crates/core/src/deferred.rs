@@ -13,8 +13,34 @@ use crate::cache::eviction_order;
 use crate::engine::Engine;
 use crate::write::{deferred_level_for_fraction, DEFERRED_ACTIVATION_FRACTION};
 use crate::VssError;
+use std::sync::OnceLock;
+use std::time::Instant;
 use vss_catalog::PhysicalVideoId;
-use vss_codec::lossless;
+use vss_codec::{lossless, CodecError};
+use vss_telemetry::Histogram;
+
+/// [`lossless::compress`], timed into `deferred.lossless.compress_ns`: every
+/// compression core does — write-time deferral (which admission goes
+/// through) and the maintenance sweep — is one sample.
+pub(crate) fn compress(data: &[u8], level: u8) -> Vec<u8> {
+    static H: OnceLock<&'static Histogram> = OnceLock::new();
+    let started = Instant::now();
+    let compressed = lossless::compress(data, level);
+    H.get_or_init(|| vss_telemetry::histogram("deferred.lossless.compress_ns"))
+        .record_duration(started.elapsed());
+    compressed
+}
+
+/// [`lossless::decompress`], timed into `deferred.lossless.decompress_ns`:
+/// one sample per deferred-compressed GOP a read loads.
+pub(crate) fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
+    static H: OnceLock<&'static Histogram> = OnceLock::new();
+    let started = Instant::now();
+    let restored = lossless::decompress(data);
+    H.get_or_init(|| vss_telemetry::histogram("deferred.lossless.decompress_ns"))
+        .record_duration(started.elapsed());
+    restored
+}
 
 impl Engine {
     /// Runs one deferred-compression step for a logical video: if the budget
@@ -60,9 +86,8 @@ impl Engine {
         for &(physical_id, gop_index) in &pages {
             raw_pages.push(self.catalog.read_gop(name, physical_id, gop_index)?);
         }
-        let compressed = vss_parallel::par_map(self.config.parallelism, &raw_pages, |_, raw| {
-            lossless::compress(raw, level)
-        });
+        let compressed =
+            vss_parallel::par_map(self.config.parallelism, &raw_pages, |_, raw| compress(raw, level));
         let mut rewritten = 0usize;
         for ((&(physical_id, gop_index), raw), compressed) in
             pages.iter().zip(&raw_pages).zip(&compressed)

@@ -14,7 +14,7 @@ use std::time::Duration;
 use vss_catalog::{Catalog, PhysicalVideoId};
 use vss_codec::CostModel;
 #[cfg(test)]
-use vss_codec::{lossless, EncodedGop};
+use vss_codec::EncodedGop;
 use vss_solver::ReadPlan;
 
 /// Statistics describing how a read was executed.
@@ -417,7 +417,7 @@ impl Engine {
             .gop_by_index(index)
             .ok_or_else(|| VssError::Unsatisfiable(format!("missing GOP {index}")))?;
         let container = if gop_record.lossless_level.is_some() {
-            lossless::decompress(&bytes)?
+            crate::deferred::decompress(&bytes)?
         } else {
             bytes
         };

@@ -69,7 +69,7 @@ use crate::VssError;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use vss_codec::{codec_instance, lossless, Codec, EncodedGop, EncoderConfig};
+use vss_codec::{codec_instance, Codec, EncodedGop, EncoderConfig};
 use vss_frame::{
     convert_frame_rate, crop, resize_bilinear, Frame, FrameSequence, PixelFormat,
     RegionOfInterest, Resolution,
@@ -183,7 +183,7 @@ fn decode_gop_job(
     let bytes = std::fs::read(&job.work.path)
         .map_err(|e| VssError::Catalog(vss_catalog::CatalogError::Io(e)))?;
     let bytes_read = bytes.len() as u64;
-    let container = if job.work.lossless { lossless::decompress(&bytes)? } else { bytes };
+    let container = if job.work.lossless { crate::deferred::decompress(&bytes)? } else { bytes };
     let gop = EncodedGop::from_bytes(&container)?;
     let implementation = codec_instance(job.shape.source_codec);
     // By value: a frame that needs no change below is moved into the result.

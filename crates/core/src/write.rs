@@ -132,7 +132,7 @@ impl Engine {
             return Ok((serialized, 0));
         }
         let level = deferred_level_for_fraction(fraction, DEFERRED_ACTIVATION_FRACTION);
-        Ok((lossless::compress(&serialized, level), level))
+        Ok((crate::deferred::compress(&serialized, level), level))
     }
 }
 

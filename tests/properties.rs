@@ -152,3 +152,55 @@ proptest! {
         prop_assert_eq!(rgb.byte_len(), (w * h * 3) as usize);
     }
 }
+
+// Structured inputs for the lossless codec's match search and bulk-copy
+// decoder. Fewer cases: each is up to a megabyte.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// Uniform random bytes (the test above) almost never form a match;
+    /// these inputs are nearly all match. A period shorter than the match
+    /// (1–16 bytes) makes every match overlap its own output.
+    #[test]
+    fn lossless_codec_is_identity_on_periodic_data(
+        period in 1usize..17,
+        len in 0usize..20_000,
+        seed in any::<u64>(),
+        level in 1u8..20,
+    ) {
+        let unit: Vec<u8> = (0..period).map(|k| (seed >> (k % 8 * 8)) as u8 ^ k as u8).collect();
+        let data: Vec<u8> = unit.iter().copied().cycle().take(len).collect();
+        prop_assert_eq!(lossless::decompress(&lossless::compress(&data, level)).unwrap(), data);
+    }
+
+    /// Zero runs longer than the 32 768-byte longest match, between noise.
+    #[test]
+    fn lossless_codec_is_identity_on_long_zero_runs(
+        run in 32_769usize..100_000,
+        noise in 0usize..64,
+        seed in any::<u64>(),
+        level in 1u8..20,
+    ) {
+        let mut rng = pattern::Xorshift::new(seed);
+        let mut data: Vec<u8> = (0..noise).map(|_| rng.next_u64() as u8).collect();
+        data.resize(noise + run, 0);
+        data.extend((0..noise).map(|_| rng.next_u64() as u8));
+        prop_assert_eq!(lossless::decompress(&lossless::compress(&data, level)).unwrap(), data);
+    }
+
+    /// A noise block repeated at a distance near the 2^20-byte match
+    /// window, either side of it.
+    #[test]
+    fn lossless_codec_is_identity_on_repeats_near_the_window(
+        offset in 0usize..16,
+        block in 1usize..4_096,
+        seed in any::<u64>(),
+        level in 1u8..20,
+    ) {
+        let mut rng = pattern::Xorshift::new(seed);
+        let distance = (1 << 20) - 8 + offset;
+        let mut data: Vec<u8> = (0..distance).map(|_| rng.next_u64() as u8).collect();
+        data.extend_from_within(..block);
+        prop_assert_eq!(lossless::decompress(&lossless::compress(&data, level)).unwrap(), data);
+    }
+}
