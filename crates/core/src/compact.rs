@@ -20,9 +20,6 @@ impl Engine {
     /// configurations. Returns the number of merges performed.
     pub fn compact_video(&mut self, name: &str) -> Result<usize, VssError> {
         let _span = vss_telemetry::span("engine", "compact", name);
-        if !self.config.compaction_enabled {
-            return Ok(0);
-        }
         let mut merges = 0usize;
         while let Some((target, source)) = self.find_compaction_pair(name)? {
             self.merge_physical(name, target, source)?;
@@ -155,10 +152,6 @@ mod tests {
         let before = engine.catalog.video("v").unwrap().physical.len();
         assert_eq!(engine.compact_video("v").unwrap(), 0);
         assert_eq!(engine.catalog.video("v").unwrap().physical.len(), before);
-        // Disabling compaction is a no-op even when merges are possible.
-        engine.read(&ReadRequest::new("v", 1.0, 2.0, Codec::Hevc)).unwrap();
-        engine.config.compaction_enabled = false;
-        assert_eq!(engine.compact_video("v").unwrap(), 0);
         let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -49,6 +49,10 @@ impl Default for JointConfig {
     }
 }
 
+/// Encoder quality (0–100) of compressed writes and cached compressed
+/// results whose request names none.
+pub const DEFAULT_ENCODER_QUALITY: u8 = 85;
+
 /// Configuration of the VSS storage manager.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VssConfig {
@@ -59,9 +63,6 @@ pub struct VssConfig {
     pub default_budget: StorageBudget,
     /// Default quality threshold for reads (prototype: 40 dB).
     pub default_quality_threshold: PsnrDb,
-    /// Default encoder quality (0–100) for compressed writes and cached
-    /// compressed results.
-    pub default_encoder_quality: u8,
     /// Frames per GOP for compressed representations.
     pub gop_size: usize,
     /// Whether read results may be admitted to the cache of materialized views.
@@ -70,8 +71,6 @@ pub struct VssConfig {
     pub eviction_policy: EvictionPolicy,
     /// Whether deferred (lossless) compression of uncompressed entries is enabled.
     pub deferred_compression: bool,
-    /// Whether physical video compaction is enabled.
-    pub compaction_enabled: bool,
     /// Joint-compression parameters.
     pub joint: JointConfig,
     /// Worker threads used by the parallel GOP pipeline (encode, decode,
@@ -95,12 +94,10 @@ impl VssConfig {
             root: root.into(),
             default_budget: StorageBudget::default(),
             default_quality_threshold: PsnrDb(40.0),
-            default_encoder_quality: 85,
             gop_size: 30,
             caching_enabled: true,
             eviction_policy: EvictionPolicy::default(),
             deferred_compression: true,
-            compaction_enabled: true,
             joint: JointConfig::default(),
             parallelism: 0,
         }

@@ -195,7 +195,7 @@ impl Engine {
                 worked = true;
                 continue;
             }
-            if self.config.compaction_enabled && self.compact_video(name)? > 0 {
+            if self.compact_video(name)? > 0 {
                 worked = true;
             }
         }

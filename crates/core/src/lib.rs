@@ -159,7 +159,7 @@ pub mod stream;
 mod write;
 
 pub use cache::{eviction_order, EvictionCandidate};
-pub use config::{EvictionPolicy, JointConfig, VssConfig};
+pub use config::{EvictionPolicy, JointConfig, VssConfig, DEFAULT_ENCODER_QUALITY};
 pub use engine::{Engine, OriginalGopManifest, OriginalGopSpan, ReadStats, TrimReport, WriteReport};
 pub use error::VssError;
 pub use fragments::{build_candidates, contiguous_runs, CandidateSet, FragmentRun};

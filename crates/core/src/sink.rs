@@ -165,7 +165,7 @@ impl Engine {
             encoder: SinkEncoder {
                 codec,
                 encoder: EncoderConfig {
-                    quality: quality.unwrap_or(self.config.default_encoder_quality),
+                    quality: quality.unwrap_or(crate::DEFAULT_ENCODER_QUALITY),
                     gop_size: self.write_gop_size(codec),
                 },
                 frame_rate,

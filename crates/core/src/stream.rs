@@ -889,7 +889,7 @@ impl Engine {
                 quality: request
                     .physical
                     .encoder_quality
-                    .unwrap_or(self.config.default_encoder_quality),
+                    .unwrap_or(crate::DEFAULT_ENCODER_QUALITY),
                 gop_size: self.config.gop_size,
             },
             frame_rate: output_fps,

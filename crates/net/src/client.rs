@@ -139,6 +139,11 @@ fn next_request_id() -> u64 {
 /// blocking.
 const MUX_CHANNEL_SLACK: usize = 8;
 
+/// Data-frame credit window granted to each multiplexed read/subscribe
+/// stream: two chunks buffered for the consumer, doubled so the server keeps
+/// the next fragments in flight while the consumer works.
+const STREAM_WINDOW: u32 = 4;
+
 type FrameSender = Sender<Result<Message, VssError>>;
 
 /// Routing state shared between a [`MuxConn`] and its demultiplexing reader
@@ -515,9 +520,6 @@ pub struct RemoteStore {
     /// The shared multiplexed connection (`None` until dialed, and again
     /// after a transport failure — see [`mux_conn`](Self::mux_conn)).
     control: Mutex<Option<Arc<MuxConn>>>,
-    /// Chunks buffered client-side between the demultiplexer and the
-    /// consumer; sizes the credit window granted to each stream.
-    chunk_buffer: usize,
     /// Retry/backoff policy for safely retryable failures (`None`, the
     /// default, fails fast — see [`RetryPolicy`]).
     retry: Option<RetryPolicy>,
@@ -525,10 +527,7 @@ pub struct RemoteStore {
 
 impl std::fmt::Debug for RemoteStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteStore")
-            .field("addr", &self.addr)
-            .field("chunk_buffer", &self.chunk_buffer)
-            .finish_non_exhaustive()
+        f.debug_struct("RemoteStore").field("addr", &self.addr).finish_non_exhaustive()
     }
 }
 
@@ -561,7 +560,7 @@ impl RemoteStore {
             .map_err(io_error)?
             .next()
             .ok_or_else(|| protocol_error("address resolved to nothing"))?;
-        let store = Self { addr, control: Mutex::new(None), chunk_buffer: 2, retry };
+        let store = Self { addr, control: Mutex::new(None), retry };
         store.run_with_retry(|| match store.mux_conn() {
             Ok(_) => Attempt::Done(Ok(())),
             Err(error) => Attempt::Retry(error),
@@ -575,14 +574,6 @@ impl RemoteStore {
     /// an ambiguous mid-exchange transport failure is never retried.
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
-        self
-    }
-
-    /// Overrides the number of streamed chunks buffered client-side between
-    /// the demultiplexer and the consumer (default 2). Higher values smooth
-    /// bursty consumers at the cost of up to that many GOPs of memory.
-    pub fn with_chunk_buffer(mut self, chunks: usize) -> Self {
-        self.chunk_buffer = chunks.max(1);
         self
     }
 
@@ -649,14 +640,10 @@ impl RemoteStore {
         }
     }
 
-    /// Fetches the server registry as Prometheus-style text exposition.
+    /// Fetches the server registry as Prometheus-style text exposition,
+    /// rendered from the paged [`stats_snapshot`](Self::stats_snapshot).
     pub fn metrics_text(&self) -> Result<String, VssError> {
-        let _scope = vss_telemetry::request_scope(next_request_id());
-        let _span = vss_telemetry::span("client", "metrics_text", "");
-        match self.unary(Message::MetricsTextRequest)? {
-            Message::MetricsText { text } => Ok(text),
-            other => Err(protocol_error(format!("unexpected metrics reply {}", other.kind_name()))),
-        }
+        Ok(self.stats_snapshot()?.text_exposition())
     }
 
     /// Opens a live tailing subscription as one stream of the store's
@@ -675,7 +662,7 @@ impl RemoteStore {
         let _scope = vss_telemetry::request_scope(next_request_id());
         let _span = vss_telemetry::span("client", "subscribe", name);
         let open = Message::Subscribe { name: name.into(), from };
-        let handle = self.open_mux(&open, self.stream_window(), |reply, handle| match reply {
+        let handle = self.open_mux(&open, STREAM_WINDOW, |reply, handle| match reply {
             Message::Ok => Attempt::Done(Ok(handle)),
             other => Attempt::Done(Err(protocol_error(format!(
                 "unexpected subscribe reply {}",
@@ -708,13 +695,6 @@ impl RemoteStore {
         let conn = MuxConn::dial(self.addr)?;
         *slot = Some(Arc::clone(&conn));
         Ok(conn)
-    }
-
-    /// Data-frame credit window granted to each multiplexed read/subscribe
-    /// stream: the channel depth the consumer drains, doubled so the server
-    /// keeps the next fragments in flight while the consumer works.
-    fn stream_window(&self) -> u32 {
-        (self.chunk_buffer.max(1) as u32).saturating_mul(2)
     }
 
     /// Opens one stream on the shared multiplexed connection under the
@@ -1160,7 +1140,7 @@ impl VideoStorage for RemoteStore {
         let _scope = vss_telemetry::request_scope(next_request_id());
         let _span = vss_telemetry::span("client", "read_stream", request.name.as_str());
         let open = Message::OpenReadStream { request: request.clone() };
-        self.open_mux(&open, self.stream_window(), |reply, handle| match reply {
+        self.open_mux(&open, STREAM_WINDOW, |reply, handle| match reply {
             Message::StreamBegin { frame_rate, compressed } => Attempt::Done(Ok(
                 ReadStream::from_chunks(frame_rate, compressed, MuxChunkIter::new(handle)),
             )),

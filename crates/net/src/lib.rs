@@ -105,7 +105,6 @@
 //! ;; never by dropping the connection.
 //! admin       = admin-req (admin-table | error)
 //!             | stats-page-req (stats-page | error)
-//!             | metrics-req (metrics-text | error)
 //! admin-req   = 0x0D topic:u8 arg:u64
 //! topic       = 0x01 sessions | 0x02 streams   ; arg unused (0)
 //!             | 0x03 shards                    ; arg unused (0)
@@ -114,8 +113,6 @@
 //! admin-table = 0x8E title:str cols:vec<str> rows:vec<vec<str>>
 //! stats-page-req = 0x0E start:u32 max:u32      ; 1 <= max <= 4096/section
 //! stats-page  = 0x8F total:u32 start:u32 snapshot
-//! metrics-req = 0x0F                           ; Prometheus-style text
-//! metrics-text= 0x90 text:str
 //!
 //! error       = 0x83 error-fields
 //! error-fields= code:u16 message:str range:opt<4*f64>
@@ -126,7 +123,8 @@
 //!
 //! Full field-level definitions (and the caps every decoder enforces before
 //! allocating — stream ids and credit windows included, the same
-//! decode-before-alloc discipline as the rest of the wire) live in [`wire`].
+//! decode-before-alloc discipline as the rest of the wire) live in [`wire`],
+//! one row of its message table per message.
 //!
 //! One known protocol limit: chunk fragmentation splits **between** frames
 //! (an oversized encoded GOP rides a trailing fragment of its own), never
@@ -152,9 +150,9 @@
 //!   credit-exempt) and are spent one per data frame sent. A sender out of
 //!   credit parks **off the socket** (the server worker waits on its stream's
 //!   window, not the writer lock), so siblings keep flowing.
-//! * For reads and subscriptions the client grants its buffer depth (2 ×
-//!   [`RemoteStore::with_chunk_buffer`], default 4) right after opening the
-//!   stream and one more credit per data frame it consumes. For writes and
+//! * For reads and subscriptions the client grants a window of 4 data
+//!   frames right after opening the stream and one more credit per data
+//!   frame it consumes, the last one included. For writes and
 //!   appends the server grants a fixed 4-frame window after `write-ready` /
 //!   `ok` and one more per chunk it dequeues into the persistence path.
 //! * Overrunning a window is a protocol violation: the receiver's router
@@ -168,6 +166,10 @@
 //!   ended the stream. A reset naming an unknown or already-closed stream is
 //!   answered per-stream (or ignored — resets are idempotent), **never** by
 //!   closing the connection.
+//! * A credit grant for a stream the receiver no longer holds is late, not
+//!   wrong — the last credit of a drained stream usually arrives after the
+//!   stream ended — and is ignored, never answered with a reset. A fully
+//!   drained stream therefore ends without one.
 //!
 //! Telemetry mirrors the mechanism: `net.mux.streams_opened` /
 //! `net.mux.streams_active` count streams, `net.mux.resets` counts
@@ -180,9 +182,9 @@
 //! above): `sessions`, `streams` (with per-stream credit state), `shards`
 //! and `spans` tables; a **paginated** registry fetch (`stats-page-req`,
 //! the one way to read the server's telemetry registry — a registry of any
-//! size arrives complete); and the Prometheus-style text exposition
-//! (`metrics-req`). The `vss-top` binary renders all of it live against a
-//! running server.
+//! size arrives complete), from which the client renders the
+//! Prometheus-style text exposition. The `vss-top` binary renders all of it
+//! live against a running server.
 //!
 //! Tracing: a request sent under an active telemetry scope travels in a
 //! `0x7E` **traced envelope** carrying `(request id, parent span id)`, so
@@ -192,8 +194,8 @@
 //! lock → engine decode → WAL fsync — queryable via
 //! `vss_telemetry::span_tree` in-process or the `spans` admin topic over
 //! the wire. Each connection additionally keeps a bounded **flight
-//! recorder** of recent wire events, dumped into the log on errors and
-//! slow operations and listed in the `sessions` table.
+//! recorder** of recent wire events; a reset the server sends carries its
+//! dump in the error text, so the client sees what led up to it.
 //!
 //! ## Versioning
 //!
@@ -204,12 +206,12 @@
 //! version. Anything other than a valid `Hello` on a fresh connection is a
 //! protocol error. Nothing after the handshake branches on a version.
 //!
-//! First-payload bytes of retired messages (`0x7F`, `0x0B`, `0x8A`) stay
-//! reserved: never reassigned, and refused by the ordinary unknown-kind
-//! decode error. Client and server ship from the same commit, so a future
-//! version **replaces** this wire in one commit — bump the constant, change
-//! the grammar, delete what it obsoletes. It does not fork a second layout
-//! beside the old one.
+//! First-payload bytes of retired messages (`0x7F`, `0x0B`, `0x8A`, `0x0F`,
+//! `0x90`) stay reserved: never reassigned, and refused by the ordinary
+//! unknown-kind decode error. Client and server ship from the same commit,
+//! so a future version **replaces** this wire in one commit — bump the
+//! constant, change the grammar, delete what it obsoletes. It does not fork
+//! a second layout beside the old one.
 //!
 //! ## Admission control
 //!
@@ -238,12 +240,11 @@
 //!   frame rate, and the `last` fragment carries the chunk's encoded GOP
 //!   and stats delta. The client
 //!   reassembles chunks from its per-stream **bounded channel** (fed by the
-//!   demultiplexer thread; depth derived from
-//!   [`RemoteStore::with_chunk_buffer`], default 2): a slow consumer stops
-//!   granting credit, the server worker for that stream parks off the
-//!   shared socket, and the in-flight bytes stay counted in the server's
-//!   gauge — which feeds the admission gate. End-to-end memory stays O(GOP)
-//!   per stream.
+//!   demultiplexer thread; sized by the stream's credit window): a slow
+//!   consumer stops granting credit, the server worker for that stream parks
+//!   off the shared socket, and the in-flight bytes stay counted in the
+//!   server's gauge — which feeds the admission gate. End-to-end memory stays
+//!   O(GOP) per stream.
 //! * **Writes** — `write-ready` announces the server's GOP size; the client
 //!   pushes frames in GOP-aligned chunks and the server persists through
 //!   [`vss_server::Session::write_sink`]: shard write lock per GOP, encode

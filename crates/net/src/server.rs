@@ -22,7 +22,7 @@
 use crate::wire::{
     admin_topic, fragment_boundaries, read_envelope, read_message, snapshot_page, write_message,
     write_mux_message, AdminTable, Message, WireError, WireWriteReport, FRAGMENT_BYTES,
-    MAX_ADMIN_ROWS, MAX_STRING_BYTES, PROTOCOL_MAGIC, PROTOCOL_VERSION,
+    MAX_ADMIN_ROWS, PROTOCOL_MAGIC, PROTOCOL_VERSION,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Read as IoRead, Write};
@@ -505,20 +505,8 @@ fn chunk_fragments(mut chunk: ReadChunk) -> Vec<(Message, u64)> {
 }
 
 // ---------------------------------------------------------------------------
-// Admin plane: introspection tables + registry paging + text exposition
+// Admin plane: introspection tables + registry paging
 // ---------------------------------------------------------------------------
-
-/// The registry as Prometheus-style text, truncated at a line boundary to
-/// fit the wire's string bound (a registry that large should be paged, but
-/// the exposition must never produce an unsendable frame).
-fn metrics_text_bounded() -> String {
-    let mut text = vss_telemetry::text_exposition();
-    if text.len() > MAX_STRING_BYTES {
-        let cut = text[..MAX_STRING_BYTES].rfind('\n').map_or(0, |index| index + 1);
-        text.truncate(cut);
-    }
-    text
-}
 
 /// Builds one admin table (see [`admin_topic`]). Tables are pre-rendered
 /// strings: the server owns the schema, clients and `vss-top` just print.
@@ -878,8 +866,7 @@ fn serve_mux_connection(
             conn.recorder.record(format!("stream done stream={id}"));
         }
         // Every routed frame lands in the flight recorder, so a later reset
-        // (or an operator's sessions table) sees the connection's recent
-        // timeline.
+        // carries the connection's recent timeline.
         match &envelope.message {
             Message::Mux { stream_id, inner: frame } => {
                 conn.recorder.record(format!("recv {} stream={stream_id}", frame.kind_name()));
@@ -899,13 +886,17 @@ fn serve_mux_connection(
             Message::Mux { stream_id, inner: frame } => {
                 dispatch_mux_frame(inner, session, conn, &writer, &mut streams, stream_id, *frame)
             }
-            Message::MuxCredit { stream_id, frames } => match streams.get(&stream_id) {
-                Some(stream) => {
+            // A grant for a stream the dispatcher no longer holds is late, not
+            // wrong: the client returns a credit for every fragment it
+            // consumes, the last one included, and that one usually lands
+            // after the finished worker was reaped. It is ignored, as the
+            // client's demultiplexer ignores frames for streams it dropped.
+            Message::MuxCredit { stream_id, frames } => {
+                if let Some(stream) = streams.get(&stream_id) {
                     stream.ctl.grant(frames);
-                    Ok(())
                 }
-                None => reset_unknown_stream(&writer, &conn.recorder, stream_id, "credit grant"),
-            },
+                Ok(())
+            }
             Message::MuxReset { stream_id, .. } => {
                 metrics::mux_resets().incr();
                 // Resets are idempotent: an unknown id just means the stream
@@ -949,10 +940,6 @@ fn serve_mux_connection(
                 let snapshot = vss_telemetry::snapshot();
                 let (total, page) = snapshot_page(&snapshot, start, max);
                 send_plain(&writer, &Message::StatsPage { total, start, snapshot: page })
-            }
-            Message::MetricsTextRequest => {
-                let _span = vss_telemetry::span("net", "metrics_text", "");
-                send_plain(&writer, &Message::MetricsText { text: metrics_text_bounded() })
             }
             other => send_plain(
                 &writer,

@@ -20,29 +20,28 @@
 //!   checks availability before slicing, and [`decode_message`] requires the
 //!   payload to be consumed exactly).
 //!
-//! # Admin frame grammar
+//! # Where a layout lives
 //!
-//! The introspection plane is four unary request/reply pairs, all riding
-//! the ordinary envelope (and, over a multiplexed connection, the control
-//! stream — never a data stream):
+//! A message's layout is its row in the table that declares [`Message`]:
+//! the kind byte, then the fields in wire order. The encoder,
+//! [`decode_message`], [`Message::kind_name`] and the range checks on
+//! single fields (`field: T where RANGE`, run as the field is decoded) are
+//! generated from that row. Each field type implements the private `Wire`
+//! trait once, both directions side by side, with its own
+//! decode-before-alloc cap. Adding a message is one table row, plus one
+//! `Wire` impl per field type the wire does not carry yet.
 //!
-//! ```text
-//! AdminRequest       = 0x0d topic:u8 arg:u64        ; topic in admin_topic
-//! AdminTable         = 0x8e title:str ncols:u32 col:str{ncols}
-//!                           nrows:u32 cell:str{nrows*ncols}
-//! StatsPageRequest   = 0x0e start:u32 max:u32       ; 1 <= max <= MAX_METRICS
-//! StatsPage          = 0x8f total:u32 start:u32 snapshot
-//! MetricsTextRequest = 0x0f
-//! MetricsText        = 0x90 text:str
-//! ```
+//! # Admin frames
 //!
-//! `AdminRequest` answers with one pre-rendered [`AdminTable`] per
-//! [`admin_topic`] selector (sessions, mux streams, shards, span trees).
-//! `StatsPageRequest` walks the registry flattened as counters → gauges →
-//! histograms, each section in sorted series order; a client concatenates
-//! pages until `start + page-len == total`, so a registry of any size
-//! crosses the wire without hitting the per-message [`MAX_METRICS`] cap.
-//! `MetricsText` is the Prometheus-style exposition of the same registry.
+//! The introspection plane is two unary request/reply pairs on the
+//! ordinary envelope (over a multiplexed connection, on the control stream,
+//! never a data stream). `AdminRequest` answers with one pre-rendered
+//! [`AdminTable`] per [`admin_topic`] selector (sessions, mux streams,
+//! shards, span trees). `StatsPageRequest` walks the registry flattened as
+//! counters → gauges → histograms, each section in sorted series order; a
+//! client concatenates pages until `start + page-len == total`, so a
+//! registry of any size crosses the wire without hitting the per-message
+//! [`MAX_METRICS`] cap, and renders the text exposition from the result.
 //!
 //! # Traced request envelope
 //!
@@ -57,19 +56,20 @@
 //!
 //! # Reserved bytes
 //!
-//! Three first-payload bytes belonged to retired protocol versions and stay
-//! reserved — never reassigned, and refused by [`decode_message`] as unknown
-//! kinds: `0x7f` (the request-id-only envelope), `0x0b` (one-frame stats
-//! request) and `0x8a` (its one-frame snapshot reply; [`Message::StatsPage`]
-//! is the one registry fetch).
+//! Five first-payload bytes belonged to retired messages and stay reserved
+//! — never reassigned, and refused by [`decode_message`] as unknown kinds:
+//! `0x7f` (the request-id-only envelope), `0x0b` / `0x8a` (the one-frame
+//! stats request and its snapshot reply) and `0x0f` / `0x90` (the text
+//! exposition request and its reply). [`Message::StatsPage`] is the one
+//! registry fetch.
 
 use std::io::{Read, Write};
 use vss_codec::{Codec, CodecError, EncodedGop};
 use vss_core::{
-    ChunkStats, PlannerKind, ReadRequest, StorageBudget, VideoMetadata, VssError, WriteReport,
-    WriteRequest,
+    ChunkStats, PhysicalParameters, PlannerKind, ReadRequest, SpatialParameters, StorageBudget,
+    TemporalRange, VideoMetadata, VssError, WriteReport, WriteRequest,
 };
-use vss_frame::{Frame, PixelFormat, RegionOfInterest, Resolution};
+use vss_frame::{Frame, PixelFormat, PsnrDb, RegionOfInterest, Resolution};
 use vss_live::SubscribeFrom;
 use vss_telemetry::{HistogramSummary, TelemetrySnapshot};
 
@@ -246,14 +246,22 @@ pub struct WireError {
 impl WireError {
     /// A protocol-violation error.
     pub fn protocol(message: impl Into<String>) -> Self {
-        Self { code: code::PROTOCOL, message: message.into(), range: None }
+        Self {
+            code: code::PROTOCOL,
+            message: message.into(),
+            range: None,
+        }
     }
 
     /// Maps a [`VssError`] onto the wire — exhaustively, with no catch-all
     /// arm, so a new error variant cannot silently degrade to a generic
     /// code.
     pub fn from_error(error: &VssError) -> Self {
-        let plain = |c: u16, message: String| Self { code: c, message, range: None };
+        let plain = |c: u16, message: String| Self {
+            code: c,
+            message,
+            range: None,
+        };
         match error {
             VssError::VideoNotFound(name) => plain(code::VIDEO_NOT_FOUND, name.clone()),
             VssError::VideoExists(name) => plain(code::VIDEO_EXISTS, name.clone()),
@@ -265,7 +273,12 @@ impl WireError {
             } => Self {
                 code: code::OUT_OF_RANGE,
                 message: error.to_string(),
-                range: Some((*requested_start, *requested_end, *available_start, *available_end)),
+                range: Some((
+                    *requested_start,
+                    *requested_end,
+                    *available_start,
+                    *available_end,
+                )),
             },
             VssError::EmptyWrite => plain(code::EMPTY_WRITE, String::new()),
             VssError::Unsatisfiable(msg) => plain(code::UNSATISFIABLE, msg.clone()),
@@ -313,7 +326,10 @@ impl WireError {
                 std::io::Error::other(self.message),
             )),
             code::CODEC => VssError::Codec(CodecError::Corrupt(self.message)),
-            other => VssError::Remote { code: other, message: self.message },
+            other => VssError::Remote {
+                code: other,
+                message: self.message,
+            },
         }
     }
 }
@@ -362,368 +378,349 @@ impl WireWriteReport {
     }
 }
 
-/// Every message of the protocol. Kinds `0x01..` travel client → server,
-/// `0x81..` server → client; see the [crate docs](crate) for the flows.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    /// Opens a connection: magic + version. First message on every
-    /// connection.
-    Hello {
-        /// Must be [`PROTOCOL_MAGIC`].
-        magic: u32,
-        /// Newest version the client speaks; the server refuses anything
-        /// below [`PROTOCOL_VERSION`] with a typed protocol error.
-        version: u16,
-    },
-    /// Creates a logical video.
-    Create {
-        /// Logical video name.
-        name: String,
-        /// Optional explicit storage budget.
-        budget: Option<StorageBudget>,
-    },
-    /// Deletes a logical video.
-    Delete {
-        /// Logical video name.
-        name: String,
-    },
-    /// Requests storage accounting for a logical video.
-    Metadata {
-        /// Logical video name.
-        name: String,
-    },
-    /// Opens a GOP-at-a-time streaming read.
-    OpenReadStream {
-        /// The read request, verbatim.
-        request: ReadRequest,
-    },
-    /// Opens an incremental write (the server replies
-    /// [`Message::WriteReady`] with its GOP size).
-    WriteBegin {
-        /// The write request, verbatim.
-        request: WriteRequest,
-        /// Frame rate of the pushed frames.
-        frame_rate: f64,
-    },
-    /// Opens an append to a video's original representation (the server
-    /// acknowledges with [`Message::Ok`], then buffers chunks until
-    /// [`Message::WriteFinish`]).
-    AppendBegin {
-        /// Logical video name.
-        name: String,
-        /// Frame rate of the pushed frames.
-        frame_rate: f64,
-    },
-    /// One slab of frames of an in-progress write or append.
-    WriteChunk {
-        /// The frames, in push order.
-        frames: Vec<Frame>,
-    },
-    /// Completes an in-progress write or append; the server replies
-    /// [`Message::WriteReport`].
-    WriteFinish,
-    /// Abandons an in-progress write or append: the server discards
-    /// unpersisted data (for a sink, only fully persisted GOPs remain).
-    WriteAbort,
-    /// Opens a live tailing subscription. The server acknowledges with
-    /// [`Message::Ok`] and then streams
-    /// [`Message::SubChunk`]/[`Message::SubGap`] events until the video is
-    /// deleted ([`Message::SubEnd`]) or the client resets the stream.
-    Subscribe {
-        /// Logical video name (need not exist yet — the subscription waits).
-        name: String,
-        /// Where the subscription starts.
-        from: SubscribeFrom,
-    },
-    /// Handshake acknowledgement: the protocol version and the admitted
-    /// session's server-unique id.
-    HelloAck {
-        /// Always [`PROTOCOL_VERSION`]; a client refuses anything else.
-        version: u16,
-        /// Server-side session id.
-        session: u64,
-    },
-    /// Generic success acknowledgement (create, delete, append-begin).
-    Ok,
-    /// A typed error. Terminates the enclosing operation; the connection
-    /// stays usable unless the error was a protocol violation.
-    Error(WireError),
-    /// Reply to [`Message::Metadata`].
-    MetadataReply(VideoMetadata),
-    /// First reply to [`Message::OpenReadStream`]: announces the stream.
-    StreamBegin {
-        /// Frame rate of the drained output.
-        frame_rate: f64,
-        /// Whether chunks carry encoded GOPs.
-        compressed: bool,
-    },
-    /// One fragment of one streamed chunk. Fragments of a chunk share its
-    /// frame rate; the fragment with `last = true` carries the chunk's
-    /// encoded GOP and stats delta and completes it.
-    StreamChunk {
-        /// Frame rate of the chunk's frames.
-        frame_rate: f64,
-        /// True on the final fragment of the chunk.
-        last: bool,
-        /// This fragment's frames.
-        frames: Vec<Frame>,
-        /// The chunk's encoded output GOP (final fragment only, compressed
-        /// streams only).
-        encoded_gop: Option<EncodedGop>,
-        /// The chunk's stats delta (final fragment only).
-        delta: ChunkStats,
-    },
-    /// The stream completed successfully.
-    StreamEnd,
-    /// Reply to [`Message::WriteBegin`]: the write is admitted and the
-    /// client should chunk its pushes on this GOP boundary.
-    WriteReady {
-        /// The server's flush boundary in frames.
-        gop_size: u64,
-    },
-    /// Reply to [`Message::WriteFinish`].
-    WriteReport(WireWriteReport),
-    /// One subscribed GOP, exactly as persisted (already encoded — no
-    /// re-encode on the fan-out path).
-    SubChunk {
-        /// The GOP's position in the video's original representation.
-        seq: u64,
-        /// Start timestamp (seconds).
-        start_time: f64,
-        /// End timestamp (seconds, exclusive).
-        end_time: f64,
-        /// Frame rate of the GOP.
-        frame_rate: f64,
-        /// Number of frames in the GOP.
-        frame_count: u64,
-        /// The persisted container bytes.
-        gop: EncodedGop,
-    },
-    /// Sequence numbers `from_seq..to_seq` are no longer available (trimmed
-    /// by retention before this subscriber could read them).
-    SubGap {
-        /// First missing sequence number.
-        from_seq: u64,
-        /// One past the last missing sequence number.
-        to_seq: u64,
-    },
-    /// The subscribed video was deleted; no further events follow.
-    SubEnd,
-    /// One multiplexed frame (both directions): `inner` belongs
-    /// to the stream `stream_id`. A stream is opened by the first client
-    /// frame carrying its id (an [`Message::OpenReadStream`],
-    /// [`Message::WriteBegin`], [`Message::AppendBegin`] or
-    /// [`Message::Subscribe`]); every later frame of the operation rides the
-    /// same id. Mux frames never nest.
-    Mux {
-        /// Stream this frame belongs to (`1..=`[`MAX_STREAM_ID`]).
-        stream_id: u32,
-        /// The operation message.
-        inner: Box<Message>,
-    },
-    /// A cumulative credit grant (both directions): the sender
-    /// allows `frames` more *data* frames — [`Message::StreamChunk`],
-    /// [`Message::SubChunk`] and [`Message::SubGap`] toward a client,
-    /// [`Message::WriteChunk`] toward a server — on stream `stream_id`.
-    /// Control and terminal frames never consume credit.
-    MuxCredit {
-        /// Stream the grant applies to.
-        stream_id: u32,
-        /// Additional data frames allowed (`1..=`[`MAX_CREDIT_FRAMES`]).
-        frames: u32,
-    },
-    /// Tears down one stream without touching the connection (both
-    /// directions). A client reset cancels the server-side operation
-    /// (an unfinished ingest aborts — only fully persisted GOPs remain); a
-    /// server reset carries the typed error that ended the stream. Resetting
-    /// an unknown stream is answered (or ignored) per stream — never by
-    /// closing the connection.
-    MuxReset {
-        /// Stream being torn down.
-        stream_id: u32,
-        /// Why the stream ended (absent on a plain cancellation).
-        error: Option<WireError>,
-    },
-    /// Requests one admin table; the server replies
-    /// [`Message::AdminTable`].
-    AdminRequest {
-        /// Which table — an [`admin_topic`] selector.
-        topic: u8,
-        /// Topic-specific argument (0 when unused).
-        arg: u64,
-    },
-    /// Requests one page of the server's telemetry registry; the server
-    /// replies [`Message::StatsPage`]. Pages walk the
-    /// registry flattened as counters, then gauges, then histograms, each
-    /// in sorted series order.
-    StatsPageRequest {
-        /// Flattened index of the first series wanted.
-        start: u32,
-        /// Maximum series in the reply (`1..=`[`MAX_METRICS`]).
-        max: u32,
-    },
-    /// Requests the registry as Prometheus-style text; the server replies
-    /// [`Message::MetricsText`].
-    MetricsTextRequest,
-    /// Reply to [`Message::AdminRequest`]: one pre-rendered table.
-    AdminTable(AdminTable),
-    /// Reply to [`Message::StatsPageRequest`]: one page of the registry.
-    StatsPage {
-        /// Total series in the flattened registry at snapshot time.
-        total: u32,
-        /// Flattened index of this page's first series.
-        start: u32,
-        /// The page: every section ≤ [`MAX_METRICS`] by construction.
-        snapshot: TelemetrySnapshot,
-    },
-    /// Reply to [`Message::MetricsTextRequest`]: sorted text exposition
-    /// (truncated at a line boundary to fit [`MAX_STRING_BYTES`] if the
-    /// registry is enormous).
-    MetricsText {
-        /// The exposition text.
-        text: String,
-    },
-}
-
-impl Message {
-    /// The message's kind name — safe for error text (never drags payload
-    /// bytes, e.g. pixel buffers, into a string).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Message::Hello { .. } => "Hello",
-            Message::Create { .. } => "Create",
-            Message::Delete { .. } => "Delete",
-            Message::Metadata { .. } => "Metadata",
-            Message::OpenReadStream { .. } => "OpenReadStream",
-            Message::WriteBegin { .. } => "WriteBegin",
-            Message::AppendBegin { .. } => "AppendBegin",
-            Message::WriteChunk { .. } => "WriteChunk",
-            Message::WriteFinish => "WriteFinish",
-            Message::WriteAbort => "WriteAbort",
-            Message::Subscribe { .. } => "Subscribe",
-            Message::HelloAck { .. } => "HelloAck",
-            Message::Ok => "Ok",
-            Message::Error(_) => "Error",
-            Message::MetadataReply(_) => "MetadataReply",
-            Message::StreamBegin { .. } => "StreamBegin",
-            Message::StreamChunk { .. } => "StreamChunk",
-            Message::StreamEnd => "StreamEnd",
-            Message::WriteReady { .. } => "WriteReady",
-            Message::WriteReport(_) => "WriteReport",
-            Message::SubChunk { .. } => "SubChunk",
-            Message::SubGap { .. } => "SubGap",
-            Message::SubEnd => "SubEnd",
-            Message::Mux { .. } => "Mux",
-            Message::MuxCredit { .. } => "MuxCredit",
-            Message::MuxReset { .. } => "MuxReset",
-            Message::AdminRequest { .. } => "AdminRequest",
-            Message::StatsPageRequest { .. } => "StatsPageRequest",
-            Message::MetricsTextRequest => "MetricsTextRequest",
-            Message::AdminTable(_) => "AdminTable",
-            Message::StatsPage { .. } => "StatsPage",
-            Message::MetricsText { .. } => "MetricsText",
+/// Declares [`Message`] from the message table and generates everything that
+/// depends on a layout from it: the `kind` byte constants, one encoder per
+/// message (`encode::*`, taking the fields borrowed), [`Message::kind_name`]
+/// and the `Wire` impl behind [`encode_message`] and [`decode_message`]. A
+/// field written `name: T where RANGE` is refused outside `RANGE` as soon as
+/// it is decoded, before any later field is read.
+macro_rules! messages {
+    (
+        $(#[$meta:meta])*
+        pub enum Message {
+            $(
+                $(#[$variant_meta:meta])*
+                $kind:literal $name:ident
+                $({
+                    $($(#[$field_meta:meta])* $field:ident: $ty:ty $(where $range:expr)?),* $(,)?
+                })?
+                $(($value:ident: $value_ty:ty))?
+            ),* $(,)?
         }
-    }
-}
-
-const KIND_HELLO: u8 = 0x01;
-const KIND_CREATE: u8 = 0x02;
-const KIND_DELETE: u8 = 0x03;
-const KIND_METADATA: u8 = 0x04;
-const KIND_OPEN_READ_STREAM: u8 = 0x05;
-const KIND_WRITE_BEGIN: u8 = 0x06;
-const KIND_APPEND_BEGIN: u8 = 0x07;
-const KIND_WRITE_CHUNK: u8 = 0x08;
-const KIND_WRITE_FINISH: u8 = 0x09;
-const KIND_WRITE_ABORT: u8 = 0x0a;
-// 0x0b is reserved (see the module docs).
-const KIND_SUBSCRIBE: u8 = 0x0c;
-const KIND_HELLO_ACK: u8 = 0x81;
-const KIND_OK: u8 = 0x82;
-const KIND_ERROR: u8 = 0x83;
-const KIND_METADATA_REPLY: u8 = 0x84;
-const KIND_STREAM_BEGIN: u8 = 0x85;
-const KIND_STREAM_CHUNK: u8 = 0x86;
-const KIND_STREAM_END: u8 = 0x87;
-const KIND_WRITE_READY: u8 = 0x88;
-const KIND_WRITE_REPORT: u8 = 0x89;
-// 0x8a is reserved.
-const KIND_SUB_CHUNK: u8 = 0x8b;
-const KIND_SUB_GAP: u8 = 0x8c;
-const KIND_SUB_END: u8 = 0x8d;
-// Mux frames travel both directions, so their kinds live in the gap between
-// the client (0x01..) and envelope-marker (0x7e; 0x7f reserved) namespaces.
-const KIND_MUX_RESET: u8 = 0x7b;
-const KIND_MUX_CREDIT: u8 = 0x7c;
-const KIND_MUX: u8 = 0x7d;
-const KIND_ADMIN_REQUEST: u8 = 0x0d;
-const KIND_STATS_PAGE_REQUEST: u8 = 0x0e;
-const KIND_METRICS_TEXT_REQUEST: u8 = 0x0f;
-const KIND_ADMIN_TABLE: u8 = 0x8e;
-const KIND_STATS_PAGE: u8 = 0x8f;
-const KIND_METRICS_TEXT: u8 = 0x90;
-
-/// `SubscribeFrom` tag bytes.
-const SUB_FROM_START: u8 = 0x00;
-const SUB_FROM_SEQ: u8 = 0x01;
-const SUB_FROM_LIVE: u8 = 0x02;
-
-// ---------------------------------------------------------------------------
-// Primitive writers
-// ---------------------------------------------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-fn put_opt<T>(out: &mut Vec<u8>, value: &Option<T>, mut put: impl FnMut(&mut Vec<u8>, &T)) {
-    match value {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put(out, v);
+    ) => {
+        $(#[$meta])*
+        pub enum Message {
+            $(
+                $(#[$variant_meta])*
+                #[doc = concat!("\n\nKind byte `", stringify!($kind), "`.")]
+                $name $({ $($(#[$field_meta])* $field: $ty),* })? $(($value_ty))?,
+            )*
         }
+
+        /// The kind byte of every message, by variant name.
+        #[allow(non_upper_case_globals)]
+        mod kind {
+            $(pub(super) const $name: u8 = $kind;)*
+        }
+
+        /// One encoder per message, taking its fields borrowed and in wire
+        /// order, so a frame can be encoded from parts it does not own
+        /// ([`encode_mux`], [`write_mux_chunk_message`]).
+        #[allow(non_snake_case)]
+        mod encode {
+            use super::{kind, Wire};
+            $(
+                pub(super) fn $name(
+                    out: &mut Vec<u8>,
+                    $($($field: &(impl Wire + ?Sized),)*)?
+                    $($value: &(impl Wire + ?Sized))?
+                ) {
+                    out.push(kind::$name);
+                    $($($field.put(out);)*)?
+                    $($value.put(out);)?
+                }
+            )*
+        }
+
+        impl Message {
+            /// The message's kind name — safe for error text (never drags
+            /// payload bytes, e.g. pixel buffers, into a string).
+            pub fn kind_name(&self) -> &'static str {
+                match self {
+                    $(Message::$name { .. } => stringify!($name),)*
+                }
+            }
+        }
+
+        impl Wire for Message {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(
+                        Message::$name $({ $($field),* })? $(($value))? => {
+                            encode::$name(out $($(, $field)*)? $(, $value)?)
+                        }
+                    )*
+                }
+            }
+
+            fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+                Ok(match u8::get(cursor)? {
+                    $(
+                        kind::$name => Message::$name
+                            $({ $($field: {
+                                let value = <$ty>::get(cursor)?;
+                                $(if !($range).contains(&value) {
+                                    let field = concat!(stringify!($name), ".", stringify!($field));
+                                    return Err(format!("{field} {value} outside {:?}", $range));
+                                })?
+                                value
+                            }),* })?
+                            $((<$value_ty>::get(cursor)?))?,
+                    )*
+                    other => return Err(format!("unknown message kind 0x{other:02x}")),
+                })
+            }
+        }
+    };
+}
+
+messages! {
+    /// Every message of the protocol. Kinds `0x01..` travel client → server,
+    /// `0x81..` server → client; see the [crate docs](crate) for the flows.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Message {
+        /// Opens a connection: magic + version. First message on every
+        /// connection.
+        0x01 Hello {
+            /// Must be [`PROTOCOL_MAGIC`].
+            magic: u32,
+            /// Newest version the client speaks; the server refuses anything
+            /// below [`PROTOCOL_VERSION`] with a typed protocol error.
+            version: u16,
+        },
+        /// Creates a logical video.
+        0x02 Create {
+            /// Logical video name.
+            name: String,
+            /// Optional explicit storage budget.
+            budget: Option<StorageBudget>,
+        },
+        /// Deletes a logical video.
+        0x03 Delete {
+            /// Logical video name.
+            name: String,
+        },
+        /// Requests storage accounting for a logical video.
+        0x04 Metadata {
+            /// Logical video name.
+            name: String,
+        },
+        /// Opens a GOP-at-a-time streaming read.
+        0x05 OpenReadStream {
+            /// The read request, verbatim.
+            request: ReadRequest,
+        },
+        /// Opens an incremental write (the server replies
+        /// [`Message::WriteReady`] with its GOP size).
+        0x06 WriteBegin {
+            /// The write request, verbatim.
+            request: WriteRequest,
+            /// Frame rate of the pushed frames.
+            frame_rate: f64,
+        },
+        /// Opens an append to a video's original representation (the server
+        /// acknowledges with [`Message::Ok`], then buffers chunks until
+        /// [`Message::WriteFinish`]).
+        0x07 AppendBegin {
+            /// Logical video name.
+            name: String,
+            /// Frame rate of the pushed frames.
+            frame_rate: f64,
+        },
+        /// One slab of frames of an in-progress write or append.
+        0x08 WriteChunk {
+            /// The frames, in push order.
+            frames: Vec<Frame>,
+        },
+        /// Completes an in-progress write or append; the server replies
+        /// [`Message::WriteReport`].
+        0x09 WriteFinish,
+        /// Abandons an in-progress write or append: the server discards
+        /// unpersisted data (for a sink, only fully persisted GOPs remain).
+        0x0a WriteAbort,
+        // 0x0b is reserved (see the module docs).
+        /// Opens a live tailing subscription. The server acknowledges with
+        /// [`Message::Ok`] and then streams
+        /// [`Message::SubChunk`]/[`Message::SubGap`] events until the video is
+        /// deleted ([`Message::SubEnd`]) or the client resets the stream.
+        0x0c Subscribe {
+            /// Logical video name (need not exist yet — the subscription waits).
+            name: String,
+            /// Where the subscription starts.
+            from: SubscribeFrom,
+        },
+        /// Handshake acknowledgement: the protocol version and the admitted
+        /// session's server-unique id.
+        0x81 HelloAck {
+            /// Always [`PROTOCOL_VERSION`]; a client refuses anything else.
+            version: u16,
+            /// Server-side session id.
+            session: u64,
+        },
+        /// Generic success acknowledgement (create, delete, append-begin).
+        0x82 Ok,
+        /// A typed error. Terminates the enclosing operation; the connection
+        /// stays usable unless the error was a protocol violation.
+        0x83 Error(error: WireError),
+        /// Reply to [`Message::Metadata`].
+        0x84 MetadataReply(metadata: VideoMetadata),
+        /// First reply to [`Message::OpenReadStream`]: announces the stream.
+        0x85 StreamBegin {
+            /// Frame rate of the drained output.
+            frame_rate: f64,
+            /// Whether chunks carry encoded GOPs.
+            compressed: bool,
+        },
+        /// One fragment of one streamed chunk. Fragments of a chunk share its
+        /// frame rate; the fragment with `last = true` carries the chunk's
+        /// encoded GOP and stats delta and completes it.
+        0x86 StreamChunk {
+            /// Frame rate of the chunk's frames.
+            frame_rate: f64,
+            /// True on the final fragment of the chunk.
+            last: bool,
+            /// This fragment's frames.
+            frames: Vec<Frame>,
+            /// The chunk's encoded output GOP (final fragment only, compressed
+            /// streams only).
+            encoded_gop: Option<EncodedGop>,
+            /// The chunk's stats delta (final fragment only).
+            delta: ChunkStats,
+        },
+        /// The stream completed successfully.
+        0x87 StreamEnd,
+        /// Reply to [`Message::WriteBegin`]: the write is admitted and the
+        /// client should chunk its pushes on this GOP boundary.
+        0x88 WriteReady {
+            /// The server's flush boundary in frames.
+            gop_size: u64,
+        },
+        /// Reply to [`Message::WriteFinish`].
+        0x89 WriteReport(report: WireWriteReport),
+        // 0x8a is reserved.
+        /// One subscribed GOP, exactly as persisted (already encoded — no
+        /// re-encode on the fan-out path).
+        0x8b SubChunk {
+            /// The GOP's position in the video's original representation.
+            seq: u64,
+            /// Start timestamp (seconds).
+            start_time: f64,
+            /// End timestamp (seconds, exclusive).
+            end_time: f64,
+            /// Frame rate of the GOP.
+            frame_rate: f64,
+            /// Number of frames in the GOP.
+            frame_count: u64,
+            /// The persisted container bytes.
+            gop: EncodedGop,
+        },
+        /// Sequence numbers `from_seq..to_seq` are no longer available (trimmed
+        /// by retention before this subscriber could read them).
+        0x8c SubGap {
+            /// First missing sequence number.
+            from_seq: u64,
+            /// One past the last missing sequence number.
+            to_seq: u64,
+        },
+        /// The subscribed video was deleted; no further events follow.
+        0x8d SubEnd,
+        // Mux frames travel both directions, so their kinds live in the gap
+        // between the client (0x01..) and envelope-marker (0x7e; 0x7f
+        // reserved) namespaces.
+        /// One multiplexed frame (both directions): `inner` belongs
+        /// to the stream `stream_id`. A stream is opened by the first client
+        /// frame carrying its id (an [`Message::OpenReadStream`],
+        /// [`Message::WriteBegin`], [`Message::AppendBegin`] or
+        /// [`Message::Subscribe`]); every later frame of the operation rides the
+        /// same id. Mux frames never nest.
+        0x7d Mux {
+            /// Stream this frame belongs to (`1..=`[`MAX_STREAM_ID`]).
+            stream_id: u32 where 1..=MAX_STREAM_ID,
+            /// The operation message.
+            inner: Box<Message>,
+        },
+        /// A cumulative credit grant (both directions): the sender
+        /// allows `frames` more *data* frames — [`Message::StreamChunk`],
+        /// [`Message::SubChunk`] and [`Message::SubGap`] toward a client,
+        /// [`Message::WriteChunk`] toward a server — on stream `stream_id`.
+        /// Control and terminal frames never consume credit.
+        0x7c MuxCredit {
+            /// Stream the grant applies to.
+            stream_id: u32 where 1..=MAX_STREAM_ID,
+            /// Additional data frames allowed (`1..=`[`MAX_CREDIT_FRAMES`]).
+            frames: u32 where 1..=MAX_CREDIT_FRAMES,
+        },
+        /// Tears down one stream without touching the connection (both
+        /// directions). A client reset cancels the server-side operation
+        /// (an unfinished ingest aborts — only fully persisted GOPs remain); a
+        /// server reset carries the typed error that ended the stream. Resetting
+        /// an unknown stream is answered (or ignored) per stream — never by
+        /// closing the connection.
+        0x7b MuxReset {
+            /// Stream being torn down.
+            stream_id: u32 where 1..=MAX_STREAM_ID,
+            /// Why the stream ended (absent on a plain cancellation).
+            error: Option<WireError>,
+        },
+        /// Requests one admin table; the server replies
+        /// [`Message::AdminTable`], or a typed `Unsupported` error for an
+        /// unknown topic (any topic byte decodes).
+        0x0d AdminRequest {
+            /// Which table — an [`admin_topic`] selector.
+            topic: u8,
+            /// Topic-specific argument (0 when unused).
+            arg: u64,
+        },
+        /// Requests one page of the server's telemetry registry; the server
+        /// replies [`Message::StatsPage`]. Pages walk the
+        /// registry flattened as counters, then gauges, then histograms, each
+        /// in sorted series order.
+        0x0e StatsPageRequest {
+            /// Flattened index of the first series wanted.
+            start: u32,
+            /// Maximum series in the reply (`1..=`[`MAX_METRICS`]).
+            max: u32 where 1..=MAX_METRICS as u32,
+        },
+        // 0x0f is reserved.
+        /// Reply to [`Message::AdminRequest`]: one pre-rendered table.
+        0x8e AdminTable(table: AdminTable),
+        /// Reply to [`Message::StatsPageRequest`]: one page of the registry.
+        0x8f StatsPage {
+            /// Total series in the flattened registry at snapshot time.
+            total: u32,
+            /// Flattened index of this page's first series.
+            start: u32,
+            /// The page: every section ≤ [`MAX_METRICS`] by construction.
+            snapshot: TelemetrySnapshot,
+        },
+        // 0x90 is reserved.
     }
 }
 
 // ---------------------------------------------------------------------------
-// Primitive readers — every read checks availability first; no read panics
-// or allocates from unvalidated lengths.
+// Field codecs: one `Wire` impl per wire type, both directions side by side.
+// Every `get` checks availability before slicing and bounds every count
+// before allocating; no decode panics.
 // ---------------------------------------------------------------------------
+
+type DecodeResult<T> = Result<T, String>;
+
+/// One wire type's layout: how a value is appended to a payload, and how it
+/// is read back. The unsized slice forms (`[u8]`, `[T]`) only encode — they
+/// let borrowed data go on the wire without a copy.
+trait Wire {
+    fn put(&self, out: &mut Vec<u8>);
+
+    fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self>
+    where
+        Self: Sized;
+}
 
 /// Cursor over one received payload.
 struct Cursor<'a> {
     data: &'a [u8],
     pos: usize,
 }
-
-type DecodeResult<T> = Result<T, String>;
 
 impl<'a> Cursor<'a> {
     fn new(data: &'a [u8]) -> Self {
@@ -741,390 +738,353 @@ impl<'a> Cursor<'a> {
         self.data.len() - self.pos
     }
 
-    fn get_u8(&mut self) -> DecodeResult<u8> {
-        Ok(self.take(1)?[0])
+    /// Reads a `u32` count and refuses it above `max` before anything is
+    /// allocated for it.
+    fn count(&mut self, max: usize) -> DecodeResult<usize> {
+        let count = u32::get(self)? as usize;
+        if count > max {
+            return Err(format!("count {count} exceeds the {max} cap"));
+        }
+        Ok(count)
     }
 
-    fn get_u16(&mut self) -> DecodeResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+    /// Reads a byte string (the layout `[u8]` encodes) without copying it.
+    fn bytes(&mut self) -> DecodeResult<&'a [u8]> {
+        let len = u32::get(self)? as usize;
+        self.take(len)
+    }
+}
+
+/// Numbers travel little-endian; `f64` as its IEEE bit pattern, `i64` as
+/// its two's complement.
+macro_rules! wire_numbers {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+                let bytes = cursor.take(std::mem::size_of::<$int>())?;
+                let bytes = bytes.try_into().expect("take returns the length asked for");
+                Ok(<$int>::from_le_bytes(bytes))
+            }
+        }
+    )*};
+}
+
+wire_numbers!(u8, u16, u32, u64, i64, f64);
+
+/// In-memory counts travel as `u64`.
+impl Wire for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
     }
 
-    fn get_u32(&mut self) -> DecodeResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+        Ok(u64::get(cursor)? as usize)
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
     }
 
-    fn get_u64(&mut self) -> DecodeResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn get_f64(&mut self) -> DecodeResult<f64> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    fn get_bool(&mut self) -> DecodeResult<bool> {
-        match self.get_u8()? {
+    fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+        match u8::get(cursor)? {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(format!("invalid bool byte {other}")),
         }
     }
+}
 
-    fn get_str(&mut self) -> DecodeResult<String> {
-        let len = self.get_u32()? as usize;
-        if len > MAX_STRING_BYTES {
-            return Err(format!("string of {len} bytes exceeds the {MAX_STRING_BYTES} cap"));
+/// A byte string: a `u32` length, then the bytes. Pixel buffers, GOP
+/// containers, level lists and strings all travel this way; `Cursor::bytes`
+/// reads it back.
+impl Wire for [u8] {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self);
+    }
+}
+
+impl Wire for Vec<u8> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_slice().put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+        Ok(cursor.bytes()?.to_vec())
+    }
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_bytes().put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+        let len = cursor.count(MAX_STRING_BYTES)?;
+        String::from_utf8(cursor.take(len)?.to_vec()).map_err(|_| "invalid UTF-8 string".into())
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(value) => {
+                out.push(1);
+                value.put(out);
+            }
         }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "invalid UTF-8 string".into())
     }
 
-    fn get_bytes(&mut self) -> DecodeResult<&'a [u8]> {
-        let len = self.get_u32()? as usize;
-        self.take(len)
-    }
-
-    fn get_opt<T>(
-        &mut self,
-        mut get: impl FnMut(&mut Self) -> DecodeResult<T>,
-    ) -> DecodeResult<Option<T>> {
-        match self.get_u8()? {
+    fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+        match u8::get(cursor)? {
             0 => Ok(None),
-            1 => Ok(Some(get(self)?)),
+            1 => Ok(Some(T::get(cursor)?)),
             other => Err(format!("invalid option tag {other}")),
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Composite codecs
-// ---------------------------------------------------------------------------
+/// A fixed tuple travels as its fields in order, with nothing in between.
+macro_rules! wire_tuples {
+    ($(($($t:ident $v:ident),*))*) => {$(
+        impl<$($t: Wire),*> Wire for ($($t,)*) {
+            fn put(&self, _out: &mut Vec<u8>) {
+                let ($($v,)*) = self;
+                $($v.put(_out);)*
+            }
 
-/// Reads and validates a multiplexed stream id — the first field of every mux
-/// frame, checked before anything after it is decoded.
-fn get_stream_id(cursor: &mut Cursor<'_>) -> DecodeResult<u32> {
-    let id = cursor.get_u32()?;
-    if id == 0 || id > MAX_STREAM_ID {
-        return Err(format!("stream id {id} outside 1..={MAX_STREAM_ID}"));
-    }
-    Ok(id)
-}
-
-fn put_codec(out: &mut Vec<u8>, codec: Codec) {
-    put_str(out, &codec.name());
-}
-
-fn get_codec(cursor: &mut Cursor<'_>) -> DecodeResult<Codec> {
-    let name = cursor.get_str()?;
-    Codec::parse(&name).ok_or_else(|| format!("unknown codec '{name}'"))
-}
-
-fn put_frame(out: &mut Vec<u8>, frame: &Frame) {
-    put_u32(out, frame.width());
-    put_u32(out, frame.height());
-    put_str(out, frame.format().name());
-    put_bytes(out, frame.data());
-}
-
-fn get_frame(cursor: &mut Cursor<'_>) -> DecodeResult<Frame> {
-    let width = cursor.get_u32()?;
-    let height = cursor.get_u32()?;
-    if width > MAX_DIMENSION || height > MAX_DIMENSION {
-        return Err(format!("implausible frame dimensions {width}x{height}"));
-    }
-    let format_name = cursor.get_str()?;
-    let format = PixelFormat::parse(&format_name)
-        .ok_or_else(|| format!("unknown pixel format '{format_name}'"))?;
-    let data = cursor.get_bytes()?;
-    Frame::from_data(width, height, format, data.to_vec())
-        .map_err(|e| format!("invalid frame: {e}"))
-}
-
-fn put_frames(out: &mut Vec<u8>, frames: &[Frame]) {
-    put_u32(out, frames.len() as u32);
-    for frame in frames {
-        put_frame(out, frame);
-    }
-}
-
-fn get_frames(cursor: &mut Cursor<'_>) -> DecodeResult<Vec<Frame>> {
-    let count = cursor.get_u32()? as usize;
-    if count > MAX_FRAMES_PER_CHUNK {
-        return Err(format!("chunk of {count} frames exceeds the {MAX_FRAMES_PER_CHUNK} cap"));
-    }
-    // Pre-allocation bounded by what the payload can actually hold, not by
-    // the claimed count (the `decode_residuals` discipline).
-    let mut frames = Vec::with_capacity(count.min(cursor.remaining() / 9 + 1));
-    for _ in 0..count {
-        frames.push(get_frame(cursor)?);
-    }
-    Ok(frames)
-}
-
-fn put_budget(out: &mut Vec<u8>, budget: &StorageBudget) {
-    match budget {
-        StorageBudget::MultipleOfOriginal(multiple) => {
-            out.push(1);
-            put_f64(out, *multiple);
+            fn get(_cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+                Ok(($($t::get(_cursor)?,)*))
+            }
         }
-        StorageBudget::Bytes(bytes) => {
-            out.push(2);
-            put_u64(out, *bytes);
+    )*};
+}
+
+wire_tuples!(() (A a, B b) (A a, B b, C c, D d));
+
+/// Element types of a counted list — a `u32` count, then the elements — and
+/// the cap on that count, refused before anything is allocated.
+trait Element: Wire {
+    const MAX: usize;
+}
+
+/// A chunk's frames.
+impl Element for Frame {
+    const MAX: usize = MAX_FRAMES_PER_CHUNK;
+}
+
+/// A telemetry snapshot section's `(series, value)` pairs.
+impl<T: Wire> Element for (String, T) {
+    const MAX: usize = MAX_METRICS;
+}
+
+impl<T: Element> Wire for [T] {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for item in self {
+            item.put(out);
         }
-        StorageBudget::Unlimited => out.push(3),
     }
 }
 
-fn get_budget(cursor: &mut Cursor<'_>) -> DecodeResult<StorageBudget> {
-    match cursor.get_u8()? {
-        1 => Ok(StorageBudget::MultipleOfOriginal(cursor.get_f64()?)),
-        2 => Ok(StorageBudget::Bytes(cursor.get_u64()?)),
-        3 => Ok(StorageBudget::Unlimited),
-        other => Err(format!("invalid budget tag {other}")),
+impl<T: Element> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_slice().put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+        let count = cursor.count(T::MAX)?;
+        // Pre-allocation bounded by what the payload can still hold, not by
+        // the claimed count (the `decode_residuals` discipline).
+        let mut items = Vec::with_capacity(count.min(cursor.remaining()));
+        for _ in 0..count {
+            items.push(T::get(cursor)?);
+        }
+        Ok(items)
     }
 }
 
-fn put_read_request(out: &mut Vec<u8>, request: &ReadRequest) {
-    put_str(out, &request.name);
-    put_f64(out, request.temporal.start);
-    put_f64(out, request.temporal.end);
-    put_opt(out, &request.temporal.frame_rate, |o, v| put_f64(o, *v));
-    put_opt(out, &request.spatial.resolution, |o, r| {
-        put_u32(o, r.width);
-        put_u32(o, r.height);
-    });
-    put_opt(out, &request.spatial.region, |o, r| {
-        put_u32(o, r.x0);
-        put_u32(o, r.y0);
-        put_u32(o, r.x1);
-        put_u32(o, r.y1);
-    });
-    put_codec(out, request.physical.codec);
-    put_opt(out, &request.physical.quality_threshold, |o, q| put_f64(o, q.0));
-    put_opt(out, &request.physical.encoder_quality, |o, q| o.push(*q));
-    put_bool(out, request.cacheable);
-    out.push(match request.planner {
-        PlannerKind::Optimal => 0,
-        PlannerKind::Greedy => 1,
-    });
+/// Implements [`Wire`] for structs that travel as a plain list of their
+/// fields, in the order given.
+macro_rules! wire_structs {
+    ($($ty:ident { $($field:tt),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+
+            fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+                Ok(Self { $($field: Wire::get(cursor)?),* })
+            }
+        }
+    )*};
 }
 
-fn get_read_request(cursor: &mut Cursor<'_>) -> DecodeResult<ReadRequest> {
-    let name = cursor.get_str()?;
-    let start = cursor.get_f64()?;
-    let end = cursor.get_f64()?;
-    let frame_rate = cursor.get_opt(|c| c.get_f64())?;
-    let resolution = cursor.get_opt(|c| {
-        let width = c.get_u32()?;
-        let height = c.get_u32()?;
-        Ok(Resolution::new(width, height))
-    })?;
-    let region = cursor.get_opt(|c| {
-        let (x0, y0, x1, y1) = (c.get_u32()?, c.get_u32()?, c.get_u32()?, c.get_u32()?);
+wire_structs! {
+    ReadRequest { name, temporal, spatial, physical, cacheable, planner }
+    TemporalRange { start, end, frame_rate }
+    SpatialParameters { resolution, region }
+    PhysicalParameters { codec, quality_threshold, encoder_quality }
+    Resolution { width, height }
+    PsnrDb { 0 }
+    WriteRequest { name, codec, encoder_quality, start_time }
+    WireError { code, message, range }
+    VideoMetadata { bytes_used, budget_bytes, time_range }
+    ChunkStats { gops_read, frames_decoded, bytes_read }
+    WireWriteReport {
+        physical_id, gops_written, frames_written, bytes_written, deferred_levels, elapsed_micros
+    }
+    HistogramSummary { count, sum, max, p50, p90, p99 }
+    TelemetrySnapshot { counters, gauges, histograms }
+}
+
+/// A codec travels as its name.
+impl Wire for Codec {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.name().put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+        let name = String::get(cursor)?;
+        Codec::parse(&name).ok_or_else(|| format!("unknown codec '{name}'"))
+    }
+}
+
+impl Wire for Frame {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.width(), self.height()).put(out);
+        self.format().name().as_bytes().put(out);
+        self.data().put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+        let (width, height) = <(u32, u32)>::get(cursor)?;
+        if width > MAX_DIMENSION || height > MAX_DIMENSION {
+            return Err(format!("implausible frame dimensions {width}x{height}"));
+        }
+        let format_name = String::get(cursor)?;
+        let format = PixelFormat::parse(&format_name)
+            .ok_or_else(|| format!("unknown pixel format '{format_name}'"))?;
+        Frame::from_data(width, height, format, cursor.bytes()?.to_vec())
+            .map_err(|e| format!("invalid frame: {e}"))
+    }
+}
+
+/// A GOP travels as its serialized container, a byte string.
+impl Wire for EncodedGop {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bytes().put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+        EncodedGop::from_bytes(cursor.bytes()?).map_err(|e| format!("invalid GOP: {e}"))
+    }
+}
+
+/// Implements `Wire` for enums that travel as a tag byte, then the
+/// variant's one field if it has one.
+macro_rules! wire_tagged {
+    ($($ty:ident { $($tag:literal $variant:ident $(($value:ident: $value_ty:ty))?),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($value))? => {
+                        out.push($tag);
+                        $($value.put(out);)?
+                    })*
+                }
+            }
+
+            fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+                Ok(match u8::get(cursor)? {
+                    $($tag => $ty::$variant $((<$value_ty>::get(cursor)?))?,)*
+                    other => {
+                        return Err(format!(concat!("invalid ", stringify!($ty), " tag {}"), other))
+                    }
+                })
+            }
+        }
+    )*};
+}
+
+wire_tagged! {
+    StorageBudget { 1 MultipleOfOriginal(multiple: f64), 2 Bytes(bytes: u64), 3 Unlimited }
+    SubscribeFrom { 0 Start, 1 Seq(seq: u64), 2 Live }
+    PlannerKind { 0 Optimal, 1 Greedy }
+}
+
+/// A region is validated as it is decoded.
+impl Wire for RegionOfInterest {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.x0, self.y0, self.x1, self.y1).put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+        let (x0, y0, x1, y1) = Wire::get(cursor)?;
         RegionOfInterest::new(x0, y0, x1, y1).map_err(|e| format!("invalid region: {e}"))
-    })?;
-    let codec = get_codec(cursor)?;
-    let quality_threshold = cursor.get_opt(|c| c.get_f64().map(vss_frame::PsnrDb))?;
-    let encoder_quality = cursor.get_opt(|c| c.get_u8())?;
-    let cacheable = cursor.get_bool()?;
-    let planner = match cursor.get_u8()? {
-        0 => PlannerKind::Optimal,
-        1 => PlannerKind::Greedy,
-        other => return Err(format!("invalid planner tag {other}")),
-    };
-    let mut request = ReadRequest::new(name, start, end, codec);
-    request.temporal.frame_rate = frame_rate;
-    request.spatial.resolution = resolution;
-    request.spatial.region = region;
-    request.physical.quality_threshold = quality_threshold;
-    request.physical.encoder_quality = encoder_quality;
-    request.cacheable = cacheable;
-    request.planner = planner;
-    Ok(request)
-}
-
-fn put_write_request(out: &mut Vec<u8>, request: &WriteRequest) {
-    put_str(out, &request.name);
-    put_codec(out, request.codec);
-    put_opt(out, &request.encoder_quality, |o, q| o.push(*q));
-    put_f64(out, request.start_time);
-}
-
-fn get_write_request(cursor: &mut Cursor<'_>) -> DecodeResult<WriteRequest> {
-    let name = cursor.get_str()?;
-    let codec = get_codec(cursor)?;
-    let encoder_quality = cursor.get_opt(|c| c.get_u8())?;
-    let start_time = cursor.get_f64()?;
-    let mut request = WriteRequest::new(name, codec);
-    request.encoder_quality = encoder_quality;
-    request.start_time = start_time;
-    Ok(request)
-}
-
-fn put_wire_error(out: &mut Vec<u8>, error: &WireError) {
-    put_u16(out, error.code);
-    put_str(out, &error.message);
-    put_opt(out, &error.range, |o, (a, b, c, d)| {
-        put_f64(o, *a);
-        put_f64(o, *b);
-        put_f64(o, *c);
-        put_f64(o, *d);
-    });
-}
-
-fn get_wire_error(cursor: &mut Cursor<'_>) -> DecodeResult<WireError> {
-    let code = cursor.get_u16()?;
-    let message = cursor.get_str()?;
-    let range =
-        cursor.get_opt(|c| Ok((c.get_f64()?, c.get_f64()?, c.get_f64()?, c.get_f64()?)))?;
-    Ok(WireError { code, message, range })
-}
-
-fn put_metadata(out: &mut Vec<u8>, metadata: &VideoMetadata) {
-    put_u64(out, metadata.bytes_used);
-    put_opt(out, &metadata.budget_bytes, |o, b| put_u64(o, *b));
-    put_opt(out, &metadata.time_range, |o, (s, e)| {
-        put_f64(o, *s);
-        put_f64(o, *e);
-    });
-}
-
-fn get_metadata(cursor: &mut Cursor<'_>) -> DecodeResult<VideoMetadata> {
-    let bytes_used = cursor.get_u64()?;
-    let budget_bytes = cursor.get_opt(|c| c.get_u64())?;
-    let time_range = cursor.get_opt(|c| Ok((c.get_f64()?, c.get_f64()?)))?;
-    Ok(VideoMetadata { bytes_used, budget_bytes, time_range })
-}
-
-fn put_delta(out: &mut Vec<u8>, delta: &ChunkStats) {
-    put_u64(out, delta.gops_read as u64);
-    put_u64(out, delta.frames_decoded as u64);
-    put_u64(out, delta.bytes_read);
-}
-
-fn get_delta(cursor: &mut Cursor<'_>) -> DecodeResult<ChunkStats> {
-    Ok(ChunkStats {
-        gops_read: cursor.get_u64()? as usize,
-        frames_decoded: cursor.get_u64()? as usize,
-        bytes_read: cursor.get_u64()?,
-    })
-}
-
-fn put_report(out: &mut Vec<u8>, report: &WireWriteReport) {
-    put_u64(out, report.physical_id);
-    put_u64(out, report.gops_written);
-    put_u64(out, report.frames_written);
-    put_u64(out, report.bytes_written);
-    put_bytes(out, &report.deferred_levels);
-    put_u64(out, report.elapsed_micros);
-}
-
-fn get_report(cursor: &mut Cursor<'_>) -> DecodeResult<WireWriteReport> {
-    Ok(WireWriteReport {
-        physical_id: cursor.get_u64()?,
-        gops_written: cursor.get_u64()?,
-        frames_written: cursor.get_u64()?,
-        bytes_written: cursor.get_u64()?,
-        deferred_levels: cursor.get_bytes()?.to_vec(),
-        elapsed_micros: cursor.get_u64()?,
-    })
-}
-
-fn put_snapshot(out: &mut Vec<u8>, snapshot: &TelemetrySnapshot) {
-    put_u32(out, snapshot.counters.len() as u32);
-    for (name, value) in &snapshot.counters {
-        put_str(out, name);
-        put_u64(out, *value);
-    }
-    put_u32(out, snapshot.gauges.len() as u32);
-    for (name, value) in &snapshot.gauges {
-        put_str(out, name);
-        // i64 travels as its two's-complement bit pattern.
-        put_u64(out, *value as u64);
-    }
-    put_u32(out, snapshot.histograms.len() as u32);
-    for (name, h) in &snapshot.histograms {
-        put_str(out, name);
-        put_u64(out, h.count);
-        put_u64(out, h.sum);
-        put_u64(out, h.max);
-        put_u64(out, h.p50);
-        put_u64(out, h.p90);
-        put_u64(out, h.p99);
     }
 }
 
-fn put_admin_table(out: &mut Vec<u8>, table: &AdminTable) {
-    put_str(out, &table.title);
-    put_u32(out, table.columns.len() as u32);
-    for column in &table.columns {
-        put_str(out, column);
+/// A table travels as its title, its columns (a `u32` count in
+/// `1..=MAX_ADMIN_COLUMNS`, then the headers) and its rows (a `u32` count of
+/// at most [`MAX_ADMIN_ROWS`], then every row's cells — one per column, so a
+/// row carries no count of its own).
+impl Wire for AdminTable {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.title.put(out);
+        (self.columns.len() as u32).put(out);
+        self.columns.iter().for_each(|column| column.put(out));
+        (self.rows.len() as u32).put(out);
+        self.rows.iter().flatten().for_each(|cell| cell.put(out));
     }
-    put_u32(out, table.rows.len() as u32);
-    for row in &table.rows {
-        for cell in row {
-            put_str(out, cell);
+
+    fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+        let title = String::get(cursor)?;
+        let width = u32::get(cursor)? as usize;
+        if !(1..=MAX_ADMIN_COLUMNS).contains(&width) {
+            return Err(format!(
+                "admin table of {width} columns outside 1..={MAX_ADMIN_COLUMNS}"
+            ));
         }
-    }
-}
-
-fn get_admin_table(cursor: &mut Cursor<'_>) -> DecodeResult<AdminTable> {
-    let title = cursor.get_str()?;
-    let column_count = cursor.get_u32()? as usize;
-    if column_count == 0 || column_count > MAX_ADMIN_COLUMNS {
-        return Err(format!(
-            "admin table of {column_count} columns outside 1..={MAX_ADMIN_COLUMNS}"
-        ));
-    }
-    let mut columns = Vec::with_capacity(column_count);
-    for _ in 0..column_count {
-        columns.push(cursor.get_str()?);
-    }
-    let row_count = cursor.get_u32()? as usize;
-    if row_count > MAX_ADMIN_ROWS {
-        return Err(format!("admin table of {row_count} rows exceeds the {MAX_ADMIN_ROWS} cap"));
-    }
-    let mut rows = Vec::with_capacity(row_count.min(256));
-    for _ in 0..row_count {
-        let mut row = Vec::with_capacity(column_count);
-        for _ in 0..column_count {
-            row.push(cursor.get_str()?);
-        }
-        rows.push(row);
-    }
-    Ok(AdminTable { title, columns, rows })
-}
-
-/// Reads one snapshot-section length, refusing implausible counts before any
-/// allocation.
-fn get_metric_count(cursor: &mut Cursor<'_>) -> DecodeResult<usize> {
-    let count = cursor.get_u32()? as usize;
-    if count > MAX_METRICS {
-        return Err(format!("snapshot section of {count} metrics exceeds the {MAX_METRICS} cap"));
-    }
-    Ok(count)
-}
-
-fn get_snapshot(cursor: &mut Cursor<'_>) -> DecodeResult<TelemetrySnapshot> {
-    let mut snapshot = TelemetrySnapshot::default();
-    for _ in 0..get_metric_count(cursor)? {
-        snapshot.counters.push((cursor.get_str()?, cursor.get_u64()?));
-    }
-    for _ in 0..get_metric_count(cursor)? {
-        snapshot.gauges.push((cursor.get_str()?, cursor.get_u64()? as i64));
-    }
-    for _ in 0..get_metric_count(cursor)? {
-        let name = cursor.get_str()?;
-        let summary = HistogramSummary {
-            count: cursor.get_u64()?,
-            sum: cursor.get_u64()?,
-            max: cursor.get_u64()?,
-            p50: cursor.get_u64()?,
-            p90: cursor.get_u64()?,
-            p99: cursor.get_u64()?,
+        let row = |cursor: &mut Cursor<'_>| -> DecodeResult<Vec<String>> {
+            (0..width).map(|_| String::get(cursor)).collect()
         };
-        snapshot.histograms.push((name, summary));
+        let columns = row(cursor)?;
+        let height = cursor.count(MAX_ADMIN_ROWS)?;
+        let rows = (0..height)
+            .map(|_| row(cursor))
+            .collect::<DecodeResult<_>>()?;
+        Ok(AdminTable {
+            title,
+            columns,
+            rows,
+        })
     }
-    Ok(snapshot)
+}
+
+/// A mux frame's inner message: the rest of its payload. Mux frames never
+/// nest, and the inner kind byte is checked before the inner message is
+/// decoded, so no payload can make the decoder recurse.
+impl Wire for Box<Message> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (**self).put(out);
+    }
+
+    fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
+        if let Some(&inner @ (kind::Mux | kind::MuxCredit | kind::MuxReset)) =
+            cursor.data.get(cursor.pos)
+        {
+            return Err(format!("mux frames never nest (kind 0x{inner:02x})"));
+        }
+        Message::get(cursor).map(Box::new)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1135,149 +1095,7 @@ fn get_snapshot(cursor: &mut Cursor<'_>) -> DecodeResult<TelemetrySnapshot> {
 /// length prefix excluded).
 pub fn encode_message(message: &Message) -> Vec<u8> {
     let mut out = Vec::new();
-    match message {
-        Message::Hello { magic, version } => {
-            out.push(KIND_HELLO);
-            put_u32(&mut out, *magic);
-            put_u16(&mut out, *version);
-        }
-        Message::Create { name, budget } => {
-            out.push(KIND_CREATE);
-            put_str(&mut out, name);
-            put_opt(&mut out, budget, put_budget);
-        }
-        Message::Delete { name } => {
-            out.push(KIND_DELETE);
-            put_str(&mut out, name);
-        }
-        Message::Metadata { name } => {
-            out.push(KIND_METADATA);
-            put_str(&mut out, name);
-        }
-        Message::OpenReadStream { request } => {
-            out.push(KIND_OPEN_READ_STREAM);
-            put_read_request(&mut out, request);
-        }
-        Message::WriteBegin { request, frame_rate } => {
-            out.push(KIND_WRITE_BEGIN);
-            put_write_request(&mut out, request);
-            put_f64(&mut out, *frame_rate);
-        }
-        Message::AppendBegin { name, frame_rate } => {
-            out.push(KIND_APPEND_BEGIN);
-            put_str(&mut out, name);
-            put_f64(&mut out, *frame_rate);
-        }
-        Message::WriteChunk { frames } => {
-            out.push(KIND_WRITE_CHUNK);
-            put_frames(&mut out, frames);
-        }
-        Message::WriteFinish => out.push(KIND_WRITE_FINISH),
-        Message::WriteAbort => out.push(KIND_WRITE_ABORT),
-        Message::Subscribe { name, from } => {
-            out.push(KIND_SUBSCRIBE);
-            put_str(&mut out, name);
-            match from {
-                SubscribeFrom::Start => out.push(SUB_FROM_START),
-                SubscribeFrom::Seq(seq) => {
-                    out.push(SUB_FROM_SEQ);
-                    put_u64(&mut out, *seq);
-                }
-                SubscribeFrom::Live => out.push(SUB_FROM_LIVE),
-            }
-        }
-        Message::HelloAck { version, session } => {
-            out.push(KIND_HELLO_ACK);
-            put_u16(&mut out, *version);
-            put_u64(&mut out, *session);
-        }
-        Message::Ok => out.push(KIND_OK),
-        Message::Error(error) => {
-            out.push(KIND_ERROR);
-            put_wire_error(&mut out, error);
-        }
-        Message::MetadataReply(metadata) => {
-            out.push(KIND_METADATA_REPLY);
-            put_metadata(&mut out, metadata);
-        }
-        Message::StreamBegin { frame_rate, compressed } => {
-            out.push(KIND_STREAM_BEGIN);
-            put_f64(&mut out, *frame_rate);
-            put_bool(&mut out, *compressed);
-        }
-        Message::StreamChunk { frame_rate, last, frames, encoded_gop, delta } => {
-            out.push(KIND_STREAM_CHUNK);
-            put_f64(&mut out, *frame_rate);
-            put_bool(&mut out, *last);
-            put_frames(&mut out, frames);
-            put_opt(&mut out, encoded_gop, |o, g| put_bytes(o, &g.to_bytes()));
-            put_delta(&mut out, delta);
-        }
-        Message::StreamEnd => out.push(KIND_STREAM_END),
-        Message::WriteReady { gop_size } => {
-            out.push(KIND_WRITE_READY);
-            put_u64(&mut out, *gop_size);
-        }
-        Message::WriteReport(report) => {
-            out.push(KIND_WRITE_REPORT);
-            put_report(&mut out, report);
-        }
-        Message::SubChunk { seq, start_time, end_time, frame_rate, frame_count, gop } => {
-            out.push(KIND_SUB_CHUNK);
-            put_u64(&mut out, *seq);
-            put_f64(&mut out, *start_time);
-            put_f64(&mut out, *end_time);
-            put_f64(&mut out, *frame_rate);
-            put_u64(&mut out, *frame_count);
-            put_bytes(&mut out, &gop.to_bytes());
-        }
-        Message::SubGap { from_seq, to_seq } => {
-            out.push(KIND_SUB_GAP);
-            put_u64(&mut out, *from_seq);
-            put_u64(&mut out, *to_seq);
-        }
-        Message::SubEnd => out.push(KIND_SUB_END),
-        Message::Mux { stream_id, inner } => {
-            out.push(KIND_MUX);
-            put_u32(&mut out, *stream_id);
-            out.extend_from_slice(&encode_message(inner));
-        }
-        Message::MuxCredit { stream_id, frames } => {
-            out.push(KIND_MUX_CREDIT);
-            put_u32(&mut out, *stream_id);
-            put_u32(&mut out, *frames);
-        }
-        Message::MuxReset { stream_id, error } => {
-            out.push(KIND_MUX_RESET);
-            put_u32(&mut out, *stream_id);
-            put_opt(&mut out, error, put_wire_error);
-        }
-        Message::AdminRequest { topic, arg } => {
-            out.push(KIND_ADMIN_REQUEST);
-            out.push(*topic);
-            put_u64(&mut out, *arg);
-        }
-        Message::StatsPageRequest { start, max } => {
-            out.push(KIND_STATS_PAGE_REQUEST);
-            put_u32(&mut out, *start);
-            put_u32(&mut out, *max);
-        }
-        Message::MetricsTextRequest => out.push(KIND_METRICS_TEXT_REQUEST),
-        Message::AdminTable(table) => {
-            out.push(KIND_ADMIN_TABLE);
-            put_admin_table(&mut out, table);
-        }
-        Message::StatsPage { total, start, snapshot } => {
-            out.push(KIND_STATS_PAGE);
-            put_u32(&mut out, *total);
-            put_u32(&mut out, *start);
-            put_snapshot(&mut out, snapshot);
-        }
-        Message::MetricsText { text } => {
-            out.push(KIND_METRICS_TEXT);
-            put_str(&mut out, text);
-        }
-    }
+    message.put(&mut out);
     out
 }
 
@@ -1285,11 +1103,8 @@ pub fn encode_message(message: &Message) -> Vec<u8> {
 /// without boxing it first (the multiplexed send path's equivalent of
 /// [`encode_message`]).
 pub fn encode_mux(stream_id: u32, message: &Message) -> Vec<u8> {
-    let body = encode_message(message);
-    let mut out = Vec::with_capacity(5 + body.len());
-    out.push(KIND_MUX);
-    put_u32(&mut out, stream_id);
-    out.extend_from_slice(&body);
+    let mut out = Vec::new();
+    encode::Mux(&mut out, &stream_id, message);
     out
 }
 
@@ -1298,134 +1113,12 @@ pub fn encode_mux(stream_id: u32, message: &Message) -> Vec<u8> {
 /// error, never a panic or an unbounded allocation.
 pub fn decode_message(payload: &[u8]) -> DecodeResult<Message> {
     let mut cursor = Cursor::new(payload);
-    let kind = cursor.get_u8()?;
-    let message = match kind {
-        KIND_HELLO => {
-            Message::Hello { magic: cursor.get_u32()?, version: cursor.get_u16()? }
-        }
-        KIND_CREATE => Message::Create {
-            name: cursor.get_str()?,
-            budget: cursor.get_opt(get_budget)?,
-        },
-        KIND_DELETE => Message::Delete { name: cursor.get_str()? },
-        KIND_METADATA => Message::Metadata { name: cursor.get_str()? },
-        KIND_OPEN_READ_STREAM => {
-            Message::OpenReadStream { request: get_read_request(&mut cursor)? }
-        }
-        KIND_WRITE_BEGIN => Message::WriteBegin {
-            request: get_write_request(&mut cursor)?,
-            frame_rate: cursor.get_f64()?,
-        },
-        KIND_APPEND_BEGIN => Message::AppendBegin {
-            name: cursor.get_str()?,
-            frame_rate: cursor.get_f64()?,
-        },
-        KIND_WRITE_CHUNK => Message::WriteChunk { frames: get_frames(&mut cursor)? },
-        KIND_WRITE_FINISH => Message::WriteFinish,
-        KIND_WRITE_ABORT => Message::WriteAbort,
-        KIND_SUBSCRIBE => {
-            let name = cursor.get_str()?;
-            let from = match cursor.get_u8()? {
-                SUB_FROM_START => SubscribeFrom::Start,
-                SUB_FROM_SEQ => SubscribeFrom::Seq(cursor.get_u64()?),
-                SUB_FROM_LIVE => SubscribeFrom::Live,
-                other => return Err(format!("unknown subscribe-from tag 0x{other:02x}")),
-            };
-            Message::Subscribe { name, from }
-        }
-        KIND_HELLO_ACK => Message::HelloAck {
-            version: cursor.get_u16()?,
-            session: cursor.get_u64()?,
-        },
-        KIND_OK => Message::Ok,
-        KIND_ERROR => Message::Error(get_wire_error(&mut cursor)?),
-        KIND_METADATA_REPLY => Message::MetadataReply(get_metadata(&mut cursor)?),
-        KIND_STREAM_BEGIN => Message::StreamBegin {
-            frame_rate: cursor.get_f64()?,
-            compressed: cursor.get_bool()?,
-        },
-        KIND_STREAM_CHUNK => {
-            let frame_rate = cursor.get_f64()?;
-            let last = cursor.get_bool()?;
-            let frames = get_frames(&mut cursor)?;
-            let encoded_gop = cursor.get_opt(|c| {
-                let bytes = c.get_bytes()?;
-                EncodedGop::from_bytes(bytes).map_err(|e| format!("invalid GOP: {e}"))
-            })?;
-            let delta = get_delta(&mut cursor)?;
-            Message::StreamChunk { frame_rate, last, frames, encoded_gop, delta }
-        }
-        KIND_STREAM_END => Message::StreamEnd,
-        KIND_WRITE_READY => Message::WriteReady { gop_size: cursor.get_u64()? },
-        KIND_WRITE_REPORT => Message::WriteReport(get_report(&mut cursor)?),
-        KIND_SUB_CHUNK => {
-            let seq = cursor.get_u64()?;
-            let start_time = cursor.get_f64()?;
-            let end_time = cursor.get_f64()?;
-            let frame_rate = cursor.get_f64()?;
-            let frame_count = cursor.get_u64()?;
-            let gop = EncodedGop::from_bytes(cursor.get_bytes()?)
-                .map_err(|e| format!("invalid GOP: {e}"))?;
-            Message::SubChunk { seq, start_time, end_time, frame_rate, frame_count, gop }
-        }
-        KIND_SUB_GAP => {
-            Message::SubGap { from_seq: cursor.get_u64()?, to_seq: cursor.get_u64()? }
-        }
-        KIND_SUB_END => Message::SubEnd,
-        // Every mux decoder validates the stream id (and any credit window)
-        // *before* touching the rest of the payload — the decode-before-alloc
-        // discipline — so a corrupt frame is refused before the inner
-        // message's length fields can steer an allocation.
-        KIND_MUX => {
-            let stream_id = get_stream_id(&mut cursor)?;
-            let inner = decode_message(cursor.take(cursor.remaining())?)?;
-            if matches!(
-                inner,
-                Message::Mux { .. } | Message::MuxCredit { .. } | Message::MuxReset { .. }
-            ) {
-                return Err(format!("mux frames never nest ({})", inner.kind_name()));
-            }
-            Message::Mux { stream_id, inner: Box::new(inner) }
-        }
-        KIND_MUX_CREDIT => {
-            let stream_id = get_stream_id(&mut cursor)?;
-            let frames = cursor.get_u32()?;
-            if frames == 0 || frames > MAX_CREDIT_FRAMES {
-                return Err(format!(
-                    "credit grant of {frames} frames outside 1..={MAX_CREDIT_FRAMES}"
-                ));
-            }
-            Message::MuxCredit { stream_id, frames }
-        }
-        KIND_MUX_RESET => {
-            let stream_id = get_stream_id(&mut cursor)?;
-            Message::MuxReset { stream_id, error: cursor.get_opt(get_wire_error)? }
-        }
-        KIND_ADMIN_REQUEST => {
-            // Any topic byte decodes; the server answers unknown topics with
-            // a typed Unsupported error so the control connection survives.
-            Message::AdminRequest { topic: cursor.get_u8()?, arg: cursor.get_u64()? }
-        }
-        KIND_STATS_PAGE_REQUEST => {
-            let start = cursor.get_u32()?;
-            let max = cursor.get_u32()?;
-            if max == 0 || max as usize > MAX_METRICS {
-                return Err(format!("stats page size {max} outside 1..={MAX_METRICS}"));
-            }
-            Message::StatsPageRequest { start, max }
-        }
-        KIND_METRICS_TEXT_REQUEST => Message::MetricsTextRequest,
-        KIND_ADMIN_TABLE => Message::AdminTable(get_admin_table(&mut cursor)?),
-        KIND_STATS_PAGE => {
-            let total = cursor.get_u32()?;
-            let start = cursor.get_u32()?;
-            Message::StatsPage { total, start, snapshot: get_snapshot(&mut cursor)? }
-        }
-        KIND_METRICS_TEXT => Message::MetricsText { text: cursor.get_str()? },
-        other => return Err(format!("unknown message kind 0x{other:02x}")),
-    };
+    let message = Message::get(&mut cursor)?;
     if cursor.remaining() != 0 {
-        return Err(format!("{} trailing byte(s) after message", cursor.remaining()));
+        return Err(format!(
+            "{} trailing byte(s) after message",
+            cursor.remaining()
+        ));
     }
     Ok(message)
 }
@@ -1443,7 +1136,10 @@ pub(crate) fn io_error(error: std::io::Error) -> VssError {
 /// A local protocol-violation error (the typed counterpart of
 /// [`WireError::protocol`] on the wire).
 pub(crate) fn protocol_error(message: impl Into<String>) -> VssError {
-    VssError::Remote { code: code::PROTOCOL, message: message.into() }
+    VssError::Remote {
+        code: code::PROTOCOL,
+        message: message.into(),
+    }
 }
 
 /// Sender-side check for name-bearing operations: a name over
@@ -1471,7 +1167,9 @@ fn write_payload(writer: &mut impl Write, payload: &[u8]) -> Result<(), VssError
             MAX_MESSAGE_BYTES
         )));
     }
-    writer.write_all(&(payload.len() as u32).to_le_bytes()).map_err(io_error)?;
+    writer
+        .write_all(&(payload.len() as u32).to_le_bytes())
+        .map_err(io_error)?;
     writer.write_all(payload).map_err(io_error)
 }
 
@@ -1499,37 +1197,28 @@ pub struct Envelope {
 /// Encodes one message wrapped in the traced envelope, carrying both the
 /// request id and the sender's parent span id (`None` encodes as 0).
 pub fn encode_traced(request_id: u64, parent_span_id: Option<u64>, message: &Message) -> Vec<u8> {
-    let body = encode_message(message);
-    let mut out = Vec::with_capacity(17 + body.len());
-    out.push(ENVELOPE_TRACED);
-    put_u64(&mut out, request_id);
-    put_u64(&mut out, parent_span_id.unwrap_or(0));
-    out.extend_from_slice(&body);
+    let mut out = vec![ENVELOPE_TRACED];
+    (request_id, parent_span_id.unwrap_or(0)).put(&mut out);
+    message.put(&mut out);
     out
 }
 
 /// Decodes one payload that may or may not carry the traced envelope.
 /// Total, like [`decode_message`].
 pub fn decode_envelope(payload: &[u8]) -> DecodeResult<Envelope> {
-    match payload.first() {
-        Some(&ENVELOPE_TRACED) => {
-            if payload.len() < 17 {
-                return Err("truncated traced envelope".into());
-            }
-            let request_id = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
-            let parent = u64::from_le_bytes(payload[9..17].try_into().expect("8 bytes"));
-            Ok(Envelope {
-                request_id: Some(request_id),
-                parent_span_id: (parent != 0).then_some(parent),
-                message: decode_message(&payload[17..])?,
-            })
+    let (request_id, parent, message) = match payload.split_first() {
+        Some((&ENVELOPE_TRACED, traced)) => {
+            let mut cursor = Cursor::new(traced);
+            let (request_id, parent) = <(u64, u64)>::get(&mut cursor)?;
+            (Some(request_id), parent, &traced[cursor.pos..])
         }
-        _ => Ok(Envelope {
-            request_id: None,
-            parent_span_id: None,
-            message: decode_message(payload)?,
-        }),
-    }
+        _ => (None, 0, payload),
+    };
+    Ok(Envelope {
+        request_id,
+        parent_span_id: (parent != 0).then_some(parent),
+        message: decode_message(message)?,
+    })
 }
 
 /// Writes one message wrapped in the traced envelope (see
@@ -1548,7 +1237,11 @@ pub fn write_traced_message(
 /// already in sorted series order), with `start..start + max` selected.
 /// Returns `(total, page)`; the page's sections stay under [`MAX_METRICS`]
 /// because `max` is capped by the request decoder.
-pub fn snapshot_page(snapshot: &TelemetrySnapshot, start: u32, max: u32) -> (u32, TelemetrySnapshot) {
+pub fn snapshot_page(
+    snapshot: &TelemetrySnapshot,
+    start: u32,
+    max: u32,
+) -> (u32, TelemetrySnapshot) {
     let counters = snapshot.counters.len();
     let gauges = snapshot.gauges.len();
     let histograms = snapshot.histograms.len();
@@ -1597,10 +1290,10 @@ pub fn write_mux_chunk_message(
 ) -> Result<(), VssError> {
     let bytes: usize = frames.iter().map(|f| f.byte_len() + 32).sum();
     let mut payload = Vec::with_capacity(5 + 1 + 4 + bytes);
-    payload.push(KIND_MUX);
-    put_u32(&mut payload, stream_id);
-    payload.push(KIND_WRITE_CHUNK);
-    put_frames(&mut payload, frames);
+    // A mux frame's inner message is the rest of its payload: encode the
+    // mux head around nothing, then the chunk after it.
+    encode::Mux(&mut payload, &stream_id, &());
+    encode::WriteChunk(&mut payload, frames);
     write_payload(writer, &payload)
 }
 
@@ -1673,10 +1366,8 @@ mod tests {
             Message::AdminRequest { topic: admin_topic::SESSIONS, arg: 0 },
             Message::AdminRequest { topic: admin_topic::SPANS, arg: 42 },
             Message::StatsPageRequest { start: 128, max: 64 },
-            Message::MetricsTextRequest,
             Message::AdminTable(table.clone()),
             Message::StatsPage { total: 7000, start: 4096, snapshot: TelemetrySnapshot::default() },
-            Message::MetricsText { text: "vss_net_conn_accepted 3\n".into() },
         ];
         for message in messages {
             let decoded = decode_message(&encode_message(&message)).expect("decodes");
@@ -1691,7 +1382,7 @@ mod tests {
     fn admin_decoders_refuse_invalid_shapes() {
         // Unknown topics decode — the server refuses them with a typed
         // error instead of the decoder killing the connection.
-        let mut probe = vec![KIND_ADMIN_REQUEST, 9];
+        let mut probe = vec![kind::AdminRequest, 9];
         probe.extend_from_slice(&7u64.to_le_bytes());
         match decode_message(&probe).expect("unknown topic decodes") {
             Message::AdminRequest { topic: 9, arg: 7 } => {}
@@ -1699,16 +1390,13 @@ mod tests {
         }
         // Zero and oversized page requests.
         for max in [0u32, MAX_METRICS as u32 + 1] {
-            let mut bad = vec![KIND_STATS_PAGE_REQUEST];
-            bad.extend_from_slice(&0u32.to_le_bytes());
-            bad.extend_from_slice(&max.to_le_bytes());
+            let mut bad = Vec::new();
+            encode::StatsPageRequest(&mut bad, &0u32, &max);
             assert!(decode_message(&bad).is_err(), "page size {max} accepted");
         }
         // Zero-column table.
-        let mut bad = vec![KIND_ADMIN_TABLE];
-        put_str(&mut bad, "t");
-        bad.extend_from_slice(&0u32.to_le_bytes());
-        bad.extend_from_slice(&0u32.to_le_bytes());
+        let mut bad = Vec::new();
+        encode::AdminTable(&mut bad, &AdminTable { title: "t".into(), ..AdminTable::default() });
         assert!(decode_message(&bad).is_err());
     }
 
@@ -1740,14 +1428,17 @@ mod tests {
     #[test]
     fn retired_kind_bytes_decode_to_the_unknown_kind_error() {
         // 0x7f was the request-id-only envelope, 0x0b / 0x8a the one-frame
-        // stats pair. All stay reserved: a well-formed retired payload is
-        // refused exactly like any other unknown kind, on both decoders.
+        // stats pair, 0x0f / 0x90 the text exposition pair. All stay
+        // reserved: a well-formed retired payload is refused exactly like any
+        // other unknown kind, on both decoders.
         let mut old_tagged = vec![0x7f];
-        put_u64(&mut old_tagged, 99);
+        99u64.put(&mut old_tagged);
         old_tagged.extend_from_slice(&encode_message(&Message::Ok));
         let mut old_snapshot = vec![0x8a];
-        put_snapshot(&mut old_snapshot, &TelemetrySnapshot::default());
-        for payload in [old_tagged, vec![0x0b], old_snapshot] {
+        TelemetrySnapshot::default().put(&mut old_snapshot);
+        let mut old_text = vec![0x90];
+        String::from("vss_net_conn_accepted 3\n").put(&mut old_text);
+        for payload in [old_tagged, vec![0x0b], old_snapshot, vec![0x0f], old_text] {
             let error = decode_message(&payload).expect_err("retired kind decoded");
             assert!(error.contains("unknown message kind"), "{error}");
             assert!(decode_envelope(&payload).is_err());
@@ -1910,8 +1601,8 @@ mod tests {
 
         // Same discipline inside a payload: a chunk claiming 2^32-ish frames
         // errors instead of allocating.
-        let mut payload = vec![KIND_WRITE_CHUNK];
-        put_u32(&mut payload, u32::MAX);
+        let mut payload = vec![kind::WriteChunk];
+        u32::MAX.put(&mut payload);
         assert!(decode_message(&payload).is_err());
     }
 
@@ -1931,10 +1622,8 @@ mod tests {
 
     #[test]
     fn snapshot_metric_count_is_capped_before_allocation() {
-        let mut payload = vec![KIND_STATS_PAGE];
-        put_u32(&mut payload, 1);
-        put_u32(&mut payload, 0);
-        put_u32(&mut payload, u32::MAX);
+        let mut payload = Vec::new();
+        encode::StatsPage(&mut payload, &1u32, &0u32, &u32::MAX);
         assert!(decode_message(&payload).is_err());
     }
 
@@ -1967,9 +1656,8 @@ mod tests {
             assert!(decode_message(&payload[..len]).is_err(), "prefix of {len} bytes decoded");
         }
         // An unknown subscribe-from tag is refused, not misread.
-        let mut bad = vec![KIND_SUBSCRIBE];
-        put_str(&mut bad, "cam");
-        bad.push(0x7f);
+        let mut bad = Vec::new();
+        encode::Subscribe(&mut bad, &String::from("cam"), &0x7fu8);
         assert!(decode_message(&bad).is_err());
     }
 
@@ -2016,34 +1704,46 @@ mod tests {
     #[test]
     fn mux_fields_are_validated_before_the_inner_payload_is_touched() {
         // Stream id 0 and over-cap ids are refused for every mux kind.
-        for kind in [KIND_MUX, KIND_MUX_CREDIT, KIND_MUX_RESET] {
+        for kind in [kind::Mux, kind::MuxCredit, kind::MuxReset] {
             for id in [0u32, MAX_STREAM_ID + 1, u32::MAX] {
                 let mut payload = vec![kind];
-                put_u32(&mut payload, id);
+                id.put(&mut payload);
                 // A huge claimed length follows; the id check must fire first.
-                put_u32(&mut payload, u32::MAX);
+                u32::MAX.put(&mut payload);
                 assert!(decode_message(&payload).is_err(), "kind 0x{kind:02x} id {id} decoded");
             }
         }
         // A zero or over-cap credit grant is refused.
         for frames in [0u32, MAX_CREDIT_FRAMES + 1] {
-            let mut payload = vec![KIND_MUX_CREDIT];
-            put_u32(&mut payload, 4);
-            put_u32(&mut payload, frames);
+            let mut payload = Vec::new();
+            encode::MuxCredit(&mut payload, &4u32, &frames);
             assert!(decode_message(&payload).is_err());
         }
         // A mux frame whose inner chunk claims 2^32-ish frames errors out of
         // the inner decoder instead of allocating (the decode-before-alloc
         // discipline holds through the wrapper).
-        let mut payload = vec![KIND_MUX];
-        put_u32(&mut payload, 1);
-        payload.push(KIND_WRITE_CHUNK);
-        put_u32(&mut payload, u32::MAX);
+        let mut payload = Vec::new();
+        encode::Mux(&mut payload, &1u32, &());
+        payload.push(kind::WriteChunk);
+        u32::MAX.put(&mut payload);
         assert!(decode_message(&payload).is_err());
         // An empty inner payload is a truncated frame, not a panic.
-        let mut empty = vec![KIND_MUX];
-        put_u32(&mut empty, 1);
+        let mut empty = Vec::new();
+        encode::Mux(&mut empty, &1u32, &());
         assert!(decode_message(&empty).is_err());
+    }
+
+    #[test]
+    fn deeply_nested_mux_heads_are_refused_without_recursing() {
+        // Each nested mux head is five bytes, so a 1 MiB payload could nest
+        // 200 000 deep: the inner kind is refused before it is decoded.
+        let mut payload = Vec::new();
+        for _ in 0..200_000 {
+            encode::Mux(&mut payload, &1u32, &());
+        }
+        encode::Ok(&mut payload);
+        let error = decode_message(&payload).expect_err("nested mux frames decoded");
+        assert!(error.contains("never nest"), "{error}");
     }
 
     #[test]

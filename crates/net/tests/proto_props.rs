@@ -26,8 +26,8 @@ use vss_net::wire::{
 };
 
 /// Every variant of `Message`: 23 operation messages, the three
-/// multiplexing frames and the six admin frames.
-const KIND_COUNT: u8 = 32;
+/// multiplexing frames and the four admin frames.
+const KIND_COUNT: u8 = 30;
 /// Kinds `0..PLAIN_KIND_COUNT` are the operation messages — the population
 /// a `Mux` frame's `inner` is drawn from (mux frames never nest).
 const PLAIN_KIND_COUNT: u8 = 23;
@@ -233,8 +233,7 @@ fn arbitrary_message(kind: u8, rng: &mut TestRng) -> Message {
             start: rng.next_u64() as u32,
             max: 1 + rng.next_below(MAX_METRICS as u64) as u32,
         },
-        28 => Message::MetricsTextRequest,
-        29 => {
+        28 => {
             let columns = 1 + rng.next_below(4) as usize;
             Message::AdminTable(AdminTable {
                 title: arbitrary_string(rng),
@@ -244,7 +243,7 @@ fn arbitrary_message(kind: u8, rng: &mut TestRng) -> Message {
                     .collect(),
             })
         }
-        30 => Message::StatsPage {
+        29 => Message::StatsPage {
             total: rng.next_u64() as u32,
             start: rng.next_u64() as u32,
             snapshot: vss_telemetry::TelemetrySnapshot {
@@ -257,7 +256,6 @@ fn arbitrary_message(kind: u8, rng: &mut TestRng) -> Message {
                 histograms: Vec::new(),
             },
         },
-        31 => Message::MetricsText { text: arbitrary_string(rng) },
         _ => Message::WriteReport(WireWriteReport {
             physical_id: rng.next_u64(),
             gops_written: rng.next_below(1000),

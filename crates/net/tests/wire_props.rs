@@ -7,10 +7,11 @@
 use proptest::prelude::*;
 use vss_net::wire::{decode_envelope, decode_message, encode_message, encode_traced, Message};
 
-/// First-payload bytes of messages retired with protocol versions 1 and 2:
-/// the request-id-only envelope, the one-frame stats request and its
-/// snapshot reply. They stay reserved.
-const RETIRED_KINDS: [u8; 3] = [0x7f, 0x0b, 0x8a];
+/// First-payload bytes of retired messages: the request-id-only envelope,
+/// the one-frame stats request and its snapshot reply (retired with
+/// protocol versions 1 and 2), and the text exposition request and its
+/// reply. They stay reserved.
+const RETIRED_KINDS: [u8; 5] = [0x7f, 0x0b, 0x8a, 0x0f, 0x90];
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]

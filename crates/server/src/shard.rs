@@ -477,7 +477,7 @@ impl ShardedEngine {
             .drain()?
             .frames;
         let encoder = vss_codec::EncoderConfig {
-            quality: left_engine.config.default_encoder_quality,
+            quality: vss_core::DEFAULT_ENCODER_QUALITY,
             gop_size: left_engine.config.gop_size,
         };
         let mut timings = JointTimings::default();

@@ -659,12 +659,6 @@ pub fn dump() -> String {
     snapshot().dump()
 }
 
-/// Renders [`snapshot`] as Prometheus-style text exposition; see
-/// [`TelemetrySnapshot::text_exposition`].
-pub fn text_exposition() -> String {
-    snapshot().text_exposition()
-}
-
 // --- structured logging -----------------------------------------------------
 
 /// Emits a one-line structured log on stderr: `vss event=<event> k=v ...`.
