@@ -1,10 +1,11 @@
-//! `vss-top` — a live admin view of a running VSS server.
+//! `vss-top` — a live view of a running VSS server.
 //!
-//! Polls a server's admin plane over one connection and renders, every
-//! interval: the per-shard table, live sessions, active mux
-//! streams with their credit state, recent traced requests, and the labeled
-//! metric series (`server.shard.*{shard=N}`, `net.mux.*{kind=...}`, ...)
-//! with per-second rates computed from consecutive snapshots.
+//! Polls a server over one connection and renders, every interval, the two
+//! things a server shows remotely: its recent traced requests (the `spans`
+//! admin topic) and every series of its telemetry registry, fetched page by
+//! page, with per-second rates computed from consecutive snapshots. The
+//! per-shard (`server.shard.*{shard=N}`), per-connection (`net.conn.*`) and
+//! per-stream-kind (`net.mux.*{kind=...}`) views are those series.
 //!
 //! ```text
 //! vss-top <addr> [--once] [--interval-ms N] [--metrics] [--spans REQUEST_ID]
@@ -73,21 +74,6 @@ fn parse_options() -> Options {
     Options { addr, once, interval, metrics, spans }
 }
 
-/// One admin table, fetched and rendered; a typed refusal (e.g. an empty
-/// span topic) renders as its message rather than killing the view.
-fn table_section(store: &RemoteStore, title: &str, topic: u8, arg: u64, out: &mut String) {
-    match store.admin_table(topic, arg) {
-        Ok(table) => {
-            let _ = writeln!(out, "== {title} ==");
-            out.push_str(&table.to_text());
-        }
-        Err(error) => {
-            let _ = writeln!(out, "== {title} ==\n({error})");
-        }
-    }
-    out.push('\n');
-}
-
 /// The labeled-series section: every counter, gauge and histogram in the
 /// server's registry (already sorted, labels canonical), with per-second
 /// rates for counters and histogram counts once two snapshots exist.
@@ -144,10 +130,15 @@ fn render(
 ) -> Result<(String, TelemetrySnapshot), vss_core::VssError> {
     let mut out = String::new();
     let _ = writeln!(out, "vss-top — {addr} (poll #{poll})\n");
-    table_section(store, "shards", admin_topic::SHARDS, 0, &mut out);
-    table_section(store, "sessions", admin_topic::SESSIONS, 0, &mut out);
-    table_section(store, "streams", admin_topic::STREAMS, 0, &mut out);
-    table_section(store, "recent traces", admin_topic::SPANS, 0, &mut out);
+    out.push_str("== recent traces ==\n");
+    match store.admin_table(admin_topic::SPANS, 0) {
+        Ok(table) => out.push_str(&table.to_text()),
+        // A typed refusal renders as its message rather than killing the view.
+        Err(error) => {
+            let _ = writeln!(out, "({error})");
+        }
+    }
+    out.push('\n');
     let snapshot = store.stats_snapshot()?;
     series_section(&snapshot, previous, &mut out);
     Ok((out, snapshot))

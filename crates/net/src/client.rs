@@ -3,7 +3,7 @@
 //! over TCP.
 //!
 //! A `RemoteStore` holds **one** multiplexed connection for everything: the
-//! control plane (create / delete / metadata / stats / admin) plus any
+//! control plane (create / delete / metadata / stats / spans) plus any
 //! number of concurrent reads, sinks, appends and subscriptions, each on its
 //! own stream id. A demultiplexing reader thread routes inbound frames to
 //! per-stream bounded channels; dropping a half-consumed stream sends a
@@ -129,6 +129,20 @@ fn next_request_id() -> u64 {
     base.wrapping_add(NEXT.fetch_add(1, Ordering::Relaxed)).max(1)
 }
 
+/// Appends one stats page's section to the merged section, keeping only
+/// entries that sort after the last one kept. A series registered between
+/// pages shifts every later index back, so the next page can repeat series
+/// the previous one ended with; series are never removed, so anything not
+/// past the last kept name is such a repeat or a newcomer that sorts
+/// earlier.
+fn merge_sorted<T>(merged: &mut Vec<(String, T)>, page: Vec<(String, T)>) {
+    for entry in page {
+        if merged.last().is_none_or(|(last, _)| *last < entry.0) {
+            merged.push(entry);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Multiplexing: one shared connection, many streams
 // ---------------------------------------------------------------------------
@@ -207,7 +221,6 @@ struct MuxConn {
     /// Serializes unary request/reply exchanges (streams are unaffected).
     unary_gate: Mutex<()>,
     next_stream: AtomicU32,
-    session: u64,
 }
 
 impl MuxConn {
@@ -221,8 +234,8 @@ impl MuxConn {
         let hello = Message::Hello { magic: PROTOCOL_MAGIC, version: PROTOCOL_VERSION };
         write_message(&mut writer, &hello)?;
         writer.flush().map_err(io_error)?;
-        let session = match read_message(&mut reader)? {
-            Message::HelloAck { version: PROTOCOL_VERSION, session } => session,
+        match read_message(&mut reader)? {
+            Message::HelloAck { version: PROTOCOL_VERSION, .. } => {}
             Message::HelloAck { version, .. } => {
                 return Err(protocol_error(format!(
                     "server acknowledged protocol version {version}, this client speaks \
@@ -245,7 +258,6 @@ impl MuxConn {
             reader: Mutex::new(None),
             unary_gate: Mutex::new(()),
             next_stream: AtomicU32::new(1),
-            session,
         });
         let thread = std::thread::spawn(move || {
             let mut reader = reader;
@@ -580,17 +592,14 @@ impl RemoteStore {
     /// Requests the server's live telemetry snapshot (counters, gauges and
     /// histogram summaries). The registry is fetched in pages
     /// ([`Message::StatsPageRequest`]) and reassembled, so a labeled
-    /// registry of any size arrives complete. Pages keep the registry's
-    /// sorted section order, so concatenation reassembles the exact
-    /// snapshot.
+    /// registry of any size arrives whole: every series registered before
+    /// the call appears exactly once, each section in sorted order. Pages are
+    /// cut by index and the registry may grow between them, so a series
+    /// registered during the fetch may be missing.
     pub fn stats_snapshot(&self) -> Result<vss_telemetry::TelemetrySnapshot, VssError> {
         let _scope = vss_telemetry::request_scope(next_request_id());
         let _span = vss_telemetry::span("client", "stats", "");
-        let mut merged = vss_telemetry::TelemetrySnapshot {
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            histograms: Vec::new(),
-        };
+        let mut merged = vss_telemetry::TelemetrySnapshot::default();
         let mut start = 0u32;
         loop {
             let request = Message::StatsPageRequest { start, max: MAX_METRICS as u32 };
@@ -604,9 +613,9 @@ impl RemoteStore {
                     let got = snapshot.counters.len()
                         + snapshot.gauges.len()
                         + snapshot.histograms.len();
-                    merged.counters.extend(snapshot.counters);
-                    merged.gauges.extend(snapshot.gauges);
-                    merged.histograms.extend(snapshot.histograms);
+                    merge_sorted(&mut merged.counters, snapshot.counters);
+                    merge_sorted(&mut merged.gauges, snapshot.gauges);
+                    merge_sorted(&mut merged.histograms, snapshot.histograms);
                     start = start.saturating_add(got as u32);
                     if start >= total {
                         return Ok(merged);
@@ -627,10 +636,9 @@ impl RemoteStore {
         }
     }
 
-    /// Fetches one pre-rendered admin table — live sessions, active mux
-    /// streams with credit state, the per-shard table, or recent span trees
-    /// (see [`crate::wire::admin_topic`]). The server owns the schema, so
-    /// callers (and `vss-top`) only print.
+    /// Fetches one pre-rendered admin table: the recent traced requests, or
+    /// one request's span tree (see [`crate::wire::admin_topic`]). The
+    /// server owns the schema, so callers (and `vss-top`) only print.
     pub fn admin_table(&self, topic: u8, arg: u64) -> Result<AdminTable, VssError> {
         let _scope = vss_telemetry::request_scope(next_request_id());
         let _span = vss_telemetry::span("client", "admin", "");
@@ -675,12 +683,6 @@ impl RemoteStore {
     /// The server address this store dials.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The server-side session id of the store's connection — the one
-    /// session every stream of this store shares.
-    pub fn session_id(&self) -> Result<u64, VssError> {
-        Ok(self.mux_conn()?.session)
     }
 
     /// The store's connection — the one accessor every operation goes

@@ -100,15 +100,13 @@
 //! sub-end     = 0x8D
 //!
 //! ;; ---- admin plane --------------------------------------------------
-//! ;; Unary introspection over the same connection. An unknown topic
-//! ;; byte decodes fine and is answered with a typed UNSUPPORTED error —
-//! ;; never by dropping the connection.
+//! ;; Unary introspection over the same connection. Any other topic byte
+//! ;; (the retired 0x01-0x03 included) decodes fine and is answered with a
+//! ;; typed UNSUPPORTED error — never by dropping the connection.
 //! admin       = admin-req (admin-table | error)
 //!             | stats-page-req (stats-page | error)
 //! admin-req   = 0x0D topic:u8 arg:u64
-//! topic       = 0x01 sessions | 0x02 streams   ; arg unused (0)
-//!             | 0x03 shards                    ; arg unused (0)
-//!             | 0x04 spans                     ; arg 0 = recent request ids,
+//! topic       = 0x04 spans                     ; arg 0 = recent request ids,
 //!                                              ;     n = one request's tree
 //! admin-table = 0x8E title:str cols:vec<str> rows:vec<vec<str>>
 //! stats-page-req = 0x0E start:u32 max:u32      ; 1 <= max <= 4096/section
@@ -178,13 +176,21 @@
 //!
 //! ## Introspection plane
 //!
-//! A unary **admin plane** rides the same connection (see the grammar
-//! above): `sessions`, `streams` (with per-stream credit state), `shards`
-//! and `spans` tables; a **paginated** registry fetch (`stats-page-req`,
-//! the one way to read the server's telemetry registry — a registry of any
-//! size arrives complete), from which the client renders the
-//! Prometheus-style text exposition. The `vss-top` binary renders all of it
-//! live against a running server.
+//! A server shows itself remotely in exactly two ways, both unary requests
+//! on the same connection (see the grammar above):
+//!
+//! * **The telemetry registry**, fetched page by page (`stats-page-req`):
+//!   every counter, gauge and histogram, each section in sorted series
+//!   order. A registry of any size arrives whole, each series once; the
+//!   client renders the Prometheus-style text exposition from it. The
+//!   per-shard (`server.shard.*{shard=N}`), per-connection (`net.conn.*`)
+//!   and per-stream-kind (`net.mux.*{kind=...}`) views are series in it.
+//! * **Span trees**, via the `spans` admin topic.
+//!
+//! The `vss-top` binary renders both live against a running server. A
+//! server keeps no per-connection or per-stream registry: peer addresses
+//! and a stream's target and remaining credit are not observable remotely,
+//! and a reset carries its typed error and message, nothing more.
 //!
 //! Tracing: a request sent under an active telemetry scope travels in a
 //! `0x7E` **traced envelope** carrying `(request id, parent span id)`, so
@@ -193,9 +199,7 @@
 //! connected span tree — client → net dispatch → per-stream worker → shard
 //! lock → engine decode → WAL fsync — queryable via
 //! `vss_telemetry::span_tree` in-process or the `spans` admin topic over
-//! the wire. Each connection additionally keeps a bounded **flight
-//! recorder** of recent wire events; a reset the server sends carries its
-//! dump in the error text, so the client sees what led up to it.
+//! the wire.
 //!
 //! ## Versioning
 //!

@@ -24,10 +24,10 @@ use crate::wire::{
     write_mux_message, AdminTable, Message, WireError, WireWriteReport, FRAGMENT_BYTES,
     MAX_ADMIN_ROWS, PROTOCOL_MAGIC, PROTOCOL_VERSION,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read as IoRead, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use vss_core::{ReadChunk, VssError, WriteSink};
@@ -91,90 +91,6 @@ mod metrics {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Flight recorder + connection registry (the admin plane's data source)
-// ---------------------------------------------------------------------------
-
-/// Events kept per connection. Small on purpose: the recorder answers "what
-/// were the last few frames before this reset", not "replay the session".
-const FLIGHT_EVENTS: usize = 64;
-
-/// A bounded ring of one connection's recent wire events — frames routed,
-/// credit grants, stalls, resets — dumped into the error text of a typed
-/// `MuxReset`, so the client receives the reset *with* its context instead
-/// of a bare one-liner. Events are numbered from connection start so gaps
-/// after wrap-around are visible.
-pub(crate) struct FlightRecorder {
-    events: Mutex<VecDeque<(u64, String)>>,
-    next: AtomicU64,
-}
-
-impl FlightRecorder {
-    fn new() -> Self {
-        Self { events: Mutex::new(VecDeque::with_capacity(FLIGHT_EVENTS)), next: AtomicU64::new(0) }
-    }
-
-    /// Appends one event, evicting the oldest past [`FLIGHT_EVENTS`].
-    pub(crate) fn record(&self, event: impl Into<String>) {
-        let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        let mut events = self.events.lock().expect("flight recorder lock");
-        if events.len() == FLIGHT_EVENTS {
-            events.pop_front();
-        }
-        events.push_back((seq, event.into()));
-    }
-
-    /// Renders the retained events oldest-first, one `#seq event` per line.
-    pub(crate) fn dump(&self) -> String {
-        let events = self.events.lock().expect("flight recorder lock");
-        let mut out = String::new();
-        for (seq, event) in events.iter() {
-            out.push_str(&format!("  #{seq} {event}\n"));
-        }
-        out
-    }
-}
-
-/// One admitted connection's admin-plane state, registered in
-/// [`NetInner::conns`] for the lifetime of its handler. Everything the
-/// `sessions`/`streams` admin tables show lives here.
-struct ConnState {
-    /// Process-unique connection id (admin tables key rows by it).
-    id: u64,
-    /// Peer address, or `?` when the socket can no longer say.
-    peer: String,
-    /// The admitted session's server-side id.
-    session_id: u64,
-    /// Recent wire events (shared with every stream's [`StreamCtl`] so
-    /// credit stalls land in the same timeline as the dispatcher's frames).
-    recorder: Arc<FlightRecorder>,
-    /// Live mux streams, mirroring the dispatcher's private map.
-    streams: Mutex<BTreeMap<u32, StreamInfo>>,
-}
-
-/// Admin-plane view of one live mux stream.
-struct StreamInfo {
-    /// Stream kind label: `read`, `write` or `sub`.
-    kind: &'static str,
-    /// The operation's target video name.
-    target: String,
-    /// Shared flow-control state; the admin plane reads live credit off it.
-    ctl: Arc<StreamCtl>,
-}
-
-/// Deregisters a connection from the admin registry when its handler exits
-/// (however it exits).
-struct ConnRegistration {
-    inner: Arc<NetInner>,
-    id: u64,
-}
-
-impl Drop for ConnRegistration {
-    fn drop(&mut self) {
-        self.inner.conns.lock().expect("conns lock").remove(&self.id);
-    }
-}
-
 /// A transport wrapper counting every byte that crosses the socket into a
 /// telemetry counter (buffered above, so the count reflects actual I/O).
 struct Counting<T> {
@@ -231,11 +147,6 @@ struct NetInner {
     /// final sweep at shutdown), so a long-running server does not
     /// accumulate dead sockets or join handles.
     connections: Mutex<Vec<ConnectionEntry>>,
-    /// Admin-plane registry of admitted connections, keyed by connection id
-    /// (deregistered by [`ConnRegistration`] when a handler exits).
-    conns: Mutex<BTreeMap<u64, Arc<ConnState>>>,
-    /// Next connection id.
-    next_conn: AtomicU64,
 }
 
 /// A TCP listener serving the `vss-net` protocol for one [`VssServer`]. See
@@ -257,8 +168,6 @@ impl NetServer {
             addr,
             stop: AtomicBool::new(false),
             connections: Mutex::new(Vec::new()),
-            conns: Mutex::new(BTreeMap::new()),
-            next_conn: AtomicU64::new(1),
         });
         let accept = {
             let inner = Arc::clone(&inner);
@@ -426,23 +335,7 @@ fn handle_connection(inner: &Arc<NetInner>, stream: TcpStream) {
     // anti-idle timeout comes off (long-lived control connections are fine).
     let _ = reader.get_ref().inner.set_read_timeout(None);
 
-    // Register with the admin plane for the handler's lifetime.
-    let peer = reader
-        .get_ref()
-        .inner
-        .peer_addr()
-        .map_or_else(|_| String::from("?"), |addr| addr.to_string());
-    let conn = Arc::new(ConnState {
-        id: inner.next_conn.fetch_add(1, Ordering::Relaxed),
-        peer,
-        session_id: session.id(),
-        recorder: Arc::new(FlightRecorder::new()),
-        streams: Mutex::new(BTreeMap::new()),
-    });
-    inner.conns.lock().expect("conns lock").insert(conn.id, Arc::clone(&conn));
-    let _registration = ConnRegistration { inner: Arc::clone(inner), id: conn.id };
-
-    serve_mux_connection(inner, &session, &conn, &mut reader, writer);
+    serve_mux_connection(inner, &session, &mut reader, writer);
 }
 
 fn reply_unit(
@@ -505,92 +398,13 @@ fn chunk_fragments(mut chunk: ReadChunk) -> Vec<(Message, u64)> {
 }
 
 // ---------------------------------------------------------------------------
-// Admin plane: introspection tables + registry paging
+// Admin plane: span trees
 // ---------------------------------------------------------------------------
 
 /// Builds one admin table (see [`admin_topic`]). Tables are pre-rendered
 /// strings: the server owns the schema, clients and `vss-top` just print.
-fn admin_table(inner: &Arc<NetInner>, topic: u8, arg: u64) -> Result<AdminTable, VssError> {
+fn admin_table(topic: u8, arg: u64) -> Result<AdminTable, VssError> {
     let mut table = match topic {
-        admin_topic::SESSIONS => {
-            let conns = inner.conns.lock().expect("conns lock");
-            AdminTable {
-                title: "sessions".into(),
-                columns: ["conn", "peer", "session", "streams"]
-                    .map(String::from)
-                    .to_vec(),
-                rows: conns
-                    .values()
-                    .map(|conn| {
-                        vec![
-                            conn.id.to_string(),
-                            conn.peer.clone(),
-                            conn.session_id.to_string(),
-                            conn.streams.lock().expect("conn streams lock").len().to_string(),
-                        ]
-                    })
-                    .collect(),
-            }
-        }
-        admin_topic::STREAMS => {
-            let conns = inner.conns.lock().expect("conns lock");
-            let mut rows = Vec::new();
-            for conn in conns.values() {
-                for (stream_id, info) in conn.streams.lock().expect("conn streams lock").iter() {
-                    rows.push(vec![
-                        conn.id.to_string(),
-                        stream_id.to_string(),
-                        info.kind.to_string(),
-                        info.target.clone(),
-                        info.ctl.credit_now().to_string(),
-                        if info.ctl.is_cancelled() { "cancelled" } else { "open" }.to_string(),
-                    ]);
-                }
-            }
-            AdminTable {
-                title: "streams".into(),
-                columns: ["conn", "stream", "kind", "target", "credit", "state"]
-                    .map(String::from)
-                    .to_vec(),
-                rows,
-            }
-        }
-        admin_topic::SHARDS => {
-            let stats = inner.server.stats();
-            AdminTable {
-                title: "shards".into(),
-                columns: [
-                    "shard",
-                    "videos",
-                    "reads",
-                    "writes",
-                    "hit_rate",
-                    "bytes_read",
-                    "bytes_written",
-                    "lock_wait_ms",
-                    "lock_p99_us",
-                ]
-                .map(String::from)
-                .to_vec(),
-                rows: stats
-                    .shards
-                    .iter()
-                    .map(|shard| {
-                        vec![
-                            shard.shard.to_string(),
-                            shard.videos.to_string(),
-                            shard.read_ops.to_string(),
-                            shard.write_ops.to_string(),
-                            format!("{:.3}", shard.cache_hit_rate()),
-                            shard.bytes_read.to_string(),
-                            shard.bytes_written.to_string(),
-                            format!("{:.3}", shard.lock_wait.as_secs_f64() * 1e3),
-                            format!("{:.1}", shard.lock_wait_histogram.p99 as f64 / 1e3),
-                        ]
-                    })
-                    .collect(),
-            }
-        }
         admin_topic::SPANS if arg == 0 => {
             // Most recent traced request ids, newest first.
             let mut seen = std::collections::BTreeSet::new();
@@ -633,7 +447,7 @@ fn admin_table(inner: &Arc<NetInner>, topic: u8, arg: u64) -> Result<AdminTable,
         }
         other => {
             return Err(VssError::Unsupported(format!(
-                "unknown admin topic {other} (know sessions=1 streams=2 shards=3 spans=4)"
+                "unknown admin topic {other} (the one topic served is spans=4; 1-3 are retired)"
             )))
         }
     };
@@ -672,27 +486,16 @@ struct StreamCtl {
     /// The per-kind `net.mux.credit_stall_ns{kind=...}` series (the
     /// unlabeled series stays the all-kinds total).
     stall: &'static vss_telemetry::Histogram,
-    /// The connection's flight recorder: stalls that actually blocked are
-    /// events worth seeing next to the frames around them.
-    recorder: Arc<FlightRecorder>,
-    stream_id: u32,
 }
 
 impl StreamCtl {
-    fn new(kind: &'static str, recorder: Arc<FlightRecorder>, stream_id: u32) -> Self {
+    fn new(kind: &'static str) -> Self {
         Self {
             credit: Mutex::new(0),
             granted: Condvar::new(),
             cancelled: AtomicBool::new(false),
             stall: vss_telemetry::histogram_with("net.mux.credit_stall_ns", &[("kind", kind)]),
-            recorder,
-            stream_id,
         }
-    }
-
-    /// The stream's remaining credit right now (admin-plane observer).
-    fn credit_now(&self) -> u64 {
-        *self.credit.lock().expect("credit lock")
     }
 
     /// Adds a cumulative credit grant and wakes a waiting worker.
@@ -727,11 +530,6 @@ impl StreamCtl {
             let stalled = started.elapsed();
             metrics::mux_credit_stall().record_duration(stalled);
             self.stall.record_duration(stalled);
-            self.recorder.record(format!(
-                "credit stall {:.3}ms stream={}",
-                stalled.as_secs_f64() * 1e3,
-                self.stream_id
-            ));
         }
         if self.is_cancelled() {
             return false;
@@ -802,22 +600,13 @@ fn send_plain(writer: &Mutex<ConnWriter>, message: &Message) -> Result<(), VssEr
     writer.flush().map_err(io_error)
 }
 
-/// Sends one typed per-stream reset carrying the connection's recent
-/// flight-recorder events, so the client's error arrives with the last-N
-/// wire events that led up to it rather than a bare one-liner.
+/// Sends one per-stream reset carrying the typed error that ended it.
 fn send_reset(
     writer: &Mutex<ConnWriter>,
-    recorder: &FlightRecorder,
     stream_id: u32,
-    mut error: WireError,
+    error: WireError,
 ) -> Result<(), VssError> {
     metrics::mux_resets().incr();
-    recorder.record(format!("reset sent stream={stream_id}: {}", error.message));
-    let context = recorder.dump();
-    if !context.is_empty() {
-        error.message.push_str("\nrecent wire events:\n");
-        error.message.push_str(context.trim_end_matches('\n'));
-    }
     send_plain(writer, &Message::MuxReset { stream_id, error: Some(error) })
 }
 
@@ -826,13 +615,11 @@ fn send_reset(
 /// races a late data frame cannot take down the client's other streams.
 fn reset_unknown_stream(
     writer: &Mutex<ConnWriter>,
-    recorder: &FlightRecorder,
     stream_id: u32,
     what: &str,
 ) -> Result<(), VssError> {
     send_reset(
         writer,
-        recorder,
         stream_id,
         WireError::protocol(format!("{what} for unknown or closed stream {stream_id}")),
     )
@@ -846,7 +633,6 @@ fn reset_unknown_stream(
 fn serve_mux_connection(
     inner: &Arc<NetInner>,
     session: &Arc<Session>,
-    conn: &Arc<ConnState>,
     reader: &mut ConnReader,
     writer: ConnWriter,
 ) {
@@ -862,29 +648,13 @@ fn serve_mux_connection(
             if let Some(stream) = streams.remove(&id) {
                 let _ = stream.worker.join();
             }
-            conn.streams.lock().expect("conn streams lock").remove(&id);
-            conn.recorder.record(format!("stream done stream={id}"));
-        }
-        // Every routed frame lands in the flight recorder, so a later reset
-        // carries the connection's recent timeline.
-        match &envelope.message {
-            Message::Mux { stream_id, inner: frame } => {
-                conn.recorder.record(format!("recv {} stream={stream_id}", frame.kind_name()));
-            }
-            Message::MuxCredit { stream_id, frames } => {
-                conn.recorder.record(format!("credit +{frames} stream={stream_id}"));
-            }
-            Message::MuxReset { stream_id, .. } => {
-                conn.recorder.record(format!("reset recv stream={stream_id}"));
-            }
-            other => conn.recorder.record(format!("recv {}", other.kind_name())),
         }
         let _scope = envelope
             .request_id
             .map(|id| vss_telemetry::trace_scope(id, envelope.parent_span_id));
         let outcome = match envelope.message {
             Message::Mux { stream_id, inner: frame } => {
-                dispatch_mux_frame(inner, session, conn, &writer, &mut streams, stream_id, *frame)
+                dispatch_mux_frame(inner, session, &writer, &mut streams, stream_id, *frame)
             }
             // A grant for a stream the dispatcher no longer holds is late, not
             // wrong: the client returns a credit for every fragment it
@@ -904,7 +674,6 @@ fn serve_mux_connection(
                 if let Some(stream) = streams.remove(&stream_id) {
                     stream.stop();
                 }
-                conn.streams.lock().expect("conn streams lock").remove(&stream_id);
                 Ok(())
             }
             // --- control plane: unary operations, served inline -----------
@@ -929,7 +698,7 @@ fn serve_mux_connection(
             }
             Message::AdminRequest { topic, arg } => {
                 let _span = vss_telemetry::span("net", "admin", "");
-                let reply = match admin_table(inner, topic, arg) {
+                let reply = match admin_table(topic, arg) {
                     Ok(table) => Message::AdminTable(table),
                     Err(error) => Message::Error(WireError::from_error(&error)),
                 };
@@ -957,7 +726,6 @@ fn serve_mux_connection(
     // ingest queues) **before** joining, so no worker is joined while it can
     // still block — an unfinished ingest aborts, leaving only fully
     // persisted GOPs.
-    conn.streams.lock().expect("conn streams lock").clear();
     let remaining: Vec<ServerStream> = streams.into_values().collect();
     for stream in &remaining {
         stream.ctl.cancel();
@@ -973,23 +741,20 @@ fn serve_mux_connection(
 fn dispatch_mux_frame(
     inner: &Arc<NetInner>,
     session: &Arc<Session>,
-    conn: &Arc<ConnState>,
     writer: &Arc<Mutex<ConnWriter>>,
     streams: &mut HashMap<u32, ServerStream>,
     stream_id: u32,
     frame: Message,
 ) -> Result<(), VssError> {
     let drop_stream = |streams: &mut HashMap<u32, ServerStream>| {
-        let stream = streams.remove(&stream_id).expect("present above");
-        stream.stop();
-        conn.streams.lock().expect("conn streams lock").remove(&stream_id);
+        streams.remove(&stream_id).expect("present above").stop();
     };
     if let Some(stream) = streams.get(&stream_id) {
         let Some(sender) = stream.ingest.as_ref() else {
             // Client data frames are only valid on ingest streams.
             let what = frame.kind_name();
             drop_stream(streams);
-            return reset_unknown_stream(writer, &conn.recorder, stream_id, what);
+            return reset_unknown_stream(writer, stream_id, what);
         };
         let item = match frame {
             Message::WriteChunk { frames } => {
@@ -1001,7 +766,7 @@ fn dispatch_mux_frame(
             other => {
                 let what = other.kind_name();
                 drop_stream(streams);
-                return reset_unknown_stream(writer, &conn.recorder, stream_id, what);
+                return reset_unknown_stream(writer, stream_id, what);
             }
         };
         if sender.try_send(item).is_err() {
@@ -1011,7 +776,6 @@ fn dispatch_mux_frame(
             drop_stream(streams);
             return send_reset(
                 writer,
-                &conn.recorder,
                 stream_id,
                 WireError::protocol(format!(
                     "stream {stream_id} overran its {SERVER_WRITE_WINDOW}-frame write window"
@@ -1030,18 +794,17 @@ fn dispatch_mux_frame(
             if streams.len() >= MAX_MUX_STREAMS {
                 return send_reset(
                     writer,
-                    &conn.recorder,
                     stream_id,
                     WireError::from_error(&VssError::Overloaded(format!(
                         "connection already has {MAX_MUX_STREAMS} open streams"
                     ))),
                 );
             }
-            let stream = spawn_mux_stream(inner, session, conn, writer, stream_id, opener);
+            let stream = spawn_mux_stream(inner, session, writer, stream_id, opener);
             streams.insert(stream_id, stream);
             Ok(())
         }
-        other => reset_unknown_stream(writer, &conn.recorder, stream_id, other.kind_name()),
+        other => reset_unknown_stream(writer, stream_id, other.kind_name()),
     }
 }
 
@@ -1049,34 +812,28 @@ fn dispatch_mux_frame(
 fn spawn_mux_stream(
     inner: &Arc<NetInner>,
     session: &Arc<Session>,
-    conn: &Arc<ConnState>,
     writer: &Arc<Mutex<ConnWriter>>,
     stream_id: u32,
     opener: Message,
 ) -> ServerStream {
     // The stream's kind label (`read`/`write`/`sub`) and target video.
     let (kind, target) = match &opener {
-        Message::OpenReadStream { request } => ("read", request.name.clone()),
-        Message::WriteBegin { request, .. } => ("write", request.name.clone()),
-        Message::AppendBegin { name, .. } => ("write", name.clone()),
-        Message::Subscribe { name, .. } => ("sub", name.clone()),
+        Message::OpenReadStream { request } => ("read", request.name.as_str()),
+        Message::WriteBegin { request, .. } => ("write", request.name.as_str()),
+        Message::AppendBegin { name, .. } => ("write", name.as_str()),
+        Message::Subscribe { name, .. } => ("sub", name.as_str()),
         _ => unreachable!("spawn_mux_stream is only called for opener messages"),
     };
     // The dispatch stage is its own `net`-layer span: it parents the worker
     // span below, so a traced request's tree reads client → dispatch →
     // worker → shard lock / engine.
-    let _dispatch_span = vss_telemetry::span("net", "dispatch", target.as_str());
+    let _dispatch_span = vss_telemetry::span("net", "dispatch", target);
     metrics::mux_streams_opened().incr();
     vss_telemetry::counter_with("net.mux.streams_opened", &[("kind", kind)]).incr();
     let kind_active = vss_telemetry::gauge_with("net.mux.streams_active", &[("kind", kind)]);
     metrics::mux_streams_active().add(1);
     kind_active.add(1);
-    conn.recorder.record(format!("stream open stream={stream_id} kind={kind} target={target}"));
-    let ctl = Arc::new(StreamCtl::new(kind, Arc::clone(&conn.recorder), stream_id));
-    conn.streams.lock().expect("conn streams lock").insert(
-        stream_id,
-        StreamInfo { kind, target, ctl: Arc::clone(&ctl) },
-    );
+    let ctl = Arc::new(StreamCtl::new(kind));
     let (ingest, receiver) = match &opener {
         Message::WriteBegin { .. } | Message::AppendBegin { .. } => {
             // Window-sized queue plus slack for the credit-exempt terminal

@@ -35,13 +35,13 @@
 //!
 //! The introspection plane is two unary request/reply pairs on the
 //! ordinary envelope (over a multiplexed connection, on the control stream,
-//! never a data stream). `AdminRequest` answers with one pre-rendered
-//! [`AdminTable`] per [`admin_topic`] selector (sessions, mux streams,
-//! shards, span trees). `StatsPageRequest` walks the registry flattened as
+//! never a data stream). `StatsPageRequest` walks the registry flattened as
 //! counters → gauges → histograms, each section in sorted series order; a
-//! client concatenates pages until `start + page-len == total`, so a
-//! registry of any size crosses the wire without hitting the per-message
+//! client fetches pages until `start + page-len == total`, so a registry of
+//! any size crosses the wire without hitting the per-message
 //! [`MAX_METRICS`] cap, and renders the text exposition from the result.
+//! `AdminRequest` answers with one pre-rendered [`AdminTable`]; the one
+//! topic served is [`admin_topic::SPANS`] (span trees).
 //!
 //! # Traced request envelope
 //!
@@ -116,8 +116,8 @@ pub const ENVELOPE_TRACED: u8 = 0x7e;
 pub const MAX_METRICS: usize = 4096;
 /// Ceiling on the columns of one [`Message::AdminTable`].
 pub const MAX_ADMIN_COLUMNS: usize = 32;
-/// Ceiling on the rows of one [`Message::AdminTable`]; servers truncate
-/// (and say so in the table title) rather than exceed it.
+/// Ceiling on the rows of one [`Message::AdminTable`]; a server truncates
+/// rather than exceed it, ending the table with a `…` row.
 pub const MAX_ADMIN_ROWS: usize = 4096;
 /// Ceiling on a multiplexed stream id. Ids are client-chosen,
 /// start at 1 (0 is reserved for the connection's control plane and always
@@ -166,18 +166,10 @@ pub mod code {
     pub const PROTOCOL: u16 = 100;
 }
 
-/// Topic selectors for [`Message::AdminRequest`]. Each topic
-/// answers with one [`Message::AdminTable`]; `arg` is topic-specific and 0
-/// when unused.
+/// Topic selectors for [`Message::AdminRequest`]. A served topic answers
+/// with one [`Message::AdminTable`]; any other topic byte (the retired
+/// `1`–`3` included) gets a typed `Unsupported` error.
 pub mod admin_topic {
-    /// Live sessions: connection id, peer, session id, open mux streams.
-    pub const SESSIONS: u8 = 1;
-    /// Active mux streams across all sessions: session, stream id, kind,
-    /// remaining credit, frames sent.
-    pub const STREAMS: u8 = 2;
-    /// Per-shard server table: shard index, videos, read/write ops, cache
-    /// hits, bytes, lock-wait p99.
-    pub const SHARDS: u8 = 3;
     /// Recent span trees. `arg = 0` lists the most recent traced request
     /// ids; a non-zero `arg` renders that request id's tree, one span per
     /// row, the op column indented by tree depth.
@@ -186,7 +178,7 @@ pub mod admin_topic {
 
 /// One rendered admin table as it crosses the wire: a title, column
 /// headers, and string rows (pre-rendered server-side so clients — and
-/// `vss-top` — need no per-topic schema knowledge). Bounded by
+/// `vss-top` — need no schema knowledge). Bounded by
 /// [`MAX_ADMIN_COLUMNS`] and [`MAX_ADMIN_ROWS`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AdminTable {
@@ -663,8 +655,8 @@ messages! {
             error: Option<WireError>,
         },
         /// Requests one admin table; the server replies
-        /// [`Message::AdminTable`], or a typed `Unsupported` error for an
-        /// unknown topic (any topic byte decodes).
+        /// [`Message::AdminTable`], or a typed `Unsupported` error for a
+        /// topic it does not serve (any topic byte decodes).
         0x0d AdminRequest {
             /// Which table — an [`admin_topic`] selector.
             topic: u8,
@@ -1363,7 +1355,8 @@ mod tests {
             ],
         };
         let messages = vec![
-            Message::AdminRequest { topic: admin_topic::SESSIONS, arg: 0 },
+            // A retired topic still decodes; the server refuses it typed.
+            Message::AdminRequest { topic: 1, arg: 0 },
             Message::AdminRequest { topic: admin_topic::SPANS, arg: 42 },
             Message::StatsPageRequest { start: 128, max: 64 },
             Message::AdminTable(table.clone()),

@@ -1,8 +1,9 @@
 //! Introspection-plane acceptance over loopback: one multiplexed read
-//! yields a single connected span tree spanning every layer; the admin
-//! tables, paginated stats and text exposition round-trip over the wire;
-//! and the `vss-top` binary's `--once` view prints the labeled per-shard
-//! and per-stream-kind series against a live server.
+//! yields a single connected span tree spanning every layer; the span
+//! topic, paginated stats and text exposition round-trip over the wire;
+//! the retired admin topics are refused typed; and the `vss-top` binary's
+//! `--once` view prints recent traces and the labeled per-shard and
+//! per-stream-kind series against a live server.
 
 use vss_codec::Codec;
 use vss_core::{ReadRequest, VideoStorage, VssConfig, VssError, WriteRequest};
@@ -84,9 +85,9 @@ fn one_mux_read_yields_a_connected_span_tree() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// Admin tables, paginated stats and text exposition all round-trip over
-/// the same connection, and the labeled series re-keyed in this
-/// PR (`server.shard.*{shard=N}`, `net.mux.*{kind=...}`) arrive in them.
+/// The span topic, paginated stats and text exposition all round-trip over
+/// the same connection, and the labeled series (`server.shard.*{shard=N}`,
+/// `net.mux.*{kind=...}`) arrive in them.
 #[test]
 fn admin_plane_round_trips_over_loopback() {
     let root = temp_root("plane");
@@ -99,25 +100,6 @@ fn admin_plane_round_trips_over_loopback() {
         store.read(&ReadRequest::new("cam", 0.0, 1.0, Codec::Raw(PixelFormat::Yuv420))).unwrap();
     assert_eq!(read.frames.len(), 30);
 
-    // Sessions: this connection is listed under its own session id.
-    let sessions = store.admin_table(admin_topic::SESSIONS, 0).unwrap();
-    let session_col = sessions.columns.iter().position(|c| c == "session").unwrap();
-    let own = store.session_id().unwrap().to_string();
-    assert!(
-        sessions.rows.iter().any(|row| row[session_col] == own),
-        "the asking connection is a live session:\n{}",
-        sessions.to_text()
-    );
-
-    // Shards: one row per shard, and the shard that served the read shows
-    // its ops.
-    let shards = store.admin_table(admin_topic::SHARDS, 0).unwrap();
-    assert_eq!(shards.rows.len(), 2, "one row per shard:\n{}", shards.to_text());
-    let reads_col = shards.columns.iter().position(|c| c == "reads").unwrap();
-    let total_reads: u64 =
-        shards.rows.iter().map(|row| row[reads_col].parse::<u64>().unwrap()).sum();
-    assert!(total_reads >= 1, "the read landed on a shard:\n{}", shards.to_text());
-
     // Recent traces list the read's request id; asking for that id renders
     // its tree.
     let spans = store.admin_table(admin_topic::SPANS, 0).unwrap();
@@ -127,12 +109,19 @@ fn admin_plane_round_trips_over_loopback() {
     let trace = store.admin_table(admin_topic::SPANS, request_id).unwrap();
     assert!(!trace.rows.is_empty(), "a listed request renders a trace");
 
-    // The paginated snapshot carries labeled series end to end.
+    // The paginated snapshot carries labeled series end to end: one read-op
+    // series per shard, and the shard that served the read counts it.
     let snapshot = store.stats_snapshot().unwrap();
-    assert!(
-        snapshot.counters.iter().any(|(name, _)| name.starts_with("server.shard.read_ops{shard=")),
-        "labeled shard series in the wire snapshot"
-    );
+    let shard_reads: Vec<u64> = ["0", "1"]
+        .iter()
+        .map(|shard| {
+            snapshot
+                .counter_labeled("server.shard.read_ops", &[("shard", shard)])
+                .unwrap_or_else(|| panic!("no read-op series for shard {shard}"))
+        })
+        .collect();
+    assert!(shard_reads.iter().sum::<u64>() >= 1, "the read landed on a shard: {shard_reads:?}");
+    assert!(snapshot.gauge("net.conn.active") >= Some(1), "the asking connection is live");
     assert!(
         snapshot
             .counters
@@ -151,19 +140,22 @@ fn admin_plane_round_trips_over_loopback() {
     assert!(text.contains("vss_net_mux_streams_opened{kind=\"read\"}"), "exposition: {text}");
     assert!(text.contains("vss_server_shard_read_ops{shard="), "exposition: {text}");
 
-    // An unknown topic is a typed refusal, not a dead connection.
-    match store.admin_table(99, 0) {
-        Err(VssError::Unsupported(message)) => assert!(message.contains("topic")),
-        other => panic!("expected a typed Unsupported error, got {other:?}"),
+    // The retired topics (sessions, streams, shards) and an unknown one are
+    // typed refusals, not a dead connection.
+    for topic in [1, 2, 3, 99] {
+        match store.admin_table(topic, 0) {
+            Err(VssError::Unsupported(message)) => assert!(message.contains("topic")),
+            other => panic!("topic {topic}: expected a typed Unsupported error, got {other:?}"),
+        }
     }
-    assert!(store.metadata("cam").is_ok(), "control connection survives the refusal");
+    assert!(store.metadata("cam").is_ok(), "control connection survives the refusals");
 
     net.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
 
 /// The `vss-top --once` smoke the CI job runs: against a live loopback
-/// server it prints the admin tables plus the per-shard and
+/// server it prints the recent traces plus the per-shard and
 /// per-stream-kind labeled series.
 #[test]
 fn vss_top_once_prints_labeled_series() {
@@ -189,8 +181,7 @@ fn vss_top_once_prints_labeled_series() {
         "vss-top --once exits 0; stderr: {}",
         String::from_utf8_lossy(&output.stderr)
     );
-    assert!(stdout.contains("== shards =="), "shard table printed:\n{stdout}");
-    assert!(stdout.contains("== sessions =="), "session table printed:\n{stdout}");
+    assert!(stdout.contains("== recent traces =="), "trace table printed:\n{stdout}");
     assert!(
         stdout.contains("server.shard.read_ops{shard="),
         "per-shard labeled series printed:\n{stdout}"

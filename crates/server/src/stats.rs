@@ -12,10 +12,12 @@
 //! — p50/p90/p99 — alongside the summed total the scaling experiments diff.
 //!
 //! Every recording is double-written into the process-global labeled series
-//! `server.shard.*{shard=N}`, so `vss_telemetry::snapshot()`, the admin
-//! plane and `vss-top` can answer *which shard* without holding any server
-//! handle. The owned counters stay exact per server; the labeled mirrors
-//! merge all servers in the process (one server per process in production).
+//! `server.shard.*{shard=N}`, so `vss_telemetry::snapshot()` can answer
+//! *which shard* without holding any server handle. Those mirrors are the
+//! only per-shard view a remote client (and `vss-top`) gets: they reach it
+//! through the paged registry fetch. The owned counters stay exact per
+//! server; the labeled mirrors merge all servers in the process (one server
+//! per process in production).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -23,7 +25,7 @@ use vss_core::{ReadStats, WriteReport};
 use vss_telemetry::{Counter, Histogram, HistogramSummary};
 
 /// Process-global labeled mirrors of one shard's counters: the
-/// `server.shard.*{shard=N}` series that `snapshot()` / the admin plane /
+/// `server.shard.*{shard=N}` series that `snapshot()` and, over the wire,
 /// `vss-top` read. The owned atomics below remain the source of truth for
 /// [`ShardStatsSnapshot`] (they are exact per *server*, while the global
 /// series merge every server in the process), so both views coexist.
