@@ -100,11 +100,7 @@ fn stereo_scene(resolution: Resolution, overlap: f64, frames: usize, motion: Cam
 /// Joint configuration tuned for the scaled-down scenes (fewer keypoints fit
 /// in a 100-pixel-wide frame than in a 1K frame).
 fn scaled_joint_config() -> JointConfig {
-    JointConfig {
-        min_correspondences: 6,
-        quality_threshold: PsnrDb(26.0),
-        recovery_threshold: PsnrDb(22.0),
-    }
+    JointConfig { min_correspondences: 6, recovery_threshold: PsnrDb(22.0) }
 }
 
 fn open_vss(tag: &str) -> (Vss, std::path::PathBuf) {

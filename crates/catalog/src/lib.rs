@@ -46,9 +46,8 @@
 //! * **What is *not* covered:** recency clocks ([`GopRecord::last_access`])
 //!   are advisory and journaled only at GOP append and checkpoint time —
 //!   touches between checkpoints may be forgotten, which can change
-//!   eviction *order* but never correctness. Direct field mutation through
-//!   [`Catalog::video_mut`] bypasses the journal entirely and is only
-//!   crash-safe after an explicit [`Catalog::checkpoint`].
+//!   eviction *order* but never correctness. Every other piece of catalog
+//!   state changes only through a journaled mutator.
 //!
 //! The journal turns the previous O(catalog) rewrite-per-mutation into an
 //! O(record) append; [`Catalog::persist`] now folds the journal into the
@@ -168,11 +167,15 @@ impl CatalogState {
     /// and cannot drift apart.
     fn apply(&mut self, record: &WalRecord) -> Result<(), String> {
         match record {
-            WalRecord::CreateVideo { name } => {
+            WalRecord::CreateVideo { name, budget_multiple } => {
                 if self.videos.contains_key(name) {
                     return Err(format!("create of existing video '{name}'"));
                 }
-                self.videos.insert(name.clone(), LogicalVideoRecord::new(name.clone()));
+                let record = LogicalVideoRecord {
+                    budget_multiple: *budget_multiple,
+                    ..LogicalVideoRecord::new(name.clone())
+                };
+                self.videos.insert(name.clone(), record);
             }
             WalRecord::DeleteVideo { name } => {
                 if self.videos.remove(name).is_none() {
@@ -412,8 +415,8 @@ impl Catalog {
 
     /// Unconditionally folds the journal into `catalog.json` (write-temp,
     /// fsync file and parent directory, rename) and resets the journal.
-    /// Also captures state the journal does not carry: recency clocks and
-    /// any direct [`video_mut`](Self::video_mut) edits.
+    /// Also captures the one piece of state the journal does not carry:
+    /// recency clocks.
     pub fn checkpoint(&mut self) -> Result<(), CatalogError> {
         self.state.journal_seq = CheckpointSeq(self.seq);
         let serialized = serde_json::to_string_pretty(&self.state)
@@ -454,8 +457,20 @@ impl Catalog {
 
     // --- logical videos ---------------------------------------------------
 
-    /// Creates a new logical video. Fails if the name is already in use.
+    /// Creates a new logical video whose budget is the store's default.
+    /// Fails if the name is already in use.
     pub fn create_video(&mut self, name: &str) -> Result<(), CatalogError> {
+        self.create_video_with_multiple(name, None)
+    }
+
+    /// Creates a new logical video, journaling the budget multiple it was
+    /// requested with (see [`LogicalVideoRecord::budget_multiple`]). Fails if
+    /// the name is already in use.
+    pub fn create_video_with_multiple(
+        &mut self,
+        name: &str,
+        budget_multiple: Option<f64>,
+    ) -> Result<(), CatalogError> {
         if self.state.videos.contains_key(name) {
             return Err(CatalogError::VideoExists(name.to_string()));
         }
@@ -465,7 +480,7 @@ impl Catalog {
         // directory was never created.
         fs::create_dir_all(self.root.join(name))?;
         durable::fsync_dir(&self.root)?;
-        self.commit(WalRecord::CreateVideo { name: name.to_string() })
+        self.commit(WalRecord::CreateVideo { name: name.to_string(), budget_multiple })
     }
 
     /// Deletes a logical video and all of its on-disk data.
@@ -493,17 +508,6 @@ impl Catalog {
     /// Borrows a logical video record.
     pub fn video(&self, name: &str) -> Result<&LogicalVideoRecord, CatalogError> {
         self.state.videos.get(name).ok_or_else(|| CatalogError::VideoNotFound(name.to_string()))
-    }
-
-    /// Mutably borrows a logical video record.
-    ///
-    /// Edits made through this reference bypass the write-ahead journal:
-    /// they are visible immediately but survive a crash only once
-    /// [`checkpoint`](Self::checkpoint) has run. Prefer the journaled
-    /// setters ([`set_storage_budget`](Self::set_storage_budget),
-    /// [`set_mse_bound`](Self::set_mse_bound)) for durable changes.
-    pub fn video_mut(&mut self, name: &str) -> Result<&mut LogicalVideoRecord, CatalogError> {
-        self.state.videos.get_mut(name).ok_or_else(|| CatalogError::VideoNotFound(name.to_string()))
     }
 
     /// True if a logical video with this name exists.
@@ -1054,7 +1058,7 @@ mod tests {
         let root = temp_root("wal-survive");
         {
             let mut cat = Catalog::open(&root).unwrap();
-            cat.create_video("v").unwrap();
+            cat.create_video_with_multiple("v", Some(2.5)).unwrap();
             let id = cat.add_physical("v", 64, 48, 30.0, "rgb", true, 0.0).unwrap();
             cat.append_gop("v", id, 0.0, 1.0, 30, &gop_bytes(2), None).unwrap();
             cat.set_storage_budget("v", Some(12345)).unwrap();
@@ -1063,6 +1067,7 @@ mod tests {
         let cat = Catalog::open(&root).unwrap();
         assert_eq!(cat.recovery_report().wal_records_replayed, 4);
         let video = cat.video("v").unwrap();
+        assert_eq!(video.budget_multiple, Some(2.5));
         assert_eq!(video.storage_budget_bytes, Some(12345));
         assert_eq!(video.physical[0].gops.len(), 1);
         fs::remove_dir_all(&root).unwrap();

@@ -214,6 +214,10 @@ pub struct LogicalVideoRecord {
     /// Storage budget in bytes for all physical representations of this
     /// video. `None` means "unset" until the first write establishes it.
     pub storage_budget_bytes: Option<u64>,
+    /// The budget requested at creation as a multiple of the original's
+    /// size, which the first write resolves into `storage_budget_bytes`.
+    /// `None` means the store's configured default applies.
+    pub budget_multiple: Option<f64>,
     /// Physical representations, including the original.
     pub physical: Vec<PhysicalVideoRecord>,
 }
@@ -221,7 +225,12 @@ pub struct LogicalVideoRecord {
 impl LogicalVideoRecord {
     /// Creates an empty logical video record.
     pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), storage_budget_bytes: None, physical: Vec::new() }
+        Self {
+            name: name.into(),
+            storage_budget_bytes: None,
+            budget_multiple: None,
+            physical: Vec::new(),
+        }
     }
 
     /// Total bytes used across all physical representations.
@@ -335,6 +344,7 @@ mod tests {
         let l = LogicalVideoRecord {
             name: "v".into(),
             storage_budget_bytes: Some(1 << 20),
+            budget_multiple: Some(2.5),
             physical: vec![physical(3, true)],
         };
         let json = serde_json::to_string(&l).unwrap();

@@ -85,6 +85,8 @@ pub enum WalRecord {
     CreateVideo {
         /// Logical video name.
         name: String,
+        /// Requested budget as a multiple of the original's size, if any.
+        budget_multiple: Option<f64>,
     },
     /// A logical video and all its physical data were deleted.
     DeleteVideo {
@@ -194,9 +196,11 @@ fn field<T: serde::Deserialize>(map: &BTreeMap<String, Value>, key: &str) -> Res
 impl serde::Serialize for WalRecord {
     fn to_value(&self) -> Value {
         match self {
-            WalRecord::CreateVideo { name } => {
-                object(vec![("op", "create-video".to_value()), ("name", name.to_value())])
-            }
+            WalRecord::CreateVideo { name, budget_multiple } => object(vec![
+                ("op", "create-video".to_value()),
+                ("name", name.to_value()),
+                ("budget_multiple", budget_multiple.to_value()),
+            ]),
             WalRecord::DeleteVideo { name } => {
                 object(vec![("op", "delete-video".to_value()), ("name", name.to_value())])
             }
@@ -283,7 +287,10 @@ impl serde::Deserialize for WalRecord {
         let map = value.as_object().ok_or("WAL record is not an object")?;
         let op: String = field(map, "op")?;
         match op.as_str() {
-            "create-video" => Ok(WalRecord::CreateVideo { name: field(map, "name")? }),
+            "create-video" => Ok(WalRecord::CreateVideo {
+                name: field(map, "name")?,
+                budget_multiple: field(map, "budget_multiple")?,
+            }),
             "delete-video" => Ok(WalRecord::DeleteVideo { name: field(map, "name")? }),
             "add-physical" => Ok(WalRecord::AddPhysical {
                 video: field(map, "video")?,
@@ -601,7 +608,8 @@ mod tests {
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
-            WalRecord::CreateVideo { name: "v".into() },
+            WalRecord::CreateVideo { name: "v".into(), budget_multiple: None },
+            WalRecord::CreateVideo { name: "w".into(), budget_multiple: Some(2.5) },
             WalRecord::AddPhysical {
                 video: "v".into(),
                 id: 0,

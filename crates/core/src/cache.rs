@@ -10,15 +10,23 @@
 //! fragmenting it), `r` prefers evicting pages that have higher-quality
 //! redundant variants, and `b` protects the last remaining
 //! sufficient-quality copy of any time range (so the original can always be
-//! reproduced). Plain LRU (`γ = ζ = 0`) is available as the baseline the
-//! paper compares against; the baseline-quality guard is kept even then so
-//! the store never destroys its only copy of a region.
+//! reproduced). The weights are the prototype's constants [`GAMMA`] and
+//! [`ZETA`]. Plain LRU (`γ = ζ = 0`) is available as the baseline the paper
+//! compares against; the baseline-quality guard — at
+//! [`DEFAULT_QUALITY_THRESHOLD`] — is kept even then so the store never
+//! destroys its only copy of a region.
 
 use crate::config::EvictionPolicy;
-use crate::quality::QualityModel;
+use crate::quality::{QualityModel, DEFAULT_QUALITY_THRESHOLD};
 use crate::VssError;
 use vss_catalog::{LogicalVideoRecord, PhysicalVideoId, PhysicalVideoRecord};
 use vss_frame::PsnrDb;
+
+/// LRU_VSS weight of the position (defragmentation) term; prototype γ = 2.
+pub const GAMMA: f64 = 2.0;
+
+/// LRU_VSS weight of the redundancy term; prototype ζ = 1.
+pub const ZETA: f64 = 1.0;
 
 /// A candidate page for eviction and its computed sequence number.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,8 +107,8 @@ pub fn eviction_order(
     video: &LogicalVideoRecord,
     policy: &EvictionPolicy,
     quality_model: &QualityModel,
-    baseline_threshold: PsnrDb,
 ) -> Vec<EvictionCandidate> {
+    let baseline_threshold = DEFAULT_QUALITY_THRESHOLD;
     let mut candidates = Vec::new();
     for physical in &video.physical {
         let own_quality = quality_model.estimate_physical_quality(physical);
@@ -124,7 +132,7 @@ pub fn eviction_order(
             let lru = gop.last_access.get() as f64;
             let sequence_number = match policy {
                 EvictionPolicy::Lru => lru,
-                EvictionPolicy::LruVss { gamma, zeta } => {
+                EvictionPolicy::LruVss => {
                     let p = position_offset(position, total);
                     let r = redundancy_rank(
                         video,
@@ -133,7 +141,7 @@ pub fn eviction_order(
                         gop.end_time,
                         quality_model,
                     ) as f64;
-                    lru + gamma * p - zeta * r
+                    lru + GAMMA * p - ZETA * r
                 }
             };
             candidates.push(EvictionCandidate {
@@ -167,12 +175,7 @@ impl crate::engine::Engine {
                 return Ok(evicted);
             }
             let video = self.catalog.video(name)?.clone();
-            let order = eviction_order(
-                &video,
-                &self.config.eviction_policy,
-                &self.quality_model,
-                self.config.default_quality_threshold,
-            );
+            let order = eviction_order(&video, &self.config.eviction_policy, &self.quality_model);
             let Some(victim) = order.first() else { return Ok(evicted) };
             self.catalog.remove_gop(name, victim.physical_id, victim.gop_index)?;
             evicted += 1;
@@ -256,7 +259,7 @@ mod tests {
     fn baseline_guard_protects_the_only_good_copy() {
         let video = two_copy_video();
         let model = QualityModel::new();
-        let order = eviction_order(&video, &EvictionPolicy::default(), &model, PsnrDb(40.0));
+        let order = eviction_order(&video, &EvictionPolicy::LruVss, &model);
         // GOPs 2 and 3 of the original have no alternate cover of any quality,
         // and GOPs 0 and 1 of the original have only a *low-quality* copy, so
         // every original page is protected; only the cached copy is evictable.
@@ -270,7 +273,7 @@ mod tests {
         // Make the cached copy pristine quality covering [0, 2).
         video.physical[1].mse_bound = 0.0;
         let model = QualityModel::new();
-        let order = eviction_order(&video, &EvictionPolicy::default(), &model, PsnrDb(40.0));
+        let order = eviction_order(&video, &EvictionPolicy::LruVss, &model);
         // Now original pages 0 and 1 are also evictable (their region has an
         // alternate lossless copy), but pages 2 and 3 remain protected.
         let originals: Vec<u64> =
@@ -296,7 +299,7 @@ mod tests {
         video.physical.push(physical(1, "h264", true, 0.0, (0..6).map(|i| gop(i, i as f64, i as f64 + 1.0, 100)).collect()));
         video.physical.push(physical(2, "rgb", false, 150.0, (0..6).map(|i| gop(i, i as f64, i as f64 + 1.0, 7)).collect()));
         let model = QualityModel::new();
-        let order = eviction_order(&video, &EvictionPolicy::default(), &model, PsnrDb(40.0));
+        let order = eviction_order(&video, &EvictionPolicy::LruVss, &model);
         let cached: Vec<u64> = order.iter().filter(|c| c.physical_id == 2).map(|c| c.gop_index).collect();
         // Edges (0 and 5) first, the innermost page (index 3, position offset 3) last.
         let first = cached.first().copied().unwrap();
@@ -304,7 +307,7 @@ mod tests {
         assert_eq!(cached.last().copied().unwrap(), 3, "{cached:?}");
         // Plain LRU ignores position: order is purely by recency, which is a
         // tie here, broken by ids — the middle is *not* specially protected.
-        let lru = eviction_order(&video, &EvictionPolicy::Lru, &model, PsnrDb(40.0));
+        let lru = eviction_order(&video, &EvictionPolicy::Lru, &model);
         let lru_cached: Vec<u64> = lru.iter().filter(|c| c.physical_id == 2).map(|c| c.gop_index).collect();
         assert_eq!(lru_cached, vec![0, 1, 2, 3, 4, 5]);
     }

@@ -5,25 +5,16 @@ use std::path::PathBuf;
 use vss_frame::PsnrDb;
 
 /// Cache eviction policy (paper Section 4).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum EvictionPolicy {
     /// Plain least-recently-used over GOP pages (the baseline the paper
     /// compares against).
     Lru,
-    /// The paper's LRU_VSS: LRU adjusted by fragment position (γ), redundancy
-    /// rank (ζ) and a baseline-quality guard.
-    LruVss {
-        /// Weight of the position (defragmentation) term; prototype γ = 2.
-        gamma: f64,
-        /// Weight of the redundancy term; prototype ζ = 1.
-        zeta: f64,
-    },
-}
-
-impl Default for EvictionPolicy {
-    fn default() -> Self {
-        EvictionPolicy::LruVss { gamma: 2.0, zeta: 1.0 }
-    }
+    /// The paper's LRU_VSS: LRU adjusted by fragment position (γ = 2),
+    /// redundancy rank (ζ = 1) and a baseline-quality guard (see the
+    /// `cache` module).
+    #[default]
+    LruVss,
 }
 
 /// Configuration of the joint-compression optimization (paper Section 5.1).
@@ -35,17 +26,11 @@ pub struct JointConfig {
     /// Minimum recovered quality before joint compression of a GOP pair is
     /// aborted (prototype 24 dB for the re-estimation check).
     pub recovery_threshold: PsnrDb,
-    /// Quality threshold τ used by Algorithm 1's per-frame verification.
-    pub quality_threshold: PsnrDb,
 }
 
 impl Default for JointConfig {
     fn default() -> Self {
-        Self {
-            min_correspondences: 20,
-            recovery_threshold: PsnrDb(24.0),
-            quality_threshold: PsnrDb(40.0),
-        }
+        Self { min_correspondences: 20, recovery_threshold: PsnrDb(24.0) }
     }
 }
 
@@ -54,19 +39,21 @@ impl Default for JointConfig {
 pub const DEFAULT_ENCODER_QUALITY: u8 = 85;
 
 /// Configuration of the VSS storage manager.
+///
+/// Reads whose request names no quality threshold use
+/// [`DEFAULT_QUALITY_THRESHOLD`](crate::DEFAULT_QUALITY_THRESHOLD) (the
+/// prototype's 40 dB), which also guards the last baseline-quality copy of
+/// every range against eviction. Whether a read result may enter the cache
+/// is the request's own [`cacheable`](crate::ReadRequest::cacheable) flag.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VssConfig {
     /// Root directory for all stored video data and metadata.
     pub root: PathBuf,
-    /// Default storage budget for newly created videos (prototype: 10× the
+    /// Storage budget of videos created without one (prototype: 10× the
     /// size of the originally written physical video).
     pub default_budget: StorageBudget,
-    /// Default quality threshold for reads (prototype: 40 dB).
-    pub default_quality_threshold: PsnrDb,
     /// Frames per GOP for compressed representations.
     pub gop_size: usize,
-    /// Whether read results may be admitted to the cache of materialized views.
-    pub caching_enabled: bool,
     /// Eviction policy applied when the storage budget is exceeded.
     pub eviction_policy: EvictionPolicy,
     /// Whether deferred (lossless) compression of uncompressed entries is enabled.
@@ -93,20 +80,12 @@ impl VssConfig {
         Self {
             root: root.into(),
             default_budget: StorageBudget::default(),
-            default_quality_threshold: PsnrDb(40.0),
             gop_size: 30,
-            caching_enabled: true,
             eviction_policy: EvictionPolicy::default(),
             deferred_compression: true,
             joint: JointConfig::default(),
             parallelism: 0,
         }
-    }
-
-    /// Disables result caching (used by baseline comparisons and ablations).
-    pub fn without_caching(mut self) -> Self {
-        self.caching_enabled = false;
-        self
     }
 
     /// Disables deferred compression (ablation).
@@ -142,9 +121,10 @@ mod tests {
     #[test]
     fn defaults_match_prototype_constants() {
         let c = VssConfig::new("/tmp/x");
-        assert_eq!(c.default_quality_threshold, PsnrDb(40.0));
+        assert_eq!(crate::DEFAULT_QUALITY_THRESHOLD, PsnrDb(40.0));
         assert_eq!(crate::write::DEFERRED_ACTIVATION_FRACTION, 0.25);
-        assert!(matches!(c.eviction_policy, EvictionPolicy::LruVss { gamma, zeta } if gamma == 2.0 && zeta == 1.0));
+        assert_eq!(c.eviction_policy, EvictionPolicy::LruVss);
+        assert_eq!((crate::cache::GAMMA, crate::cache::ZETA), (2.0, 1.0));
         assert_eq!(c.joint.min_correspondences, 20);
         assert_eq!(crate::joint::MAX_FEATURE_DISTANCE_SQ, 400.0);
         assert_eq!(crate::joint::DUPLICATE_EPSILON, 0.1);
@@ -155,12 +135,10 @@ mod tests {
     #[test]
     fn builders_toggle_features() {
         let c = VssConfig::new("/tmp/x")
-            .without_caching()
             .without_deferred_compression()
             .with_gop_size(0)
             .with_default_budget(StorageBudget::Bytes(123))
             .with_parallelism(2);
-        assert!(!c.caching_enabled);
         assert!(!c.deferred_compression);
         assert_eq!(c.gop_size, 1);
         assert_eq!(c.default_budget, StorageBudget::Bytes(123));

@@ -5,9 +5,10 @@
 //! caching raw read results quickly exhausts the storage budget. Once a
 //! video's cache passes an activation threshold (25 % of its budget),
 //! VSS losslessly compresses the uncompressed entry *least likely to be
-//! evicted* on every read, and keeps compressing entries from a background
-//! maintenance worker. The compression level scales linearly with budget
-//! consumption, trading throughput for space as the budget tightens.
+//! evicted* on every read, and keeps compressing entries during idle
+//! maintenance ([`Engine::background_maintenance`], which `vss-server`'s
+//! per-shard scheduler runs). The compression level scales linearly with
+//! budget consumption, trading throughput for space as the budget tightens.
 
 use crate::cache::eviction_order;
 use crate::engine::Engine;
@@ -122,12 +123,7 @@ impl Engine {
         limit: usize,
     ) -> Result<Vec<(PhysicalVideoId, u64)>, VssError> {
         let video = self.catalog.video(name)?;
-        let order = eviction_order(
-            video,
-            &self.config.eviction_policy,
-            &self.quality_model,
-            self.config.default_quality_threshold,
-        );
+        let order = eviction_order(video, &self.config.eviction_policy, &self.quality_model);
         let is_raw = |physical_id: PhysicalVideoId| {
             video
                 .physical_by_id(physical_id)
@@ -179,9 +175,9 @@ impl Engine {
 
     /// Runs one unit of background maintenance across all videos: a deferred
     /// compression step where budgets are tight, otherwise a compaction pass.
-    /// Returns `true` if any work was performed. This is what the background
-    /// worker thread calls repeatedly when the system is otherwise idle
-    /// (paper Section 5.2's "background thread" behaviour).
+    /// Returns `true` if any work was performed. This is what
+    /// `vss-server`'s maintenance workers call repeatedly while a shard is
+    /// otherwise idle (paper Section 5.2's "background thread" behaviour).
     pub fn background_maintenance(&mut self) -> Result<bool, VssError> {
         let names = self.video_names();
         let mut worked = false;
@@ -229,9 +225,8 @@ mod tests {
         engine.create_video("v", Some(StorageBudget::Bytes(2_000_000))).unwrap();
         engine.write(&WriteRequest::new("v", Codec::Raw(PixelFormat::Rgb8)), &raw_sequence(12)).unwrap();
         engine.config.deferred_compression = true;
-        engine.catalog.video_mut("v").unwrap().storage_budget_bytes = Some(
-            engine.bytes_used("v").unwrap() * 2,
-        );
+        let budget = engine.bytes_used("v").unwrap() * 2;
+        engine.catalog.set_storage_budget("v", Some(budget)).unwrap();
         let before = engine.bytes_used("v").unwrap();
         assert!(engine.deferred_compression_step("v").unwrap());
         let after = engine.bytes_used("v").unwrap();
@@ -256,8 +251,8 @@ mod tests {
         // Unlimited budget → never activates.
         assert!(!engine.deferred_compression_step("v").unwrap());
         // Large budget → below threshold → never activates.
-        engine.catalog.video_mut("v").unwrap().storage_budget_bytes =
-            Some(engine.bytes_used("v").unwrap() * 100);
+        let budget = engine.bytes_used("v").unwrap() * 100;
+        engine.catalog.set_storage_budget("v", Some(budget)).unwrap();
         assert!(!engine.deferred_compression_step("v").unwrap());
         let _ = std::fs::remove_dir_all(root);
     }
@@ -269,8 +264,8 @@ mod tests {
         engine.create_video("v", Some(StorageBudget::Bytes(2_000_000))).unwrap();
         engine.write(&WriteRequest::new("v", Codec::Raw(PixelFormat::Rgb8)), &raw_sequence(12)).unwrap();
         engine.config.deferred_compression = true;
-        engine.catalog.video_mut("v").unwrap().storage_budget_bytes =
-            Some(engine.bytes_used("v").unwrap() * 2);
+        let budget = engine.bytes_used("v").unwrap() * 2;
+        engine.catalog.set_storage_budget("v", Some(budget)).unwrap();
         let compressed_pages = |engine: &crate::engine::Engine| {
             engine.catalog.video("v").unwrap().physical[0]
                 .gops
@@ -296,8 +291,8 @@ mod tests {
         engine.create_video("v", Some(StorageBudget::Bytes(10_000_000))).unwrap();
         engine.write(&WriteRequest::new("v", Codec::Raw(PixelFormat::Rgb8)), &raw_sequence(9)).unwrap();
         engine.config.deferred_compression = true;
-        engine.catalog.video_mut("v").unwrap().storage_budget_bytes =
-            Some(engine.bytes_used("v").unwrap() + 1);
+        let budget = engine.bytes_used("v").unwrap() + 1;
+        engine.catalog.set_storage_budget("v", Some(budget)).unwrap();
         // Repeated maintenance eventually compresses every page, then quiesces.
         let mut steps = 0;
         while engine.background_maintenance().unwrap() {

@@ -1,8 +1,8 @@
 //! The storage-manager engine: shared state and common helpers.
 //!
 //! [`Engine`] owns the catalog, cost model and quality model. The public
-//! [`Vss`](crate::Vss) handle wraps an `Engine` in a mutex so the background
-//! maintenance worker (deferred compression, compaction) can share it.
+//! [`Vss`](crate::Vss) handle wraps an `Engine` in a mutex so concurrent
+//! readers and writers can share it.
 
 use crate::config::VssConfig;
 use crate::params::StorageBudget;
@@ -202,14 +202,18 @@ impl Engine {
         if self.catalog.contains_video(name) {
             return Err(VssError::VideoExists(name.to_string()));
         }
-        self.catalog.create_video(name)?;
+        // A multiple of the original is journaled with the video and resolved
+        // once the original has been written and its size is known.
+        let multiple = match budget {
+            Some(StorageBudget::MultipleOfOriginal(multiple)) => Some(multiple),
+            _ => None,
+        };
+        self.catalog.create_video_with_multiple(name, multiple)?;
         if let Some(StorageBudget::Bytes(bytes)) = budget {
             self.catalog.set_storage_budget(name, Some(bytes))?;
         } else if let Some(StorageBudget::Unlimited) = budget {
             self.catalog.set_storage_budget(name, Some(u64::MAX))?;
         }
-        // MultipleOfOriginal budgets are resolved lazily once the original
-        // physical video has been written and its size is known.
         self.catalog.persist()?;
         Ok(())
     }
@@ -296,12 +300,16 @@ impl Engine {
         if let Some(explicit) = video.storage_budget_bytes {
             return Ok(if explicit == u64::MAX { None } else { Some(explicit) });
         }
-        // Fall back to the configured default, resolved against the original.
+        // Not established yet: resolve the multiple the video was created
+        // with (else the configured default) against the original.
         let original_bytes = video.original().map(|o| o.byte_len()).unwrap_or(0);
         if original_bytes == 0 {
             return Ok(None);
         }
-        Ok(self.config.default_budget.resolve(original_bytes))
+        let rule = video
+            .budget_multiple
+            .map_or(self.config.default_budget, StorageBudget::MultipleOfOriginal);
+        Ok(rule.resolve(original_bytes))
     }
 
     /// Fraction of the budget currently consumed (`None` when unlimited).
@@ -314,7 +322,8 @@ impl Engine {
     }
 
     /// Overrides a logical video's resolved storage budget in bytes
-    /// (`None` reverts to "unset", re-deriving from the configured default).
+    /// (`None` reverts to "unset", re-deriving from the multiple the video
+    /// was created with, else the configured default).
     /// Experiment/ablation hook used to tighten budgets mid-run.
     pub fn set_storage_budget_bytes(
         &mut self,

@@ -592,11 +592,7 @@ mod tests {
     fn default_setup() -> (JointConfig, EncoderConfig) {
         // The synthetic scenes are small; require fewer correspondences and
         // tolerate the warp's interpolation loss.
-        let config = JointConfig {
-            min_correspondences: 6,
-            quality_threshold: PsnrDb(26.0),
-            recovery_threshold: PsnrDb(22.0),
-        };
+        let config = JointConfig { min_correspondences: 6, recovery_threshold: PsnrDb(22.0) };
         (config, EncoderConfig::with_quality(90))
     }
 

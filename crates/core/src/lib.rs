@@ -180,17 +180,17 @@ pub use storage::{VideoMetadata, VideoStorage};
 pub use stream::{ChunkStats, ReadChunk, ReadStream};
 
 use parking_lot::Mutex;
-use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 use vss_frame::FrameSequence;
 
 /// The VSS storage manager handle.
 ///
 /// `Vss` is cheap to clone; clones share the same underlying engine, which is
-/// how the background maintenance worker and concurrent readers/writers
-/// coordinate (the paper's non-blocking write / prefix-read behaviour).
+/// how concurrent readers and writers coordinate (the paper's non-blocking
+/// write / prefix-read behaviour). It starts no thread of its own: idle
+/// maintenance is [`run_maintenance`](Self::run_maintenance), called by its
+/// owner, or `vss-server`'s per-shard scheduler
+/// (`VssServer::start_maintenance`).
 #[derive(Clone)]
 pub struct Vss {
     engine: Arc<Mutex<Engine>>,
@@ -307,28 +307,6 @@ impl Vss {
     pub fn with_engine<R>(&self, f: impl FnOnce(&mut Engine) -> R) -> R {
         f(&mut self.engine.lock())
     }
-
-    /// Starts a background maintenance worker that periodically performs
-    /// deferred compression and compaction while the store is otherwise
-    /// idle. The worker stops when the returned guard is dropped.
-    pub fn start_background_worker(&self, interval: Duration) -> BackgroundWorker {
-        let (stop_tx, stop_rx) = sync_channel::<()>(1);
-        let engine = Arc::clone(&self.engine);
-        let handle = std::thread::spawn(move || loop {
-            match stop_rx.recv_timeout(interval) {
-                Ok(()) | Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Timeout) => {
-                    // Only run maintenance when no foreground request holds
-                    // the engine (the paper performs this work "when no other
-                    // requests are being executed").
-                    if let Some(mut engine) = engine.try_lock() {
-                        let _ = engine.background_maintenance();
-                    }
-                }
-            }
-        });
-        BackgroundWorker { stop: Some(stop_tx), handle: Some(handle) }
-    }
 }
 
 impl VideoStorage for Vss {
@@ -374,23 +352,6 @@ impl VideoStorage for Vss {
 
     fn metadata(&self, name: &str) -> Result<VideoMetadata, VssError> {
         Vss::metadata(self, name)
-    }
-}
-
-/// Guard for the background maintenance worker; dropping it stops the thread.
-pub struct BackgroundWorker {
-    stop: Option<SyncSender<()>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Drop for BackgroundWorker {
-    fn drop(&mut self) {
-        if let Some(stop) = self.stop.take() {
-            let _ = stop.send(());
-        }
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -449,31 +410,6 @@ mod tests {
         write_thread.join().unwrap();
         // The appended second is now readable.
         assert!(vss.read(&ReadRequest::new("v", 2.0, 3.0, Codec::H264).uncacheable()).is_ok());
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn background_worker_compresses_idle_store() {
-        let (vss, root) = temp_store("background");
-        vss.with_engine(|e| e.config.deferred_compression = false);
-        vss.create("v", Some(StorageBudget::Bytes(50_000_000))).unwrap();
-        vss.write(&WriteRequest::new("v", Codec::Raw(PixelFormat::Rgb8)), &sequence(9)).unwrap();
-        vss.with_engine(|e| {
-            e.config.deferred_compression = true;
-        });
-        let used = vss.bytes_used("v").unwrap();
-        vss.with_engine(|e| {
-            e.catalog.video_mut("v").unwrap().storage_budget_bytes = Some(used + 1);
-        });
-        {
-            let _worker = vss.start_background_worker(Duration::from_millis(5));
-            // Wait for the worker to make progress, bounded by a timeout.
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while vss.bytes_used("v").unwrap() >= used && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-        assert!(vss.bytes_used("v").unwrap() < used, "background worker should shrink raw pages");
         let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -83,13 +83,12 @@ impl Engine {
     }
 
     /// Whether a read's result can be admitted to the cache at all: not when
-    /// the read was marked non-cacheable, caching is disabled, or a region
-    /// of interest was applied (cropped results are not reusable as general
-    /// fragments). Decides both whether the stream takes the admission
-    /// measurement and whether admission is attempted, so the two cannot
-    /// drift.
+    /// the read was marked non-cacheable or a region of interest was applied
+    /// (cropped results are not reusable as general fragments). Decides both
+    /// whether the stream takes the admission measurement and whether
+    /// admission is attempted, so the two cannot drift.
     fn may_admit(&self, request: &ReadRequest) -> bool {
-        request.cacheable && self.config.caching_enabled && request.spatial.region.is_none()
+        request.cacheable && request.spatial.region.is_none()
     }
 
     /// Admits a read result into the cache of materialized views, unless

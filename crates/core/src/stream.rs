@@ -62,7 +62,7 @@
 use crate::engine::{Engine, ReadStats};
 use crate::fragments::{build_candidates, CandidateSet};
 use crate::params::{PlannerKind, ReadRequest};
-use crate::quality::QualityModel;
+use crate::quality::{QualityModel, DEFAULT_QUALITY_THRESHOLD};
 use crate::read::ReadResult;
 use crate::sink::SinkEncoder;
 use crate::VssError;
@@ -773,8 +773,7 @@ impl Engine {
                 available_end: original.end_time(),
             });
         }
-        let threshold =
-            request.physical.quality_threshold.unwrap_or(self.config.default_quality_threshold);
+        let threshold = request.physical.quality_threshold.unwrap_or(DEFAULT_QUALITY_THRESHOLD);
         let output_resolution = request.spatial.resolution.unwrap_or_else(|| original.resolution());
         let output_fps = request.temporal.frame_rate.unwrap_or(original.frame_rate);
 

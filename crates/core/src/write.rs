@@ -94,18 +94,12 @@ impl Engine {
     }
 
     /// Establishes the video's storage budget once the original's size is
-    /// known (a no-op when already set or nothing has been written).
+    /// known: journals what [`budget_bytes`](Engine::budget_bytes) resolves
+    /// (a no-op when already set or nothing has been written).
     pub(crate) fn establish_budget(&mut self, name: &str) -> Result<(), VssError> {
-        let default_budget = self.config.default_budget;
-        let video = self.catalog.video(name)?;
-        if video.storage_budget_bytes.is_none() {
-            if let Some(original) = video.original() {
-                let original_bytes = original.byte_len();
-                if original_bytes > 0 {
-                    if let Some(resolved) = default_budget.resolve(original_bytes) {
-                        self.catalog.set_storage_budget(name, Some(resolved))?;
-                    }
-                }
+        if self.catalog.video(name)?.storage_budget_bytes.is_none() {
+            if let Some(resolved) = self.budget_bytes(name)? {
+                self.catalog.set_storage_budget(name, Some(resolved))?;
             }
         }
         Ok(())
@@ -186,6 +180,28 @@ mod tests {
         assert_ne!(report2.physical_id, report.physical_id);
         assert_eq!(engine.catalog.video("traffic").unwrap().physical.len(), 2);
         let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// A budget requested as a multiple of the original is the one the first
+    /// write resolves — not the configured default — also when the store is
+    /// reopened between the create and that write.
+    #[test]
+    fn created_multiple_is_the_resolved_budget() {
+        for reopen in [false, true] {
+            let (mut engine, root) = temp_engine(&format!("write-multiple-{reopen}"));
+            engine.create_video("v", Some(StorageBudget::MultipleOfOriginal(2.0))).unwrap();
+            if reopen {
+                let config = engine.config.clone();
+                drop(engine);
+                engine = Engine::open(config).unwrap();
+            }
+            engine.write(&WriteRequest::new("v", Codec::H264), &sequence(60, 64, 48)).unwrap();
+            let original = engine.catalog.video("v").unwrap().original().unwrap().byte_len();
+            let expected = (original as f64 * 2.0).round() as u64;
+            assert_eq!(engine.budget_bytes("v").unwrap(), Some(expected), "reopen = {reopen}");
+            assert_eq!(engine.catalog.video("v").unwrap().storage_budget_bytes, Some(expected));
+            let _ = std::fs::remove_dir_all(root);
+        }
     }
 
     #[test]

@@ -37,70 +37,6 @@ use vss_frame::{Frame, FrameSequence};
 use vss_live::{LiveGop, SubEvent, SubscribeFrom};
 
 use crate::wire::{check_name, io_error, protocol_error};
-use std::time::{Duration, Instant};
-
-/// Jittered exponential retry/backoff for operations that are provably safe
-/// to reissue: dialing a connection (the request was never sent) and
-/// exchanges the server answered with a typed
-/// [`VssError::Overloaded`] shed (the server refused the work before doing
-/// it). A mid-exchange transport failure is **never** retried — the server
-/// may have applied the operation — and a partially consumed stream is never
-/// silently reopened.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Total time budget: once elapsed time plus the next backoff would
-    /// exceed it, the last error is returned instead of sleeping again.
-    pub deadline: Duration,
-    /// Backoff before the first retry.
-    pub initial_backoff: Duration,
-    /// Upper bound on any single backoff.
-    pub max_backoff: Duration,
-    /// Backoff growth factor per attempt.
-    pub multiplier: f64,
-    /// Fraction of each backoff randomized away (0.0 = fixed delays,
-    /// 0.5 = each delay uniformly in [50%, 100%] of nominal). Jitter
-    /// de-synchronizes a fleet of shed clients so they do not re-dial the
-    /// server in lockstep.
-    pub jitter: f64,
-    /// Seed for the deterministic jitter stream (vary per client).
-    pub seed: u64,
-}
-
-impl RetryPolicy {
-    /// A policy with the given total deadline and conventional defaults:
-    /// 10 ms initial backoff doubling to a 500 ms cap, 50% jitter.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        Self {
-            deadline,
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-            multiplier: 2.0,
-            jitter: 0.5,
-            seed: 0x5eed_cafe,
-        }
-    }
-
-    /// The backoff before retry number `attempt` (0-based), with jitter
-    /// drawn from `rng` (xorshift64* state).
-    fn backoff(&self, attempt: u32, rng: &mut u64) -> Duration {
-        let nominal = self.initial_backoff.as_secs_f64()
-            * self.multiplier.max(1.0).powi(attempt.min(24) as i32);
-        let nominal = nominal.min(self.max_backoff.as_secs_f64());
-        *rng ^= *rng << 13;
-        *rng ^= *rng >> 7;
-        *rng ^= *rng << 17;
-        let uniform = (rng.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64;
-        let scale = 1.0 - self.jitter.clamp(0.0, 1.0) * uniform;
-        Duration::from_secs_f64(nominal * scale)
-    }
-}
-
-/// Outcome of one attempt inside a retry loop: either final (success or a
-/// non-retryable error) or a failure the policy may retry.
-enum Attempt<T> {
-    Done(Result<T, VssError>),
-    Retry(VssError),
-}
 
 /// Mints request ids for client-originated operations. The id rides the
 /// wire in the traced envelope and shows up in span
@@ -532,9 +468,6 @@ pub struct RemoteStore {
     /// The shared multiplexed connection (`None` until dialed, and again
     /// after a transport failure — see [`mux_conn`](Self::mux_conn)).
     control: Mutex<Option<Arc<MuxConn>>>,
-    /// Retry/backoff policy for safely retryable failures (`None`, the
-    /// default, fails fast — see [`RetryPolicy`]).
-    retry: Option<RetryPolicy>,
 }
 
 impl std::fmt::Debug for RemoteStore {
@@ -546,47 +479,18 @@ impl std::fmt::Debug for RemoteStore {
 impl RemoteStore {
     /// Dials and handshakes the store's connection to a
     /// [`NetServer`](crate::server::NetServer) (`addr` resolves to its
-    /// listen address). Fails with
-    /// [`VssError::Overloaded`] when the server's admission control sheds
-    /// the session.
+    /// listen address), once. Fails with [`VssError::Overloaded`] when the
+    /// server's admission control sheds the session; whether and when to
+    /// dial again is the caller's decision.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, VssError> {
-        Self::dial_new(addr, None)
-    }
-
-    /// Like [`connect`](Self::connect), but retries the initial dial under
-    /// `policy` (transient connect failures and admission sheds back off
-    /// with jitter until the deadline) and installs the policy on the store
-    /// for subsequent operations, as
-    /// [`with_retry`](Self::with_retry) would.
-    pub fn connect_with_retry(
-        addr: impl ToSocketAddrs,
-        policy: RetryPolicy,
-    ) -> Result<Self, VssError> {
-        Self::dial_new(addr, Some(policy))
-    }
-
-    /// Resolves `addr` and dials the first connection under `retry`.
-    fn dial_new(addr: impl ToSocketAddrs, retry: Option<RetryPolicy>) -> Result<Self, VssError> {
         let addr = addr
             .to_socket_addrs()
             .map_err(io_error)?
             .next()
             .ok_or_else(|| protocol_error("address resolved to nothing"))?;
-        let store = Self { addr, control: Mutex::new(None), retry };
-        store.run_with_retry(|| match store.mux_conn() {
-            Ok(_) => Attempt::Done(Ok(())),
-            Err(error) => Attempt::Retry(error),
-        })?;
+        let store = Self { addr, control: Mutex::new(None) };
+        store.mux_conn()?;
         Ok(store)
-    }
-
-    /// Installs a retry/backoff policy. Only provably-unapplied failures are
-    /// retried — dial failures and typed [`VssError::Overloaded`] sheds, on
-    /// unary operations and stream *opens*; a partially consumed stream or
-    /// an ambiguous mid-exchange transport failure is never retried.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
     }
 
     /// Requests the server's live telemetry snapshot (counters, gauges and
@@ -659,23 +563,20 @@ impl RemoteStore {
     /// [`SubscribeFrom::Start`], before) this call stream back exactly as
     /// stored — already encoded, never re-encoded.
     ///
-    /// Under a [`RetryPolicy`], dial failures and `Overloaded` sheds of the
-    /// subscription *open* back off and retry; once the feed is live it is
-    /// never silently reopened — a mid-stream transport failure surfaces as
-    /// an error event. Dropping the [`LiveFeed`] resets its stream; the
-    /// server unregisters the subscriber, so an abandoned feed never delays
-    /// ingest.
+    /// A live feed is never silently reopened: a mid-stream transport
+    /// failure surfaces as an error event. Dropping the [`LiveFeed`] resets
+    /// its stream; the server unregisters the subscriber, so an abandoned
+    /// feed never delays ingest.
     pub fn subscribe(&self, name: &str, from: SubscribeFrom) -> Result<LiveFeed, VssError> {
         check_name(name)?;
         let _scope = vss_telemetry::request_scope(next_request_id());
         let _span = vss_telemetry::span("client", "subscribe", name);
         let open = Message::Subscribe { name: name.into(), from };
         let handle = self.open_mux(&open, STREAM_WINDOW, |reply, handle| match reply {
-            Message::Ok => Attempt::Done(Ok(handle)),
-            other => Attempt::Done(Err(protocol_error(format!(
-                "unexpected subscribe reply {}",
-                other.kind_name()
-            )))),
+            Message::Ok => Ok(handle),
+            other => {
+                Err(protocol_error(format!("unexpected subscribe reply {}", other.kind_name())))
+            }
         })?;
         Ok(LiveFeed { handle, done: false })
     }
@@ -699,105 +600,40 @@ impl RemoteStore {
         Ok(conn)
     }
 
-    /// Opens one stream on the shared multiplexed connection under the
-    /// store's retry policy. Dial failures and typed `Overloaded` replies
-    /// (including overload resets) back off and retry; once a stream is
-    /// open it is never silently reopened; `classify` decides what the
-    /// opening reply means.
+    /// Opens one stream on the shared multiplexed connection. A typed error
+    /// reply (an `Overloaded` shed included) is returned as is; `classify`
+    /// decides what any other opening reply means. Once a stream is open it
+    /// is never silently reopened.
     fn open_mux<T>(
         &self,
         open: &Message,
         window: u32,
-        mut classify: impl FnMut(Message, MuxStreamHandle) -> Attempt<T>,
+        classify: impl FnOnce(Message, MuxStreamHandle) -> Result<T, VssError>,
     ) -> Result<T, VssError> {
-        self.run_with_retry(|| {
-            let conn = match self.mux_conn() {
-                Ok(conn) => conn,
-                Err(error) => return Attempt::Retry(error),
-            };
-            let handle = match conn.open_stream(open, window) {
-                Ok(handle) => handle,
-                Err(error) => return Attempt::Done(Err(error)),
-            };
-            match handle.recv() {
-                Ok(Message::Error(error)) => match error.into_error() {
-                    shed @ VssError::Overloaded(_) => Attempt::Retry(shed),
-                    other => Attempt::Done(Err(other)),
-                },
-                Ok(reply) => classify(reply, handle),
-                Err(shed @ VssError::Overloaded(_)) => Attempt::Retry(shed),
-                Err(error) => Attempt::Done(Err(error)),
-            }
-        })
+        let handle = self.mux_conn()?.open_stream(open, window)?;
+        match handle.recv()? {
+            Message::Error(error) => Err(error.into_error()),
+            reply => classify(reply, handle),
+        }
     }
 
-    /// Runs one request/response exchange on the control plane, redialing
-    /// a broken connection on the next call. Under a
-    /// [`RetryPolicy`], dial failures and typed [`VssError::Overloaded`]
-    /// sheds back off and retry (the request was provably not applied);
-    /// mid-exchange transport failures never do.
+    /// Runs one request/response exchange on the control plane. A typed
+    /// server error (an `Overloaded` shed included) leaves the exchange
+    /// aligned and the connection kept. A transport failure mid-exchange is
+    /// surfaced — the server may or may not have applied the request — and
+    /// drops the connection, so the next call redials.
     fn unary(&self, message: Message) -> Result<Message, VssError> {
-        self.run_with_retry(|| self.unary_once(&message))
-    }
-
-    fn unary_once(&self, message: &Message) -> Attempt<Message> {
-        let conn = match self.mux_conn() {
-            Ok(conn) => conn,
-            // Nothing was sent: transient connect failures (and admission
-            // sheds during the handshake) are retryable.
-            Err(error) => return Attempt::Retry(error),
-        };
-        match conn.unary(message) {
-            // A typed server error leaves the exchange aligned; keep the
-            // connection. An `Overloaded` shed means the server refused the
-            // request before executing it — safe to retry.
-            Ok(Message::Error(error)) => match error.into_error() {
-                shed @ VssError::Overloaded(_) => Attempt::Retry(shed),
-                other => Attempt::Done(Err(other)),
-            },
-            Ok(reply) => Attempt::Done(Ok(reply)),
-            // Transport failure mid-exchange: the server may or may not have
-            // applied the request, so surface it; drop the connection so the
-            // next unary call redials.
+        let conn = self.mux_conn()?;
+        match conn.unary(&message) {
+            Ok(Message::Error(error)) => Err(error.into_error()),
+            Ok(reply) => Ok(reply),
             Err(error) => {
                 let mut slot = self.control.lock().expect("control lock");
                 if slot.as_ref().is_some_and(|current| Arc::ptr_eq(current, &conn)) {
                     *slot = None;
                 }
-                Attempt::Done(Err(error))
+                Err(error)
             }
-        }
-    }
-
-    /// Drives attempts of a safely-retryable operation under the store's
-    /// [`RetryPolicy`] (first failure is final when no policy is set).
-    /// Retries only fire for [`Attempt::Retry`] failures whose request was
-    /// provably not applied, and only `Overloaded` sheds or I/O failures
-    /// (real or injected dial errors) among those.
-    fn run_with_retry<T>(&self, mut attempt: impl FnMut() -> Attempt<T>) -> Result<T, VssError> {
-        let Some(policy) = &self.retry else {
-            return match attempt() {
-                Attempt::Done(outcome) => outcome,
-                Attempt::Retry(error) => Err(error),
-            };
-        };
-        let started = Instant::now();
-        let mut rng = policy.seed | 1;
-        let mut tries = 0u32;
-        loop {
-            let error = match attempt() {
-                Attempt::Done(outcome) => return outcome,
-                Attempt::Retry(error) => error,
-            };
-            if !matches!(&error, VssError::Overloaded(_) | VssError::Catalog(_)) {
-                return Err(error);
-            }
-            let backoff = policy.backoff(tries, &mut rng);
-            if started.elapsed() + backoff > policy.deadline {
-                return Err(error);
-            }
-            std::thread::sleep(backoff);
-            tries += 1;
         }
     }
 }
@@ -1115,11 +951,8 @@ impl VideoStorage for RemoteStore {
         let _span = vss_telemetry::span("client", "append", name);
         let begin = Message::AppendBegin { name: name.into(), frame_rate: frames.frame_rate() };
         let handle = self.open_mux(&begin, 0, |reply, handle| match reply {
-            Message::Ok => Attempt::Done(Ok(handle)),
-            other => Attempt::Done(Err(protocol_error(format!(
-                "unexpected append reply {}",
-                other.kind_name()
-            )))),
+            Message::Ok => Ok(handle),
+            other => Err(protocol_error(format!("unexpected append reply {}", other.kind_name()))),
         })?;
         let mut backend = MuxSinkBackend { handle: Some(handle), credit: 0 };
         backend.send_frames(frames.frames())?;
@@ -1143,13 +976,10 @@ impl VideoStorage for RemoteStore {
         let _span = vss_telemetry::span("client", "read_stream", request.name.as_str());
         let open = Message::OpenReadStream { request: request.clone() };
         self.open_mux(&open, STREAM_WINDOW, |reply, handle| match reply {
-            Message::StreamBegin { frame_rate, compressed } => Attempt::Done(Ok(
-                ReadStream::from_chunks(frame_rate, compressed, MuxChunkIter::new(handle)),
-            )),
-            other => Attempt::Done(Err(protocol_error(format!(
-                "unexpected stream reply {}",
-                other.kind_name()
-            )))),
+            Message::StreamBegin { frame_rate, compressed } => {
+                Ok(ReadStream::from_chunks(frame_rate, compressed, MuxChunkIter::new(handle)))
+            }
+            other => Err(protocol_error(format!("unexpected stream reply {}", other.kind_name()))),
         })
     }
 
@@ -1163,11 +993,10 @@ impl VideoStorage for RemoteStore {
         let _span = vss_telemetry::span("client", "write", request.name.as_str());
         let open = Message::WriteBegin { request: request.clone(), frame_rate };
         let (handle, gop_size) = self.open_mux(&open, 0, |reply, handle| match reply {
-            Message::WriteReady { gop_size } => Attempt::Done(Ok((handle, gop_size))),
-            other => Attempt::Done(Err(protocol_error(format!(
-                "unexpected write-begin reply {}",
-                other.kind_name()
-            )))),
+            Message::WriteReady { gop_size } => Ok((handle, gop_size)),
+            other => {
+                Err(protocol_error(format!("unexpected write-begin reply {}", other.kind_name())))
+            }
         })?;
         Ok(WriteSink::from_backend(
             Box::new(MuxSinkBackend { handle: Some(handle), credit: 0 }),

@@ -222,10 +222,13 @@
 //! Every connection is admitted through [`vss_server::VssServer::try_session`]
 //! between `Hello` and `HelloAck`: when the server is at its
 //! [`ServerConfig`](vss_server::ServerConfig) limits (max concurrent
-//! sessions, max in-flight bytes) the connection is answered with error code
-//! `OVERLOADED` (13) — optionally after queueing for the configured window —
-//! and closed. Clients should back off and retry. A shutting-down server
-//! refuses new connections the same way while in-flight operations drain.
+//! sessions, max in-flight bytes) the connection is answered at once with
+//! error code `OVERLOADED` (13) and closed. A shutting-down server refuses
+//! new connections the same way while in-flight operations drain. Overload
+//! has this one behaviour end to end: the server sheds with the typed error
+//! and [`RemoteStore`] passes [`vss_core::VssError::Overloaded`] to its
+//! caller. Neither side waits or retries — whether and when to dial again
+//! is the caller's decision.
 //!
 //! The admission slot is **per connection, not per operation**: a
 //! [`RemoteStore`] holds exactly one slot however many streams it runs
@@ -297,6 +300,6 @@ pub mod client;
 pub mod server;
 pub mod wire;
 
-pub use client::{LiveFeed, RemoteStore, RetryPolicy};
+pub use client::{LiveFeed, RemoteStore};
 pub use server::NetServer;
 pub use vss_live::{LiveGop, SubEvent, SubscribeFrom};

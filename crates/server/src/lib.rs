@@ -32,8 +32,8 @@
 //! The protocol lives with [`ShardedEngine`] (see its module docs): ordinary
 //! operations hold exactly one shard lock; the rare cross-shard operations
 //! (joint compression of a camera pair) acquire locks in ascending shard
-//! index order; whole-server aggregation (names, statistics, maintenance
-//! sweeps) visits one shard at a time. Deadlock-freedom is exercised by the
+//! index order; whole-server aggregation (names, statistics) visits one
+//! shard at a time. Deadlock-freedom is exercised by the
 //! `lock_ordering` integration test, which runs joint compression over the
 //! same pair in both argument orders concurrently.
 //!
@@ -54,9 +54,9 @@
 //! Untrusted entry points (the `vss-net` TCP front-end) admit sessions
 //! through [`VssServer::try_session`] instead, which enforces the
 //! [`ServerConfig`] limits — maximum concurrent sessions and maximum bytes
-//! in flight through streaming transfers — queueing up to
-//! [`ServerConfig::admission_queue`] before shedding the session with
-//! [`VssError::Overloaded`]. One admitted session serves one *client*: on
+//! in flight through streaming transfers — by shedding a session over
+//! either at once with [`VssError::Overloaded`]; nothing queues. One
+//! admitted session serves one *client*: on
 //! the multiplexed protocol (v3) all of a connection's concurrent streams
 //! share its single session (the `Session` is `&self` throughout, so the
 //! per-stream workers operate on one `Arc`'d handle), and a client counts
@@ -116,13 +116,6 @@ mod metrics {
         G.get_or_init(|| vss_telemetry::gauge("server.admission.active"))
     }
 
-    /// `server.admission.queue_depth`: callers currently queued in
-    /// `try_session` waiting for a slot.
-    pub(crate) fn queue_depth() -> &'static Gauge {
-        static G: OnceLock<&'static Gauge> = OnceLock::new();
-        G.get_or_init(|| vss_telemetry::gauge("server.admission.queue_depth"))
-    }
-
     /// `server.admission.shed_total`: sessions refused with `Overloaded`.
     pub(crate) fn shed_total() -> &'static Counter {
         static C: OnceLock<&'static Counter> = OnceLock::new();
@@ -130,9 +123,8 @@ mod metrics {
     }
 
     /// `server.admission.shed{code=...}`: sheds broken out by why —
-    /// `shutdown` (server refusing new work) vs `overloaded` (limits hit
-    /// after the admission queue timed out). The shed path is cold, so the
-    /// per-call interning lookup is fine.
+    /// `shutdown` (server refusing new work) vs `overloaded` (limits hit).
+    /// The shed path is cold, so the per-call interning lookup is fine.
     pub(crate) fn shed(code: &str) -> &'static Counter {
         vss_telemetry::counter_with("server.admission.shed", &[("code", code)])
     }
@@ -146,15 +138,15 @@ mod metrics {
 }
 
 /// Admission-control knobs of a [`VssServer`] (all default to "unlimited"):
-/// how many sessions may be active at once, how many bytes may be in flight
-/// through streaming transfers, and how long a new session may queue for a
-/// slot before it is shed with [`VssError::Overloaded`].
+/// how many sessions may be active at once and how many bytes may be in
+/// flight through streaming transfers before a new session is shed with
+/// [`VssError::Overloaded`].
 ///
 /// Only [`VssServer::try_session`] enforces these limits;
 /// [`VssServer::session`] is the trusted in-process escape hatch that always
 /// admits (but is still counted, so shutdown drains it too). The `vss-net`
 /// network front-end admits every TCP connection through `try_session`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerConfig {
     /// Maximum concurrently active sessions (plus in-flight incremental
     /// writes, which count as activity even after their session is dropped).
@@ -164,27 +156,12 @@ pub struct ServerConfig {
     /// [`VssServer::track_in_flight`]) before new sessions are refused.
     /// `0` = unlimited.
     pub max_in_flight_bytes: u64,
-    /// How long [`VssServer::try_session`] queues for a free slot before
-    /// shedding with [`VssError::Overloaded`]. [`Duration::ZERO`] sheds
-    /// immediately.
-    pub admission_queue: Duration,
     /// Bound on each live subscriber's in-memory GOP queue before the hub's
     /// lag policy drops it back to catch-up reads (see
     /// [`Session::subscribe`]). `0` =
     /// [`vss_live::DEFAULT_QUEUE_CAPACITY`]; tests force lag with tiny
     /// capacities.
     pub live_queue_capacity: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            max_concurrent_sessions: 0,
-            max_in_flight_bytes: 0,
-            admission_queue: Duration::ZERO,
-            live_queue_capacity: 0,
-        }
-    }
 }
 
 /// A shared, thread-safe VSS server handle. Cheap to clone; all clones (and
@@ -206,7 +183,7 @@ struct ServerInner {
     next_session: AtomicU64,
     server_config: ServerConfig,
     /// Count of active sessions + in-flight incremental writes, guarded by a
-    /// mutex so admission waiters can block on `admission_signal`.
+    /// mutex so [`VssServer::shutdown`] can wait on `admission_signal`.
     admission: Mutex<usize>,
     admission_signal: Condvar,
     in_flight_bytes: AtomicU64,
@@ -215,8 +192,8 @@ struct ServerInner {
 }
 
 /// RAII counter of one unit of server activity (a session or an in-flight
-/// incremental write); dropping it releases the slot and wakes admission
-/// waiters and [`VssServer::shutdown`].
+/// incremental write); dropping it releases the slot and wakes
+/// [`VssServer::shutdown`].
 struct ActivityPermit {
     inner: Arc<ServerInner>,
 }
@@ -246,7 +223,7 @@ impl Drop for ActivityPermit {
 /// RAII record of bytes currently in flight through a streaming transfer
 /// (one chunk of frames on its way to or from a socket, held until it has
 /// been sent or persisted). Obtained from [`VssServer::track_in_flight`];
-/// dropping it subtracts the bytes and wakes admission waiters.
+/// dropping it subtracts the bytes.
 pub struct InFlightBytes {
     inner: Arc<ServerInner>,
     bytes: u64,
@@ -256,9 +233,6 @@ impl Drop for InFlightBytes {
     fn drop(&mut self) {
         metrics::in_flight_bytes().sub(self.bytes as i64);
         self.inner.in_flight_bytes.fetch_sub(self.bytes, Ordering::SeqCst);
-        // Waiters may be blocked on the byte gate; nudge them.
-        let _guard = self.inner.admission.lock().expect("admission lock");
-        self.inner.admission_signal.notify_all();
     }
 }
 
@@ -330,70 +304,43 @@ impl VssServer {
     /// Creates a new client session subject to the configured
     /// [`ServerConfig`] admission limits.
     ///
-    /// When the server is at its session or in-flight-byte limit, the call
-    /// queues for up to [`ServerConfig::admission_queue`] (immediately with
-    /// the zero default) and then sheds the session with
-    /// [`VssError::Overloaded`]. A shutting-down server refuses new sessions
-    /// outright.
+    /// When the server is at its session or in-flight-byte limit, or is
+    /// shutting down, the session is shed at once with
+    /// [`VssError::Overloaded`]; the caller decides whether to try again.
     pub fn try_session(&self) -> Result<Session, VssError> {
         let config = &self.inner.server_config;
-        let deadline = Instant::now() + config.admission_queue;
-        // Observability of the gate itself: how deep the admission queue is
-        // right now, and how many sessions it has shed in total.
-        let mut queued = false;
-        let unqueue = |queued: bool| {
-            if queued {
-                metrics::queue_depth().sub(1);
-            }
-        };
         let mut active = self.inner.admission.lock().expect("admission lock");
-        loop {
-            if self.inner.shutting_down.load(Ordering::SeqCst) {
-                unqueue(queued);
-                metrics::shed_total().incr();
-                metrics::shed("shutdown").incr();
-                self.inner.rejected_sessions.fetch_add(1, Ordering::Relaxed);
-                return Err(VssError::Overloaded("server is shutting down".into()));
-            }
-            let sessions_ok = config.max_concurrent_sessions == 0
-                || *active < config.max_concurrent_sessions;
-            let in_flight = self.inner.in_flight_bytes.load(Ordering::SeqCst);
-            let bytes_ok =
-                config.max_in_flight_bytes == 0 || in_flight < config.max_in_flight_bytes;
-            if sessions_ok && bytes_ok {
-                unqueue(queued);
-                *active += 1;
-                drop(active);
-                return Ok(Session {
-                    id: self.inner.next_session.fetch_add(1, Ordering::Relaxed),
-                    // The slot was already claimed under the lock above.
-                    _permit: ActivityPermit::claimed(Arc::clone(&self.inner)),
-                    server: self.clone(),
-                });
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                unqueue(queued);
-                metrics::shed_total().incr();
-                metrics::shed("overloaded").incr();
-                self.inner.rejected_sessions.fetch_add(1, Ordering::Relaxed);
-                return Err(VssError::Overloaded(format!(
+        let shed = |code: &str, message: String| {
+            metrics::shed_total().incr();
+            metrics::shed(code).incr();
+            self.inner.rejected_sessions.fetch_add(1, Ordering::Relaxed);
+            Err(VssError::Overloaded(message))
+        };
+        if self.inner.shutting_down.load(Ordering::SeqCst) {
+            return shed("shutdown", "server is shutting down".into());
+        }
+        let sessions_ok =
+            config.max_concurrent_sessions == 0 || *active < config.max_concurrent_sessions;
+        let in_flight = self.inner.in_flight_bytes.load(Ordering::SeqCst);
+        let bytes_ok = config.max_in_flight_bytes == 0 || in_flight < config.max_in_flight_bytes;
+        if !(sessions_ok && bytes_ok) {
+            return shed(
+                "overloaded",
+                format!(
                     "admission limits reached: {active} active session(s) (limit {}), \
                      {in_flight} in-flight byte(s) (limit {})",
                     config.max_concurrent_sessions, config.max_in_flight_bytes
-                )));
-            }
-            if !queued {
-                metrics::queue_depth().add(1);
-                queued = true;
-            }
-            let (guard, _timeout) = self
-                .inner
-                .admission_signal
-                .wait_timeout(active, remaining)
-                .expect("admission lock");
-            active = guard;
+                ),
+            );
         }
+        *active += 1;
+        drop(active);
+        Ok(Session {
+            id: self.inner.next_session.fetch_add(1, Ordering::Relaxed),
+            // The slot was already claimed under the lock above.
+            _permit: ActivityPermit::claimed(Arc::clone(&self.inner)),
+            server: self.clone(),
+        })
     }
 
     /// The admission-control configuration this server was opened with.
@@ -437,8 +384,6 @@ impl VssServer {
     /// (and in-flight incremental writes) keep running.
     pub fn begin_shutdown(&self) {
         self.inner.shutting_down.store(true, Ordering::SeqCst);
-        let _guard = self.inner.admission.lock().expect("admission lock");
-        self.inner.admission_signal.notify_all();
     }
 
     /// Gracefully shuts the server down: refuses new sessions (like

@@ -22,7 +22,7 @@
 //!    same total order, cross-shard operations cannot deadlock regardless
 //!    of the argument order.
 //! 3. **Aggregation rule.** Whole-server operations (listing video names,
-//!    statistics, maintenance sweeps) visit shards one at a time and never
+//!    statistics) visit shards one at a time and never
 //!    hold more than one lock; they observe a point-in-time-per-shard view
 //!    rather than a global snapshot, which is exactly the consistency the
 //!    paper's statistics need.
@@ -378,31 +378,15 @@ impl ShardedEngine {
     // --- maintenance --------------------------------------------------------
 
     /// Runs one unit of background maintenance (deferred compression or
-    /// compaction) on one shard, blocking for its lock. Returns `true` if
-    /// any work was performed.
-    pub fn maintain_shard(&self, index: usize) -> Result<bool, VssError> {
-        self.shards[index].write().background_maintenance()
-    }
-
-    /// Non-blocking variant used by the background scheduler: skips the
+    /// compaction) on one shard for the background scheduler: skips the
     /// shard (returning `None`) when a foreground request holds its lock,
-    /// matching the paper's "when no other requests are being executed".
+    /// matching the paper's "when no other requests are being executed";
+    /// otherwise returns `Some(true)` if any work was performed.
     pub fn try_maintain_shard(&self, index: usize) -> Result<Option<bool>, VssError> {
         match self.shards[index].try_write() {
             Some(mut engine) => engine.background_maintenance().map(Some),
             None => Ok(None),
         }
-    }
-
-    /// One maintenance pass over every shard (shards are swept one at a
-    /// time, each under its own lock — never stop-the-world). Returns `true`
-    /// if any shard performed work.
-    pub fn maintenance_sweep(&self) -> Result<bool, VssError> {
-        let mut worked = false;
-        for index in 0..self.shards.len() {
-            worked |= self.maintain_shard(index)?;
-        }
-        Ok(worked)
     }
 
     // --- cross-shard operations ---------------------------------------------

@@ -19,7 +19,7 @@
 //!   `shed_total`.
 //!
 //! Examples: `engine.read.latency_ns` (histogram), `wal.fsync.latency_ns`
-//! (histogram), `server.admission.queue_depth` (gauge),
+//! (histogram), `server.admission.active` (gauge),
 //! `net.conn.bytes_sent` (counter).
 //!
 //! ## Label convention
@@ -77,11 +77,7 @@
 //!    bumps the `layer.op.ops` counter,
 //! 2. appends a [`SpanRecord`] (layer, op, target, request id, span id,
 //!    parent span id, start offset, duration) to a bounded in-memory ring
-//!    readable via [`recent_spans`],
-//! 3. emits a one-line structured log on stderr when the duration meets the
-//!    `VSS_SLOW_OP_MS` threshold (unset or 0 disables the slow-op log),
-//!    followed by the indented [`span_tree`] of the request when the span
-//!    carried a request id.
+//!    readable via [`recent_spans`].
 //!
 //! Spans are request-correlated through a thread-local request id: a server
 //! handler calls [`set_request_id`] when it decodes a tagged request, and
@@ -103,7 +99,8 @@
 //! envelope), the server installs it via [`trace_scope`], and the server's
 //! spans chain under the client's. [`span_tree`] reassembles the tree for
 //! one request id from the ring, and [`SpanTree::render`] prints it as an
-//! indented trace — the same rendering the slow-op log emits.
+//! indented trace — the same rendering `vss-net`'s `spans` admin topic
+//! returns.
 //!
 //! # Process-global state and tests
 //!
@@ -663,7 +660,7 @@ pub fn dump() -> String {
 
 /// Emits a one-line structured log on stderr: `vss event=<event> k=v ...`.
 /// Values containing spaces are quoted. Used for rare, significant moments
-/// (startup recovery, slow ops) — never per-request.
+/// (startup recovery) — never per-request.
 pub fn log_event(event: &str, fields: &[(&str, String)]) {
     use std::fmt::Write as _;
     let mut line = format!("vss event={event}");
@@ -822,19 +819,6 @@ pub fn spans_for_request(request_id: u64) -> Vec<SpanRecord> {
         .collect()
 }
 
-/// The `VSS_SLOW_OP_MS` threshold, parsed once. `None` disables slow-op
-/// logging (unset, unparsable or 0).
-fn slow_op_threshold() -> Option<Duration> {
-    static THRESHOLD: OnceLock<Option<Duration>> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("VSS_SLOW_OP_MS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<u64>().ok())
-            .filter(|ms| *ms > 0)
-            .map(Duration::from_millis)
-    })
-}
-
 /// Opens a span for one operation; see the [crate docs](self) for drop-time
 /// semantics. The thread's current request id and parent span are captured
 /// at open, and the new span becomes the thread's parent-of-record until it
@@ -901,38 +885,11 @@ impl Drop for Span {
             start_ns: self.start_ns,
             duration,
         };
-        let slow = slow_op_threshold().is_some_and(|threshold| duration >= threshold);
-        let (target, request_id) = (record.target.clone(), record.request_id);
-        {
-            // Ring insert happens before the slow-op render so the slow
-            // span itself appears in its own tree.
-            let mut ring = span_ring().lock().expect("span ring lock");
-            if ring.len() == SPAN_RING_CAPACITY {
-                ring.pop_front();
-            }
-            ring.push_back(record);
+        let mut ring = span_ring().lock().expect("span ring lock");
+        if ring.len() == SPAN_RING_CAPACITY {
+            ring.pop_front();
         }
-        if slow {
-            log_event(
-                "slow-op",
-                &[
-                    ("layer", layer.to_string()),
-                    ("op", op.to_string()),
-                    ("target", target),
-                    (
-                        "request_id",
-                        request_id.map_or_else(|| "-".to_string(), |id| id.to_string()),
-                    ),
-                    ("duration_ms", format!("{:.3}", duration.as_secs_f64() * 1e3)),
-                ],
-            );
-            if let Some(id) = request_id {
-                let tree = span_tree(id);
-                if !tree.spans.is_empty() {
-                    eprint!("{}", tree.render());
-                }
-            }
-        }
+        ring.push_back(record);
     }
 }
 

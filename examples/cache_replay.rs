@@ -30,8 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let root = std::env::temp_dir().join(format!("vss-example-cache-{label}"));
         let _ = std::fs::remove_dir_all(&root);
         let vss = Vss::open(VssConfig::new(&root))?;
-        // A tight budget (3x the original) forces evictions during the replay.
-        vss.create("traffic", Some(StorageBudget::MultipleOfOriginal(3.0)))?;
+        // A tight budget (2x the original) forces evictions during the replay;
+        // everything this replay admits fits in 3x.
+        vss.create("traffic", Some(StorageBudget::MultipleOfOriginal(2.0)))?;
         vss.write(&WriteRequest::new("traffic", Codec::H264), &video)?;
         vss.with_engine(|engine| engine.config.eviction_policy = policy);
 

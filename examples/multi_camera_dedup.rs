@@ -43,11 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .sum();
     println!("separately compressed: {} KiB", separate / 1024);
 
-    let config = JointConfig {
-        min_correspondences: 6,
-        quality_threshold: vss::frame::PsnrDb(26.0),
-        recovery_threshold: vss::frame::PsnrDb(22.0),
-    };
+    let config =
+        JointConfig { min_correspondences: 6, recovery_threshold: vss::frame::PsnrDb(22.0) };
     for merge in [MergeFunction::Unprojected, MergeFunction::Mean] {
         let mut timings = JointTimings::default();
         let outcome =

@@ -46,7 +46,7 @@ fn config(root: &Path) -> VssConfig {
     // Deferred compression is disabled so a GOP file's bytes are fixed at
     // append time (never rewritten later) — that is what makes the acked
     // prefix of a crashed store byte-comparable against a clean run.
-    VssConfig::new(root).with_gop_size(GOP).without_caching().without_deferred_compression()
+    VssConfig::new(root).with_gop_size(GOP).without_deferred_compression()
 }
 
 fn frame(i: usize) -> Frame {

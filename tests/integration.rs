@@ -128,6 +128,21 @@ fn budget_pressure_evicts_but_always_preserves_readability() {
         vss.bytes_used("traffic").unwrap() <= budget,
         "eviction keeps the store within its budget"
     );
+    // The same reads against an unbounded twin keep every page they admit;
+    // the bounded store must have evicted some of them.
+    let unbounded_root = scratch("eviction-unbounded");
+    let unbounded = Vss::open(VssConfig::new(&unbounded_root)).unwrap();
+    unbounded.create("traffic", Some(StorageBudget::Unlimited)).unwrap();
+    unbounded.write(&WriteRequest::new("traffic", Codec::H264), &video).unwrap();
+    for request in workload.generate(20) {
+        let _ = unbounded.read(&request);
+    }
+    let fragments = |store: &Vss| {
+        store.with_engine(|engine| engine.materialized_fragment_count("traffic").unwrap())
+    };
+    let (kept, admitted) = (fragments(&vss), fragments(&unbounded));
+    assert!(kept < admitted, "a 2× budget evicted nothing: {kept} of {admitted} fragments kept");
+    let _ = std::fs::remove_dir_all(unbounded_root);
     // Whatever was evicted, the full video can still be read at full quality.
     let full = vss.read(&ReadRequest::new("traffic", 0.0, duration, Codec::H264).uncacheable()).unwrap();
     assert_eq!(full.frames.len(), video.len());
@@ -172,11 +187,7 @@ fn joint_compression_end_to_end_on_table1_style_pair() {
     let dataset = spec.generate(8, 4);
     let left = dataset.primary().clone();
     let right = dataset.secondary().unwrap().clone();
-    let config = JointConfig {
-        min_correspondences: 6,
-        quality_threshold: PsnrDb(26.0),
-        recovery_threshold: PsnrDb(22.0),
-    };
+    let config = JointConfig { min_correspondences: 6, recovery_threshold: PsnrDb(22.0) };
     let mut timings = vss::core::JointTimings::default();
     let outcome = joint_compress_sequences(
         &left,
