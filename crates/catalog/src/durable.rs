@@ -1,17 +1,20 @@
-//! Durable file I/O primitives: every byte the catalog promises to keep
-//! goes through here.
+//! File I/O primitives for the two GOP durability classes (see the crate's
+//! *Durability contract*), and every other byte the catalog promises to keep.
 //!
-//! The helpers implement the classic crash-safe patterns — write to a
-//! temporary file in the same directory, `fsync` the file, `rename` over the
+//! [`write_atomic`] is the classic crash-safe pattern — write to a temporary
+//! file in the same directory, `fsync` the file, `rename` over the
 //! destination, then `fsync` the parent directory so the rename itself is
-//! durable — and route every write and sync through the
-//! [`fault`] injection checks, so the crash-recovery suite can
-//! tear or fail any of them deterministically.
+//! durable. Durable GOPs, checkpoints and the server manifest go through it.
+//! Derived GOPs skip every `fsync`: [`write_derived`] writes a fresh file at
+//! its final name, [`replace_derived`] swaps a rewrite in by rename, and
+//! [`fsync_file`] hardens one later. Every write and sync is routed through
+//! the [`fault`] injection checks, so the crash-recovery suite can tear or
+//! fail any of them deterministically.
 
 use crate::fault::{self, WriteOutcome};
 use std::fs;
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Suffix of in-flight temporary files. Recovery deletes any leftovers, so
 /// the suffix is part of the on-disk contract.
@@ -26,10 +29,16 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
     fs::File::open(dir)?.sync_all()
 }
 
-/// Writes `bytes` to `path` and `sync_all`s the file, honouring injected
-/// faults (a torn write leaves the configured prefix of the bytes behind and
-/// reports the failure).
-fn write_and_sync(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// `fsync`s an existing file's bytes.
+pub fn fsync_file(path: &Path) -> io::Result<()> {
+    fault::on_sync(path)?;
+    fs::File::open(path)?.sync_all()
+}
+
+/// Writes `bytes` to `path`, honouring injected faults (a torn write leaves
+/// the configured prefix of the bytes behind and reports the failure), and
+/// `sync_all`s the file when `sync` is set.
+fn write_file(path: &Path, bytes: &[u8], sync: bool) -> io::Result<()> {
     let outcome = fault::on_write(path, bytes.len())?;
     let mut file = fs::File::create(path)?;
     match outcome {
@@ -44,8 +53,20 @@ fn write_and_sync(path: &Path, bytes: &[u8]) -> io::Result<()> {
         }
         WriteOutcome::Fail => unreachable!("on_write reports failures as errors"),
     }
-    fault::on_sync(path)?;
-    file.sync_all()
+    if sync {
+        fault::on_sync(path)?;
+        file.sync_all()?;
+    }
+    Ok(())
+}
+
+fn tmp_path(path: &Path) -> io::Result<PathBuf> {
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| io::Error::other(format!("no file name in {}", path.display())))?;
+    let mut tmp_name = file_name.to_os_string();
+    tmp_name.push(TMP_SUFFIX);
+    Ok(path.with_file_name(tmp_name))
 }
 
 /// Atomically and durably replaces `path` with `bytes`: write to
@@ -53,18 +74,28 @@ fn write_and_sync(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// directory. After this returns, either the old content or the new content
 /// survives any crash — never a mix, and never neither.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| io::Error::other(format!("no file name in {}", path.display())))?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(TMP_SUFFIX);
-    let tmp = path.with_file_name(tmp_name);
-    write_and_sync(&tmp, bytes)?;
+    let tmp = tmp_path(path)?;
+    write_file(&tmp, bytes, true)?;
     fs::rename(&tmp, path)?;
     if let Some(parent) = path.parent() {
         fsync_dir(parent)?;
     }
     Ok(())
+}
+
+/// Writes a derived GOP's `bytes` at `path`, its final name, with no
+/// `fsync`: a process crash keeps them, a power cut may tear them, and the
+/// checksum in the GOP's record tells the two apart on the next open.
+pub fn write_derived(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_file(path, bytes, false)
+}
+
+/// Replaces a derived GOP's file with `bytes` by temp file and rename, with
+/// no `fsync`: a process crash leaves the old or the new bytes, never a mix.
+pub fn replace_derived(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = tmp_path(path)?;
+    write_file(&tmp, bytes, false)?;
+    fs::rename(&tmp, path)
 }
 
 #[cfg(test)]

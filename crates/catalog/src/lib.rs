@@ -17,32 +17,59 @@
 //!   [`PhysicalVideoRecord`], [`GopRecord`]) with temporal-index queries.
 //! * GOP file I/O — writing, reading and deleting the per-GOP files laid out
 //!   under `<root>/<video>/<WxH>r<fps>.<codec>.<id>/<gop#>.gop`.
-//! * [`durable`] — crash-safe write primitives (temp → fsync → rename →
-//!   parent-dir fsync), and [`fault`] — the injection seam the
-//!   crash-recovery suite uses to tear and fail them.
+//! * [`durable`] — the write primitives of the two GOP durability classes
+//!   below, and [`fault`] — the injection seam the crash-recovery suite uses
+//!   to tear and fail them.
 //!
 //! Policy (what to cache, what to evict, how to answer reads) lives above
 //! this crate in `vss-core`; the catalog only records and retrieves state.
 //!
 //! # Durability contract
 //!
-//! After any crash — including `kill -9` or a power cut at an arbitrary
-//! instruction — reopening the catalog with [`Catalog::open`] yields a
-//! consistent store in which:
+//! Every GOP belongs to one of two classes, decided per GOP:
 //!
-//! * **Every acknowledged mutation survives.** Before a mutator returns
-//!   `Ok`, its journal record has been appended to `catalog.wal` and
-//!   `fsync`ed, and any file bytes it promised (a GOP's data) have been
-//!   written temp-then-rename with both the file and its parent directory
-//!   synced. Replay-on-open reapplies journaled records on top of the last
-//!   checkpoint.
+//! * **Durable** — the GOPs of a logical video's *original* physical video,
+//!   which is what writes, appends and sinks acknowledge. Their bytes are
+//!   written temp-then-rename with the file and its directory synced, and
+//!   their journal record is appended and `fsync`ed, before the mutator
+//!   returns. After any crash, including a power cut, they are there
+//!   byte-for-byte.
+//! * **Derived** — the GOPs of every other physical video: materialized
+//!   views, which the storage budget may evict at any moment and a read can
+//!   always recompute. Their bytes are written once, at their final name,
+//!   with no `fsync`; their record carries a CRC-32 of the bytes instead
+//!   ([`GopRecord::crc`]). [`Catalog::open`] verifies that checksum and drops
+//!   a GOP whose file is missing or does not match, so after a power cut a
+//!   view may lose pages or vanish, but it is never served torn. A kill -9
+//!   loses nothing: the page cache keeps the bytes.
+//!
+//! The eviction guard relies only on durable bytes. A page at or above the
+//! baseline quality may be evicted only because another such copy covers it;
+//! before that eviction, [`Catalog::harden_gops`] syncs the cover's derived
+//! GOPs over the page's interval and journals their checksums as cleared,
+//! so they are durable from then on.
+//!
+//! Mutations are journaled one record each, except inside a batch
+//! ([`Catalog::begin_batch`]): a cache admission or a compaction merge
+//! stages its mutations in memory and [`Catalog::commit_batch`] journals them
+//! as **one** record with one `fsync`, which replay applies whole or not at
+//! all. Files a mutation removes are unlinked only once its record is
+//! durable (journal first, then delete). A batch that fails to reach the
+//! journal returns a typed error and leaves the in-memory catalog equal to
+//! what a reopen would load. After any crash, reopening yields a consistent
+//! store in which:
+//!
+//! * **Every acknowledged mutation survives**, with the derived GOPs'
+//!   caveat above. Replay-on-open reapplies journaled records on top of the
+//!   last checkpoint.
 //! * **Unacknowledged work disappears cleanly.** A torn journal tail is
 //!   truncated at the last valid record; GOP files with no catalog entry
-//!   (the crash hit between the file rename and the journal append) are
-//!   deleted; catalog entries whose file is missing or unreadable are
-//!   dropped; leftover `*.tmp` files are removed. The
-//!   [`RecoveryReport`] returned by [`Catalog::recovery_report`] itemizes
-//!   everything replayed and repaired.
+//!   (the crash hit before their record was journaled) are deleted; catalog
+//!   entries whose file is missing, unreadable or fails its checksum are
+//!   dropped; leftover `*.tmp` files are removed. The [`RecoveryReport`]
+//!   returned by [`Catalog::recovery_report`] itemizes everything replayed
+//!   and repaired, and the repairs are checkpointed, so a second open finds
+//!   nothing to repair.
 //! * **What is *not* covered:** recency clocks ([`GopRecord::last_access`])
 //!   are advisory and journaled only at GOP append and checkpoint time —
 //!   touches between checkpoints may be forgotten, which can change
@@ -50,9 +77,9 @@
 //!   state changes only through a journaled mutator.
 //!
 //! The journal turns the previous O(catalog) rewrite-per-mutation into an
-//! O(record) append; [`Catalog::persist`] now folds the journal into the
+//! O(record) append; [`Catalog::persist`] folds the journal into the
 //! checkpoint only once it grows past a threshold
-//! ([`Catalog::set_checkpoint_threshold`]).
+//! ([`Catalog::set_checkpoint_threshold`]), and never while a batch is open.
 
 #![warn(missing_docs)]
 
@@ -231,6 +258,7 @@ impl CatalogState {
                 byte_len,
                 lossless_level,
                 clock,
+                crc,
             } => {
                 let target = self
                     .videos
@@ -249,11 +277,11 @@ impl CatalogState {
                     byte_len: *byte_len,
                     lossless_level: *lossless_level,
                     last_access: AtomicClock::new(*clock),
-                    duplicate_of: None,
+                    crc: *crc,
                 });
                 self.access_clock.advance_to(*clock);
             }
-            WalRecord::RewriteGop { video, physical, index, byte_len, lossless_level } => {
+            WalRecord::RewriteGop { video, physical, index, byte_len, lossless_level, crc } => {
                 let gop = self
                     .videos
                     .get_mut(video)
@@ -264,6 +292,7 @@ impl CatalogState {
                     .ok_or_else(|| format!("rewrite of unknown GOP {index}"))?;
                 gop.byte_len = *byte_len;
                 gop.lossless_level = *lossless_level;
+                gop.crc = *crc;
             }
             WalRecord::RemoveGop { video, physical, index } => {
                 let target = self
@@ -291,6 +320,11 @@ impl CatalogState {
                     .ok_or_else(|| format!("set-mse-bound on unknown physical video {physical}"))?
                     .mse_bound = *bound;
             }
+            WalRecord::Batch(records) => {
+                for record in records {
+                    self.apply(record)?;
+                }
+            }
         }
         Ok(())
     }
@@ -306,6 +340,16 @@ pub struct Catalog {
     seq: u64,
     checkpoint_threshold: u64,
     recovery: RecoveryReport,
+    /// Mutations staged since [`begin_batch`](Self::begin_batch).
+    batch: Option<Batch>,
+}
+
+/// What an open batch has applied in memory but not yet journaled.
+#[derive(Debug, Default)]
+struct Batch {
+    records: Vec<WalRecord>,
+    /// Files and directories its records removed, unlinked once it commits.
+    unlink: Vec<PathBuf>,
 }
 
 const CATALOG_FILE: &str = "catalog.json";
@@ -315,12 +359,23 @@ const CATALOG_FILE: &str = "catalog.json";
 /// small enough that replay-on-open stays fast.
 pub const DEFAULT_CHECKPOINT_THRESHOLD: u64 = 256 * 1024;
 
+/// Removes a file or a directory tree, if it is there.
+fn unlink(path: &Path) -> std::io::Result<()> {
+    match fs::symlink_metadata(path) {
+        Ok(meta) if meta.is_dir() => fs::remove_dir_all(path),
+        Ok(_) => fs::remove_file(path),
+        Err(error) if error.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(error) => Err(error),
+    }
+}
+
 impl Catalog {
     /// Opens (or initializes) a catalog rooted at `root`, running crash
     /// recovery: load the `catalog.json` checkpoint, replay `catalog.wal`
     /// on top (truncating any torn tail), then reconcile the resulting
-    /// state against the GOP files actually on disk. See the crate-level
-    /// *Durability contract*. What recovery found is available from
+    /// state against the GOP files actually on disk, verifying every
+    /// derived GOP's checksum. See the crate-level *Durability contract*.
+    /// What recovery found is available from
     /// [`recovery_report`](Self::recovery_report).
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, CatalogError> {
         let root = root.into();
@@ -367,6 +422,7 @@ impl Catalog {
             seq,
             checkpoint_threshold: DEFAULT_CHECKPOINT_THRESHOLD,
             recovery,
+            batch: None,
         };
         if catalog.recovery.repaired_anything() {
             // Make the repaired state durable so a crash right after this
@@ -401,8 +457,8 @@ impl Catalog {
     /// Folds the journal into the checkpoint if it has grown past the
     /// threshold.
     ///
-    /// Every mutation is already durable the moment its mutator returns
-    /// (journal append + fsync), so unlike the pre-journal design this is
+    /// Every mutation is already durable the moment its mutator (or its
+    /// batch's [`commit_batch`](Self::commit_batch)) returns, so this is
     /// *not* required for durability — it only bounds replay time on the
     /// next open. Kept as the historical name because every write path
     /// already calls it at transaction boundaries.
@@ -416,8 +472,12 @@ impl Catalog {
     /// Unconditionally folds the journal into `catalog.json` (write-temp,
     /// fsync file and parent directory, rename) and resets the journal.
     /// Also captures the one piece of state the journal does not carry:
-    /// recency clocks.
+    /// recency clocks. Does nothing while a batch is open: its mutations
+    /// are not journaled yet, so they must not reach the checkpoint either.
     pub fn checkpoint(&mut self) -> Result<(), CatalogError> {
+        if self.batch.is_some() {
+            return Ok(());
+        }
         self.state.journal_seq = CheckpointSeq(self.seq);
         let serialized = serde_json::to_string_pretty(&self.state)
             .map_err(|e| CatalogError::Corrupt(e.to_string()))?;
@@ -428,18 +488,98 @@ impl Catalog {
         Ok(())
     }
 
-    /// Appends one record to the journal (fsynced — the durability point of
-    /// every mutation) and applies it to the in-memory state.
+    /// Journals one record and applies it to the in-memory state. Outside a
+    /// batch the append is fsynced — the durability point of the mutation;
+    /// inside one the record is staged for [`commit_batch`](Self::commit_batch).
     ///
     /// Callers validate preconditions *before* journaling, so `apply`
     /// failing afterwards means the validation and apply logic disagree —
     /// surfaced as [`CatalogError::Corrupt`] rather than papered over.
     fn commit(&mut self, record: WalRecord) -> Result<(), CatalogError> {
-        self.wal.append(self.seq + 1, &record)?;
-        self.seq += 1;
+        if self.batch.is_none() {
+            self.wal.append(self.seq + 1, &record)?;
+            self.seq += 1;
+        }
         self.state
             .apply(&record)
-            .map_err(|e| CatalogError::Corrupt(format!("applying journaled record: {e}")))
+            .map_err(|e| CatalogError::Corrupt(format!("applying journaled record: {e}")))?;
+        if let Some(batch) = &mut self.batch {
+            batch.records.push(record);
+        }
+        Ok(())
+    }
+
+    /// Unlinks a file or directory a committed mutation dropped: now, or,
+    /// inside a batch, once the batch is durable.
+    fn unlink_after_commit(&mut self, path: PathBuf) -> Result<(), CatalogError> {
+        match &mut self.batch {
+            Some(batch) => batch.unlink.push(path),
+            None => unlink(&path)?,
+        }
+        Ok(())
+    }
+
+    // --- batches -----------------------------------------------------------
+
+    /// Opens a batch: until [`commit_batch`](Self::commit_batch), mutators
+    /// apply to the in-memory state at once (so later ones see earlier
+    /// ones), but journal nothing and unlink nothing.
+    ///
+    /// # Panics
+    ///
+    /// If a batch is already open: batches do not nest, and a second one
+    /// would drop the first one's staged records.
+    pub fn begin_batch(&mut self) {
+        assert!(self.batch.is_none(), "catalog batches do not nest");
+        self.batch = Some(Batch::default());
+    }
+
+    /// Journals the open batch as one record with one `fsync`, then unlinks
+    /// the files its mutations removed. If the record does not reach the
+    /// journal, the in-memory catalog is reloaded from disk — exactly what a
+    /// reopen would load — and the error is returned.
+    pub fn commit_batch(&mut self) -> Result<(), CatalogError> {
+        let Some(Batch { records, unlink: removed }) = self.batch.take() else {
+            return Ok(());
+        };
+        if !records.is_empty() {
+            if let Err(error) = self.wal.append(self.seq + 1, &WalRecord::Batch(records)) {
+                self.reload()?;
+                return Err(error.into());
+            }
+            self.seq += 1;
+        }
+        for path in &removed {
+            unlink(path)?;
+        }
+        Ok(())
+    }
+
+    /// Abandons the open batch. Nothing of it was journaled, so the
+    /// in-memory catalog is reloaded from disk, as after a failed
+    /// [`commit_batch`](Self::commit_batch).
+    pub fn abort_batch(&mut self) -> Result<(), CatalogError> {
+        self.batch = None;
+        self.reload()
+    }
+
+    /// Replaces the in-memory catalog with what [`open`](Self::open) loads
+    /// from disk now (recovery sweeps what an abandoned batch wrote). If
+    /// even that fails, the journal refuses every further append, so no
+    /// record can land on top of state the journal does not hold.
+    fn reload(&mut self) -> Result<(), CatalogError> {
+        match Catalog::open(&self.root) {
+            Ok(fresh) => {
+                let threshold = self.checkpoint_threshold;
+                *self = fresh;
+                self.checkpoint_threshold = threshold;
+                Ok(())
+            }
+            Err(error) => {
+                self.wal.poison();
+                Err(error)
+            }
+        }
     }
 
     /// Advances and returns the logical access clock (used for LRU
@@ -493,11 +633,7 @@ impl Catalog {
         // deleting files before the journal entry could strand a journaled
         // video without data.
         self.commit(WalRecord::DeleteVideo { name: name.to_string() })?;
-        let dir = self.root.join(name);
-        if dir.exists() {
-            fs::remove_dir_all(dir)?;
-        }
-        Ok(())
+        self.unlink_after_commit(self.root.join(name))
     }
 
     /// Names of all logical videos.
@@ -544,7 +680,9 @@ impl Catalog {
     // --- physical videos ---------------------------------------------------
 
     /// Registers a new (initially GOP-less) physical video under a logical
-    /// video and creates its directory. Returns the assigned id.
+    /// video and creates its directory. Returns the assigned id. Only an
+    /// original's directory is synced: a view's GOPs are derived, so its
+    /// directory need not outlive a power cut either.
     #[allow(clippy::too_many_arguments)]
     pub fn add_physical(
         &mut self,
@@ -573,7 +711,9 @@ impl Catalog {
         let dir_name = format!("{width}x{height}r{frame_rate}.{codec}.{id}");
         let video_dir = self.root.join(video);
         fs::create_dir_all(video_dir.join(dir_name))?;
-        durable::fsync_dir(&video_dir)?;
+        if is_original {
+            durable::fsync_dir(&video_dir)?;
+        }
         self.commit(record)?;
         Ok(id)
     }
@@ -584,25 +724,45 @@ impl Catalog {
         let Some(physical) = record.physical_by_id(id) else {
             return Err(CatalogError::PhysicalNotFound(id));
         };
-        let dir = self.root.join(video).join(physical.directory_name());
+        let dir = self.physical_dir(video, physical);
         self.commit(WalRecord::RemovePhysical { video: video.to_string(), id })?;
-        if dir.exists() {
-            fs::remove_dir_all(dir)?;
-        }
-        Ok(())
+        self.unlink_after_commit(dir)
     }
 
     // --- GOP files ---------------------------------------------------------
 
-    /// Path of a GOP file.
-    pub fn gop_path(&self, video: &str, physical: &PhysicalVideoRecord, index: u64) -> PathBuf {
-        self.root.join(video).join(physical.directory_name()).join(format!("{index}.gop"))
+    fn physical_dir(&self, video: &str, physical: &PhysicalVideoRecord) -> PathBuf {
+        self.root.join(video).join(physical.directory_name())
     }
 
-    /// Durably writes a GOP's bytes to disk and records its metadata. The
-    /// GOP is appended to the physical video's GOP list (callers write GOPs
-    /// in temporal order). When this returns `Ok`, the GOP — bytes and
-    /// metadata both — survives any crash.
+    /// Path of a GOP file.
+    pub fn gop_path(&self, video: &str, physical: &PhysicalVideoRecord, index: u64) -> PathBuf {
+        self.physical_dir(video, physical).join(format!("{index}.gop"))
+    }
+
+    /// Looks up a physical video and one of its GOPs.
+    fn gop_record(
+        &self,
+        video: &str,
+        physical_id: PhysicalVideoId,
+        index: u64,
+    ) -> Result<(&PhysicalVideoRecord, &GopRecord), CatalogError> {
+        let physical = self
+            .video(video)?
+            .physical_by_id(physical_id)
+            .ok_or(CatalogError::PhysicalNotFound(physical_id))?;
+        let gop = physical
+            .gop_by_index(index)
+            .ok_or(CatalogError::GopNotFound { physical: physical_id, index })?;
+        Ok((physical, gop))
+    }
+
+    /// Writes a GOP's bytes to disk and records its metadata. The GOP is
+    /// appended to the physical video's GOP list (callers write GOPs in
+    /// temporal order). Its durability class follows the physical video: an
+    /// original's GOP — bytes and metadata both — survives any crash once
+    /// this returns; a view's GOP is derived (see the crate-level
+    /// *Durability contract*).
     #[allow(clippy::too_many_arguments)]
     pub fn append_gop(
         &mut self,
@@ -619,12 +779,19 @@ impl Catalog {
             .physical_by_id(physical_id)
             .ok_or(CatalogError::PhysicalNotFound(physical_id))?;
         let index = physical.gops.last().map_or(0, |g| g.index + 1);
-        let dir = self.root.join(video).join(physical.directory_name());
+        let dir = self.physical_dir(video, physical);
         fs::create_dir_all(&dir)?;
         // Data first, journal second: a crash in between leaves an orphan
         // file (reconciled away — the append was never acknowledged), never
         // a catalog entry without data.
-        durable::write_atomic(&dir.join(format!("{index}.gop")), data)?;
+        let path = dir.join(format!("{index}.gop"));
+        let crc = if physical.is_original {
+            durable::write_atomic(&path, data)?;
+            None
+        } else {
+            durable::write_derived(&path, data)?;
+            Some(wal::crc32(data))
+        };
         let clock = self.tick();
         self.commit(WalRecord::AppendGop {
             video: video.to_string(),
@@ -636,6 +803,7 @@ impl Catalog {
             byte_len: data.len() as u64,
             lossless_level,
             clock,
+            crc,
         })?;
         Ok(index)
     }
@@ -647,19 +815,15 @@ impl Catalog {
         physical_id: PhysicalVideoId,
         index: u64,
     ) -> Result<Vec<u8>, CatalogError> {
-        let record = self.video(video)?;
-        let physical =
-            record.physical_by_id(physical_id).ok_or(CatalogError::PhysicalNotFound(physical_id))?;
-        if physical.gop_by_index(index).is_none() {
-            return Err(CatalogError::GopNotFound { physical: physical_id, index });
-        }
+        let (physical, _) = self.gop_record(video, physical_id, index)?;
         Ok(fs::read(self.gop_path(video, physical, index))?)
     }
 
-    /// Durably overwrites a GOP file's bytes and updates its recorded size
-    /// and lossless level (used by deferred compression and compaction).
-    /// The rewrite is atomic: a crash leaves either the old or the new
-    /// version, never a mix.
+    /// Overwrites a GOP file's bytes and updates its recorded size and
+    /// lossless level (used by deferred compression). The rewrite is atomic:
+    /// a crash leaves either the old or the new version, never a mix. It
+    /// keeps the GOP's class: a durable GOP is rewritten with `fsync`s, a
+    /// derived one without, under a fresh checksum.
     pub fn rewrite_gop(
         &mut self,
         video: &str,
@@ -668,22 +832,116 @@ impl Catalog {
         data: &[u8],
         lossless_level: Option<u8>,
     ) -> Result<(), CatalogError> {
-        let record = self.video(video)?;
-        let physical = record
-            .physical_by_id(physical_id)
-            .ok_or(CatalogError::PhysicalNotFound(physical_id))?;
-        if physical.gop_by_index(index).is_none() {
-            return Err(CatalogError::GopNotFound { physical: physical_id, index });
-        }
+        let (physical, gop) = self.gop_record(video, physical_id, index)?;
         let path = self.gop_path(video, physical, index);
-        durable::write_atomic(&path, data)?;
+        let crc = match gop.crc {
+            None => {
+                durable::write_atomic(&path, data)?;
+                None
+            }
+            Some(_) => {
+                durable::replace_derived(&path, data)?;
+                Some(wal::crc32(data))
+            }
+        };
         self.commit(WalRecord::RewriteGop {
             video: video.to_string(),
             physical: physical_id,
             index,
             byte_len: data.len() as u64,
             lossless_level,
+            crc,
         })
+    }
+
+    /// Makes the derived GOPs of a physical video that overlap
+    /// `[start, end)` durable: syncs their files and the directories that
+    /// lead to them, then journals their checksums as cleared. Eviction
+    /// calls this on a page's cover before the page goes, so that the last
+    /// baseline-quality copy of a range is always durable. Returns how many
+    /// GOPs were hardened.
+    pub fn harden_gops(
+        &mut self,
+        video: &str,
+        physical_id: PhysicalVideoId,
+        start: f64,
+        end: f64,
+    ) -> Result<usize, CatalogError> {
+        let physical = self
+            .video(video)?
+            .physical_by_id(physical_id)
+            .ok_or(CatalogError::PhysicalNotFound(physical_id))?;
+        let mut records = Vec::new();
+        for gop in physical.gops.iter().filter(|g| g.crc.is_some() && g.overlaps(start, end)) {
+            durable::fsync_file(&self.gop_path(video, physical, gop.index))?;
+            records.push(WalRecord::RewriteGop {
+                video: video.to_string(),
+                physical: physical_id,
+                index: gop.index,
+                byte_len: gop.byte_len,
+                lossless_level: gop.lossless_level,
+                crc: None,
+            });
+        }
+        if !records.is_empty() {
+            self.sync_physical_dir(video, physical)?;
+        }
+        let hardened = records.len();
+        for record in records {
+            self.commit(record)?;
+        }
+        Ok(hardened)
+    }
+
+    /// Syncs a physical video's directory and its parent, so the files in
+    /// it and the directory itself (a view's is created unsynced) survive a
+    /// power cut.
+    fn sync_physical_dir(&self, video: &str, physical: &PhysicalVideoRecord) -> Result<(), CatalogError> {
+        durable::fsync_dir(&self.physical_dir(video, physical))?;
+        durable::fsync_dir(&self.root.join(video))?;
+        Ok(())
+    }
+
+    /// Moves every GOP of physical video `source` to the end of `target`, in
+    /// order, and removes `source` — the paper's compaction. No byte is
+    /// copied: each file is hard-linked under the target's next index, and
+    /// the source's links go with its directory once the move is journaled
+    /// (so a move that never commits leaves the source whole). A moved GOP
+    /// keeps its class; if any is durable, the target's directory is synced
+    /// before the move is journaled.
+    pub fn move_gops(
+        &mut self,
+        video: &str,
+        source: PhysicalVideoId,
+        target: PhysicalVideoId,
+    ) -> Result<(), CatalogError> {
+        let record = self.video(video)?;
+        let from = record.physical_by_id(source).ok_or(CatalogError::PhysicalNotFound(source))?;
+        let to = record.physical_by_id(target).ok_or(CatalogError::PhysicalNotFound(target))?;
+        let next = to.gops.last().map_or(0, |g| g.index + 1);
+        let mut records = Vec::with_capacity(from.gops.len());
+        for (index, gop) in (next..).zip(&from.gops) {
+            fs::hard_link(self.gop_path(video, from, gop.index), self.gop_path(video, to, index))?;
+            records.push(WalRecord::AppendGop {
+                video: video.to_string(),
+                physical: target,
+                index,
+                start_time: gop.start_time,
+                end_time: gop.end_time,
+                frame_count: gop.frame_count,
+                byte_len: gop.byte_len,
+                lossless_level: gop.lossless_level,
+                clock: self.tick(),
+                crc: gop.crc,
+            });
+        }
+        if from.gops.iter().any(|g| g.crc.is_none()) {
+            self.sync_physical_dir(video, to)?;
+        }
+        for record in records {
+            self.commit(record)?;
+        }
+        self.remove_physical(video, source)
     }
 
     /// Deletes a GOP file and its record.
@@ -693,19 +951,10 @@ impl Catalog {
         physical_id: PhysicalVideoId,
         index: u64,
     ) -> Result<(), CatalogError> {
-        let record = self.video(video)?;
-        let physical = record
-            .physical_by_id(physical_id)
-            .ok_or(CatalogError::PhysicalNotFound(physical_id))?;
-        if physical.gop_by_index(index).is_none() {
-            return Err(CatalogError::GopNotFound { physical: physical_id, index });
-        }
+        let (physical, _) = self.gop_record(video, physical_id, index)?;
         let path = self.gop_path(video, physical, index);
         self.commit(WalRecord::RemoveGop { video: video.to_string(), physical: physical_id, index })?;
-        if path.exists() {
-            fs::remove_file(path)?;
-        }
-        Ok(())
+        self.unlink_after_commit(path)
     }
 
     /// Marks a GOP as accessed "now" (recency bookkeeping for eviction).
@@ -722,13 +971,7 @@ impl Catalog {
         index: u64,
     ) -> Result<(), CatalogError> {
         let clock = self.tick();
-        let record = self.video(video)?;
-        let physical = record
-            .physical_by_id(physical_id)
-            .ok_or(CatalogError::PhysicalNotFound(physical_id))?;
-        let gop = physical
-            .gop_by_index(index)
-            .ok_or(CatalogError::GopNotFound { physical: physical_id, index })?;
+        let (_, gop) = self.gop_record(video, physical_id, index)?;
         gop.last_access.advance_to(clock);
         Ok(())
     }
@@ -762,6 +1005,31 @@ fn classify_gop_file(bytes: &[u8]) -> GopFileContent {
     }
 }
 
+/// Whether an existing GOP file may keep its record, repairing the record
+/// where the file is one complete generation of the GOP. A durable GOP whose
+/// size agrees is trusted; a derived one must also match its checksum. A
+/// size that disagrees means the crash hit between an atomic rewrite and its
+/// journal record: the file is kept if it parses, and its size, level and
+/// (for a derived GOP) checksum are taken from it.
+fn verify_gop_file(path: &Path, len: u64, gop: &mut GopRecord, report: &mut RecoveryReport) -> bool {
+    if len == gop.byte_len && gop.crc.is_none() {
+        return true; // fast path: size agrees, trust the record
+    }
+    let Ok(bytes) = fs::read(path) else { return false };
+    if len == gop.byte_len {
+        return gop.crc == Some(wal::crc32(&bytes));
+    }
+    gop.lossless_level = match classify_gop_file(&bytes) {
+        GopFileContent::Raw => None,
+        GopFileContent::Lossless => gop.lossless_level.or(Some(vss_codec::lossless::MIN_LEVEL)),
+        GopFileContent::Invalid => return false,
+    };
+    gop.byte_len = len;
+    gop.crc = gop.crc.map(|_| wal::crc32(&bytes));
+    report.gop_records_healed += 1;
+    true
+}
+
 /// Brings the catalog state and the files on disk back into agreement after
 /// a crash. The store root is owned by the catalog: any file or directory
 /// it does not reference is treated as debris from an interrupted operation
@@ -776,9 +1044,10 @@ fn reconcile(
         let video_dir = root.join(&video.name);
         for physical in &mut video.physical {
             let dir = video_dir.join(physical.directory_name());
-            // A referenced directory can only be missing if a crash
-            // interrupted `delete`-after-journal cleanup of a *different*
-            // generation; recreate it so the store stays navigable.
+            // A referenced directory can be missing if a power cut lost a
+            // view's unsynced directory, or a crash interrupted
+            // `delete`-after-journal cleanup of a *different* generation;
+            // recreate it so the store stays navigable.
             fs::create_dir_all(&dir)?;
             physical.gops.retain_mut(|gop| {
                 let path = dir.join(format!("{}.gop", gop.index));
@@ -786,32 +1055,12 @@ fn reconcile(
                     report.gop_records_dropped += 1;
                     return false;
                 };
-                if meta.len() == gop.byte_len {
-                    return true; // fast path: size agrees, trust the record
+                let keep = verify_gop_file(&path, meta.len(), gop, report);
+                if !keep {
+                    let _ = fs::remove_file(&path);
+                    report.gop_records_dropped += 1;
                 }
-                // Size disagrees: the crash hit between an (atomic) GOP
-                // rewrite and its journal record. The file is one complete
-                // generation — figure out which, and repair the metadata.
-                match fs::read(&path).as_deref().map(classify_gop_file) {
-                    Ok(GopFileContent::Raw) => {
-                        gop.byte_len = meta.len();
-                        gop.lossless_level = None;
-                        report.gop_records_healed += 1;
-                        true
-                    }
-                    Ok(GopFileContent::Lossless) => {
-                        gop.byte_len = meta.len();
-                        gop.lossless_level =
-                            gop.lossless_level.or(Some(vss_codec::lossless::MIN_LEVEL));
-                        report.gop_records_healed += 1;
-                        true
-                    }
-                    _ => {
-                        let _ = fs::remove_file(&path);
-                        report.gop_records_dropped += 1;
-                        false
-                    }
-                }
+                keep
             });
         }
     }
@@ -1216,6 +1465,71 @@ mod tests {
         drop(first);
         let second = Catalog::open(&root).unwrap();
         assert!(!second.recovery_report().repaired_anything(), "repairs were made durable");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_batch_is_one_journal_record_that_replays_whole() {
+        let root = temp_root("batch");
+        let payload = gop_bytes(2);
+        {
+            let mut cat = Catalog::open(&root).unwrap();
+            cat.create_video("v").unwrap();
+            let original = cat.add_physical("v", 4, 4, 30.0, "rgb", true, 0.0).unwrap();
+            cat.append_gop("v", original, 0.0, 1.0, 2, &payload, None).unwrap();
+            cat.begin_batch();
+            let view = cat.add_physical("v", 4, 4, 30.0, "rgb", false, 0.0).unwrap();
+            cat.append_gop("v", view, 0.0, 1.0, 2, &payload, None).unwrap();
+            cat.append_gop("v", view, 1.0, 2.0, 2, &payload, None).unwrap();
+            cat.set_mse_bound("v", view, 3.0).unwrap();
+            // Mid-batch the new state is visible, and nothing folds it.
+            assert_eq!(cat.video("v").unwrap().physical[1].gops.len(), 2);
+            cat.checkpoint().unwrap();
+            assert!(!root.join(CATALOG_FILE).exists(), "an open batch is never checkpointed");
+            cat.commit_batch().unwrap();
+        }
+        let cat = Catalog::open(&root).unwrap();
+        assert_eq!(cat.recovery_report().wal_records_replayed, 4, "3 records, then 1 batch");
+        let view = &cat.video("v").unwrap().physical[1];
+        assert_eq!((view.gops.len(), view.mse_bound), (2, 3.0));
+        assert_eq!(view.gops[1].crc, Some(wal::crc32(&payload)));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn moved_gops_keep_their_bytes_and_class_and_an_aborted_move_keeps_the_source() {
+        let root = temp_root("move");
+        let mut cat = Catalog::open(&root).unwrap();
+        cat.create_video("v").unwrap();
+        let target = cat.add_physical("v", 4, 4, 30.0, "rgb", false, 0.0).unwrap();
+        let source = cat.add_physical("v", 4, 4, 30.0, "rgb", false, 0.0).unwrap();
+        cat.append_gop("v", target, 0.0, 1.0, 2, &gop_bytes(1), None).unwrap();
+        cat.append_gop("v", source, 1.0, 2.0, 2, &gop_bytes(2), None).unwrap();
+        cat.append_gop("v", source, 2.0, 3.0, 2, &gop_bytes(3), None).unwrap();
+        assert_eq!(cat.harden_gops("v", source, 1.0, 2.0).unwrap(), 1);
+        let source_dir = root.join("v").join(cat.video("v").unwrap().physical[1].directory_name());
+
+        cat.begin_batch();
+        cat.move_gops("v", source, target).unwrap();
+        cat.abort_batch().unwrap();
+        assert_eq!(cat.video("v").unwrap().physical[1].gops.len(), 2, "the source is whole");
+        assert_eq!(cat.read_gop("v", source, 1).unwrap(), gop_bytes(3));
+
+        cat.begin_batch();
+        cat.move_gops("v", source, target).unwrap();
+        assert!(source_dir.exists(), "the source goes only once the move is journaled");
+        cat.commit_batch().unwrap();
+        assert!(!source_dir.exists());
+        drop(cat);
+        let cat = Catalog::open(&root).unwrap();
+        assert!(!cat.recovery_report().repaired_anything(), "{:?}", cat.recovery_report());
+        let video = cat.video("v").unwrap();
+        assert_eq!(video.physical.len(), 1);
+        let crcs: Vec<bool> = video.physical[0].gops.iter().map(|g| g.crc.is_some()).collect();
+        assert_eq!(crcs, [true, false, true], "a moved GOP keeps its class");
+        for (index, seed) in [(1, 2), (2, 3)] {
+            assert_eq!(cat.read_gop("v", target, index).unwrap(), gop_bytes(seed));
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -96,9 +96,10 @@ pub struct GopRecord {
     /// Logical timestamp of the last access (for recency-based eviction).
     /// Atomic so read-only sessions holding a shared lock can bump it.
     pub last_access: AtomicClock,
-    /// If set, this GOP is a joint-compression pointer to another GOP
-    /// (duplicate elimination): `(physical video id, gop index)`.
-    pub duplicate_of: Option<(PhysicalVideoId, u64)>,
+    /// CRC-32 of the file's bytes while the GOP is *derived*: written
+    /// without `fsync`, so [`Catalog::open`](crate::Catalog::open) verifies
+    /// it. `None` for a durable GOP (an original's, or a hardened view page).
+    pub crc: Option<u32>,
 }
 
 impl GopRecord {
@@ -267,7 +268,7 @@ mod tests {
             byte_len: bytes,
             lossless_level: None,
             last_access: AtomicClock::new(0),
-            duplicate_of: None,
+            crc: None,
         }
     }
 

@@ -2,14 +2,15 @@
 //!
 //! Every catalog mutation appends one length-prefixed, checksummed,
 //! sequence-numbered record to `catalog.wal` and `fsync`s it **before** the
-//! mutation is acknowledged to the caller. Reopening the catalog replays the
-//! journal on top of the last checkpoint (`catalog.json`), truncating a torn
-//! tail (a record cut short by a crash, or whose checksum no longer matches)
-//! at the first invalid byte. Once the journal grows past a threshold it is
-//! folded back into `catalog.json` (checkpoint: write-temp, fsync file and
-//! parent directory, rename) and reset — so steady-state mutation cost is an
-//! `O(record)` append instead of the `O(catalog)` full rewrite the previous
-//! design paid on every mutation.
+//! mutation is acknowledged to the caller; a batch of mutations (one cache
+//! admission, one compaction merge) is one such record. Reopening the
+//! catalog replays the journal on top of the last checkpoint
+//! (`catalog.json`), truncating a torn tail (a record cut short by a crash,
+//! or whose checksum no longer matches) at the first invalid byte. Once the
+//! journal grows past a threshold it is folded back into `catalog.json`
+//! (checkpoint: write-temp, fsync file and parent directory, rename) and
+//! reset — so steady-state mutation cost is an `O(record)` append instead of
+//! the `O(catalog)` full rewrite the previous design paid on every mutation.
 //!
 //! # On-disk format
 //!
@@ -41,8 +42,10 @@ const WAL_MAGIC: &[u8; 8] = b"VSSWAL1\n";
 const RECORD_HEADER: usize = 4 + 4 + 8;
 
 /// Upper bound on one record's payload; a length prefix beyond this is
-/// treated as a torn/corrupt tail rather than an allocation request.
-const MAX_RECORD_BYTES: u32 = 1 << 20;
+/// treated as a torn/corrupt tail, and a larger record is refused at append.
+/// A batch carries one record per GOP it touches, so this bounds the GOPs
+/// one admission or compaction merge may journal (about 300 k).
+const MAX_RECORD_BYTES: u32 = 64 << 20;
 
 // --- CRC-32 (IEEE 802.3) ----------------------------------------------------
 
@@ -64,21 +67,32 @@ const fn crc32_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = crc32_table();
 
-/// CRC-32 (IEEE) of `seq || payload` — the per-record checksum.
-fn record_crc(seq: u64, payload: &[u8]) -> u32 {
+fn crc32_of<'a>(bytes: impl IntoIterator<Item = &'a u8>) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in seq.to_le_bytes().iter().chain(payload) {
+    for &byte in bytes {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// CRC-32 (IEEE) of `bytes` — the checksum a derived GOP's record carries
+/// over its file (see the crate's *Durability contract*).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_of(bytes)
+}
+
+/// CRC-32 (IEEE) of `seq || payload` — the per-record checksum.
+fn record_crc(seq: u64, payload: &[u8]) -> u32 {
+    crc32_of(seq.to_le_bytes().iter().chain(payload))
 }
 
 // --- records ----------------------------------------------------------------
 
 /// One journaled catalog mutation. Records carry everything replay needs to
 /// reconstruct the in-memory state deterministically; GOP *data* never
-/// enters the journal (the bytes are made durable in their own files before
-/// the record is appended).
+/// enters the journal (a durable GOP's bytes are synced in their own file
+/// before the record is appended; a derived GOP's record carries their
+/// checksum instead).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A logical video was created.
@@ -119,7 +133,8 @@ pub enum WalRecord {
         /// Physical video id.
         id: u64,
     },
-    /// A GOP file was persisted and its metadata recorded.
+    /// A GOP file was persisted (or, by compaction, linked in from another
+    /// physical video) and its metadata recorded.
     AppendGop {
         /// Owning logical video.
         video: String,
@@ -140,8 +155,13 @@ pub enum WalRecord {
         /// Access-clock value at append time (keeps recency monotonic
         /// across replay).
         clock: u64,
+        /// CRC-32 of the file's bytes for a derived (unsynced) GOP; absent
+        /// for a durable one, and then omitted from the encoded record.
+        crc: Option<u32>,
     },
-    /// A GOP file was rewritten in place (deferred compression, compaction).
+    /// A GOP file's stored form changed in place: deferred compression
+    /// rewrote its bytes, or eviction hardened a derived GOP (synced it and
+    /// cleared its checksum).
     RewriteGop {
         /// Owning logical video.
         video: String,
@@ -153,6 +173,8 @@ pub enum WalRecord {
         byte_len: u64,
         /// New deferred-compression level.
         lossless_level: Option<u8>,
+        /// New checksum, as in [`WalRecord::AppendGop`].
+        crc: Option<u32>,
     },
     /// A GOP file and its record were removed (eviction).
     RemoveGop {
@@ -179,10 +201,22 @@ pub enum WalRecord {
         /// New MSE bound.
         bound: f64,
     },
+    /// Several mutations journaled as one record, so replay applies all of
+    /// them or none (a cache admission, a compaction merge).
+    Batch(Vec<WalRecord>),
 }
 
 fn object(entries: Vec<(&str, Value)>) -> Value {
     Value::Object(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// `entries` plus a `crc` entry when there is one: a durable GOP's record
+/// carries no checksum key at all, so it encodes as it did before checksums.
+fn with_crc(mut entries: Vec<(&'static str, Value)>, crc: &Option<u32>) -> Value {
+    if let Some(crc) = crc {
+        entries.push(("crc", serde::Serialize::to_value(crc)));
+    }
+    object(entries)
 }
 
 fn get<'a>(map: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a Value, String> {
@@ -191,6 +225,11 @@ fn get<'a>(map: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a Value, Str
 
 fn field<T: serde::Deserialize>(map: &BTreeMap<String, Value>, key: &str) -> Result<T, String> {
     T::from_value(get(map, key)?).map_err(|e| format!("WAL field '{key}': {e}"))
+}
+
+/// The `crc` entry [`with_crc`] writes only when there is one.
+fn crc_field(map: &BTreeMap<String, Value>) -> Result<Option<u32>, String> {
+    map.get("crc").map_or(Ok(None), |_| field(map, "crc"))
 }
 
 impl serde::Serialize for WalRecord {
@@ -239,7 +278,8 @@ impl serde::Serialize for WalRecord {
                 byte_len,
                 lossless_level,
                 clock,
-            } => object(vec![
+                crc,
+            } => with_crc(vec![
                 ("op", "append-gop".to_value()),
                 ("video", video.to_value()),
                 ("physical", physical.to_value()),
@@ -250,16 +290,19 @@ impl serde::Serialize for WalRecord {
                 ("byte_len", byte_len.to_value()),
                 ("lossless_level", lossless_level.to_value()),
                 ("clock", clock.to_value()),
-            ]),
-            WalRecord::RewriteGop { video, physical, index, byte_len, lossless_level } => {
-                object(vec![
-                    ("op", "rewrite-gop".to_value()),
-                    ("video", video.to_value()),
-                    ("physical", physical.to_value()),
-                    ("index", index.to_value()),
-                    ("byte_len", byte_len.to_value()),
-                    ("lossless_level", lossless_level.to_value()),
-                ])
+            ], crc),
+            WalRecord::RewriteGop { video, physical, index, byte_len, lossless_level, crc } => {
+                with_crc(
+                    vec![
+                        ("op", "rewrite-gop".to_value()),
+                        ("video", video.to_value()),
+                        ("physical", physical.to_value()),
+                        ("index", index.to_value()),
+                        ("byte_len", byte_len.to_value()),
+                        ("lossless_level", lossless_level.to_value()),
+                    ],
+                    crc,
+                )
             }
             WalRecord::RemoveGop { video, physical, index } => object(vec![
                 ("op", "remove-gop".to_value()),
@@ -278,6 +321,9 @@ impl serde::Serialize for WalRecord {
                 ("physical", physical.to_value()),
                 ("bound", bound.to_value()),
             ]),
+            WalRecord::Batch(records) => {
+                object(vec![("op", "batch".to_value()), ("records", records.to_value())])
+            }
         }
     }
 }
@@ -316,6 +362,7 @@ impl serde::Deserialize for WalRecord {
                 byte_len: field(map, "byte_len")?,
                 lossless_level: field(map, "lossless_level")?,
                 clock: field(map, "clock")?,
+                crc: crc_field(map)?,
             }),
             "rewrite-gop" => Ok(WalRecord::RewriteGop {
                 video: field(map, "video")?,
@@ -323,6 +370,7 @@ impl serde::Deserialize for WalRecord {
                 index: field(map, "index")?,
                 byte_len: field(map, "byte_len")?,
                 lossless_level: field(map, "lossless_level")?,
+                crc: crc_field(map)?,
             }),
             "remove-gop" => Ok(WalRecord::RemoveGop {
                 video: field(map, "video")?,
@@ -338,6 +386,7 @@ impl serde::Deserialize for WalRecord {
                 physical: field(map, "physical")?,
                 bound: field(map, "bound")?,
             }),
+            "batch" => Ok(WalRecord::Batch(field(map, "records")?)),
             other => Err(format!("unknown WAL op '{other}'")),
         }
     }
@@ -492,6 +541,10 @@ impl Wal {
         let payload = serde_json::to_string(record)
             .map_err(|e| io::Error::other(format!("WAL encode: {e}")))?
             .into_bytes();
+        if payload.len() > MAX_RECORD_BYTES as usize {
+            // Replay would discard it as a torn tail, and everything after it.
+            return Err(io::Error::other(format!("WAL record of {} bytes", payload.len())));
+        }
         let mut frame = Vec::with_capacity(RECORD_HEADER + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&record_crc(seq, &payload).to_le_bytes());
@@ -539,6 +592,11 @@ impl Wal {
         outcome
     }
 
+    /// Refuses every further append until the journal is reopened.
+    pub(crate) fn poison(&mut self) {
+        self.poisoned = true;
+    }
+
     /// Resets the journal to just its header (after a checkpoint folded the
     /// records into `catalog.json`).
     pub(crate) fn reset(&mut self) -> io::Result<()> {
@@ -583,8 +641,8 @@ pub struct RecoveryReport {
     pub orphan_files_removed: usize,
     /// Directories on disk belonging to no catalog entry, deleted.
     pub orphan_dirs_removed: usize,
-    /// Catalog GOP records dropped because their file was missing or
-    /// unreadable.
+    /// Catalog GOP records dropped because their file was missing,
+    /// unreadable or, for a derived GOP, failed its checksum.
     pub gop_records_dropped: usize,
     /// Catalog GOP records whose size metadata was repaired from a valid
     /// on-disk file (a crash between a GOP rewrite and its journal record).
@@ -630,6 +688,7 @@ mod tests {
                 byte_len: 1234,
                 lossless_level: Some(3),
                 clock: 7,
+                crc: None,
             },
             WalRecord::RewriteGop {
                 video: "v".into(),
@@ -637,7 +696,31 @@ mod tests {
                 index: 0,
                 byte_len: 99,
                 lossless_level: None,
+                crc: None,
             },
+            WalRecord::Batch(vec![
+                WalRecord::AppendGop {
+                    video: "v".into(),
+                    physical: 1,
+                    index: 4,
+                    start_time: 1.0,
+                    end_time: 2.0,
+                    frame_count: 3,
+                    byte_len: 5678,
+                    lossless_level: None,
+                    clock: 8,
+                    crc: Some(0xDEAD_BEEF),
+                },
+                WalRecord::RewriteGop {
+                    video: "v".into(),
+                    physical: 1,
+                    index: 4,
+                    byte_len: 99,
+                    lossless_level: Some(2),
+                    crc: Some(7),
+                },
+                WalRecord::RemoveGop { video: "v".into(), physical: 1, index: 4 },
+            ]),
             WalRecord::SetBudget { video: "v".into(), bytes: Some(1 << 20) },
             WalRecord::SetMseBound { video: "v".into(), physical: 0, bound: 1.5 },
             WalRecord::RemoveGop { video: "v".into(), physical: 0, index: 0 },
@@ -654,6 +737,22 @@ mod tests {
             let back: WalRecord = serde_json::from_str(&text).unwrap();
             assert_eq!(back, record, "round trip of {text}");
         }
+    }
+
+    /// A durable GOP's records encode exactly as they did before derived
+    /// GOPs carried checksums (the strings are the previous encoder's).
+    #[test]
+    fn durable_gop_records_carry_no_crc_key() {
+        let records = sample_records();
+        assert_eq!(
+            serde_json::to_string(&records[3]).unwrap(),
+            r#"{"byte_len":1234,"clock":7,"end_time":1.0,"frame_count":30.0,"index":0,"lossless_level":3.0,"op":"append-gop","physical":0,"start_time":0.0,"video":"v"}"#
+        );
+        assert_eq!(
+            serde_json::to_string(&records[4]).unwrap(),
+            r#"{"byte_len":99,"index":0,"lossless_level":null,"op":"rewrite-gop","physical":0,"video":"v"}"#
+        );
+        assert!(serde_json::to_string(&records[5]).unwrap().contains(r#""crc":3735928559"#));
     }
 
     fn encode(records: &[WalRecord]) -> Vec<u8> {

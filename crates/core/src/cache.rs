@@ -39,6 +39,11 @@ pub struct EvictionCandidate {
     pub sequence_number: f64,
     /// Size of the page on disk.
     pub byte_len: u64,
+    /// For a page at or above the baseline quality, the other such physical
+    /// video that covers its interval — what makes it evictable at all.
+    pub cover: Option<PhysicalVideoId>,
+    /// The page's interval `[start, end)` in seconds.
+    pub interval: (f64, f64),
 }
 
 /// Computes the position offset `p(f_i) = min(i, n − i)` for the `i`-th of
@@ -67,22 +72,23 @@ pub fn redundancy_rank(
         .count()
 }
 
-/// True if another sufficient-quality physical video covers the interval, so
-/// the page is not the last good copy of that region.
-pub fn has_alternate_baseline_cover(
-    video: &LogicalVideoRecord,
+/// Another sufficient-quality physical video that covers the interval, if
+/// any: while there is one, the page is not the last good copy of that
+/// region.
+pub fn baseline_cover<'a>(
+    video: &'a LogicalVideoRecord,
     owner: &PhysicalVideoRecord,
     gop_start: f64,
     gop_end: f64,
     quality_model: &QualityModel,
     threshold: PsnrDb,
-) -> bool {
+) -> Option<&'a PhysicalVideoRecord> {
     video
         .physical
         .iter()
         .filter(|other| other.id != owner.id)
         .filter(|other| quality_model.estimate_physical_quality(other).db() >= threshold.db())
-        .any(|other| covers_interval(other, gop_start, gop_end))
+        .find(|other| covers_interval(other, gop_start, gop_end))
 }
 
 fn covers_interval(physical: &PhysicalVideoRecord, start: f64, end: f64) -> bool {
@@ -102,7 +108,9 @@ fn covers_interval(physical: &PhysicalVideoRecord, start: f64, end: f64) -> bool
 
 /// Computes eviction candidates for every GOP page of a logical video under
 /// the given policy, lowest sequence number (most evictable) first. Pages
-/// protected by the baseline-quality guard are excluded.
+/// protected by the baseline-quality guard are excluded, and so are the
+/// original's first and last pages: reads are bounded by the original's
+/// interval (which only retention may shorten), so those two must stay.
 pub fn eviction_order(
     video: &LogicalVideoRecord,
     policy: &EvictionPolicy,
@@ -114,11 +122,14 @@ pub fn eviction_order(
         let own_quality = quality_model.estimate_physical_quality(physical);
         let total = physical.gops.len();
         for (position, gop) in physical.gops.iter().enumerate() {
+            if physical.is_original && (position == 0 || position + 1 == total) {
+                continue;
+            }
             // Baseline guard: if this physical video meets the baseline
             // quality and no other sufficient-quality copy covers this
             // region, the page must never be evicted.
-            let protected = own_quality.db() >= baseline_threshold.db()
-                && !has_alternate_baseline_cover(
+            let cover = if own_quality.db() >= baseline_threshold.db() {
+                let cover = baseline_cover(
                     video,
                     physical,
                     gop.start_time,
@@ -126,9 +137,13 @@ pub fn eviction_order(
                     quality_model,
                     baseline_threshold,
                 );
-            if protected {
-                continue;
-            }
+                match cover {
+                    Some(cover) => Some(cover.id),
+                    None => continue,
+                }
+            } else {
+                None
+            };
             let lru = gop.last_access.get() as f64;
             let sequence_number = match policy {
                 EvictionPolicy::Lru => lru,
@@ -149,6 +164,8 @@ pub fn eviction_order(
                 gop_index: gop.index,
                 sequence_number,
                 byte_len: gop.byte_len,
+                cover,
+                interval: (gop.start_time, gop.end_time),
             });
         }
     }
@@ -166,6 +183,12 @@ impl crate::engine::Engine {
     /// Evicts GOP pages until the logical video fits inside its storage
     /// budget (or nothing evictable remains). Returns the number of pages
     /// evicted. Physical videos whose last page is evicted are removed.
+    ///
+    /// A page at or above the baseline quality is evictable only because
+    /// another such copy covers it, and that cover may be a view's derived
+    /// GOPs. They are hardened first (synced, checksum cleared), so the
+    /// guard relies on durable bytes only. Quality estimates move as a
+    /// view's bytes do, so the cover is found here, at eviction time.
     pub fn enforce_budget(&mut self, name: &str) -> Result<usize, VssError> {
         let mut evicted = 0usize;
         loop {
@@ -177,6 +200,10 @@ impl crate::engine::Engine {
             let video = self.catalog.video(name)?.clone();
             let order = eviction_order(&video, &self.config.eviction_policy, &self.quality_model);
             let Some(victim) = order.first() else { return Ok(evicted) };
+            if let Some(cover) = victim.cover {
+                let (start, end) = victim.interval;
+                self.catalog.harden_gops(name, cover, start, end)?;
+            }
             self.catalog.remove_gop(name, victim.physical_id, victim.gop_index)?;
             evicted += 1;
             // Drop physical videos that no longer hold any data.
@@ -209,7 +236,7 @@ mod tests {
             byte_len: 1000,
             lossless_level: None,
             last_access: vss_catalog::AtomicClock::new(last_access),
-            duplicate_of: None,
+            crc: None,
         }
     }
 
@@ -265,6 +292,8 @@ mod tests {
         // every original page is protected; only the cached copy is evictable.
         assert!(order.iter().all(|c| c.physical_id == 2), "{order:?}");
         assert_eq!(order.len(), 2);
+        // A page below the baseline needs no cover to go.
+        assert!(order.iter().all(|c| c.cover.is_none()));
     }
 
     #[test]
@@ -274,11 +303,19 @@ mod tests {
         video.physical[1].mse_bound = 0.0;
         let model = QualityModel::new();
         let order = eviction_order(&video, &EvictionPolicy::LruVss, &model);
-        // Now original pages 0 and 1 are also evictable (their region has an
-        // alternate lossless copy), but pages 2 and 3 remain protected.
-        let originals: Vec<u64> =
-            order.iter().filter(|c| c.physical_id == 1).map(|c| c.gop_index).collect();
-        assert_eq!(originals, vec![0, 1]);
+        // Now original page 1 is also evictable (its region has an alternate
+        // lossless copy, which its eviction relies on), but pages 2 and 3
+        // remain protected, and so does page 0: the original's first and
+        // last pages bound what a read may ask for.
+        let originals: Vec<&EvictionCandidate> =
+            order.iter().filter(|c| c.physical_id == 1).collect();
+        assert_eq!(originals.len(), 1);
+        assert_eq!(originals[0].gop_index, 1);
+        assert_eq!(originals[0].cover, Some(2));
+        assert_eq!(originals[0].interval, (1.0, 2.0));
+        // The pristine copy's own pages are evictable because the original
+        // covers them.
+        assert!(order.iter().filter(|c| c.physical_id == 2).all(|c| c.cover == Some(1)));
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! spatial/physical configuration (e.g. entries covering `[0, 90)` and
 //! `[90, 120)`). Every extra physical video increases read-planning cost, so
 //! VSS periodically and non-quiescently merges such pairs into a single
-//! representation. The paper's prototype hard-links the second entry's GOP
-//! files into the first; here the files are re-appended under the first
-//! entry and the second is dropped.
+//! representation. As in the paper's prototype, no byte is copied: the
+//! second entry's GOP files are hard-linked under the first entry's next
+//! indices and the second entry is dropped, all as one journal commit
+//! (`vss_catalog::Catalog::move_gops`). Each moved page keeps its durability
+//! class, and until the merge is journaled the second entry stays whole.
 
 use crate::engine::Engine;
 use crate::VssError;
@@ -61,8 +63,8 @@ impl Engine {
     }
 
     /// Moves every GOP of `source` to the end of `target` and removes
-    /// `source`. The merged representation's quality bound is the worse of
-    /// the two inputs.
+    /// `source`, as one journal commit. The merged representation's quality
+    /// bound is the worse of the two inputs.
     fn merge_physical(
         &mut self,
         name: &str,
@@ -70,39 +72,15 @@ impl Engine {
         source: PhysicalVideoId,
     ) -> Result<(), VssError> {
         let video = self.catalog.video(name)?;
-        let source_record = video
-            .physical_by_id(source)
-            .ok_or_else(|| VssError::Unsatisfiable("compaction source vanished".into()))?
-            .clone();
-        // Read source GOP files in parallel one window at a time (appends
-        // stay in temporal order). The window bounds peak memory to
-        // `threads` pages rather than materializing the whole video.
-        let window = vss_parallel::resolve_threads(self.config.parallelism);
-        for chunk in source_record.gops.chunks(window.max(1)) {
-            let catalog = &self.catalog;
-            let page_bytes =
-                vss_parallel::try_par_map(self.config.parallelism, chunk, |_, gop| {
-                    catalog.read_gop(name, source, gop.index)
-                })?;
-            for (gop, bytes) in chunk.iter().zip(&page_bytes) {
-                self.catalog.append_gop(
-                    name,
-                    target,
-                    gop.start_time,
-                    gop.end_time,
-                    gop.frame_count,
-                    bytes,
-                    gop.lossless_level,
-                )?;
-            }
-        }
-        let source_bound = source_record.mse_bound;
-        if let Some(target_record) = self.catalog.video(name)?.physical_by_id(target) {
-            let raised = target_record.mse_bound.max(source_bound);
-            self.catalog.set_mse_bound(name, target, raised)?;
-        }
-        self.catalog.remove_physical(name, source)?;
-        Ok(())
+        let bound = |id| video.physical_by_id(id).map(|p| p.mse_bound);
+        let (Some(target_bound), Some(source_bound)) = (bound(target), bound(source)) else {
+            return Err(VssError::Unsatisfiable("compaction pair vanished".into()));
+        };
+        self.in_batch(|engine| {
+            engine.catalog.move_gops(name, source, target)?;
+            engine.catalog.set_mse_bound(name, target, target_bound.max(source_bound))?;
+            Ok(())
+        })
     }
 }
 

@@ -184,6 +184,30 @@ impl Engine {
         })
     }
 
+    /// Runs `scope` as one journal commit: every catalog mutation it makes
+    /// is staged and then journaled as one record with one `fsync`, and the
+    /// files it removes are unlinked after that. If `scope` or the commit
+    /// fails, the catalog is reloaded from disk, so it holds exactly what a
+    /// reopen would, and the error is returned. A cache admission and a
+    /// compaction merge are the two scopes (see the crate's *Durability
+    /// contract*).
+    pub(crate) fn in_batch<R>(
+        &mut self,
+        scope: impl FnOnce(&mut Self) -> Result<R, VssError>,
+    ) -> Result<R, VssError> {
+        self.catalog.begin_batch();
+        match scope(self) {
+            Ok(value) => {
+                self.catalog.commit_batch()?;
+                Ok(value)
+            }
+            Err(error) => {
+                self.catalog.abort_batch()?;
+                Err(error)
+            }
+        }
+    }
+
     /// Replaces the transcode cost model (e.g. with a calibrated one).
     pub fn set_cost_model(&mut self, model: CostModel) {
         self.cost_model = model;

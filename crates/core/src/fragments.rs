@@ -114,7 +114,7 @@ mod tests {
             byte_len: 100,
             lossless_level: None,
             last_access: vss_catalog::AtomicClock::new(0),
-            duplicate_of: None,
+            crc: None,
         }
     }
 

@@ -90,13 +90,25 @@
 //! by the catalog's write-ahead journal (see the `vss_catalog` crate docs
 //! for the mechanism). What the engine guarantees after reopening:
 //!
-//! * **Acked GOPs survive byte-identically.** Every GOP persisted through
-//!   [`VideoStorage::write`]/`append` or a [`WriteSink`] is written
-//!   temp-then-rename with file *and* directory fsyncs, and its catalog
-//!   record is journaled and fsynced, before the call returns — so a GOP a
-//!   caller has been acknowledged is never lost, truncated, or reordered.
+//! * **Acked GOPs survive byte-identically.** Every GOP of a video's
+//!   original persisted through [`VideoStorage::write`]/`append` or a
+//!   [`WriteSink`] is written temp-then-rename with file *and* directory
+//!   fsyncs, and its catalog record is journaled and fsynced, before the
+//!   call returns — so a GOP a caller has been acknowledged is never lost,
+//!   truncated, or reordered.
+//! * **Views are derived data.** The GOPs of every other physical video —
+//!   materialized views, which the budget may evict at any moment — are
+//!   written once, without `fsync`, under a checksum that open verifies. A
+//!   cache admission (the view, its GOPs, the evictions it triggers and the
+//!   deferred-compression step) is one journal commit, and so is one
+//!   compaction merge, so a view a crash interrupted is gone or whole. A
+//!   power cut may cost views pages, never serve one torn.
+//! * **Eviction relies only on durable bytes.** A page at or above the
+//!   baseline quality goes only behind another such copy, and that copy's
+//!   GOPs over the page's interval are synced first, so the last good copy
+//!   of every range is always durable.
 //! * **In-flight work disappears cleanly.** A GOP that was mid-persist when
-//!   the process died (file renamed but record not journaled, or a torn
+//!   the process died (file written but record not journaled, or a torn
 //!   journal tail) is removed on the next [`Engine::open`]; the catalog and
 //!   the files on disk always agree. [`Engine::recovery_report`] itemizes
 //!   what replay repaired.
@@ -105,7 +117,8 @@
 //!
 //! Injected storage faults (see `vss_catalog::fault`) surface as typed
 //! [`VssError::Catalog`] I/O errors, never panics; `tests/crash_recovery.rs`
-//! exercises the whole contract with a `kill -9` subprocess harness.
+//! exercises the whole contract with a `kill -9` subprocess harness, killing
+//! ingest children and children that admit views and compact them.
 //!
 //! # Live ingest and retention
 //!

@@ -149,7 +149,7 @@ mod tests {
                 byte_len: bytes_per_gop,
                 lossless_level: None,
                 last_access: vss_catalog::AtomicClock::new(0),
-                duplicate_of: None,
+                crc: None,
             }],
         }
     }
@@ -222,7 +222,7 @@ mod tests {
             byte_len: 3000,
             lossless_level: None,
             last_access: vss_catalog::AtomicClock::new(0),
-            duplicate_of: None,
+            crc: None,
         });
         let bpp = average_bits_per_pixel(&rec);
         let expected = 4000.0 * 8.0 / (320.0 * 180.0 * 60.0);

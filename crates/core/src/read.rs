@@ -14,6 +14,8 @@
 //! 4. **Cache admission** — the result is admitted as a new physical video
 //!    (paper Section 4), the storage budget is enforced by evicting GOP
 //!    pages, and a deferred-compression step runs if the budget is tight.
+//!    All of it is one journal commit (see the crate's *Durability
+//!    contract*).
 //!
 //! Stages 1–3 are implemented by the GOP-at-a-time [`crate::stream`] module:
 //! every read opens a [`ReadStream`](crate::ReadStream) and the materialized
@@ -52,31 +54,31 @@ impl Engine {
         let _span = vss_telemetry::span("engine", "read", request.name.as_str());
         let stream = self.plan_stream(request, self.may_admit(request))?;
         let (mut result, admission) = stream.drain_with_admission()?;
-        // --- cache admission -----------------------------------------------
+        // --- cache admission: one journal commit -----------------------------
         // Results assembled partly from pass-through GOP reuse are not
         // re-admitted: the reused pieces already exist in the requested
         // configuration, so admitting the combination would only duplicate
         // them (and GOP-aligned reuse makes exact timing bookkeeping fuzzy).
-        let cache_admitted = if admission.reused_any {
-            false
-        } else {
-            self.maybe_admit_result(
-                request,
-                &admission.candidates,
-                &result.stats.plan,
-                &result.frames,
-                result.encoded.as_deref(),
-                admission.derivation_mse,
-                admission.source_mse_bound,
-                admission.output_resolution,
-            )?
-        };
-        if cache_admitted {
-            self.enforce_budget(&request.name)?;
-        }
-        if self.config.deferred_compression {
-            self.deferred_compression_step(&request.name)?;
-        }
+        let cache_admitted = self.in_batch(|engine| {
+            let admitted = !admission.reused_any
+                && engine.maybe_admit_result(
+                    request,
+                    &admission.candidates,
+                    &result.stats.plan,
+                    &result.frames,
+                    result.encoded.as_deref(),
+                    admission.derivation_mse,
+                    admission.source_mse_bound,
+                    admission.output_resolution,
+                )?;
+            if admitted {
+                engine.enforce_budget(&request.name)?;
+            }
+            if engine.config.deferred_compression {
+                engine.deferred_compression_step(&request.name)?;
+            }
+            Ok(admitted)
+        })?;
         self.catalog.persist()?;
         result.stats.cache_admitted = cache_admitted;
         Ok(result)

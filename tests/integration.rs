@@ -271,3 +271,61 @@ fn streaming_ingest_supports_concurrent_prefix_reads() {
     assert_eq!(full.frames.len(), 120);
     let _ = std::fs::remove_dir_all(root);
 }
+
+/// Full-quality views under a tight budget. The views are raw YUV at the
+/// original's resolution, so they rate as lossless and may stand in for the
+/// original's pages. Every second must still read back after maintenance; on
+/// the parent of this test the original's first page went behind a view and
+/// a read of [0, 1) fell outside the "written interval" [1, 5). The same
+/// store then evicts a middle page of the original, and the view GOPs that
+/// covered it must have been hardened first: synced, their checksum cleared.
+#[test]
+fn tight_budget_keeps_every_second_readable_and_hardens_the_cover() {
+    let root = scratch("tight-budget");
+    let video = traffic_video(150);
+    let raw = |second: f64| {
+        ReadRequest::new("v", second, second + 1.0, Codec::Raw(PixelFormat::Yuv420))
+    };
+    let vss = Vss::open(VssConfig::new(&root)).unwrap();
+    vss.create("v", Some(StorageBudget::MultipleOfOriginal(1.2))).unwrap();
+    vss.write(&WriteRequest::new("v", Codec::H264), &video).unwrap();
+    let decoded: Vec<FrameSequence> =
+        (0..5).map(|s| vss.read(&raw(s as f64).uncacheable()).unwrap().frames).collect();
+    for second in 0..5 {
+        assert!(vss.read(&raw(second as f64)).unwrap().stats.cache_admitted);
+    }
+    vss.run_maintenance().unwrap();
+    let read_every_second = |vss: &Vss| {
+        for (second, expected) in decoded.iter().enumerate() {
+            let read = vss.read(&raw(second as f64).uncacheable());
+            let read = read.unwrap_or_else(|e| panic!("second {second}: {e}"));
+            assert!(read.frames == *expected, "second {second} reads back different frames");
+        }
+    };
+    read_every_second(&vss);
+
+    // Re-admit [1, 2) and read it again from the view, then admit [2, 3):
+    // the budget now evicts the original's page [3, 4), which a merged view
+    // covers.
+    for second in [1.0, 1.0, 2.0] {
+        vss.read(&raw(second)).unwrap();
+    }
+    read_every_second(&vss);
+    drop(vss);
+    let catalog = vss::catalog::Catalog::open(&root).unwrap();
+    assert!(!catalog.recovery_report().repaired_anything(), "{:?}", catalog.recovery_report());
+    let record = catalog.video("v").unwrap();
+    let original = record.original().unwrap();
+    let kept: Vec<u64> = original.gops.iter().map(|g| g.index).collect();
+    assert_eq!(kept, [0, 1, 2, 4], "the original keeps its first and last pages");
+    let views = record.physical.iter().filter(|p| !p.is_original);
+    let over_gone_page = |g: &&vss::catalog::GopRecord| g.overlaps(3.0, 4.0);
+    let (hardened, derived): (Vec<_>, Vec<_>) =
+        views.flat_map(|p| &p.gops).partition(|g| g.crc.is_none());
+    assert_eq!(hardened.len(), 10, "the cover of [3, 4) is durable");
+    assert!(hardened.iter().all(over_gone_page));
+    assert!(!derived.is_empty() && !derived.iter().any(over_gone_page));
+    drop(catalog);
+    read_every_second(&Vss::open(VssConfig::new(&root)).unwrap());
+    let _ = std::fs::remove_dir_all(root);
+}
