@@ -14,6 +14,14 @@
 //!
 //! A fragment is usable for a read only if its estimated PSNR clears the
 //! read's threshold (default 40 dB).
+//!
+//! Admission asks the same question before a view exists, of the bound
+//! alone. A view's estimated error is its resampling bound *plus* a
+//! compression term that is never negative, so a view whose bound already
+//! fails the threshold of the read that made it can never answer that read:
+//! refusing it is a proof, not a prediction. The compression term is not part
+//! of the test because it comes from bytes per pixel, which deferred
+//! compression and compaction still change after admission.
 
 use vss_catalog::PhysicalVideoRecord;
 use vss_codec::{Codec, QualityEstimator};

@@ -15,7 +15,9 @@
 //!    (paper Section 4), the storage budget is enforced by evicting GOP
 //!    pages, and a deferred-compression step runs if the budget is tight.
 //!    All of it is one journal commit (see the crate's *Durability
-//!    contract*).
+//!    contract*). A result whose composed resampling bound alone rates below
+//!    the read's own threshold is not admitted: such a view could never
+//!    answer the read that made it (see the `quality` module).
 //!
 //! Stages 1–3 are implemented by the GOP-at-a-time [`crate::stream`] module:
 //! every read opens a [`ReadStream`](crate::ReadStream) and the materialized
@@ -23,13 +25,12 @@
 //! streaming and materialized reads are byte-identical by construction.
 
 use crate::engine::{Engine, ReadStats};
-use crate::fragments::CandidateSet;
 use crate::params::ReadRequest;
 use crate::quality::QualityModel;
+use crate::stream::AdmissionCarry;
 use crate::VssError;
 use vss_codec::EncodedGop;
-use vss_frame::{FrameSequence, Resolution};
-use vss_solver::ReadPlan;
+use vss_frame::{psnr_from_mse, FrameSequence};
 
 /// The result of a read operation.
 #[derive(Debug, Clone)]
@@ -60,17 +61,8 @@ impl Engine {
         // configuration, so admitting the combination would only duplicate
         // them (and GOP-aligned reuse makes exact timing bookkeeping fuzzy).
         let cache_admitted = self.in_batch(|engine| {
-            let admitted = !admission.reused_any
-                && engine.maybe_admit_result(
-                    request,
-                    &admission.candidates,
-                    &result.stats.plan,
-                    &result.frames,
-                    result.encoded.as_deref(),
-                    admission.derivation_mse,
-                    admission.source_mse_bound,
-                    admission.output_resolution,
-                )?;
+            let admitted =
+                !admission.reused_any && engine.maybe_admit_result(request, &admission, &result)?;
             if admitted {
                 engine.enforce_budget(&request.name)?;
             }
@@ -94,27 +86,25 @@ impl Engine {
     }
 
     /// Admits a read result into the cache of materialized views, unless
-    /// the read [may not admit](Self::may_admit) or the plan was a pure
-    /// pass-through of an existing fragment in the requested configuration.
-    #[allow(clippy::too_many_arguments)]
+    /// the read [may not admit](Self::may_admit), the plan was a pure
+    /// pass-through of an existing fragment in the requested configuration,
+    /// or the view could never answer the read that made it: its composed
+    /// resampling bound alone rates below the read's threshold.
     fn maybe_admit_result(
         &mut self,
         request: &ReadRequest,
-        candidates: &CandidateSet,
-        plan: &ReadPlan,
-        output: &FrameSequence,
-        encoded: Option<&[EncodedGop]>,
-        derivation_mse: f64,
-        source_mse_bound: f64,
-        output_resolution: Resolution,
+        admission: &AdmissionCarry,
+        result: &ReadResult,
     ) -> Result<bool, VssError> {
         if !self.may_admit(request) {
             return Ok(false);
         }
+        let (plan, output) = (&result.stats.plan, &result.frames);
+        let output_resolution = admission.output_resolution;
         // Pass-through check: a single fragment already stores exactly the
         // requested configuration over the requested range.
         if plan.segments.len() == 1 {
-            let fragment = &candidates.candidates[plan.segments[0].fragment_id as usize];
+            let fragment = &admission.candidates.candidates[plan.segments[0].fragment_id as usize];
             let same_rate = request
                 .temporal
                 .frame_rate
@@ -126,7 +116,14 @@ impl Engine {
                 return Ok(false);
             }
         }
-        let mse_bound = QualityModel::compose_bound(source_mse_bound, derivation_mse);
+        let mse_bound =
+            QualityModel::compose_bound(admission.source_mse_bound, admission.derivation_mse);
+        // A view's estimate is this bound plus a compression term that is
+        // never negative, so failing the threshold on the bound alone is a
+        // proof that the view could not serve this read (or any repeat).
+        if psnr_from_mse(mse_bound).db() < admission.threshold.db() {
+            return Ok(false);
+        }
         let physical_id = self.catalog.add_physical(
             &request.name,
             output_resolution.width,
@@ -136,7 +133,7 @@ impl Engine {
             false,
             mse_bound,
         )?;
-        match encoded {
+        match result.encoded.as_deref() {
             Some(gops) => {
                 let mut time = request.temporal.start;
                 for gop in gops {
@@ -183,7 +180,7 @@ mod tests {
     use crate::fragments::build_candidates;
     use crate::params::{PlannerKind, ReadRequest, WriteRequest};
     use vss_codec::Codec;
-    use vss_frame::{pattern, quality, PixelFormat, RegionOfInterest};
+    use vss_frame::{pattern, quality, PixelFormat, PsnrDb, RegionOfInterest, Resolution};
 
     fn sequence(frames: usize, width: u32, height: u32) -> FrameSequence {
         let frames: Vec<_> =
@@ -351,6 +348,53 @@ mod tests {
         assert_eq!(cold.stats.cached_fragments_used, 0, "first read decodes the original");
         let warm = engine.read(&ReadRequest::new("v", 0.0, 1.0, Codec::Hevc)).unwrap();
         assert!(warm.stats.cached_fragments_used > 0, "second read reuses the cached fragment");
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn views_that_could_not_answer_their_own_read_are_not_admitted() {
+        let (mut engine, root) = temp_engine("read-refuse");
+        engine.write(&WriteRequest::new("v", Codec::H264), &sequence(60, 64, 48)).unwrap();
+        // A half-size view of [0, 1) made from the original rates 28.6 dB on
+        // its bound. Each view made from a view at the same size doubles the
+        // bound: 25.5 dB, then 22.5 dB.
+        let threshold = PsnrDb(24.0);
+        let half = |codec| {
+            ReadRequest::new("v", 0.0, 1.0, codec)
+                .at_resolution(Resolution::new(32, 24))
+                .quality_threshold(threshold)
+        };
+        // After every step, each view rates at or above the threshold of the
+        // read that admitted it on its bound alone.
+        let invariant = |engine: &Engine| {
+            let video = engine.catalog.video("v").unwrap();
+            for view in video.physical.iter().filter(|p| !p.is_original) {
+                let rated = psnr_from_mse(view.mse_bound);
+                assert!(rated.db() >= threshold.db(), "a {} view rates {rated}", view.codec);
+            }
+        };
+        assert!(engine.read(&half(Codec::Hevc)).unwrap().stats.cache_admitted);
+        invariant(&engine);
+        assert!(engine.read(&half(Codec::H264)).unwrap().stats.cache_admitted);
+        invariant(&engine);
+        let views = engine.materialized_fragment_count("v").unwrap();
+        // The third generation would rate below the read's own threshold.
+        let raw = half(Codec::Raw(PixelFormat::Yuv420));
+        assert!(!engine.read(&raw).unwrap().stats.cache_admitted);
+        assert_eq!(engine.materialized_fragment_count("v").unwrap(), views);
+        invariant(&engine);
+        // A repeat is refused again and reads what an uncacheable read does.
+        let repeat = engine.read(&raw).unwrap();
+        assert!(!repeat.stats.cache_admitted);
+        let uncached = engine.read(&raw.clone().uncacheable()).unwrap();
+        assert_eq!(repeat.frames.frames(), uncached.frames.frames());
+        invariant(&engine);
+        // At the default 40 dB even a view made from the original is refused.
+        let default =
+            ReadRequest::new("v", 0.0, 1.0, Codec::Hevc).at_resolution(Resolution::new(32, 24));
+        assert!(!engine.read(&default).unwrap().stats.cache_admitted);
+        assert_eq!(engine.materialized_fragment_count("v").unwrap(), views);
+        invariant(&engine);
         let _ = std::fs::remove_dir_all(root);
     }
 

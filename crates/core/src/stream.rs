@@ -71,7 +71,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use vss_codec::{codec_instance, Codec, EncodedGop, EncoderConfig};
 use vss_frame::{
-    convert_frame_rate, crop, resize_bilinear, Frame, FrameSequence, PixelFormat,
+    convert_frame_rate, crop, resize_bilinear, Frame, FrameSequence, PixelFormat, PsnrDb,
     RegionOfInterest, Resolution,
 };
 use vss_solver::{plan_read, plan_read_greedy, ReadPlan, ReadPlanRequest};
@@ -239,6 +239,8 @@ pub(crate) struct AdmissionCarry {
     pub(crate) derivation_mse: f64,
     pub(crate) source_mse_bound: f64,
     pub(crate) output_resolution: Resolution,
+    /// The read's quality threshold, as the planner used it.
+    pub(crate) threshold: PsnrDb,
 }
 
 impl Default for AdmissionCarry {
@@ -249,6 +251,7 @@ impl Default for AdmissionCarry {
             derivation_mse: 0.0,
             source_mse_bound: 0.0,
             output_resolution: Resolution::new(0, 0),
+            threshold: DEFAULT_QUALITY_THRESHOLD,
         }
     }
 }
@@ -918,6 +921,7 @@ impl Engine {
                 derivation_mse: 0.0,
                 source_mse_bound,
                 output_resolution,
+                threshold,
             },
         };
         Ok(ReadStream {

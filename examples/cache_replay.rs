@@ -11,6 +11,7 @@
 
 use std::time::Instant;
 use vss::core::{EvictionPolicy, StorageBudget};
+use vss::frame::PsnrDb;
 use vss::prelude::*;
 use vss::workload::{QueryWorkload, SceneConfig, SceneRenderer};
 
@@ -30,16 +31,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let root = std::env::temp_dir().join(format!("vss-example-cache-{label}"));
         let _ = std::fs::remove_dir_all(&root);
         let vss = Vss::open(VssConfig::new(&root))?;
-        // A tight budget (2x the original) forces evictions during the replay;
-        // everything this replay admits fits in 3x.
-        vss.create("traffic", Some(StorageBudget::MultipleOfOriginal(2.0)))?;
+        // A tight budget (1.5x the original) forces evictions during the
+        // replay; everything this replay admits fits in 3x.
+        vss.create("traffic", Some(StorageBudget::MultipleOfOriginal(1.5)))?;
         vss.write(&WriteRequest::new("traffic", Codec::H264), &video)?;
         vss.with_engine(|engine| engine.config.eviction_policy = policy);
 
+        // A view is admitted only if its resampling error alone clears the
+        // threshold of the read that made it. Half- and quarter-size views
+        // rate about 20–26 dB, so the replay asks for 20 dB: at the default 40 dB
+        // it would admit only its full-size reads.
         let workload = QueryWorkload::cache_population("traffic", duration, resolution, 99);
         let mut admitted = 0usize;
         for request in workload.generate(25) {
-            if let Ok(result) = vss.read(&request) {
+            if let Ok(result) = vss.read(&request.quality_threshold(PsnrDb(20.0))) {
                 admitted += usize::from(result.stats.cache_admitted);
             }
         }

@@ -34,7 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Read a low-resolution raw region — the kind of read a detection
-    //    pipeline issues. VSS transparently decodes, rescales and caches it.
+    //    pipeline issues. VSS transparently decodes and rescales it, but does
+    //    not cache it: the rescale alone puts a half-size view far below this
+    //    read's default 40 dB threshold, so the view could never answer it.
     let low_res = vss.read(
         &ReadRequest::new("traffic", 0.0, 2.0, Codec::Raw(PixelFormat::Rgb8))
             .at_resolution(Resolution::new(80, 48)),

@@ -52,14 +52,20 @@ const FRAME_RATE: f64 = 30.0;
 const TOTAL_FRAMES: usize = 2000;
 const KILL_ITERATIONS: u64 = 6;
 const FAULT_ITERATIONS: u64 = 2;
-/// Seconds of original video the view children read from.
-const VIEW_SECONDS: usize = 5;
+/// Seconds of original video the view children read from. The template's
+/// warm-up reads the first half; a child's reads walk on into seconds with
+/// no views yet, so its kills land among admissions.
+const VIEW_SECONDS: usize = 40;
 /// Every this-many-th op of a view child is maintenance; the rest are reads.
-const VIEW_MAINTENANCE_EVERY: usize = 4;
+const VIEW_MAINTENANCE_EVERY: usize = 3;
 /// Ops a view child makes before it exits on its own.
 const VIEW_OPS: usize = 5000;
 /// Ops run on the view template before any child starts.
 const VIEW_WARM_UP: usize = 60;
+/// The threshold of a view child's half-size reads. A view is admitted only
+/// if its resampling bound alone clears the threshold of the read that made
+/// it, and these views rate 26–29 dB.
+const VIEW_QUALITY: PsnrDb = PsnrDb(20.0);
 
 fn config(root: &Path) -> VssConfig {
     // Deferred compression is disabled so a GOP file's bytes are fixed at
@@ -78,20 +84,22 @@ fn view_config(root: &Path) -> VssConfig {
     VssConfig::new(root).with_gop_size(GOP)
 }
 
-/// The `i`-th read of a view child: one second of the original in one of
-/// four formats. Full-resolution raw YUV views hold the decoded original
-/// exactly, so they rate as lossless and stand in for its pages; the
-/// half-resolution views rate far below the default threshold.
+/// The `i`-th read of a view child. Each group of ops reads one second of
+/// the original twice, then runs maintenance; the groups walk through the
+/// seconds in order. The first read asks for full-resolution raw YUV: those
+/// views hold the decoded original exactly, so they rate as lossless and
+/// stand in for its pages. The second asks for half size at `VIEW_QUALITY`,
+/// in the one codec of its block of five seconds, so every half-size view
+/// is made from the original or from an exact copy of it, never from
+/// another half-size view.
 fn view_read(i: usize) -> ReadRequest {
-    let second = ((i * 7) % VIEW_SECONDS) as f64;
-    let half = Resolution::new(32, 24);
-    let request = |codec| ReadRequest::new("cam", second, second + 1.0, codec);
-    match i % 4 {
-        0 => request(Codec::Raw(PixelFormat::Yuv420)),
-        1 => request(Codec::Hevc).resolution(half),
-        2 => request(Codec::H264).resolution(half),
-        _ => request(Codec::Raw(PixelFormat::Rgb8)).resolution(half),
+    let second = (i / VIEW_MAINTENANCE_EVERY) % VIEW_SECONDS;
+    let request = |codec| ReadRequest::new("cam", second as f64, second as f64 + 1.0, codec);
+    if i.is_multiple_of(VIEW_MAINTENANCE_EVERY) {
+        return request(Codec::Raw(PixelFormat::Yuv420));
     }
+    let codec = if (second / 5).is_multiple_of(2) { Codec::Hevc } else { Codec::H264 };
+    request(codec).resolution(Resolution::new(32, 24)).quality_threshold(VIEW_QUALITY)
 }
 
 /// Writes the original every view child reads from, under a budget tight
@@ -99,7 +107,7 @@ fn view_read(i: usize) -> ReadRequest {
 /// full-resolution raw view covers them).
 fn prepare_view_store(root: &Path) {
     let mut engine = Engine::open(view_config(root)).expect("open view store");
-    engine.create_video("cam", Some(StorageBudget::MultipleOfOriginal(3.0))).expect("create");
+    engine.create_video("cam", Some(StorageBudget::MultipleOfOriginal(1.2))).expect("create");
     let frames: Vec<Frame> = (0..VIEW_SECONDS * 30).map(frame).collect();
     let frames = FrameSequence::new(frames, FRAME_RATE).expect("frames");
     engine.write(&WriteRequest::new("cam", Codec::H264), &frames).expect("write original");
@@ -124,7 +132,8 @@ fn view_child_main(root: &Path) -> ! {
             std::process::exit(3);
         }
     };
-    for i in 0..VIEW_OPS {
+    // Pick up where the template's warm-up stopped.
+    for i in VIEW_WARM_UP..VIEW_WARM_UP + VIEW_OPS {
         if let Err(error) = view_op(&mut engine, i) {
             eprintln!("child: op {i} failed with typed error: {error:?}");
             std::process::exit(3);

@@ -21,6 +21,12 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The threshold for reads that populate the cache with resized views. A
+/// view is admitted only if its resampling bound alone clears the threshold
+/// of the read that made it, and a half-resolution view rates near 25 dB, so
+/// at the default 40 dB such reads would admit nothing.
+const VIEW_QUALITY: PsnrDb = PsnrDb(20.0);
+
 fn traffic_video(frames: usize) -> FrameSequence {
     let renderer = SceneRenderer::new(SceneConfig {
         resolution: Resolution::new(128, 72),
@@ -42,7 +48,8 @@ fn full_lifecycle_write_read_cache_reuse_and_restart() {
         let detection = vss
             .read(
                 &ReadRequest::new("traffic", 0.0, 2.0, Codec::Raw(PixelFormat::Rgb8))
-                    .at_resolution(Resolution::new(64, 36)),
+                    .at_resolution(Resolution::new(64, 36))
+                    .quality_threshold(VIEW_QUALITY),
             )
             .unwrap();
         assert!(detection.stats.cache_admitted);
@@ -120,8 +127,10 @@ fn budget_pressure_evicts_but_always_preserves_readability() {
     let duration = video.duration_seconds();
     let workload =
         QueryWorkload::cache_population("traffic", duration, Resolution::new(128, 72), 7);
-    for request in workload.generate(20) {
-        let _ = vss.read(&request);
+    // At VIEW_QUALITY twenty of these reads admit only views that fit a 2×
+    // budget once deferred compression has run; forty put it under pressure.
+    for request in workload.generate(40) {
+        let _ = vss.read(&request.quality_threshold(VIEW_QUALITY));
     }
     let budget = vss.budget_bytes("traffic").unwrap().unwrap();
     assert!(
@@ -134,8 +143,8 @@ fn budget_pressure_evicts_but_always_preserves_readability() {
     let unbounded = Vss::open(VssConfig::new(&unbounded_root)).unwrap();
     unbounded.create("traffic", Some(StorageBudget::Unlimited)).unwrap();
     unbounded.write(&WriteRequest::new("traffic", Codec::H264), &video).unwrap();
-    for request in workload.generate(20) {
-        let _ = unbounded.read(&request);
+    for request in workload.generate(40) {
+        let _ = unbounded.read(&request.quality_threshold(VIEW_QUALITY));
     }
     let fragments = |store: &Vss| {
         store.with_engine(|engine| engine.materialized_fragment_count("traffic").unwrap())
