@@ -1,8 +1,8 @@
 //! The storage-manager engine: shared state and common helpers.
 //!
 //! [`Engine`] owns the catalog, cost model and quality model. The public
-//! [`Vss`](crate::Vss) handle wraps an `Engine` in a mutex so concurrent
-//! readers and writers can share it.
+//! [`Vss`](crate::Vss) handle is one shard: an `Engine` behind a
+//! reader-writer lock, shared to plan and exclusive per commit.
 
 use crate::config::VssConfig;
 use crate::params::StorageBudget;
@@ -463,16 +463,27 @@ pub(crate) mod test_support {
     use super::*;
     use std::path::PathBuf;
 
-    /// Creates an engine rooted in a fresh temporary directory.
-    pub(crate) fn temp_engine(tag: &str) -> (Engine, PathBuf) {
+    /// A fresh, empty temporary directory for a test store.
+    fn temp_root(tag: &str) -> PathBuf {
         let root = std::env::temp_dir().join(format!(
             "vss-core-test-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&root);
-        let engine = Engine::open(VssConfig::new(&root)).unwrap();
-        (engine, root)
+        root
+    }
+
+    /// Creates an engine rooted in a fresh temporary directory.
+    pub(crate) fn temp_engine(tag: &str) -> (Engine, PathBuf) {
+        let root = temp_root(tag);
+        (Engine::open(VssConfig::new(&root)).unwrap(), root)
+    }
+
+    /// Opens a [`Vss`](crate::Vss) rooted in a fresh temporary directory.
+    pub(crate) fn temp_vss(tag: &str) -> (crate::Vss, PathBuf) {
+        let root = temp_root(tag);
+        (crate::Vss::open_at(&root).unwrap(), root)
     }
 }
 

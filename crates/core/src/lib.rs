@@ -38,8 +38,8 @@
 //!
 //! # Streaming API
 //!
-//! Every store — [`Engine`], [`Vss`], a `vss-server` session and the
-//! `vss-baseline` stores — speaks one contract, the [`VideoStorage`] trait
+//! Every store — [`Vss`], a `vss-server` session, a `vss-net` remote store
+//! and the `vss-baseline` stores — speaks one contract, the [`VideoStorage`] trait
 //! (`create` / `delete` / `write` / `append` / `read` / `read_stream` /
 //! `write_sink` / `metadata`). Reads and writes come in two flavours:
 //!
@@ -68,21 +68,28 @@
 //!
 //! # Concurrency and sharding
 //!
-//! [`Vss`] guards the whole engine with a single mutex — simple, and fine
-//! for one client. Multi-client deployments should use the `vss-server`
-//! crate instead: it splits the engine into N independent shards keyed by a
-//! hash of the logical-video name (each shard is a complete [`Engine`]
-//! behind its own reader-writer lock) and exposes per-client sessions, a
-//! per-shard background maintenance scheduler and per-shard statistics.
-//! Two engine features exist specifically for that layer:
+//! A [`Vss`] is one shard: a complete [`Engine`] behind a reader-writer
+//! lock, with the lock-wait accounting of that lock. It has one lock
+//! discipline for every caller:
 //!
-//! * the lock-scoped primitives take the engine only briefly —
-//!   [`Engine::read_stream`] snapshots a plan through `&self` and the stream
-//!   decodes with no engine at all; the incremental-write primitives need
-//!   `&mut self` per persisted GOP only, never for an encode — so a shard
-//!   lock is never held across GOP file reads or codec work; and
-//! * GOP recency clocks are atomic ([`vss_catalog::AtomicClock`]), so
-//!   read-only traffic bumps LRU state without exclusive access.
+//! * **shared** to plan and to begin — [`Vss::read_stream`], metadata and
+//!   budget queries, the begin of a write or sink, and every read that may
+//!   not admit its result (non-cacheable, or a region of interest), which
+//!   drains its stream after the lock is released;
+//! * **exclusive** per commit — each persisted GOP and each write's finish,
+//!   a cache-admitting read, create/delete/compact/maintenance and
+//!   [`Vss::with_engine`].
+//!
+//! `vss-server` is N of these plus routing: a stable hash of the
+//! logical-video name picks the owning `Vss`, and the server adds
+//! per-client sessions, a per-shard maintenance scheduler and per-shard
+//! statistics. The discipline works because the engine takes itself only
+//! briefly — [`Engine::read_stream`] snapshots a plan through `&self` and
+//! the stream decodes with no engine at all; the incremental-write
+//! primitives need `&mut self` per persisted GOP only, never for an encode
+//! — and because GOP recency clocks are atomic
+//! ([`vss_catalog::AtomicClock`]), so read-only traffic bumps LRU state
+//! without exclusive access.
 //!
 //! # Durability contract
 //!
@@ -192,27 +199,55 @@ pub use sink::{EncodedGopBackend, GopWriteBackend, IncrementalWrite, SinkEncoder
 pub use storage::{VideoMetadata, VideoStorage};
 pub use stream::{ChunkStats, ReadChunk, ReadStream};
 
-use parking_lot::Mutex;
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::Arc;
+use std::time::Instant;
 use vss_frame::FrameSequence;
+use vss_telemetry::{Histogram, HistogramSummary};
 
-/// The VSS storage manager handle.
-///
-/// `Vss` is cheap to clone; clones share the same underlying engine, which is
-/// how concurrent readers and writers coordinate (the paper's non-blocking
-/// write / prefix-read behaviour). It starts no thread of its own: idle
+/// The VSS storage manager handle: one [`Engine`] behind a reader-writer
+/// lock — a shard (`vss-server` is N of them plus routing). Cheap to clone;
+/// clones share the engine, which is how concurrent readers and writers
+/// coordinate. Plans, the begin of a write and reads that may not admit
+/// (non-cacheable, or with a region of interest) share the lock; each commit
+/// holds it exclusively; neither is held across an encode or a decode (see
+/// the crate docs). Every acquisition's wait goes to
+/// [`lock_wait`](Self::lock_wait), the `server.shard.lock_wait_ns{shard=N}`
+/// series and a `server.shard_lock` span. It starts no thread: idle
 /// maintenance is [`run_maintenance`](Self::run_maintenance), called by its
-/// owner, or `vss-server`'s per-shard scheduler
-/// (`VssServer::start_maintenance`).
+/// owner, or `vss-server`'s per-shard scheduler.
 #[derive(Clone)]
 pub struct Vss {
-    engine: Arc<Mutex<Engine>>,
+    shard: Arc<Shard>,
+}
+
+struct Shard {
+    engine: RwLock<Engine>,
+    /// Per-acquisition lock waits, in nanoseconds. Owned, so one store's
+    /// contention never mixes with another's.
+    lock_wait: Histogram,
+    /// The `server.shard.lock_wait_ns{shard=N}` mirror of `lock_wait`.
+    labeled_lock_wait: &'static Histogram,
+    /// The shard index, rendered once: the `shard_lock` span target.
+    label: String,
 }
 
 impl Vss {
-    /// Opens (or creates) a VSS store with the given configuration.
+    /// Opens (or creates) a VSS store with the given configuration. A
+    /// standalone store is shard 0 of one.
     pub fn open(config: VssConfig) -> Result<Self, VssError> {
-        Ok(Self { engine: Arc::new(Mutex::new(Engine::open(config)?)) })
+        Self::open_shard(config, 0)
+    }
+
+    /// Opens (or creates) the store of shard `index` of a sharded server;
+    /// `index` only labels its lock-wait series and spans.
+    pub fn open_shard(config: VssConfig, index: usize) -> Result<Self, VssError> {
+        let label = index.to_string();
+        let labeled_lock_wait =
+            vss_telemetry::histogram_with("server.shard.lock_wait_ns", &[("shard", &label)]);
+        let engine = RwLock::new(Engine::open(config)?);
+        let lock_wait = Histogram::new();
+        Ok(Self { shard: Arc::new(Shard { engine, lock_wait, labeled_lock_wait, label }) })
     }
 
     /// Opens a store rooted at a directory with default configuration.
@@ -220,105 +255,178 @@ impl Vss {
         Self::open(VssConfig::new(root))
     }
 
+    /// Runs `acquire`, accounting the time it waited for the lock.
+    fn accounted<'a, G>(&'a self, acquire: impl FnOnce(&'a RwLock<Engine>) -> G) -> G {
+        let _span = vss_telemetry::span("server", "shard_lock", self.shard.label.as_str());
+        let started = Instant::now();
+        let guard = acquire(&self.shard.engine);
+        let waited = started.elapsed();
+        self.shard.lock_wait.record_duration(waited);
+        self.shard.labeled_lock_wait.record_duration(waited);
+        guard
+    }
+
+    fn shared(&self) -> RwLockReadGuard<'_, Engine> {
+        self.accounted(RwLock::read)
+    }
+
+    fn exclusive(&self) -> RwLockWriteGuard<'_, Engine> {
+        self.accounted(RwLock::write)
+    }
+
+    /// The distribution of this handle's lock waits, in nanoseconds.
+    pub fn lock_wait(&self) -> HistogramSummary {
+        self.shard.lock_wait.summary()
+    }
+
     /// Creates a logical video, optionally with an explicit storage budget.
     pub fn create(&self, name: &str, budget: Option<StorageBudget>) -> Result<(), VssError> {
-        self.engine.lock().create_video(name, budget)
+        self.exclusive().create_video(name, budget)
     }
 
     /// Deletes a logical video and all of its data.
     pub fn delete(&self, name: &str) -> Result<(), VssError> {
-        self.engine.lock().delete_video(name)
+        self.exclusive().delete_video(name)
     }
 
     /// Writes a frame sequence to a logical video (creating it if needed).
+    /// The GOPs are encoded with no lock held; the exclusive lock is taken
+    /// once, to persist them all in order.
     pub fn write(&self, request: &WriteRequest, frames: &FrameSequence) -> Result<WriteReport, VssError> {
-        let write = self.engine.lock().begin_incremental_write(request, frames.frame_rate())?;
-        write.commit_batch("write", frames, || self.engine.lock())
+        let write = self.shared().begin_incremental_write(request, frames.frame_rate())?;
+        write.commit_batch("write", frames, || self.exclusive())
     }
 
     /// Appends frames to a logical video's original representation
     /// (streaming ingest); readers may query any prefix already written.
     pub fn append(&self, name: &str, frames: &FrameSequence) -> Result<WriteReport, VssError> {
-        let write = self.engine.lock().begin_incremental_append(name, frames.frame_rate())?;
-        write.commit_batch("append", frames, || self.engine.lock())
+        let write = self.shared().begin_incremental_append(name, frames.frame_rate())?;
+        write.commit_batch("append", frames, || self.exclusive())
     }
 
     /// Executes a read planned by `request.planner` (optimal by default).
+    /// A read that may admit its result holds the exclusive lock; any other
+    /// snapshots its plan under the shared lock and decodes after releasing
+    /// it. Both return what [`Engine::read`] returns.
     pub fn read(&self, request: &ReadRequest) -> Result<ReadResult, VssError> {
-        self.engine.lock().read(request)
+        if request.may_admit() {
+            return self.exclusive().read(request);
+        }
+        // The guard drops with this statement, so the drain runs lock-free.
+        let stream = self.shared().read_stream(request)?;
+        stream.drain()
     }
 
-    /// Opens a GOP-at-a-time streaming read. The engine lock is held only
+    /// Opens a GOP-at-a-time streaming read. The shared lock is held only
     /// while the plan is snapshotted; the returned [`ReadStream`] decodes
     /// lock-free, so long streaming reads never starve other clients. The
     /// drained stream is byte-identical to [`read`](Self::read) of the same
     /// request, but never admits its result to the cache.
     pub fn read_stream(&self, request: &ReadRequest) -> Result<ReadStream, VssError> {
-        self.engine.lock().read_stream(request)
+        self.shared().read_stream(request)
     }
 
     /// Opens an incremental write: each GOP is encoded and persisted as it
-    /// fills, by the pushing thread. The engine lock is taken per GOP, for
-    /// the persist only — encode never holds the lock. The resulting store
-    /// is byte-identical to a batch [`write`](Self::write) of the same frames.
+    /// fills, by the pushing thread. The exclusive lock is taken per GOP,
+    /// for the persist only — encode never holds it. The resulting store is
+    /// byte-identical to a batch [`write`](Self::write) of the same frames.
     pub fn write_sink(&self, request: &WriteRequest, frame_rate: f64) -> Result<WriteSink<'static>, VssError> {
-        let write = self.engine.lock().begin_incremental_write(request, frame_rate)?;
-        struct VssSinkBackend {
-            vss: Vss,
-            write: IncrementalWrite,
-        }
-        impl EncodedGopBackend for VssSinkBackend {
-            fn flush_encoded(&mut self, gop: vss_codec::EncodedGop) -> Result<(), VssError> {
-                self.vss.engine.lock().push_incremental_encoded(&mut self.write, &gop)
-            }
-            fn finish(&mut self) -> Result<WriteReport, VssError> {
-                self.vss.engine.lock().finish_incremental_write(&mut self.write)
-            }
-        }
-        let encoder = write.encoder();
-        Ok(WriteSink::encoding(Box::new(VssSinkBackend { vss: self.clone(), write }), encoder))
+        let backend = self.begin_sink(|engine| engine.begin_incremental_write(request, frame_rate))?;
+        let encoder = backend.encoder();
+        Ok(WriteSink::encoding(Box::new(backend), encoder))
+    }
+
+    /// Begins an incremental write with `begin` under the shared lock and
+    /// returns the backend that persists its GOPs — what
+    /// [`write_sink`](Self::write_sink) wraps in a [`WriteSink`]. Front ends
+    /// that account their sinks (`vss-server` sessions) wrap this backend.
+    pub fn begin_sink(
+        &self,
+        begin: impl FnOnce(&Engine) -> Result<IncrementalWrite, VssError>,
+    ) -> Result<VssSinkBackend, VssError> {
+        Ok(VssSinkBackend { write: begin(&self.shared())?, vss: self.clone() })
     }
 
     /// Storage accounting for one logical video.
     pub fn metadata(&self, name: &str) -> Result<VideoMetadata, VssError> {
-        self.engine.lock().metadata(name)
+        self.shared().metadata(name)
     }
 
     /// Names of all logical videos in the store.
     pub fn video_names(&self) -> Vec<String> {
-        self.engine.lock().video_names()
+        self.shared().video_names()
     }
 
     /// Bytes used by a logical video across all physical representations.
     pub fn bytes_used(&self, name: &str) -> Result<u64, VssError> {
-        self.engine.lock().bytes_used(name)
+        self.shared().bytes_used(name)
     }
 
     /// The storage budget of a logical video in bytes, if bounded.
     pub fn budget_bytes(&self, name: &str) -> Result<Option<u64>, VssError> {
-        self.engine.lock().budget_bytes(name)
+        self.shared().budget_bytes(name)
     }
 
     /// Fraction of the storage budget currently consumed.
     pub fn budget_fraction(&self, name: &str) -> Result<Option<f64>, VssError> {
-        self.engine.lock().budget_fraction(name)
+        self.shared().budget_fraction(name)
     }
 
     /// Runs compaction for a logical video, returning the number of merges.
     pub fn compact(&self, name: &str) -> Result<usize, VssError> {
-        self.engine.lock().compact_video(name)
+        self.exclusive().compact_video(name)
     }
 
     /// Runs one unit of background maintenance (deferred compression or
     /// compaction); returns `true` if any work was performed.
     pub fn run_maintenance(&self) -> Result<bool, VssError> {
-        self.engine.lock().background_maintenance()
+        self.exclusive().background_maintenance()
     }
 
     /// Runs a function with exclusive access to the engine (used by the
     /// benchmark harness for ablations that tweak configuration mid-run).
     pub fn with_engine<R>(&self, f: impl FnOnce(&mut Engine) -> R) -> R {
-        f(&mut self.engine.lock())
+        f(&mut self.exclusive())
+    }
+
+    /// Runs a function with shared access to the engine (live catch-up
+    /// readers snapshot the persisted timeline this way without blocking
+    /// other readers).
+    pub fn with_engine_read<R>(&self, f: impl FnOnce(&Engine) -> R) -> R {
+        f(&self.shared())
+    }
+
+    /// Non-blocking [`with_engine`](Self::with_engine): returns `None`
+    /// without running `f` when anyone holds the lock, and records no wait.
+    /// Background work (maintenance, retention) uses it, so it never stalls
+    /// a client.
+    pub fn try_with_engine<R>(&self, f: impl FnOnce(&mut Engine) -> R) -> Option<R> {
+        self.shard.engine.try_write().map(|mut engine| f(&mut engine))
+    }
+}
+
+/// The one backend that persists a sink's GOPs into an engine: each GOP, and
+/// the finish, under the owning [`Vss`]'s exclusive lock. Obtained from
+/// [`Vss::begin_sink`].
+pub struct VssSinkBackend {
+    vss: Vss,
+    write: IncrementalWrite,
+}
+
+impl VssSinkBackend {
+    /// The encoder every GOP of this write must be encoded with.
+    pub fn encoder(&self) -> SinkEncoder {
+        self.write.encoder()
+    }
+}
+
+impl EncodedGopBackend for VssSinkBackend {
+    fn flush_encoded(&mut self, gop: vss_codec::EncodedGop) -> Result<(), VssError> {
+        self.vss.exclusive().push_incremental_encoded(&mut self.write, &gop)
+    }
+
+    fn finish(&mut self) -> Result<WriteReport, VssError> {
+        self.vss.exclusive().finish_incremental_write(&mut self.write)
     }
 }
 
@@ -423,6 +531,65 @@ mod tests {
         write_thread.join().unwrap();
         // The appended second is now readable.
         assert!(vss.read(&ReadRequest::new("v", 2.0, 3.0, Codec::H264).uncacheable()).is_ok());
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// Plans share the lock and commits exclude each other: while one thread
+    /// holds the engine shared, a non-admitting read, a stream open and a
+    /// metadata query on another thread complete, and `with_engine` waits
+    /// until the holder lets go.
+    #[test]
+    fn shared_holders_admit_plans_and_exclude_commits() {
+        use std::sync::mpsc::sync_channel as bounded;
+        use std::time::Duration;
+        let (vss, root) = temp_store("rwlock");
+        vss.write(&WriteRequest::new("v", Codec::H264), &sequence(60)).unwrap();
+        let (entered_tx, entered_rx) = bounded::<()>(1);
+        let (release_tx, release_rx) = bounded::<()>(1);
+        let holder = {
+            let vss = vss.clone();
+            std::thread::spawn(move || {
+                vss.with_engine_read(|_engine| {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                });
+            })
+        };
+        entered_rx.recv().unwrap();
+
+        let (done_tx, done_rx) = bounded::<usize>(1);
+        let planner = {
+            let vss = vss.clone();
+            std::thread::spawn(move || {
+                let request = ReadRequest::new("v", 0.0, 1.0, Codec::H264).uncacheable();
+                let read = vss.read(&request).unwrap().frames.len();
+                let stream = vss.read_stream(&request).unwrap();
+                assert!(vss.metadata("v").unwrap().bytes_used > 0);
+                done_tx.send(read).unwrap();
+                stream.drain().unwrap().frames.len()
+            })
+        };
+        let frames = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("shared-lock operations must not wait for a shared holder");
+        assert_eq!(frames, 30);
+        assert_eq!(planner.join().unwrap(), 30);
+
+        let (committed_tx, committed_rx) = bounded::<()>(1);
+        let committer = {
+            let vss = vss.clone();
+            std::thread::spawn(move || vss.with_engine(|_engine| committed_tx.send(()).unwrap()))
+        };
+        assert!(
+            committed_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "with_engine must wait for the shared holder"
+        );
+        release_tx.send(()).unwrap();
+        committed_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("with_engine proceeds once the holder releases");
+        holder.join().unwrap();
+        committer.join().unwrap();
         let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -197,6 +197,16 @@ impl ReadRequest {
         self.planner = planner;
         self
     }
+
+    /// Whether the read's result can be admitted to the cache at all: not
+    /// when it was marked non-cacheable or a region of interest was applied
+    /// (cropped results are not reusable as general fragments). Decides
+    /// whether [`Engine::read`](crate::Engine::read) measures and admits,
+    /// and which lock [`Vss::read`](crate::Vss::read) takes, so none of
+    /// them can drift.
+    pub(crate) fn may_admit(&self) -> bool {
+        self.cacheable && self.spatial.region.is_none()
+    }
 }
 
 /// A `write(name, S, T, P, data)` operation. The frame data itself is passed

@@ -18,7 +18,7 @@
 //! publish: subscribers tail the original timeline only.
 //!
 //! The hook runs on the writer's thread while the engine is exclusively
-//! borrowed (under the `Vss` mutex or a `vss-server` shard write lock), so
+//! borrowed (under a [`Vss`](crate::Vss)'s exclusive lock), so
 //! implementations **must not block** and must never call back into the
 //! engine. The `vss-live` hub satisfies this with bounded per-subscriber
 //! queues: a full queue marks the subscriber lagged (it transparently

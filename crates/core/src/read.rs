@@ -50,10 +50,15 @@ pub struct ReadResult {
 
 impl Engine {
     /// Executes a read planned by `request.planner` (the optimal planner by
-    /// default).
+    /// default). A read that may not admit its result — non-cacheable, or
+    /// with a region of interest — is its stream drained and nothing more:
+    /// it changes nothing in the store, whichever handle issued it.
     pub fn read(&mut self, request: &ReadRequest) -> Result<ReadResult, VssError> {
+        if !request.may_admit() {
+            return self.read_stream(request)?.drain();
+        }
         let _span = vss_telemetry::span("engine", "read", request.name.as_str());
-        let stream = self.plan_stream(request, self.may_admit(request))?;
+        let stream = self.plan_stream(request, true)?;
         let (mut result, admission) = stream.drain_with_admission()?;
         // --- cache admission: one journal commit -----------------------------
         // Results assembled partly from pass-through GOP reuse are not
@@ -76,29 +81,17 @@ impl Engine {
         Ok(result)
     }
 
-    /// Whether a read's result can be admitted to the cache at all: not when
-    /// the read was marked non-cacheable or a region of interest was applied
-    /// (cropped results are not reusable as general fragments). Decides both
-    /// whether the stream takes the admission measurement and whether
-    /// admission is attempted, so the two cannot drift.
-    fn may_admit(&self, request: &ReadRequest) -> bool {
-        request.cacheable && request.spatial.region.is_none()
-    }
-
     /// Admits a read result into the cache of materialized views, unless
-    /// the read [may not admit](Self::may_admit), the plan was a pure
-    /// pass-through of an existing fragment in the requested configuration,
-    /// or the view could never answer the read that made it: its composed
-    /// resampling bound alone rates below the read's threshold.
+    /// the plan was a pure pass-through of an existing fragment in the
+    /// requested configuration, or the view could never answer the read
+    /// that made it: its composed resampling bound alone rates below the
+    /// read's threshold.
     fn maybe_admit_result(
         &mut self,
         request: &ReadRequest,
         admission: &AdmissionCarry,
         result: &ReadResult,
     ) -> Result<bool, VssError> {
-        if !self.may_admit(request) {
-            return Ok(false);
-        }
         let (plan, output) = (&result.stats.plan, &result.frames);
         let output_resolution = admission.output_resolution;
         // Pass-through check: a single fragment already stores exactly the

@@ -20,16 +20,16 @@
 //!   for all GOPs at once under `try_par_map`
 //!   ([`IncrementalWrite::commit_batch`]).
 //! * **persist** — [`Engine::push_incremental_encoded`] per GOP, then
-//!   [`Engine::finish_incremental_write`]; callers that guard the engine
-//!   with a lock (the [`Vss`](crate::Vss) mutex, a `vss-server` shard lock)
-//!   hold it only for these calls.
+//!   [`Engine::finish_incremental_write`]; a [`Vss`](crate::Vss) holds its
+//!   exclusive lock only for these calls.
 //!
 //! `write`/`append` par-encode then drive the persist primitives
 //! ([`IncrementalWrite::commit_batch`]); a sink drives them GOP-at-a-time
-//! through an [`EncodedGopBackend`] that adapts them to a locking
-//! discipline. Same GOP boundaries, same encoder, same persist calls in the
-//! same order — so a sink, a batch write and a remote write of the same
-//! frames leave **byte-identical** stores by construction.
+//! through [`VssSinkBackend`](crate::VssSinkBackend), the one
+//! [`EncodedGopBackend`] that persists into an engine. Same GOP boundaries,
+//! same encoder, same persist calls in the same order — so a sink, a batch
+//! write and a remote write of the same frames leave **byte-identical**
+//! stores by construction.
 //! ([`GopWriteBackend`] is the other kind of sink target: it takes each
 //! GOP's frames as they are — remote sinks forward them to the server, the
 //! monolithic-file baselines buffer them and batch-write at finish, which is
@@ -340,12 +340,14 @@ pub trait GopWriteBackend {
     fn finish(&mut self) -> Result<WriteReport, VssError>;
 }
 
-/// A [`WriteSink`] target that persists GOPs the sink has already encoded —
-/// the adapter between [`Engine::push_incremental_encoded`] /
-/// [`Engine::finish_incremental_write`] and a particular locking discipline
-/// (the engine itself, the [`Vss`](crate::Vss) mutex, a `vss-server` shard
-/// lock). Encoding never happens behind this trait, so it never holds the
-/// backend's lock.
+/// A [`WriteSink`] target that persists GOPs the sink has already encoded.
+/// The one implementation that persists into an engine is
+/// [`VssSinkBackend`](crate::VssSinkBackend): it calls
+/// [`Engine::push_incremental_encoded`] / [`Engine::finish_incremental_write`]
+/// under the [`Vss`](crate::Vss) exclusive lock. Other implementations only
+/// wrap it (a `vss-server` session holds its activity permit and counts the
+/// write). Encoding never happens behind this trait, so it never holds the
+/// lock.
 pub trait EncodedGopBackend {
     /// Persists one GOP, encoded with the write's [`SinkEncoder`].
     fn flush_encoded(&mut self, gop: EncodedGop) -> Result<(), VssError>;
@@ -543,23 +545,6 @@ impl<'a> WriteSink<'a> {
     }
 }
 
-/// Engine-backed sink: flushes go straight at the exclusively borrowed
-/// engine.
-pub(crate) struct EngineSinkBackend<'a> {
-    pub(crate) engine: &'a mut Engine,
-    pub(crate) write: IncrementalWrite,
-}
-
-impl EncodedGopBackend for EngineSinkBackend<'_> {
-    fn flush_encoded(&mut self, gop: EncodedGop) -> Result<(), VssError> {
-        self.engine.push_incremental_encoded(&mut self.write, &gop)
-    }
-
-    fn finish(&mut self) -> Result<WriteReport, VssError> {
-        self.engine.finish_incremental_write(&mut self.write)
-    }
-}
-
 /// Buffer-then-batch-write fallback used as the default
 /// [`VideoStorage::write_sink`](crate::VideoStorage::write_sink): stores that
 /// cannot persist incrementally (the monolithic-file baselines) accumulate
@@ -586,9 +571,9 @@ impl<S: crate::VideoStorage + ?Sized> GopWriteBackend for BufferedSinkBackend<'_
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::test_support::temp_engine;
+    use crate::engine::test_support::{temp_engine, temp_vss};
     use crate::params::ReadRequest;
-    use crate::VideoStorage;
+    use crate::VssSinkBackend;
     use vss_frame::{pattern, PixelFormat};
 
     fn frames(count: usize) -> Vec<Frame> {
@@ -625,9 +610,9 @@ mod tests {
         let request = WriteRequest::new("v", Codec::H264);
         let batch_report = batch_engine.write(&request, &sequence(source.clone())).unwrap();
 
-        let (mut sink_engine, sink_root) = temp_engine("sink-inc");
-        let gop_size = sink_engine.write_gop_size(request.codec);
-        let mut sink = sink_engine.write_sink(&request, 30.0).unwrap();
+        let (sink_vss, sink_root) = temp_vss("sink-inc");
+        let gop_size = sink_vss.with_engine_read(|engine| engine.write_gop_size(request.codec));
+        let mut sink = sink_vss.write_sink(&request, 30.0).unwrap();
         for frame in source {
             sink.push_frame(frame).unwrap();
             assert!(sink.buffered_frames() < gop_size, "sink never holds a full GOP");
@@ -657,12 +642,12 @@ mod tests {
         let batch_report = batch_engine.append("v", &sequence(tail.to_vec())).unwrap();
         let batch_pages = collect_pages(&batch_root);
         for parallelism in [1usize, 4] {
-            let (mut engine, root) = temp_engine(&format!("append-sink-{parallelism}"));
-            engine.config.parallelism = parallelism;
-            engine.write(&request, &sequence(head.to_vec())).unwrap();
-            let write = engine.begin_incremental_append("v", 30.0).unwrap();
-            let encoder = write.encoder();
-            let backend = EngineSinkBackend { engine: &mut engine, write };
+            let (vss, root) = temp_vss(&format!("append-sink-{parallelism}"));
+            vss.with_engine(|engine| engine.config.parallelism = parallelism);
+            vss.write(&request, &sequence(head.to_vec())).unwrap();
+            let backend =
+                vss.begin_sink(|engine| engine.begin_incremental_append("v", 30.0)).unwrap();
+            let encoder = backend.encoder();
             let mut sink = WriteSink::encoding(Box::new(backend), encoder);
             for frame in tail {
                 sink.push_frame(frame.clone()).unwrap();
@@ -712,30 +697,30 @@ mod tests {
 
     #[test]
     fn aborted_sink_leaves_exactly_the_gops_whose_pushes_returned() {
-        let (mut engine, root) = temp_engine("sink-abort");
+        let (vss, root) = temp_vss("sink-abort");
         let request = WriteRequest::new("v", Codec::H264);
-        let gop_size = engine.write_gop_size(request.codec);
-        let mut sink = engine.write_sink(&request, 30.0).unwrap();
+        let gop_size = vss.with_engine_read(|engine| engine.write_gop_size(request.codec));
+        let mut sink = vss.write_sink(&request, 30.0).unwrap();
         // 3 full GOPs, each persisted by the push that completed it, plus a
         // partial that never flushes.
         for frame in frames(3 * gop_size + 10) {
             sink.push_frame(frame).unwrap();
         }
         drop(sink); // abort
-        let (start, end) = engine.video_time_range("v").unwrap();
+        let (start, end) = vss.with_engine_read(|engine| engine.video_time_range("v")).unwrap();
         let persisted =
-            engine.read(&ReadRequest::new("v", start, end, Codec::H264).uncacheable()).unwrap();
+            vss.read(&ReadRequest::new("v", start, end, Codec::H264).uncacheable()).unwrap();
         assert_eq!(persisted.frames.len(), 3 * gop_size, "no partial GOP reaches disk");
         let _ = std::fs::remove_dir_all(root);
     }
 
     /// Persists through the engine, except that the second flush fails.
-    struct FailsSecondFlush<'a> {
-        inner: EngineSinkBackend<'a>,
+    struct FailsSecondFlush {
+        inner: VssSinkBackend,
         flushes: usize,
     }
 
-    impl EncodedGopBackend for FailsSecondFlush<'_> {
+    impl EncodedGopBackend for FailsSecondFlush {
         fn flush_encoded(&mut self, gop: EncodedGop) -> Result<(), VssError> {
             self.flushes += 1;
             if self.flushes == 2 {
@@ -751,12 +736,14 @@ mod tests {
 
     #[test]
     fn a_failed_flush_fuses_the_sink() {
-        let (mut engine, root) = temp_engine("sink-fuse");
-        let write =
-            engine.begin_incremental_write(&WriteRequest::new("v", Codec::H264), 30.0).unwrap();
-        let encoder = write.encoder();
+        let (vss, root) = temp_vss("sink-fuse");
+        let inner = vss
+            .begin_sink(|engine| {
+                engine.begin_incremental_write(&WriteRequest::new("v", Codec::H264), 30.0)
+            })
+            .unwrap();
+        let encoder = inner.encoder();
         let gop_size = encoder.encoder.gop_size;
-        let inner = EngineSinkBackend { engine: &mut engine, write };
         let mut sink =
             WriteSink::encoding(Box::new(FailsSecondFlush { inner, flushes: 0 }), encoder);
         let mut source = frames(3 * gop_size + 1).into_iter();
@@ -772,25 +759,29 @@ mod tests {
         }
         assert!(sink.push_sequence(&sequence(frames(1))).is_err());
         assert!(sink.finish().is_err(), "a video with a missing GOP must not report success");
-        assert_eq!(engine.video_time_range("v").unwrap(), (0.0, 1.0), "only the first GOP");
+        assert_eq!(
+            vss.with_engine_read(|engine| engine.video_time_range("v")).unwrap(),
+            (0.0, 1.0),
+            "only the first GOP"
+        );
         let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
     fn empty_sink_errors_like_an_empty_write() {
-        let (mut engine, root) = temp_engine("sink-empty");
-        let sink = engine.write_sink(&WriteRequest::new("v", Codec::H264), 30.0).unwrap();
+        let (vss, root) = temp_vss("sink-empty");
+        let sink = vss.write_sink(&WriteRequest::new("v", Codec::H264), 30.0).unwrap();
         assert!(matches!(sink.finish(), Err(VssError::EmptyWrite)));
         // Nothing was created.
-        assert!(engine.video_names().is_empty());
+        assert!(vss.video_names().is_empty());
         let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
     fn sink_rejects_shape_and_rate_mismatches() {
-        let (mut engine, root) = temp_engine("sink-shape");
+        let (vss, root) = temp_vss("sink-shape");
         let request = WriteRequest::new("v", Codec::H264);
-        let mut sink = engine.write_sink(&request, 30.0).unwrap();
+        let mut sink = vss.write_sink(&request, 30.0).unwrap();
         sink.push_frame(pattern::gradient(64, 48, PixelFormat::Yuv420, 0)).unwrap();
         assert!(matches!(
             sink.push_frame(pattern::gradient(32, 24, PixelFormat::Yuv420, 0)),
@@ -819,7 +810,7 @@ mod tests {
         drop(sink);
         for bad_rate in [0.0, -30.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
-                engine.begin_incremental_write(&request, bad_rate),
+                vss.with_engine_read(|engine| engine.begin_incremental_write(&request, bad_rate)),
                 Err(VssError::Frame(FrameError::InvalidFrameRate))
             ));
         }

@@ -1,9 +1,11 @@
 //! The unified client contract over every video store.
 //!
 //! [`VideoStorage`] is the one trait through which applications, the workload
-//! driver and the benchmark harness speak to **any** store: the monolithic
-//! [`Engine`] / [`Vss`](crate::Vss) handle, a `vss-server` session on the
-//! sharded engine, or the paper's baseline stores (`vss-baseline`). It covers
+//! driver and the benchmark harness speak to **any** store: a
+//! [`Vss`](crate::Vss) (one shard), a `vss-server` session routing to one of
+//! N of them, a `vss-net` remote store, or the paper's baseline stores
+//! (`vss-baseline`). A bare [`Engine`] is not a store: it is what a `Vss`
+//! locks. It covers
 //! the paper's four operations (`create`, `write`, `read`, `delete`) plus
 //! streaming ingest (`append`, [`write_sink`](VideoStorage::write_sink)),
 //! GOP-at-a-time streaming reads ([`read_stream`](VideoStorage::read_stream))
@@ -17,7 +19,7 @@
 use crate::engine::{Engine, WriteReport};
 use crate::params::{ReadRequest, StorageBudget, WriteRequest};
 use crate::read::ReadResult;
-use crate::sink::{BufferedSinkBackend, EngineSinkBackend, WriteSink};
+use crate::sink::{BufferedSinkBackend, WriteSink};
 use crate::stream::ReadStream;
 use crate::VssError;
 use vss_codec::Codec;
@@ -109,58 +111,10 @@ impl Engine {
     }
 }
 
-impl VideoStorage for Engine {
-    fn label(&self) -> &'static str {
-        "vss"
-    }
-
-    fn create(&mut self, name: &str, budget: Option<StorageBudget>) -> Result<(), VssError> {
-        self.create_video(name, budget)
-    }
-
-    fn delete(&mut self, name: &str) -> Result<(), VssError> {
-        self.delete_video(name)
-    }
-
-    fn write(
-        &mut self,
-        request: &WriteRequest,
-        frames: &FrameSequence,
-    ) -> Result<WriteReport, VssError> {
-        Engine::write(self, request, frames)
-    }
-
-    fn append(&mut self, name: &str, frames: &FrameSequence) -> Result<WriteReport, VssError> {
-        Engine::append(self, name, frames)
-    }
-
-    fn read(&mut self, request: &ReadRequest) -> Result<ReadResult, VssError> {
-        Engine::read(self, request)
-    }
-
-    fn read_stream(&mut self, request: &ReadRequest) -> Result<ReadStream, VssError> {
-        Engine::read_stream(self, request)
-    }
-
-    fn write_sink(
-        &mut self,
-        request: &WriteRequest,
-        frame_rate: f64,
-    ) -> Result<WriteSink<'_>, VssError> {
-        let write = self.begin_incremental_write(request, frame_rate)?;
-        let encoder = write.encoder();
-        Ok(WriteSink::encoding(Box::new(EngineSinkBackend { engine: self, write }), encoder))
-    }
-
-    fn metadata(&self, name: &str) -> Result<VideoMetadata, VssError> {
-        Engine::metadata(self, name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::test_support::temp_engine;
+    use crate::engine::test_support::{temp_engine, temp_vss};
     use vss_frame::{pattern, PixelFormat};
 
     fn sequence(frames: usize) -> FrameSequence {
@@ -203,18 +157,18 @@ mod tests {
         // free-standing snapshots and must stay movable across threads.
         assert_send::<ReadStream>();
         fn dynamic(_store: &mut dyn VideoStorage) {}
-        let (mut engine, root) = temp_engine("storage-object-safety");
-        dynamic(&mut engine);
-        let boxed: Box<dyn VideoStorage + Send> = Box::new(engine);
+        let (mut vss, root) = temp_vss("storage-object-safety");
+        dynamic(&mut vss);
+        let boxed: Box<dyn VideoStorage + Send> = Box::new(vss);
         assert_eq!(boxed.label(), "vss");
         let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
-    fn engine_implements_the_unified_contract() {
-        let (mut engine, root) = temp_engine("storage-engine");
-        drive(&mut engine);
-        assert_eq!(VideoStorage::label(&engine), "vss");
+    fn vss_implements_the_unified_contract() {
+        let (mut vss, root) = temp_vss("storage-vss");
+        drive(&mut vss);
+        assert_eq!(VideoStorage::label(&vss), "vss");
         let _ = std::fs::remove_dir_all(root);
     }
 

@@ -373,11 +373,11 @@ fn a_mismatched_wire_append_is_refused_typed_and_persists_nothing() {
 }
 
 /// A wire append is a sink: the server persists it GOP-at-a-time instead of
-/// buffering the clip, so an append several times larger than
-/// `max_in_flight_bytes` goes through — and leaves exactly the files a local
-/// append of the same frames leaves.
+/// buffering the clip, so an append several times larger than 100 kB goes
+/// through — and leaves exactly the files a local append of the same frames
+/// leaves.
 #[test]
-fn a_wire_append_larger_than_the_in_flight_limit_matches_a_local_append() {
+fn an_oversized_wire_append_matches_a_local_append() {
     let head = sequence(60, 0);
     let tail = sequence(150, 60);
     let tail_bytes: usize = tail.frames().iter().map(|f| f.byte_len()).sum();
@@ -393,12 +393,7 @@ fn a_wire_append_larger_than_the_in_flight_limit_matches_a_local_append() {
     assert!(local.shutdown(Duration::from_secs(10)));
 
     let root = temp_root("append-oversize");
-    let server = VssServer::open_configured(
-        VssConfig::new(&root),
-        2,
-        ServerConfig { max_in_flight_bytes: limit, ..ServerConfig::default() },
-    )
-    .unwrap();
+    let server = VssServer::open_sharded(VssConfig::new(&root), 2).unwrap();
     let net = NetServer::bind(server.clone(), "127.0.0.1:0").unwrap();
     let mut store = RemoteStore::connect(net.local_addr()).unwrap();
     store.write(&WriteRequest::new("cam", Codec::H264), &head).unwrap();

@@ -1,12 +1,12 @@
-//! The sharded concurrent engine.
+//! Routing: N [`Vss`] shards behind one name space.
 //!
-//! [`ShardedEngine`] splits the storage manager's state into `N` independent
-//! shards, each owning a disjoint slice of the catalog (every logical video
-//! is assigned to exactly one shard by a stable hash of its name), that
-//! shard's GOP cache/recency state and its deferred-compression queue —
-//! all behind the shard's own reader-writer lock. Clients operating on
-//! videos in different shards never contend; read-only operations on the
-//! same shard share a read lock.
+//! [`ShardedEngine`] is a `Vec<Vss>` plus the stable hash that assigns every
+//! logical video to exactly one of them, the on-disk manifest that pins N,
+//! the one cross-shard operation and the per-shard operation counters. Each
+//! `Vss` is a complete engine with its own catalog slice, GOP cache/recency
+//! state and deferred-compression queue behind its own reader-writer lock,
+//! so clients of videos on different shards never contend, and the lock
+//! discipline within a shard is `Vss`'s own (see the `vss_core` crate docs).
 //!
 //! # Lock-ordering protocol
 //!
@@ -21,11 +21,10 @@
 //!    both videos share a shard. Because every multi-lock caller uses the
 //!    same total order, cross-shard operations cannot deadlock regardless
 //!    of the argument order.
-//! 3. **Aggregation rule.** Whole-server operations (listing video names,
-//!    statistics) visit shards one at a time and never
-//!    hold more than one lock; they observe a point-in-time-per-shard view
-//!    rather than a global snapshot, which is exactly the consistency the
-//!    paper's statistics need.
+//! 3. **Aggregation rule.** Whole-server operations (listing video names)
+//!    visit shards one at a time and never hold more than one lock; they
+//!    observe a point-in-time-per-shard view rather than a global snapshot.
+//!    Statistics take no lock at all.
 //!
 //! On disk, each shard is a fully self-contained store rooted at
 //! `<root>/shard-NN/` (its own `catalog.json` and GOP files), and the shard
@@ -33,15 +32,12 @@
 //! existing video to the shard that owns its files.
 
 use crate::stats::{ShardStats, ShardStatsSnapshot};
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::path::Path;
 use vss_core::{
-    joint_compress_sequences, Engine, JointOutcome, JointTimings, MergeFunction,
-    ReadRequest, ReadResult, ReadStream, StorageBudget, VssConfig, VssError, WriteRequest,
-    WriteReport,
+    joint_compress_sequences, Engine, JointOutcome, JointTimings, MergeFunction, ReadRequest,
+    Vss, VssConfig, VssError,
 };
-use vss_frame::{FrameSequence, PixelFormat};
+use vss_frame::PixelFormat;
 
 /// Default shard count when `0` is requested. Shards stripe locks rather
 /// than CPUs, so the default is a fixed fan-out (not the core count): wide
@@ -56,49 +52,6 @@ struct ServerManifest {
     shards: usize,
 }
 
-/// One shard: an [`Engine`] behind a reader-writer lock, plus its counters.
-pub(crate) struct Shard {
-    engine: RwLock<Engine>,
-    stats: ShardStats,
-    /// The shard index as a string — the `shard_lock` span target and the
-    /// `{shard=N}` label value, rendered once at construction.
-    label: String,
-}
-
-impl Shard {
-    /// Shared acquisition, recording the time spent waiting. The wait is a
-    /// `server`-layer span, so a traced request shows its shard-lock stage
-    /// between the net worker and the engine operation.
-    pub(crate) fn read(&self) -> RwLockReadGuard<'_, Engine> {
-        let _span = vss_telemetry::span("server", "shard_lock", self.label.as_str());
-        let started = Instant::now();
-        let guard = self.engine.read();
-        self.stats.record_lock_wait(started.elapsed());
-        guard
-    }
-
-    /// Exclusive acquisition, recording the time spent waiting.
-    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, Engine> {
-        let _span = vss_telemetry::span("server", "shard_lock", self.label.as_str());
-        let started = Instant::now();
-        let guard = self.engine.write();
-        self.stats.record_lock_wait(started.elapsed());
-        guard
-    }
-
-    /// Shared acquisition *without* lock-wait accounting (statistics
-    /// observers use this so polling never counts as client contention).
-    pub(crate) fn read_quiet(&self) -> RwLockReadGuard<'_, Engine> {
-        self.engine.read()
-    }
-
-    /// Non-blocking exclusive acquisition (used by maintenance workers so a
-    /// busy shard is skipped rather than stalled on).
-    pub(crate) fn try_write(&self) -> Option<RwLockWriteGuard<'_, Engine>> {
-        self.engine.try_write()
-    }
-}
-
 /// A stable, dependency-free hash for shard routing (FNV-1a, 64-bit). The
 /// assignment of videos to shards is part of the on-disk layout, so this
 /// must never change for existing stores.
@@ -111,11 +64,11 @@ fn route_hash(name: &str) -> u64 {
     hash
 }
 
-/// The sharded storage-manager engine. All operations take `&self`; the
-/// type is `Send + Sync` and designed to be shared across client threads.
-pub struct ShardedEngine {
-    root: PathBuf,
-    shards: Vec<Shard>,
+/// N [`Vss`] shards and the routing between them. All operations take
+/// `&self`; the type is `Send + Sync` and shared across client threads.
+pub(crate) struct ShardedEngine {
+    shards: Vec<Vss>,
+    stats: Vec<ShardStats>,
 }
 
 impl ShardedEngine {
@@ -124,7 +77,7 @@ impl ShardedEngine {
     /// existing store always uses the shard count it was created with (the
     /// requested count is ignored), because video→shard routing determines
     /// where each video's files live.
-    pub fn open(config: VssConfig, shards: usize) -> Result<Self, VssError> {
+    pub(crate) fn open(config: VssConfig, shards: usize) -> Result<Self, VssError> {
         let root = config.root.clone();
         std::fs::create_dir_all(&root).map_err(vss_catalog_io)?;
         let shard_count = match Self::load_manifest(&root)? {
@@ -142,17 +95,14 @@ impl ShardedEngine {
                 count
             }
         };
-        let mut shard_list = Vec::with_capacity(shard_count);
-        for index in 0..shard_count {
-            let mut shard_config = config.clone();
-            shard_config.root = root.join(format!("shard-{index:02}"));
-            shard_list.push(Shard {
-                engine: RwLock::new(Engine::open(shard_config)?),
-                stats: ShardStats::new(index),
-                label: index.to_string(),
-            });
-        }
-        Ok(Self { root, shards: shard_list })
+        let shards = (0..shard_count)
+            .map(|index| {
+                let mut shard_config = config.clone();
+                shard_config.root = root.join(format!("shard-{index:02}"));
+                Vss::open_shard(shard_config, index)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self { shards, stats: (0..shard_count).map(ShardStats::new).collect() })
     }
 
     fn load_manifest(root: &Path) -> Result<Option<usize>, VssError> {
@@ -169,224 +119,24 @@ impl ShardedEngine {
         Ok(Some(manifest.shards))
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// Number of shards (fixed at store creation).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// The shards, in index order.
+    pub(crate) fn shards(&self) -> &[Vss] {
+        &self.shards
     }
 
     /// The shard that owns a logical video name.
-    pub fn shard_of(&self, name: &str) -> usize {
+    pub(crate) fn shard_of(&self, name: &str) -> usize {
         (route_hash(name) % self.shards.len() as u64) as usize
     }
 
-    fn shard(&self, name: &str) -> &Shard {
-        &self.shards[self.shard_of(name)]
+    /// Shard `index` and its operation counters.
+    pub(crate) fn shard(&self, index: usize) -> (&Vss, &ShardStats) {
+        (&self.shards[index], &self.stats[index])
     }
 
-    // --- routed single-shard operations ------------------------------------
-
-    /// Creates a logical video, optionally with an explicit storage budget.
-    pub fn create_video(&self, name: &str, budget: Option<StorageBudget>) -> Result<(), VssError> {
-        self.shard(name).write().create_video(name, budget)
-    }
-
-    /// Deletes a logical video and all of its data.
-    pub fn delete_video(&self, name: &str) -> Result<(), VssError> {
-        self.shard(name).write().delete_video(name)
-    }
-
-    /// Writes a frame sequence to a logical video (creating it if needed).
-    /// The GOPs are encoded with **no** shard lock held; the exclusive lock
-    /// is taken once, to persist them all in order.
-    pub fn write(&self, request: &WriteRequest, frames: &FrameSequence) -> Result<WriteReport, VssError> {
-        let shard = self.shard(&request.name);
-        let write = shard.read().begin_incremental_write(request, frames.frame_rate())?;
-        let report = write.commit_batch("write", frames, || shard.write())?;
-        shard.stats.record_write(&report);
-        Ok(report)
-    }
-
-    /// Appends frames to a logical video's original representation (locking
-    /// like [`write`](Self::write)).
-    pub fn append(&self, name: &str, frames: &FrameSequence) -> Result<WriteReport, VssError> {
-        let shard = self.shard(name);
-        let write = shard.read().begin_incremental_append(name, frames.frame_rate())?;
-        let report = write.commit_batch("append", frames, || shard.write())?;
-        shard.stats.record_write(&report);
-        Ok(report)
-    }
-
-    /// Executes a read planned by `request.planner` (optimal by default).
-    ///
-    /// Cacheable reads may admit their result as a new materialized view, so
-    /// they take the shard's exclusive lock. Non-cacheable reads never
-    /// admit: their plan is snapshotted under the shard's *shared* lock and
-    /// the stream is drained after releasing it, concurrently with every
-    /// other client of the shard. Both paths return byte-identical results
-    /// for the same request and store state.
-    pub fn read(&self, request: &ReadRequest) -> Result<ReadResult, VssError> {
-        let shard = self.shard(&request.name);
-        let result = if request.cacheable {
-            shard.write().read(request)?
-        } else {
-            let stream = shard.read().read_stream(request)?;
-            stream.drain()?
-        };
-        shard.stats.record_read(&result.stats);
-        Ok(result)
-    }
-
-    /// Opens a GOP-at-a-time streaming read.
-    ///
-    /// The plan is snapshotted under the owning shard's **shared** lock —
-    /// range validation, candidate collection, planning, recency bookkeeping
-    /// and resolving every planned GOP to its on-disk file — and the lock is
-    /// released before this method returns. The stream then decodes
-    /// completely lock-free: the shard lock is never held across GOP file
-    /// reads, so an arbitrarily slow streaming consumer cannot starve other
-    /// clients of the shard. Streaming reads never admit results to the
-    /// cache (use [`read`](Self::read) for cache-admitting reads).
-    ///
-    /// The drained stream is byte-identical to [`read`](Self::read) of the
-    /// same request against the same store state.
-    pub fn read_stream(&self, request: &ReadRequest) -> Result<ReadStream, VssError> {
-        let shard = self.shard(&request.name);
-        let stream = shard.read().read_stream(request)?;
-        // The shard lock is released here; account the read at open time
-        // (bytes flow lock-free afterwards and are reported in the stream's
-        // own stats).
-        shard.stats.record_stream_open(&stream.stats());
-        Ok(stream)
-    }
-
-    /// Begins an incremental write under the shard's shared lock (released
-    /// before this returns; the sink re-takes the lock per GOP).
-    pub(crate) fn begin_sink(
-        &self,
-        request: &WriteRequest,
-        frame_rate: f64,
-    ) -> Result<vss_core::IncrementalWrite, VssError> {
-        self.shard(&request.name).read().begin_incremental_write(request, frame_rate)
-    }
-
-    /// Begins an incremental append (see [`begin_sink`](Self::begin_sink)).
-    pub(crate) fn begin_append_sink(
-        &self,
-        name: &str,
-        frame_rate: f64,
-    ) -> Result<vss_core::IncrementalWrite, VssError> {
-        self.shard(name).read().begin_incremental_append(name, frame_rate)
-    }
-
-    /// Persists one GOP of an incremental write under the owning shard's
-    /// exclusive lock (held per GOP, not for the whole ingest). The GOP was
-    /// encoded by the sink, **without** any shard lock.
-    pub(crate) fn push_sink_encoded(
-        &self,
-        write: &mut vss_core::IncrementalWrite,
-        gop: &vss_codec::EncodedGop,
-    ) -> Result<(), VssError> {
-        let shard = self.shard(write.name());
-        shard.write().push_incremental_encoded(write, gop)
-    }
-
-    /// Completes an incremental write and accounts it in the shard's stats.
-    pub(crate) fn finish_sink(
-        &self,
-        write: &mut vss_core::IncrementalWrite,
-    ) -> Result<WriteReport, VssError> {
-        let shard = self.shard(write.name());
-        let report = shard.write().finish_incremental_write(write)?;
-        shard.stats.record_write(&report);
-        Ok(report)
-    }
-
-    /// Storage accounting for one logical video.
-    pub fn metadata(&self, name: &str) -> Result<vss_core::VideoMetadata, VssError> {
-        self.shard(name).read().metadata(name)
-    }
-
-    /// Time range `[start, end)` in seconds covered by a logical video.
-    pub fn video_time_range(&self, name: &str) -> Result<(f64, f64), VssError> {
-        self.shard(name).read().video_time_range(name)
-    }
-
-    /// Names of all logical videos across all shards, sorted. Visits shards
-    /// one at a time (aggregation rule: never holds two locks).
-    pub fn video_names(&self) -> Vec<String> {
-        let mut names: Vec<String> =
-            self.shards.iter().flat_map(|shard| shard.read().video_names()).collect();
-        names.sort();
-        names
-    }
-
-    /// Bytes used by a logical video across all physical representations.
-    pub fn bytes_used(&self, name: &str) -> Result<u64, VssError> {
-        self.shard(name).read().bytes_used(name)
-    }
-
-    /// The storage budget of a logical video in bytes, if bounded.
-    pub fn budget_bytes(&self, name: &str) -> Result<Option<u64>, VssError> {
-        self.shard(name).read().budget_bytes(name)
-    }
-
-    /// Fraction of the storage budget currently consumed.
-    pub fn budget_fraction(&self, name: &str) -> Result<Option<f64>, VssError> {
-        self.shard(name).read().budget_fraction(name)
-    }
-
-    /// Runs compaction for a logical video, returning the number of merges.
-    pub fn compact(&self, name: &str) -> Result<usize, VssError> {
-        self.shard(name).write().compact_video(name)
-    }
-
-    /// Runs a function with exclusive access to the engine shard owning
-    /// `name` (used by experiments to tweak configuration mid-run).
-    pub fn with_engine<R>(&self, name: &str, f: impl FnOnce(&mut Engine) -> R) -> R {
-        f(&mut self.shard(name).write())
-    }
-
-    /// Runs a function with shared access to the engine shard owning `name`
-    /// (used by live catch-up readers to snapshot the persisted timeline
-    /// without blocking other readers of the shard).
-    pub fn with_engine_read<R>(&self, name: &str, f: impl FnOnce(&Engine) -> R) -> R {
-        f(&self.shard(name).read())
-    }
-
-    /// Non-blocking [`with_engine`](Self::with_engine): returns `None`
-    /// without running `f` when a foreground request holds the owning
-    /// shard's lock (used by background retention sweeps, which — like
-    /// deferred compression — must never stall a client).
-    pub fn try_with_engine<R>(&self, name: &str, f: impl FnOnce(&mut Engine) -> R) -> Option<R> {
-        self.shard(name).try_write().map(|mut engine| f(&mut engine))
-    }
-
-    /// Installs (or clears) a live-fanout publisher on **every** shard's
-    /// engine, so original-timeline GOPs persisted anywhere in the store are
-    /// published to the same hub (see [`vss_core::GopPublisher`]).
-    pub fn set_publisher(&self, publisher: Option<std::sync::Arc<dyn vss_core::GopPublisher>>) {
-        for shard in &self.shards {
-            shard.write().set_publisher(publisher.clone());
-        }
-    }
-
-    // --- maintenance --------------------------------------------------------
-
-    /// Runs one unit of background maintenance (deferred compression or
-    /// compaction) on one shard for the background scheduler: skips the
-    /// shard (returning `None`) when a foreground request holds its lock,
-    /// matching the paper's "when no other requests are being executed";
-    /// otherwise returns `Some(true)` if any work was performed.
-    pub fn try_maintain_shard(&self, index: usize) -> Result<Option<bool>, VssError> {
-        match self.shards[index].try_write() {
-            Some(mut engine) => engine.background_maintenance().map(Some),
-            None => Ok(None),
-        }
+    /// The shard that owns `name`, and its operation counters.
+    pub(crate) fn route(&self, name: &str) -> (&Vss, &ShardStats) {
+        self.shard(self.shard_of(name))
     }
 
     // --- cross-shard operations ---------------------------------------------
@@ -406,7 +156,7 @@ impl ShardedEngine {
     /// own wait is on reader B, who waits on shard 1). A future persistence
     /// step that rewrites GOPs as joint artifacts must take the same
     /// ascending-order acquisition with exclusive guards.
-    pub fn joint_compress(
+    pub(crate) fn joint_compress(
         &self,
         left: &str,
         right: &str,
@@ -420,19 +170,22 @@ impl ShardedEngine {
         let left_shard = self.shard_of(left);
         let right_shard = self.shard_of(right);
         if left_shard == right_shard {
-            let guard = self.shards[left_shard].read();
-            return Self::joint_compress_locked(&guard, &guard, left, right, merge);
+            return self.shards[left_shard].with_engine_read(|engine| {
+                Self::joint_compress_locked(engine, engine, left, right, merge)
+            });
         }
         // Lock-ordering protocol, cross-shard rule: ascending shard index.
         let (low, high) = (left_shard.min(right_shard), left_shard.max(right_shard));
-        let low_guard = self.shards[low].read();
-        let high_guard = self.shards[high].read();
-        let (left_engine, right_engine): (&Engine, &Engine) = if left_shard < right_shard {
-            (&low_guard, &high_guard)
-        } else {
-            (&high_guard, &low_guard)
-        };
-        Self::joint_compress_locked(left_engine, right_engine, left, right, merge)
+        self.shards[low].with_engine_read(|low_engine| {
+            self.shards[high].with_engine_read(|high_engine| {
+                let (left_engine, right_engine) = if left_shard < right_shard {
+                    (low_engine, high_engine)
+                } else {
+                    (high_engine, low_engine)
+                };
+                Self::joint_compress_locked(left_engine, right_engine, left, right, merge)
+            })
+        })
     }
 
     fn joint_compress_locked(
@@ -478,18 +231,14 @@ impl ShardedEngine {
 
     // --- statistics ---------------------------------------------------------
 
-    /// Point-in-time statistics for every shard (aggregation rule: one lock
-    /// at a time, read locks only). Uses *quiet* lock acquisition: an
-    /// observer waiting behind a busy shard must not inflate the lock-wait
-    /// metric it is about to report as client contention.
-    pub fn shard_stats(&self) -> Vec<ShardStatsSnapshot> {
+    /// Point-in-time statistics for every shard. Takes no lock: every
+    /// counter, lock waits included, is an atomic.
+    pub(crate) fn shard_stats(&self) -> Vec<ShardStatsSnapshot> {
         self.shards
             .iter()
+            .zip(&self.stats)
             .enumerate()
-            .map(|(index, shard)| {
-                let videos = shard.read_quiet().video_names().len();
-                shard.stats.snapshot(index, videos)
-            })
+            .map(|(index, (vss, stats))| stats.snapshot(index, vss.lock_wait()))
             .collect()
     }
 }

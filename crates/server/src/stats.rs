@@ -1,15 +1,12 @@
 //! Per-shard operation statistics.
 //!
-//! Every shard keeps a set of monotone atomic counters that its lock wrappers
-//! and operation wrappers bump as requests flow through. Counters are plain
-//! atomics read without any lock; snapshotting additionally takes each
-//! shard's read lock briefly (for the live video count) through a *quiet*
-//! acquisition that records no lock-wait — observers never show up in the
-//! contention metrics they report.
-//!
-//! Lock-wait time is kept as a full [`vss_telemetry::Histogram`] per shard
-//! (not just a running total), so a snapshot exposes the wait *distribution*
-//! — p50/p90/p99 — alongside the summed total the scaling experiments diff.
+//! Every shard keeps a set of monotone atomic counters that sessions bump as
+//! requests flow through. Lock waits are recorded by the shard's
+//! [`Vss`](vss_core::Vss) itself, as a full [`vss_telemetry::Histogram`]
+//! (not just a running total), so a snapshot exposes the wait
+//! *distribution* — p50/p90/p99 — alongside the summed total the scaling
+//! experiments diff. Everything is an atomic, so a snapshot takes no lock
+//! and observers never show up in the contention metrics they report.
 //!
 //! Every recording is double-written into the process-global labeled series
 //! `server.shard.*{shard=N}`, so `vss_telemetry::snapshot()` can answer
@@ -22,16 +19,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use vss_core::{ReadStats, WriteReport};
-use vss_telemetry::{Counter, Histogram, HistogramSummary};
+use vss_telemetry::{Counter, HistogramSummary};
 
 /// Process-global labeled mirrors of one shard's counters: the
 /// `server.shard.*{shard=N}` series that `snapshot()` and, over the wire,
 /// `vss-top` read. The owned atomics below remain the source of truth for
 /// [`ShardStatsSnapshot`] (they are exact per *server*, while the global
-/// series merge every server in the process), so both views coexist.
+/// series merge every server in the process), so both views coexist. The
+/// `server.shard.lock_wait_ns{shard=N}` mirror is the shard's `Vss`'s.
 #[derive(Debug)]
 struct LabeledShard {
-    lock_wait: &'static Histogram,
     read_ops: &'static Counter,
     cache_hit_reads: &'static Counter,
     write_ops: &'static Counter,
@@ -44,7 +41,6 @@ impl LabeledShard {
         let index = shard.to_string();
         let labels: &[(&str, &str)] = &[("shard", index.as_str())];
         Self {
-            lock_wait: vss_telemetry::histogram_with("server.shard.lock_wait_ns", labels),
             read_ops: vss_telemetry::counter_with("server.shard.read_ops", labels),
             cache_hit_reads: vss_telemetry::counter_with("server.shard.cache_hit_reads", labels),
             write_ops: vss_telemetry::counter_with("server.shard.write_ops", labels),
@@ -57,11 +53,6 @@ impl LabeledShard {
 /// Monotone counters for one shard. All methods take `&self`.
 #[derive(Debug)]
 pub(crate) struct ShardStats {
-    /// Distribution of per-acquisition waits for this shard's engine lock,
-    /// in nanoseconds (both shared and exclusive acquisitions). Owned by the
-    /// shard — never registered globally — so snapshotting one server can
-    /// never mix another store's contention into these numbers.
-    lock_wait: Histogram,
     /// Completed read operations.
     read_ops: AtomicU64,
     /// Reads whose plan used at least one cached (non-original) fragment.
@@ -79,7 +70,6 @@ pub(crate) struct ShardStats {
 impl ShardStats {
     pub(crate) fn new(shard: usize) -> Self {
         Self {
-            lock_wait: Histogram::new(),
             read_ops: AtomicU64::new(0),
             cache_hit_reads: AtomicU64::new(0),
             write_ops: AtomicU64::new(0),
@@ -87,11 +77,6 @@ impl ShardStats {
             bytes_written: AtomicU64::new(0),
             labeled: LabeledShard::new(shard),
         }
-    }
-
-    pub(crate) fn record_lock_wait(&self, waited: Duration) {
-        self.lock_wait.record_duration(waited);
-        self.labeled.lock_wait.record_duration(waited);
     }
 
     pub(crate) fn record_read(&self, stats: &ReadStats) {
@@ -124,11 +109,11 @@ impl ShardStats {
         self.labeled.bytes_written.add(report.bytes_written);
     }
 
-    pub(crate) fn snapshot(&self, shard: usize, videos: usize) -> ShardStatsSnapshot {
-        let lock_wait = self.lock_wait.summary();
+    /// Copies the counters, beside `lock_wait`, the shard lock's wait
+    /// distribution.
+    pub(crate) fn snapshot(&self, shard: usize, lock_wait: HistogramSummary) -> ShardStatsSnapshot {
         ShardStatsSnapshot {
             shard,
-            videos,
             // The histogram's exact sum preserves the historical total-wait
             // metric (windowed diffs in the scaling experiments rely on it).
             lock_wait: Duration::from_nanos(lock_wait.sum),
@@ -147,8 +132,6 @@ impl ShardStats {
 pub struct ShardStatsSnapshot {
     /// Shard index.
     pub shard: usize,
-    /// Logical videos currently owned by the shard.
-    pub videos: usize,
     /// Total time clients spent waiting for this shard's lock.
     pub lock_wait: Duration,
     /// Per-acquisition lock-wait distribution in nanoseconds: count, exact

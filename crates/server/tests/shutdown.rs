@@ -63,24 +63,6 @@ fn admission_limit_sheds_sessions() {
 }
 
 #[test]
-fn in_flight_byte_gate_sheds_new_sessions() {
-    let root = temp_root("bytes");
-    let server = VssServer::open_configured(
-        VssConfig::new(&root),
-        2,
-        ServerConfig { max_in_flight_bytes: 1024, ..ServerConfig::default() },
-    )
-    .unwrap();
-    let guard = server.track_in_flight(4096);
-    assert_eq!(server.in_flight_bytes(), 4096);
-    assert!(matches!(server.try_session(), Err(VssError::Overloaded(_))));
-    drop(guard);
-    assert_eq!(server.in_flight_bytes(), 0);
-    assert!(server.try_session().is_ok());
-    let _ = std::fs::remove_dir_all(root);
-}
-
-#[test]
 fn shutdown_waits_for_in_flight_sinks_and_leaves_no_partial_gop() {
     let root = temp_root("drain");
     let server = VssServer::open_sharded(VssConfig::new(&root), 2).unwrap();

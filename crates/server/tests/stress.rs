@@ -219,7 +219,7 @@ fn mixed_concurrent_workload_is_deadlock_free_and_byte_identical() {
     assert!(stats.total_read_ops() > 0);
     assert!(stats.total_write_ops() > 0);
     assert!(
-        stats.shards.iter().filter(|s| s.videos > 0).count() > 1,
+        stats.shards.iter().filter(|s| s.write_ops > 0).count() > 1,
         "the workload should span multiple shards; got {stats:?}"
     );
 

@@ -36,7 +36,7 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 use vss_catalog::{durable, wal, Catalog};
 use vss_codec::Codec;
-use vss_core::{Engine, ReadRequest, StorageBudget, VideoStorage, VssConfig, WriteRequest};
+use vss_core::{Engine, ReadRequest, StorageBudget, Vss, VssConfig, WriteRequest};
 use vss_frame::{pattern, Frame, FrameSequence, PixelFormat, PsnrDb, Resolution};
 
 /// Which child to run: `ingest` or `views`.
@@ -153,14 +153,14 @@ fn child_main() -> ! {
         view_child_main(&root);
     }
     let ack = PathBuf::from(std::env::var_os(ACK_ENV).expect("child needs ack path"));
-    let mut engine = match Engine::open(config(&root)) {
-        Ok(engine) => engine,
+    let vss = match Vss::open(config(&root)) {
+        Ok(vss) => vss,
         Err(error) => {
             eprintln!("child: open failed with typed error: {error:?}");
             std::process::exit(3);
         }
     };
-    let mut sink = match engine.write_sink(&WriteRequest::new("cam", Codec::H264), FRAME_RATE) {
+    let mut sink = match vss.write_sink(&WriteRequest::new("cam", Codec::H264), FRAME_RATE) {
         Ok(sink) => sink,
         Err(error) => {
             eprintln!("child: write_sink failed with typed error: {error:?}");
@@ -286,7 +286,7 @@ fn verify_store(
     root: &Path,
     acked: u64,
     reference_root: &Path,
-    reference: &mut Engine,
+    reference: &Vss,
 ) {
     let mut engine = Engine::open(config(root))
         .unwrap_or_else(|error| panic!("[{tag}] recovery open failed: {error:?}"));
@@ -499,7 +499,7 @@ fn main() {
     // Clean reference run: the same deterministic workload, uninterrupted.
     // Acked GOP files of every crashed run are compared against it.
     let reference_root = scratch("reference");
-    let mut reference = Engine::open(config(&reference_root)).expect("open reference store");
+    let reference = Vss::open(config(&reference_root)).expect("open reference store");
     {
         let mut sink = reference
             .write_sink(&WriteRequest::new("cam", Codec::H264), FRAME_RATE)
@@ -529,7 +529,7 @@ fn main() {
         println!(
             "crash_recovery: [{tag}] killed after {delay}ms with {acked} acked GOP(s)"
         );
-        verify_store(&tag, &root, acked, &reference_root, &mut reference);
+        verify_store(&tag, &root, acked, &reference_root, &reference);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -558,7 +558,7 @@ fn main() {
             "crash_recovery: [{tag}] child exited {:?} with {acked} acked GOP(s)",
             status.code()
         );
-        verify_store(&tag, &root, acked, &reference_root, &mut reference);
+        verify_store(&tag, &root, acked, &reference_root, &reference);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -3,12 +3,15 @@
 
 use vss::baseline::{LocalFs, VStoreLike};
 use vss::codec::EncoderConfig;
+use std::collections::BTreeMap;
+use std::path::Path;
 use vss::core::{
-    joint_compress_sequences, recover_sequences, EvictionPolicy, JointConfig, JointOutcome,
-    MergeFunction, StorageBudget,
+    joint_compress_sequences, recover_sequences, Engine, EvictionPolicy, JointConfig,
+    JointOutcome, MergeFunction, StorageBudget,
 };
-use vss::frame::{quality, PsnrDb};
+use vss::frame::{pattern, quality, PsnrDb};
 use vss::prelude::*;
+use vss::server::VssServer;
 use vss::workload::{DatasetSpec, QueryWorkload, SceneConfig, SceneRenderer};
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -336,5 +339,92 @@ fn tight_budget_keeps_every_second_readable_and_hardens_the_cover() {
     assert!(!derived.is_empty() && !derived.iter().any(over_gone_page));
     drop(catalog);
     read_every_second(&Vss::open(VssConfig::new(&root)).unwrap());
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Every file under `root` with its bytes, by relative path.
+fn store_files(root: &Path) -> BTreeMap<String, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    let mut pending = vec![root.to_path_buf()];
+    while let Some(dir) = pending.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let relative = path.strip_prefix(root).unwrap().to_string_lossy().into_owned();
+                files.insert(relative, std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    files
+}
+
+/// Runs `read` three times; each must leave `bytes_used` at `before` (what
+/// `read` returns after reading) and every file under `root` as it was.
+fn assert_reads_change_nothing(handle: &str, root: &Path, before: u64, mut read: impl FnMut() -> u64) {
+    let files = store_files(root);
+    for attempt in 0..3 {
+        assert_eq!(read(), before, "{handle}: read {attempt} changed bytes_used");
+        assert!(store_files(root) == files, "{handle}: read {attempt} changed the store on disk");
+    }
+}
+
+/// A read that may not admit its result changes nothing in the store —
+/// neither `bytes_used` nor one byte on disk — through every handle: a bare
+/// `Engine`, a `Vss` and a server `Session`. The video is raw, under a
+/// budget at which its early pages stay uncompressed while the budget
+/// fraction ends above the deferred-compression threshold, so a read that
+/// ran a deferred-compression step would shrink a page.
+#[test]
+fn a_read_that_may_not_admit_never_changes_the_store() {
+    let raw = Codec::Raw(PixelFormat::Yuv420);
+    let frames: Vec<Frame> =
+        (0..90).map(|i| pattern::gradient(64, 48, PixelFormat::Yuv420, i)).collect();
+    let video = FrameSequence::new(frames, 30.0).unwrap();
+    let raw_bytes: u64 = video.frames().iter().map(|frame| frame.byte_len() as u64).sum();
+    let budget = Some(StorageBudget::Bytes(2 * raw_bytes));
+    let write = WriteRequest::new("v", raw);
+    let read = ReadRequest::new("v", 0.0, 2.0, raw).uncacheable();
+    let over_threshold = |fraction: Option<f64>| {
+        assert!(fraction.unwrap() > 0.25, "the budget fraction must invite deferred compression");
+    };
+
+    let root = scratch("read-rule-engine");
+    let mut engine = Engine::open(VssConfig::new(&root)).unwrap();
+    engine.create_video("v", budget).unwrap();
+    engine.write(&write, &video).unwrap();
+    over_threshold(engine.budget_fraction("v").unwrap());
+    let before = engine.bytes_used("v").unwrap();
+    assert_reads_change_nothing("Engine::read", &root, before, || {
+        engine.read(&read).unwrap();
+        engine.bytes_used("v").unwrap()
+    });
+    drop(engine);
+    let _ = std::fs::remove_dir_all(root);
+
+    let root = scratch("read-rule-vss");
+    let vss = Vss::open(VssConfig::new(&root)).unwrap();
+    vss.create("v", budget).unwrap();
+    vss.write(&write, &video).unwrap();
+    over_threshold(vss.budget_fraction("v").unwrap());
+    assert_reads_change_nothing("Vss::read", &root, vss.bytes_used("v").unwrap(), || {
+        vss.read(&read).unwrap();
+        vss.bytes_used("v").unwrap()
+    });
+    drop(vss);
+    let _ = std::fs::remove_dir_all(root);
+
+    let root = scratch("read-rule-session");
+    let server = VssServer::open_sharded(VssConfig::new(&root), 2).unwrap();
+    let session = server.session();
+    session.create("v", budget).unwrap();
+    session.write(&write, &video).unwrap();
+    over_threshold(session.budget_fraction("v").unwrap());
+    assert_reads_change_nothing("Session::read", &root, session.bytes_used("v").unwrap(), || {
+        session.read(&read).unwrap();
+        session.bytes_used("v").unwrap()
+    });
+    drop((session, server));
     let _ = std::fs::remove_dir_all(root);
 }
