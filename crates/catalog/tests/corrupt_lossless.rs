@@ -1,10 +1,12 @@
 //! A corrupt lossless GOP file must cost only itself on reopen.
 //!
 //! `Catalog::open` classifies every GOP file whose size disagrees with its
-//! record, which means decompressing it. On the parent of this test a
-//! 10-byte `VSSL` stream claiming a 2^34-byte original aborted the process
-//! (`memory allocation of 17179869184 bytes failed`), so one bad file made
-//! the whole store unopenable. The contract is that an unreadable file is
+//! record, which means decompressing it. When this test was written a
+//! 10-byte stream of the LZ77 format claiming a 2^34-byte original aborted
+//! the process (`memory allocation of 17179869184 bytes failed`), so one bad
+//! file made the whole store unopenable. The streams below are the same two
+//! attacks in lossless format 2: a huge claimed length, and a zero run far
+//! past the room its block has. The contract is that an unreadable file is
 //! dropped and itemised in the `RecoveryReport`, like a missing one.
 //!
 //! This is its own test binary: where the decoder is unbounded the abort
@@ -14,7 +16,7 @@ use std::fs;
 use std::path::PathBuf;
 use vss_catalog::Catalog;
 use vss_codec::bitstream::write_varint;
-use vss_codec::{lossless, Codec, EncodedGop, FrameInfo};
+use vss_codec::{lossless, Codec, CodecError, EncodedGop, FrameInfo};
 use vss_frame::PixelFormat;
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -33,26 +35,33 @@ fn lossless_gop(seed: u8) -> Vec<u8> {
     lossless::compress(&gop.to_bytes(), 9)
 }
 
-/// The stream header: magic, level, claimed original length.
+/// The stream header: magic, level, claimed original length, and a layout
+/// of plain bytes (codec id, header length, width and height all 0).
 fn header(original_len: u64) -> Vec<u8> {
-    let mut stream = b"VSSL".to_vec();
+    let mut stream = b"VSL2".to_vec();
     stream.push(9);
     write_varint(&mut stream, original_len);
+    stream.extend_from_slice(&[0, 0, 0, 0]);
     stream
 }
 
-/// 10 bytes: a header claiming a 2^34-byte original, and no tokens.
+/// 14 bytes: a header claiming a 2^34-byte original, and no blocks.
 fn huge_claim() -> Vec<u8> {
     header(1 << 34)
 }
 
-/// 16 bytes: a 1-byte literal, then one 2^30-byte match under a claimed
-/// original of 2 bytes.
-fn huge_match() -> Vec<u8> {
+/// 35 bytes: a 2-byte original whose one block (tag 1, predictor MED) has
+/// a code table giving only the longest zero run, 64 zeros, a code (`0`,
+/// one bit), four stream lengths (1 byte in the stream that codes the first
+/// residual) and that stream: a run of 64 zeros where one residual fits.
+fn huge_run() -> Vec<u8> {
     let mut stream = header(2);
-    stream.extend_from_slice(&[0x00, 1, b'x', 0x01]);
-    write_varint(&mut stream, 1 << 30);
-    write_varint(&mut stream, 1);
+    stream.push(1);
+    // Code lengths as nibbles: 17 runs of 18 zero lengths, one of 12, then 1.
+    stream.extend_from_slice(&[0xff; 17]);
+    stream.extend_from_slice(&[0x9f, 0x01]);
+    stream.extend_from_slice(&[0, 1, 0, 0]);
+    stream.push(0x00);
     stream
 }
 
@@ -71,11 +80,12 @@ fn a_corrupt_lossless_gop_file_is_dropped_on_reopen_not_fatal() {
         let dir = root.join("v").join(physical.directory_name());
         (dir, catalog.read_gop("v", id, 2).unwrap())
     };
-    assert_eq!(huge_claim().len(), 10);
-    assert_eq!(huge_match().len(), 16);
+    assert_eq!(huge_claim().len(), 14);
+    assert_eq!(huge_run().len(), 35);
+    assert!(matches!(lossless::decompress(&huge_run()), Err(CodecError::Corrupt(m)) if m.contains("zero run")));
     // A different size from the record makes `open` classify the file.
     fs::write(dir.join("0.gop"), huge_claim()).unwrap();
-    fs::write(dir.join("1.gop"), huge_match()).unwrap();
+    fs::write(dir.join("1.gop"), huge_run()).unwrap();
 
     let catalog = Catalog::open(&root).expect("a corrupt GOP file must not make the store unopenable");
     let report = catalog.recovery_report();

@@ -150,8 +150,8 @@ impl EncodedGop {
     /// Parses a GOP from bytes produced by [`to_bytes`](Self::to_bytes).
     pub fn from_bytes(data: &[u8]) -> Result<Self, CodecError> {
         let mut pos = 0usize;
-        let magic = data.get(0..4).ok_or_else(|| CodecError::Corrupt("missing magic".into()))?;
-        if magic != MAGIC {
+        // Magic, version and codec id, so that none of the three reads past the end.
+        if data.len() < 6 || &data[..4] != MAGIC {
             return Err(CodecError::Corrupt("bad magic".into()));
         }
         pos += 4;
@@ -262,6 +262,10 @@ mod tests {
         bad[5] = 200;
         assert!(EncodedGop::from_bytes(&bad).is_err());
         assert!(EncodedGop::from_bytes(&[]).is_err());
+        // Fails on the parent, which indexed past the end of these (a panic,
+        // not an error): the lossless codec peeks arbitrary input this way.
+        assert!(EncodedGop::from_bytes(b"VSSG").is_err());
+        assert!(EncodedGop::from_bytes(b"VSSG\x01").is_err());
     }
 
     #[test]

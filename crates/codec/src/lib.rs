@@ -10,8 +10,9 @@
 //!   quantized prediction residuals, real rate/quality trade-offs, and
 //!   I/P frame dependencies within independently decodable GOPs.
 //! * [`RawCodec`] — uncompressed storage in any [`PixelFormat`](vss_frame::PixelFormat).
-//! * [`lossless`] — a delta-filtered LZ codec with compression levels 1–19,
-//!   standing in for Zstandard in the deferred-compression optimization.
+//! * [`lossless`] — a plane-predicting, Huffman-coding lossless codec with
+//!   compression levels 1–19, standing in for Zstandard in the
+//!   deferred-compression optimization.
 //! * [`EncodedGop`] — the serialized group-of-pictures container VSS stores
 //!   as individual files and treats as cache pages.
 //! * [`CostModel`] — the vbench-style per-pixel transcode cost table and the

@@ -1,17 +1,21 @@
 //! Golden lossless streams: every byte `lossless::compress` emits, pinned
-//! against constants captured on the parent of the match-search rewrite
-//! (commit 20248f31a138ece769b3fcde5aef883a17c65d9f) by running this test
-//! there with an empty `GOLDEN` table and pasting the rows it printed.
+//! against constants captured when lossless format 2 (plane prediction and
+//! Huffman-coded residuals) replaced the LZ77 format, by running this test
+//! with an empty `GOLDEN` table and pasting the rows it printed. The LZ77
+//! rows it replaced were captured on commit
+//! 20248f31a138ece769b3fcde5aef883a17c65d9f; the inputs, levels and lengths
+//! are theirs, and the raw GOPs at the end were added with format 2, whose
+//! planes only a GOP's header reveals.
 //!
 //! The compressor's output is a pure function of (input, level), and the
 //! deferred-compression path stores it on disk and sizes the budget by it:
-//! a shortcut in the match search that changed one chosen (length,
-//! distance) would change GOP files, `stored_bytes_per_raw_byte` and every
-//! admission and eviction decision after it. These constants are the
+//! a change in how a block picks its predictor, builds its code or tokenizes
+//! its residuals would change GOP files, `stored_bytes_per_raw_byte` and
+//! every admission and eviction decision after it. These constants are the
 //! reference; a row changes only when the format does.
 
-use vss_codec::lossless;
-use vss_frame::{pattern, Frame, PixelFormat};
+use vss_codec::{codec_instance, lossless, Codec, EncoderConfig};
+use vss_frame::{pattern, Frame, FrameSequence, PixelFormat};
 
 const LEVELS: [u8; 6] = [1, 2, 9, 10, 18, 19];
 /// 0–9 and 8·k ± 1: the word-at-a-time match compare must get every tail
@@ -33,22 +37,32 @@ fn mixed(len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Three frames of one pattern back to back, the shape of a raw GOP.
-fn frames(kind: &str, format: PixelFormat) -> Vec<u8> {
+/// Three 64×48 frames of one pattern.
+fn pattern_frames(kind: &str, format: PixelFormat) -> Vec<Frame> {
     (0..3u64)
-        .flat_map(|i| {
-            let frame = match kind {
-                "flat" => {
-                    let mut frame = Frame::black(64, 48, format).unwrap();
-                    pattern::fill_rect(&mut frame, 0, 0, 64, 48, (90, 140, 200));
-                    frame
-                }
-                "gradient" => pattern::gradient(64, 48, format, i),
-                _ => pattern::noise(64, 48, format, 0x5eed + i),
-            };
-            frame.into_data()
+        .map(|i| match kind {
+            "flat" => {
+                let mut frame = Frame::black(64, 48, format).unwrap();
+                pattern::fill_rect(&mut frame, 0, 0, 64, 48, (90, 140, 200));
+                frame
+            }
+            "gradient" => pattern::gradient(64, 48, format, i),
+            _ => pattern::noise(64, 48, format, 0x5eed + i),
         })
         .collect()
+}
+
+/// Three frames of one pattern back to back, the shape of a raw GOP's
+/// payload.
+fn frames(kind: &str, format: PixelFormat) -> Vec<u8> {
+    pattern_frames(kind, format).into_iter().flat_map(Frame::into_data).collect()
+}
+
+/// The same frames as a serialized raw GOP, which `compress` codes plane
+/// by plane.
+fn raw_gop(frames: Vec<Frame>, format: PixelFormat) -> Vec<u8> {
+    let clip = FrameSequence::new(frames, 30.0).unwrap();
+    codec_instance(Codec::Raw(format)).encode(&clip, &EncoderConfig::default()).unwrap().to_bytes()
 }
 
 /// A benchmark-sized raw GOP: two 240×136 YUV 4:2:0 frames of a lightly
@@ -94,6 +108,15 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
     inputs.push(("scene".to_string(), scene()));
     inputs.push(("long-run".to_string(), long_run()));
     inputs.push(("far-repeats".to_string(), far_repeats()));
+    for format in [PixelFormat::Yuv420, PixelFormat::Rgb8] {
+        for kind in ["flat", "gradient", "noise"] {
+            inputs.push((format!("gop-{kind}-{format:?}"), raw_gop(pattern_frames(kind, format), format)));
+        }
+    }
+    let scene_frames = (0..2u64)
+        .map(|i| pattern::add_noise(&pattern::gradient(240, 136, PixelFormat::Yuv420, i), 2, 0x5eed + i))
+        .collect();
+    inputs.push(("gop-scene".to_string(), raw_gop(scene_frames, PixelFormat::Yuv420)));
     inputs
 }
 
@@ -119,7 +142,7 @@ fn rows() -> Vec<String> {
 }
 
 #[test]
-fn compressed_streams_match_the_parent_commit() {
+fn compressed_streams_match_the_pinned_format() {
     let actual = rows();
     if actual != GOLDEN {
         for line in &actual {
@@ -136,190 +159,232 @@ fn compressed_streams_match_the_parent_commit() {
 
 #[rustfmt::skip]
 const GOLDEN: &[&str] = &[
-    "mixed n0 L1 len=6 bytes=64f82c458fe54170 rt=ok",
-    "mixed n0 L2 len=6 bytes=65025e458fedeaeb rt=ok",
-    "mixed n0 L9 len=6 bytes=65135c458ffc5ab8 rt=ok",
-    "mixed n0 L10 len=6 bytes=651d8e4590050433 rt=ok",
-    "mixed n0 L18 len=6 bytes=64cbfe458fbfb85b rt=ok",
-    "mixed n0 L19 len=6 bytes=64c898458fbcd532 rt=ok",
-    "mixed n1 L1 len=9 bytes=300edb28b752442b rt=ok",
-    "mixed n1 L2 len=9 bytes=162d769782dba69e rt=ok",
-    "mixed n1 L9 len=9 bytes=9585f47ca1cd9743 rt=ok",
-    "mixed n1 L10 len=9 bytes=7ba48feb6d56f9b6 rt=ok",
-    "mixed n1 L18 len=9 bytes=4b3f43efade5006e rt=ok",
-    "mixed n1 L19 len=9 bytes=7e7e6ed5dcfa72c1 rt=ok",
-    "mixed n2 L1 len=10 bytes=ff87f859f9313f16 rt=ok",
-    "mixed n2 L2 len=10 bytes=96f75af2c4726355 rt=ok",
-    "mixed n2 L9 len=10 bytes=e43b19f168bf70de rt=ok",
-    "mixed n2 L10 len=10 bytes=7baa7c8a3400951d rt=ok",
-    "mixed n2 L18 len=10 bytes=cd9117c3e555ffc5 rt=ok",
-    "mixed n2 L19 len=10 bytes=e0ebdce715cc4d98 rt=ok",
-    "mixed n3 L1 len=11 bytes=a1e5d00d066a3dbd rt=ok",
-    "mixed n3 L2 len=11 bytes=bc17265936a2be14 rt=ok",
-    "mixed n3 L9 len=11 bytes=cc79ac5f9508d495 rt=ok",
-    "mixed n3 L10 len=11 bytes=e6ab02abc54154ec rt=ok",
-    "mixed n3 L18 len=11 bytes=66ef6db419659064 rt=ok",
-    "mixed n3 L19 len=11 bytes=39b1add4a1e3e4a3 rt=ok",
-    "mixed n4 L1 len=12 bytes=3c621181bb0bac61 rt=ok",
-    "mixed n4 L2 len=12 bytes=67ffecb75417bc36 rt=ok",
-    "mixed n4 L9 len=12 bytes=343899ca12868559 rt=ok",
-    "mixed n4 L10 len=12 bytes=5fd474ffab8f2f2e rt=ok",
-    "mixed n4 L18 len=12 bytes=7afbd7fb8a420ec6 rt=ok",
-    "mixed n4 L19 len=12 bytes=c2e3e42f98afb56f rt=ok",
-    "mixed n5 L1 len=13 bytes=eb0aa246f3cf9738 rt=ok",
-    "mixed n5 L2 len=13 bytes=8ae0efadc55b215d rt=ok",
-    "mixed n5 L9 len=13 bytes=80a12d3393c7f2a0 rt=ok",
-    "mixed n5 L10 len=13 bytes=27437a9a6b19cec5 rt=ok",
-    "mixed n5 L18 len=13 bytes=fe104495d50bbe0d rt=ok",
-    "mixed n5 L19 len=13 bytes=1dacadb6918afa02 rt=ok",
-    "mixed n6 L1 len=14 bytes=a24f615d1c06d8a3 rt=ok",
-    "mixed n6 L2 len=14 bytes=578ac4448fcd3c2c rt=ok",
-    "mixed n6 L9 len=14 bytes=1c6ed97abf07805b rt=ok",
-    "mixed n6 L10 len=14 bytes=d1aa3c6232cde3e4 rt=ok",
-    "mixed n6 L18 len=14 bytes=b641d41319c942bc rt=ok",
-    "mixed n6 L19 len=14 bytes=0285f2bf38517ec1 rt=ok",
-    "mixed n7 L1 len=15 bytes=784c9abf112009af rt=ok",
-    "mixed n7 L2 len=15 bytes=8d5f537707e440ae rt=ok",
-    "mixed n7 L9 len=15 bytes=4ddd40485712d287 rt=ok",
-    "mixed n7 L10 len=15 bytes=c01172a5b62d5c86 rt=ok",
-    "mixed n7 L18 len=15 bytes=851c8ebf13a85bfe rt=ok",
-    "mixed n7 L19 len=15 bytes=911ac9a26fccbf35 rt=ok",
-    "mixed n8 L1 len=15 bytes=dfd44d4457719ae9 rt=ok",
-    "mixed n8 L2 len=15 bytes=149a440a6da26eac rt=ok",
-    "mixed n8 L9 len=15 bytes=2fbacb49f95a98a1 rt=ok",
-    "mixed n8 L10 len=15 bytes=7a79e06aec209144 rt=ok",
-    "mixed n8 L18 len=15 bytes=01b0affee4e1955c rt=ok",
-    "mixed n8 L19 len=15 bytes=c3195d3552c207bf rt=ok",
-    "mixed n9 L1 len=15 bytes=1d0ebc647669b8fd rt=ok",
-    "mixed n9 L2 len=15 bytes=28ce18179a7d7418 rt=ok",
-    "mixed n9 L9 len=15 bytes=1b86f73ccc7f9335 rt=ok",
-    "mixed n9 L10 len=15 bytes=e1293ec9ecce71b0 rt=ok",
-    "mixed n9 L18 len=15 bytes=208c735fa64378c8 rt=ok",
-    "mixed n9 L19 len=15 bytes=0053cc5571ba25d3 rt=ok",
-    "mixed n15 L1 len=15 bytes=41b138c6745a82a1 rt=ok",
-    "mixed n15 L2 len=15 bytes=42ad752603d04674 rt=ok",
-    "mixed n15 L9 len=15 bytes=354b244b35bb4c49 rt=ok",
-    "mixed n15 L10 len=15 bytes=fb3efbd8564f769c rt=ok",
-    "mixed n15 L18 len=15 bytes=3a6bd06e0f964b24 rt=ok",
-    "mixed n15 L19 len=15 bytes=37e2b274543a76f7 rt=ok",
-    "mixed n17 L1 len=15 bytes=d476a91f0047ea8d rt=ok",
-    "mixed n17 L2 len=15 bytes=7c0e1ab0a5262088 rt=ok",
-    "mixed n17 L9 len=15 bytes=6ec6f9d5d7283fa5 rt=ok",
-    "mixed n17 L10 len=15 bytes=fff88d0c9f14eba0 rt=ok",
-    "mixed n17 L18 len=15 bytes=01bd251cf3fcfed8 rt=ok",
-    "mixed n17 L19 len=15 bytes=c30ce81743a69e43 rt=ok",
-    "mixed n23 L1 len=15 bytes=ee3ad62d6983a3a1 rt=ok",
-    "mixed n23 L2 len=15 bytes=95b717bf0e4ac054 rt=ok",
-    "mixed n23 L9 len=15 bytes=88c186e440922b49 rt=ok",
-    "mixed n23 L10 len=15 bytes=19d7ea1b0867bdfc rt=ok",
-    "mixed n23 L18 len=15 bytes=77e914ac3dd80544 rt=ok",
-    "mixed n23 L19 len=15 bytes=a963eb08da81fe77 rt=ok",
-    "mixed n25 L1 len=15 bytes=972fc4e0d23462fd rt=ok",
-    "mixed n25 L2 len=15 bytes=5cd20c6df2834178 rt=ok",
-    "mixed n25 L9 len=15 bytes=fd7c2141510eeab5 rt=ok",
-    "mixed n25 L10 len=15 bytes=c2b1a8ce71016410 rt=ok",
-    "mixed n25 L18 len=15 bytes=3f04095b22108668 rt=ok",
-    "mixed n25 L19 len=15 bytes=e248f659f6497d53 rt=ok",
-    "mixed n31 L1 len=20 bytes=20bfc24b32f58405 rt=ok",
-    "mixed n31 L2 len=20 bytes=fe74849d4488d216 rt=ok",
-    "mixed n31 L9 len=20 bytes=51de4dbd286ede8d rt=ok",
-    "mixed n31 L10 len=20 bytes=237ae24d37ee0e1e rt=ok",
-    "mixed n31 L18 len=20 bytes=345b70a89cc61146 rt=ok",
-    "mixed n31 L19 len=20 bytes=812bd3dde22221bf rt=ok",
-    "mixed n33 L1 len=22 bytes=62cd0811051b6373 rt=ok",
-    "mixed n33 L2 len=22 bytes=842c8f0b242d78ec rt=ok",
-    "mixed n33 L9 len=22 bytes=0a8baec9349edbab rt=ok",
-    "mixed n33 L10 len=22 bytes=14e2499b2904b4a4 rt=ok",
-    "mixed n33 L18 len=22 bytes=37612638eb1beebc rt=ok",
-    "mixed n33 L19 len=22 bytes=ce3da9f937cede2d rt=ok",
-    "mixed n63 L1 len=31 bytes=f6dd2e1924af99e8 rt=ok",
-    "mixed n63 L2 len=31 bytes=7450842aacb1a445 rt=ok",
-    "mixed n63 L9 len=31 bytes=7cc51023424d1990 rt=ok",
-    "mixed n63 L10 len=31 bytes=9682284439957550 rt=ok",
-    "mixed n63 L18 len=31 bytes=46588ea75fefc548 rt=ok",
-    "mixed n63 L19 len=31 bytes=0a46599bda7aeadb rt=ok",
-    "mixed n65 L1 len=31 bytes=d95a42c478c3cb7c rt=ok",
-    "mixed n65 L2 len=31 bytes=e03731ac6310c7f1 rt=ok",
-    "mixed n65 L9 len=31 bytes=55a759c9d0d41014 rt=ok",
-    "mixed n65 L10 len=31 bytes=7710249dc69a3769 rt=ok",
-    "mixed n65 L18 len=31 bytes=da725c863cff84e1 rt=ok",
-    "mixed n65 L19 len=31 bytes=4d5fc09d64116dfe rt=ok",
-    "mixed n255 L1 len=79 bytes=b73ac95f9d5d7c37 rt=ok",
-    "mixed n255 L2 len=74 bytes=a5dff8b5aa60a6eb rt=ok",
-    "mixed n255 L9 len=73 bytes=695f5f670eb83a47 rt=ok",
-    "mixed n255 L10 len=72 bytes=d3fba7bf597921ee rt=ok",
-    "mixed n255 L18 len=72 bytes=c94098fabee8a956 rt=ok",
-    "mixed n255 L19 len=72 bytes=0d1d64aaebeea76b rt=ok",
-    "mixed n257 L1 len=79 bytes=6dfffbab8f073596 rt=ok",
-    "mixed n257 L2 len=74 bytes=a6256010a47cf15c rt=ok",
-    "mixed n257 L9 len=73 bytes=9e5ae6cb485f5b4a rt=ok",
-    "mixed n257 L10 len=72 bytes=2833303a2dc69b14 rt=ok",
-    "mixed n257 L18 len=72 bytes=0ec7e42f2ddb3e7c rt=ok",
-    "mixed n257 L19 len=72 bytes=bef93bb31063827d rt=ok",
-    "mixed n4095 L1 len=1276 bytes=2b2565af5f54f6bb rt=ok",
-    "mixed n4095 L2 len=1005 bytes=de4f72831886eda0 rt=ok",
-    "mixed n4095 L9 len=1004 bytes=9cdf03d7e1888f28 rt=ok",
-    "mixed n4095 L10 len=1003 bytes=f9356fee48fd6388 rt=ok",
-    "mixed n4095 L18 len=1003 bytes=ccf39f66606bf350 rt=ok",
-    "mixed n4095 L19 len=1003 bytes=01d9fbc7cf34c3af rt=ok",
-    "mixed n4097 L1 len=1276 bytes=25be2c1fd9cd924c rt=ok",
-    "mixed n4097 L2 len=1005 bytes=6145fccba213999d rt=ok",
-    "mixed n4097 L9 len=1004 bytes=425a4ef0aad815e3 rt=ok",
-    "mixed n4097 L10 len=1003 bytes=4cc3a2d40f686cc5 rt=ok",
-    "mixed n4097 L18 len=1003 bytes=63aca778e4b1b78d rt=ok",
-    "mixed n4097 L19 len=1003 bytes=309f455822c37846 rt=ok",
-    "flat-Yuv420 n13824 L1 len=49 bytes=84aacaa5e2c39512 rt=ok",
-    "flat-Yuv420 n13824 L2 len=49 bytes=5177ac774db02d67 rt=ok",
-    "flat-Yuv420 n13824 L9 len=53 bytes=f4ab2cced426c824 rt=ok",
-    "flat-Yuv420 n13824 L10 len=49 bytes=c1dc59f420469f4e rt=ok",
-    "flat-Yuv420 n13824 L18 len=53 bytes=a7a39b24b88a9ce2 rt=ok",
-    "flat-Yuv420 n13824 L19 len=53 bytes=6e8366dbf5869f01 rt=ok",
-    "gradient-Yuv420 n13824 L1 len=1653 bytes=8fd0a94e8fdedea1 rt=ok",
-    "gradient-Yuv420 n13824 L2 len=1511 bytes=191b752fcd28959d rt=ok",
-    "gradient-Yuv420 n13824 L9 len=1434 bytes=5e5837d8ee5cadf2 rt=ok",
-    "gradient-Yuv420 n13824 L10 len=1363 bytes=cbf17b47096b3549 rt=ok",
-    "gradient-Yuv420 n13824 L18 len=1351 bytes=22f9c9742f8d6f76 rt=ok",
-    "gradient-Yuv420 n13824 L19 len=1348 bytes=345b7901a9bc5ed7 rt=ok",
-    "noise-Yuv420 n13824 L1 len=13834 bytes=c900de4edc0cfb77 rt=ok",
-    "noise-Yuv420 n13824 L2 len=13834 bytes=774526cb92f9c830 rt=ok",
-    "noise-Yuv420 n13824 L9 len=13834 bytes=6ee5e72768002d3f rt=ok",
-    "noise-Yuv420 n13824 L10 len=13834 bytes=507e9d2b149e2df8 rt=ok",
-    "noise-Yuv420 n13824 L18 len=13834 bytes=57aac5765327a080 rt=ok",
-    "noise-Yuv420 n13824 L19 len=13834 bytes=53434f8509c0fb41 rt=ok",
-    "flat-Rgb8 n27648 L1 len=19 bytes=ad3aa416b1df9b49 rt=ok",
-    "flat-Rgb8 n27648 L2 len=19 bytes=d8be800fbaef6c00 rt=ok",
-    "flat-Rgb8 n27648 L9 len=19 bytes=d664f4789a8aadc1 rt=ok",
-    "flat-Rgb8 n27648 L10 len=19 bytes=b61fe919a84b1078 rt=ok",
-    "flat-Rgb8 n27648 L18 len=19 bytes=89e8b8de239520b0 rt=ok",
-    "flat-Rgb8 n27648 L19 len=19 bytes=1d23b998cdab83cb rt=ok",
-    "gradient-Rgb8 n27648 L1 len=10475 bytes=fb0f8beb4ad2c91b rt=ok",
-    "gradient-Rgb8 n27648 L2 len=10475 bytes=7be8a6e5895ae166 rt=ok",
-    "gradient-Rgb8 n27648 L9 len=10475 bytes=00ea474b02b78b43 rt=ok",
-    "gradient-Rgb8 n27648 L10 len=10283 bytes=b67430a53cc22000 rt=ok",
-    "gradient-Rgb8 n27648 L18 len=10283 bytes=3c828036f8f16988 rt=ok",
-    "gradient-Rgb8 n27648 L19 len=10283 bytes=43233eaa8bd8e557 rt=ok",
-    "noise-Rgb8 n27648 L1 len=27660 bytes=3eda5144cd96a9e3 rt=ok",
-    "noise-Rgb8 n27648 L2 len=27660 bytes=d902c06a7670814c rt=ok",
-    "noise-Rgb8 n27648 L9 len=27660 bytes=f82316300254e7db rt=ok",
-    "noise-Rgb8 n27648 L10 len=27660 bytes=e4c81a763699cfc4 rt=ok",
-    "noise-Rgb8 n27648 L18 len=27660 bytes=566d7ec98f66623c rt=ok",
-    "noise-Rgb8 n27648 L19 len=27660 bytes=f2a5750db02ff585 rt=ok",
-    "scene n97920 L1 len=80696 bytes=07c328a1cdcd307b rt=ok",
-    "scene n97920 L2 len=78336 bytes=a1e8219425809fdb rt=ok",
-    "scene n97920 L9 len=76820 bytes=7d0dccd3904406ce rt=ok",
-    "scene n97920 L10 len=72372 bytes=468adc4664d852f3 rt=ok",
-    "scene n97920 L18 len=72151 bytes=076465edaa9a2fd3 rt=ok",
-    "scene n97920 L19 len=72173 bytes=2f6589b6b25dc288 rt=ok",
-    "long-run n70016 L1 len=35 bytes=4ba59525d4b77012 rt=ok",
-    "long-run n70016 L2 len=35 bytes=a61294124dea149f rt=ok",
-    "long-run n70016 L9 len=35 bytes=19bfab0f12ac3bba rt=ok",
-    "long-run n70016 L10 len=35 bytes=b266017ef1499d23 rt=ok",
-    "long-run n70016 L18 len=35 bytes=273b00115afa780b rt=ok",
-    "long-run n70016 L19 len=35 bytes=504939742357ea10 rt=ok",
-    "far-repeats n1114112 L1 len=1081867 bytes=7654a9eeea4f18df rt=ok",
-    "far-repeats n1114112 L2 len=1081936 bytes=d5595f2c79f2f86d rt=ok",
-    "far-repeats n1114112 L9 len=1081951 bytes=e6a033f62bdf90a3 rt=ok",
-    "far-repeats n1114112 L10 len=1081951 bytes=dd24944250069792 rt=ok",
-    "far-repeats n1114112 L18 len=1081951 bytes=a89668d4b93ab25a rt=ok",
-    "far-repeats n1114112 L19 len=1081951 bytes=d4299c92ba3e4ce9 rt=ok",
+    "mixed n0 L1 len=10 bytes=23578cff409635d5 rt=ok",
+    "mixed n0 L2 len=10 bytes=ffedf1322e87fc0e rt=ok",
+    "mixed n0 L9 len=10 bytes=3ea46b67d108040d rt=ok",
+    "mixed n0 L10 len=10 bytes=1b3acf9abef9ca46 rt=ok",
+    "mixed n0 L18 len=10 bytes=3687ae034f6b987e rt=ok",
+    "mixed n0 L19 len=10 bytes=131e12363d5d5eb7 rt=ok",
+    "mixed n1 L1 len=12 bytes=275870f320efa732 rt=ok",
+    "mixed n1 L2 len=12 bytes=b79a6abbd4e7c5a9 rt=ok",
+    "mixed n1 L9 len=12 bytes=2f8238aac975562a rt=ok",
+    "mixed n1 L10 len=12 bytes=bfc4b2737d6e4e21 rt=ok",
+    "mixed n1 L18 len=12 bytes=c7edfa2b25f32399 rt=ok",
+    "mixed n1 L19 len=12 bytes=75a18e7487d99964 rt=ok",
+    "mixed n2 L1 len=13 bytes=8a3dfa4adbad93e8 rt=ok",
+    "mixed n2 L2 len=13 bytes=1bfb9fa86edbe919 rt=ok",
+    "mixed n2 L9 len=13 bytes=ed384f5e35644ed0 rt=ok",
+    "mixed n2 L10 len=13 bytes=825c74bbcb76a681 rt=ok",
+    "mixed n2 L18 len=13 bytes=e556c9cf252d6169 rt=ok",
+    "mixed n2 L19 len=13 bytes=824b5e852db7c74a rt=ok",
+    "mixed n3 L1 len=14 bytes=705c1e5d8fbab7d9 rt=ok",
+    "mixed n3 L2 len=14 bytes=8d01ff0a17e59126 rt=ok",
+    "mixed n3 L9 len=14 bytes=01a31643eaa9b611 rt=ok",
+    "mixed n3 L10 len=14 bytes=731af6eb89644fde rt=ok",
+    "mixed n3 L18 len=14 bytes=adf1eecf6ee33d96 rt=ok",
+    "mixed n3 L19 len=14 bytes=a47e4b7be07f6693 rt=ok",
+    "mixed n4 L1 len=15 bytes=ad955700c1e5f8a0 rt=ok",
+    "mixed n4 L2 len=15 bytes=62f382dfda1c024d rt=ok",
+    "mixed n4 L9 len=15 bytes=27c9c73fb8930ec8 rt=ok",
+    "mixed n4 L10 len=15 bytes=d8caf749ea35cc75 rt=ok",
+    "mixed n4 L18 len=15 bytes=53006788e0e4959d rt=ok",
+    "mixed n4 L19 len=15 bytes=2456cf6f03b85c0e rt=ok",
+    "mixed n5 L1 len=16 bytes=932ac0ed93795f8e rt=ok",
+    "mixed n5 L2 len=16 bytes=de1993365c6b12f5 rt=ok",
+    "mixed n5 L9 len=16 bytes=93508eac16c4d686 rt=ok",
+    "mixed n5 L10 len=16 bytes=35b0f633876bbb6d rt=ok",
+    "mixed n5 L18 len=16 bytes=3519bfc6ecf40de5 rt=ok",
+    "mixed n5 L19 len=16 bytes=2f56d272884829ac rt=ok",
+    "mixed n6 L1 len=17 bytes=ba9ca0751ffda36f rt=ok",
+    "mixed n6 L2 len=17 bytes=380337b39e55aa0a rt=ok",
+    "mixed n6 L9 len=17 bytes=2edc6a425c6d0cd7 rt=ok",
+    "mixed n6 L10 len=17 bytes=c3b6ca6cb790d172 rt=ok",
+    "mixed n6 L18 len=17 bytes=4278769a52cbbd5a rt=ok",
+    "mixed n6 L19 len=17 bytes=f4711e608c429b55 rt=ok",
+    "mixed n7 L1 len=18 bytes=0df7d85a89de1af2 rt=ok",
+    "mixed n7 L2 len=18 bytes=8b2f28bcdbc3c729 rt=ok",
+    "mixed n7 L9 len=18 bytes=ab03d6046b4bf9aa rt=ok",
+    "mixed n7 L10 len=18 bytes=2932a23ba0e2a261 rt=ok",
+    "mixed n7 L18 len=18 bytes=721cc77c02c85b19 rt=ok",
+    "mixed n7 L19 len=18 bytes=90fde352272c6f44 rt=ok",
+    "mixed n8 L1 len=19 bytes=c23f44c937da44f8 rt=ok",
+    "mixed n8 L2 len=19 bytes=41017e0e03eb2519 rt=ok",
+    "mixed n8 L9 len=19 bytes=7d7c8e601068a100 rt=ok",
+    "mixed n8 L10 len=19 bytes=9a9bee88d75d44c1 rt=ok",
+    "mixed n8 L18 len=19 bytes=576ec169b2da5669 rt=ok",
+    "mixed n8 L19 len=19 bytes=6e8823381c32c5da rt=ok",
+    "mixed n9 L1 len=20 bytes=d023197033ca0d99 rt=ok",
+    "mixed n9 L2 len=20 bytes=c5b7e1cdff6fddb6 rt=ok",
+    "mixed n9 L9 len=20 bytes=9bf626a02b477b91 rt=ok",
+    "mixed n9 L10 len=20 bytes=613db5d118c4ce8e rt=ok",
+    "mixed n9 L18 len=20 bytes=766cfc1d64759b26 rt=ok",
+    "mixed n9 L19 len=20 bytes=480af47b407c4233 rt=ok",
+    "mixed n15 L1 len=26 bytes=a753af33d417b159 rt=ok",
+    "mixed n15 L2 len=26 bytes=89905aa5a6ee4bb6 rt=ok",
+    "mixed n15 L9 len=26 bytes=80ca9a38abd9b111 rt=ok",
+    "mixed n15 L10 len=26 bytes=2d67e263961dfece rt=ok",
+    "mixed n15 L18 len=26 bytes=7da195a3dd362ca6 rt=ok",
+    "mixed n15 L19 len=26 bytes=fc35a9b480dc4913 rt=ok",
+    "mixed n17 L1 len=28 bytes=550161400aee036e rt=ok",
+    "mixed n17 L2 len=28 bytes=d06197da89079135 rt=ok",
+    "mixed n17 L9 len=28 bytes=172e5b62e331d566 rt=ok",
+    "mixed n17 L10 len=28 bytes=4c35f8aa1c53818d rt=ok",
+    "mixed n17 L18 len=28 bytes=dbec151de11836a5 rt=ok",
+    "mixed n17 L19 len=28 bytes=1f947aa9de0c0aac rt=ok",
+    "mixed n23 L1 len=34 bytes=7e265ab467f4afce rt=ok",
+    "mixed n23 L2 len=34 bytes=b69ac45b1c95b5d5 rt=ok",
+    "mixed n23 L9 len=34 bytes=d185a969f4082086 rt=ok",
+    "mixed n23 L10 len=34 bytes=9f89710949543c6d rt=ok",
+    "mixed n23 L18 len=34 bytes=03fe8cfedf839885 rt=ok",
+    "mixed n23 L19 len=34 bytes=74a6b88191a380ac rt=ok",
+    "mixed n25 L1 len=36 bytes=d1b4fc2f52068c12 rt=ok",
+    "mixed n25 L2 len=36 bytes=2b4aa643b2670519 rt=ok",
+    "mixed n25 L9 len=36 bytes=48220b048d265b0a rt=ok",
+    "mixed n25 L10 len=36 bytes=e3b7cd47a08b54d1 rt=ok",
+    "mixed n25 L18 len=36 bytes=25c07cf17ba4fac9 rt=ok",
+    "mixed n25 L19 len=36 bytes=a084074571df2a64 rt=ok",
+    "mixed n31 L1 len=42 bytes=d294c7d2454e8655 rt=ok",
+    "mixed n31 L2 len=42 bytes=7573716f3db76396 rt=ok",
+    "mixed n31 L9 len=42 bytes=04a218b56b62308d rt=ok",
+    "mixed n31 L10 len=42 bytes=d7eb7cae40a47c8e rt=ok",
+    "mixed n31 L18 len=42 bytes=73ab6072f39b2c86 rt=ok",
+    "mixed n31 L19 len=42 bytes=85377ed3f97026ff rt=ok",
+    "mixed n33 L1 len=44 bytes=4c1aafb5d31aae72 rt=ok",
+    "mixed n33 L2 len=44 bytes=ccdb253533a8da4d rt=ok",
+    "mixed n33 L9 len=44 bytes=ad82b5ff12d3616a rt=ok",
+    "mixed n33 L10 len=44 bytes=7fd4ac165376eb85 rt=ok",
+    "mixed n33 L18 len=44 bytes=5c83cb8c53b32bbd rt=ok",
+    "mixed n33 L19 len=44 bytes=821114f46edba73c rt=ok",
+    "mixed n63 L1 len=51 bytes=487321cc9c278372 rt=ok",
+    "mixed n63 L2 len=51 bytes=75d5d22f8b77fcd3 rt=ok",
+    "mixed n63 L9 len=51 bytes=fa48e2bd7542216a rt=ok",
+    "mixed n63 L10 len=51 bytes=0aa5984ff258f4ab rt=ok",
+    "mixed n63 L18 len=51 bytes=051045614c93e1e3 rt=ok",
+    "mixed n63 L19 len=51 bytes=84b80275b57b6f80 rt=ok",
+    "mixed n65 L1 len=51 bytes=b9d3e49b02441c1d rt=ok",
+    "mixed n65 L2 len=51 bytes=bc44c1e0ea7ac5c8 rt=ok",
+    "mixed n65 L9 len=51 bytes=a6e5506667998fc5 rt=ok",
+    "mixed n65 L10 len=51 bytes=71a44bb4dd407b50 rt=ok",
+    "mixed n65 L18 len=51 bytes=0d54c44fbdc08498 rt=ok",
+    "mixed n65 L19 len=51 bytes=f2c8580baea64647 rt=ok",
+    "mixed n255 L1 len=91 bytes=3c615ce2be913961 rt=ok",
+    "mixed n255 L2 len=91 bytes=fa4070d984ca60cc rt=ok",
+    "mixed n255 L9 len=91 bytes=dfc1dec0aecd7ff9 rt=ok",
+    "mixed n255 L10 len=91 bytes=e4a2993245f74dc4 rt=ok",
+    "mixed n255 L18 len=91 bytes=13ec0843ac8386dc rt=ok",
+    "mixed n255 L19 len=91 bytes=1f5366c48b68062b rt=ok",
+    "mixed n257 L1 len=91 bytes=d14180d3e7c19a03 rt=ok",
+    "mixed n257 L2 len=91 bytes=f0356ed6c3e2d436 rt=ok",
+    "mixed n257 L9 len=91 bytes=5ff2687d222ad5fb rt=ok",
+    "mixed n257 L10 len=91 bytes=c60d9eaf8e2c858e rt=ok",
+    "mixed n257 L18 len=91 bytes=acdbb12c4e94a026 rt=ok",
+    "mixed n257 L19 len=91 bytes=56e52a0ee6bdb4d1 rt=ok",
+    "mixed n4095 L1 len=1059 bytes=dfdd7183fbedfbd2 rt=ok",
+    "mixed n4095 L2 len=1059 bytes=4ff68540d855784b rt=ok",
+    "mixed n4095 L9 len=1059 bytes=a70bfd738122833a rt=ok",
+    "mixed n4095 L10 len=1059 bytes=115bc027ad5a9af3 rt=ok",
+    "mixed n4095 L18 len=1059 bytes=3d6641751aaa081b rt=ok",
+    "mixed n4095 L19 len=1059 bytes=beb0fb9d6a005df0 rt=ok",
+    "mixed n4097 L1 len=1060 bytes=353ab12781a62cbe rt=ok",
+    "mixed n4097 L2 len=1060 bytes=eac0e1009ca4bd89 rt=ok",
+    "mixed n4097 L9 len=1060 bytes=ba137815da728036 rt=ok",
+    "mixed n4097 L10 len=1060 bytes=7b454618aa4f7c41 rt=ok",
+    "mixed n4097 L18 len=1060 bytes=21f744bb7008c839 rt=ok",
+    "mixed n4097 L19 len=1060 bytes=c3cb60709a856b6c rt=ok",
+    "flat-Yuv420 n13824 L1 len=72 bytes=16560156cba39c1b rt=ok",
+    "flat-Yuv420 n13824 L2 len=72 bytes=2809ee372ace4cf8 rt=ok",
+    "flat-Yuv420 n13824 L9 len=72 bytes=971c4c1a48f7a483 rt=ok",
+    "flat-Yuv420 n13824 L10 len=72 bytes=4eb9de216ec39480 rt=ok",
+    "flat-Yuv420 n13824 L18 len=72 bytes=9149ca11de9bcd28 rt=ok",
+    "flat-Yuv420 n13824 L19 len=72 bytes=779efefbec71fa79 rt=ok",
+    "gradient-Yuv420 n13824 L1 len=3842 bytes=396fee5270830bda rt=ok",
+    "gradient-Yuv420 n13824 L2 len=3842 bytes=073ef8bc725ac58d rt=ok",
+    "gradient-Yuv420 n13824 L9 len=3842 bytes=aa1d36fa4fc5b482 rt=ok",
+    "gradient-Yuv420 n13824 L10 len=3842 bytes=5b4ab44a68dff915 rt=ok",
+    "gradient-Yuv420 n13824 L18 len=3842 bytes=59cdfcf05a2b567d rt=ok",
+    "gradient-Yuv420 n13824 L19 len=3842 bytes=f356d2301815c680 rt=ok",
+    "noise-Yuv420 n13824 L1 len=13837 bytes=2fddb9372ccab37c rt=ok",
+    "noise-Yuv420 n13824 L2 len=13837 bytes=c30fd0273df2a011 rt=ok",
+    "noise-Yuv420 n13824 L9 len=13837 bytes=54da2028e1753134 rt=ok",
+    "noise-Yuv420 n13824 L10 len=13837 bytes=75c1475053974429 rt=ok",
+    "noise-Yuv420 n13824 L18 len=13837 bytes=95da5ecf563087e1 rt=ok",
+    "noise-Yuv420 n13824 L19 len=13837 bytes=78b3ca66836d09b2 rt=ok",
+    "flat-Rgb8 n27648 L1 len=6957 bytes=b0a5c61422bc626e rt=ok",
+    "flat-Rgb8 n27648 L2 len=6957 bytes=2032437836dedc03 rt=ok",
+    "flat-Rgb8 n27648 L9 len=6957 bytes=8d94060a9964efa6 rt=ok",
+    "flat-Rgb8 n27648 L10 len=6957 bytes=638c813f194471fb rt=ok",
+    "flat-Rgb8 n27648 L18 len=6957 bytes=7cfe7c782a9d8613 rt=ok",
+    "flat-Rgb8 n27648 L19 len=6957 bytes=a1a86e2c1a652650 rt=ok",
+    "gradient-Rgb8 n27648 L1 len=27663 bytes=aea7483f8f7e160f rt=ok",
+    "gradient-Rgb8 n27648 L2 len=27663 bytes=3be74a77d68c4962 rt=ok",
+    "gradient-Rgb8 n27648 L9 len=27663 bytes=8eb19f7a7a6fce77 rt=ok",
+    "gradient-Rgb8 n27648 L10 len=27663 bytes=6e1cde51bce60d0a rt=ok",
+    "gradient-Rgb8 n27648 L18 len=27663 bytes=23decaabf8d26a72 rt=ok",
+    "gradient-Rgb8 n27648 L19 len=27663 bytes=1cb726f78e5350fd rt=ok",
+    "noise-Rgb8 n27648 L1 len=27663 bytes=58ab484bdf451e30 rt=ok",
+    "noise-Rgb8 n27648 L2 len=27663 bytes=bb058d05739407e5 rt=ok",
+    "noise-Rgb8 n27648 L9 len=27663 bytes=329acb827e0a5b78 rt=ok",
+    "noise-Rgb8 n27648 L10 len=27663 bytes=d31b6bbce5df79cd rt=ok",
+    "noise-Rgb8 n27648 L18 len=27663 bytes=69f49e031de5f615 rt=ok",
+    "noise-Rgb8 n27648 L19 len=27663 bytes=f8070f1876eb6abe rt=ok",
+    "scene n97920 L1 len=34234 bytes=999111078891f049 rt=ok",
+    "scene n97920 L2 len=34234 bytes=50f71370a4a7dbea rt=ok",
+    "scene n97920 L9 len=34234 bytes=e2845b2837b93361 rt=ok",
+    "scene n97920 L10 len=34234 bytes=cfdf7d322c8d1362 rt=ok",
+    "scene n97920 L18 len=34234 bytes=ef74c893dd0f76fa rt=ok",
+    "scene n97920 L19 len=34234 bytes=3e031ab449420053 rt=ok",
+    "long-run n70016 L1 len=212 bytes=67674cfb1a9ceeb5 rt=ok",
+    "long-run n70016 L2 len=212 bytes=f049e44e8f2effb2 rt=ok",
+    "long-run n70016 L9 len=212 bytes=8cf1b46c1ec19c8d rt=ok",
+    "long-run n70016 L10 len=212 bytes=11869d8904aea9ea rt=ok",
+    "long-run n70016 L18 len=212 bytes=4f19dd95709c99e2 rt=ok",
+    "long-run n70016 L19 len=212 bytes=47a909218f6f6167 rt=ok",
+    "far-repeats n1114112 L1 len=1114143 bytes=903e93ac5d29b260 rt=ok",
+    "far-repeats n1114112 L2 len=1114143 bytes=811842d54867a4cd rt=ok",
+    "far-repeats n1114112 L9 len=1114143 bytes=8708361209256568 rt=ok",
+    "far-repeats n1114112 L10 len=1114143 bytes=e4319a32b8b3c095 rt=ok",
+    "far-repeats n1114112 L18 len=1114143 bytes=eb8e7833f7f8a89d rt=ok",
+    "far-repeats n1114112 L19 len=1114143 bytes=7bf7114dba8ca04e rt=ok",
+    "gop-flat-Yuv420 n13856 L1 len=124 bytes=9e286c58c4d80841 rt=ok",
+    "gop-flat-Yuv420 n13856 L2 len=124 bytes=50ec02ad36323986 rt=ok",
+    "gop-flat-Yuv420 n13856 L9 len=124 bytes=ecf3976635370d09 rt=ok",
+    "gop-flat-Yuv420 n13856 L10 len=124 bytes=f4a8509208bdfb8e rt=ok",
+    "gop-flat-Yuv420 n13856 L18 len=124 bytes=ba6a2a288ffe93d6 rt=ok",
+    "gop-flat-Yuv420 n13856 L19 len=124 bytes=7218d11aab4deab3 rt=ok",
+    "gop-gradient-Yuv420 n13856 L1 len=3234 bytes=860ccf3725e7a97a rt=ok",
+    "gop-gradient-Yuv420 n13856 L2 len=3234 bytes=61c36e28ddedebd9 rt=ok",
+    "gop-gradient-Yuv420 n13856 L9 len=3234 bytes=e00522472e23d312 rt=ok",
+    "gop-gradient-Yuv420 n13856 L10 len=3234 bytes=f17bff278dc01091 rt=ok",
+    "gop-gradient-Yuv420 n13856 L18 len=3234 bytes=a51f65254809b489 rt=ok",
+    "gop-gradient-Yuv420 n13856 L19 len=3234 bytes=24b0827e43f7986c rt=ok",
+    "gop-noise-Yuv420 n13856 L1 len=13868 bytes=454383a20e4533d2 rt=ok",
+    "gop-noise-Yuv420 n13856 L2 len=13868 bytes=59d3da009c55c73d rt=ok",
+    "gop-noise-Yuv420 n13856 L9 len=13868 bytes=f4468c007209528a rt=ok",
+    "gop-noise-Yuv420 n13856 L10 len=13868 bytes=e9c0d48b6181bfb5 rt=ok",
+    "gop-noise-Yuv420 n13856 L18 len=13772 bytes=eae16b33fa78a1d6 rt=ok",
+    "gop-noise-Yuv420 n13856 L19 len=13772 bytes=7fdddce9cafb7413 rt=ok",
+    "gop-flat-Rgb8 n27680 L1 len=145 bytes=55eab47eea331c64 rt=ok",
+    "gop-flat-Rgb8 n27680 L2 len=145 bytes=556db99ae236a0ed rt=ok",
+    "gop-flat-Rgb8 n27680 L9 len=145 bytes=a2619b4628844bdc rt=ok",
+    "gop-flat-Rgb8 n27680 L10 len=145 bytes=493cdf0eaee60bc5 rt=ok",
+    "gop-flat-Rgb8 n27680 L18 len=145 bytes=4e44d57b6832651d rt=ok",
+    "gop-flat-Rgb8 n27680 L19 len=145 bytes=f73cb6043c1a98d6 rt=ok",
+    "gop-gradient-Rgb8 n27680 L1 len=2202 bytes=24b0a614d618fc03 rt=ok",
+    "gop-gradient-Rgb8 n27680 L2 len=2202 bytes=8177cc37b847afc0 rt=ok",
+    "gop-gradient-Rgb8 n27680 L9 len=2202 bytes=b4bef9c600a6f44b rt=ok",
+    "gop-gradient-Rgb8 n27680 L10 len=2202 bytes=dbafb57afb4afbc8 rt=ok",
+    "gop-gradient-Rgb8 n27680 L18 len=2202 bytes=e471eae233e17cf0 rt=ok",
+    "gop-gradient-Rgb8 n27680 L19 len=2202 bytes=1318c2aee32ef4ad rt=ok",
+    "gop-noise-Rgb8 n27680 L1 len=27693 bytes=b59ff55a3ceb2dc9 rt=ok",
+    "gop-noise-Rgb8 n27680 L2 len=27693 bytes=537703aa1ea59c98 rt=ok",
+    "gop-noise-Rgb8 n27680 L9 len=27693 bytes=dbf7bb6289fa2cd1 rt=ok",
+    "gop-noise-Rgb8 n27680 L10 len=27693 bytes=c6e7edb5b9eafd20 rt=ok",
+    "gop-noise-Rgb8 n27680 L18 len=27693 bytes=6f93b46ab6e995c8 rt=ok",
+    "gop-noise-Rgb8 n27680 L19 len=27693 bytes=bf0b37f71a3321bb rt=ok",
+    "gop-scene n97951 L1 len=34758 bytes=46bbdc3cac4d7e8e rt=ok",
+    "gop-scene n97951 L2 len=34758 bytes=591a530f15befdc1 rt=ok",
+    "gop-scene n97951 L9 len=33639 bytes=e4c42d0cd7cbb213 rt=ok",
+    "gop-scene n97951 L10 len=33639 bytes=d9809b280342ac1e rt=ok",
+    "gop-scene n97951 L18 len=32498 bytes=8bbb149d4c5f08e9 rt=ok",
+    "gop-scene n97951 L19 len=32498 bytes=1eb8bc95c21495f4 rt=ok",
 ];

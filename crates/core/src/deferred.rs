@@ -9,6 +9,15 @@
 //! maintenance ([`Engine::background_maintenance`], which `vss-server`'s
 //! per-shard scheduler runs). The compression level scales linearly with
 //! budget consumption, trading throughput for space as the budget tightens.
+//!
+//! The codec is [`vss_codec::lossless`] (format 2): it predicts each plane
+//! of the raw GOP it is given and Huffman-codes the residuals, and its
+//! level is how many predictors a block tries, so a higher level costs more
+//! CPU and is never larger. On `ingest_dedup`'s noisy RGB pages it stores
+//! 0.40 of the raw bytes at about 7 ns per byte, where the LZ77 codec it
+//! replaced stored 0.975 at 85–105 ns per byte. A page is stored
+//! compressed only if that makes it smaller ([`compress_if_smaller`]), both
+//! when it is written and when the sweep rewrites it.
 
 use crate::cache::eviction_order;
 use crate::engine::Engine;
@@ -20,16 +29,18 @@ use vss_catalog::PhysicalVideoId;
 use vss_codec::{lossless, CodecError};
 use vss_telemetry::Histogram;
 
-/// [`lossless::compress`], timed into `deferred.lossless.compress_ns`: every
-/// compression core does — write-time deferral (which admission goes
-/// through) and the maintenance sweep — is one sample.
-pub(crate) fn compress(data: &[u8], level: u8) -> Vec<u8> {
+/// [`lossless::compress`] where it shrinks `data`: the bytes to store, or
+/// `None` to store `data` as it is. Both places that compress a page —
+/// write-time deferral (which admission goes through) and the maintenance
+/// sweep — store through this, so no page is ever stored larger than its
+/// raw bytes. Each call is one sample of `deferred.lossless.compress_ns`.
+pub(crate) fn compress_if_smaller(data: &[u8], level: u8) -> Option<Vec<u8>> {
     static H: OnceLock<&'static Histogram> = OnceLock::new();
     let started = Instant::now();
     let compressed = lossless::compress(data, level);
     H.get_or_init(|| vss_telemetry::histogram("deferred.lossless.compress_ns"))
         .record_duration(started.elapsed());
-    compressed
+    (compressed.len() < data.len()).then_some(compressed)
 }
 
 /// [`lossless::decompress`], timed into `deferred.lossless.decompress_ns`:
@@ -87,12 +98,11 @@ impl Engine {
         for &(physical_id, gop_index) in &pages {
             raw_pages.push(self.catalog.read_gop(name, physical_id, gop_index)?);
         }
-        let compressed =
-            vss_parallel::par_map(self.config.parallelism, &raw_pages, |_, raw| compress(raw, level));
+        let compressed = vss_parallel::par_map(self.config.parallelism, &raw_pages, |_, raw| {
+            compress_if_smaller(raw, level)
+        });
         let mut rewritten = 0usize;
-        for ((&(physical_id, gop_index), raw), compressed) in
-            pages.iter().zip(&raw_pages).zip(&compressed)
-        {
+        for (&(physical_id, gop_index), compressed) in pages.iter().zip(&compressed) {
             // Earlier rewrites shrink the store; once consumption falls back
             // below the activation threshold, stop — exactly where a
             // sequential single-page loop would have stopped.
@@ -105,7 +115,7 @@ impl Engine {
                 }
             }
             // Incompressible pages are left alone (and claim no progress).
-            if compressed.len() < raw.len() {
+            if let Some(compressed) = compressed {
                 self.catalog.rewrite_gop(name, physical_id, gop_index, compressed, Some(level))?;
                 rewritten += 1;
             }
@@ -264,7 +274,8 @@ mod tests {
         engine.create_video("v", Some(StorageBudget::Bytes(2_000_000))).unwrap();
         engine.write(&WriteRequest::new("v", Codec::Raw(PixelFormat::Rgb8)), &raw_sequence(12)).unwrap();
         engine.config.deferred_compression = true;
-        let budget = engine.bytes_used("v").unwrap() * 2;
+        // Full, so that after three pages shrink the fourth still counts.
+        let budget = engine.bytes_used("v").unwrap() + 1;
         engine.catalog.set_storage_budget("v", Some(budget)).unwrap();
         let compressed_pages = |engine: &crate::engine::Engine| {
             engine.catalog.video("v").unwrap().physical[0]
@@ -278,9 +289,8 @@ mod tests {
         // A zero-page sweep is a no-op; an oversized request stops at the
         // available pages.
         assert_eq!(engine.deferred_compression_sweep("v", 0).unwrap(), 0);
-        let remaining = engine.deferred_compression_sweep("v", 100).unwrap();
-        assert!(remaining >= 1);
-        assert_eq!(compressed_pages(&engine), 3 + remaining);
+        assert_eq!(engine.deferred_compression_sweep("v", 100).unwrap(), 1);
+        assert_eq!(compressed_pages(&engine), 4);
         let _ = std::fs::remove_dir_all(root);
     }
 

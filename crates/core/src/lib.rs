@@ -18,7 +18,11 @@
 //! * caches read results as new materialized views, evicting GOP pages with
 //!   the LRU_VSS policy when a per-video storage budget is exceeded;
 //! * defers lossless compression of uncompressed entries until budgets
-//!   tighten, scaling the compression level with remaining space;
+//!   tighten, scaling the compression level with remaining space, and
+//!   stores a page compressed only where that makes it smaller
+//!   ([`vss_codec::lossless`] predicts each plane of a raw GOP and
+//!   entropy-codes the residuals; its level is how many predictors it
+//!   tries);
 //! * compacts contiguous cached entries; and
 //! * jointly compresses overlapping GOPs captured by physically proximate
 //!   cameras, recovering both views on read ([`joint`]).

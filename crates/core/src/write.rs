@@ -109,8 +109,8 @@ impl Engine {
 
     /// Serializes a GOP for storage, applying write-time deferred compression
     /// to uncompressed blocks when the video's budget consumption has passed
-    /// the activation threshold. Returns the bytes to store and the lossless
-    /// level applied (0 = none).
+    /// the activation threshold and compression shrinks the block. Returns
+    /// the bytes to store and the lossless level applied (0 = none).
     fn maybe_defer_on_write(
         &mut self,
         name: &str,
@@ -128,7 +128,10 @@ impl Engine {
             return Ok((serialized, 0));
         }
         let level = deferred_level_for_fraction(fraction, DEFERRED_ACTIVATION_FRACTION);
-        Ok((crate::deferred::compress(&serialized, level), level))
+        Ok(match crate::deferred::compress_if_smaller(&serialized, level) {
+            Some(compressed) => (compressed, level),
+            None => (serialized, 0),
+        })
     }
 }
 
@@ -150,6 +153,7 @@ mod tests {
     use super::*;
     use crate::engine::test_support::temp_engine;
     use crate::params::StorageBudget;
+    use vss_codec::codec_instance;
     use vss_frame::{pattern, PixelFormat};
 
     fn sequence(frames: usize, width: u32, height: u32) -> FrameSequence {
@@ -230,6 +234,31 @@ mod tests {
         // Appending to a video with no original fails.
         engine.create_video("w", None).unwrap();
         assert!(engine.append("w", &sequence(5, 64, 48)).is_err());
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// Write-time deferral stores a page compressed only if that makes it
+    /// smaller: a page of noise codes to more than its bytes. Fails on the
+    /// parent, which stored whatever the codec returned.
+    #[test]
+    fn write_time_deferral_never_stores_a_page_larger_than_its_raw_bytes() {
+        let (mut engine, root) = temp_engine("write-never-larger");
+        let frames: Vec<_> = (0..24).map(|i| pattern::noise(64, 48, PixelFormat::Rgb8, i)).collect();
+        let clip = FrameSequence::new(frames, 30.0).unwrap();
+        let raw_page = codec_instance(Codec::Raw(PixelFormat::Rgb8))
+            .encode(&FrameSequence::new(clip.frames()[..3].to_vec(), 30.0).unwrap(), &Default::default())
+            .unwrap()
+            .byte_len() as u64;
+        // Eight raw pages against a budget of 24: deferral switches on for
+        // the last two, at level 1.
+        engine.create_video("v", Some(StorageBudget::Bytes(24 * raw_page))).unwrap();
+        engine.write(&WriteRequest::new("v", Codec::Raw(PixelFormat::Rgb8)), &clip).unwrap();
+        assert!(engine.budget_fraction("v").unwrap().unwrap() >= DEFERRED_ACTIVATION_FRACTION);
+        let gops = &engine.catalog.video("v").unwrap().original().unwrap().gops;
+        assert_eq!(gops.len(), 8);
+        for gop in gops {
+            assert!(gop.byte_len <= raw_page, "GOP {} stored in {} bytes, raw {raw_page}", gop.index, gop.byte_len);
+        }
         let _ = std::fs::remove_dir_all(root);
     }
 
