@@ -54,7 +54,8 @@
 //! stages its mutations in memory and [`Catalog::commit_batch`] journals them
 //! as **one** record with one `fsync`, which replay applies whole or not at
 //! all. Files a mutation removes are unlinked only once its record is
-//! durable (journal first, then delete). A batch that fails to reach the
+//! durable (journal first, then delete), and a file a live [`Pin`] may still
+//! read stays until that pin drops. A batch that fails to reach the
 //! journal returns a typed error and leaves the in-memory catalog equal to
 //! what a reopen would load. After any crash, reopening yields a consistent
 //! store in which:
@@ -91,9 +92,11 @@ pub mod wal;
 pub use records::{AtomicClock, GopRecord, LogicalVideoRecord, PhysicalVideoId, PhysicalVideoRecord};
 pub use wal::{RecoveryReport, WalRecord};
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
+use parking_lot::Mutex;
+use std::sync::Arc;
 use wal::Wal;
 
 /// Errors produced by catalog operations.
@@ -342,6 +345,36 @@ pub struct Catalog {
     recovery: RecoveryReport,
     /// Mutations staged since [`begin_batch`](Self::begin_batch).
     batch: Option<Batch>,
+    pins: Arc<Mutex<Pins>>,
+}
+
+/// Keeps every file the catalog referenced when it was taken on disk until
+/// it drops, whatever the catalog commits meanwhile, as a LevelDB iterator
+/// holds its `Version`. A stream holds one from its snapshot to its last
+/// read; a crash forgets pins, and the next open removes what they kept.
+#[derive(Debug)]
+pub struct Pin(Arc<Mutex<Pins>>, u64);
+
+/// Live pins, numbered in the order they were taken, and the unlinks that
+/// wait for them, each with the newest pin number when it was asked for.
+#[derive(Debug, Default)]
+struct Pins {
+    newest: u64,
+    live: BTreeSet<u64>,
+    queued: Vec<(u64, PathBuf)>,
+}
+
+impl Drop for Pin {
+    fn drop(&mut self) {
+        let mut pins = self.0.lock();
+        pins.live.remove(&self.1);
+        let oldest = pins.live.first().copied().unwrap_or(u64::MAX);
+        // Under the lock, so a path being reused is never unlinked after it.
+        // A failure leaves debris that the next open removes.
+        for (_, path) in pins.queued.extract_if(.., |(newest, _)| *newest < oldest) {
+            let _ = unlink(&path);
+        }
+    }
 }
 
 /// What an open batch has applied in memory but not yet journaled.
@@ -423,6 +456,7 @@ impl Catalog {
             checkpoint_threshold: DEFAULT_CHECKPOINT_THRESHOLD,
             recovery,
             batch: None,
+            pins: Arc::default(),
         };
         if catalog.recovery.repaired_anything() {
             // Make the repaired state durable so a crash right after this
@@ -509,14 +543,36 @@ impl Catalog {
         Ok(())
     }
 
-    /// Unlinks a file or directory a committed mutation dropped: now, or,
-    /// inside a batch, once the batch is durable.
+    /// The one unlink of a file or directory a committed mutation dropped:
+    /// inside a batch, once the batch is durable; otherwise now, or, while a
+    /// pin taken before it lives, once the last such pin drops.
     fn unlink_after_commit(&mut self, path: PathBuf) -> Result<(), CatalogError> {
+        let pins = &mut *self.pins.lock();
         match &mut self.batch {
             Some(batch) => batch.unlink.push(path),
-            None => unlink(&path)?,
+            None if pins.live.is_empty() => unlink(&path)?,
+            None => pins.queued.push((pins.newest, path)),
         }
         Ok(())
+    }
+
+    /// Pins the files the catalog references now (see [`Pin`]).
+    pub fn pin(&self) -> Pin {
+        let mut pins = self.pins.lock();
+        pins.newest += 1;
+        let seq = pins.newest;
+        pins.live.insert(seq);
+        Pin(Arc::clone(&self.pins), seq)
+    }
+
+    /// Unlinks `path` at once if it waits for a pin: it is about to be
+    /// created anew, and no pin's drop may remove the new file.
+    fn reuse(&self, path: &Path) -> std::io::Result<()> {
+        let mut pins = self.pins.lock();
+        match pins.queued.iter().position(|(_, queued)| queued == path) {
+            Some(at) => unlink(&pins.queued.swap_remove(at).1),
+            None => Ok(()),
+        }
     }
 
     // --- batches -----------------------------------------------------------
@@ -549,8 +605,8 @@ impl Catalog {
             }
             self.seq += 1;
         }
-        for path in &removed {
-            unlink(path)?;
+        for path in removed {
+            self.unlink_after_commit(path)?;
         }
         Ok(())
     }
@@ -570,9 +626,9 @@ impl Catalog {
     fn reload(&mut self) -> Result<(), CatalogError> {
         match Catalog::open(&self.root) {
             Ok(fresh) => {
-                let threshold = self.checkpoint_threshold;
+                let (threshold, pins) = (self.checkpoint_threshold, Arc::clone(&self.pins));
                 *self = fresh;
-                self.checkpoint_threshold = threshold;
+                (self.checkpoint_threshold, self.pins) = (threshold, pins);
                 Ok(())
             }
             Err(error) => {
@@ -618,6 +674,7 @@ impl Catalog {
         // between the two), an unreferenced directory is reconciled away on
         // the next open; the reverse order could journal a video whose
         // directory was never created.
+        self.reuse(&self.root.join(name))?;
         fs::create_dir_all(self.root.join(name))?;
         durable::fsync_dir(&self.root)?;
         self.commit(WalRecord::CreateVideo { name: name.to_string(), budget_multiple })
@@ -785,6 +842,7 @@ impl Catalog {
         // file (reconciled away — the append was never acknowledged), never
         // a catalog entry without data.
         let path = dir.join(format!("{index}.gop"));
+        self.reuse(&path)?;
         let crc = if physical.is_original {
             durable::write_atomic(&path, data)?;
             None
@@ -921,7 +979,9 @@ impl Catalog {
         let next = to.gops.last().map_or(0, |g| g.index + 1);
         let mut records = Vec::with_capacity(from.gops.len());
         for (index, gop) in (next..).zip(&from.gops) {
-            fs::hard_link(self.gop_path(video, from, gop.index), self.gop_path(video, to, index))?;
+            let link = self.gop_path(video, to, index);
+            self.reuse(&link)?;
+            fs::hard_link(self.gop_path(video, from, gop.index), link)?;
             records.push(WalRecord::AppendGop {
                 video: video.to_string(),
                 physical: target,
@@ -1297,6 +1357,36 @@ mod tests {
         cat.remove_physical("v", id).unwrap();
         assert!(!dir.exists());
         assert!(cat.video("v").unwrap().physical.is_empty());
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_pin_keeps_what_it_saw_until_it_drops_and_no_longer() {
+        let root = temp_root("pin");
+        let mut cat = Catalog::open(&root).unwrap();
+        cat.create_video("v").unwrap();
+        let id = cat.add_physical("v", 64, 64, 30.0, "h264", false, 0.0).unwrap();
+        for start in [0.0, 1.0, 2.0] {
+            cat.append_gop("v", id, start, start + 1.0, 30, b"a", None).unwrap();
+        }
+        let path = |index: u64| root.join("v").join(format!("64x64r30.h264.{id}/{index}.gop"));
+        let older = cat.pin();
+        cat.remove_gop("v", id, 0).unwrap();
+        let newer = cat.pin();
+        // A batch's unlinks wait too.
+        cat.begin_batch();
+        cat.remove_gop("v", id, 2).unwrap();
+        cat.commit_batch().unwrap();
+        assert!(path(0).exists() && path(2).exists());
+        // The freed tail index is reused: its file is replaced at once.
+        assert_eq!(cat.append_gop("v", id, 2.0, 3.0, 30, b"new", None).unwrap(), 2);
+        assert_eq!(fs::read(path(2)).unwrap(), b"new");
+        drop(older);
+        assert!(!path(0).exists(), "an unlink waits only for the pins taken before it");
+        drop(newer);
+        assert_eq!(fs::read(path(2)).unwrap(), b"new", "a reused path is not unlinked");
+        cat.remove_gop("v", id, 1).unwrap();
+        assert!(!path(1).exists(), "with no pin alive an unlink is immediate");
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -3,12 +3,14 @@
 //!
 //! Uncompressed video is vastly larger than its compressed counterpart, so
 //! caching raw read results quickly exhausts the storage budget. Once a
-//! video's cache passes an activation threshold (25 % of its budget),
-//! VSS losslessly compresses the uncompressed entry *least likely to be
-//! evicted* on every read, and keeps compressing entries during idle
-//! maintenance ([`Engine::background_maintenance`], which `vss-server`'s
-//! per-shard scheduler runs). The compression level scales linearly with
-//! budget consumption, trading throughput for space as the budget tightens.
+//! video's cache passes an activation threshold (25 % of its budget), VSS
+//! compresses each raw page as it is written (an admitted raw view's
+//! included), and its idle maintenance
+//! ([`Engine::background_maintenance`], which `vss-server`'s per-shard
+//! scheduler runs) losslessly compresses the uncompressed entries *least
+//! likely to be evicted*. A read never compresses: it writes nothing but the
+//! view it admits. The compression level scales linearly with budget
+//! consumption, trading throughput for space as the budget tightens.
 //!
 //! The codec is [`vss_codec::lossless`] (format 2): it predicts each plane
 //! of the raw GOP it is given and Huffman-codes the residuals, and its
@@ -55,22 +57,14 @@ pub(crate) fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
 }
 
 impl Engine {
-    /// Runs one deferred-compression step for a logical video: if the budget
-    /// consumption exceeds the activation threshold, compresses the
-    /// uncompressed GOP page least likely to be evicted. Returns `true` if a
-    /// page was compressed.
-    pub fn deferred_compression_step(&mut self, name: &str) -> Result<bool, VssError> {
-        Ok(self.deferred_compression_sweep(name, 1)? > 0)
-    }
-
     /// Runs a batched deferred-compression sweep: picks up to `max_pages`
     /// uncompressed pages (least-evictable first), compresses them on the
     /// parallel GOP pipeline, and rewrites the ones that shrank. Returns the
     /// number of pages rewritten.
     ///
-    /// Page selection matches repeated single-page steps, and the activation
+    /// Page selection matches repeated single-page sweeps, and the activation
     /// threshold is re-checked before every rewrite, so the sweep stops
-    /// shrinking pages at the same point a single-step loop would. The
+    /// shrinking pages at the same point a one-page loop would. The
     /// compression *level* is computed once from the batch-start budget
     /// fraction, so within one batch later pages may be compressed slightly
     /// harder than a fully sequential loop (whose fraction decays page by
@@ -105,7 +99,7 @@ impl Engine {
         for (&(physical_id, gop_index), compressed) in pages.iter().zip(&compressed) {
             // Earlier rewrites shrink the store; once consumption falls back
             // below the activation threshold, stop — exactly where a
-            // sequential single-page loop would have stopped.
+            // sequential one-page loop would have stopped.
             if rewritten > 0 {
                 let still_active = self
                     .budget_fraction(name)?
@@ -175,7 +169,7 @@ impl Engine {
             }
             if !pages.is_empty() {
                 // Stay within one physical video per sweep, mirroring the
-                // single-page step's behaviour of working through one
+                // one-page sweep's behaviour of working through one
                 // representation at a time.
                 break;
             }
@@ -230,7 +224,7 @@ mod tests {
     fn deferred_step_compresses_raw_pages_when_budget_is_tight() {
         let (mut engine, root) = temp_engine("deferred-step");
         // Disable write-time deferral so pages start uncompressed, then force
-        // a tiny budget so the read-time step activates.
+        // a tiny budget so the sweep activates.
         engine.config.deferred_compression = false;
         engine.create_video("v", Some(StorageBudget::Bytes(2_000_000))).unwrap();
         engine.write(&WriteRequest::new("v", Codec::Raw(PixelFormat::Rgb8)), &raw_sequence(12)).unwrap();
@@ -238,7 +232,7 @@ mod tests {
         let budget = engine.bytes_used("v").unwrap() * 2;
         engine.catalog.set_storage_budget("v", Some(budget)).unwrap();
         let before = engine.bytes_used("v").unwrap();
-        assert!(engine.deferred_compression_step("v").unwrap());
+        assert_eq!(engine.deferred_compression_sweep("v", 1).unwrap(), 1);
         let after = engine.bytes_used("v").unwrap();
         assert!(after < before, "a page should have shrunk: {before} -> {after}");
         let video = engine.catalog.video("v").unwrap();
@@ -259,11 +253,11 @@ mod tests {
         engine.write(&WriteRequest::new("v", Codec::Raw(PixelFormat::Rgb8)), &raw_sequence(6)).unwrap();
         engine.config.deferred_compression = true;
         // Unlimited budget → never activates.
-        assert!(!engine.deferred_compression_step("v").unwrap());
+        assert_eq!(engine.deferred_compression_sweep("v", 1).unwrap(), 0);
         // Large budget → below threshold → never activates.
         let budget = engine.bytes_used("v").unwrap() * 100;
         engine.catalog.set_storage_budget("v", Some(budget)).unwrap();
-        assert!(!engine.deferred_compression_step("v").unwrap());
+        assert_eq!(engine.deferred_compression_sweep("v", 1).unwrap(), 0);
         let _ = std::fs::remove_dir_all(root);
     }
 

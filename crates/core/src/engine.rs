@@ -13,8 +13,6 @@ use std::sync::Arc;
 use std::time::Duration;
 use vss_catalog::{Catalog, PhysicalVideoId};
 use vss_codec::CostModel;
-#[cfg(test)]
-use vss_codec::EncodedGop;
 use vss_solver::ReadPlan;
 
 /// Statistics describing how a read was executed.
@@ -427,34 +425,6 @@ impl Engine {
             .filter(|p| !p.is_original)
             .map(|p| crate::fragments::contiguous_runs(p).len())
             .sum())
-    }
-
-    /// Loads and parses a GOP, transparently undoing deferred (lossless)
-    /// compression if it was applied. (Production reads resolve GOP files at
-    /// plan-snapshot time and load them lock-free — see [`crate::stream`];
-    /// this eager helper remains for tests.)
-    #[cfg(test)]
-    pub(crate) fn load_gop(
-        &self,
-        video: &str,
-        physical_id: PhysicalVideoId,
-        index: u64,
-    ) -> Result<(EncodedGop, u64), VssError> {
-        let bytes = self.catalog.read_gop(video, physical_id, index)?;
-        let bytes_read = bytes.len() as u64;
-        let record = self.catalog.video(video)?;
-        let physical = record
-            .physical_by_id(physical_id)
-            .ok_or_else(|| VssError::VideoNotFound(video.to_string()))?;
-        let gop_record = physical
-            .gop_by_index(index)
-            .ok_or_else(|| VssError::Unsatisfiable(format!("missing GOP {index}")))?;
-        let container = if gop_record.lossless_level.is_some() {
-            crate::deferred::decompress(&bytes)?
-        } else {
-            bytes
-        };
-        Ok((EncodedGop::from_bytes(&container)?, bytes_read))
     }
 }
 

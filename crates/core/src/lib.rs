@@ -55,7 +55,8 @@
 //!   plan is snapshotted up front so decoding runs lock-free.
 //!
 //! The materialized entry points are drives of the streaming primitives:
-//! `read` opens the stream and drains it; `write`/`append` par-encode their
+//! `read` opens the stream, drains it and, only if it has a view to admit,
+//! commits that view (see the `read` module); `write`/`append` par-encode their
 //! GOPs with the same encoder a sink uses, then persist them in order
 //! through the same per-GOP call. The two flavours are therefore
 //! **byte-identical** for the same request and store state by construction.
@@ -76,13 +77,13 @@
 //! lock, with the lock-wait accounting of that lock. It has one lock
 //! discipline for every caller:
 //!
-//! * **shared** to plan and to begin — [`Vss::read_stream`], metadata and
-//!   budget queries, the begin of a write or sink, and every read that may
-//!   not admit its result (non-cacheable, or a region of interest), which
-//!   drains its stream after the lock is released;
+//! * **shared** to plan and to begin — [`Vss::read_stream`] and the open of
+//!   every [`Vss::read`], metadata and budget queries, the begin of a write
+//!   or sink; every stream, a read's included, drains after the lock is
+//!   released;
 //! * **exclusive** per commit — each persisted GOP and each write's finish,
-//!   a cache-admitting read, create/delete/compact/maintenance and
-//!   [`Vss::with_engine`].
+//!   a read's admission of its view (only a read that has one to admit),
+//!   create/delete/compact/maintenance and [`Vss::with_engine`].
 //!
 //! `vss-server` is N of these plus routing: a stable hash of the
 //! logical-video name picks the owning `Vss`, and the server adds
@@ -110,10 +111,10 @@
 //! * **Views are derived data.** The GOPs of every other physical video —
 //!   materialized views, which the budget may evict at any moment — are
 //!   written once, without `fsync`, under a checksum that open verifies. A
-//!   cache admission (the view, its GOPs, the evictions it triggers and the
-//!   deferred-compression step) is one journal commit, and so is one
-//!   compaction merge, so a view a crash interrupted is gone or whole. A
-//!   power cut may cost views pages, never serve one torn.
+//!   cache admission (the view, its GOPs and the evictions it triggers) is
+//!   one journal commit, and so is one compaction merge, so a view a crash
+//!   interrupted is gone or whole. A power cut may cost views pages, never
+//!   serve one torn.
 //! * **Eviction relies only on durable bytes.** A page at or above the
 //!   baseline quality goes only behind another such copy, and that copy's
 //!   GOPs over the page's interval are synced first, so the last good copy
@@ -212,10 +213,9 @@ use vss_telemetry::{Histogram, HistogramSummary};
 /// The VSS storage manager handle: one [`Engine`] behind a reader-writer
 /// lock — a shard (`vss-server` is N of them plus routing). Cheap to clone;
 /// clones share the engine, which is how concurrent readers and writers
-/// coordinate. Plans, the begin of a write and reads that may not admit
-/// (non-cacheable, or with a region of interest) share the lock; each commit
-/// holds it exclusively; neither is held across an encode or a decode (see
-/// the crate docs). Every acquisition's wait goes to
+/// coordinate. Plans and the begin of a write share the lock; each commit
+/// — a persisted GOP, a read's admission — holds it exclusively; neither is
+/// held across an encode or a decode (see the crate docs). Every acquisition's wait goes to
 /// [`lock_wait`](Self::lock_wait), the `server.shard.lock_wait_ns{shard=N}`
 /// series and a `server.shard_lock` span. It starts no thread: idle
 /// maintenance is [`run_maintenance`](Self::run_maintenance), called by its
@@ -308,17 +308,17 @@ impl Vss {
         write.commit_batch("append", frames, || self.exclusive())
     }
 
-    /// Executes a read planned by `request.planner` (optimal by default).
-    /// A read that may admit its result holds the exclusive lock; any other
-    /// snapshots its plan under the shared lock and decodes after releasing
-    /// it. Both return what [`Engine::read`] returns.
+    /// Executes a read planned by `request.planner` (optimal by default),
+    /// returning what [`Engine::read`] returns: the plan is snapshotted under
+    /// the shared lock, the stream drains with no lock held, and only a read
+    /// with a view to admit then takes the exclusive lock, for that commit.
+    /// A cache hit, or a read whose view is refused, never takes it.
     pub fn read(&self, request: &ReadRequest) -> Result<ReadResult, VssError> {
-        if request.may_admit() {
-            return self.exclusive().read(request);
-        }
         // The guard drops with this statement, so the drain runs lock-free.
         let stream = self.shared().read_stream(request)?;
-        stream.drain()
+        read::drain_then_admit(stream, |view, result| {
+            self.exclusive().commit_view(request, view, result)
+        })
     }
 
     /// Opens a GOP-at-a-time streaming read. The shared lock is held only
@@ -595,5 +595,85 @@ mod tests {
         holder.join().unwrap();
         committer.join().unwrap();
         let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// A cacheable read that admits nothing — a hit on the view an earlier
+    /// read admitted — completes while another thread holds the engine
+    /// shared: it never asks for the exclusive lock.
+    #[test]
+    fn a_cacheable_hit_completes_beside_a_shared_holder() {
+        use std::sync::mpsc::sync_channel as bounded;
+        use std::time::Duration;
+        let (vss, root) = temp_store("hit");
+        vss.write(&WriteRequest::new("v", Codec::H264), &sequence(60)).unwrap();
+        let request = ReadRequest::new("v", 0.0, 1.0, Codec::Hevc);
+        assert!(vss.read(&request).unwrap().stats.cache_admitted);
+        let (entered_tx, entered_rx) = bounded::<()>(1);
+        let (release_tx, release_rx) = bounded::<()>(1);
+        let holder = {
+            let vss = vss.clone();
+            std::thread::spawn(move || {
+                vss.with_engine_read(|_engine| {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                });
+            })
+        };
+        entered_rx.recv().unwrap();
+        let (done_tx, done_rx) = bounded::<ReadResult>(1);
+        let reader = {
+            let vss = vss.clone();
+            std::thread::spawn(move || done_tx.send(vss.read(&request).unwrap()).unwrap())
+        };
+        let hit = done_rx.recv_timeout(Duration::from_secs(10));
+        release_tx.send(()).unwrap();
+        holder.join().unwrap();
+        reader.join().unwrap();
+        let hit = hit.expect("a cacheable hit must not wait for a shared holder");
+        assert!(!hit.stats.cache_admitted);
+        assert_eq!(hit.stats.cached_fragments_used, 1);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// Four threads racing the same cacheable read on a fresh store admit
+    /// what four sequential reads admit: every commit re-plans under the
+    /// exclusive lock and admits nothing once an earlier one has.
+    #[test]
+    fn racing_identical_cacheable_reads_admit_what_a_sequential_run_admits() {
+        const READERS: usize = 4;
+        let requests = [
+            ReadRequest::new("v", 0.0, 2.0, Codec::Hevc),
+            ReadRequest::new("v", 0.5, 1.5, Codec::Raw(PixelFormat::Yuv420))
+                .at_resolution(vss_frame::Resolution::new(32, 24))
+                .quality_threshold(vss_frame::PsnrDb(20.0)),
+        ];
+        for (case, request) in requests.iter().enumerate() {
+            let views = |vss: &Vss| vss.with_engine_read(|e| e.materialized_fragment_count("v"));
+            let (sequential, sequential_root) = temp_store(&format!("race-seq-{case}"));
+            sequential.write(&WriteRequest::new("v", Codec::H264), &sequence(60)).unwrap();
+            for _ in 0..READERS {
+                sequential.read(request).unwrap();
+            }
+            let (racing, racing_root) = temp_store(&format!("race-par-{case}"));
+            racing.write(&WriteRequest::new("v", Codec::H264), &sequence(60)).unwrap();
+            let start = Arc::new(std::sync::Barrier::new(READERS));
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    let (vss, start, request) = (racing.clone(), start.clone(), request.clone());
+                    std::thread::spawn(move || {
+                        start.wait();
+                        vss.read(&request).unwrap().frames
+                    })
+                })
+                .collect();
+            let expected = sequential.read(&request.clone().uncacheable()).unwrap().frames;
+            for reader in readers {
+                assert_eq!(reader.join().unwrap().frames(), expected.frames());
+            }
+            assert!(views(&sequential).unwrap() > 0);
+            assert_eq!(views(&racing).unwrap(), views(&sequential).unwrap(), "case {case}");
+            let _ = std::fs::remove_dir_all(sequential_root);
+            let _ = std::fs::remove_dir_all(racing_root);
+        }
     }
 }

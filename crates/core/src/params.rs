@@ -200,10 +200,9 @@ impl ReadRequest {
 
     /// Whether the read's result can be admitted to the cache at all: not
     /// when it was marked non-cacheable or a region of interest was applied
-    /// (cropped results are not reusable as general fragments). Decides
-    /// whether [`Engine::read`](crate::Engine::read) measures and admits,
-    /// and which lock [`Vss::read`](crate::Vss::read) takes, so none of
-    /// them can drift.
+    /// (cropped results are not reusable as general fragments). The first
+    /// term of the plan-time predicate that decides whether a read samples
+    /// frames for, and commits, a view (see the `read` module).
     pub(crate) fn may_admit(&self) -> bool {
         self.cacheable && self.spatial.region.is_none()
     }

@@ -26,7 +26,7 @@
 use vss_catalog::PhysicalVideoRecord;
 use vss_codec::{Codec, QualityEstimator};
 use vss_frame::quality::{compose_mse_bound, mse_from_psnr, psnr_from_mse};
-use vss_frame::{mse, resize_bilinear, FrameSequence, PsnrDb};
+use vss_frame::{mse, resize_bilinear, Frame, PsnrDb};
 
 /// Default quality threshold τ = ε = 40 dB ("lossless" per the paper).
 pub const DEFAULT_QUALITY_THRESHOLD: PsnrDb = PsnrDb(40.0);
@@ -78,37 +78,40 @@ impl QualityModel {
         self.estimate_physical_quality(record).db() >= threshold.db()
     }
 
-    /// Measures the resampling MSE of a derived frame sequence against the
-    /// source it was produced from, by upsampling a sample of derived frames
-    /// back to the source resolution and comparing. Returns 0 for identical
-    /// shapes with identical content.
-    pub fn resampling_mse(source: &FrameSequence, derived: &FrameSequence) -> f64 {
-        if source.is_empty() || derived.is_empty() {
+    /// Which of a segment's `frames` frames the resampling measurement
+    /// samples: `min(3, frames)` of them, spread evenly from the first.
+    pub(crate) fn sample_positions(frames: usize) -> impl Iterator<Item = usize> {
+        let samples = SAMPLE_FRAMES.min(frames);
+        (0..samples).map(move |i| i * (frames - 1) / samples)
+    }
+
+    /// Measures the resampling MSE of derived frames against the source
+    /// frames they were produced from, given as (source, derived) pairs (a
+    /// read samples at most three, spread evenly over a segment from its
+    /// first frame): the mean MSE of each derived frame upsampled back to
+    /// its source's resolution, summed in the order given. Returns 0 for no
+    /// pairs, and for identical shapes with identical content.
+    pub fn resampling_mse(samples: &[(Frame, Frame)]) -> f64 {
+        if samples.is_empty() {
             return 0.0;
         }
-        let src_res = source.resolution().expect("non-empty");
-        let samples = SAMPLE_FRAMES.min(source.len()).min(derived.len());
         let mut total = 0.0;
-        for i in 0..samples {
-            // Pick frames spread across the sequences, aligned by position.
-            let src_idx = i * (source.len() - 1) / samples.max(1);
-            let dst_idx = (src_idx * derived.len() / source.len()).min(derived.len() - 1);
-            let src_frame = &source.frames()[src_idx];
-            let derived_frame = &derived.frames()[dst_idx];
-            let comparable = if derived_frame.resolution() == src_res {
-                derived_frame.clone()
+        for (source, derived) in samples {
+            let resolution = source.resolution();
+            let comparable = if derived.resolution() == resolution {
+                derived.clone()
             } else {
-                match resize_bilinear(derived_frame, src_res.width, src_res.height) {
+                match resize_bilinear(derived, resolution.width, resolution.height) {
                     Ok(f) => f,
                     Err(_) => return f64::INFINITY,
                 }
             };
-            match mse(src_frame, &comparable) {
+            match mse(source, &comparable) {
                 Ok(m) => total += m,
                 Err(_) => return f64::INFINITY,
             }
         }
-        total / samples as f64
+        total / samples.len() as f64
     }
 
     /// Composes a source representation's accumulated MSE bound with newly
@@ -198,19 +201,22 @@ mod tests {
     fn resampling_mse_is_zero_for_identity_and_positive_for_downsampling() {
         let frames: Vec<_> =
             (0..4).map(|i| pattern::gradient(64, 64, PixelFormat::Rgb8, i as u64)).collect();
-        let source = FrameSequence::new(frames, 30.0).unwrap();
-        assert_eq!(QualityModel::resampling_mse(&source, &source), 0.0);
+        let identity: Vec<_> = frames.iter().map(|f| (f.clone(), f.clone())).collect();
+        assert_eq!(QualityModel::resampling_mse(&identity), 0.0);
 
-        let small: Vec<_> = source
-            .frames()
-            .iter()
-            .map(|f| resize_bilinear(f, 16, 16).unwrap())
-            .collect();
-        let derived = FrameSequence::new(small, 30.0).unwrap();
-        let m = QualityModel::resampling_mse(&source, &derived);
-        assert!(m > 0.0);
-        let empty = FrameSequence::empty(30.0).unwrap();
-        assert_eq!(QualityModel::resampling_mse(&source, &empty), 0.0);
+        let small: Vec<_> =
+            frames.iter().map(|f| (f.clone(), resize_bilinear(f, 16, 16).unwrap())).collect();
+        assert!(QualityModel::resampling_mse(&small) > 0.0);
+        assert_eq!(QualityModel::resampling_mse(&[]), 0.0);
+    }
+
+    #[test]
+    fn sample_positions_spread_from_the_first_frame() {
+        let positions = |frames| QualityModel::sample_positions(frames).collect::<Vec<_>>();
+        assert_eq!(positions(0), Vec::<usize>::new());
+        assert_eq!(positions(1), vec![0]);
+        assert_eq!(positions(2), vec![0, 0]);
+        assert_eq!(positions(60), vec![0, 19, 39]);
     }
 
     #[test]

@@ -12,25 +12,36 @@
 //!    resampled to the requested spatial/temporal configuration and, if the
 //!    requested codec is compressed, re-encoded.
 //! 4. **Cache admission** — the result is admitted as a new physical video
-//!    (paper Section 4), the storage budget is enforced by evicting GOP
-//!    pages, and a deferred-compression step runs if the budget is tight.
-//!    All of it is one journal commit (see the crate's *Durability
-//!    contract*). A result whose composed resampling bound alone rates below
-//!    the read's own threshold is not admitted: such a view could never
-//!    answer the read that made it (see the `quality` module).
+//!    (paper Section 4) and the storage budget is enforced by evicting GOP
+//!    pages, as one journal commit (see the crate's *Durability contract*).
 //!
-//! Stages 1–3 are implemented by the GOP-at-a-time [`crate::stream`] module:
-//! every read opens a [`ReadStream`](crate::ReadStream) and the materialized
-//! entry points below simply [drain](crate::ReadStream::drain) it, so
-//! streaming and materialized reads are byte-identical by construction.
+//! Stages 1–3 are the GOP-at-a-time [`crate::stream`] module, so every read
+//! is the same three steps: open a [`ReadStream`](crate::ReadStream) (under
+//! a shard's shared lock), drain it (with no lock held), and, only if it has
+//! a view to admit, run one short commit (under the exclusive lock) —
+//! [`Engine::read`] and [`Vss::read`](crate::Vss::read) are this composition
+//! ([`drain_then_admit`]). Streaming and materialized reads are therefore
+//! byte-identical by construction, and a read that admits nothing never
+//! takes the exclusive lock.
+//!
+//! Whether a read may admit is known when it is planned: the request may
+//! ([`ReadRequest::may_admit`]), no segment passes stored GOPs through, and
+//! the plan is not one fragment already in the requested configuration. The
+//! drain adds one pure test: a result whose composed resampling bound alone
+//! rates below the read's own threshold is not admitted, since such a view
+//! could never answer the read that made it (see the `quality` module). The
+//! commit re-evaluates the plan-time predicate against the catalog it holds
+//! — another handle may have admitted the same view, or deleted the video,
+//! since the plan — and admits nothing if it fails; the read still returns
+//! its result.
 
 use crate::engine::{Engine, ReadStats};
 use crate::params::ReadRequest;
 use crate::quality::QualityModel;
-use crate::stream::AdmissionCarry;
+use crate::stream::{AdmissionCarry, ReadStream};
 use crate::VssError;
 use vss_codec::EncodedGop;
-use vss_frame::{psnr_from_mse, FrameSequence};
+use vss_frame::{psnr_from_mse, FrameSequence, Resolution};
 
 /// The result of a read operation.
 #[derive(Debug, Clone)]
@@ -48,120 +59,104 @@ pub struct ReadResult {
     pub stats: ReadStats,
 }
 
+/// The view a drained read admits: its resolution and quality bound.
+pub(crate) type View = (Resolution, f64);
+
+impl AdmissionCarry {
+    /// The view this read would admit, or `None` if its composed resampling
+    /// bound alone rates below the read's threshold. A view's estimate is
+    /// this bound plus a compression term that is never negative, so the
+    /// refusal is a proof that the view could not serve this read (or any
+    /// repeat).
+    fn into_view(self) -> Option<View> {
+        let derivation = QualityModel::resampling_mse(&self.samples);
+        let mse_bound = QualityModel::compose_bound(self.source_mse_bound, derivation);
+        let refused = psnr_from_mse(mse_bound).db() < self.threshold.db();
+        (!refused).then_some((self.output_resolution, mse_bound))
+    }
+}
+
+/// A read's last two steps: drain `stream`, then, only if it has a view to
+/// admit, `commit` it. The result's `cache_admitted` is what the commit
+/// returns.
+pub(crate) fn drain_then_admit(
+    stream: ReadStream,
+    commit: impl FnOnce(View, &ReadResult) -> Result<bool, VssError>,
+) -> Result<ReadResult, VssError> {
+    let (mut result, carry) = stream.drain_admitting()?;
+    if let Some(view) = carry.and_then(AdmissionCarry::into_view) {
+        result.stats.cache_admitted = commit(view, &result)?;
+    }
+    Ok(result)
+}
+
 impl Engine {
     /// Executes a read planned by `request.planner` (the optimal planner by
-    /// default). A read that may not admit its result — non-cacheable, or
-    /// with a region of interest — is its stream drained and nothing more:
-    /// it changes nothing in the store, whichever handle issued it.
+    /// default): [`read_stream`](Self::read_stream), drained, and the commit
+    /// of its view if it has one to admit. A read that may not admit its
+    /// result changes nothing in the store, whichever handle issued it.
     pub fn read(&mut self, request: &ReadRequest) -> Result<ReadResult, VssError> {
-        if !request.may_admit() {
-            return self.read_stream(request)?.drain();
-        }
-        let _span = vss_telemetry::span("engine", "read", request.name.as_str());
-        let stream = self.plan_stream(request, true)?;
-        let (mut result, admission) = stream.drain_with_admission()?;
-        // --- cache admission: one journal commit -----------------------------
-        // Results assembled partly from pass-through GOP reuse are not
-        // re-admitted: the reused pieces already exist in the requested
-        // configuration, so admitting the combination would only duplicate
-        // them (and GOP-aligned reuse makes exact timing bookkeeping fuzzy).
-        let cache_admitted = self.in_batch(|engine| {
-            let admitted =
-                !admission.reused_any && engine.maybe_admit_result(request, &admission, &result)?;
-            if admitted {
-                engine.enforce_budget(&request.name)?;
-            }
-            if engine.config.deferred_compression {
-                engine.deferred_compression_step(&request.name)?;
-            }
-            Ok(admitted)
-        })?;
-        self.catalog.persist()?;
-        result.stats.cache_admitted = cache_admitted;
-        Ok(result)
+        let stream = self.read_stream(request)?;
+        drain_then_admit(stream, |view, result| self.commit_view(request, view, result))
     }
 
-    /// Admits a read result into the cache of materialized views, unless
-    /// the plan was a pure pass-through of an existing fragment in the
-    /// requested configuration, or the view could never answer the read
-    /// that made it: its composed resampling bound alone rates below the
-    /// read's threshold.
-    fn maybe_admit_result(
+    /// Admits a drained read's result as a view: the physical video, its
+    /// GOPs and the evictions the budget then needs, as one journal commit.
+    /// Admits nothing, and returns false, if the plan-time predicate no
+    /// longer holds against the catalog as it is now.
+    pub(crate) fn commit_view(
         &mut self,
         request: &ReadRequest,
-        admission: &AdmissionCarry,
+        (resolution, mse_bound): View,
         result: &ReadResult,
     ) -> Result<bool, VssError> {
-        let (plan, output) = (&result.stats.plan, &result.frames);
-        let output_resolution = admission.output_resolution;
-        // Pass-through check: a single fragment already stores exactly the
-        // requested configuration over the requested range.
-        if plan.segments.len() == 1 {
-            let fragment = &admission.candidates.candidates[plan.segments[0].fragment_id as usize];
-            let same_rate = request
-                .temporal
-                .frame_rate
-                .is_none_or(|fps| (fps - fragment.frame_rate).abs() < 1e-9);
-            if fragment.codec == request.physical.codec
-                && fragment.resolution == output_resolution
-                && same_rate
-            {
-                return Ok(false);
-            }
-        }
-        let mse_bound =
-            QualityModel::compose_bound(admission.source_mse_bound, admission.derivation_mse);
-        // A view's estimate is this bound plus a compression term that is
-        // never negative, so failing the threshold on the bound alone is a
-        // proof that the view could not serve this read (or any repeat).
-        if psnr_from_mse(mse_bound).db() < admission.threshold.db() {
+        if !self.may_admit_now(request) {
             return Ok(false);
         }
-        let physical_id = self.catalog.add_physical(
-            &request.name,
-            output_resolution.width,
-            output_resolution.height,
-            output.frame_rate(),
-            &request.physical.codec.name(),
-            false,
-            mse_bound,
-        )?;
-        match result.encoded.as_deref() {
-            Some(gops) => {
-                let mut time = request.temporal.start;
-                for gop in gops {
-                    let duration = gop.frame_count() as f64 / output.frame_rate();
-                    self.catalog.append_gop(
-                        &request.name,
-                        physical_id,
-                        time,
-                        time + duration,
-                        gop.frame_count(),
-                        &gop.to_bytes(),
+        let _span = vss_telemetry::span("engine", "admit", request.name.as_str());
+        let (name, output) = (request.name.as_str(), &result.frames);
+        self.in_batch(|engine| {
+            let physical_id = engine.catalog.add_physical(
+                name,
+                resolution.width,
+                resolution.height,
+                output.frame_rate(),
+                &request.physical.codec.name(),
+                false,
+                mse_bound,
+            )?;
+            match result.encoded.as_deref() {
+                Some(gops) => {
+                    let mut time = request.temporal.start;
+                    for gop in gops {
+                        let duration = gop.frame_count() as f64 / output.frame_rate();
+                        let (count, bytes) = (gop.frame_count(), gop.to_bytes());
+                        engine.catalog.append_gop(name, physical_id, time, time + duration, count, &bytes, None)?;
+                        time += duration;
+                    }
+                }
+                None => {
+                    // Raw results have no encoded form yet: the write path's
+                    // batch drive onto the physical video registered above.
+                    let mut write = engine.incremental_write(
+                        name,
+                        request.physical.codec,
+                        request.physical.encoder_quality,
+                        output.frame_rate(),
+                        Some(physical_id),
                         None,
-                    )?;
-                    time += duration;
+                        Some(request.temporal.start),
+                    );
+                    for gop in &write.encode_batch(output)? {
+                        engine.push_incremental_encoded(&mut write, gop)?;
+                    }
+                    engine.establish_budget(name)?;
                 }
             }
-            None => {
-                // Raw results have no encoded form yet: the write path's
-                // batch drive onto the physical video registered above
-                // (the read persists the catalog itself).
-                let mut write = self.incremental_write(
-                    &request.name,
-                    request.physical.codec,
-                    request.physical.encoder_quality,
-                    output.frame_rate(),
-                    Some(physical_id),
-                    None,
-                    Some(request.temporal.start),
-                );
-                for gop in &write.encode_batch(output)? {
-                    self.push_incremental_encoded(&mut write, gop)?;
-                }
-                self.establish_budget(&request.name)?;
-            }
-        }
+            engine.enforce_budget(name)?;
+            Ok(())
+        })?;
+        self.catalog.persist()?;
         Ok(true)
     }
 }

@@ -17,7 +17,11 @@
 //! and (re)encoded one plan step at a time. This is what lets `vss-server`
 //! open a stream under a shard's *shared* lock and release the lock before the
 //! first byte of video is decoded: the shard lock is never held across GOP
-//! file reads.
+//! file reads. The snapshot also takes a catalog [`Pin`](vss_catalog::Pin),
+//! so the files it names stay on disk until the stream is dropped, whatever
+//! compaction, eviction or deletion commits meanwhile; and whether a GOP
+//! file is a deferred-compressed page is told by its content, so a page the
+//! maintenance sweep rewrites mid-stream still reads the same frames.
 //!
 //! # Equivalence with materialized reads
 //!
@@ -26,8 +30,10 @@
 //! read of the same request against the same store state. Chunk boundaries
 //! follow the plan: pass-through segments yield one chunk per reused stored
 //! GOP; re-encoded segments yield one chunk per output GOP of the configured
-//! GOP size. Streaming reads never admit their result to the cache of
-//! materialized views (use [`Engine::read`] when cache admission is wanted).
+//! GOP size. A stream never admits its result to the cache of
+//! materialized views itself: a materialized read drains it with no lock
+//! held and then, only if it has a view to admit, commits that view (see
+//! the `read` module).
 //!
 //! # One GOP stage, on the consumer's thread
 //!
@@ -50,25 +56,25 @@
 //! accumulators and chunks awaiting the consumer — and records the
 //! high-water mark, exposed as [`ReadStream::peak_buffered_frames`] /
 //! [`peak_buffered_bytes`](ReadStream::peak_buffered_bytes) and reported in
-//! [`ReadStats`]. For reads that need no frame-rate conversion the peak is
-//! bounded by **two GOPs** (one being assembled, one awaiting the
-//! consumer); frame-rate-converted segments are the documented exception —
-//! retiming is a whole-segment operation, so such segments are buffered in
-//! full before conversion. (A materialized read
-//! that may admit its result additionally accumulates the first resized
-//! segment for the admission-quality measurement — but it drains the whole
-//! result anyway; every other stream skips that measurement.)
+//! [`ReadStats`]. Every stream's peak is bounded by **two GOPs** (one being
+//! assembled, one awaiting the consumer), plus, for a read that may admit
+//! its result, the at most three (source, resized) frame pairs the
+//! admission measurement samples. Frame-rate-converted segments are the one
+//! exception — retiming is a whole-segment operation, so such segments are
+//! buffered in full before conversion.
 
 use crate::engine::{Engine, ReadStats};
-use crate::fragments::{build_candidates, CandidateSet};
+use crate::fragments::build_candidates;
 use crate::params::{PlannerKind, ReadRequest};
 use crate::quality::{QualityModel, DEFAULT_QUALITY_THRESHOLD};
 use crate::read::ReadResult;
 use crate::sink::SinkEncoder;
 use crate::VssError;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use vss_catalog::PhysicalVideoId;
 use vss_codec::{codec_instance, Codec, EncodedGop, EncoderConfig};
 use vss_frame::{
     convert_frame_rate, crop, resize_bilinear, Frame, FrameSequence, PixelFormat, PsnrDb,
@@ -108,8 +114,6 @@ pub struct ReadChunk {
 #[derive(Debug)]
 struct GopWork {
     path: PathBuf,
-    /// Whether the stored bytes are under deferred (lossless) compression.
-    lossless: bool,
     /// First decoded frame that belongs to the output (mid-GOP entry).
     first: usize,
     /// Decode up to this frame (look-back included).
@@ -126,8 +130,6 @@ struct SegmentShape {
     passthrough: bool,
     /// Frame-rate conversion required (whole-segment operation).
     retime: bool,
-    /// This segment measures the resampling MSE for cache admission.
-    measure_mse: bool,
 }
 
 /// One unit of GOP work: a fully resolved GOP plus a by-value copy of its
@@ -140,6 +142,9 @@ struct GopJob {
     shape: SegmentShape,
     /// True for the segment's final GOP.
     last_gop: bool,
+    /// Positions, among this GOP's output frames, of the frames the
+    /// admission measurement samples (see [`assign_samples`]).
+    samples: Vec<usize>,
 }
 
 /// [`decode_gop_job`]'s output for one GOP: everything the consumer-side
@@ -151,9 +156,8 @@ struct DecodedGop {
     last_gop: bool,
     /// The stored encoded GOP (pass-through segments reuse it verbatim).
     encoded: Option<EncodedGop>,
-    /// Sliced source frames, kept only when this segment measures the
-    /// admission MSE.
-    source: Vec<Frame>,
+    /// The job's sampled (source, normalized) frame pairs.
+    samples: Vec<(Frame, Frame)>,
     /// Normalized output frames (cropping stays on the consumer's thread).
     frames: Vec<Frame>,
     bytes_read: u64,
@@ -163,11 +167,11 @@ struct DecodedGop {
 
 impl DecodedGop {
     fn held_frames(&self) -> usize {
-        self.frames.len() + self.source.len()
+        self.frames.len() + 2 * self.samples.len()
     }
 
     fn held_bytes(&self) -> u64 {
-        byte_len(&self.frames) + byte_len(&self.source)
+        byte_len(&self.frames) + pairs_byte_len(&self.samples)
     }
 }
 
@@ -183,8 +187,12 @@ fn decode_gop_job(
     let bytes = std::fs::read(&job.work.path)
         .map_err(|e| VssError::Catalog(vss_catalog::CatalogError::Io(e)))?;
     let bytes_read = bytes.len() as u64;
-    let container = if job.work.lossless { crate::deferred::decompress(&bytes)? } else { bytes };
-    let gop = EncodedGop::from_bytes(&container)?;
+    // Told apart by content, as reopen's reconcile does, not by the
+    // snapshot: the maintenance sweep may have compressed the page since.
+    let gop = match EncodedGop::from_bytes(&bytes) {
+        Ok(gop) => gop,
+        Err(_) => EncodedGop::from_bytes(&crate::deferred::decompress(&bytes)?)?,
+    };
     let implementation = codec_instance(job.shape.source_codec);
     // By value: a frame that needs no change below is moved into the result.
     let mut sliced = implementation.decode_prefix(&gop, job.work.last)?.into_frames();
@@ -194,7 +202,7 @@ fn decode_gop_job(
         segment: job.segment,
         last_gop: job.last_gop,
         encoded: None,
-        source: Vec::new(),
+        samples: Vec::new(),
         frames: Vec::new(),
         bytes_read,
         frames_decoded,
@@ -205,24 +213,25 @@ fn decode_gop_job(
         return Ok(item);
     };
     // One GOP's frames share a shape, so what they need is decided once.
-    let measure = job.shape.measure_mse && !job.shape.passthrough;
     let resize = !job.shape.passthrough
         && output_resolution != job.shape.resolution
         && first.resolution() != output_resolution;
     let (width, height) = (output_resolution.width, output_resolution.height);
-    if resize || first.format() != target_format {
-        item.frames = vss_parallel::try_par_map(parallelism, &sliced, |_, frame| match resize {
+    let (frames, source) = if resize || first.format() != target_format {
+        let frames = vss_parallel::try_par_map(parallelism, &sliced, |_, frame| match resize {
             false => frame.convert(target_format),
             true => match resize_bilinear(frame, width, height)? {
                 resized if resized.format() == target_format => Ok(resized),
                 resized => resized.convert(target_format),
             },
         })?;
-        item.source = if measure { sliced } else { Vec::new() };
+        (frames, Some(sliced))
     } else {
-        item.source = if measure { sliced.clone() } else { Vec::new() };
-        item.frames = sliced;
-    }
+        (sliced, None)
+    };
+    let source = source.as_ref().unwrap_or(&frames);
+    item.samples = job.samples.iter().map(|&at| (source[at].clone(), frames[at].clone())).collect();
+    item.frames = frames;
     if job.shape.passthrough {
         item.encoded = Some(gop);
     }
@@ -230,35 +239,24 @@ fn decode_gop_job(
     Ok(item)
 }
 
-/// Everything the exclusive read path needs, beyond the drained result, to
-/// decide on (and perform) cache admission.
+/// What a read that may admit its result carries from its plan to its
+/// commit, beside the drained result: the plan-time inputs of the view's
+/// quality bound and the frame pairs sampled to measure its resampling
+/// error (see the `read` module).
 #[derive(Debug)]
 pub(crate) struct AdmissionCarry {
-    pub(crate) candidates: CandidateSet,
-    pub(crate) reused_any: bool,
-    pub(crate) derivation_mse: f64,
-    pub(crate) source_mse_bound: f64,
     pub(crate) output_resolution: Resolution,
+    /// The worst bound among the plan's sources.
+    pub(crate) source_mse_bound: f64,
     /// The read's quality threshold, as the planner used it.
     pub(crate) threshold: PsnrDb,
-}
-
-impl Default for AdmissionCarry {
-    fn default() -> Self {
-        Self {
-            candidates: CandidateSet::default(),
-            reused_any: false,
-            derivation_mse: 0.0,
-            source_mse_bound: 0.0,
-            output_resolution: Resolution::new(0, 0),
-            threshold: DEFAULT_QUALITY_THRESHOLD,
-        }
-    }
+    /// (source, normalized) pairs of the first resized segment, in order.
+    pub(crate) samples: Vec<(Frame, Frame)>,
 }
 
 /// Accumulated stream-level statistics (the parts of [`ReadStats`] that are
 /// not per-chunk deltas).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StreamBase {
     plan: ReadPlan,
     fragments_available: usize,
@@ -299,12 +297,10 @@ struct PlanState {
     pending_rate: f64,
     /// Whole-segment buffer for frame-rate conversion.
     retime_buffer: Vec<Frame>,
-    /// Accumulators for the admission-quality measurement (first resized
-    /// segment only).
-    mse_source: Vec<Frame>,
-    mse_normalized: Vec<Frame>,
-    derivation_measured: bool,
-    carry: AdmissionCarry,
+    /// `Some` when the read may admit its result.
+    carry: Option<AdmissionCarry>,
+    /// Keeps every planned GOP file on disk until the stream is dropped.
+    _pin: vss_catalog::Pin,
 }
 
 enum StreamSource {
@@ -329,8 +325,6 @@ pub struct ReadStream {
     /// Set once a fatal error has been yielded; the stream then fuses.
     failed: bool,
     exhausted: bool,
-    /// Plan-backed streams must produce at least one frame.
-    require_frames: bool,
 }
 
 impl std::fmt::Debug for ReadStream {
@@ -353,32 +347,12 @@ impl ReadStream {
         compressed: bool,
         chunks: impl Iterator<Item = Result<ReadChunk, VssError>> + Send + 'static,
     ) -> Self {
-        ReadStream {
-            source: StreamSource::Chunks(Box::new(chunks)),
-            base: StreamBase {
-                plan: ReadPlan { segments: Vec::new(), total_cost: 0.0 },
-                fragments_available: 0,
-                cached_fragments_used: 0,
-                planning: Duration::ZERO,
-                decoding: Duration::ZERO,
-                encoding: Duration::ZERO,
-                gops_read: 0,
-                frames_decoded: 0,
-                bytes_read: 0,
-                reported_gops: 0,
-                reported_frames: 0,
-                reported_bytes: 0,
-                peak_buffered_frames: 0,
-                peak_buffered_bytes: 0,
-                output_frame_rate,
-                compressed,
-            },
-            ready: VecDeque::new(),
-            emitted_frames: 0,
-            failed: false,
-            exhausted: false,
-            require_frames: false,
-        }
+        let base = StreamBase { output_frame_rate, compressed, ..StreamBase::default() };
+        Self::new(StreamSource::Chunks(Box::new(chunks)), base)
+    }
+
+    fn new(source: StreamSource, base: StreamBase) -> Self {
+        ReadStream { source, base, ready: VecDeque::new(), emitted_frames: 0, failed: false, exhausted: false }
     }
 
     /// The read plan behind this stream (empty for chunk-backed streams).
@@ -435,14 +409,14 @@ impl ReadStream {
     /// peak buffered memory is O(clip) — the number streaming consumers
     /// avoid.
     pub fn drain(self) -> Result<ReadResult, VssError> {
-        self.drain_with_admission().map(|(result, _)| result)
+        self.drain_admitting().map(|(result, _)| result)
     }
 
-    /// Drains the stream and also returns the cache-admission inputs the
-    /// exclusive read path needs.
-    pub(crate) fn drain_with_admission(
+    /// Drains the stream and also returns what admitting its result needs,
+    /// if its plan may admit it: the one way those inputs leave a stream.
+    pub(crate) fn drain_admitting(
         mut self,
-    ) -> Result<(ReadResult, AdmissionCarry), VssError> {
+    ) -> Result<(ReadResult, Option<AdmissionCarry>), VssError> {
         let mut output = FrameSequence::empty(self.base.output_frame_rate)?;
         let mut encoded: Vec<EncodedGop> = Vec::new();
         while let Some(chunk) = self.next() {
@@ -461,7 +435,7 @@ impl ReadStream {
         let stats = self.stats();
         let carry = match self.source {
             StreamSource::Plan(state) => state.carry,
-            StreamSource::Chunks(_) => AdmissionCarry::default(),
+            StreamSource::Chunks(_) => None,
         };
         let result = ReadResult {
             frames: output,
@@ -513,7 +487,9 @@ impl Iterator for ReadStream {
                 Ok(true) => continue,
                 Ok(false) => {
                     self.exhausted = true;
-                    if self.require_frames && self.emitted_frames == 0 && self.ready.is_empty() {
+                    // A plan must produce at least one frame.
+                    let planned = matches!(self.source, StreamSource::Plan(_));
+                    if planned && self.emitted_frames == 0 && self.ready.is_empty() {
                         self.failed = true;
                         return Some(Err(VssError::Unsatisfiable(
                             "plan produced no frames".into(),
@@ -583,7 +559,6 @@ impl PlanState {
         if shape.passthrough {
             // The stored GOP already matches the requested configuration:
             // only the physical layout was converted; reuse the encoded bytes.
-            self.carry.reused_any = true;
             let chunk = ReadChunk {
                 frames: FrameSequence::new(item.frames, shape.frame_rate)?,
                 encoded_gop: item.encoded,
@@ -592,9 +567,8 @@ impl PlanState {
             self.note_buffered(base, ready, chunk.frames.len(), chunk.frames.byte_len() as u64);
             ready.push_back(chunk);
         } else {
-            if shape.measure_mse && !self.derivation_measured {
-                self.mse_source.extend(item.source);
-                self.mse_normalized.extend_from_slice(&item.frames);
+            if let Some(carry) = &mut self.carry {
+                carry.samples.extend(item.samples);
             }
             if shape.retime {
                 self.retime_buffer.extend(item.frames);
@@ -609,9 +583,8 @@ impl PlanState {
         Ok(true)
     }
 
-    /// Closes out the first unfinished segment: measures the admission MSE,
-    /// retimes the buffered segment if needed and flushes the partial output
-    /// GOP.
+    /// Closes out the first unfinished segment: retimes the buffered segment
+    /// if needed and flushes the partial output GOP.
     fn finish_segment(
         &mut self,
         base: &mut StreamBase,
@@ -619,14 +592,6 @@ impl PlanState {
     ) -> Result<(), VssError> {
         let Some(&segment) = self.segments.get(self.segment_cursor) else { return Ok(()) };
         self.segment_cursor += 1;
-        if segment.measure_mse && !self.derivation_measured && !self.mse_source.is_empty() {
-            let source =
-                FrameSequence::new(std::mem::take(&mut self.mse_source), segment.frame_rate)?;
-            let normalized =
-                FrameSequence::new(std::mem::take(&mut self.mse_normalized), segment.frame_rate)?;
-            self.carry.derivation_mse = QualityModel::resampling_mse(&source, &normalized);
-            self.derivation_measured = true;
-        }
         if segment.retime && !self.retime_buffer.is_empty() {
             let started = Instant::now();
             let normalized =
@@ -714,16 +679,15 @@ impl PlanState {
         transient_frames: usize,
         transient_bytes: u64,
     ) {
+        let samples = self.carry.as_ref().map_or(&[][..], |carry| &carry.samples);
         let held_frames = self.pending.len()
             + self.retime_buffer.len()
-            + self.mse_source.len()
-            + self.mse_normalized.len()
+            + 2 * samples.len()
             + ready.iter().map(|c| c.frames.len()).sum::<usize>()
             + transient_frames;
         let held_bytes = byte_len(&self.pending)
             + byte_len(&self.retime_buffer)
-            + byte_len(&self.mse_source)
-            + byte_len(&self.mse_normalized)
+            + pairs_byte_len(samples)
             + ready.iter().map(|c| c.frames.byte_len() as u64).sum::<u64>()
             + transient_bytes;
         base.peak_buffered_frames = base.peak_buffered_frames.max(held_frames);
@@ -735,31 +699,70 @@ fn byte_len(frames: &[Frame]) -> u64 {
     frames.iter().map(|f| f.byte_len() as u64).sum()
 }
 
+fn pairs_byte_len(pairs: &[(Frame, Frame)]) -> u64 {
+    pairs.iter().map(|(a, b)| (a.byte_len() + b.byte_len()) as u64).sum()
+}
+
+/// Spreads [`QualityModel::sample_positions`] over the measuring segment's
+/// GOP jobs: the segment's frames are its jobs' output frames in order.
+fn assign_samples(jobs: &mut [GopJob]) {
+    let frames = jobs.iter().map(|job| job.work.last - job.work.first).sum();
+    let mut positions = QualityModel::sample_positions(frames).peekable();
+    let mut offset = 0;
+    for job in jobs {
+        let end = offset + job.work.last - job.work.first;
+        while let Some(position) = positions.next_if(|&position| position < end) {
+            job.samples.push(position - offset);
+        }
+        offset = end;
+    }
+}
+
 impl Engine {
     /// Opens a GOP-at-a-time streaming read (planned by `request.planner`).
     ///
     /// All catalog-dependent work happens here, through `&self`; the returned
-    /// stream owns a complete snapshot and performs its file I/O, decoding and
-    /// re-encoding without touching the engine — see the
-    /// [module docs](crate::stream). Streaming reads never admit their result
-    /// to the cache of materialized views.
+    /// stream owns a complete snapshot and a catalog pin, and performs its
+    /// file I/O, decoding and re-encoding without touching the engine — see
+    /// the [module docs](crate::stream). A stream never admits its result to
+    /// the cache of materialized views; [`Engine::read`] drains one and
+    /// commits what it has to admit.
     pub fn read_stream(&self, request: &ReadRequest) -> Result<ReadStream, VssError> {
         // The span covers the open (candidate collection + planning); the
         // drain happens on the caller's schedule.
         let _span = vss_telemetry::span("engine", "read_stream", request.name.as_str());
-        self.plan_stream(request, false)
+        let (stream, touched) = self.plan(request, self.catalog.pin())?;
+        // Recency clocks are atomic, so `&self` suffices.
+        for (physical_id, gop_index) in touched {
+            self.catalog.touch_gop(&request.name, physical_id, gop_index)?;
+        }
+        Ok(stream)
     }
 
-    /// Plans `request` and snapshots the plan into a self-contained stream.
-    /// `for_admission` is set only by a materialized read that may admit its
-    /// result: it enables the whole-segment quality measurement cache
-    /// admission needs, which (deliberately) costs O(segment) memory — every
-    /// other stream skips it and keeps the O(GOP) bound even on resizes.
-    pub(crate) fn plan_stream(
+    /// Whether a read of `request` may admit its result against the catalog
+    /// as it is now: [`plan`](Self::plan)'s predicate, re-evaluated by an
+    /// admission's commit. False if the video is gone or cannot be planned.
+    pub(crate) fn may_admit_now(&self, request: &ReadRequest) -> bool {
+        self.plan(request, self.catalog.pin()).is_ok_and(|(stream, _)| {
+            matches!(&stream.source, StreamSource::Plan(state) if state.carry.is_some())
+        })
+    }
+
+    /// Plans `request` and resolves every planned GOP to its file: the
+    /// stream that holds `pin`, and the planned GOPs, for the recency
+    /// bookkeeping of a stream that opens.
+    ///
+    /// The read may admit its result (`carry` is `Some`) only if the request
+    /// may ([`ReadRequest::may_admit`]), no segment passes stored GOPs
+    /// through (they already exist in the requested configuration, so the
+    /// combination would only duplicate them) and the plan is not a single
+    /// fragment already in the requested configuration. Only then does the
+    /// first resized segment sample frames for the view's resampling error.
+    fn plan(
         &self,
         request: &ReadRequest,
-        for_admission: bool,
-    ) -> Result<ReadStream, VssError> {
+        pin: vss_catalog::Pin,
+    ) -> Result<(ReadStream, Vec<(PhysicalVideoId, u64)>), VssError> {
         let video = self.catalog.video(&request.name)?;
         let original = video
             .original()
@@ -801,16 +804,17 @@ impl Engine {
             _ => PixelFormat::Yuv420,
         };
 
-        // --- snapshot the plan's GOPs ---------------------------------------
-        // Resolve every planned GOP to its on-disk file, perform the recency
-        // bookkeeping (atomic — `&self` suffices) and record how each segment
-        // must be transformed, flattening the plan into one ordered job
-        // list. After this loop the stream is self-contained.
+        // --- resolve the plan's GOPs ----------------------------------------
+        // Resolve every planned GOP to its on-disk file and record how each
+        // segment must be transformed, flattening the plan into one ordered
+        // job list. After this loop the stream is self-contained.
         let mut segments: Vec<SegmentShape> = Vec::new();
         let mut jobs: Vec<GopJob> = Vec::new();
+        let mut touched = Vec::new();
         let mut cached_segments = 0usize;
         let mut source_mse_bound = 0.0f64;
-        let mut mse_segment_assigned = false;
+        let mut passes_through = false;
+        let mut measured: Option<Range<usize>> = None;
         for segment in &plan.segments {
             let run = candidates.run(segment.fragment_id);
             let physical = video
@@ -854,25 +858,23 @@ impl Engine {
                 let last = ((relative_end * gop_fps).round() as usize)
                     .min(gop_record.frame_count)
                     .max(first + 1);
-                self.catalog.touch_gop(&request.name, run.physical_id, gop_index)?;
+                touched.push((run.physical_id, gop_index));
                 gops.push(GopWork {
                     path: self.catalog.gop_path(&request.name, physical, gop_index),
-                    lossless: gop_record.lossless_level.is_some(),
                     first,
                     last,
                 });
             }
-            let resize_needed = output_resolution != physical.resolution();
-            let measure_mse =
-                for_admission && !mse_segment_assigned && resize_needed && !gops.is_empty();
-            mse_segment_assigned |= measure_mse;
+            passes_through |= passthrough && !gops.is_empty();
+            if measured.is_none() && output_resolution != physical.resolution() && !gops.is_empty() {
+                measured = Some(jobs.len()..jobs.len() + gops.len());
+            }
             let shape = SegmentShape {
                 source_codec,
                 frame_rate: physical.frame_rate,
                 resolution: physical.resolution(),
                 passthrough,
                 retime,
-                measure_mse,
             };
             let gop_count = gops.len();
             jobs.extend(gops.into_iter().enumerate().map(|(position, work)| GopJob {
@@ -880,10 +882,30 @@ impl Engine {
                 segment: segments.len(),
                 shape,
                 last_gop: position + 1 == gop_count,
+                samples: Vec::new(),
             }));
             segments.push(shape);
         }
-
+        let duplicate = match plan.segments.as_slice() {
+            [only] => {
+                let fragment = &candidates.candidates[only.fragment_id as usize];
+                fragment.codec == request.physical.codec
+                    && fragment.resolution == output_resolution
+                    && request
+                        .temporal
+                        .frame_rate
+                        .is_none_or(|fps| (fps - fragment.frame_rate).abs() < 1e-9)
+            }
+            _ => false,
+        };
+        let carry = if request.may_admit() && !passes_through && !duplicate {
+            if let Some(range) = measured {
+                assign_samples(&mut jobs[range]);
+            }
+            Some(AdmissionCarry { output_resolution, source_mse_bound, threshold, samples: Vec::new() })
+        } else {
+            None
+        };
         let parallelism = self.config.parallelism;
         let encoder = SinkEncoder {
             codec: request.physical.codec,
@@ -897,7 +919,6 @@ impl Engine {
             frame_rate: output_fps,
             threads: parallelism,
         };
-        let fragments_available = candidates.candidates.len();
         let state = PlanState {
             encoder,
             gop_size: self.config.gop_size,
@@ -912,44 +933,19 @@ impl Engine {
             pending: Vec::new(),
             pending_rate: output_fps,
             retime_buffer: Vec::new(),
-            mse_source: Vec::new(),
-            mse_normalized: Vec::new(),
-            derivation_measured: false,
-            carry: AdmissionCarry {
-                candidates,
-                reused_any: false,
-                derivation_mse: 0.0,
-                source_mse_bound,
-                output_resolution,
-                threshold,
-            },
+            carry,
+            _pin: pin,
         };
-        Ok(ReadStream {
-            source: StreamSource::Plan(Box::new(state)),
-            base: StreamBase {
-                plan,
-                fragments_available,
-                cached_fragments_used: cached_segments,
-                planning,
-                decoding: Duration::ZERO,
-                encoding: Duration::ZERO,
-                gops_read: 0,
-                frames_decoded: 0,
-                bytes_read: 0,
-                reported_gops: 0,
-                reported_frames: 0,
-                reported_bytes: 0,
-                peak_buffered_frames: 0,
-                peak_buffered_bytes: 0,
-                output_frame_rate: output_fps,
-                compressed: request.physical.codec.is_compressed(),
-            },
-            ready: VecDeque::new(),
-            emitted_frames: 0,
-            failed: false,
-            exhausted: false,
-            require_frames: true,
-        })
+        let base = StreamBase {
+            plan,
+            fragments_available: candidates.candidates.len(),
+            cached_fragments_used: cached_segments,
+            planning,
+            output_frame_rate: output_fps,
+            compressed: request.physical.codec.is_compressed(),
+            ..StreamBase::default()
+        };
+        Ok((ReadStream::new(StreamSource::Plan(Box::new(state)), base), touched))
     }
 }
 
@@ -1022,6 +1018,72 @@ mod tests {
             Err(VssError::OutOfRange { .. })
         ));
         assert!(engine.read_stream(&ReadRequest::new("missing", 0.0, 1.0, Codec::H264)).is_err());
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// Frames and encoded bytes of a drained stream.
+    fn drained(stream: ReadStream) -> (FrameSequence, Option<Vec<Vec<u8>>>) {
+        let result = stream.drain().unwrap();
+        (result.frames, result.encoded.map(|gops| gops.iter().map(|g| g.to_bytes()).collect()))
+    }
+
+    /// A stream opened before `change` drains exactly as one drained before it.
+    fn drains_across(engine: &mut Engine, request: &ReadRequest, change: impl FnOnce(&mut Engine)) {
+        let reference = drained(engine.read_stream(request).unwrap());
+        let stream = engine.read_stream(request).unwrap();
+        change(engine);
+        let (frames, encoded) = drained(stream);
+        assert_eq!(frames.frames(), reference.0.frames());
+        assert_eq!(encoded, reference.1);
+    }
+
+    #[test]
+    fn a_stream_outlives_the_compaction_of_the_views_it_planned() {
+        let (mut engine, root) = temp_engine("stream-compact");
+        engine.write(&WriteRequest::new("v", Codec::H264), &sequence(90)).unwrap();
+        engine.read(&ReadRequest::new("v", 0.0, 1.0, Codec::Hevc)).unwrap();
+        engine.read(&ReadRequest::new("v", 1.0, 2.0, Codec::Hevc)).unwrap();
+        let request = ReadRequest::new("v", 0.0, 2.0, Codec::Hevc).uncacheable();
+        drains_across(&mut engine, &request, |engine| {
+            assert_eq!(engine.compact_video("v").unwrap(), 1);
+        });
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn a_stream_outlives_the_deferred_compression_of_its_pages() {
+        let (mut engine, root) = temp_engine("stream-deferred");
+        engine.config.deferred_compression = false;
+        let raw = Codec::Raw(PixelFormat::Rgb8);
+        engine.write(&WriteRequest::new("v", raw), &sequence(120)).unwrap();
+        engine.config.deferred_compression = true;
+        let budget = engine.bytes_used("v").unwrap() + 1;
+        engine.catalog.set_storage_budget("v", Some(budget)).unwrap();
+        let request = ReadRequest::new("v", 0.0, 4.0, raw).uncacheable();
+        drains_across(&mut engine, &request, |engine| {
+            assert_eq!(engine.deferred_compression_sweep("v", 4).unwrap(), 4);
+        });
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn a_stream_outlives_the_deletion_of_its_video() {
+        let (mut engine, root) = temp_engine("stream-delete");
+        engine.write(&WriteRequest::new("v", Codec::H264), &sequence(90)).unwrap();
+        let request = ReadRequest::new("v", 0.0, 3.0, Codec::Hevc).uncacheable();
+        let reference = drained(engine.read_stream(&request).unwrap());
+        let mut stream = engine.read_stream(&request).unwrap();
+        let first = stream.next().unwrap().unwrap();
+        engine.delete_video("v").unwrap();
+        let (rest, encoded) = drained(stream);
+        let mut frames = first.frames;
+        frames.extend(rest).unwrap();
+        assert_eq!(frames.frames(), reference.0.frames());
+        let encoded: Vec<Vec<u8>> =
+            first.encoded_gop.iter().map(|g| g.to_bytes()).chain(encoded.unwrap()).collect();
+        assert_eq!(Some(encoded), reference.1);
+        // Once the last stream is gone, so are the video's files.
+        assert!(!root.join("v").exists());
         let _ = std::fs::remove_dir_all(root);
     }
 

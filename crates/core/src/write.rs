@@ -283,7 +283,9 @@ mod tests {
         let original = video.original().unwrap();
         let compressed_gop =
             original.gops.iter().find(|g| g.lossless_level.is_some()).expect("some gop compressed");
-        let (decoded, _) = engine.load_gop("v", original.id, compressed_gop.index).unwrap();
+        let bytes = engine.catalog.read_gop("v", original.id, compressed_gop.index).unwrap();
+        let decoded =
+            vss_codec::EncodedGop::from_bytes(&crate::deferred::decompress(&bytes).unwrap()).unwrap();
         assert_eq!(decoded.frame_count(), compressed_gop.frame_count);
         let _ = std::fs::remove_dir_all(root);
     }

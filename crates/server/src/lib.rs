@@ -14,11 +14,11 @@
 //! deferred-compression queue to itself:
 //!
 //! * clients on videos in **different shards** proceed fully in parallel;
-//! * within a shard the discipline is `Vss`'s own: reads that may not admit
-//!   (and streaming reads) share the lock only to snapshot their plan and
-//!   decode after releasing it; writes take it exclusively only to persist
-//!   GOPs they encoded with no lock held; cache-admitting reads and
-//!   maintenance hold it exclusively for the operation.
+//! * within a shard the discipline is `Vss`'s own: every read shares the
+//!   lock only to snapshot its plan and decodes after releasing it, and a
+//!   read with a view to admit takes it exclusively only for that commit;
+//!   writes take it exclusively only to persist GOPs they encoded with no
+//!   lock held; maintenance holds it exclusively for the operation.
 //!
 //! Sharding never changes results: for any shard count, every operation's
 //! output is byte-identical to a standalone `Vss`, because a logical video's
@@ -608,7 +608,9 @@ impl Session {
     }
 
     /// Executes a read planned by `request.planner` (optimal by default),
-    /// under the owning shard's lock discipline ([`Vss::read`]).
+    /// under the owning shard's lock discipline ([`Vss::read`]): planned
+    /// under the shared lock, drained with no lock held, and, only if it has
+    /// a view to admit, committed under the exclusive lock.
     pub fn read(&self, request: &ReadRequest) -> Result<ReadResult, VssError> {
         let (vss, stats) = self.route(&request.name);
         let result = vss.read(request)?;

@@ -16,7 +16,8 @@
 //! Verification reads are non-cacheable and target videos that receive no
 //! cacheable traffic, so their plans are independent of interleaving; the
 //! cache-churn videos exercise admission/eviction concurrently without
-//! affecting the comparison.
+//! affecting the comparison, and their cacheable streams drain lock-free
+//! while maintenance rewrites, merges and evicts the files they planned.
 
 use crossbeam::channel::bounded;
 use std::time::Duration;
@@ -149,14 +150,17 @@ fn mixed_concurrent_workload_is_deadlock_free_and_byte_identical() {
                             "streamed GOPs diverged from the sequential engine"
                         );
                     }
-                    // Cache churn: cacheable transcoding reads that admit,
-                    // evict and deferred-compress fragments concurrently.
+                    // Cache churn: cacheable transcoding reads that admit and
+                    // evict fragments concurrently, then a cacheable stream
+                    // over the churned views, drained with no lock held while
+                    // maintenance compacts and compresses what it planned.
                     2 => {
                         let video = format!("churn-{}", (thread + op) % CHURN_VIDEOS);
                         let start = f64::from(((thread + op * 3) % 2) as u32) * 0.5;
-                        session
-                            .read(&ReadRequest::new(&video, start, start + 1.0, Codec::Hevc))
-                            .unwrap();
+                        let request = ReadRequest::new(&video, start, start + 1.0, Codec::Hevc);
+                        session.read(&request).unwrap();
+                        let streamed = session.read_stream(&request).unwrap().drain().unwrap();
+                        assert_eq!(streamed.frames.len(), 30, "churn stream (thread {thread}, op {op})");
                     }
                     // Streaming ingest into a thread-private video: the first
                     // write goes through a WriteSink (encoding outside the

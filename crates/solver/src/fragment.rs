@@ -80,7 +80,7 @@ impl PlanSegment {
 }
 
 /// A complete plan covering the requested range.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReadPlan {
     /// Segments in temporal order; adjacent segments using the same fragment
     /// are coalesced.

@@ -194,9 +194,9 @@ fn streaming_reads_buffer_at_most_two_gops() {
         ReadRequest::new("v", 0.0, 5.0, Codec::Raw(PixelFormat::Yuv420)).uncacheable(),
         ReadRequest::new("v", 0.0, 5.0, Codec::H264).uncacheable(),
         ReadRequest::new("v", 0.0, 5.0, Codec::Hevc).uncacheable(),
-        // Resized streaming reads stay bounded too: the admission-quality
-        // measurement (which buffers a whole segment) only runs on
-        // cache-admitting reads, never on streams.
+        // Resized streaming reads stay bounded too: no stream buffers a
+        // whole segment, and an uncacheable one samples nothing for
+        // admission.
         ReadRequest::new("v", 0.0, 5.0, Codec::Hevc)
             .resolution(Resolution::new(48, 28))
             .uncacheable(),
