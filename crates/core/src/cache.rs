@@ -110,7 +110,7 @@ fn covers_interval(physical: &PhysicalVideoRecord, start: f64, end: f64) -> bool
 /// the given policy, lowest sequence number (most evictable) first. Pages
 /// protected by the baseline-quality guard are excluded, and so are the
 /// original's first and last pages: reads are bounded by the original's
-/// interval (which only retention may shorten), so those two must stay.
+/// interval, so those two must stay.
 pub fn eviction_order(
     video: &LogicalVideoRecord,
     policy: &EvictionPolicy,

@@ -6,8 +6,8 @@
 //! video's cache passes an activation threshold (25 % of its budget), VSS
 //! compresses each raw page as it is written (an admitted raw view's
 //! included), and its idle maintenance
-//! ([`Engine::background_maintenance`], which `vss-server`'s per-shard
-//! scheduler runs) losslessly compresses the uncompressed entries *least
+//! ([`Engine::background_maintenance`], which the store's owner runs on its
+//! own schedule) losslessly compresses the uncompressed entries *least
 //! likely to be evicted*. A read never compresses: it writes nothing but the
 //! view it admits. The compression level scales linearly with budget
 //! consumption, trading throughput for space as the budget tightens.
@@ -179,9 +179,9 @@ impl Engine {
 
     /// Runs one unit of background maintenance across all videos: a deferred
     /// compression step where budgets are tight, otherwise a compaction pass.
-    /// Returns `true` if any work was performed. This is what
-    /// `vss-server`'s maintenance workers call repeatedly while a shard is
-    /// otherwise idle (paper Section 5.2's "background thread" behaviour).
+    /// Returns `true` if any work was performed. A host calls it repeatedly
+    /// while the store is otherwise idle (paper Section 5.2's "background
+    /// thread" behaviour), directly or through [`crate::Vss::run_maintenance`].
     pub fn background_maintenance(&mut self) -> Result<bool, VssError> {
         let names = self.video_names();
         let mut worked = false;

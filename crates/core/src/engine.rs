@@ -65,20 +65,6 @@ pub struct WriteReport {
     pub elapsed: Duration,
 }
 
-/// Outcome of a retention trim (see [`Engine::trim_before`]).
-#[derive(Debug, Clone, Default)]
-pub struct TrimReport {
-    /// Whole GOPs removed from the original timeline.
-    pub gops_removed: usize,
-    /// Bytes those GOPs occupied on disk.
-    pub bytes_freed: u64,
-    /// Sequence number (catalog GOP index) of the oldest GOP still live
-    /// after the trim, when anything remains.
-    pub first_live_seq: Option<u64>,
-    /// Start time of the retained timeline after the trim, in seconds.
-    pub new_start_time: Option<f64>,
-}
-
 /// One persisted original-timeline GOP's position, as snapshotted for
 /// live-subscription catch-up (see [`Engine::original_gop_spans`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -252,60 +238,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Trims whole GOPs of a video's **original** timeline whose data lies
-    /// entirely before `cutoff` seconds — the time-windowed-retention
-    /// primitive. Each removal is journaled through the catalog WAL (crash
-    /// safe: the record commits before the file is deleted), so a trim that
-    /// dies mid-way reopens consistently. The newest GOP is always retained,
-    /// keeping the timeline non-empty for readers and for the budget/
-    /// deferred-compression machinery, which sees the freed bytes on its
-    /// next sweep. Reads of trimmed ranges fail with
-    /// [`VssError::OutOfRange`]; a live subscription catching up across a
-    /// trim observes the same hole and reports it as a gap.
-    ///
-    /// Cached (non-original) fragments covering trimmed ranges are left to
-    /// the existing eviction machinery; they can no longer be reached by
-    /// reads once the original's start time has advanced past them.
-    pub fn trim_before(&mut self, name: &str, cutoff: f64) -> Result<TrimReport, VssError> {
-        let _span = vss_telemetry::span("engine", "trim_before", name);
-        let video = self.catalog.video(name)?;
-        let Some(original) = video.original() else {
-            return Ok(TrimReport::default());
-        };
-        let physical_id = original.id;
-        // The removable prefix: GOPs ending at or before the cutoff. GOPs
-        // are stored in temporal order, so the first survivor ends the scan.
-        let mut removable: Vec<(u64, u64)> = Vec::new();
-        for gop in &original.gops {
-            if gop.end_time <= cutoff + 1e-9 {
-                removable.push((gop.index, gop.byte_len));
-            } else {
-                break;
-            }
-        }
-        if removable.len() == original.gops.len() {
-            removable.pop(); // always keep the newest GOP
-        }
-        if removable.is_empty() {
-            return Ok(TrimReport::default());
-        }
-        let mut report = TrimReport::default();
-        for (index, bytes) in &removable {
-            self.catalog.remove_gop(name, physical_id, *index)?;
-            report.gops_removed += 1;
-            report.bytes_freed += bytes;
-        }
-        self.catalog.persist()?;
-        let video = self.catalog.video(name)?;
-        if let Some(original) = video.original() {
-            if let Some(first) = original.gops.first() {
-                report.first_live_seq = Some(first.index);
-                report.new_start_time = Some(first.start_time);
-            }
-        }
-        Ok(report)
-    }
-
     /// Names of all logical videos.
     pub fn video_names(&self) -> Vec<String> {
         self.catalog.video_names()
@@ -372,11 +304,13 @@ impl Engine {
         Ok((original.start_time(), original.end_time()))
     }
 
-    /// Snapshots the persisted original-timeline GOPs with sequence number
-    /// (catalog GOP index) `>= from_seq`, up to `max_gops` of them — the
-    /// manifest a live subscription's catch-up reader uses to plan a
-    /// `read_stream` over exactly those GOPs. A retention trim shows up as
-    /// `spans[0].seq > from_seq`; an empty `spans` means nothing is
+    /// Snapshots the persisted original-timeline GOPs from the first
+    /// sequence number (catalog GOP index) `>= from_seq`, up to `max_gops`
+    /// of them — the manifest a live subscription's catch-up reader uses to
+    /// plan a `read_stream` over exactly those GOPs. The spans are one run
+    /// of consecutive indexes: a hole that eviction left in the original
+    /// ends the run, and shows up on the next call as
+    /// `spans[0].seq > from_seq`. An empty `spans` means nothing is
     /// persisted at or after `from_seq` yet. Returns `None` when the video
     /// does not exist (yet) or has no written data — a subscription treats
     /// both as "nothing to catch up on" and keeps waiting.
@@ -394,10 +328,13 @@ impl Engine {
         // GOP indices are assigned monotonically and removals keep order, so
         // the record list is sorted by index.
         let start = original.gops.partition_point(|g| g.index < from_seq);
+        let first = original.gops.get(start).map_or(0, |g| g.index);
         let spans = original.gops[start..]
             .iter()
             .take(max_gops)
-            .map(|g| OriginalGopSpan {
+            .zip(first..)
+            .take_while(|(g, seq)| g.index == *seq)
+            .map(|(g, _)| OriginalGopSpan {
                 seq: g.index,
                 start_time: g.start_time,
                 end_time: g.end_time,

@@ -83,12 +83,12 @@
 //!   released;
 //! * **exclusive** per commit — each persisted GOP and each write's finish,
 //!   a read's admission of its view (only a read that has one to admit),
-//!   create/delete/compact/maintenance and [`Vss::with_engine`].
+//!   create/delete/maintenance and [`Vss::with_engine`].
 //!
 //! `vss-server` is N of these plus routing: a stable hash of the
 //! logical-video name picks the owning `Vss`, and the server adds
-//! per-client sessions, a per-shard maintenance scheduler and per-shard
-//! statistics. The discipline works because the engine takes itself only
+//! per-client sessions and per-shard statistics. The discipline works
+//! because the engine takes itself only
 //! briefly — [`Engine::read_stream`] snapshots a plan through `&self` and
 //! the stream decodes with no engine at all; the incremental-write
 //! primitives need `&mut self` per persisted GOP only, never for an encode
@@ -132,7 +132,7 @@
 //! exercises the whole contract with a `kill -9` subprocess harness, killing
 //! ingest children and children that admit views and compact them.
 //!
-//! # Live ingest and retention
+//! # Live ingest
 //!
 //! The write path doubles as a live-publication source: a
 //! [`GopPublisher`] installed via [`Engine::set_publisher`] observes every
@@ -143,22 +143,11 @@
 //! re-encodes. The `vss-live` crate builds the per-video broadcast hub,
 //! bounded subscriber queues and lag→catch-up→re-seam machinery on this
 //! hook; `vss-server` installs the hub across all shards and `vss-net`
-//! carries subscriptions over TCP.
-//!
-//! **Retention contract.** [`Engine::trim_before`] removes whole
-//! original-timeline GOPs that end at or before a cutoff timestamp, each
-//! removal journaled through the catalog WAL before the file is unlinked
-//! (crash safe), always retaining the newest GOP. After a trim:
-//!
-//! * the video's available range starts at the first retained GOP — reads
-//!   of trimmed ranges fail with [`VssError::OutOfRange`], and a
-//!   subscription catching up across the trim reports the hole as a gap
-//!   event rather than silently skipping data;
-//! * freed bytes lower budget consumption, so the existing deferred-
-//!   compression and compaction machinery sees the headroom on its next
-//!   sweep;
-//! * sequence numbers (catalog GOP indexes) are never reused — the trimmed
-//!   prefix leaves a permanent hole in the sequence space.
+//! carries subscriptions over TCP. Sequence numbers are catalog GOP
+//! indexes and are never reused: a page the budget evicts from the original
+//! leaves a hole, which a subscription catching up across it reports as a
+//! gap event rather than silently skipping (see
+//! [`Engine::original_gop_spans`]).
 //!
 //! The main entry point is [`Vss`]. See the `examples/` directory of the
 //! workspace for end-to-end usage.
@@ -185,7 +174,7 @@ mod write;
 
 pub use cache::{eviction_order, EvictionCandidate};
 pub use config::{EvictionPolicy, JointConfig, VssConfig, DEFAULT_ENCODER_QUALITY};
-pub use engine::{Engine, OriginalGopManifest, OriginalGopSpan, ReadStats, TrimReport, WriteReport};
+pub use engine::{Engine, OriginalGopManifest, OriginalGopSpan, ReadStats, WriteReport};
 pub use error::VssError;
 pub use fragments::{build_candidates, contiguous_runs, CandidateSet, FragmentRun};
 pub use joint::{
@@ -219,7 +208,7 @@ use vss_telemetry::{Histogram, HistogramSummary};
 /// [`lock_wait`](Self::lock_wait), the `server.shard.lock_wait_ns{shard=N}`
 /// series and a `server.shard_lock` span. It starts no thread: idle
 /// maintenance is [`run_maintenance`](Self::run_maintenance), called by its
-/// owner, or `vss-server`'s per-shard scheduler.
+/// owner on the owner's schedule.
 #[derive(Clone)]
 pub struct Vss {
     shard: Arc<Shard>,
@@ -376,11 +365,6 @@ impl Vss {
         self.shared().budget_fraction(name)
     }
 
-    /// Runs compaction for a logical video, returning the number of merges.
-    pub fn compact(&self, name: &str) -> Result<usize, VssError> {
-        self.exclusive().compact_video(name)
-    }
-
     /// Runs one unit of background maintenance (deferred compression or
     /// compaction); returns `true` if any work was performed.
     pub fn run_maintenance(&self) -> Result<bool, VssError> {
@@ -398,14 +382,6 @@ impl Vss {
     /// other readers).
     pub fn with_engine_read<R>(&self, f: impl FnOnce(&Engine) -> R) -> R {
         f(&self.shared())
-    }
-
-    /// Non-blocking [`with_engine`](Self::with_engine): returns `None`
-    /// without running `f` when anyone holds the lock, and records no wait.
-    /// Background work (maintenance, retention) uses it, so it never stalls
-    /// a client.
-    pub fn try_with_engine<R>(&self, f: impl FnOnce(&mut Engine) -> R) -> Option<R> {
-        self.shard.engine.try_write().map(|mut engine| f(&mut engine))
     }
 }
 

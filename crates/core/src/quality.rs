@@ -48,12 +48,6 @@ impl QualityModel {
         Self::default()
     }
 
-    /// Access to the underlying bits-per-pixel → PSNR estimator (for
-    /// recording exact samples).
-    pub fn estimator_mut(&mut self) -> &mut QualityEstimator {
-        &mut self.estimator
-    }
-
     /// Estimated quality of a physical representation relative to the
     /// originally written video, combining its accumulated resampling-MSE
     /// bound with its estimated compression error.

@@ -22,15 +22,15 @@
 //!   queue's sequence numbers are the same catalog GOP indexes, so no GOP
 //!   is duplicated or skipped.
 //! * **Subscription modes.** [`SubscribeFrom::Start`] replays from the
-//!   oldest retained GOP (late joiners catch up, then go live),
+//!   oldest stored GOP (late joiners catch up, then go live),
 //!   [`SubscribeFrom::Seq`] from an explicit cursor, and
 //!   [`SubscribeFrom::Live`] delivers only GOPs persisted after the
 //!   subscribe call.
-//! * **Retention.** When time-windowed retention
-//!   ([`vss_core::Engine::trim_before`]) has removed GOPs a catch-up cursor
-//!   still points at, the subscriber receives one [`SubEvent::Gap`] naming
-//!   the trimmed sequence range, then continues from the oldest retained
-//!   GOP — holes are reported, never silently skipped.
+//! * **Gaps.** The store's budget may evict a page of the original, and
+//!   its sequence number is never reused. When a catch-up cursor reaches
+//!   such a hole, the subscriber receives one [`SubEvent::Gap`] naming the
+//!   missing sequence range, then continues from the next stored GOP —
+//!   holes are reported, never silently skipped.
 //! * **Lifecycle.** Hub channels exist only while subscribers do: the last
 //!   [`Subscription`] drop removes the per-video entry (no leaked state for
 //!   videos nobody is tailing), and deleting a video terminates its
@@ -123,7 +123,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Where a subscription starts in the video's GOP sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubscribeFrom {
-    /// From the oldest retained GOP (sequence 0, or past a trimmed prefix).
+    /// From the oldest stored GOP (sequence 0 unless the store lost it).
     Start,
     /// From an explicit sequence number (catalog GOP index).
     Seq(u64),
@@ -154,8 +154,9 @@ pub struct LiveGop {
 pub enum SubEvent {
     /// The next GOP in sequence.
     Gop(LiveGop),
-    /// Sequences `from_seq..to_seq` were trimmed by retention before this
-    /// subscriber could read them; delivery continues at `to_seq`.
+    /// Sequences `from_seq..to_seq` were no longer stored when this
+    /// subscriber caught up to them (an evicted original page); delivery
+    /// continues at `to_seq`.
     Gap {
         /// First missing sequence number.
         from_seq: u64,
@@ -170,10 +171,12 @@ pub enum SubEvent {
 /// over the `read_stream` plan machinery; tests may implement it directly
 /// over an [`vss_core::Engine`].
 pub trait CatchupSource: Send {
-    /// Returns up to `max_gops` consecutive persisted original-timeline
-    /// GOPs of `name`, starting at the first persisted sequence `>=
-    /// from_seq` (a retention gap shows up as `gops[0].seq > from_seq`).
-    /// An empty vec means nothing is persisted at or after `from_seq` yet.
+    /// Returns up to `max_gops` persisted original-timeline GOPs of `name`
+    /// with consecutive sequence numbers, starting at the first persisted
+    /// sequence `>= from_seq`. A hole in the stored sequence ends the batch
+    /// and shows up on the next call as `gops[0].seq > from_seq`, which the
+    /// subscription reports as a gap. An empty vec means nothing is
+    /// persisted at or after `from_seq` yet.
     fn read_from(
         &mut self,
         name: &str,
@@ -544,7 +547,8 @@ impl Subscription {
         };
         if let Some(first) = batch.first() {
             if first.seq > cursor {
-                // Retention trimmed the range we wanted: report the hole.
+                // The store no longer holds the range we wanted: report the
+                // hole.
                 self.pending.push_back(SubEvent::Gap { from_seq: cursor, to_seq: first.seq });
             }
             self.pending.extend(batch.into_iter().map(SubEvent::Gop));
@@ -650,8 +654,9 @@ mod tests {
             seq
         }
 
-        /// Drops every GOP with `seq < before` (retention trim).
-        fn trim(&self, before: u64) {
+        /// Drops every GOP with `seq < before`, as if the store had lost
+        /// them.
+        fn drop_before(&self, before: u64) {
             lock(&self.gops).retain(|g| g.seq >= before);
         }
     }
@@ -744,7 +749,7 @@ mod tests {
         for _ in 0..6 {
             store.persist_and_publish(&hub, "v");
         }
-        store.trim(4); // retention removed seqs 0..4
+        store.drop_before(4); // the store no longer holds seqs 0..4
         let mut sub = hub.subscribe("v", SubscribeFrom::Start, Box::new(store.clone()));
         match sub.next().unwrap() {
             SubEvent::Gap { from_seq, to_seq } => {

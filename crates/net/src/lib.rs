@@ -274,8 +274,8 @@
 //!   queue and the subscription transparently re-reads the missed
 //!   GOPs from disk (cursor-based catch-up over the ordinary read path),
 //!   re-seaming onto the live feed without duplicating or skipping a GOP —
-//!   ingest never waits on a subscriber. GOPs trimmed by retention before a
-//!   subscriber reaches them surface as an explicit `sub-gap`. Deleting the
+//!   ingest never waits on a subscriber. GOPs evicted from the original
+//!   before a subscriber reaches them surface as an explicit `sub-gap`. Deleting the
 //!   video ends the feed with `sub-end`; dropping the client-side
 //!   [`LiveFeed`] sends a `mux-reset` for its stream.
 //! * **Cancellation** — dropping a client-side stream, sink or feed sends a

@@ -606,8 +606,8 @@ messages! {
             /// The persisted container bytes.
             gop: EncodedGop,
         },
-        /// Sequence numbers `from_seq..to_seq` are no longer available (trimmed
-        /// by retention before this subscriber could read them).
+        /// Sequence numbers `from_seq..to_seq` are no longer stored (an
+        /// evicted original page); delivery continues at `to_seq`.
         0x8c SubGap {
             /// First missing sequence number.
             from_seq: u64,

@@ -18,31 +18,24 @@
 //!   lock only to snapshot its plan and decodes after releasing it, and a
 //!   read with a view to admit takes it exclusively only for that commit;
 //!   writes take it exclusively only to persist GOPs they encoded with no
-//!   lock held; maintenance holds it exclusively for the operation.
+//!   lock held.
 //!
 //! Sharding never changes results: for any shard count, every operation's
 //! output is byte-identical to a standalone `Vss`, because a logical video's
 //! entire state lives in exactly one shard and a session calls the very
 //! `Vss` methods an in-process client does. The server adds what only a
 //! service needs: sessions, admission control and shutdown, per-shard
-//! statistics, maintenance workers, retention and live subscriptions.
+//! statistics and live subscriptions.
 //!
-//! # Lock ordering
+//! # One shard lock per operation; maintenance is the caller's
 //!
-//! The protocol lives with the routing layer (the `shard` module): ordinary
-//! operations hold exactly one shard lock; the rare cross-shard operations
-//! (joint compression of a camera pair) acquire locks in ascending shard
-//! index order; listing names visits one shard at a time, and statistics
-//! take no lock. Deadlock-freedom is exercised by the
-//! `lock_ordering` integration test, which runs joint compression over the
-//! same pair in both argument orders concurrently.
-//!
-//! # Background maintenance
-//!
-//! [`VssServer::start_maintenance`] spawns one worker per shard. Each worker
-//! periodically tries its shard's lock without blocking and runs deferred
-//! compression / compaction only when the shard is otherwise idle — shards
-//! are swept independently instead of stop-the-world.
+//! Every operation touches one logical video and so acquires at most one
+//! shard lock; listing names visits the shards one at a time, and
+//! statistics take no lock. No operation ever holds two shard locks, so
+//! there is no lock order to keep. The server starts no thread of its own.
+//! A host that wants idle maintenance (deferred compression, compaction)
+//! runs it on its own schedule, one shard at a time:
+//! `session.with_engine(name, Engine::background_maintenance)`.
 //!
 //! # Sessions, admission control and shutdown
 //!
@@ -88,18 +81,15 @@ pub use shard::DEFAULT_SHARD_COUNT;
 pub use stats::{ServerStats, ShardStatsSnapshot};
 pub use vss_live::{LiveGop, LiveHub, SubEvent, SubscribeFrom, Subscription};
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use shard::ShardedEngine;
 use stats::ShardStats;
 use vss_core::{
-    EncodedGopBackend, Engine, IncrementalWrite, JointOutcome, MergeFunction, ReadRequest,
-    ReadResult, ReadStream, StorageBudget, VideoMetadata, VideoStorage, Vss, VssConfig, VssError,
-    VssSinkBackend, WriteRequest, WriteReport, WriteSink,
+    EncodedGopBackend, Engine, IncrementalWrite, ReadRequest, ReadResult, ReadStream,
+    StorageBudget, VideoMetadata, VideoStorage, Vss, VssConfig, VssError, VssSinkBackend,
+    WriteRequest, WriteReport, WriteSink,
 };
 use vss_frame::FrameSequence;
 use vss_live::CatchupSource;
@@ -173,10 +163,6 @@ struct ServerInner {
     /// The live-fanout hub, installed as every shard engine's publisher at
     /// open: GOPs persisted anywhere in the store fan out to subscribers.
     hub: Arc<LiveHub>,
-    /// Per-video retention windows (`trim-before` feeds). Applied by the
-    /// maintenance workers (non-blocking) and by
-    /// [`VssServer::apply_retention`] (deterministic).
-    retention: Mutex<HashMap<String, Duration>>,
     next_session: AtomicU64,
     server_config: ServerConfig,
     /// Count of active sessions + in-flight incremental writes, guarded by a
@@ -269,7 +255,6 @@ impl VssServer {
             inner: Arc::new(ServerInner {
                 engine,
                 hub,
-                retention: Mutex::new(HashMap::new()),
                 next_session: AtomicU64::new(0),
                 server_config,
                 admission: Mutex::new(0),
@@ -391,8 +376,7 @@ impl VssServer {
     ///
     /// Returns `true` once the server is drained, `false` on timeout (the
     /// shutdown flag stays set either way). The caller must have dropped its
-    /// own sessions first, and should drop any [`MaintenanceScheduler`]
-    /// separately — its guard joins the per-shard workers.
+    /// own sessions first.
     pub fn shutdown(&self, timeout: Duration) -> bool {
         self.begin_shutdown();
         let deadline = Instant::now() + timeout;
@@ -433,83 +417,6 @@ impl VssServer {
     pub fn hub(&self) -> &Arc<LiveHub> {
         &self.inner.hub
     }
-
-    /// Sets (or, with `None`, clears) a time-windowed retention policy for
-    /// one video: background maintenance keeps trimming whole original-
-    /// timeline GOPs older than `window` behind the newest written data
-    /// (see [`vss_core::Engine::trim_before`] for the trim contract — reads
-    /// of trimmed ranges fail with [`VssError::OutOfRange`], and live
-    /// subscriptions catching up across a trim observe a gap event). The
-    /// freed bytes feed the existing deferred-compression/compaction
-    /// machinery on its next sweep.
-    pub fn set_retention(&self, name: &str, window: Option<Duration>) {
-        let mut retention = self.inner.retention.lock().expect("retention lock");
-        match window {
-            Some(window) => {
-                retention.insert(name.to_string(), window);
-            }
-            None => {
-                retention.remove(name);
-            }
-        }
-    }
-
-    /// The retention window configured for a video, if any.
-    pub fn retention_window(&self, name: &str) -> Option<Duration> {
-        self.inner.retention.lock().expect("retention lock").get(name).copied()
-    }
-
-    /// Applies every configured retention window right now, blocking on each
-    /// owning shard's lock in turn (the deterministic counterpart of the
-    /// maintenance workers' opportunistic sweeps; tests and operational
-    /// tooling call this). Returns the total number of GOPs trimmed.
-    pub fn apply_retention(&self) -> Result<usize, VssError> {
-        let targets: Vec<(String, Duration)> = {
-            let retention = self.inner.retention.lock().expect("retention lock");
-            retention.iter().map(|(n, w)| (n.clone(), *w)).collect()
-        };
-        let mut removed = 0;
-        for (name, window) in targets {
-            removed += self.inner.engine.route(&name).0.with_engine(|engine| {
-                match retention_cutoff(engine, &name, window) {
-                    Some(cutoff) => {
-                        engine.trim_before(&name, cutoff).map(|report| report.gops_removed)
-                    }
-                    None => Ok(0),
-                }
-            })?;
-        }
-        Ok(removed)
-    }
-
-    /// Starts the background maintenance scheduler: one worker per shard,
-    /// each periodically sweeping its shard (deferred compression, eviction
-    /// follow-up, compaction) when the shard is otherwise idle. Workers stop
-    /// when the returned guard is dropped.
-    pub fn start_maintenance(&self, interval: Duration) -> MaintenanceScheduler {
-        let workers = (0..self.shard_count())
-            .map(|index| {
-                let (stop, stop_rx) = bounded::<()>(1);
-                let inner = Arc::clone(&self.inner);
-                let handle = std::thread::spawn(move || loop {
-                    match stop_rx.recv_timeout(interval) {
-                        Ok(()) | Err(RecvTimeoutError::Disconnected) => break,
-                        Err(RecvTimeoutError::Timeout) => {
-                            // Skip the shard when a foreground request holds
-                            // its lock (the paper performs this work "when no
-                            // other requests are being executed").
-                            let _ = inner.engine.shards()[index]
-                                .try_with_engine(|engine| engine.background_maintenance());
-                            // Retention trims ride the same idle-only policy.
-                            inner.sweep_retention(index);
-                        }
-                    }
-                });
-                MaintenanceWorker { stop: Some(stop), handle: Some(handle) }
-            })
-            .collect();
-        MaintenanceScheduler { workers }
-    }
 }
 
 impl ServerInner {
@@ -523,36 +430,6 @@ impl ServerInner {
         stats.record_stream_open(&stream.stats());
         Ok(stream)
     }
-
-    /// One opportunistic retention pass over the videos owned by shard
-    /// `shard_index`: skips (rather than waits for) a busy shard, exactly
-    /// like deferred compression, so retention never stalls a client.
-    fn sweep_retention(&self, shard_index: usize) {
-        let targets: Vec<(String, Duration)> = {
-            let retention = self.retention.lock().expect("retention lock");
-            retention
-                .iter()
-                .filter(|(name, _)| self.engine.shard_of(name) == shard_index)
-                .map(|(n, w)| (n.clone(), *w))
-                .collect()
-        };
-        for (name, window) in targets {
-            let _ = self.engine.shards()[shard_index].try_with_engine(|engine| {
-                if let Some(cutoff) = retention_cutoff(engine, &name, window) {
-                    let _ = engine.trim_before(&name, cutoff);
-                }
-            });
-        }
-    }
-}
-
-/// The trim cutoff a retention window implies for a video right now, or
-/// `None` when the video has no written data or everything is younger than
-/// the window.
-fn retention_cutoff(engine: &Engine, name: &str, window: Duration) -> Option<f64> {
-    let (start, end) = engine.video_time_range(name).ok()?;
-    let cutoff = end - window.as_secs_f64();
-    (cutoff > start).then_some(cutoff)
 }
 
 /// A per-client handle to a [`VssServer`]. All operations take `&self`; the
@@ -746,22 +623,6 @@ impl Session {
         self.route(name).0.budget_fraction(name)
     }
 
-    /// Runs compaction for a logical video, returning the number of merges.
-    pub fn compact(&self, name: &str) -> Result<usize, VssError> {
-        self.route(name).0.compact(name)
-    }
-
-    /// Jointly compresses the overlapping portion of two videos (cross-shard
-    /// operation; see the crate docs for the lock-ordering protocol).
-    pub fn joint_compress(
-        &self,
-        left: &str,
-        right: &str,
-        merge: MergeFunction,
-    ) -> Result<JointOutcome, VssError> {
-        self.server.inner.engine.joint_compress(left, right, merge)
-    }
-
     /// Runs a function with exclusive access to the engine shard owning
     /// `name` (experiment/ablation escape hatch: [`Vss::with_engine`] on
     /// that shard).
@@ -886,38 +747,10 @@ impl CatchupSource for SessionCatchupSource {
     }
 }
 
-struct MaintenanceWorker {
-    stop: Option<Sender<()>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Drop for MaintenanceWorker {
-    fn drop(&mut self) {
-        if let Some(stop) = self.stop.take() {
-            let _ = stop.send(());
-        }
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Guard for the per-shard background maintenance workers; dropping it stops
-/// and joins every worker.
-pub struct MaintenanceScheduler {
-    workers: Vec<MaintenanceWorker>,
-}
-
-impl MaintenanceScheduler {
-    /// Number of maintenance workers (one per shard).
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::sync_channel as bounded;
     use vss_codec::Codec;
     use vss_frame::{pattern, PixelFormat};
 
@@ -1126,38 +959,6 @@ mod tests {
         assert!(
             after.sum - baseline.sum < Duration::from_millis(50).as_nanos() as u64,
             "observer wait leaked into the lock-wait total: {baseline:?} -> {after:?}"
-        );
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn maintenance_scheduler_sweeps_idle_shards() {
-        let root = temp_root("maintenance");
-        let server = VssServer::open_sharded(VssConfig::new(&root), 2).unwrap();
-        let session = server.session();
-        session.with_engine("v", |engine| engine.config.deferred_compression = false);
-        session.create("v", Some(StorageBudget::Bytes(50_000_000))).unwrap();
-        let raw: Vec<_> =
-            (0..9).map(|i| pattern::gradient(64, 48, PixelFormat::Rgb8, i as u64)).collect();
-        let raw = FrameSequence::new(raw, 30.0).unwrap();
-        session.write(&WriteRequest::new("v", Codec::Raw(PixelFormat::Rgb8)), &raw).unwrap();
-        session.with_engine("v", |engine| engine.config.deferred_compression = true);
-        let used = session.bytes_used("v").unwrap();
-        // Tighten the budget so deferred compression activates.
-        session.with_engine("v", |engine| {
-            engine.set_storage_budget_bytes("v", Some(used + 1)).unwrap();
-        });
-        {
-            let scheduler = server.start_maintenance(Duration::from_millis(5));
-            assert_eq!(scheduler.worker_count(), 2);
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while session.bytes_used("v").unwrap() >= used && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-        assert!(
-            session.bytes_used("v").unwrap() < used,
-            "per-shard maintenance worker should shrink raw pages"
         );
         let _ = std::fs::remove_dir_all(root);
     }

@@ -1,27 +1,21 @@
 //! Routing: N [`Vss`] shards behind one name space.
 //!
 //! [`ShardedEngine`] is a `Vec<Vss>` plus the stable hash that assigns every
-//! logical video to exactly one of them, the on-disk manifest that pins N,
-//! the one cross-shard operation and the per-shard operation counters. Each
-//! `Vss` is a complete engine with its own catalog slice, GOP cache/recency
-//! state and deferred-compression queue behind its own reader-writer lock,
-//! so clients of videos on different shards never contend, and the lock
-//! discipline within a shard is `Vss`'s own (see the `vss_core` crate docs).
+//! logical video to exactly one of them, the on-disk manifest that pins N
+//! and the per-shard operation counters. Each `Vss` is a complete engine
+//! with its own catalog slice, GOP cache/recency state and
+//! deferred-compression queue behind its own reader-writer lock, so clients
+//! of videos on different shards never contend, and the lock discipline
+//! within a shard is `Vss`'s own (see the `vss_core` crate docs).
 //!
-//! # Lock-ordering protocol
+//! # Locking rules
 //!
-//! 1. **Single-shard rule.** Every ordinary operation (create, delete,
-//!    write, append, read, maintenance) touches exactly one logical video
-//!    and therefore acquires exactly one shard lock. Holding a shard lock
-//!    while calling back into the engine for a *different* video is
-//!    forbidden.
-//! 2. **Cross-shard rule.** The rare operations that need two shards at
-//!    once (joint compression of a physically-proximate video pair) acquire
-//!    the two locks in **ascending shard index** order, locking once when
-//!    both videos share a shard. Because every multi-lock caller uses the
-//!    same total order, cross-shard operations cannot deadlock regardless
-//!    of the argument order.
-//! 3. **Aggregation rule.** Whole-server operations (listing video names)
+//! 1. **Single-shard rule.** Every operation (create, delete, write,
+//!    append, read, a caller's maintenance) touches exactly one logical
+//!    video and therefore acquires exactly one shard lock. Holding a shard
+//!    lock while calling back into the engine for a *different* video is
+//!    forbidden, so no two shard locks are ever held at once.
+//! 2. **Aggregation rule.** Whole-server operations (listing video names)
 //!    visit shards one at a time and never hold more than one lock; they
 //!    observe a point-in-time-per-shard view rather than a global snapshot.
 //!    Statistics take no lock at all.
@@ -33,11 +27,7 @@
 
 use crate::stats::{ShardStats, ShardStatsSnapshot};
 use std::path::Path;
-use vss_core::{
-    joint_compress_sequences, Engine, JointOutcome, JointTimings, MergeFunction, ReadRequest,
-    Vss, VssConfig, VssError,
-};
-use vss_frame::PixelFormat;
+use vss_core::{Vss, VssConfig, VssError};
 
 /// Default shard count when `0` is requested. Shards stripe locks rather
 /// than CPUs, so the default is a fixed fan-out (not the core count): wide
@@ -138,98 +128,6 @@ impl ShardedEngine {
     pub(crate) fn route(&self, name: &str) -> (&Vss, &ShardStats) {
         self.shard(self.shard_of(name))
     }
-
-    // --- cross-shard operations ---------------------------------------------
-
-    /// Jointly compresses the temporally overlapping portion of two logical
-    /// videos (the paper's physically-proximate camera-pair optimization,
-    /// Section 5.1), returning the outcome.
-    ///
-    /// This is the canonical cross-shard operation: it acquires both owning
-    /// shards' locks **in ascending shard index order** (one lock when the
-    /// videos share a shard). The computation only reads, so *shared* guards
-    /// suffice — concurrent readers of either shard are not blocked for the
-    /// duration of the (CPU-heavy) compression. The ordering is still
-    /// load-bearing even for read locks: with a write-preferring lock, two
-    /// unordered two-lock readers plus one single-lock writer can cycle
-    /// (reader A holds shard 1 / waits shard 2 behind a pending writer whose
-    /// own wait is on reader B, who waits on shard 1). A future persistence
-    /// step that rewrites GOPs as joint artifacts must take the same
-    /// ascending-order acquisition with exclusive guards.
-    pub(crate) fn joint_compress(
-        &self,
-        left: &str,
-        right: &str,
-        merge: MergeFunction,
-    ) -> Result<JointOutcome, VssError> {
-        if left == right {
-            return Err(VssError::Unsatisfiable(
-                "joint compression needs two distinct videos".into(),
-            ));
-        }
-        let left_shard = self.shard_of(left);
-        let right_shard = self.shard_of(right);
-        if left_shard == right_shard {
-            return self.shards[left_shard].with_engine_read(|engine| {
-                Self::joint_compress_locked(engine, engine, left, right, merge)
-            });
-        }
-        // Lock-ordering protocol, cross-shard rule: ascending shard index.
-        let (low, high) = (left_shard.min(right_shard), left_shard.max(right_shard));
-        self.shards[low].with_engine_read(|low_engine| {
-            self.shards[high].with_engine_read(|high_engine| {
-                let (left_engine, right_engine) = if left_shard < right_shard {
-                    (low_engine, high_engine)
-                } else {
-                    (high_engine, low_engine)
-                };
-                Self::joint_compress_locked(left_engine, right_engine, left, right, merge)
-            })
-        })
-    }
-
-    fn joint_compress_locked(
-        left_engine: &Engine,
-        right_engine: &Engine,
-        left: &str,
-        right: &str,
-        merge: MergeFunction,
-    ) -> Result<JointOutcome, VssError> {
-        let (left_start, left_end) = left_engine.video_time_range(left)?;
-        let (right_start, right_end) = right_engine.video_time_range(right)?;
-        let start = left_start.max(right_start);
-        let end = left_end.min(right_end);
-        if end <= start + 1e-9 {
-            return Err(VssError::Unsatisfiable(format!(
-                "'{left}' and '{right}' do not overlap in time"
-            )));
-        }
-        let raw = vss_codec::Codec::Raw(PixelFormat::Rgb8);
-        let left_frames = left_engine
-            .read_stream(&ReadRequest::new(left, start, end, raw).uncacheable())?
-            .drain()?
-            .frames;
-        let right_frames = right_engine
-            .read_stream(&ReadRequest::new(right, start, end, raw).uncacheable())?
-            .drain()?
-            .frames;
-        let encoder = vss_codec::EncoderConfig {
-            quality: vss_core::DEFAULT_ENCODER_QUALITY,
-            gop_size: left_engine.config.gop_size,
-        };
-        let mut timings = JointTimings::default();
-        joint_compress_sequences(
-            &left_frames,
-            &right_frames,
-            merge,
-            &left_engine.config.joint,
-            &encoder,
-            None,
-            &mut timings,
-        )
-    }
-
-    // --- statistics ---------------------------------------------------------
 
     /// Point-in-time statistics for every shard. Takes no lock: every
     /// counter, lock waits included, is an atomic.

@@ -178,13 +178,6 @@ impl ServerStats {
         self.shards.iter().map(|s| s.write_ops).sum()
     }
 
-    /// Total cache-hit reads across all shards (reads whose plan used at
-    /// least one cached fragment). Useful for windowed hit rates: diff two
-    /// snapshots' totals.
-    pub fn total_cache_hit_reads(&self) -> u64 {
-        self.shards.iter().map(|s| s.cache_hit_reads).sum()
-    }
-
     /// Total bytes read across all shards.
     pub fn total_bytes_read(&self) -> u64 {
         self.shards.iter().map(|s| s.bytes_read).sum()

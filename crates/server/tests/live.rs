@@ -1,6 +1,6 @@
 //! Live-subscription integration tests at the session layer: tailing
 //! byte-identity, late-joiner seam exactness, forced lag → catch-up →
-//! re-seam, retention gaps and subscriber-drop cleanup.
+//! re-seam, gaps over evicted pages and subscriber-drop cleanup.
 
 use std::time::Duration;
 use vss_codec::Codec;
@@ -134,55 +134,64 @@ fn slow_subscriber_lags_catches_up_and_reseams() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// Catch-up across an evicted original page: the subscriber sees the hole
+/// as a gap and every GOP on its own sequence number. A catch-up batch must
+/// end at the hole: a stream over a range that spans it is served partly
+/// from the cached view, and its chunks no longer pair one-to-one with the
+/// original's sequence numbers.
 #[test]
-fn retention_trim_surfaces_as_a_gap_event() {
-    let (server, root) = open("retention", ServerConfig::default());
-    let session = server.session();
-    // Six one-second GOPs, then retain only the newest ~2.5 seconds.
-    session.write(&WriteRequest::new("cam", Codec::H264), &sequence(180, 0)).unwrap();
-    server.set_retention("cam", Some(Duration::from_millis(2500)));
-    assert_eq!(server.retention_window("cam"), Some(Duration::from_millis(2500)));
-    let removed = server.apply_retention().unwrap();
-    assert!(removed >= 3, "expected at least three GOPs trimmed, got {removed}");
-    let mut sub = session.subscribe("cam", SubscribeFrom::Start);
-    match sub.next_timeout(Duration::from_secs(20)).unwrap() {
-        Some(SubEvent::Gap { from_seq, to_seq }) => {
-            assert_eq!(from_seq, 0);
-            assert_eq!(to_seq, removed as u64);
-        }
-        other => panic!("expected a gap over the trimmed prefix, got {other:?}"),
-    }
-    let (seqs, bytes) = drain_gops(&mut sub, 6 - removed);
-    assert_eq!(seqs, (removed as u64..6).collect::<Vec<u64>>());
-    assert_eq!(bytes, full_read_bytes(&server, "cam"), "retained tail must match a full read");
-    // Reads of the trimmed range fail loudly rather than returning silence.
-    assert!(matches!(
-        session.read(&ReadRequest::new("cam", 0.0, 1.0, Codec::H264).uncacheable()),
-        Err(vss_core::VssError::OutOfRange { .. })
-    ));
-    let _ = std::fs::remove_dir_all(root);
-}
-
-#[test]
-fn maintenance_workers_apply_retention_in_the_background() {
-    let (server, root) = open("retention-bg", ServerConfig::default());
-    let session = server.session();
-    session.write(&WriteRequest::new("cam", Codec::H264), &sequence(180, 0)).unwrap();
-    let before = session.bytes_used("cam").unwrap();
-    server.set_retention("cam", Some(Duration::from_millis(1500)));
+fn catchup_across_an_evicted_original_page_reports_a_gap() {
+    let root = temp_root("evicted");
+    let open = || VssServer::open_configured(VssConfig::new(&root), 1, ServerConfig::default());
     {
-        let _scheduler = server.start_maintenance(Duration::from_millis(5));
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while session.bytes_used("cam").unwrap() >= before
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let server = open().unwrap();
+        let session = server.session();
+        // Five one-second GOPs, and a lossless view of [1 s, 4 s) beside them.
+        session.write(&WriteRequest::new("cam", Codec::H264), &sequence(150, 0)).unwrap();
+        let view = ReadRequest::new("cam", 1.0, 4.0, Codec::Raw(PixelFormat::Yuv420));
+        assert!(session.read(&view).unwrap().stats.cache_admitted);
+        // One byte over budget: the first victim is the original's page
+        // [1 s, 2 s), which the view covers.
+        let used = session.bytes_used("cam").unwrap();
+        let evicted = session.with_engine("cam", |engine| {
+            engine.set_storage_budget_bytes("cam", Some(used - 1))?;
+            engine.enforce_budget("cam")
+        });
+        assert_eq!(evicted.unwrap(), 1);
     }
-    assert!(
-        session.bytes_used("cam").unwrap() < before,
-        "background retention should trim aged GOPs"
-    );
+    let catalog = vss_catalog::Catalog::open(root.join("shard-00")).unwrap();
+    let original = catalog.video("cam").unwrap().original().unwrap().clone();
+    drop(catalog);
+    let indexes: Vec<u64> = original.gops.iter().map(|g| g.index).collect();
+    assert_eq!(indexes, [0, 2, 3, 4], "precondition: the original lost exactly its page 1");
+
+    let server = open().unwrap();
+    let session = server.session();
+    let mut sub = session.subscribe("cam", SubscribeFrom::Start);
+    let mut events = Vec::new();
+    while events.len() < 5 {
+        let Some(event) = sub.next_timeout(Duration::from_secs(20)).unwrap() else { break };
+        events.push(event);
+    }
+    let shape: Vec<String> = events
+        .iter()
+        .map(|event| match event {
+            SubEvent::Gop(gop) => format!("Gop {}", gop.seq),
+            SubEvent::Gap { from_seq, to_seq } => format!("Gap {from_seq}..{to_seq}"),
+            SubEvent::End => "End".into(),
+        })
+        .collect();
+    assert_eq!(shape, ["Gop 0", "Gap 1..2", "Gop 2", "Gop 3", "Gop 4"]);
+    assert!(sub.next_timeout(Duration::from_millis(50)).unwrap().is_none(), "nothing after 4");
+    for event in &events {
+        let SubEvent::Gop(gop) = event else { continue };
+        let span = ReadRequest::new("cam", gop.start_time, gop.end_time, Codec::H264);
+        let chunks: Vec<_> =
+            session.read_stream(&span.uncacheable()).unwrap().map(Result::unwrap).collect();
+        assert_eq!(chunks.len(), 1, "sequence {} is one GOP", gop.seq);
+        let stored = chunks[0].encoded_gop.as_ref().expect("passthrough read").to_bytes();
+        assert!(gop.gop.to_bytes() == stored, "sequence {} carries another GOP's bytes", gop.seq);
+    }
     let _ = std::fs::remove_dir_all(root);
 }
 

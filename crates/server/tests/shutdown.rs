@@ -6,7 +6,10 @@
 //! `VssError::Overloaded`, and — when the sink is aborted instead of
 //! finished — leave **no partial GOP on disk**.
 
-use crossbeam::channel::bounded;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::sync_channel as bounded;
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 use vss_codec::Codec;
 use vss_core::{ReadRequest, VssConfig, VssError, WriteRequest};
@@ -28,6 +31,23 @@ fn sequence(frames: usize, seed: u64) -> FrameSequence {
         .map(|i| pattern::gradient(48, 36, PixelFormat::Yuv420, seed + i as u64))
         .collect();
     FrameSequence::new(frames, 30.0).unwrap()
+}
+
+/// Runs idle maintenance over every video until `stop` is set, the way a
+/// host runs it. Each pass holds a session only while it sweeps, so a
+/// shutdown drain sees the server idle between passes.
+fn run_maintenance(server: &VssServer, stop: &Arc<AtomicBool>) -> JoinHandle<()> {
+    let (server, stop) = (server.clone(), Arc::clone(stop));
+    std::thread::spawn(move || {
+        while !stop.load(Ordering::Relaxed) {
+            let session = server.session();
+            for name in session.video_names() {
+                session.with_engine(&name, |e| e.background_maintenance()).unwrap();
+            }
+            drop(session);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    })
 }
 
 #[test]
@@ -66,7 +86,8 @@ fn admission_limit_sheds_sessions() {
 fn shutdown_waits_for_in_flight_sinks_and_leaves_no_partial_gop() {
     let root = temp_root("drain");
     let server = VssServer::open_sharded(VssConfig::new(&root), 2).unwrap();
-    let scheduler = server.start_maintenance(Duration::from_millis(5));
+    let stop = Arc::new(AtomicBool::new(false));
+    let maintenance = run_maintenance(&server, &stop);
     let gop_size = 30usize;
 
     // A client opens a sink, pushes 2 full GOPs + a partial, *drops its
@@ -107,7 +128,8 @@ fn shutdown_waits_for_in_flight_sinks_and_leaves_no_partial_gop() {
     assert_eq!(report.frames_written, 2 * gop_size + 10);
     assert!(server.shutdown(Duration::from_secs(30)), "drained after the sink finished");
 
-    drop(scheduler); // joins the per-shard maintenance workers
+    stop.store(true, Ordering::Relaxed);
+    maintenance.join().unwrap();
     let session = server.session(); // trusted escape hatch still works
     let (start, end) = session.metadata("cam").unwrap().time_range.unwrap();
     let full = session

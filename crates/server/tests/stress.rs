@@ -2,12 +2,13 @@
 //!
 //! `THREADS` client threads issue a mix of reads, streaming reads (drained
 //! and early-dropped), writes/appends, streaming sink ingest and
-//! create/delete churn across many logical videos while the per-shard
-//! maintenance scheduler runs underneath, so every stream decodes and every
-//! sink encodes outside the shard locks while they churn. The test asserts:
+//! create/delete churn across many logical videos while a test-owned thread
+//! runs idle maintenance over every video underneath, so every stream
+//! decodes and every sink encodes outside the shard locks while they churn.
+//! The test asserts:
 //!
 //! * **no deadlock** — every thread finishes within a generous watchdog
-//!   timeout (a lock-ordering bug would hang here, not fail an assertion);
+//!   timeout (a locking bug would hang here, not fail an assertion);
 //! * **byte-identical reads** — every verification read's frames (and, for
 //!   compressed requests, encoded GOP bytes) exactly equal the same read
 //!   executed on a monolithic sequential (`parallelism = 1`) engine holding
@@ -19,7 +20,9 @@
 //! affecting the comparison, and their cacheable streams drain lock-free
 //! while maintenance rewrites, merges and evicts the files they planned.
 
-use crossbeam::channel::bounded;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::sync_channel as bounded;
+use std::sync::Arc;
 use std::time::Duration;
 use vss_codec::Codec;
 use vss_core::{ReadRequest, Vss, VssConfig, WriteRequest};
@@ -69,8 +72,21 @@ fn mixed_concurrent_workload_is_deadlock_free_and_byte_identical() {
             .unwrap();
     }
 
-    // Maintenance workers sweep shards throughout the stress run.
-    let _scheduler = server.start_maintenance(Duration::from_millis(2));
+    // Maintenance sweeps every video's shard throughout the stress run, the
+    // way a host runs it: one shard lock at a time, on its own schedule.
+    let stop = Arc::new(AtomicBool::new(false));
+    let maintenance = {
+        let (server, stop) = (server.clone(), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let session = server.session();
+            while !stop.load(Ordering::Relaxed) {
+                for name in session.video_names() {
+                    session.with_engine(&name, |e| e.background_maintenance()).unwrap();
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        })
+    };
 
     let (done_tx, done_rx) = bounded::<usize>(THREADS);
     let mut handles = Vec::new();
@@ -214,6 +230,8 @@ fn mixed_concurrent_workload_is_deadlock_free_and_byte_identical() {
     for handle in handles {
         handle.join().expect("client thread panicked");
     }
+    stop.store(true, Ordering::Relaxed);
+    maintenance.join().expect("maintenance thread panicked");
 
     // Every created video survived; transient ones are gone.
     let names = server.session().video_names();

@@ -494,20 +494,6 @@ impl TelemetrySnapshot {
         self.counter(&series_key(name, labels))
     }
 
-    /// Looks up a labeled gauge; see [`Self::counter_labeled`].
-    pub fn gauge_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Option<i64> {
-        self.gauge(&series_key(name, labels))
-    }
-
-    /// Looks up a labeled histogram; see [`Self::counter_labeled`].
-    pub fn histogram_labeled(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-    ) -> Option<HistogramSummary> {
-        self.histogram(&series_key(name, labels))
-    }
-
     /// Every series of `name` regardless of labels, as
     /// `(label-suffix, series-key)` pairs in key order — `("{shard=0}",
     /// "server.shard.read_ops{shard=0}")`. Works across all three kinds.

@@ -23,8 +23,7 @@
 //!   freshly persisted GOPs to tailing subscribers with lag-tolerant
 //!   catch-up.
 //! * [`server`] — the sharded multi-client service layer (per-client
-//!   sessions, admission control, graceful shutdown, live subscriptions,
-//!   retention).
+//!   sessions, admission control, graceful shutdown, live subscriptions).
 //! * [`net`] — the streaming wire protocol with its TCP server and
 //!   [`RemoteStore`](vss_net::RemoteStore) client, making VSS a
 //!   multi-process service.
