@@ -10,6 +10,12 @@
 //! kernels produce them and `ResidualReader` hands out non-zero residuals
 //! by position, so neither side holds a plane of residuals.
 //! [`encode_residuals`] and [`decode_residuals`] are thin wrappers of them.
+//!
+//! Decoding is one loop: `ResidualReader::next` parses and checks one pair,
+//! inlined into each consumer, and reads the two bytes of a one-byte run and
+//! a one-byte value at once. A reader that kept the next pair as a lookahead
+//! field decoded a 480×272 H.264 P-frame (≈ 19 000 pairs) at 2.4–2.7 ns/px;
+//! this loop takes 1.2–1.3, most of it allocating and touching the frame.
 
 use crate::CodecError;
 
@@ -100,19 +106,18 @@ pub fn encode_residuals(residuals: &[i32], out: &mut Vec<u8>) {
     writer.finish();
 }
 
-/// The one zero-run reader: walks a block's non-zero residuals, so a decoder
-/// consumes residuals as they are parsed.
+/// The one zero-run reader: hands out a block's non-zero residuals by
+/// position, one parsed pair at a time.
 pub(crate) struct ResidualReader<'a> {
     data: &'a [u8],
     /// Offset of the first byte not yet parsed.
     pub(crate) pos: usize,
     /// Residuals in the block.
     pub(crate) count: usize,
-    /// The next non-zero residual as `(position in the block, value)`;
-    /// `None` once only zeros are left.
-    pub(crate) next: Option<(usize, i32)>,
-    /// Residuals parsed so far, `next` included.
+    /// Residuals parsed so far.
     parsed: usize,
+    /// A residual `fill` parsed for a later row than the one it wrote.
+    carried: Option<(usize, i32)>,
     /// Residuals `fill` has handed out.
     filled: usize,
 }
@@ -124,37 +129,47 @@ impl<'a> ResidualReader<'a> {
         if count > 1 << 28 {
             return Err(CodecError::Corrupt(format!("residual count {count} implausibly large")));
         }
-        let mut reader = Self { data, pos, count: count as usize, next: None, parsed: 0, filled: 0 };
-        reader.advance()?;
-        Ok(reader)
+        Ok(Self { data, pos, count: count as usize, parsed: 0, carried: None, filled: 0 })
     }
 
-    /// Moves `next` on. A zero run is checked against what remains of the
-    /// count before it moves the position, so no length a corrupt stream
-    /// claims can overflow or pass the end of the block.
-    pub(crate) fn advance(&mut self) -> Result<(), CodecError> {
-        self.next = None;
+    /// Parses the next non-zero residual as `(position in the block,
+    /// value)`, or `None` once only zeros are left. Two bytes with the high
+    /// bit clear are a one-byte run and a one-byte value, which nearly every
+    /// pair of a coherent plane is; any other pair takes [`read_varint`]. A
+    /// zero run is checked against what remains of the count before it
+    /// moves the position, so no length a corrupt stream claims can
+    /// overflow or pass the end of the block.
+    #[inline(always)]
+    pub(crate) fn next(&mut self) -> Result<Option<(usize, i32)>, CodecError> {
         if self.parsed == self.count {
-            return Ok(());
+            return Ok(None);
         }
-        let zero_run = read_varint(self.data, &mut self.pos)?;
-        if zero_run > (self.count - self.parsed) as u64 {
-            return Err(CodecError::Corrupt("zero run exceeds residual count".into()));
+        let (run, value) = match self.data.get(self.pos..self.pos + 2) {
+            Some(&[run, value]) if (run | value) < 0x80 => {
+                self.pos += 2;
+                (u64::from(run), u64::from(value))
+            }
+            _ => {
+                let (run, value, pos) = read_pair(self.data, self.pos)?;
+                self.pos = pos;
+                (run, value)
+            }
+        };
+        if run > (self.count - self.parsed) as u64 {
+            return Err(corrupt("zero run exceeds residual count"));
         }
-        self.parsed += zero_run as usize;
-        let value = unzigzag(read_varint(self.data, &mut self.pos)?);
-        if value == 0 && self.parsed < self.count {
-            // A zero marker is only legal as the final trailing-run marker.
-            return Err(CodecError::Corrupt("premature trailing-run marker".into()));
-        } else if value != 0 && self.parsed == self.count {
-            return Err(CodecError::Corrupt("residual value after full count".into()));
-        } else if value != 0 {
-            let value = i32::try_from(value)
-                .map_err(|_| CodecError::Corrupt("residual out of i32 range".into()))?;
-            self.next = Some((self.parsed, value));
-            self.parsed += 1;
+        self.parsed += run as usize;
+        match (unzigzag(value), self.parsed == self.count) {
+            (0, true) => Ok(None),
+            // A zero is only legal as the final trailing-run marker.
+            (0, false) => Err(corrupt("premature trailing-run marker")),
+            (_, true) => Err(corrupt("residual value after full count")),
+            (value, false) => {
+                let value = i32::try_from(value).map_err(|_| corrupt("residual out of i32 range"))?;
+                self.parsed += 1;
+                Ok(Some((self.parsed - 1, value)))
+            }
         }
-        Ok(())
     }
 
     /// Writes the next `out.len()` residuals of the block into `out`.
@@ -162,9 +177,12 @@ impl<'a> ResidualReader<'a> {
         out.fill(0);
         let from = self.filled;
         self.filled += out.len();
-        while let Some((at, value)) = self.next.filter(|&(at, _)| at < self.filled) {
+        while let Some((at, value)) = self.carried.take().map_or_else(|| self.next(), |pair| Ok(Some(pair)))? {
+            if at >= self.filled {
+                self.carried = Some((at, value));
+                break;
+            }
             out[at - from] = value;
-            self.advance()?;
         }
         Ok(())
     }
@@ -177,14 +195,27 @@ pub fn decode_residuals(data: &[u8], pos: &mut usize) -> Result<Vec<i32>, CodecE
     // below-limit) count must not commit gigabytes before the payload check
     // fails. Legitimate blocks grow past the cap via ordinary resizing.
     let mut out = Vec::with_capacity(reader.count.min(1 << 16));
-    while let Some((at, value)) = reader.next {
+    while let Some((at, value)) = reader.next()? {
         out.resize(at, 0);
         out.push(value);
-        reader.advance()?;
     }
     out.resize(reader.count, 0);
     *pos = reader.pos;
     Ok(out)
+}
+
+/// Reads a `(run, value)` pair with a multi-byte or truncated varint in it
+/// and returns it with the position after it. Out of line and passed by
+/// value, so the inlined fast path keeps the reader's fields in registers.
+#[inline(never)]
+fn read_pair(data: &[u8], mut pos: usize) -> Result<(u64, u64, usize), CodecError> {
+    let run = read_varint(data, &mut pos)?;
+    Ok((run, read_varint(data, &mut pos)?, pos))
+}
+
+#[cold]
+pub(crate) fn corrupt(what: &str) -> CodecError {
+    CodecError::Corrupt(what.into())
 }
 
 /// Writes a little-endian u32 (used for fixed header fields).

@@ -35,7 +35,7 @@
 //! claimed length and ends in [`CodecError::Corrupt`], as does another
 //! format's (the old `VSSL` stream's too).
 
-use crate::bitstream::{read_varint, write_varint};
+use crate::bitstream::{corrupt, read_varint, write_varint};
 use crate::{Codec, CodecError, EncodedGop};
 use std::ops::Range;
 use vss_frame::PixelFormat;
@@ -138,10 +138,6 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
         true => Ok(out),
         false => Err(corrupt("trailing bytes after the last block")),
     }
-}
-
-fn corrupt(what: &str) -> CodecError {
-    CodecError::Corrupt(what.into())
 }
 
 // --- layout and prediction ---------------------------------------------------

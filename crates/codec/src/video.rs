@@ -32,9 +32,11 @@
 //! border or bounds branch. The quantiser is a per-GOP table filled with the
 //! closed form, hence exact; no division is left in a sample loop. The
 //! encoder stages a row of levels and entropy-codes it after the row, which
-//! keeps the zero-run branch out of the sample loop. A basic inter frame
-//! decodes as a copy of the previous reconstruction plus its non-zero
-//! residuals.
+//! keeps the zero-run branch out of the sample loop. The decoder has one
+//! parse loop with two consumers: a basic inter plane is a copy of the
+//! previous reconstruction (every zero run is decoded by it) plus each parsed
+//! level, dequantised and clamped where it lands; every other plane takes
+//! its row's levels from `Dequantize::begin` before `code_row` runs.
 //!
 //! Rows are coded one at a time, on purpose. The rows of an inter plane are
 //! independent, and coding four in lockstep hides the advanced predictor's
@@ -525,9 +527,8 @@ fn decode_planes(
         let prev = prev.map(|p| &p[plane.clone()]);
         let plane = &mut recon[plane];
         if prev.is_some() && !advanced {
-            while let Some((at, level)) = reader.next {
+            while let Some((at, level)) = reader.next()? {
                 plane[at] = i32::from(plane[at]).wrapping_add(level.wrapping_mul(q)).clamp(0, 255) as u8;
-                reader.advance()?;
             }
             pos = reader.pos;
         } else {

@@ -9,13 +9,66 @@
 //!   the bytes the encoder produced.
 //! * **Robustness** — truncated or corrupted bitstreams (and entirely random
 //!   bytes, at both the residual and the GOP-container layer) return
-//!   [`CodecError`]s instead of panicking or over-allocating.
+//!   [`CodecError`]s instead of panicking or over-allocating. Real H.264
+//!   and HEVC GOPs of a noisy clip, every frame truncated at every length
+//!   and single bytes flipped at random, go through the decoder itself
+//!   (`VideoCodec::decode` and `decode_prefix`), whose pair parser takes a
+//!   two-byte fast path and falls back to the varint reader.
 
 use proptest::prelude::*;
 use vss_codec::bitstream::{
     decode_residuals, encode_residuals, read_varint, unzigzag, write_varint, zigzag,
 };
-use vss_codec::EncodedGop;
+use vss_codec::{codec_instance, Codec, EncodedGop, EncoderConfig, FrameInfo};
+use vss_frame::{pattern, Frame, FrameSequence, PixelFormat};
+
+/// H.264 and HEVC GOPs of seeded noise over a still gradient, every third
+/// frame clean, at quality 100 (step 1): noisy residuals need two-byte
+/// varints, and HEVC keeps its basic predictors on the noisy frames and its
+/// advanced ones on the clean frames, so both families are decoded.
+fn noisy_gops() -> Vec<EncodedGop> {
+    let base = pattern::gradient(18, 10, PixelFormat::Yuv420, 3);
+    let frames: Vec<Frame> = (0..5u64)
+        .map(|i| if i % 3 == 0 { base.clone() } else { pattern::add_noise(&base, 40, 0x5eed + i) })
+        .collect();
+    let clip = FrameSequence::new(frames, 30.0).unwrap();
+    let config = EncoderConfig { quality: 100, gop_size: clip.len() };
+    let gops: Vec<EncodedGop> =
+        [Codec::H264, Codec::Hevc].map(|codec| codec_instance(codec).encode(&clip, &config).unwrap()).into();
+    let flags: Vec<u8> = (0..clip.len()).map(|i| gops[1].frame_payload(i).unwrap()[0]).collect();
+    assert!(flags.contains(&0) && flags.contains(&1), "HEVC mode flags {flags:?}");
+    assert!(gops.iter().all(|gop| multi_byte_pairs(gop) > 0), "no multi-byte pair in the clip");
+    gops
+}
+
+/// Pairs with a varint of more than one byte, by walking every plane block.
+fn multi_byte_pairs(gop: &EncodedGop) -> usize {
+    let mut found = 0;
+    for i in 0..gop.frame_count() {
+        let payload = gop.frame_payload(i).unwrap();
+        let mut pos = usize::from(gop.codec() == Codec::Hevc);
+        for _plane in 0..3 {
+            let (count, mut parsed) = (read_varint(payload, &mut pos).unwrap(), 0);
+            while parsed < count {
+                let start = pos;
+                parsed += read_varint(payload, &mut pos).unwrap();
+                parsed += u64::from(read_varint(payload, &mut pos).unwrap() != 0);
+                found += usize::from(pos - start > 2);
+            }
+        }
+    }
+    found
+}
+
+/// `gop` with its payload and frame table replaced.
+fn with_frames(gop: &EncodedGop, frames: Vec<FrameInfo>, payload: Vec<u8>) -> EncodedGop {
+    EncodedGop::new(gop.codec(), gop.width(), gop.height(), gop.frame_rate(), gop.quantizer(), frames, payload)
+}
+
+/// The concatenated frame payloads of `gop`.
+fn payload(gop: &EncodedGop) -> Vec<u8> {
+    (0..gop.frame_count()).flat_map(|i| gop.frame_payload(i).unwrap().to_vec()).collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -128,6 +181,25 @@ proptest! {
     }
 
     #[test]
+    fn a_flipped_byte_in_a_real_gop_decodes_or_errors_never_panics(
+        flip_index in any::<usize>(),
+        flip_mask in 1u8..255,
+        prefix in 0usize..6,
+    ) {
+        for gop in noisy_gops() {
+            let mut bytes = payload(&gop);
+            let index = flip_index % bytes.len();
+            bytes[index] ^= flip_mask;
+            let flipped = with_frames(&gop, gop.frames().to_vec(), bytes);
+            let implementation = codec_instance(gop.codec());
+            // Ok (other samples) or a typed error: the result type has no
+            // third outcome, so what is checked is that nothing panics.
+            let _ = implementation.decode(&flipped);
+            let _ = implementation.decode_prefix(&flipped, prefix);
+        }
+    }
+
+    #[test]
     fn truncated_or_random_gop_containers_error_instead_of_panicking(
         noise in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
@@ -150,4 +222,64 @@ fn huge_claimed_count_is_rejected_without_allocation() {
     write_varint(&mut buf, 1 << 29);
     let mut pos = 0;
     assert!(decode_residuals(&buf, &mut pos).is_err());
+}
+
+#[test]
+fn every_truncation_of_a_real_gop_frame_is_an_error_not_a_panic() {
+    // The decoder consumes a frame's payload to its last byte (the V plane
+    // comes last), so any strict prefix of one frame fails that frame, and
+    // only that frame: the frames before it still decode as they did.
+    for gop in noisy_gops() {
+        let implementation = codec_instance(gop.codec());
+        let full = implementation.decode(&gop).unwrap();
+        let bytes = payload(&gop);
+        for (index, info) in gop.frames().iter().enumerate() {
+            for len in 0..info.len {
+                let mut frames = gop.frames().to_vec();
+                frames[index].len = len;
+                let cut = with_frames(&gop, frames, bytes.clone());
+                let label = format!("{} frame {index} cut to {len} of {} bytes", gop.codec(), info.len);
+                assert!(matches!(implementation.decode(&cut), Err(vss_codec::CodecError::Corrupt(_))), "{label}");
+                assert!(implementation.decode_prefix(&cut, index + 1).is_err(), "{label}");
+                let before = implementation.decode_prefix(&cut, index).unwrap();
+                assert_eq!(before.frames(), &full.frames()[..index], "{label}");
+            }
+        }
+    }
+}
+
+#[test]
+fn pairs_at_the_one_byte_limit_round_trip_at_the_end_of_a_block() {
+    // Runs and zig-zag levels on both sides of the one-byte varint limit
+    // (level 63 → 126 and −64 → 127 fit a byte, 64 → 128 does not), as the
+    // block's last pair — its last two bytes when both fit — or before a
+    // trailing run, alone in the buffer and with a second block behind it.
+    // A pair the two-byte fast path cannot take falls back to the varint
+    // reader, and the fast path never reads into the next block.
+    let next_block = [5, 0, -64];
+    for run in [0usize, 1, 127, 128, 16_383, 16_384] {
+        for level in [1i32, -1, 63, -63, 64, -64] {
+            for trailing in [0usize, 1, 127, 128] {
+                let mut residuals = vec![0i32; run];
+                residuals.push(level);
+                residuals.extend(std::iter::repeat_n(0, trailing));
+                let mut buf = Vec::new();
+                encode_residuals(&residuals, &mut buf);
+                let mut two = buf.clone();
+                encode_residuals(&next_block, &mut two);
+                let label = format!("run {run}, level {level}, trailing {trailing}");
+                let mut pos = 0;
+                assert_eq!(decode_residuals(&buf, &mut pos).unwrap(), residuals, "{label}");
+                assert_eq!(pos, buf.len(), "{label}");
+                let mut pos = 0;
+                assert_eq!(decode_residuals(&two, &mut pos).unwrap(), residuals, "{label}");
+                assert_eq!(pos, buf.len(), "{label}");
+                assert_eq!(decode_residuals(&two, &mut pos).unwrap(), next_block, "{label}");
+                assert_eq!(pos, two.len(), "{label}");
+                for cut in 0..buf.len() {
+                    assert!(decode_residuals(&buf[..cut], &mut 0).is_err(), "{label}, cut to {cut}");
+                }
+            }
+        }
+    }
 }

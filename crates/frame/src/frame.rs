@@ -329,34 +329,34 @@ impl Frame {
 
     /// Converts any source format into packed RGB rows.
     fn convert_to_rgb_rows(&self, out: &mut Frame) {
+        for (y, row) in out.data.chunks_exact_mut(self.width as usize * 3).enumerate() {
+            self.rgb_row(y, row);
+        }
+    }
+
+    /// Writes row `y` as packed RGB into the first `3 × width` bytes of
+    /// `out`: the pixels [`Frame::rgb_at`] returns, a row at a time.
+    pub(crate) fn rgb_row(&self, y: usize, out: &mut [u8]) {
         let w = self.width as usize;
-        let h = self.height as usize;
-        match self.format {
-            PixelFormat::Rgb8 => out.data.copy_from_slice(&self.data),
-            PixelFormat::Yuv420 | PixelFormat::Yuv422 => {
-                let luma = self.plane(0);
-                let u_plane = self.plane(1);
-                let v_plane = self.plane(2);
-                let cw = w / 2;
-                let chroma_rows = if self.format == PixelFormat::Yuv420 { h / 2 } else { h };
-                for y in 0..h {
-                    let cy = if self.format == PixelFormat::Yuv420 {
-                        (y / 2).min(chroma_rows.saturating_sub(1))
-                    } else {
-                        y
-                    };
-                    let luma_row = &luma[y * w..(y + 1) * w];
-                    let u_row = &u_plane[cy * cw..(cy + 1) * cw];
-                    let v_row = &v_plane[cy * cw..(cy + 1) * cw];
-                    let out_row = &mut out.data[y * w * 3..(y + 1) * w * 3];
-                    for x in 0..w {
-                        let cx = (x / 2).min(cw.saturating_sub(1));
-                        let (r, g, b) = yuv_to_rgb(luma_row[x], u_row[cx], v_row[cx]);
-                        out_row[x * 3] = r;
-                        out_row[x * 3 + 1] = g;
-                        out_row[x * 3 + 2] = b;
-                    }
-                }
+        let out = &mut out[..w * 3];
+        if self.format == PixelFormat::Rgb8 {
+            out.copy_from_slice(&self.data[y * w * 3..(y + 1) * w * 3]);
+            return;
+        }
+        // Planar widths are even: two pixels per chroma sample.
+        let cw = w / 2;
+        let cy = match self.format {
+            PixelFormat::Yuv420 => (y / 2).min((self.height as usize / 2).saturating_sub(1)),
+            _ => y,
+        };
+        let luma = &self.plane(0)[y * w..(y + 1) * w];
+        let u = &self.plane(1)[cy * cw..(cy + 1) * cw];
+        let v = &self.plane(2)[cy * cw..(cy + 1) * cw];
+        let pairs = out.chunks_exact_mut(6).zip(luma.chunks_exact(2)).zip(u.iter().zip(v));
+        for ((rgb, luma), (&u, &v)) in pairs {
+            for (rgb, &luma) in rgb.chunks_exact_mut(3).zip(luma) {
+                let (r, g, b) = yuv_to_rgb(luma, u, v);
+                rgb.copy_from_slice(&[r, g, b]);
             }
         }
     }
@@ -439,8 +439,15 @@ pub fn yuv_to_rgb(y: u8, u: u8, v: u8) -> (u8, u8, u8) {
     (clamp_u8(r), clamp_u8(g), clamp_u8(b))
 }
 
+/// `v.round().clamp(0.0, 255.0) as u8`, bit for bit, without the libm call
+/// `f32::round` is on baseline x86-64. Clamping first gives the same value
+/// (0 and 255 are integers), and in 0..=255 rounding half away from zero is
+/// truncating and comparing the remainder, which is exact; a NaN stays NaN
+/// through the clamp and casts to 0, as before.
 fn clamp_u8(v: f32) -> u8 {
-    v.round().clamp(0.0, 255.0) as u8
+    let v = v.clamp(0.0, 255.0);
+    let truncated = v as u8;
+    truncated + u8::from(v - f32::from(truncated) >= 0.5)
 }
 
 #[cfg(test)]
@@ -454,6 +461,21 @@ mod tests {
             Frame::from_data(4, 4, PixelFormat::Rgb8, data),
             Err(FrameError::BufferSizeMismatch { expected: 48, actual: 10 })
         ));
+    }
+
+    #[test]
+    fn clamp_u8_rounds_exactly_as_f32_round() {
+        let reference = |v: f32| v.round().clamp(0.0, 255.0) as u8;
+        let mut values: Vec<f32> = (-400 * 1024..=400 * 1024).map(|k| k as f32 / 1024.0).collect();
+        for k in -400..=400 {
+            // Both neighbours of every half, and the half itself.
+            let half = k as f32 + 0.5;
+            values.extend([half, f32::from_bits(half.to_bits() - 1), f32::from_bits(half.to_bits() + 1)]);
+        }
+        values.extend([f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MAX, f32::MIN, 1e9, -1e9, -0.0]);
+        for v in values {
+            assert_eq!(clamp_u8(v), reference(v), "{v:e}");
+        }
     }
 
     #[test]

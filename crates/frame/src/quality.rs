@@ -52,19 +52,24 @@ impl std::fmt::Display for PsnrDb {
 /// Mean squared error between two frames of identical shape, computed over
 /// the RGB interpretation of every pixel (so YUV subsampling differences are
 /// reflected in the result).
+///
+/// Both frames are converted a row at a time. A pixel's squared differences
+/// are summed as integers, which is exact and so equals their `f64` sum; the
+/// per-pixel terms are accumulated in row-major order, so the result is the
+/// same bits as summing `rgb_at` pixel by pixel.
 pub fn mse(a: &Frame, b: &Frame) -> Result<f64, FrameError> {
     if a.width() != b.width() || a.height() != b.height() {
         return Err(FrameError::ShapeMismatch);
     }
+    let row = a.width() as usize * 3;
+    let (mut row_a, mut row_b) = (vec![0u8; row], vec![0u8; row]);
     let mut acc = 0.0f64;
-    for y in 0..a.height() {
-        for x in 0..a.width() {
-            let (ra, ga, ba) = a.rgb_at(x, y);
-            let (rb, gb, bb) = b.rgb_at(x, y);
-            let dr = f64::from(ra) - f64::from(rb);
-            let dg = f64::from(ga) - f64::from(gb);
-            let db = f64::from(ba) - f64::from(bb);
-            acc += (dr * dr + dg * dg + db * db) / 3.0;
+    for y in 0..a.height() as usize {
+        a.rgb_row(y, &mut row_a);
+        b.rgb_row(y, &mut row_b);
+        for (pa, pb) in row_a.chunks_exact(3).zip(row_b.chunks_exact(3)) {
+            let d = |c: usize| i32::from(pa[c]) - i32::from(pb[c]);
+            acc += f64::from(d(0) * d(0) + d(1) * d(1) + d(2) * d(2)) / 3.0;
         }
     }
     Ok(acc / (a.pixels() as f64))
@@ -130,6 +135,55 @@ mod tests {
         assert_eq!(p.0, PsnrDb::LOSSLESS_CAP);
         assert!(p.is_lossless());
         assert!(p.is_near_lossless());
+    }
+
+    #[test]
+    fn the_row_kernel_is_bit_identical_to_the_per_pixel_reference() {
+        // The reference is the per-pixel loop `mse` was, with its own
+        // BT.601 conversion rounded by `f32::round`.
+        fn rgb(frame: &Frame, x: u32, y: u32) -> [f64; 3] {
+            if frame.format() == PixelFormat::Rgb8 {
+                let (r, g, b) = frame.rgb_at(x, y);
+                return [r, g, b].map(f64::from);
+            }
+            let (yv, u, v) = frame.yuv_at(x, y);
+            let (y, u, v) = (f32::from(yv), f32::from(u) - 128.0, f32::from(v) - 128.0);
+            [y + 1.402 * v, y - 0.344_136 * u - 0.714_136 * v, y + 1.772 * u]
+                .map(|c| f64::from(c.round().clamp(0.0, 255.0) as u8))
+        }
+        fn reference(a: &Frame, b: &Frame) -> f64 {
+            let mut acc = 0.0f64;
+            for y in 0..a.height() {
+                for x in 0..a.width() {
+                    let ([ra, ga, ba], [rb, gb, bb]) = (rgb(a, x, y), rgb(b, x, y));
+                    let (dr, dg, db) = (ra - rb, ga - gb, ba - bb);
+                    acc += (dr * dr + dg * dg + db * db) / 3.0;
+                }
+            }
+            acc / (a.pixels() as f64)
+        }
+        // Random bytes reach every chroma pair, and so the clamps.
+        let random = |width, height, format: PixelFormat, seed| {
+            let mut rng = pattern::Xorshift::new(seed);
+            let data = (0..format.frame_bytes(width, height)).map(|_| rng.next_u64() as u8).collect();
+            Frame::from_data(width, height, format, data).unwrap()
+        };
+        for (width, height) in [(2, 2), (34, 18), (64, 48), (30, 7)] {
+            let formats: Vec<PixelFormat> =
+                PixelFormat::ALL.into_iter().filter(|f| f.validate_resolution(width, height).is_ok()).collect();
+            for (i, &fa) in formats.iter().enumerate() {
+                for &fb in &formats {
+                    let pairs = [
+                        (random(width, height, fa, 1 + i as u64), random(width, height, fb, 9)),
+                        (pattern::gradient(width, height, fa, 2), pattern::add_noise(&pattern::gradient(width, height, fb, 2), 6, 4)),
+                    ];
+                    for (a, b) in &pairs {
+                        let (fast, slow) = (mse(a, b).unwrap(), reference(a, b));
+                        assert_eq!(fast.to_bits(), slow.to_bits(), "{fa} vs {fb} {width}x{height}: {fast} vs {slow}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

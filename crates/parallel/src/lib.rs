@@ -185,11 +185,17 @@ pub fn with_crew<E: Send, R>(
         }
     }
     std::thread::scope(|scope| {
-        for _ in 0..helpers {
-            scope.spawn(|| shared.work(&task, true));
+        let helpers: Vec<_> = (0..helpers).map(|_| scope.spawn(|| shared.work(&task, true))).collect();
+        let result = {
+            let _close = Close(&shared);
+            body(&Crew { task: &task, shared: Some(&shared) })
+        };
+        // The scope itself only waits until the helpers' closures return,
+        // not until their threads exit; joining waits for that too.
+        for helper in helpers {
+            helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         }
-        let _close = Close(&shared);
-        body(&Crew { task: &task, shared: Some(&shared) })
+        result
     })
 }
 
@@ -363,6 +369,36 @@ mod tests {
                 },
             );
             assert_eq!(batches, 50);
+        }
+    }
+
+    #[test]
+    fn a_crew_returns_only_once_its_helpers_have_exited() {
+        // Each helper holds a thread-local whose destructor runs as its
+        // thread exits, after its closure has returned: when the crew waited
+        // for the closures only (the scope's own wait), it returned before
+        // most of these ran.
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! { static ON_EXIT: OnExit = const { OnExit }; }
+        for round in 1..=100 {
+            // Three tasks that wait for each other: every thread runs one.
+            let barrier = std::sync::Barrier::new(3);
+            let caller = std::thread::current().id();
+            let task = |_| {
+                barrier.wait();
+                if std::thread::current().id() != caller {
+                    ON_EXIT.with(|_| {});
+                }
+                Ok::<(), ()>(())
+            };
+            with_crew(3, task, |crew| crew.run(3)).unwrap();
+            assert_eq!(EXITED.load(Ordering::SeqCst), 2 * round, "round {round}");
         }
     }
 
