@@ -5,7 +5,7 @@
 //! 10-byte stream of the LZ77 format claiming a 2^34-byte original aborted
 //! the process (`memory allocation of 17179869184 bytes failed`), so one bad
 //! file made the whole store unopenable. The streams below are the same two
-//! attacks in lossless format 2: a huge claimed length, and a zero run far
+//! attacks in lossless format 3: a huge claimed length, and a zero run far
 //! past the room its block has. The contract is that an unreadable file is
 //! dropped and itemised in the `RecoveryReport`, like a missing one.
 //!
@@ -38,7 +38,7 @@ fn lossless_gop(seed: u8) -> Vec<u8> {
 /// The stream header: magic, level, claimed original length, and a layout
 /// of plain bytes (codec id, header length, width and height all 0).
 fn header(original_len: u64) -> Vec<u8> {
-    let mut stream = b"VSL2".to_vec();
+    let mut stream = b"VSL3".to_vec();
     stream.push(9);
     write_varint(&mut stream, original_len);
     stream.extend_from_slice(&[0, 0, 0, 0]);
@@ -50,7 +50,7 @@ fn huge_claim() -> Vec<u8> {
     header(1 << 34)
 }
 
-/// 35 bytes: a 2-byte original whose one block (tag 1, predictor MED) has
+/// 35 bytes: a 2-byte original whose one block (tag 1, predictor left) has
 /// a code table giving only the longest zero run, 64 zeros, a code (`0`,
 /// one bit), four stream lengths (1 byte in the stream that codes the first
 /// residual) and that stream: a run of 64 zeros where one residual fits.

@@ -17,8 +17,6 @@
 //!   as individual files and treats as cache pages.
 //! * [`CostModel`] — the vbench-style per-pixel transcode cost table and the
 //!   look-back cost used by the read planner.
-//! * [`QualityEstimator`] — bits-per-pixel → PSNR estimation with online
-//!   refinement, used by the quality model for compression error.
 
 #![warn(missing_docs)]
 
@@ -28,14 +26,12 @@ mod costmodel;
 mod error;
 mod gop;
 pub mod lossless;
-mod quality_est;
 mod video;
 
 pub use codec::{Codec, EncoderConfig, VideoCodec};
 pub use costmodel::{lookback_cost, CostModel, CostSample, ETA_DEPENDENT_FRAME};
 pub use error::CodecError;
 pub use gop::{EncodedGop, FrameInfo};
-pub use quality_est::QualityEstimator;
 pub use video::{
     codec_instance, decode_gops_parallel, encode_to_gops, encode_to_gops_parallel, RawCodec,
     SimH264, SimHevc,

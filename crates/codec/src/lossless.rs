@@ -6,52 +6,52 @@
 //! the stand-in, built for what deferred compression stores: raw GOPs, whose
 //! sensor noise defeats match search but whose neighbours predict them well.
 //!
-//! **Format 2.** The magic `VSL2`, the level, the original length and a
+//! **Format 3.** The magic `VSL3`, the level, the original length and a
 //! layout, then one block per 64 KiB of the original, stored verbatim where
 //! coding would not shrink it. [`compress`] reads the [`EncodedGop`] header:
 //! a raw GOP's frames are coded by plane (`Rgb8` as one plane whose left
 //! neighbour is the same channel 3 bytes back, YUV as its three planes), its
 //! header and other input as one row. A coded block predicts each sample
-//! from restored neighbours — MED (LOCO-I's median of left, above and
-//! left + above − above-left), left, their average or above; the first row
-//! from the left, the first column from above — and codes the wrapping
-//! residuals as tokens (a residual, or a run of 2..=64 zeros) in four bit
-//! streams under its own canonical Huffman code of at most 12 bits, so one
-//! table lookup decodes a token.
+//! from its restored left or above neighbour — the first row from the left,
+//! the first column from above — and codes the wrapping residuals as tokens
+//! (a residual, or a run of 2..=64 zeros) in four bit streams under its own
+//! canonical Huffman code of at most 12 bits, so one table lookup decodes a
+//! token. Both predictors invert as row operations: left as prefix sums
+//! (eight samples a word at step 1), above as a row add.
 //!
-//! **The level is how many predictors a block tries** — MED from level 1;
-//! left, the average and above join at 7, 13 and 19 — and a block keeps the
-//! smallest exact result: a higher level costs more CPU and is never larger.
-//! The output is a pure function of (input, level), pinned by
-//! `tests/golden_lossless.rs`. On `ingest_dedup`'s noisy 320×180 RGB pages
-//! (2 cores) the LZ77 codec this replaced stored 0.975 of the bytes at
-//! 85–105 ns/B; format 2 stores 0.40 at 7 ns/B (levels 1–8 there), and
-//! `cached_clips`' views at 0.10 (LZ77: 0.17), decoding them at 1.4–1.8 ns
-//! per output byte (LZ77: 1.7–1.9).
+//! **The level is how many predictors a block tries** — left from level 1,
+//! above joins at 7 — and a block keeps the smallest exact result: a higher
+//! level costs more CPU and is never larger. The output is a pure function
+//! of (input, level), pinned by `tests/golden_lossless.rs`. No predictor
+//! reads the above-left sample, as LOCO-I's median (MED) does: on every page
+//! set measured MED stored more than left alone (`cached_clips`-like views
+//! 0.151 vs 0.127 of their bytes) and restored a sample at a time (decode
+//! 4.5–4.9 vs 1.2–1.25 ns per output byte, one thread).
 //!
 //! **The decoder is bounded by the original length:** [`decompress`] grows
 //! its output a block at a time, once the block's bytes are present, and
 //! refuses a token past its block, so a corrupt stream costs at most its
 //! claimed length and ends in [`CodecError::Corrupt`], as does another
-//! format's (the old `VSSL` stream's too).
+//! format's (format 2's `VSL2` and the LZ77 `VSSL` stream's too).
 
 use crate::bitstream::{corrupt, read_varint, write_varint};
 use crate::{Codec, CodecError, EncodedGop};
 use std::ops::Range;
 use vss_frame::PixelFormat;
 
-const MAGIC: &[u8; 4] = b"VSL2";
+const MAGIC: &[u8; 4] = b"VSL3";
 const BLOCK: usize = 1 << 16;
 const MAX_BITS: u32 = 12;
 const MAX_RUN: usize = 64;
 /// Residuals `0..=255`, then zero runs of `2..=MAX_RUN`, symbol `254 + run`.
 const SYMBOLS: usize = 255 + MAX_RUN;
 const STREAMS: usize = 4;
-// Predictors, in the order the levels add them.
-const MED: u8 = 0;
-const LEFT: u8 = 1;
-const AVG: u8 = 2;
-const UP: u8 = 3;
+// Predictors, in the order the levels add them; a block's tag is 1 + its
+// predictor (0: stored).
+const LEFT: u8 = 0;
+const ABOVE: u8 = 1;
+/// The first level whose blocks also try [`ABOVE`].
+const ABOVE_FROM: u8 = 7;
 /// Minimum supported compression level.
 pub const MIN_LEVEL: u8 = 1;
 /// Maximum supported compression level (mirrors Zstandard's 19).
@@ -67,12 +67,12 @@ pub fn compress(data: &[u8], level: u8) -> Vec<u8> {
         write_varint(&mut out, v as u64);
     }
     // In a row of plain bytes every predictor is "left": one try does.
-    let tries = if layout.frame == 0 { 1 } else { 1 + (level - MIN_LEVEL) * UP / (MAX_LEVEL - MIN_LEVEL) };
+    let tries = if layout.frame > 0 && level >= ABOVE_FROM { 2 } else { 1 };
     let (mut residuals, mut best) = (Vec::new(), Vec::new());
     for start in (0..data.len()).step_by(BLOCK) {
         let end = (start + BLOCK).min(data.len());
         let mut chosen: Option<(u8, Code)> = None;
-        for predictor in 0..tries {
+        for predictor in [LEFT, ABOVE].into_iter().take(tries) {
             layout.residuals(data, start..end, predictor, &mut residuals);
             let code = Code::new(&residuals);
             if chosen.as_ref().is_none_or(|(_, kept)| code.size < kept.size) {
@@ -108,7 +108,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
     let (mut out, mut table) = (Vec::new(), [INVALID; 1 << MAX_BITS]);
     while out.len() < len {
         let (start, block) = (out.len(), BLOCK.min(len - out.len()));
-        let tag = *data.get(pos).filter(|&&tag| tag <= UP + 1).ok_or_else(|| corrupt("bad block tag"))?;
+        let tag = *data.get(pos).filter(|&&tag| tag <= 1 + ABOVE).ok_or_else(|| corrupt("bad block tag"))?;
         pos += 1;
         let mut streams = [&data[..0]; STREAMS];
         let lens = if tag == 0 {
@@ -131,7 +131,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
         } else {
             out.resize(start + block, 0);
             decode_tokens(streams, &table, &mut out[start..])?;
-            layout.restore(&mut out, start, tag - 1);
+            layout.restore(&mut out, start, tag - 1 == ABOVE);
         }
     }
     match pos == data.len() {
@@ -141,22 +141,6 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
 }
 
 // --- layout and prediction ---------------------------------------------------
-
-/// Calls `$f::<predictor, step>(args)` with both as constants.
-macro_rules! dispatch {
-    ($f:ident, $predictor:expr, $step:expr, $($arg:expr),*) => {
-        match ($predictor, $step == 3) {
-            (MED, false) => $f::<MED, 1>($($arg),*),
-            (MED, true) => $f::<MED, 3>($($arg),*),
-            (LEFT, false) => $f::<LEFT, 1>($($arg),*),
-            (LEFT, true) => $f::<LEFT, 3>($($arg),*),
-            (AVG, false) => $f::<AVG, 1>($($arg),*),
-            (AVG, true) => $f::<AVG, 3>($($arg),*),
-            (_, false) => $f::<UP, 1>($($arg),*),
-            (_, true) => $f::<UP, 3>($($arg),*),
-        }
-    };
-}
 
 /// An original as `prefix` bytes in one row (a GOP's header, or all of
 /// other input), then frames of `frame` bytes (none if 0), each of `planes`
@@ -229,30 +213,14 @@ impl Layout {
         out.resize(range.len(), 0); // every byte is written below
         self.spans(range, |base, row, step, from, to| {
             let out = &mut out[base + from - start..base + to - start];
-            dispatch!(predict_span, predictor, step, &data[base..base + to], row, from, out)
+            predict_span(&data[base..base + to], row, step, from, predictor == ABOVE, out)
         });
     }
 
     /// Turns `out[start..]`'s residuals back into samples, in place.
-    fn restore(&self, out: &mut [u8], start: usize, predictor: u8) {
-        self.spans(start..out.len(), |base, row, step, from, to| {
-            dispatch!(restore_span, predictor, step, &mut out[base..base + to], row, from)
-        });
+    fn restore(&self, out: &mut [u8], start: usize, above: bool) {
+        self.spans(start..out.len(), |base, row, step, from, to| restore_span(&mut out[base..base + to], row, step, from, above));
     }
-}
-
-/// The prediction from the left (`a`), above (`b`) and above-left (`c`)
-/// neighbours. The first row passes the left sample as all three, the first
-/// column the above one, so there every predictor is "left", or "above".
-#[inline(always)]
-fn predict<const P: u8>(a: u8, b: u8, c: u8) -> u8 {
-    let (a, b, c) = (i16::from(a), i16::from(b), i16::from(c));
-    (match P {
-        MED => a.min(b).max(a.max(b).min(a + b - c)),
-        LEFT => a,
-        AVG => (a + b) >> 1,
-        _ => b,
-    }) as u8
 }
 
 /// Each row of a plane stretch that samples `from..plane.len()` touch: its
@@ -261,53 +229,56 @@ fn rows(plane: usize, row: usize, from: usize) -> impl Iterator<Item = (usize, u
     (from / row..plane.div_ceil(row)).map(move |r| (r * row, plane.min(r * row + row), from.max(r * row) - r * row))
 }
 
-/// Writes the residuals of samples `from..` of `plane` to `out`.
-fn predict_span<const P: u8, const S: usize>(plane: &[u8], row: usize, from: usize, out: &mut [u8]) {
+/// Writes the residuals of samples `from..` of `plane` to `out`: each
+/// sample less its left neighbour, `step` back, or with `above` and below
+/// the first row, the sample above it. The first `step` samples of a row
+/// are predicted from above (from 0 in the first row).
+fn predict_span(plane: &[u8], row: usize, step: usize, from: usize, above: bool, out: &mut [u8]) {
     for (start, end, c0) in rows(plane.len(), row, from) {
         let (current, out) = (&plane[start..end], &mut out[start + c0 - from..end - from]);
         let up = (start > 0).then(|| &plane[start - row..end - row]);
-        let first = current.len().min(S).max(c0);
+        let first = current.len().min(step).max(c0);
         for c in c0..first {
             out[c - c0] = current[c].wrapping_sub(up.map_or(0, |u| u[c]));
         }
         if first < current.len() {
-            let left = &current[first - S..];
-            let (b, c) = up.map_or((left, left), |u| (&u[first..], &u[first - S..]));
-            let samples = current[first..].iter().zip(left).zip(b).zip(c);
-            for (r, (((&x, &a), &b), &c)) in out[first - c0..].iter_mut().zip(samples) {
-                *r = x.wrapping_sub(predict::<P>(a, b, c));
-            }
+            let reference = match up {
+                Some(u) if above => &u[first..],
+                _ => &current[first - step..],
+            };
+            let samples = current[first..].iter().zip(reference);
+            out[first - c0..].iter_mut().zip(samples).for_each(|(r, (&x, &p))| *r = x.wrapping_sub(p));
         }
     }
 }
 
-/// Restores samples `from..` of `plane`, which hold their residuals.
-fn restore_span<const P: u8, const S: usize>(plane: &mut [u8], row: usize, from: usize) {
+/// Restores samples `from..` of `plane`, which hold their residuals, as
+/// [`predict_span`] predicted them: a row add from above, prefix sums from
+/// the left at step 1, and at step 3 a running sum whose last three samples
+/// ride in registers.
+fn restore_span(plane: &mut [u8], row: usize, step: usize, from: usize, above: bool) {
     for (start, end, c0) in rows(plane.len(), row, from) {
         let (before, current) = plane.split_at_mut(start);
         let current = &mut current[..end - start];
         let up = (start > 0).then(|| &before[start - row..end - row]);
-        let first = current.len().min(S).max(c0);
+        let first = current.len().min(step).max(c0);
         for c in c0..first {
             current[c] = current[c].wrapping_add(up.map_or(0, |u| u[c]));
         }
         let (done, rest) = current.split_at_mut(first);
-        let Some(left) = done.get(first.wrapping_sub(S)..).filter(|_| !rest.is_empty()) else { continue };
-        // The last `S` samples ride in registers, not through memory.
-        let (mut a0, mut a1, mut a2) = (left[0], left[S / 2], left[S - 1]);
+        if rest.is_empty() {
+            continue;
+        }
         match up {
-            Some(u) if P == UP => rest.iter_mut().zip(&u[first..]).for_each(|(x, &b)| *x = x.wrapping_add(b)),
-            _ if S == 1 && (P == LEFT || up.is_none()) => prefix_sums(rest, a0),
-            Some(u) => {
-                for ((x, &b), &c) in rest.iter_mut().zip(&u[first..]).zip(&u[first - S..]) {
-                    *x = x.wrapping_add(predict::<P>(a0, b, c));
-                    (a0, a1, a2) = if S == 3 { (a1, a2, *x) } else { (*x, a1, a2) };
+            Some(u) if above => rest.iter_mut().zip(&u[first..]).for_each(|(x, &b)| *x = x.wrapping_add(b)),
+            _ if step == 1 => prefix_sums(rest, done[first - 1]),
+            _ => {
+                let [mut a0, mut a1, mut a2] = [done[first - 3], done[first - 2], done[first - 1]];
+                for x in rest {
+                    *x = x.wrapping_add(a0);
+                    (a0, a1, a2) = (a1, a2, *x);
                 }
             }
-            None => rest.iter_mut().for_each(|x| {
-                *x = x.wrapping_add(a0);
-                (a0, a1, a2) = if S == 3 { (a1, a2, *x) } else { (*x, a1, a2) };
-            }),
         }
     }
 }
@@ -699,7 +670,7 @@ mod tests {
             raw_gop(64, 48, PixelFormat::Yuv422, 0),
         ];
         for input in inputs {
-            for level in [1, 5, 10, 19] {
+            for level in MIN_LEVEL..=MAX_LEVEL {
                 let compressed = compress(&input, level);
                 let restored = decompress(&compressed).unwrap();
                 assert_eq!(restored, input, "level {level}, len {}", input.len());
@@ -719,10 +690,29 @@ mod tests {
         ] {
             let gop = raw_gop(width, height, format, 9);
             assert_eq!(Layout::of(&gop).frame, format.frame_bytes(width, height), "{width}x{height} {format:?}");
-            for level in [1, 10, 19] {
+            for level in MIN_LEVEL..=MAX_LEVEL {
                 assert_eq!(decompress(&compress(&gop, level)).unwrap(), gop, "{width}x{height} {format:?} L{level}");
             }
         }
+    }
+
+    #[test]
+    fn a_block_may_start_inside_a_rows_first_pixel() {
+        // At step 3 a row's first three samples are predicted from above, the
+        // rest from the left: a block that starts after one or two of them
+        // restores the others from above and the rest of the row from them.
+        let mut split = 0;
+        for width in 2..32 {
+            let gop = raw_gop(width, 65_536 / (9 * width) + 1, PixelFormat::Rgb8, 5);
+            let layout = Layout::of(&gop);
+            if (1..3).contains(&((BLOCK - layout.prefix) % layout.frame % (3 * width as usize))) {
+                split += 1;
+                for level in [MIN_LEVEL, MAX_LEVEL] {
+                    assert_eq!(decompress(&compress(&gop, level)).unwrap(), gop, "width {width}, level {level}");
+                }
+            }
+        }
+        assert!(split > 0, "no block starts inside a first pixel");
     }
 
     #[test]
@@ -807,6 +797,17 @@ mod tests {
     }
 
     #[test]
+    fn a_format_2_stream_is_refused() {
+        // Format 2's magic, level 9, a 1-byte original of plain bytes (layout
+        // 0, 0, 0, 0), one stored block: format 3 but for the magic.
+        let old = [b'V', b'S', b'L', b'2', 9, 1, 0, 0, 0, 0, 0, b'x'];
+        let mut current = old;
+        current[3] = b'3';
+        assert_eq!(decompress(&current).unwrap(), b"x");
+        assert!(matches!(decompress(&old), Err(CodecError::Corrupt(m)) if m.contains("magic")));
+    }
+
+    #[test]
     fn level_is_clamped() {
         let data = vec![1u8; 100];
         let a = compress(&data, 0);
@@ -868,7 +869,7 @@ mod tests {
         let mut lengths = [0u8; SYMBOLS];
         lengths[SYMBOLS - 1] = 1;
         let mut huge_run = header(2);
-        huge_run.push(1 + MED);
+        huge_run.push(1 + LEFT);
         write_table(&lengths, &mut huge_run);
         // Four stream lengths; of the 2 residuals, stream 1 codes the first.
         huge_run.extend_from_slice(&[0, 1, 0, 0, 0x00]);

@@ -541,7 +541,10 @@ fn decode_planes(
             pos = residuals.reader.pos;
         }
     }
-    Ok(recon)
+    match pos == payload.len() {
+        true => Ok(recon),
+        false => Err(CodecError::Corrupt(format!("{} bytes after the frame's V plane", payload.len() - pos))),
+    }
 }
 
 fn decode_lossy(

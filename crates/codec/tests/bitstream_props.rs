@@ -249,6 +249,24 @@ fn every_truncation_of_a_real_gop_frame_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn bytes_after_a_frames_v_plane_are_corrupt() {
+    // The last frame grown by three bytes its V plane never reads: the
+    // frame table still accounts for every byte, so only the frame's own
+    // end can tell. The frames before it still decode as they did.
+    for gop in noisy_gops() {
+        let implementation = codec_instance(gop.codec());
+        let full = implementation.decode(&gop).unwrap();
+        let (mut frames, mut bytes) = (gop.frames().to_vec(), payload(&gop));
+        frames.last_mut().unwrap().len += 3;
+        bytes.extend_from_slice(&[1, 2, 3]);
+        let grown = with_frames(&gop, frames, bytes);
+        let last = gop.frame_count() - 1;
+        assert!(matches!(implementation.decode(&grown), Err(vss_codec::CodecError::Corrupt(_))), "{}", gop.codec());
+        assert_eq!(implementation.decode_prefix(&grown, last).unwrap().frames(), &full.frames()[..last]);
+    }
+}
+
+#[test]
 fn pairs_at_the_one_byte_limit_round_trip_at_the_end_of_a_block() {
     // Runs and zig-zag levels on both sides of the one-byte varint limit
     // (level 63 → 126 and −64 → 127 fit a byte, 64 → 128 does not), as the

@@ -1,11 +1,12 @@
 //! Golden lossless streams: every byte `lossless::compress` emits, pinned
-//! against constants captured when lossless format 2 (plane prediction and
-//! Huffman-coded residuals) replaced the LZ77 format, by running this test
-//! with an empty `GOLDEN` table and pasting the rows it printed. The LZ77
-//! rows it replaced were captured on commit
-//! 20248f31a138ece769b3fcde5aef883a17c65d9f; the inputs, levels and lengths
-//! are theirs, and the raw GOPs at the end were added with format 2, whose
-//! planes only a GOP's header reveals.
+//! against constants captured when lossless format 3 (left and above
+//! prediction only) replaced format 2, by running this test with an empty
+//! `GOLDEN` table and pasting the rows it printed. The inputs, levels and
+//! lengths are those of the LZ77 rows captured on commit
+//! 20248f31a138ece769b3fcde5aef883a17c65d9f; the raw GOPs at the end were
+//! added with format 2, whose planes only a GOP's header reveals. Plain
+//! bytes are one row predicted from the left, so those rows kept their
+//! lengths through format 3; the raw GOPs' rows pin plane prediction.
 //!
 //! The compressor's output is a pure function of (input, level), and the
 //! deferred-compression path stores it on disk and sizes the budget by it:
@@ -159,232 +160,232 @@ fn compressed_streams_match_the_pinned_format() {
 
 #[rustfmt::skip]
 const GOLDEN: &[&str] = &[
-    "mixed n0 L1 len=10 bytes=23578cff409635d5 rt=ok",
-    "mixed n0 L2 len=10 bytes=ffedf1322e87fc0e rt=ok",
-    "mixed n0 L9 len=10 bytes=3ea46b67d108040d rt=ok",
-    "mixed n0 L10 len=10 bytes=1b3acf9abef9ca46 rt=ok",
-    "mixed n0 L18 len=10 bytes=3687ae034f6b987e rt=ok",
-    "mixed n0 L19 len=10 bytes=131e12363d5d5eb7 rt=ok",
-    "mixed n1 L1 len=12 bytes=275870f320efa732 rt=ok",
-    "mixed n1 L2 len=12 bytes=b79a6abbd4e7c5a9 rt=ok",
-    "mixed n1 L9 len=12 bytes=2f8238aac975562a rt=ok",
-    "mixed n1 L10 len=12 bytes=bfc4b2737d6e4e21 rt=ok",
-    "mixed n1 L18 len=12 bytes=c7edfa2b25f32399 rt=ok",
-    "mixed n1 L19 len=12 bytes=75a18e7487d99964 rt=ok",
-    "mixed n2 L1 len=13 bytes=8a3dfa4adbad93e8 rt=ok",
-    "mixed n2 L2 len=13 bytes=1bfb9fa86edbe919 rt=ok",
-    "mixed n2 L9 len=13 bytes=ed384f5e35644ed0 rt=ok",
-    "mixed n2 L10 len=13 bytes=825c74bbcb76a681 rt=ok",
-    "mixed n2 L18 len=13 bytes=e556c9cf252d6169 rt=ok",
-    "mixed n2 L19 len=13 bytes=824b5e852db7c74a rt=ok",
-    "mixed n3 L1 len=14 bytes=705c1e5d8fbab7d9 rt=ok",
-    "mixed n3 L2 len=14 bytes=8d01ff0a17e59126 rt=ok",
-    "mixed n3 L9 len=14 bytes=01a31643eaa9b611 rt=ok",
-    "mixed n3 L10 len=14 bytes=731af6eb89644fde rt=ok",
-    "mixed n3 L18 len=14 bytes=adf1eecf6ee33d96 rt=ok",
-    "mixed n3 L19 len=14 bytes=a47e4b7be07f6693 rt=ok",
-    "mixed n4 L1 len=15 bytes=ad955700c1e5f8a0 rt=ok",
-    "mixed n4 L2 len=15 bytes=62f382dfda1c024d rt=ok",
-    "mixed n4 L9 len=15 bytes=27c9c73fb8930ec8 rt=ok",
-    "mixed n4 L10 len=15 bytes=d8caf749ea35cc75 rt=ok",
-    "mixed n4 L18 len=15 bytes=53006788e0e4959d rt=ok",
-    "mixed n4 L19 len=15 bytes=2456cf6f03b85c0e rt=ok",
-    "mixed n5 L1 len=16 bytes=932ac0ed93795f8e rt=ok",
-    "mixed n5 L2 len=16 bytes=de1993365c6b12f5 rt=ok",
-    "mixed n5 L9 len=16 bytes=93508eac16c4d686 rt=ok",
-    "mixed n5 L10 len=16 bytes=35b0f633876bbb6d rt=ok",
-    "mixed n5 L18 len=16 bytes=3519bfc6ecf40de5 rt=ok",
-    "mixed n5 L19 len=16 bytes=2f56d272884829ac rt=ok",
-    "mixed n6 L1 len=17 bytes=ba9ca0751ffda36f rt=ok",
-    "mixed n6 L2 len=17 bytes=380337b39e55aa0a rt=ok",
-    "mixed n6 L9 len=17 bytes=2edc6a425c6d0cd7 rt=ok",
-    "mixed n6 L10 len=17 bytes=c3b6ca6cb790d172 rt=ok",
-    "mixed n6 L18 len=17 bytes=4278769a52cbbd5a rt=ok",
-    "mixed n6 L19 len=17 bytes=f4711e608c429b55 rt=ok",
-    "mixed n7 L1 len=18 bytes=0df7d85a89de1af2 rt=ok",
-    "mixed n7 L2 len=18 bytes=8b2f28bcdbc3c729 rt=ok",
-    "mixed n7 L9 len=18 bytes=ab03d6046b4bf9aa rt=ok",
-    "mixed n7 L10 len=18 bytes=2932a23ba0e2a261 rt=ok",
-    "mixed n7 L18 len=18 bytes=721cc77c02c85b19 rt=ok",
-    "mixed n7 L19 len=18 bytes=90fde352272c6f44 rt=ok",
-    "mixed n8 L1 len=19 bytes=c23f44c937da44f8 rt=ok",
-    "mixed n8 L2 len=19 bytes=41017e0e03eb2519 rt=ok",
-    "mixed n8 L9 len=19 bytes=7d7c8e601068a100 rt=ok",
-    "mixed n8 L10 len=19 bytes=9a9bee88d75d44c1 rt=ok",
-    "mixed n8 L18 len=19 bytes=576ec169b2da5669 rt=ok",
-    "mixed n8 L19 len=19 bytes=6e8823381c32c5da rt=ok",
-    "mixed n9 L1 len=20 bytes=d023197033ca0d99 rt=ok",
-    "mixed n9 L2 len=20 bytes=c5b7e1cdff6fddb6 rt=ok",
-    "mixed n9 L9 len=20 bytes=9bf626a02b477b91 rt=ok",
-    "mixed n9 L10 len=20 bytes=613db5d118c4ce8e rt=ok",
-    "mixed n9 L18 len=20 bytes=766cfc1d64759b26 rt=ok",
-    "mixed n9 L19 len=20 bytes=480af47b407c4233 rt=ok",
-    "mixed n15 L1 len=26 bytes=a753af33d417b159 rt=ok",
-    "mixed n15 L2 len=26 bytes=89905aa5a6ee4bb6 rt=ok",
-    "mixed n15 L9 len=26 bytes=80ca9a38abd9b111 rt=ok",
-    "mixed n15 L10 len=26 bytes=2d67e263961dfece rt=ok",
-    "mixed n15 L18 len=26 bytes=7da195a3dd362ca6 rt=ok",
-    "mixed n15 L19 len=26 bytes=fc35a9b480dc4913 rt=ok",
-    "mixed n17 L1 len=28 bytes=550161400aee036e rt=ok",
-    "mixed n17 L2 len=28 bytes=d06197da89079135 rt=ok",
-    "mixed n17 L9 len=28 bytes=172e5b62e331d566 rt=ok",
-    "mixed n17 L10 len=28 bytes=4c35f8aa1c53818d rt=ok",
-    "mixed n17 L18 len=28 bytes=dbec151de11836a5 rt=ok",
-    "mixed n17 L19 len=28 bytes=1f947aa9de0c0aac rt=ok",
-    "mixed n23 L1 len=34 bytes=7e265ab467f4afce rt=ok",
-    "mixed n23 L2 len=34 bytes=b69ac45b1c95b5d5 rt=ok",
-    "mixed n23 L9 len=34 bytes=d185a969f4082086 rt=ok",
-    "mixed n23 L10 len=34 bytes=9f89710949543c6d rt=ok",
-    "mixed n23 L18 len=34 bytes=03fe8cfedf839885 rt=ok",
-    "mixed n23 L19 len=34 bytes=74a6b88191a380ac rt=ok",
-    "mixed n25 L1 len=36 bytes=d1b4fc2f52068c12 rt=ok",
-    "mixed n25 L2 len=36 bytes=2b4aa643b2670519 rt=ok",
-    "mixed n25 L9 len=36 bytes=48220b048d265b0a rt=ok",
-    "mixed n25 L10 len=36 bytes=e3b7cd47a08b54d1 rt=ok",
-    "mixed n25 L18 len=36 bytes=25c07cf17ba4fac9 rt=ok",
-    "mixed n25 L19 len=36 bytes=a084074571df2a64 rt=ok",
-    "mixed n31 L1 len=42 bytes=d294c7d2454e8655 rt=ok",
-    "mixed n31 L2 len=42 bytes=7573716f3db76396 rt=ok",
-    "mixed n31 L9 len=42 bytes=04a218b56b62308d rt=ok",
-    "mixed n31 L10 len=42 bytes=d7eb7cae40a47c8e rt=ok",
-    "mixed n31 L18 len=42 bytes=73ab6072f39b2c86 rt=ok",
-    "mixed n31 L19 len=42 bytes=85377ed3f97026ff rt=ok",
-    "mixed n33 L1 len=44 bytes=4c1aafb5d31aae72 rt=ok",
-    "mixed n33 L2 len=44 bytes=ccdb253533a8da4d rt=ok",
-    "mixed n33 L9 len=44 bytes=ad82b5ff12d3616a rt=ok",
-    "mixed n33 L10 len=44 bytes=7fd4ac165376eb85 rt=ok",
-    "mixed n33 L18 len=44 bytes=5c83cb8c53b32bbd rt=ok",
-    "mixed n33 L19 len=44 bytes=821114f46edba73c rt=ok",
-    "mixed n63 L1 len=51 bytes=487321cc9c278372 rt=ok",
-    "mixed n63 L2 len=51 bytes=75d5d22f8b77fcd3 rt=ok",
-    "mixed n63 L9 len=51 bytes=fa48e2bd7542216a rt=ok",
-    "mixed n63 L10 len=51 bytes=0aa5984ff258f4ab rt=ok",
-    "mixed n63 L18 len=51 bytes=051045614c93e1e3 rt=ok",
-    "mixed n63 L19 len=51 bytes=84b80275b57b6f80 rt=ok",
-    "mixed n65 L1 len=51 bytes=b9d3e49b02441c1d rt=ok",
-    "mixed n65 L2 len=51 bytes=bc44c1e0ea7ac5c8 rt=ok",
-    "mixed n65 L9 len=51 bytes=a6e5506667998fc5 rt=ok",
-    "mixed n65 L10 len=51 bytes=71a44bb4dd407b50 rt=ok",
-    "mixed n65 L18 len=51 bytes=0d54c44fbdc08498 rt=ok",
-    "mixed n65 L19 len=51 bytes=f2c8580baea64647 rt=ok",
-    "mixed n255 L1 len=91 bytes=3c615ce2be913961 rt=ok",
-    "mixed n255 L2 len=91 bytes=fa4070d984ca60cc rt=ok",
-    "mixed n255 L9 len=91 bytes=dfc1dec0aecd7ff9 rt=ok",
-    "mixed n255 L10 len=91 bytes=e4a2993245f74dc4 rt=ok",
-    "mixed n255 L18 len=91 bytes=13ec0843ac8386dc rt=ok",
-    "mixed n255 L19 len=91 bytes=1f5366c48b68062b rt=ok",
-    "mixed n257 L1 len=91 bytes=d14180d3e7c19a03 rt=ok",
-    "mixed n257 L2 len=91 bytes=f0356ed6c3e2d436 rt=ok",
-    "mixed n257 L9 len=91 bytes=5ff2687d222ad5fb rt=ok",
-    "mixed n257 L10 len=91 bytes=c60d9eaf8e2c858e rt=ok",
-    "mixed n257 L18 len=91 bytes=acdbb12c4e94a026 rt=ok",
-    "mixed n257 L19 len=91 bytes=56e52a0ee6bdb4d1 rt=ok",
-    "mixed n4095 L1 len=1059 bytes=dfdd7183fbedfbd2 rt=ok",
-    "mixed n4095 L2 len=1059 bytes=4ff68540d855784b rt=ok",
-    "mixed n4095 L9 len=1059 bytes=a70bfd738122833a rt=ok",
-    "mixed n4095 L10 len=1059 bytes=115bc027ad5a9af3 rt=ok",
-    "mixed n4095 L18 len=1059 bytes=3d6641751aaa081b rt=ok",
-    "mixed n4095 L19 len=1059 bytes=beb0fb9d6a005df0 rt=ok",
-    "mixed n4097 L1 len=1060 bytes=353ab12781a62cbe rt=ok",
-    "mixed n4097 L2 len=1060 bytes=eac0e1009ca4bd89 rt=ok",
-    "mixed n4097 L9 len=1060 bytes=ba137815da728036 rt=ok",
-    "mixed n4097 L10 len=1060 bytes=7b454618aa4f7c41 rt=ok",
-    "mixed n4097 L18 len=1060 bytes=21f744bb7008c839 rt=ok",
-    "mixed n4097 L19 len=1060 bytes=c3cb60709a856b6c rt=ok",
-    "flat-Yuv420 n13824 L1 len=72 bytes=16560156cba39c1b rt=ok",
-    "flat-Yuv420 n13824 L2 len=72 bytes=2809ee372ace4cf8 rt=ok",
-    "flat-Yuv420 n13824 L9 len=72 bytes=971c4c1a48f7a483 rt=ok",
-    "flat-Yuv420 n13824 L10 len=72 bytes=4eb9de216ec39480 rt=ok",
-    "flat-Yuv420 n13824 L18 len=72 bytes=9149ca11de9bcd28 rt=ok",
-    "flat-Yuv420 n13824 L19 len=72 bytes=779efefbec71fa79 rt=ok",
-    "gradient-Yuv420 n13824 L1 len=3842 bytes=396fee5270830bda rt=ok",
-    "gradient-Yuv420 n13824 L2 len=3842 bytes=073ef8bc725ac58d rt=ok",
-    "gradient-Yuv420 n13824 L9 len=3842 bytes=aa1d36fa4fc5b482 rt=ok",
-    "gradient-Yuv420 n13824 L10 len=3842 bytes=5b4ab44a68dff915 rt=ok",
-    "gradient-Yuv420 n13824 L18 len=3842 bytes=59cdfcf05a2b567d rt=ok",
-    "gradient-Yuv420 n13824 L19 len=3842 bytes=f356d2301815c680 rt=ok",
-    "noise-Yuv420 n13824 L1 len=13837 bytes=2fddb9372ccab37c rt=ok",
-    "noise-Yuv420 n13824 L2 len=13837 bytes=c30fd0273df2a011 rt=ok",
-    "noise-Yuv420 n13824 L9 len=13837 bytes=54da2028e1753134 rt=ok",
-    "noise-Yuv420 n13824 L10 len=13837 bytes=75c1475053974429 rt=ok",
-    "noise-Yuv420 n13824 L18 len=13837 bytes=95da5ecf563087e1 rt=ok",
-    "noise-Yuv420 n13824 L19 len=13837 bytes=78b3ca66836d09b2 rt=ok",
-    "flat-Rgb8 n27648 L1 len=6957 bytes=b0a5c61422bc626e rt=ok",
-    "flat-Rgb8 n27648 L2 len=6957 bytes=2032437836dedc03 rt=ok",
-    "flat-Rgb8 n27648 L9 len=6957 bytes=8d94060a9964efa6 rt=ok",
-    "flat-Rgb8 n27648 L10 len=6957 bytes=638c813f194471fb rt=ok",
-    "flat-Rgb8 n27648 L18 len=6957 bytes=7cfe7c782a9d8613 rt=ok",
-    "flat-Rgb8 n27648 L19 len=6957 bytes=a1a86e2c1a652650 rt=ok",
-    "gradient-Rgb8 n27648 L1 len=27663 bytes=aea7483f8f7e160f rt=ok",
-    "gradient-Rgb8 n27648 L2 len=27663 bytes=3be74a77d68c4962 rt=ok",
-    "gradient-Rgb8 n27648 L9 len=27663 bytes=8eb19f7a7a6fce77 rt=ok",
-    "gradient-Rgb8 n27648 L10 len=27663 bytes=6e1cde51bce60d0a rt=ok",
-    "gradient-Rgb8 n27648 L18 len=27663 bytes=23decaabf8d26a72 rt=ok",
-    "gradient-Rgb8 n27648 L19 len=27663 bytes=1cb726f78e5350fd rt=ok",
-    "noise-Rgb8 n27648 L1 len=27663 bytes=58ab484bdf451e30 rt=ok",
-    "noise-Rgb8 n27648 L2 len=27663 bytes=bb058d05739407e5 rt=ok",
-    "noise-Rgb8 n27648 L9 len=27663 bytes=329acb827e0a5b78 rt=ok",
-    "noise-Rgb8 n27648 L10 len=27663 bytes=d31b6bbce5df79cd rt=ok",
-    "noise-Rgb8 n27648 L18 len=27663 bytes=69f49e031de5f615 rt=ok",
-    "noise-Rgb8 n27648 L19 len=27663 bytes=f8070f1876eb6abe rt=ok",
-    "scene n97920 L1 len=34234 bytes=999111078891f049 rt=ok",
-    "scene n97920 L2 len=34234 bytes=50f71370a4a7dbea rt=ok",
-    "scene n97920 L9 len=34234 bytes=e2845b2837b93361 rt=ok",
-    "scene n97920 L10 len=34234 bytes=cfdf7d322c8d1362 rt=ok",
-    "scene n97920 L18 len=34234 bytes=ef74c893dd0f76fa rt=ok",
-    "scene n97920 L19 len=34234 bytes=3e031ab449420053 rt=ok",
-    "long-run n70016 L1 len=212 bytes=67674cfb1a9ceeb5 rt=ok",
-    "long-run n70016 L2 len=212 bytes=f049e44e8f2effb2 rt=ok",
-    "long-run n70016 L9 len=212 bytes=8cf1b46c1ec19c8d rt=ok",
-    "long-run n70016 L10 len=212 bytes=11869d8904aea9ea rt=ok",
-    "long-run n70016 L18 len=212 bytes=4f19dd95709c99e2 rt=ok",
-    "long-run n70016 L19 len=212 bytes=47a909218f6f6167 rt=ok",
-    "far-repeats n1114112 L1 len=1114143 bytes=903e93ac5d29b260 rt=ok",
-    "far-repeats n1114112 L2 len=1114143 bytes=811842d54867a4cd rt=ok",
-    "far-repeats n1114112 L9 len=1114143 bytes=8708361209256568 rt=ok",
-    "far-repeats n1114112 L10 len=1114143 bytes=e4319a32b8b3c095 rt=ok",
-    "far-repeats n1114112 L18 len=1114143 bytes=eb8e7833f7f8a89d rt=ok",
-    "far-repeats n1114112 L19 len=1114143 bytes=7bf7114dba8ca04e rt=ok",
-    "gop-flat-Yuv420 n13856 L1 len=124 bytes=9e286c58c4d80841 rt=ok",
-    "gop-flat-Yuv420 n13856 L2 len=124 bytes=50ec02ad36323986 rt=ok",
-    "gop-flat-Yuv420 n13856 L9 len=124 bytes=ecf3976635370d09 rt=ok",
-    "gop-flat-Yuv420 n13856 L10 len=124 bytes=f4a8509208bdfb8e rt=ok",
-    "gop-flat-Yuv420 n13856 L18 len=124 bytes=ba6a2a288ffe93d6 rt=ok",
-    "gop-flat-Yuv420 n13856 L19 len=124 bytes=7218d11aab4deab3 rt=ok",
-    "gop-gradient-Yuv420 n13856 L1 len=3234 bytes=860ccf3725e7a97a rt=ok",
-    "gop-gradient-Yuv420 n13856 L2 len=3234 bytes=61c36e28ddedebd9 rt=ok",
-    "gop-gradient-Yuv420 n13856 L9 len=3234 bytes=e00522472e23d312 rt=ok",
-    "gop-gradient-Yuv420 n13856 L10 len=3234 bytes=f17bff278dc01091 rt=ok",
-    "gop-gradient-Yuv420 n13856 L18 len=3234 bytes=a51f65254809b489 rt=ok",
-    "gop-gradient-Yuv420 n13856 L19 len=3234 bytes=24b0827e43f7986c rt=ok",
-    "gop-noise-Yuv420 n13856 L1 len=13868 bytes=454383a20e4533d2 rt=ok",
-    "gop-noise-Yuv420 n13856 L2 len=13868 bytes=59d3da009c55c73d rt=ok",
-    "gop-noise-Yuv420 n13856 L9 len=13868 bytes=f4468c007209528a rt=ok",
-    "gop-noise-Yuv420 n13856 L10 len=13868 bytes=e9c0d48b6181bfb5 rt=ok",
-    "gop-noise-Yuv420 n13856 L18 len=13772 bytes=eae16b33fa78a1d6 rt=ok",
-    "gop-noise-Yuv420 n13856 L19 len=13772 bytes=7fdddce9cafb7413 rt=ok",
-    "gop-flat-Rgb8 n27680 L1 len=145 bytes=55eab47eea331c64 rt=ok",
-    "gop-flat-Rgb8 n27680 L2 len=145 bytes=556db99ae236a0ed rt=ok",
-    "gop-flat-Rgb8 n27680 L9 len=145 bytes=a2619b4628844bdc rt=ok",
-    "gop-flat-Rgb8 n27680 L10 len=145 bytes=493cdf0eaee60bc5 rt=ok",
-    "gop-flat-Rgb8 n27680 L18 len=145 bytes=4e44d57b6832651d rt=ok",
-    "gop-flat-Rgb8 n27680 L19 len=145 bytes=f73cb6043c1a98d6 rt=ok",
-    "gop-gradient-Rgb8 n27680 L1 len=2202 bytes=24b0a614d618fc03 rt=ok",
-    "gop-gradient-Rgb8 n27680 L2 len=2202 bytes=8177cc37b847afc0 rt=ok",
-    "gop-gradient-Rgb8 n27680 L9 len=2202 bytes=b4bef9c600a6f44b rt=ok",
-    "gop-gradient-Rgb8 n27680 L10 len=2202 bytes=dbafb57afb4afbc8 rt=ok",
-    "gop-gradient-Rgb8 n27680 L18 len=2202 bytes=e471eae233e17cf0 rt=ok",
-    "gop-gradient-Rgb8 n27680 L19 len=2202 bytes=1318c2aee32ef4ad rt=ok",
-    "gop-noise-Rgb8 n27680 L1 len=27693 bytes=b59ff55a3ceb2dc9 rt=ok",
-    "gop-noise-Rgb8 n27680 L2 len=27693 bytes=537703aa1ea59c98 rt=ok",
-    "gop-noise-Rgb8 n27680 L9 len=27693 bytes=dbf7bb6289fa2cd1 rt=ok",
-    "gop-noise-Rgb8 n27680 L10 len=27693 bytes=c6e7edb5b9eafd20 rt=ok",
-    "gop-noise-Rgb8 n27680 L18 len=27693 bytes=6f93b46ab6e995c8 rt=ok",
-    "gop-noise-Rgb8 n27680 L19 len=27693 bytes=bf0b37f71a3321bb rt=ok",
-    "gop-scene n97951 L1 len=34758 bytes=46bbdc3cac4d7e8e rt=ok",
-    "gop-scene n97951 L2 len=34758 bytes=591a530f15befdc1 rt=ok",
-    "gop-scene n97951 L9 len=33639 bytes=e4c42d0cd7cbb213 rt=ok",
-    "gop-scene n97951 L10 len=33639 bytes=d9809b280342ac1e rt=ok",
-    "gop-scene n97951 L18 len=32498 bytes=8bbb149d4c5f08e9 rt=ok",
-    "gop-scene n97951 L19 len=32498 bytes=1eb8bc95c21495f4 rt=ok",
+    "mixed n0 L1 len=10 bytes=2f7d4023b6867c3e rt=ok",
+    "mixed n0 L2 len=10 bytes=52e6dbf0c894b605 rt=ok",
+    "mixed n0 L9 len=10 bytes=4aca1e8c46f84a76 rt=ok",
+    "mixed n0 L10 len=10 bytes=6e33ba595906843d rt=ok",
+    "mixed n0 L18 len=10 bytes=1c4d1f1fa7b11995 rt=ok",
+    "mixed n0 L19 len=10 bytes=3fb6baecb9bf535c rt=ok",
+    "mixed n1 L1 len=12 bytes=ee14eafe48b5b6d9 rt=ok",
+    "mixed n1 L2 len=12 bytes=5dd2713594bcbee2 rt=ok",
+    "mixed n1 L9 len=12 bytes=f63eb2b5f13b65d1 rt=ok",
+    "mixed n1 L10 len=12 bytes=65fc38ed3d426dda rt=ok",
+    "mixed n1 L18 len=12 bytes=4d7f61c643b23a72 rt=ok",
+    "mixed n1 L19 len=12 bytes=9fcb4d7ce1caeb27 rt=ok",
+    "mixed n2 L1 len=13 bytes=7c14c09335ccbda9 rt=ok",
+    "mixed n2 L2 len=13 bytes=e8a39b35a12bfa78 rt=ok",
+    "mixed n2 L9 len=13 bytes=e0c215a690f50d11 rt=ok",
+    "mixed n2 L10 len=13 bytes=4b9df048fae2b560 rt=ok",
+    "mixed n2 L18 len=13 bytes=1d95f10ee969c728 rt=ok",
+    "mixed n2 L19 len=13 bytes=95777309ca3d1507 rt=ok",
+    "mixed n3 L1 len=14 bytes=7218fdf7adadd7d6 rt=ok",
+    "mixed n3 L2 len=14 bytes=abe39d4d9af3e889 rt=ok",
+    "mixed n3 L9 len=14 bytes=5831f5d91f2c968e rt=ok",
+    "mixed n3 L10 len=14 bytes=e6ba15318071fcc1 rt=ok",
+    "mixed n3 L18 len=14 bytes=37e82d85d166c819 rt=ok",
+    "mixed n3 L19 len=14 bytes=b0679773749216c4 rt=ok",
+    "mixed n4 L1 len=15 bytes=714ce0955d6b45dd rt=ok",
+    "mixed n4 L2 len=15 bytes=10ac34b8b93491b0 rt=ok",
+    "mixed n4 L9 len=15 bytes=3d95d501e2f7ad05 rt=ok",
+    "mixed n4 L10 len=15 bytes=8837a922cac1a358 rt=ok",
+    "mixed n4 L18 len=15 bytes=6ca2d8685944bbe0 rt=ok",
+    "mixed n4 L19 len=15 bytes=28c06c7e71e7bbe7 rt=ok",
+    "mixed n5 L1 len=16 bytes=e4b162d20ddc8125 rt=ok",
+    "mixed n5 L2 len=16 bytes=ed9d94af77ca6b3e rt=ok",
+    "mixed n5 L9 len=16 bytes=8cb3308e1a44a01d rt=ok",
+    "mixed n5 L10 len=16 bytes=41c45e455152ecb6 rt=ok",
+    "mixed n5 L18 len=16 bytes=ea6439767cf8c4ce rt=ok",
+    "mixed n5 L19 len=16 bytes=16217734fc2de357 rt=ok",
+    "mixed n6 L1 len=17 bytes=368c0faad0a2cd9a rt=ok",
+    "mixed n6 L2 len=17 bytes=5a1fc0894004cb7f rt=ok",
+    "mixed n6 L9 len=17 bytes=bde2a68f034aa902 rt=ok",
+    "mixed n6 L10 len=17 bytes=3105ecb95223e8e7 rt=ok",
+    "mixed n6 L18 len=17 bytes=583e6c5922f9f4af rt=ok",
+    "mixed n6 L19 len=17 bytes=9cc0345d6e0e94e4 rt=ok",
+    "mixed n7 L1 len=18 bytes=5d8e4703888dea59 rt=ok",
+    "mixed n7 L2 len=18 bytes=725dadba41da51a2 rt=ok",
+    "mixed n7 L9 len=18 bytes=ffee3c57343f3811 rt=ok",
+    "mixed n7 L10 len=18 bytes=bdfb6836d7750cda rt=ok",
+    "mixed n7 L18 len=18 bytes=3567151cea593732 rt=ok",
+    "mixed n7 L19 len=18 bytes=765214169f290917 rt=ok",
+    "mixed n8 L1 len=19 bytes=d28c953b3f81eea9 rt=ok",
+    "mixed n8 L2 len=19 bytes=311bf79c75f2cb08 rt=ok",
+    "mixed n8 L9 len=19 bytes=5bf42bade948a5d1 rt=ok",
+    "mixed n8 L10 len=19 bytes=13fdb07a1fe1c110 rt=ok",
+    "mixed n8 L18 len=19 bytes=05347ccd5c279538 rt=ok",
+    "mixed n8 L19 len=19 bytes=fae198f2f5afb1d7 rt=ok",
+    "mixed n9 L1 len=20 bytes=61a8c246a7a17c66 rt=ok",
+    "mixed n9 L2 len=20 bytes=5d501c68502a6dc9 rt=ok",
+    "mixed n9 L9 len=20 bytes=f98e9e9ff82645be rt=ok",
+    "mixed n9 L10 len=20 bytes=256b6ec3a41f0a41 rt=ok",
+    "mixed n9 L18 len=20 bytes=f95600bdf778d4d9 rt=ok",
+    "mixed n9 L19 len=20 bytes=51ee5a156713c6a4 rt=ok",
+    "mixed n15 L1 len=26 bytes=e1d866320826fce6 rt=ok",
+    "mixed n15 L2 len=26 bytes=4cbbc97b4cd46a89 rt=ok",
+    "mixed n15 L9 len=26 bytes=8dcf6828c79f2ffe rt=ok",
+    "mixed n15 L10 len=26 bytes=ca01841e45971141 rt=ok",
+    "mixed n15 L18 len=26 bytes=13e15f0285ead599 rt=ok",
+    "mixed n15 L19 len=26 bytes=8e4450ee02d2dc94 rt=ok",
+    "mixed n17 L1 len=28 bytes=86c3e1d7e95fe2e5 rt=ok",
+    "mixed n17 L2 len=28 bytes=fc6fac91ec8821de rt=ok",
+    "mixed n17 L9 len=28 bytes=755f15c349f8027d rt=ok",
+    "mixed n17 L10 len=28 bytes=c27bf79f2ba82c56 rt=ok",
+    "mixed n17 L18 len=28 bytes=f708033efec4edae rt=ok",
+    "mixed n17 L19 len=28 bytes=6b91d9f917740c77 rt=ok",
+    "mixed n23 L1 len=34 bytes=74f50d814c3f26c5 rt=ok",
+    "mixed n23 L2 len=34 bytes=afb7a02202442ffe rt=ok",
+    "mixed n23 L9 len=34 bytes=76da409253b88d1d rt=ok",
+    "mixed n23 L10 len=34 bytes=54cb08d3e03c99b6 rt=ok",
+    "mixed n23 L18 len=34 bytes=c50591b35eb0510e rt=ok",
+    "mixed n23 L19 len=34 bytes=09eaa93973bf9c07 rt=ok",
+    "mixed n25 L1 len=36 bytes=e2be8e6f4d10f209 rt=ok",
+    "mixed n25 L2 len=36 bytes=e595ea2d6f016c82 rt=ok",
+    "mixed n25 L9 len=36 bytes=92aac339e0f9e581 rt=ok",
+    "mixed n25 L10 len=36 bytes=98027f1282e0447a rt=ok",
+    "mixed n25 L18 len=36 bytes=211fb7f0acb2db52 rt=ok",
+    "mixed n25 L19 len=36 bytes=a5f4309f58469037 rt=ok",
+    "mixed n31 L1 len=42 bytes=f6b1e72664c6a8c6 rt=ok",
+    "mixed n31 L2 len=42 bytes=2aa210b4e2675c05 rt=ok",
+    "mixed n31 L9 len=42 bytes=d17092c2d781defe rt=ok",
+    "mixed n31 L10 len=42 bytes=4b752db985b90ebd rt=ok",
+    "mixed n31 L18 len=42 bytes=1beebd8dfae81d95 rt=ok",
+    "mixed n31 L19 len=42 bytes=00390864015e37ec rt=ok",
+    "mixed n33 L1 len=44 bytes=f5f55df9f9e463fd rt=ok",
+    "mixed n33 L2 len=44 bytes=b09d0492409a37e2 rt=ok",
+    "mixed n33 L9 len=44 bytes=3e19175413772075 rt=ok",
+    "mixed n33 L10 len=44 bytes=d99f7847fbb7e4da rt=ok",
+    "mixed n33 L18 len=44 bytes=cc0e118232176fb2 rt=ok",
+    "mixed n33 L19 len=44 bytes=9c4ecd2bcb8abf6b rt=ok",
+    "mixed n63 L1 len=51 bytes=1f40474925a7a1a3 rt=ok",
+    "mixed n63 L2 len=51 bytes=ef0dba229a8f6342 rt=ok",
+    "mixed n63 L9 len=51 bytes=6508b9f275cf023b rt=ok",
+    "mixed n63 L10 len=51 bytes=5c32ac36ef195ffa rt=ok",
+    "mixed n63 L18 len=51 bytes=e8146bc3e9714032 rt=ok",
+    "mixed n63 L19 len=51 bytes=aa7a46bf7e3d865d rt=ok",
+    "mixed n65 L1 len=51 bytes=32006c863c628dd8 rt=ok",
+    "mixed n65 L2 len=51 bytes=bfc2f6fbc2d1fc6d rt=ok",
+    "mixed n65 L9 len=51 bytes=dfb45fe5f49e1fe0 rt=ok",
+    "mixed n65 L10 len=51 bytes=b5e7450d83359cd5 rt=ok",
+    "mixed n65 L18 len=51 bytes=088883d2fc1ea45d rt=ok",
+    "mixed n65 L19 len=51 bytes=8daa20e5512dae06 rt=ok",
+    "mixed n255 L1 len=91 bytes=a8471e41e9836c1c rt=ok",
+    "mixed n255 L2 len=91 bytes=a67a2a1ab8e4e0b1 rt=ok",
+    "mixed n255 L9 len=91 bytes=c31f719045dd1fd4 rt=ok",
+    "mixed n255 L10 len=91 bytes=95d892770277f8c9 rt=ok",
+    "mixed n255 L18 len=91 bytes=b36f4c9a87d6aea1 rt=ok",
+    "mixed n255 L19 len=91 bytes=db541537d7b2d78a rt=ok",
+    "mixed n257 L1 len=91 bytes=ec209319a8d51ce6 rt=ok",
+    "mixed n257 L2 len=91 bytes=c24b0be4ce2405b3 rt=ok",
+    "mixed n257 L9 len=91 bytes=c363ba0fcd8b25be rt=ok",
+    "mixed n257 L10 len=91 bytes=47fbe1944d5c09eb rt=ok",
+    "mixed n257 L18 len=91 bytes=88b7d43f107bf5c3 rt=ok",
+    "mixed n257 L19 len=91 bytes=6f37200180c59c48 rt=ok",
+    "mixed n4095 L1 len=1059 bytes=8abb147f31c415db rt=ok",
+    "mixed n4095 L2 len=1059 bytes=e3c9af995585e2e2 rt=ok",
+    "mixed n4095 L9 len=1059 bytes=adf1c30724cc3903 rt=ok",
+    "mixed n4095 L10 len=1059 bytes=4aa2be06a287b10a rt=ok",
+    "mixed n4095 L18 len=1059 bytes=2772f014759a9792 rt=ok",
+    "mixed n4095 L19 len=1059 bytes=e06a311eb3e3905d rt=ok",
+    "mixed n4097 L1 len=1060 bytes=8dfbcd77de0f8df9 rt=ok",
+    "mixed n4097 L2 len=1060 bytes=06cc189cc4295cae rt=ok",
+    "mixed n4097 L9 len=1060 bytes=402bd4567b1df7f1 rt=ok",
+    "mixed n4097 L10 len=1060 bytes=71fd91fc8bfcdca6 rt=ok",
+    "mixed n4097 L18 len=1060 bytes=79132934f8bbcf7e rt=ok",
+    "mixed n4097 L19 len=1060 bytes=a1b74c3aaa503743 rt=ok",
+    "flat-Yuv420 n13824 L1 len=72 bytes=a6ffe7ec73b010e8 rt=ok",
+    "flat-Yuv420 n13824 L2 len=72 bytes=277c9bf5954e85cb rt=ok",
+    "flat-Yuv420 n13824 L9 len=72 bytes=43830fb80cf684f0 rt=ok",
+    "flat-Yuv420 n13824 L10 len=72 bytes=9422b50e6fb1b1b3 rt=ok",
+    "flat-Yuv420 n13824 L18 len=72 bytes=fa8af12dee4654db rt=ok",
+    "flat-Yuv420 n13824 L19 len=72 bytes=a5d2a893f9a5743a rt=ok",
+    "gradient-Yuv420 n13824 L1 len=3842 bytes=bd175838745bc73d rt=ok",
+    "gradient-Yuv420 n13824 L2 len=3842 bytes=3edd2314465f90ca rt=ok",
+    "gradient-Yuv420 n13824 L9 len=3842 bytes=61128e5e3d3e8b45 rt=ok",
+    "gradient-Yuv420 n13824 L10 len=3842 bytes=39819cdfd12015b2 rt=ok",
+    "gradient-Yuv420 n13824 L18 len=3842 bytes=af1ff1add139139a rt=ok",
+    "gradient-Yuv420 n13824 L19 len=3842 bytes=0fff6f1cc416d3d7 rt=ok",
+    "noise-Yuv420 n13824 L1 len=13837 bytes=350b6619a17ee0a1 rt=ok",
+    "noise-Yuv420 n13824 L2 len=13837 bytes=5b7e83889b3d1dcc rt=ok",
+    "noise-Yuv420 n13824 L9 len=13837 bytes=991ed21fc8d5d7f9 rt=ok",
+    "noise-Yuv420 n13824 L10 len=13837 bytes=b0c2ad7799882384 rt=ok",
+    "noise-Yuv420 n13824 L18 len=13837 bytes=1e241cc3dccee73c rt=ok",
+    "noise-Yuv420 n13824 L19 len=13837 bytes=2b308ee9611d1a33 rt=ok",
+    "flat-Rgb8 n27648 L1 len=6957 bytes=78914123c56a86d3 rt=ok",
+    "flat-Rgb8 n27648 L2 len=6957 bytes=7dca3af37d1ef73e rt=ok",
+    "flat-Rgb8 n27648 L9 len=6957 bytes=99c4aa22973bbc4b rt=ok",
+    "flat-Rgb8 n27648 L10 len=6957 bytes=b5ca71a56ccd0eb6 rt=ok",
+    "flat-Rgb8 n27648 L18 len=6957 bytes=e9e72651c986962e rt=ok",
+    "flat-Rgb8 n27648 L19 len=6957 bytes=8b6a3e4b93ae9859 rt=ok",
+    "gradient-Rgb8 n27648 L1 len=27663 bytes=e626be4759d4ddb2 rt=ok",
+    "gradient-Rgb8 n27648 L2 len=27663 bytes=c6147ce87acd49df rt=ok",
+    "gradient-Rgb8 n27648 L9 len=27663 bytes=4a6927313328af5a rt=ok",
+    "gradient-Rgb8 n27648 L10 len=27663 bytes=a4ea7f70eb9f6907 rt=ok",
+    "gradient-Rgb8 n27648 L18 len=27663 bytes=4b1a38df3c10924f rt=ok",
+    "gradient-Rgb8 n27648 L19 len=27663 bytes=f02549b0f60ecd64 rt=ok",
+    "noise-Rgb8 n27648 L1 len=27663 bytes=4038475185061bd5 rt=ok",
+    "noise-Rgb8 n27648 L2 len=27663 bytes=25528887822d1d20 rt=ok",
+    "noise-Rgb8 n27648 L9 len=27663 bytes=435fa7ca8749e5bd rt=ok",
+    "noise-Rgb8 n27648 L10 len=27663 bytes=96334095bfa76d68 rt=ok",
+    "noise-Rgb8 n27648 L18 len=27663 bytes=d75bb8ee3bcfc7f0 rt=ok",
+    "noise-Rgb8 n27648 L19 len=27663 bytes=a38212db021bb7e7 rt=ok",
+    "scene n97920 L1 len=34234 bytes=ea582956dbd6f9ba rt=ok",
+    "scene n97920 L2 len=34234 bytes=5acd7cd3be2513d9 rt=ok",
+    "scene n97920 L9 len=34234 bytes=44f74bc58d1aa832 rt=ok",
+    "scene n97920 L10 len=34234 bytes=565aa85dde211571 rt=ok",
+    "scene n97920 L18 len=34234 bytes=433d208c92cc2a09 rt=ok",
+    "scene n97920 L19 len=34234 bytes=63223ea8fb37a930 rt=ok",
+    "long-run n70016 L1 len=212 bytes=796e4a1bfcde1da2 rt=ok",
+    "long-run n70016 L2 len=212 bytes=c076b4d83dc52265 rt=ok",
+    "long-run n70016 L9 len=212 bytes=3729949bf2eacb9a rt=ok",
+    "long-run n70016 L10 len=212 bytes=0c3f9f697d7c9afd rt=ok",
+    "long-run n70016 L18 len=212 bytes=8921d77603d0d875 rt=ok",
+    "long-run n70016 L19 len=212 bytes=52abb7d77e305a68 rt=ok",
+    "far-repeats n1114112 L1 len=1114143 bytes=51066c6ceb64c8dd rt=ok",
+    "far-repeats n1114112 L2 len=1114143 bytes=61153949bdda08f0 rt=ok",
+    "far-repeats n1114112 L9 len=1114143 bytes=1b3f3fdf8a843be5 rt=ok",
+    "far-repeats n1114112 L10 len=1114143 bytes=e9fcb42dec7933f8 rt=ok",
+    "far-repeats n1114112 L18 len=1114143 bytes=0d1b56be5fdab0a0 rt=ok",
+    "far-repeats n1114112 L19 len=1114143 bytes=cba46e4c0c176e0f rt=ok",
+    "gop-flat-Yuv420 n13856 L1 len=124 bytes=21ce7562f32c2516 rt=ok",
+    "gop-flat-Yuv420 n13856 L2 len=124 bytes=dff52e66b8090951 rt=ok",
+    "gop-flat-Yuv420 n13856 L9 len=124 bytes=ea670f4f89e3511e rt=ok",
+    "gop-flat-Yuv420 n13856 L10 len=124 bytes=80658c62f11e2fd9 rt=ok",
+    "gop-flat-Yuv420 n13856 L18 len=124 bytes=823b1ef40feab781 rt=ok",
+    "gop-flat-Yuv420 n13856 L19 len=124 bytes=2ca329663240376c rt=ok",
+    "gop-gradient-Yuv420 n13856 L1 len=3876 bytes=fb83094eb4f02c01 rt=ok",
+    "gop-gradient-Yuv420 n13856 L2 len=3876 bytes=f153f8c3430009fe rt=ok",
+    "gop-gradient-Yuv420 n13856 L9 len=3876 bytes=46d7cd2807f24bd9 rt=ok",
+    "gop-gradient-Yuv420 n13856 L10 len=3876 bytes=fd19eedd96c4c9d6 rt=ok",
+    "gop-gradient-Yuv420 n13856 L18 len=3876 bytes=8370e4ce9658d6ae rt=ok",
+    "gop-gradient-Yuv420 n13856 L19 len=3876 bytes=910c8d6879418677 rt=ok",
+    "gop-noise-Yuv420 n13856 L1 len=13868 bytes=d3eb64398295ed0d rt=ok",
+    "gop-noise-Yuv420 n13856 L2 len=13868 bytes=e383b7372ec11b22 rt=ok",
+    "gop-noise-Yuv420 n13856 L9 len=13868 bytes=facc260094ecffc5 rt=ok",
+    "gop-noise-Yuv420 n13856 L10 len=13868 bytes=bab3b21d90c1f85a rt=ok",
+    "gop-noise-Yuv420 n13856 L18 len=13868 bytes=dfb2d293e2258112 rt=ok",
+    "gop-noise-Yuv420 n13856 L19 len=13868 bytes=b789cb60d8c5ea9f rt=ok",
+    "gop-flat-Rgb8 n27680 L1 len=145 bytes=9c4f90eea7d81e5d rt=ok",
+    "gop-flat-Rgb8 n27680 L2 len=145 bytes=f29c35ec57ec6a14 rt=ok",
+    "gop-flat-Rgb8 n27680 L9 len=145 bytes=59907969ac21f8b5 rt=ok",
+    "gop-flat-Rgb8 n27680 L10 len=145 bytes=3590dd87042c87cc rt=ok",
+    "gop-flat-Rgb8 n27680 L18 len=145 bytes=684a595b21eebda4 rt=ok",
+    "gop-flat-Rgb8 n27680 L19 len=145 bytes=36e3bde78421b4ab rt=ok",
+    "gop-gradient-Rgb8 n27680 L1 len=6530 bytes=a835bd060f4ba349 rt=ok",
+    "gop-gradient-Rgb8 n27680 L2 len=6530 bytes=7bb31f251848da2a rt=ok",
+    "gop-gradient-Rgb8 n27680 L9 len=6530 bytes=efe90ada1f4e1021 rt=ok",
+    "gop-gradient-Rgb8 n27680 L10 len=6530 bytes=39e77bb42402df42 rt=ok",
+    "gop-gradient-Rgb8 n27680 L18 len=6530 bytes=d42b0fb37da9ebda rt=ok",
+    "gop-gradient-Rgb8 n27680 L19 len=6530 bytes=90cdc80815db1be3 rt=ok",
+    "gop-noise-Rgb8 n27680 L1 len=27693 bytes=582512fae118b008 rt=ok",
+    "gop-noise-Rgb8 n27680 L2 len=27693 bytes=a306f088067cbb39 rt=ok",
+    "gop-noise-Rgb8 n27680 L9 len=27693 bytes=53475a09ade1bcd0 rt=ok",
+    "gop-noise-Rgb8 n27680 L10 len=27693 bytes=66f3cc204ef8a101 rt=ok",
+    "gop-noise-Rgb8 n27680 L18 len=27693 bytes=4456d936f2271509 rt=ok",
+    "gop-noise-Rgb8 n27680 L19 len=27693 bytes=4f26750de8d9c746 rt=ok",
+    "gop-scene n97951 L1 len=33639 bytes=4763ab214edb2d74 rt=ok",
+    "gop-scene n97951 L2 len=33639 bytes=87f0d52c34682449 rt=ok",
+    "gop-scene n97951 L9 len=33639 bytes=f1a0887448d0d4fc rt=ok",
+    "gop-scene n97951 L10 len=33639 bytes=6c5b14cb7aa14b31 rt=ok",
+    "gop-scene n97951 L18 len=33639 bytes=0ba5c4e33aa180d9 rt=ok",
+    "gop-scene n97951 L19 len=33639 bytes=3ce2f3f42f253e5e rt=ok",
 ];

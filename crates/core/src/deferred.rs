@@ -12,12 +12,14 @@
 //! view it admits. The compression level scales linearly with budget
 //! consumption, trading throughput for space as the budget tightens.
 //!
-//! The codec is [`vss_codec::lossless`] (format 2): it predicts each plane
-//! of the raw GOP it is given and Huffman-codes the residuals, and its
-//! level is how many predictors a block tries, so a higher level costs more
-//! CPU and is never larger. On `ingest_dedup`'s noisy RGB pages it stores
-//! 0.40 of the raw bytes at about 7 ns per byte, where the LZ77 codec it
-//! replaced stored 0.975 at 85–105 ns per byte. A page is stored
+//! The codec is [`vss_codec::lossless`] (format 3): it predicts each plane
+//! of the raw GOP it is given from the left or from above and
+//! Huffman-codes the residuals. Its level is how many predictors a block
+//! tries (left from level 1, above from 7), so a higher level costs more
+//! CPU and is never larger, and each predictor is undone a row at a time
+//! on read. On `ingest_dedup`'s noisy RGB pages it stores 0.40 of the raw
+//! bytes at about 7 ns per byte, where the LZ77 codec it replaced stored
+//! 0.975 at 85–105 ns per byte. A page is stored
 //! compressed only if that makes it smaller ([`compress_if_smaller`]), both
 //! when it is written and when the sweep rewrites it.
 

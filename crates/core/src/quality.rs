@@ -9,8 +9,8 @@
 //!   was derived from, and composes it with the source's own bound using
 //!   `MSE(f0, f2) ≤ 2·(MSE(f0, f1) + MSE(f1, f2))`, so the original never
 //!   needs to be re-decoded.
-//! * **Compression error** — estimated from mean bits per pixel via
-//!   [`QualityEstimator`], optionally refined with exact PSNR samples.
+//! * **Compression error** — estimated from mean bits per pixel on a fixed
+//!   rate/quality curve per lossy codec.
 //!
 //! A fragment is usable for a read only if its estimated PSNR clears the
 //! read's threshold (default 40 dB).
@@ -24,7 +24,7 @@
 //! compression and compaction still change after admission.
 
 use vss_catalog::PhysicalVideoRecord;
-use vss_codec::{Codec, QualityEstimator};
+use vss_codec::Codec;
 use vss_frame::quality::{compose_mse_bound, mse_from_psnr, psnr_from_mse};
 use vss_frame::{mse, resize_bilinear, Frame, PsnrDb};
 
@@ -35,17 +35,20 @@ pub const DEFAULT_QUALITY_THRESHOLD: PsnrDb = PsnrDb(40.0);
 /// and a derived representation.
 const SAMPLE_FRAMES: usize = 3;
 
+/// (bits per pixel, PSNR dB) anchors of H.264's rate/quality curve, the
+/// stand-in for the paper's vbench-derived table: more bits, higher
+/// fidelity. HEVC reaches each quality at 0.7× the bits.
+const RATE_QUALITY: [(f64, f64); 5] = [(0.05, 27.0), (0.25, 33.0), (1.0, 40.0), (3.0, 46.0), (8.0, 55.0)];
+
 /// The quality model: composition of resampling-error bounds with estimated
 /// compression error.
 #[derive(Debug, Clone, Default)]
-pub struct QualityModel {
-    estimator: QualityEstimator,
-}
+pub struct QualityModel;
 
 impl QualityModel {
-    /// Creates a model with the default rate/quality curves.
+    /// Creates the model.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Estimated quality of a physical representation relative to the
@@ -58,7 +61,7 @@ impl QualityModel {
         let codec = record.codec().unwrap_or(Codec::H264);
         let compression_mse = if codec.is_compressed() {
             let bits_per_pixel = average_bits_per_pixel(record);
-            mse_from_psnr(self.estimator.estimate(codec, bits_per_pixel))
+            mse_from_psnr(compression_psnr(codec, bits_per_pixel))
         } else {
             0.0
         };
@@ -118,6 +121,21 @@ impl QualityModel {
         } else {
             compose_mse_bound(source_mse_bound, derivation_mse)
         }
+    }
+}
+
+/// Estimated PSNR of a lossy `codec` at `bits_per_pixel`: linear between
+/// the anchors of its rate/quality curve, flat beyond them.
+fn compression_psnr(codec: Codec, bits_per_pixel: f64) -> PsnrDb {
+    let scale = if codec == Codec::Hevc { 0.7 } else { 1.0 };
+    let curve = RATE_QUALITY.map(|(bits, db)| (bits * scale, db));
+    let bpp = bits_per_pixel.max(0.0);
+    if bpp <= curve[0].0 {
+        return PsnrDb(curve[0].1);
+    }
+    match curve.windows(2).find(|pair| bpp <= pair[1].0) {
+        Some(&[lo, hi]) => PsnrDb(lo.1 + (bpp - lo.0) / (hi.0 - lo.0) * (hi.1 - lo.1)),
+        _ => PsnrDb(curve[curve.len() - 1].1),
     }
 }
 
@@ -189,6 +207,19 @@ mod tests {
         assert!(q_generous.db() > q_starved.db());
         assert!(model.acceptable(&generous, DEFAULT_QUALITY_THRESHOLD));
         assert!(!model.acceptable(&starved, DEFAULT_QUALITY_THRESHOLD));
+    }
+
+    #[test]
+    fn compression_estimate_rises_with_bitrate_and_favours_hevc() {
+        let mut last = 0.0;
+        for bpp in [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0] {
+            let psnr = compression_psnr(Codec::H264, bpp).db();
+            assert!(psnr >= last, "psnr should not decrease with bitrate");
+            last = psnr;
+        }
+        assert_eq!(compression_psnr(Codec::H264, 1.0).db(), 40.0);
+        assert_eq!(compression_psnr(Codec::H264, 100.0).db(), 55.0);
+        assert!(compression_psnr(Codec::Hevc, 0.5).db() > compression_psnr(Codec::H264, 0.5).db());
     }
 
     #[test]
