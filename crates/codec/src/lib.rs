@@ -15,8 +15,9 @@
 //!   deferred-compression optimization.
 //! * [`EncodedGop`] — the serialized group-of-pictures container VSS stores
 //!   as individual files and treats as cache pages.
-//! * [`CostModel`] — the vbench-style per-pixel transcode cost table and the
-//!   look-back cost used by the read planner.
+//! * [`CostModel`] — the fixed per-pixel transcode cost table standing in for
+//!   the paper's vbench-derived `α`, and the look-back cost used by the
+//!   read planner.
 
 #![warn(missing_docs)]
 
@@ -29,7 +30,7 @@ pub mod lossless;
 mod video;
 
 pub use codec::{Codec, EncoderConfig, VideoCodec};
-pub use costmodel::{lookback_cost, CostModel, CostSample, ETA_DEPENDENT_FRAME};
+pub use costmodel::{lookback_cost, CostModel, ETA_DEPENDENT_FRAME};
 pub use error::CodecError;
 pub use gop::{EncodedGop, FrameInfo};
 pub use video::{

@@ -60,14 +60,13 @@ pub fn redundancy_rank(
     owner: &PhysicalVideoRecord,
     gop_start: f64,
     gop_end: f64,
-    quality_model: &QualityModel,
 ) -> usize {
-    let own_quality = quality_model.estimate_physical_quality(owner).db();
+    let own_quality = QualityModel::estimate_physical_quality(owner).db();
     video
         .physical
         .iter()
         .filter(|other| other.id != owner.id)
-        .filter(|other| quality_model.estimate_physical_quality(other).db() > own_quality)
+        .filter(|other| QualityModel::estimate_physical_quality(other).db() > own_quality)
         .filter(|other| covers_interval(other, gop_start, gop_end))
         .count()
 }
@@ -80,14 +79,13 @@ pub fn baseline_cover<'a>(
     owner: &PhysicalVideoRecord,
     gop_start: f64,
     gop_end: f64,
-    quality_model: &QualityModel,
     threshold: PsnrDb,
 ) -> Option<&'a PhysicalVideoRecord> {
     video
         .physical
         .iter()
         .filter(|other| other.id != owner.id)
-        .filter(|other| quality_model.estimate_physical_quality(other).db() >= threshold.db())
+        .filter(|other| QualityModel::estimate_physical_quality(other).db() >= threshold.db())
         .find(|other| covers_interval(other, gop_start, gop_end))
 }
 
@@ -114,12 +112,11 @@ fn covers_interval(physical: &PhysicalVideoRecord, start: f64, end: f64) -> bool
 pub fn eviction_order(
     video: &LogicalVideoRecord,
     policy: &EvictionPolicy,
-    quality_model: &QualityModel,
 ) -> Vec<EvictionCandidate> {
     let baseline_threshold = DEFAULT_QUALITY_THRESHOLD;
     let mut candidates = Vec::new();
     for physical in &video.physical {
-        let own_quality = quality_model.estimate_physical_quality(physical);
+        let own_quality = QualityModel::estimate_physical_quality(physical);
         let total = physical.gops.len();
         for (position, gop) in physical.gops.iter().enumerate() {
             if physical.is_original && (position == 0 || position + 1 == total) {
@@ -129,14 +126,8 @@ pub fn eviction_order(
             // quality and no other sufficient-quality copy covers this
             // region, the page must never be evicted.
             let cover = if own_quality.db() >= baseline_threshold.db() {
-                let cover = baseline_cover(
-                    video,
-                    physical,
-                    gop.start_time,
-                    gop.end_time,
-                    quality_model,
-                    baseline_threshold,
-                );
+                let cover =
+                    baseline_cover(video, physical, gop.start_time, gop.end_time, baseline_threshold);
                 match cover {
                     Some(cover) => Some(cover.id),
                     None => continue,
@@ -149,13 +140,7 @@ pub fn eviction_order(
                 EvictionPolicy::Lru => lru,
                 EvictionPolicy::LruVss => {
                     let p = position_offset(position, total);
-                    let r = redundancy_rank(
-                        video,
-                        physical,
-                        gop.start_time,
-                        gop.end_time,
-                        quality_model,
-                    ) as f64;
+                    let r = redundancy_rank(video, physical, gop.start_time, gop.end_time) as f64;
                     lru + GAMMA * p - ZETA * r
                 }
             };
@@ -198,7 +183,7 @@ impl crate::engine::Engine {
                 return Ok(evicted);
             }
             let video = self.catalog.video(name)?.clone();
-            let order = eviction_order(&video, &self.config.eviction_policy, &self.quality_model);
+            let order = eviction_order(&video, &self.config.eviction_policy);
             let Some(victim) = order.first() else { return Ok(evicted) };
             if let Some(cover) = victim.cover {
                 let (start, end) = victim.interval;
@@ -285,8 +270,7 @@ mod tests {
     #[test]
     fn baseline_guard_protects_the_only_good_copy() {
         let video = two_copy_video();
-        let model = QualityModel::new();
-        let order = eviction_order(&video, &EvictionPolicy::LruVss, &model);
+        let order = eviction_order(&video, &EvictionPolicy::LruVss);
         // GOPs 2 and 3 of the original have no alternate cover of any quality,
         // and GOPs 0 and 1 of the original have only a *low-quality* copy, so
         // every original page is protected; only the cached copy is evictable.
@@ -301,8 +285,7 @@ mod tests {
         let mut video = two_copy_video();
         // Make the cached copy pristine quality covering [0, 2).
         video.physical[1].mse_bound = 0.0;
-        let model = QualityModel::new();
-        let order = eviction_order(&video, &EvictionPolicy::LruVss, &model);
+        let order = eviction_order(&video, &EvictionPolicy::LruVss);
         // Now original page 1 is also evictable (its region has an alternate
         // lossless copy, which its eviction relies on), but pages 2 and 3
         // remain protected, and so does page 0: the original's first and
@@ -321,11 +304,10 @@ mod tests {
     #[test]
     fn redundancy_prefers_evicting_dominated_copies() {
         let video = two_copy_video();
-        let model = QualityModel::new();
         let owner = &video.physical[1];
-        assert_eq!(redundancy_rank(&video, owner, 0.0, 1.0, &model), 1);
+        assert_eq!(redundancy_rank(&video, owner, 0.0, 1.0), 1);
         let original = &video.physical[0];
-        assert_eq!(redundancy_rank(&video, original, 0.0, 1.0, &model), 0);
+        assert_eq!(redundancy_rank(&video, original, 0.0, 1.0), 0);
     }
 
     #[test]
@@ -335,8 +317,7 @@ mod tests {
         // share the same recency so position decides the order.
         video.physical.push(physical(1, "h264", true, 0.0, (0..6).map(|i| gop(i, i as f64, i as f64 + 1.0, 100)).collect()));
         video.physical.push(physical(2, "rgb", false, 150.0, (0..6).map(|i| gop(i, i as f64, i as f64 + 1.0, 7)).collect()));
-        let model = QualityModel::new();
-        let order = eviction_order(&video, &EvictionPolicy::LruVss, &model);
+        let order = eviction_order(&video, &EvictionPolicy::LruVss);
         let cached: Vec<u64> = order.iter().filter(|c| c.physical_id == 2).map(|c| c.gop_index).collect();
         // Edges (0 and 5) first, the innermost page (index 3, position offset 3) last.
         let first = cached.first().copied().unwrap();
@@ -344,7 +325,7 @@ mod tests {
         assert_eq!(cached.last().copied().unwrap(), 3, "{cached:?}");
         // Plain LRU ignores position: order is purely by recency, which is a
         // tie here, broken by ids — the middle is *not* specially protected.
-        let lru = eviction_order(&video, &EvictionPolicy::Lru, &model);
+        let lru = eviction_order(&video, &EvictionPolicy::Lru);
         let lru_cached: Vec<u64> = lru.iter().filter(|c| c.physical_id == 2).map(|c| c.gop_index).collect();
         assert_eq!(lru_cached, vec![0, 1, 2, 3, 4, 5]);
     }

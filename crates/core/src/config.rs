@@ -58,8 +58,6 @@ pub struct VssConfig {
     pub eviction_policy: EvictionPolicy,
     /// Whether deferred (lossless) compression of uncompressed entries is enabled.
     pub deferred_compression: bool,
-    /// Joint-compression parameters.
-    pub joint: JointConfig,
     /// Worker threads used by the parallel GOP pipeline (encode, decode,
     /// per-frame normalization, deferred compression). `0` means "one worker
     /// per available core"; `1` reproduces the historical single-threaded
@@ -83,7 +81,6 @@ impl VssConfig {
             gop_size: 30,
             eviction_policy: EvictionPolicy::default(),
             deferred_compression: true,
-            joint: JointConfig::default(),
             parallelism: 0,
         }
     }
@@ -125,7 +122,7 @@ mod tests {
         assert_eq!(crate::write::DEFERRED_ACTIVATION_FRACTION, 0.25);
         assert_eq!(c.eviction_policy, EvictionPolicy::LruVss);
         assert_eq!((crate::cache::GAMMA, crate::cache::ZETA), (2.0, 1.0));
-        assert_eq!(c.joint.min_correspondences, 20);
+        assert_eq!(JointConfig::default().min_correspondences, 20);
         assert_eq!(crate::joint::MAX_FEATURE_DISTANCE_SQ, 400.0);
         assert_eq!(crate::joint::DUPLICATE_EPSILON, 0.1);
         assert!(matches!(c.default_budget, StorageBudget::MultipleOfOriginal(m) if m == 10.0));

@@ -129,7 +129,7 @@ impl Engine {
         limit: usize,
     ) -> Result<Vec<(PhysicalVideoId, u64)>, VssError> {
         let video = self.catalog.video(name)?;
-        let order = eviction_order(video, &self.config.eviction_policy, &self.quality_model);
+        let order = eviction_order(video, &self.config.eviction_policy);
         let is_raw = |physical_id: PhysicalVideoId| {
             video
                 .physical_by_id(physical_id)

@@ -1,18 +1,16 @@
 //! The storage-manager engine: shared state and common helpers.
 //!
-//! [`Engine`] owns the catalog, cost model and quality model. The public
+//! [`Engine`] owns the catalog and the configuration. The public
 //! [`Vss`](crate::Vss) handle is one shard: an `Engine` behind a
 //! reader-writer lock, shared to plan and exclusive per commit.
 
 use crate::config::VssConfig;
 use crate::params::StorageBudget;
 use crate::publish::GopPublisher;
-use crate::quality::QualityModel;
 use crate::VssError;
 use std::sync::Arc;
 use std::time::Duration;
 use vss_catalog::{Catalog, PhysicalVideoId};
-use vss_codec::CostModel;
 use vss_solver::ReadPlan;
 
 /// Statistics describing how a read was executed.
@@ -101,8 +99,6 @@ pub struct Engine {
     /// between operations.
     pub config: VssConfig,
     pub(crate) catalog: Catalog,
-    pub(crate) cost_model: CostModel,
-    pub(crate) quality_model: QualityModel,
     /// Live-fanout hook, fired after each original-timeline GOP persists
     /// (see [`crate::publish`]). `None` (the default) keeps the write path
     /// publication-free.
@@ -159,13 +155,7 @@ impl Engine {
                 ],
             );
         }
-        Ok(Self {
-            config,
-            catalog,
-            cost_model: CostModel::default(),
-            quality_model: QualityModel::new(),
-            publisher: None,
-        })
+        Ok(Self { config, catalog, publisher: None })
     }
 
     /// Runs `scope` as one journal commit: every catalog mutation it makes
@@ -190,11 +180,6 @@ impl Engine {
                 Err(error)
             }
         }
-    }
-
-    /// Replaces the transcode cost model (e.g. with a calibrated one).
-    pub fn set_cost_model(&mut self, model: CostModel) {
-        self.cost_model = model;
     }
 
     /// Installs (or clears) the live-fanout hook fired after every durably

@@ -65,13 +65,12 @@ pub fn contiguous_runs(physical: &PhysicalVideoRecord) -> Vec<FragmentRun> {
 /// Builds the candidate set for a read with the given quality threshold.
 pub fn build_candidates(
     video: &LogicalVideoRecord,
-    quality_model: &QualityModel,
     threshold: PsnrDb,
 ) -> CandidateSet {
     let mut set = CandidateSet::default();
     for physical in &video.physical {
         let Some(codec) = physical.codec() else { continue };
-        let quality_ok = quality_model.acceptable(physical, threshold);
+        let quality_ok = QualityModel::acceptable(physical, threshold);
         // One map for all runs of this physical video: every run lookup
         // below is O(1) instead of a linear scan over `physical.gops`.
         let gop_map = physical.gop_index_map();
@@ -162,8 +161,7 @@ mod tests {
         let mut video = LogicalVideoRecord::new("v");
         video.physical.push(physical(1, vec![gop(0, 0.0, 1.0), gop(1, 1.0, 2.0)], true));
         video.physical.push(physical(2, vec![gop(0, 0.0, 1.0), gop(5, 5.0, 6.0)], false));
-        let model = QualityModel::new();
-        let set = build_candidates(&video, &model, PsnrDb(40.0));
+        let set = build_candidates(&video, PsnrDb(40.0));
         assert_eq!(set.candidates.len(), 3);
         assert_eq!(set.runs.len(), 3);
         for (i, c) in set.candidates.iter().enumerate() {
@@ -184,8 +182,7 @@ mod tests {
         let mut low_quality = physical(2, vec![gop(0, 0.0, 1.0)], false);
         low_quality.mse_bound = 1e4;
         video.physical.push(low_quality);
-        let model = QualityModel::new();
-        let set = build_candidates(&video, &model, PsnrDb(40.0));
+        let set = build_candidates(&video, PsnrDb(40.0));
         assert_eq!(set.candidates.len(), 1, "unknown codec must be skipped");
         assert!(!set.candidates[0].quality_ok);
     }

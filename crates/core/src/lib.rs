@@ -620,7 +620,7 @@ mod tests {
         let requests = [
             ReadRequest::new("v", 0.0, 2.0, Codec::Hevc),
             ReadRequest::new("v", 0.5, 1.5, Codec::Raw(PixelFormat::Yuv420))
-                .at_resolution(vss_frame::Resolution::new(32, 24))
+                .resolution(vss_frame::Resolution::new(32, 24))
                 .quality_threshold(vss_frame::PsnrDb(20.0)),
         ];
         for (case, request) in requests.iter().enumerate() {

@@ -38,12 +38,6 @@ impl TemporalRange {
         Self { start, end, frame_rate: None }
     }
 
-    /// Sets an explicit output frame rate.
-    pub fn at_frame_rate(mut self, fps: f64) -> Self {
-        self.frame_rate = Some(fps);
-        self
-    }
-
     /// Duration of the range in seconds (zero if inverted).
     pub fn duration(&self) -> f64 {
         (self.end - self.start).max(0.0)
@@ -64,17 +58,6 @@ impl SpatialParameters {
     pub fn source() -> Self {
         Self { resolution: None, region: None }
     }
-
-    /// Request a specific output resolution.
-    pub fn at_resolution(resolution: Resolution) -> Self {
-        Self { resolution: Some(resolution), region: None }
-    }
-
-    /// Adds a region of interest.
-    pub fn with_region(mut self, region: RegionOfInterest) -> Self {
-        self.region = Some(region);
-        self
-    }
 }
 
 /// Physical parameters: frame layout / codec and quality threshold.
@@ -94,18 +77,6 @@ impl PhysicalParameters {
     /// Requests the given codec with default thresholds.
     pub fn codec(codec: Codec) -> Self {
         Self { codec, quality_threshold: None, encoder_quality: None }
-    }
-
-    /// Sets the minimum acceptable quality.
-    pub fn with_quality_threshold(mut self, threshold: PsnrDb) -> Self {
-        self.quality_threshold = Some(threshold);
-        self
-    }
-
-    /// Sets the encoder quality for compressed outputs.
-    pub fn with_encoder_quality(mut self, quality: u8) -> Self {
-        self.encoder_quality = Some(quality);
-        self
     }
 }
 
@@ -147,31 +118,16 @@ impl ReadRequest {
         self
     }
 
-    /// Sets the output resolution (alias of [`resolution`](Self::resolution)).
-    pub fn at_resolution(self, resolution: Resolution) -> Self {
-        self.resolution(resolution)
-    }
-
     /// Sets the region of interest to crop the output to.
     pub fn crop(mut self, region: RegionOfInterest) -> Self {
         self.spatial.region = Some(region);
         self
     }
 
-    /// Sets the region of interest (alias of [`crop`](Self::crop)).
-    pub fn with_region(self, region: RegionOfInterest) -> Self {
-        self.crop(region)
-    }
-
     /// Sets the output frame rate.
     pub fn fps(mut self, fps: f64) -> Self {
         self.temporal.frame_rate = Some(fps);
         self
-    }
-
-    /// Sets the output frame rate (alias of [`fps`](Self::fps)).
-    pub fn at_frame_rate(self, fps: f64) -> Self {
-        self.fps(fps)
     }
 
     /// Sets the minimum acceptable output quality.
@@ -234,12 +190,6 @@ impl WriteRequest {
         self
     }
 
-    /// Sets the encoder quality (alias of
-    /// [`encoder_quality`](Self::encoder_quality)).
-    pub fn with_encoder_quality(self, quality: u8) -> Self {
-        self.encoder_quality(quality)
-    }
-
     /// Sets the start time of the written data.
     pub fn starting_at(mut self, start_time: f64) -> Self {
         self.start_time = start_time;
@@ -285,10 +235,10 @@ mod tests {
     use vss_frame::PixelFormat;
 
     #[test]
-    fn temporal_range_builders() {
-        let t = TemporalRange::new(10.0, 25.0).at_frame_rate(15.0);
+    fn temporal_range_duration() {
+        let t = TemporalRange::new(10.0, 25.0);
         assert_eq!(t.duration(), 15.0);
-        assert_eq!(t.frame_rate, Some(15.0));
+        assert_eq!(t.frame_rate, None);
         assert_eq!(TemporalRange::new(5.0, 3.0).duration(), 0.0);
     }
 
@@ -296,44 +246,27 @@ mod tests {
     fn read_request_builders_compose() {
         let roi = RegionOfInterest::new(0, 0, 100, 100).unwrap();
         let r = ReadRequest::new("traffic", 0.0, 60.0, Codec::H264)
-            .at_resolution(Resolution::R1K)
-            .with_region(roi)
-            .at_frame_rate(15.0)
+            .resolution(Resolution::R1K)
+            .crop(roi)
+            .fps(15.0)
+            .quality_threshold(PsnrDb(30.0))
+            .encoder_quality(70)
             .uncacheable();
         assert_eq!(r.name, "traffic");
         assert_eq!(r.spatial.resolution, Some(Resolution::R1K));
         assert_eq!(r.spatial.region, Some(roi));
         assert_eq!(r.temporal.frame_rate, Some(15.0));
+        assert_eq!(r.physical.quality_threshold, Some(PsnrDb(30.0)));
+        assert_eq!(r.physical.encoder_quality, Some(70));
         assert!(!r.cacheable);
         assert_eq!(r.planner, PlannerKind::Optimal);
-    }
-
-    #[test]
-    fn read_request_short_builders_match_legacy_names() {
-        let roi = RegionOfInterest::new(2, 2, 10, 10).unwrap();
-        let short = ReadRequest::new("v", 0.0, 1.0, Codec::Hevc)
-            .resolution(Resolution::new(64, 48))
-            .crop(roi)
-            .fps(10.0)
-            .quality_threshold(PsnrDb(30.0))
-            .encoder_quality(70)
-            .planner(PlannerKind::Greedy);
-        let legacy = ReadRequest::new("v", 0.0, 1.0, Codec::Hevc)
-            .at_resolution(Resolution::new(64, 48))
-            .with_region(roi)
-            .at_frame_rate(10.0)
-            .planner(PlannerKind::Greedy);
-        assert_eq!(short.spatial, legacy.spatial);
-        assert_eq!(short.temporal, legacy.temporal);
-        assert_eq!(short.planner, PlannerKind::Greedy);
-        assert_eq!(short.physical.quality_threshold, Some(PsnrDb(30.0)));
-        assert_eq!(short.physical.encoder_quality, Some(70));
+        assert_eq!(r.planner(PlannerKind::Greedy).planner, PlannerKind::Greedy);
     }
 
     #[test]
     fn write_request_builders() {
         let w = WriteRequest::new("v", Codec::Raw(PixelFormat::Rgb8))
-            .with_encoder_quality(70)
+            .encoder_quality(70)
             .starting_at(12.0);
         assert_eq!(w.encoder_quality, Some(70));
         assert_eq!(w.start_time, 12.0);
@@ -345,14 +278,5 @@ mod tests {
         assert_eq!(StorageBudget::MultipleOfOriginal(2.5).resolve(100), Some(250));
         assert_eq!(StorageBudget::Bytes(42).resolve(1_000_000), Some(42));
         assert_eq!(StorageBudget::Unlimited.resolve(100), None);
-    }
-
-    #[test]
-    fn physical_parameters_builders() {
-        let p = PhysicalParameters::codec(Codec::Hevc)
-            .with_quality_threshold(PsnrDb(30.0))
-            .with_encoder_quality(60);
-        assert_eq!(p.quality_threshold, Some(PsnrDb(30.0)));
-        assert_eq!(p.encoder_quality, Some(60));
     }
 }

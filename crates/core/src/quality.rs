@@ -41,20 +41,17 @@ const SAMPLE_FRAMES: usize = 3;
 const RATE_QUALITY: [(f64, f64); 5] = [(0.05, 27.0), (0.25, 33.0), (1.0, 40.0), (3.0, 46.0), (8.0, 55.0)];
 
 /// The quality model: composition of resampling-error bounds with estimated
-/// compression error.
-#[derive(Debug, Clone, Default)]
+/// compression error. It holds no state — the rate/quality curve is a fixed
+/// table — so every estimate is an associated function, and the same record
+/// always rates the same.
+#[derive(Debug)]
 pub struct QualityModel;
 
 impl QualityModel {
-    /// Creates the model.
-    pub fn new() -> Self {
-        Self
-    }
-
     /// Estimated quality of a physical representation relative to the
     /// originally written video, combining its accumulated resampling-MSE
     /// bound with its estimated compression error.
-    pub fn estimate_physical_quality(&self, record: &PhysicalVideoRecord) -> PsnrDb {
+    pub fn estimate_physical_quality(record: &PhysicalVideoRecord) -> PsnrDb {
         if record.is_original {
             return PsnrDb(PsnrDb::LOSSLESS_CAP);
         }
@@ -71,8 +68,8 @@ impl QualityModel {
 
     /// True if the representation may be used to answer a read with the given
     /// quality threshold.
-    pub fn acceptable(&self, record: &PhysicalVideoRecord, threshold: PsnrDb) -> bool {
-        self.estimate_physical_quality(record).db() >= threshold.db()
+    pub fn acceptable(record: &PhysicalVideoRecord, threshold: PsnrDb) -> bool {
+        Self::estimate_physical_quality(record).db() >= threshold.db()
     }
 
     /// Which of a segment's `frames` frames the resampling measurement
@@ -179,34 +176,31 @@ mod tests {
 
     #[test]
     fn original_is_always_lossless_reference() {
-        let model = QualityModel::new();
         let rec = record("hevc", true, 0.0, 10_000);
-        assert_eq!(model.estimate_physical_quality(&rec).db(), PsnrDb::LOSSLESS_CAP);
-        assert!(model.acceptable(&rec, DEFAULT_QUALITY_THRESHOLD));
+        assert_eq!(QualityModel::estimate_physical_quality(&rec).db(), PsnrDb::LOSSLESS_CAP);
+        assert!(QualityModel::acceptable(&rec, DEFAULT_QUALITY_THRESHOLD));
     }
 
     #[test]
     fn raw_derived_copy_quality_depends_only_on_resampling() {
-        let model = QualityModel::new();
         let pristine = record("rgb", false, 0.0, 320 * 180 * 3 * 30);
-        assert_eq!(model.estimate_physical_quality(&pristine).db(), PsnrDb::LOSSLESS_CAP);
+        assert_eq!(QualityModel::estimate_physical_quality(&pristine).db(), PsnrDb::LOSSLESS_CAP);
         let downsampled = record("rgb", false, 120.0, 320 * 180 * 3 * 30);
-        let q = model.estimate_physical_quality(&downsampled);
+        let q = QualityModel::estimate_physical_quality(&downsampled);
         assert!(q.db() < 30.0, "high MSE bound should be low quality, got {q}");
-        assert!(!model.acceptable(&downsampled, DEFAULT_QUALITY_THRESHOLD));
+        assert!(!QualityModel::acceptable(&downsampled, DEFAULT_QUALITY_THRESHOLD));
     }
 
     #[test]
     fn heavier_compression_lowers_estimated_quality() {
-        let model = QualityModel::new();
         // ~0.05 bits/pixel vs ~3 bits/pixel.
         let starved = record("h264", false, 0.0, (0.05 * 320.0 * 180.0 * 30.0 / 8.0) as u64);
         let generous = record("h264", false, 0.0, (3.0 * 320.0 * 180.0 * 30.0 / 8.0) as u64);
-        let q_starved = model.estimate_physical_quality(&starved);
-        let q_generous = model.estimate_physical_quality(&generous);
+        let q_starved = QualityModel::estimate_physical_quality(&starved);
+        let q_generous = QualityModel::estimate_physical_quality(&generous);
         assert!(q_generous.db() > q_starved.db());
-        assert!(model.acceptable(&generous, DEFAULT_QUALITY_THRESHOLD));
-        assert!(!model.acceptable(&starved, DEFAULT_QUALITY_THRESHOLD));
+        assert!(QualityModel::acceptable(&generous, DEFAULT_QUALITY_THRESHOLD));
+        assert!(!QualityModel::acceptable(&starved, DEFAULT_QUALITY_THRESHOLD));
     }
 
     #[test]

@@ -240,11 +240,7 @@ mod tests {
         let used_run = result.stats.plan.segments[0].fragment_id;
         // Reconstruct which physical the plan used via stats: the plan's only
         // segment must map to the cached physical, which is cheaper.
-        let candidates = build_candidates(
-            engine.catalog.video("v").unwrap(),
-            &engine.quality_model,
-            vss_frame::PsnrDb(40.0),
-        );
+        let candidates = build_candidates(engine.catalog.video("v").unwrap(), vss_frame::PsnrDb(40.0));
         assert_eq!(candidates.run(used_run).physical_id, cached_id);
         // Pass-through reads are not re-admitted as yet another copy.
         assert!(!result.stats.cache_admitted);
@@ -259,9 +255,9 @@ mod tests {
         let result = engine
             .read(
                 &ReadRequest::new("v", 0.0, 2.0, Codec::Raw(PixelFormat::Rgb8))
-                    .at_resolution(Resolution::new(32, 24))
-                    .with_region(roi)
-                    .at_frame_rate(15.0),
+                    .resolution(Resolution::new(32, 24))
+                    .crop(roi)
+                    .fps(15.0),
             )
             .unwrap();
         assert_eq!(result.frames.len(), 30);
@@ -310,7 +306,7 @@ mod tests {
             ReadRequest::new("v", 0.0, 2.0, Codec::Raw(PixelFormat::Yuv420)).uncacheable(),
             ReadRequest::new("v", 0.5, 1.5, Codec::Hevc).uncacheable(),
             ReadRequest::new("v", 0.0, 1.0, Codec::H264)
-                .at_resolution(Resolution::new(32, 24))
+                .resolution(Resolution::new(32, 24))
                 .uncacheable(),
         ] {
             let shared = engine.read_stream(&request).unwrap().drain().unwrap();
@@ -349,7 +345,7 @@ mod tests {
         let threshold = PsnrDb(24.0);
         let half = |codec| {
             ReadRequest::new("v", 0.0, 1.0, codec)
-                .at_resolution(Resolution::new(32, 24))
+                .resolution(Resolution::new(32, 24))
                 .quality_threshold(threshold)
         };
         // After every step, each view rates at or above the threshold of the
@@ -379,7 +375,7 @@ mod tests {
         invariant(&engine);
         // At the default 40 dB even a view made from the original is refused.
         let default =
-            ReadRequest::new("v", 0.0, 1.0, Codec::Hevc).at_resolution(Resolution::new(32, 24));
+            ReadRequest::new("v", 0.0, 1.0, Codec::Hevc).resolution(Resolution::new(32, 24));
         assert!(!engine.read(&default).unwrap().stats.cache_admitted);
         assert_eq!(engine.materialized_fragment_count("v").unwrap(), views);
         invariant(&engine);

@@ -75,7 +75,7 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use vss_catalog::PhysicalVideoId;
-use vss_codec::{codec_instance, Codec, EncodedGop, EncoderConfig};
+use vss_codec::{codec_instance, Codec, CostModel, EncodedGop, EncoderConfig};
 use vss_frame::{
     convert_frame_rate, crop, resize_bilinear, Frame, FrameSequence, PixelFormat, PsnrDb,
     RegionOfInterest, Resolution,
@@ -785,7 +785,7 @@ impl Engine {
 
         // --- plan ----------------------------------------------------------
         let plan_started = Instant::now();
-        let candidates = build_candidates(video, &self.quality_model, threshold);
+        let candidates = build_candidates(video, threshold);
         let plan_request = ReadPlanRequest {
             start,
             end,
@@ -793,10 +793,8 @@ impl Engine {
             codec: request.physical.codec,
         };
         let plan = match request.planner {
-            PlannerKind::Optimal => plan_read(&plan_request, &candidates.candidates, &self.cost_model)?,
-            PlannerKind::Greedy => {
-                plan_read_greedy(&plan_request, &candidates.candidates, &self.cost_model)?
-            }
+            PlannerKind::Optimal => plan_read(&plan_request, &candidates.candidates, &CostModel)?,
+            PlannerKind::Greedy => plan_read_greedy(&plan_request, &candidates.candidates, &CostModel)?,
         };
         let planning = plan_started.elapsed();
         let target_format = match request.physical.codec {

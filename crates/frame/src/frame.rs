@@ -116,13 +116,6 @@ impl Frame {
         &self.data[layout.offset..layout.offset + layout.width * layout.height]
     }
 
-    /// Mutable variant of [`Frame::plane`].
-    pub fn plane_mut(&mut self, index: usize) -> &mut [u8] {
-        let layout = self.plane_layouts()[index];
-        assert_eq!(layout.step, 1, "plane_mut() requires a planar format, not {}", self.format);
-        &mut self.data[layout.offset..layout.offset + layout.width * layout.height]
-    }
-
     /// Returns the `(r, g, b)` value of pixel `(x, y)`.
     ///
     /// For YUV frames the value is converted with the BT.601 matrix.

@@ -27,11 +27,6 @@ impl PsnrDb {
     /// The paper's near-lossless threshold (30 dB).
     pub const NEAR_LOSSLESS_THRESHOLD: PsnrDb = PsnrDb(30.0);
 
-    /// True if this quality is considered lossless (>= 40 dB).
-    pub fn is_lossless(&self) -> bool {
-        self.0 >= Self::LOSSLESS_THRESHOLD.0
-    }
-
     /// True if this quality is considered near-lossless (>= 30 dB).
     pub fn is_near_lossless(&self) -> bool {
         self.0 >= Self::NEAR_LOSSLESS_THRESHOLD.0
@@ -133,7 +128,6 @@ mod tests {
         let f = pattern::gradient(32, 32, PixelFormat::Rgb8, 3);
         let p = psnr(&f, &f).unwrap();
         assert_eq!(p.0, PsnrDb::LOSSLESS_CAP);
-        assert!(p.is_lossless());
         assert!(p.is_near_lossless());
     }
 

@@ -21,12 +21,12 @@ use crate::wire::{
     write_traced_message, AdminTable, Message, WireError, MAX_METRICS, PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
 };
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
 use vss_core::{
@@ -94,7 +94,7 @@ const MUX_CHANNEL_SLACK: usize = 8;
 /// the next fragments in flight while the consumer works.
 const STREAM_WINDOW: u32 = 4;
 
-type FrameSender = Sender<Result<Message, VssError>>;
+type FrameSender = SyncSender<Result<Message, VssError>>;
 
 /// Routing state shared between a [`MuxConn`] and its demultiplexing reader
 /// thread. The thread holds only this (never the `MuxConn`), so dropping the
@@ -258,7 +258,7 @@ impl MuxConn {
     /// one-shot slot. Streams proceed concurrently, unaffected by the gate.
     fn unary(&self, message: &Message) -> Result<Message, VssError> {
         let _gate = self.unary_gate.lock().expect("unary gate");
-        let (sender, receiver) = bounded(1);
+        let (sender, receiver) = sync_channel(1);
         *self.shared.control.lock().expect("control lock") = Some(sender);
         // Registration, then the dead check: `fail` delivers to whatever is
         // registered when it runs, so either this check sees the error or
@@ -286,7 +286,7 @@ impl MuxConn {
         if stream_id > crate::wire::MAX_STREAM_ID {
             return Err(protocol_error("stream ids exhausted on this connection"));
         }
-        let (sender, receiver) = bounded(window as usize + MUX_CHANNEL_SLACK);
+        let (sender, receiver) = sync_channel(window as usize + MUX_CHANNEL_SLACK);
         self.shared.streams.lock().expect("streams lock").insert(stream_id, sender);
         let handle =
             MuxStreamHandle { conn: Arc::clone(self), stream_id, receiver, finished: false };

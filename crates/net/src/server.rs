@@ -28,6 +28,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read as IoRead, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use vss_core::{ReadChunk, VssError, WriteSink};
@@ -553,7 +554,7 @@ struct ServerStream {
     ctl: Arc<StreamCtl>,
     worker: JoinHandle<()>,
     /// Feeds an ingest worker; `None` for read and subscribe streams.
-    ingest: Option<crossbeam::channel::Sender<IngestFrame>>,
+    ingest: Option<SyncSender<IngestFrame>>,
 }
 
 impl ServerStream {
@@ -838,7 +839,7 @@ fn spawn_mux_stream(
         Message::WriteBegin { .. } | Message::AppendBegin { .. } => {
             // Window-sized queue plus slack for the credit-exempt terminal
             // frame: a client honoring its window never sees the queue full.
-            let (tx, rx) = crossbeam::channel::bounded(SERVER_WRITE_WINDOW as usize + 2);
+            let (tx, rx) = sync_channel(SERVER_WRITE_WINDOW as usize + 2);
             (Some(tx), Some(rx))
         }
         _ => (None, None),
@@ -963,7 +964,7 @@ fn mux_ingest_worker(
     writer: &Mutex<ConnWriter>,
     stream_id: u32,
     opened: Result<(Message, WriteSink<'static>), VssError>,
-    receiver: &crossbeam::channel::Receiver<IngestFrame>,
+    receiver: &Receiver<IngestFrame>,
     span: vss_telemetry::Span,
 ) {
     // Closed before any frame that ends the op from the client's point of

@@ -1533,7 +1533,7 @@ mod tests {
 
         let write = Message::WriteBegin {
             request: WriteRequest::new("cam-1", Codec::H264)
-                .with_encoder_quality(90)
+                .encoder_quality(90)
                 .starting_at(4.0),
             frame_rate: 30.0,
         };

@@ -165,7 +165,7 @@ fn corpus() -> Vec<(&'static str, Message)> {
             "write-begin-full",
             Message::WriteBegin {
                 request: WriteRequest::new("cam", Codec::Raw(PixelFormat::Rgb8))
-                    .with_encoder_quality(90)
+                    .encoder_quality(90)
                     .starting_at(4.0),
                 frame_rate: 29.97,
             },

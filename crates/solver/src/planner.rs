@@ -314,7 +314,7 @@ mod tests {
     #[test]
     fn figure3_plan_prefers_already_converted_fragments() {
         let (req, frags) = figure3();
-        let model = CostModel::default();
+        let model = CostModel;
         let plan = plan_read(&req, &frags, &model).unwrap();
         assert!(plan.covers_range(20.0, 80.0));
         let used = plan.fragments_used();
@@ -329,7 +329,7 @@ mod tests {
     #[test]
     fn optimal_plan_is_never_worse_than_greedy_or_exhaustive() {
         let (req, frags) = figure3();
-        let model = CostModel::default();
+        let model = CostModel;
         let optimal = plan_read(&req, &frags, &model).unwrap();
         let greedy = plan_read_greedy(&req, &frags, &model).unwrap();
         let exhaustive = plan_read_exhaustive(&req, &frags, &model).unwrap();
@@ -343,7 +343,7 @@ mod tests {
         // everywhere (high look-back); the original covers everything.
         // Greedy flips to the cheap-transcode fragment for a tiny segment,
         // paying look-back the optimal planner avoids.
-        let model = CostModel::default();
+        let model = CostModel;
         let req = request(0.0, 10.0, Codec::H264);
         let original = frag(0, 0.0, 10.0, Codec::H264);
         let mut sliver = frag(1, 4.9, 5.1, Codec::H264);
@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn uncovered_range_is_an_error() {
-        let model = CostModel::default();
+        let model = CostModel;
         let req = request(0.0, 50.0, Codec::H264);
         let frags = vec![frag(0, 0.0, 30.0, Codec::H264), frag(1, 35.0, 60.0, Codec::H264)];
         match plan_read(&req, &frags, &model) {
@@ -372,7 +372,7 @@ mod tests {
 
     #[test]
     fn empty_range_and_missing_candidates_are_errors() {
-        let model = CostModel::default();
+        let model = CostModel;
         assert!(matches!(
             plan_read(&request(5.0, 5.0, Codec::H264), &[frag(0, 0.0, 10.0, Codec::H264)], &model),
             Err(SolverError::EmptyRange { .. })
@@ -385,7 +385,7 @@ mod tests {
 
     #[test]
     fn low_quality_fragments_are_ignored() {
-        let model = CostModel::default();
+        let model = CostModel;
         let req = request(0.0, 10.0, Codec::H264);
         let mut cheap_but_bad = frag(1, 0.0, 10.0, Codec::H264);
         cheap_but_bad.quality_ok = false;
@@ -398,7 +398,7 @@ mod tests {
     #[test]
     fn adjacent_segments_from_same_fragment_are_coalesced() {
         let (req, frags) = figure3();
-        let model = CostModel::default();
+        let model = CostModel;
         let plan = plan_read(&req, &frags, &model).unwrap();
         // No two adjacent segments share a fragment id.
         for pair in plan.segments.windows(2) {
@@ -408,7 +408,7 @@ mod tests {
 
     #[test]
     fn raw_fragments_have_no_lookback() {
-        let model = CostModel::default();
+        let model = CostModel;
         let req = request(0.0, 10.0, Codec::Raw(PixelFormat::Rgb8));
         let raw = frag(0, 0.0, 100.0, Codec::Raw(PixelFormat::Rgb8));
         let plan = plan_read(&req, &[raw], &model).unwrap();
@@ -418,7 +418,7 @@ mod tests {
 
     #[test]
     fn exhaustive_rejects_huge_instances() {
-        let model = CostModel::default();
+        let model = CostModel;
         // 21 overlapping fragments over 20 segments → way past the limit.
         let mut frags = vec![frag(0, 0.0, 100.0, Codec::H264)];
         for i in 1..21 {
@@ -436,7 +436,7 @@ mod tests {
     #[test]
     fn random_instances_dp_matches_exhaustive() {
         use vss_frame::pattern::Xorshift;
-        let model = CostModel::default();
+        let model = CostModel;
         let mut rng = Xorshift::new(42);
         for case in 0..25 {
             let mut frags = vec![frag(0, 0.0, 60.0, Codec::Hevc)];

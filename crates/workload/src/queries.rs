@@ -76,7 +76,7 @@ impl QueryWorkload {
             let resolution = resolutions[rng.next_below(resolutions.len() as u64) as usize];
             let mut request = ReadRequest::new(&self.video, start, start + length, codec);
             if resolution != self.source_resolution {
-                request = request.at_resolution(resolution);
+                request = request.resolution(resolution);
             }
             requests.push(request);
         }

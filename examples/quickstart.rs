@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    read's default 40 dB threshold, so the view could never answer it.
     let low_res = vss.read(
         &ReadRequest::new("traffic", 0.0, 2.0, Codec::Raw(PixelFormat::Rgb8))
-            .at_resolution(Resolution::new(80, 48)),
+            .resolution(Resolution::new(80, 48)),
     )?;
     println!(
         "read {} low-resolution frames (cache admitted: {})",

@@ -55,7 +55,7 @@ fn admitted_views_record_the_pinned_mse_bounds() {
     let quarter = Resolution::new(16, 12);
     let read = |start: f64, end: f64, codec: Codec, resolution: Resolution| {
         ReadRequest::new("v", start, end, codec)
-            .at_resolution(resolution)
+            .resolution(resolution)
             .quality_threshold(PsnrDb(8.0))
     };
     let requests = [
@@ -68,7 +68,7 @@ fn admitted_views_record_the_pinned_mse_bounds() {
         // A view read from views, mid-GOP on both ends.
         read(0.2, 1.9, Codec::Hevc, quarter),
         // Retimed: the measurement samples the frames before retiming.
-        read(1.5, 2.5, Codec::H264, half).at_frame_rate(15.0),
+        read(1.5, 2.5, Codec::H264, half).fps(15.0),
         // A raw quarter-size view over a raw view.
         read(1.2, 2.8, Codec::Raw(PixelFormat::Yuv420), quarter),
     ];

@@ -51,7 +51,7 @@ fn full_lifecycle_write_read_cache_reuse_and_restart() {
         let detection = vss
             .read(
                 &ReadRequest::new("traffic", 0.0, 2.0, Codec::Raw(PixelFormat::Rgb8))
-                    .at_resolution(Resolution::new(64, 36))
+                    .resolution(Resolution::new(64, 36))
                     .quality_threshold(VIEW_QUALITY),
             )
             .unwrap();

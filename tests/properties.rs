@@ -121,7 +121,7 @@ proptest! {
             resolution: Resolution::R2K,
             codec: Codec::Hevc,
         };
-        let model = CostModel::default();
+        let model = CostModel;
         let optimal = plan_read(&request, &candidates, &model).unwrap();
         let greedy = plan_read_greedy(&request, &candidates, &model).unwrap();
         prop_assert!(optimal.covers_range(request.start, request.end));
