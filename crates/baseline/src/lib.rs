@@ -211,9 +211,9 @@ impl LocalFsVideo {
     fn write_file(&self) -> Result<u64, VssError> {
         let mut file_bytes = Vec::new();
         for gop in &self.gops {
-            let bytes = gop.to_bytes();
+            let bytes = gop.as_bytes();
             file_bytes.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-            file_bytes.extend_from_slice(&bytes);
+            file_bytes.extend_from_slice(bytes);
         }
         fs::write(&self.path, &file_bytes).map_err(io_error)?;
         Ok(file_bytes.len() as u64)
@@ -441,7 +441,7 @@ impl VideoStorage for VStoreLike {
             let path = self.root.join(format!("{}.{}", request.name, format.name()));
             let mut file_bytes = Vec::new();
             for gop in &gops {
-                file_bytes.extend_from_slice(&gop.to_bytes());
+                file_bytes.extend_from_slice(gop.as_bytes());
             }
             fs::write(&path, &file_bytes).map_err(io_error)?;
             bytes_written += file_bytes.len() as u64;

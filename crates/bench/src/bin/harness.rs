@@ -778,7 +778,6 @@ fn fig20(scale: &ScaleConfig) -> Report {
     let frames = dataset.primary();
     let encoder = EncoderConfig::default();
     let raw_gops = encode_to_gops(frames, Codec::Raw(PixelFormat::Yuv420), &encoder).expect("raw encode");
-    let raw_bytes: Vec<Vec<u8>> = raw_gops.iter().map(|g| g.to_bytes()).collect();
 
     // HEVC decode reference (constant across levels).
     let hevc_gops = encode_to_gops(frames, Codec::Hevc, &encoder).expect("hevc encode");
@@ -789,14 +788,13 @@ fn fig20(scale: &ScaleConfig) -> Report {
     let hevc_fps = fps(frames.len(), started.elapsed());
 
     for level in [1u8, 5, 10, 15, 19] {
-        let compressed: Vec<Vec<u8>> = raw_bytes.iter().map(|b| lossless::compress(b, level)).collect();
+        let compressed: Vec<Vec<u8>> = raw_gops.iter().map(|g| lossless::compress(g.as_bytes(), level)).collect();
+        let stored: usize = compressed.iter().map(Vec::len).sum();
         let started = Instant::now();
-        for blob in &compressed {
-            let decompressed = lossless::decompress(blob).expect("decompress");
-            vss_codec::EncodedGop::from_bytes(&decompressed).expect("parse");
+        for page in compressed {
+            vss_codec::read_page(page).expect("read page");
         }
         let vss_fps = fps(frames.len(), started.elapsed());
-        let stored: usize = compressed.iter().map(Vec::len).sum();
         report.push(
             Row::new(format!("level {level}"))
                 .with("vss_fps", vss_fps)

@@ -1044,27 +1044,6 @@ impl Catalog {
 
 // --- recovery reconciliation ------------------------------------------------
 
-/// Whether an on-disk GOP file's content is a parsable GOP, and in which
-/// wrapping.
-enum GopFileContent {
-    /// A raw `EncodedGop` container.
-    Raw,
-    /// A losslessly compressed container that decompresses to a valid GOP.
-    Lossless,
-    /// Neither: torn, truncated or foreign bytes.
-    Invalid,
-}
-
-fn classify_gop_file(bytes: &[u8]) -> GopFileContent {
-    if vss_codec::EncodedGop::from_bytes(bytes).is_ok() {
-        return GopFileContent::Raw;
-    }
-    match vss_codec::lossless::decompress(bytes) {
-        Ok(inner) if vss_codec::EncodedGop::from_bytes(&inner).is_ok() => GopFileContent::Lossless,
-        _ => GopFileContent::Invalid,
-    }
-}
-
 /// Whether an existing GOP file may keep its record, repairing the record
 /// where the file is one complete generation of the GOP. A durable GOP whose
 /// size agrees is trusted; a derived one must also match its checksum. A
@@ -1079,13 +1058,16 @@ fn verify_gop_file(path: &Path, len: u64, gop: &mut GopRecord, report: &mut Reco
     if len == gop.byte_len {
         return gop.crc == Some(wal::crc32(&bytes));
     }
-    gop.lossless_level = match classify_gop_file(&bytes) {
-        GopFileContent::Raw => None,
-        GopFileContent::Lossless => gop.lossless_level.or(Some(vss_codec::lossless::MIN_LEVEL)),
-        GopFileContent::Invalid => return false,
+    let (stored, crc) = (bytes.len(), gop.crc.map(|_| wal::crc32(&bytes)));
+    // Torn, truncated or foreign bytes do not read as a page. One that
+    // reads to more bytes than are stored is deferred-compressed.
+    let Ok(page) = vss_codec::read_page(bytes) else { return false };
+    gop.lossless_level = match page.byte_len() == stored {
+        true => None,
+        false => gop.lossless_level.or(Some(vss_codec::lossless::MIN_LEVEL)),
     };
     gop.byte_len = len;
-    gop.crc = gop.crc.map(|_| wal::crc32(&bytes));
+    gop.crc = crc;
     report.gop_records_healed += 1;
     true
 }

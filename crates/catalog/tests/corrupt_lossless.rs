@@ -32,7 +32,7 @@ fn lossless_gop(seed: u8) -> Vec<u8> {
     let infos = (0..frames).map(|i| FrameInfo { is_intra: i == 0, offset: i * 48, len: 48 }).collect();
     let payload = (0..frames * 48).map(|i| (i as u8 / 4).wrapping_add(seed)).collect();
     let gop = EncodedGop::new(Codec::Raw(PixelFormat::Rgb8), 4, 4, 30.0, 10, infos, payload);
-    lossless::compress(&gop.to_bytes(), 9)
+    lossless::compress(gop.as_bytes(), 9)
 }
 
 /// The stream header: magic, level, claimed original length, and a layout

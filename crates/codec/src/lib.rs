@@ -14,7 +14,8 @@
 //!   compression levels 1–19, standing in for Zstandard in the
 //!   deferred-compression optimization.
 //! * [`EncodedGop`] — the serialized group-of-pictures container VSS stores
-//!   as individual files and treats as cache pages.
+//!   as individual files and treats as cache pages, and [`read_page`], the
+//!   one reader of such a file.
 //! * [`CostModel`] — the fixed per-pixel transcode cost table standing in for
 //!   the paper's vbench-derived `α`, and the look-back cost used by the
 //!   read planner.
@@ -32,7 +33,7 @@ mod video;
 pub use codec::{Codec, EncoderConfig, VideoCodec};
 pub use costmodel::{lookback_cost, CostModel, ETA_DEPENDENT_FRAME};
 pub use error::CodecError;
-pub use gop::{EncodedGop, FrameInfo};
+pub use gop::{read_page, EncodedGop, FrameInfo};
 pub use video::{
     codec_instance, decode_gops_parallel, encode_to_gops, encode_to_gops_parallel, RawCodec,
     SimH264, SimHevc,

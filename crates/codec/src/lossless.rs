@@ -8,10 +8,11 @@
 //!
 //! **Format 3.** The magic `VSL3`, the level, the original length and a
 //! layout, then one block per 64 KiB of the original, stored verbatim where
-//! coding would not shrink it. [`compress`] reads the [`EncodedGop`] header:
-//! a raw GOP's frames are coded by plane (`Rgb8` as one plane whose left
-//! neighbour is the same channel 3 bytes back, YUV as its three planes), its
-//! header and other input as one row. A coded block predicts each sample
+//! coding would not shrink it. [`compress`] reads the
+//! [`EncodedGop`](crate::EncodedGop) header: a raw GOP's frames are coded
+//! by plane (`Rgb8` as one plane whose left neighbour is the same channel 3
+//! bytes back, YUV as its three planes), its header and other input as one
+//! row. A coded block predicts each sample
 //! from its restored left or above neighbour — the first row from the left,
 //! the first column from above — and codes the wrapping residuals as tokens
 //! (a residual, or a run of 2..=64 zeros) in four bit streams under its own
@@ -35,11 +36,12 @@
 //! format's (format 2's `VSL2` and the LZ77 `VSSL` stream's too).
 
 use crate::bitstream::{corrupt, read_varint, write_varint};
-use crate::{Codec, CodecError, EncodedGop};
+use crate::gop::Header;
+use crate::{Codec, CodecError};
 use std::ops::Range;
 use vss_frame::PixelFormat;
 
-const MAGIC: &[u8; 4] = b"VSL3";
+pub(crate) const MAGIC: &[u8; 4] = b"VSL3";
 const BLOCK: usize = 1 << 16;
 const MAX_BITS: u32 = 12;
 const MAX_RUN: usize = 64;
@@ -158,11 +160,8 @@ struct Layout {
 
 impl Layout {
     fn of(data: &[u8]) -> Self {
-        let gop = EncodedGop::from_bytes(data).ok().filter(|gop| gop.frame_count() > 0);
-        let layout = gop.and_then(|gop| {
-            let header = data.len() - gop.frames().iter().map(|f| f.len).sum::<usize>();
-            Self::read(gop.codec().id().into(), header as u64, gop.width().into(), gop.height().into())
-        });
+        let header = Header::parse(data).ok().filter(|header| !header.frames.is_empty());
+        let layout = header.and_then(|h| Self::read(h.codec.id().into(), h.payload as u64, h.width.into(), h.height.into()));
         match layout {
             Some(layout) if (data.len() - layout.prefix).is_multiple_of(layout.frame) => layout,
             _ => Self { id: 0, width: 0, height: 0, prefix: data.len(), frame: 0, step: 1, planes: Vec::new() },
@@ -377,7 +376,8 @@ fn tokens<T>(residuals: &[u8], t: &mut T, mut literals: impl FnMut(&mut T, &[u8]
 /// and streams.
 struct Code {
     lengths: [u8; SYMBOLS],
-    table: Vec<u8>,
+    /// The table and the stream lengths, as written.
+    head: Vec<u8>,
     bytes: [usize; STREAMS],
     size: usize,
 }
@@ -388,17 +388,16 @@ impl Code {
         let lengths = limited_lengths(std::array::from_fn(|s| counts.iter().map(|counts| counts[s]).sum()));
         let bits = |counts: [u32; SYMBOLS]| counts.iter().zip(&lengths).map(|(&n, &l)| u64::from(n) * u64::from(l)).sum::<u64>();
         let bytes = counts.map(|counts| bits(counts).div_ceil(8) as usize);
-        let mut table = Vec::new();
-        write_table(&lengths, &mut table);
-        let varint_len = |v: usize| v.max(1).ilog2() as usize / 7 + 1;
-        let size = 1 + table.len() + bytes.iter().map(|&b| varint_len(b) + b).sum::<usize>();
-        Self { lengths, table, bytes, size }
+        let mut head = Vec::new();
+        write_table(&lengths, &mut head);
+        bytes.iter().for_each(|&bytes| write_varint(&mut head, bytes as u64));
+        let size = 1 + head.len() + bytes.iter().sum::<usize>();
+        Self { lengths, head, bytes, size }
     }
 
     /// Appends the block after its tag.
     fn write(&self, residuals: &[u8], out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.table);
-        self.bytes.iter().for_each(|&bytes| write_varint(out, bytes as u64));
+        out.extend_from_slice(&self.head);
         let codes = canonical_codes(&self.lengths).expect("an encoder's lengths satisfy Kraft");
         for (k, &bytes) in self.bytes.iter().enumerate() {
             let at = out.len();

@@ -801,8 +801,8 @@ mod tests {
         let p_avg: usize =
             gop.frames()[1..].iter().map(|f| f.len).sum::<usize>() / (gop.frame_count() - 1);
         assert!(p_avg < i_size, "P frames ({p_avg}) should be smaller than the I frame ({i_size})");
-        assert_eq!(gop.independent_frame_count(), 1);
-        assert_eq!(gop.dependent_frame_count(), 4);
+        let intra: Vec<bool> = gop.frames().iter().map(|f| f.is_intra).collect();
+        assert_eq!(intra, [true, false, false, false, false]);
     }
 
     #[test]
@@ -843,7 +843,7 @@ mod tests {
     fn gop_serialization_survives_decode() {
         let seq = coherent_sequence(4, 64, 48);
         let gop = SimH264.encode(&seq, &EncoderConfig::default()).unwrap();
-        let restored = EncodedGop::from_bytes(&gop.to_bytes()).unwrap();
+        let restored = EncodedGop::from_bytes(gop.to_bytes()).unwrap();
         let a = SimH264.decode(&gop).unwrap();
         let b = SimH264.decode(&restored).unwrap();
         assert_eq!(a, b);
@@ -977,7 +977,7 @@ mod tests {
             let from_slice = implementation
                 .encode_slice(seq.frames(), seq.frame_rate(), &EncoderConfig::default(), 1)
                 .unwrap();
-            assert_eq!(from_slice.to_bytes(), from_sequence.to_bytes(), "{codec}");
+            assert_eq!(from_slice.as_bytes(), from_sequence.as_bytes(), "{codec}");
         }
     }
 

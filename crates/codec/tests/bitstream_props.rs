@@ -13,25 +13,36 @@
 //!   and HEVC GOPs of a noisy clip, every frame truncated at every length
 //!   and single bytes flipped at random, go through the decoder itself
 //!   (`VideoCodec::decode` and `decode_prefix`), whose pair parser takes a
-//!   two-byte fast path and falls back to the varint reader.
+//!   two-byte fast path and falls back to the varint reader. Their stored
+//!   pages, and a raw GOP's deferred-compressed pages at levels 1 and 19,
+//!   cut at every length and flipped at random, go through the page reader
+//!   ([`read_page`]).
+//!
+//! The container itself is its bytes: a parse of them is the same GOP, and
+//! a clone shares them.
 
 use proptest::prelude::*;
 use vss_codec::bitstream::{
     decode_residuals, encode_residuals, read_varint, unzigzag, write_varint, zigzag,
 };
-use vss_codec::{codec_instance, Codec, EncodedGop, EncoderConfig, FrameInfo};
+use vss_codec::{codec_instance, lossless, read_page, Codec, CodecError, EncodedGop, EncoderConfig, FrameInfo};
 use vss_frame::{pattern, Frame, FrameSequence, PixelFormat};
 
-/// H.264 and HEVC GOPs of seeded noise over a still gradient, every third
-/// frame clean, at quality 100 (step 1): noisy residuals need two-byte
-/// varints, and HEVC keeps its basic predictors on the noisy frames and its
-/// advanced ones on the clean frames, so both families are decoded.
-fn noisy_gops() -> Vec<EncodedGop> {
+/// Seeded noise over a still gradient, every third frame clean.
+fn noisy_clip() -> FrameSequence {
     let base = pattern::gradient(18, 10, PixelFormat::Yuv420, 3);
     let frames: Vec<Frame> = (0..5u64)
         .map(|i| if i % 3 == 0 { base.clone() } else { pattern::add_noise(&base, 40, 0x5eed + i) })
         .collect();
-    let clip = FrameSequence::new(frames, 30.0).unwrap();
+    FrameSequence::new(frames, 30.0).unwrap()
+}
+
+/// H.264 and HEVC GOPs of [`noisy_clip`] at quality 100 (step 1): noisy
+/// residuals need two-byte varints, and HEVC keeps its basic predictors on
+/// the noisy frames and its advanced ones on the clean frames, so both
+/// families are decoded.
+fn noisy_gops() -> Vec<EncodedGop> {
+    let clip = noisy_clip();
     let config = EncoderConfig { quality: 100, gop_size: clip.len() };
     let gops: Vec<EncodedGop> =
         [Codec::H264, Codec::Hevc].map(|codec| codec_instance(codec).encode(&clip, &config).unwrap()).into();
@@ -63,6 +74,18 @@ fn multi_byte_pairs(gop: &EncodedGop) -> usize {
 /// `gop` with its payload and frame table replaced.
 fn with_frames(gop: &EncodedGop, frames: Vec<FrameInfo>, payload: Vec<u8>) -> EncodedGop {
     EncodedGop::new(gop.codec(), gop.width(), gop.height(), gop.frame_rate(), gop.quantizer(), frames, payload)
+}
+
+/// Stored pages and the GOPs they read to: the `VSSG` pages of
+/// [`noisy_gops`], and the `VSL3` pages of a raw GOP of [`noisy_clip`]
+/// compressed at levels 1 and 19.
+fn pages() -> Vec<(Vec<u8>, EncodedGop)> {
+    let mut pages: Vec<_> = noisy_gops().into_iter().map(|gop| (gop.to_bytes(), gop)).collect();
+    let raw = codec_instance(Codec::Raw(PixelFormat::Yuv420)).encode(&noisy_clip(), &EncoderConfig::default()).unwrap();
+    for level in [1, 19] {
+        pages.push((lossless::compress(raw.as_bytes(), level), raw.clone()));
+    }
+    pages
 }
 
 /// The concatenated frame payloads of `gop`.
@@ -200,12 +223,47 @@ proptest! {
     }
 
     #[test]
+    fn a_flipped_byte_in_a_page_reads_or_is_corrupt(
+        flip_index in any::<usize>(),
+        flip_mask in 1u8..255,
+    ) {
+        for (mut page, _) in pages() {
+            let index = flip_index % page.len();
+            page[index] ^= flip_mask;
+            let result = read_page(page);
+            prop_assert!(matches!(result, Ok(_) | Err(CodecError::Corrupt(_))), "{result:?}");
+        }
+    }
+
+    #[test]
     fn truncated_or_random_gop_containers_error_instead_of_panicking(
         noise in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         // The GOP container sits directly above the bitstream layer; feeding
         // it noise (or a truncated header) must produce a clean error.
-        let _ = EncodedGop::from_bytes(&noise);
+        let _ = EncodedGop::from_bytes(noise);
+    }
+}
+
+#[test]
+fn every_truncation_of_a_page_is_corrupt() {
+    for (page, gop) in pages() {
+        let magic = String::from_utf8_lossy(&page[..4]).into_owned();
+        assert!(read_page(page.clone()).unwrap() == gop, "{magic}");
+        for len in 0..page.len() {
+            let result = read_page(page[..len].to_vec());
+            assert!(matches!(result, Err(CodecError::Corrupt(_))), "{magic} page cut to {len}: {result:?}");
+        }
+    }
+}
+
+#[test]
+fn a_gop_is_its_bytes_and_its_clones_share_them() {
+    for (_, gop) in pages() {
+        assert_eq!(gop.byte_len(), gop.as_bytes().len());
+        assert!(EncodedGop::from_bytes(gop.to_bytes()).unwrap() == gop);
+        let clone = gop.clone();
+        assert_eq!(clone.as_bytes().as_ptr(), gop.as_bytes().as_ptr(), "a clone copied the bytes");
     }
 }
 

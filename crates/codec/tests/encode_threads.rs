@@ -21,7 +21,7 @@ fn a_budget_of_four_leaves_no_thread_behind() {
     for codec in [Codec::H264, Codec::Hevc] {
         let one = codec_instance(codec).encode_slice(&frames, 30.0, &config, 1).unwrap();
         let four = codec_instance(codec).encode_slice(&frames, 30.0, &config, 4).unwrap();
-        assert_eq!(four.to_bytes(), one.to_bytes());
+        assert_eq!(four.as_bytes(), one.as_bytes());
         let sequence = FrameSequence::new(frames.clone(), 30.0).unwrap();
         assert_eq!(encode_to_gops_parallel(&sequence, codec, &config, 4).unwrap().len(), 2);
     }

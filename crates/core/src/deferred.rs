@@ -30,7 +30,7 @@ use crate::VssError;
 use std::sync::OnceLock;
 use std::time::Instant;
 use vss_catalog::PhysicalVideoId;
-use vss_codec::{lossless, CodecError};
+use vss_codec::{lossless, CodecError, EncodedGop};
 use vss_telemetry::Histogram;
 
 /// [`lossless::compress`] where it shrinks `data`: the bytes to store, or
@@ -47,15 +47,19 @@ pub(crate) fn compress_if_smaller(data: &[u8], level: u8) -> Option<Vec<u8>> {
     (compressed.len() < data.len()).then_some(compressed)
 }
 
-/// [`lossless::decompress`], timed into `deferred.lossless.decompress_ns`:
-/// one sample per deferred-compressed GOP a read loads.
-pub(crate) fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
+/// [`vss_codec::read_page`], the one reader of a stored page, timed into
+/// `deferred.lossless.decompress_ns` when the page was deferred-compressed
+/// (it parses to more bytes than were stored): one sample per
+/// deferred-compressed GOP a read loads.
+pub(crate) fn read_page(bytes: Vec<u8>) -> Result<EncodedGop, CodecError> {
     static H: OnceLock<&'static Histogram> = OnceLock::new();
-    let started = Instant::now();
-    let restored = lossless::decompress(data);
-    H.get_or_init(|| vss_telemetry::histogram("deferred.lossless.decompress_ns"))
-        .record_duration(started.elapsed());
-    restored
+    let (stored, started) = (bytes.len(), Instant::now());
+    let gop = vss_codec::read_page(bytes)?;
+    if gop.byte_len() != stored {
+        H.get_or_init(|| vss_telemetry::histogram("deferred.lossless.decompress_ns"))
+            .record_duration(started.elapsed());
+    }
+    Ok(gop)
 }
 
 impl Engine {

@@ -8,9 +8,10 @@ use crate::config::VssConfig;
 use crate::params::StorageBudget;
 use crate::publish::GopPublisher;
 use crate::VssError;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use vss_catalog::{Catalog, PhysicalVideoId};
+use vss_catalog::{Catalog, PhysicalVideoId, Pin};
 use vss_solver::ReadPlan;
 
 /// Statistics describing how a read was executed.
@@ -63,9 +64,9 @@ pub struct WriteReport {
     pub elapsed: Duration,
 }
 
-/// One persisted original-timeline GOP's position, as snapshotted for
-/// live-subscription catch-up (see [`Engine::original_gop_spans`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One persisted original-timeline GOP's position and page, as snapshotted
+/// for live-subscription catch-up (see [`Engine::original_gop_spans`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct OriginalGopSpan {
     /// Catalog GOP index — the live-subscription sequence number.
     pub seq: u64,
@@ -75,20 +76,22 @@ pub struct OriginalGopSpan {
     pub end_time: f64,
     /// Number of frames in the GOP.
     pub frame_count: usize,
+    /// The GOP's file, to read with [`vss_codec::read_page`].
+    pub path: PathBuf,
 }
 
 /// A point-in-time snapshot of a video's persisted original timeline, used
-/// by live-subscription catch-up readers to plan `read_stream` calls whose
-/// chunks map one-to-one onto catalog GOPs (see
+/// by live-subscription catch-up readers to serve the stored pages (see
 /// [`Engine::original_gop_spans`]).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct OriginalGopManifest {
-    /// The original physical video's codec.
-    pub codec: vss_codec::Codec,
     /// Frame rate of the original timeline, in frames per second.
     pub frame_rate: f64,
     /// Spans with sequence number `>= from_seq`, in temporal order.
     pub spans: Vec<OriginalGopSpan>,
+    /// Keeps every span's page on disk until the manifest drops, whatever
+    /// maintenance commits meanwhile.
+    pub pin: Pin,
 }
 
 /// The engine behind a [`Vss`](crate::Vss) instance.
@@ -291,10 +294,10 @@ impl Engine {
 
     /// Snapshots the persisted original-timeline GOPs from the first
     /// sequence number (catalog GOP index) `>= from_seq`, up to `max_gops`
-    /// of them — the manifest a live subscription's catch-up reader uses to
-    /// plan a `read_stream` over exactly those GOPs. The spans are one run
-    /// of consecutive indexes: a hole that eviction left in the original
-    /// ends the run, and shows up on the next call as
+    /// of them, with their page paths and a [`Pin`] on the pages — what a
+    /// live subscription's catch-up reader serves after releasing the lock.
+    /// The spans are one run of consecutive indexes: a hole that eviction
+    /// left in the original ends the run, and shows up on the next call as
     /// `spans[0].seq > from_seq`. An empty `spans` means nothing is
     /// persisted at or after `from_seq` yet. Returns `None` when the video
     /// does not exist (yet) or has no written data — a subscription treats
@@ -304,12 +307,8 @@ impl Engine {
         name: &str,
         from_seq: u64,
         max_gops: usize,
-    ) -> Result<Option<OriginalGopManifest>, VssError> {
-        let Ok(video) = self.catalog.video(name) else { return Ok(None) };
-        let Some(original) = video.original() else { return Ok(None) };
-        let codec = original.codec().ok_or_else(|| {
-            VssError::Unsatisfiable(format!("unrecognized stored codec '{}'", original.codec))
-        })?;
+    ) -> Option<OriginalGopManifest> {
+        let original = self.catalog.video(name).ok()?.original()?;
         // GOP indices are assigned monotonically and removals keep order, so
         // the record list is sorted by index.
         let start = original.gops.partition_point(|g| g.index < from_seq);
@@ -324,9 +323,10 @@ impl Engine {
                 start_time: g.start_time,
                 end_time: g.end_time,
                 frame_count: g.frame_count,
+                path: self.catalog.gop_path(name, original, g.index),
             })
             .collect();
-        Ok(Some(OriginalGopManifest { codec, frame_rate: original.frame_rate, spans }))
+        Some(OriginalGopManifest { frame_rate: original.frame_rate, spans, pin: self.catalog.pin() })
     }
 
     /// Number of cached (non-original) GOP fragments currently materialized

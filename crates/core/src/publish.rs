@@ -8,11 +8,11 @@
 //! fires, so a subscriber can never observe bytes a crash could lose.
 //!
 //! The hook receives the *pre-deferral* [`EncodedGop`]: the exact encoded
-//! container the writer produced, before any write-time lossless wrapping.
-//! Deferred compression is lossless, so a later catch-up read of the
-//! persisted GOP decodes to identical frames — fanning the in-memory GOP out
-//! to subscribers costs zero re-encodes and stays frame-identical to reading
-//! the store.
+//! container the writer produced, before any write-time lossless wrapping,
+//! whose bytes every subscriber then shares. Deferred compression is
+//! lossless, so catch-up serves the stored bytes: a stored page reads back
+//! ([`vss_codec::read_page`]) to the very bytes published live, and fanning
+//! the in-memory GOP out costs zero re-encodes.
 //!
 //! Cached (non-original) fragments materialized by the read path never
 //! publish: subscribers tail the original timeline only.

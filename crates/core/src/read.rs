@@ -130,8 +130,8 @@ impl Engine {
                     let mut time = request.temporal.start;
                     for gop in gops {
                         let duration = gop.frame_count() as f64 / output.frame_rate();
-                        let (count, bytes) = (gop.frame_count(), gop.to_bytes());
-                        engine.catalog.append_gop(name, physical_id, time, time + duration, count, &bytes, None)?;
+                        let (count, bytes) = (gop.frame_count(), gop.as_bytes());
+                        engine.catalog.append_gop(name, physical_id, time, time + duration, count, bytes, None)?;
                         time += duration;
                     }
                 }

@@ -189,10 +189,7 @@ fn decode_gop_job(
     let bytes_read = bytes.len() as u64;
     // Told apart by content, as reopen's reconcile does, not by the
     // snapshot: the maintenance sweep may have compressed the page since.
-    let gop = match EncodedGop::from_bytes(&bytes) {
-        Ok(gop) => gop,
-        Err(_) => EncodedGop::from_bytes(&crate::deferred::decompress(&bytes)?)?,
-    };
+    let gop = crate::deferred::read_page(bytes)?;
     let implementation = codec_instance(job.shape.source_codec);
     // By value: a frame that needs no change below is moved into the result.
     let mut sliced = implementation.decode_prefix(&gop, job.work.last)?.into_frames();

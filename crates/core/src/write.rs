@@ -58,7 +58,11 @@ impl Engine {
         frame_rate: f64,
     ) -> Result<(u64, u8), VssError> {
         let duration = frame_count as f64 / frame_rate;
-        let (data, level) = self.maybe_defer_on_write(name, codec, gop)?;
+        let compressed = self.defer_on_write(name, codec, gop)?;
+        let (data, level) = match &compressed {
+            Some((compressed, level)) => (compressed.as_slice(), *level),
+            None => (gop.as_bytes(), 0),
+        };
         let bytes = data.len() as u64;
         let seq = self.catalog.append_gop(
             name,
@@ -66,7 +70,7 @@ impl Engine {
             time,
             time + duration,
             frame_count,
-            &data,
+            data,
             if level > 0 { Some(level) } else { None },
         )?;
         // Live fanout: an original's GOP is durable (journaled + fsynced +
@@ -107,30 +111,25 @@ impl Engine {
         Ok(())
     }
 
-    /// Serializes a GOP for storage, applying write-time deferred compression
-    /// to uncompressed blocks when the video's budget consumption has passed
-    /// the activation threshold and compression shrinks the block. Returns
-    /// the bytes to store and the lossless level applied (0 = none).
-    fn maybe_defer_on_write(
+    /// Write-time deferred compression of an uncompressed GOP: once the
+    /// video's budget consumption has passed the activation threshold, its
+    /// bytes compressed at the level the budget calls for, with that level,
+    /// if that shrinks them. `None` stores the GOP's own bytes.
+    fn defer_on_write(
         &mut self,
         name: &str,
         codec: Codec,
         gop: &EncodedGop,
-    ) -> Result<(Vec<u8>, u8), VssError> {
-        let serialized = gop.to_bytes();
+    ) -> Result<Option<(Vec<u8>, u8)>, VssError> {
         if codec.is_compressed() || !self.config.deferred_compression {
-            return Ok((serialized, 0));
+            return Ok(None);
         }
-        let Some(fraction) = self.budget_fraction(name)? else {
-            return Ok((serialized, 0));
-        };
-        if fraction < DEFERRED_ACTIVATION_FRACTION {
-            return Ok((serialized, 0));
-        }
-        let level = deferred_level_for_fraction(fraction, DEFERRED_ACTIVATION_FRACTION);
-        Ok(match crate::deferred::compress_if_smaller(&serialized, level) {
-            Some(compressed) => (compressed, level),
-            None => (serialized, 0),
+        Ok(match self.budget_fraction(name)? {
+            Some(fraction) if fraction >= DEFERRED_ACTIVATION_FRACTION => {
+                let level = deferred_level_for_fraction(fraction, DEFERRED_ACTIVATION_FRACTION);
+                crate::deferred::compress_if_smaller(gop.as_bytes(), level).map(|compressed| (compressed, level))
+            }
+            _ => None,
         })
     }
 }
@@ -284,8 +283,9 @@ mod tests {
         let compressed_gop =
             original.gops.iter().find(|g| g.lossless_level.is_some()).expect("some gop compressed");
         let bytes = engine.catalog.read_gop("v", original.id, compressed_gop.index).unwrap();
-        let decoded =
-            vss_codec::EncodedGop::from_bytes(&crate::deferred::decompress(&bytes).unwrap()).unwrap();
+        let stored = bytes.len();
+        let decoded = vss_codec::read_page(bytes).unwrap();
+        assert!(decoded.byte_len() > stored, "the page is stored compressed");
         assert_eq!(decoded.frame_count(), compressed_gop.frame_count);
         let _ = std::fs::remove_dir_all(root);
     }

@@ -21,17 +21,6 @@ impl PsnrDb {
     /// as 350+ dB for exactly recovered frames; we cap at 400).
     pub const LOSSLESS_CAP: f64 = 400.0;
 
-    /// The paper's default lossless threshold (τ = ε = 40 dB).
-    pub const LOSSLESS_THRESHOLD: PsnrDb = PsnrDb(40.0);
-
-    /// The paper's near-lossless threshold (30 dB).
-    pub const NEAR_LOSSLESS_THRESHOLD: PsnrDb = PsnrDb(30.0);
-
-    /// True if this quality is considered near-lossless (>= 30 dB).
-    pub fn is_near_lossless(&self) -> bool {
-        self.0 >= Self::NEAR_LOSSLESS_THRESHOLD.0
-    }
-
     /// Raw decibel value.
     pub fn db(&self) -> f64 {
         self.0
@@ -128,7 +117,6 @@ mod tests {
         let f = pattern::gradient(32, 32, PixelFormat::Rgb8, 3);
         let p = psnr(&f, &f).unwrap();
         assert_eq!(p.0, PsnrDb::LOSSLESS_CAP);
-        assert!(p.is_near_lossless());
     }
 
     #[test]
@@ -203,7 +191,6 @@ mod tests {
         let p = psnr_from_mse(m);
         // 10*log10(255^2/100) ≈ 28.13 dB
         assert!((p.0 - 28.13).abs() < 0.05, "psnr={p}");
-        assert!(!p.is_near_lossless());
     }
 
     #[test]

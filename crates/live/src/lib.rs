@@ -10,15 +10,15 @@
 //!   installed on an engine (every shard of a `vss-server`), it observes
 //!   each original-timeline GOP *after* it is durably persisted. The hook
 //!   runs under the engine/shard write lock, so the hub never blocks there:
-//!   it clones the GOP payload once into an [`Arc`] and pushes it onto each
-//!   subscriber's **bounded** queue.
+//!   it pushes a clone of the GOP — a reference count on the writer's
+//!   buffer — onto each subscriber's **bounded** queue.
 //! * **Lag policy.** A full queue marks its subscriber *lagged* and drops
 //!   the buffered entries — ingest never stalls for a slow reader. Nothing
 //!   is lost: every published GOP was persisted first, so the lagged
-//!   subscriber transparently falls back to cursor-based **catch-up** reads
-//!   of the store (through its [`CatchupSource`], which `vss-server`
-//!   implements over the `read_stream` plan machinery) and then *re-seams*
-//!   onto the live feed. The seam is exact — the catch-up cursor and the
+//!   subscriber transparently falls back to cursor-based **catch-up** from
+//!   the store (through its [`CatchupSource`], which `vss-server`
+//!   implements by serving the stored pages) and then *re-seams* onto the
+//!   live feed. The seam is exact — the catch-up cursor and the
 //!   queue's sequence numbers are the same catalog GOP indexes, so no GOP
 //!   is duplicated or skipped.
 //! * **Subscription modes.** [`SubscribeFrom::Start`] replays from the
@@ -145,8 +145,9 @@ pub struct LiveGop {
     pub frame_count: usize,
     /// Frame rate of the original timeline, in frames per second.
     pub frame_rate: f64,
-    /// The encoded GOP, exactly as the writer produced it.
-    pub gop: Arc<EncodedGop>,
+    /// The encoded GOP, exactly as the writer produced it; clones share
+    /// its bytes.
+    pub gop: EncodedGop,
 }
 
 /// One event on a subscription.
@@ -167,9 +168,9 @@ pub enum SubEvent {
     End,
 }
 
-/// Reads persisted GOPs for catch-up. Implemented by `vss-server` sessions
-/// over the `read_stream` plan machinery; tests may implement it directly
-/// over an [`vss_core::Engine`].
+/// Reads persisted GOPs for catch-up. Implemented by `vss-server` sessions,
+/// which serve the stored pages that [`vss_core::Engine::original_gop_spans`]
+/// names; tests may implement it over an in-memory store.
 pub trait CatchupSource: Send {
     /// Returns up to `max_gops` persisted original-timeline GOPs of `name`
     /// with consecutive sequence numbers, starting at the first persisted
@@ -320,14 +321,15 @@ impl GopPublisher for LiveHub {
         // work below never holds the registry lock.
         let channel = lock(&self.channels).get(publication.name).cloned();
         let Some(channel) = channel else { return };
-        // One payload clone per publication, shared by every subscriber.
+        // Every subscriber's entry shares the writer's buffer: a clone is a
+        // reference count.
         let live = LiveGop {
             seq: publication.seq,
             start_time: publication.start_time,
             end_time: publication.end_time,
             frame_count: publication.frame_count,
             frame_rate: publication.frame_rate,
-            gop: Arc::new(publication.gop.clone()),
+            gop: publication.gop.clone(),
         };
         let published = Instant::now();
         let mut state = lock(&channel.state);
@@ -629,7 +631,7 @@ mod tests {
             end_time: (seq + 1) as f64 / 30.0,
             frame_count: 1,
             frame_rate: 30.0,
-            gop: Arc::new(gop),
+            gop,
         }
     }
 

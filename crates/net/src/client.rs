@@ -675,7 +675,7 @@ impl Iterator for LiveFeed {
                     end_time,
                     frame_count: frame_count as usize,
                     frame_rate,
-                    gop: Arc::new(gop),
+                    gop,
                 })))
             }
             Ok(Message::SubGap { from_seq, to_seq }) => {

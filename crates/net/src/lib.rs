@@ -272,7 +272,7 @@
 //!   stored** — already encoded, never re-encoded. A slow client is paced
 //!   by its credit window; when its hub queue overflows, the hub drops the
 //!   queue and the subscription transparently re-reads the missed
-//!   GOPs from disk (cursor-based catch-up over the ordinary read path),
+//!   GOPs from disk (cursor-based catch-up that serves the stored pages),
 //!   re-seaming onto the live feed without duplicating or skipping a GOP —
 //!   ingest never waits on a subscriber. GOPs evicted from the original
 //!   before a subscriber reaches them surface as an explicit `sub-gap`. Deleting the

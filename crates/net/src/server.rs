@@ -1076,7 +1076,7 @@ fn mux_subscribe_worker(
                     end_time: gop.end_time,
                     frame_rate: gop.frame_rate,
                     frame_count: gop.frame_count as u64,
-                    gop: (*gop.gop).clone(),
+                    gop: gop.gop,
                 };
                 let _in_flight = inner.server.track_in_flight(bytes);
                 if send_mux(writer, stream_id, &message).is_err() {

@@ -972,11 +972,11 @@ impl Wire for Frame {
 /// A GOP travels as its serialized container, a byte string.
 impl Wire for EncodedGop {
     fn put(&self, out: &mut Vec<u8>) {
-        self.to_bytes().put(out);
+        self.as_bytes().put(out);
     }
 
     fn get(cursor: &mut Cursor<'_>) -> DecodeResult<Self> {
-        EncodedGop::from_bytes(cursor.bytes()?).map_err(|e| format!("invalid GOP: {e}"))
+        EncodedGop::from_bytes(cursor.bytes()?.to_vec()).map_err(|e| format!("invalid GOP: {e}"))
     }
 }
 

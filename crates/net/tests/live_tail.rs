@@ -53,7 +53,7 @@ fn drain_feed(feed: &mut vss_net::LiveFeed, n: usize) -> (Vec<u64>, Vec<u8>) {
         match feed.next() {
             Some(Ok(SubEvent::Gop(gop))) => {
                 seqs.push(gop.seq);
-                bytes.extend_from_slice(&gop.gop.to_bytes());
+                bytes.extend_from_slice(gop.gop.as_bytes());
             }
             other => panic!("expected GOP {} of {n}, got {other:?}", seqs.len()),
         }
@@ -72,7 +72,7 @@ fn full_read_bytes(server: &VssServer, name: &str) -> Vec<u8> {
     let mut bytes = Vec::new();
     for chunk in stream {
         let chunk = chunk.unwrap();
-        bytes.extend_from_slice(&chunk.encoded_gop.expect("passthrough read").to_bytes());
+        bytes.extend_from_slice(chunk.encoded_gop.expect("passthrough read").as_bytes());
     }
     bytes
 }
@@ -165,7 +165,7 @@ fn eight_subscribers_tail_one_writer_with_a_forced_lag() {
             match slow.next_timeout(Duration::from_secs(20)).unwrap() {
                 Some(SubEvent::Gop(gop)) => {
                     seqs.push(gop.seq);
-                    bytes.extend_from_slice(&gop.gop.to_bytes());
+                    bytes.extend_from_slice(gop.gop.as_bytes());
                 }
                 other => panic!("slow subscriber saw {other:?}"),
             }

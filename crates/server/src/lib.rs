@@ -86,6 +86,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use shard::ShardedEngine;
 use stats::ShardStats;
+use vss_catalog::CatalogError;
 use vss_core::{
     EncodedGopBackend, Engine, IncrementalWrite, ReadRequest, ReadResult, ReadStream,
     StorageBudget, VideoMetadata, VideoStorage, Vss, VssConfig, VssError, VssSinkBackend,
@@ -576,12 +577,13 @@ impl Session {
     /// [`append`](Self::append) or [`write_sink`](Self::write_sink)) is
     /// delivered already-encoded, with zero re-encodes. Starting from
     /// [`SubscribeFrom::Start`] or [`SubscribeFrom::Seq`] first replays the
-    /// persisted backlog through cursor-based catch-up reads (the
-    /// `read_stream` plan machinery, run lock-free outside the shard lock)
-    /// and then seams onto the live feed exactly — no GOP duplicated or
-    /// skipped. A subscriber that falls behind its bounded queue is
-    /// transparently switched back to catch-up and re-seamed; the ingesting
-    /// writer is never stalled. The video does not need to exist yet.
+    /// persisted backlog by cursor-based catch-up, which serves the stored
+    /// pages (snapshotted under the shard's shared lock, read with no lock
+    /// held; no decode, no re-encode, no read op counted), and then seams
+    /// onto the live feed exactly — no GOP duplicated or skipped. A
+    /// subscriber that falls behind its bounded queue is transparently
+    /// switched back to catch-up and re-seamed; the ingesting writer is
+    /// never stalled. The video does not need to exist yet.
     ///
     /// Dropping the [`Subscription`] unsubscribes immediately (see
     /// [`vss_live`]); dropping the session does not end subscriptions it
@@ -680,14 +682,13 @@ impl VideoStorage for Session {
     }
 }
 
-/// The server-side [`CatchupSource`]: turns a cursor-based catch-up request
-/// into (1) a manifest snapshot of the persisted original-timeline GOPs
-/// under the owning shard's *read* lock, then (2) a `read_stream` over
-/// exactly those GOPs — the same plan machinery ordinary reads use, decoding
-/// lock-free. For a compressed original the stream passes the stored GOP
-/// containers through byte-identically; for an uncompressed original the
-/// chunks are re-packed with the (deterministic, lossless) raw container
-/// writer, which reproduces the writer's bytes exactly.
+/// The server-side [`CatchupSource`]: snapshots the persisted
+/// original-timeline GOPs under the owning shard's *read* lock — their page
+/// paths and a catalog pin that keeps the pages — then serves the stored
+/// pages with no lock held. A page is the writer's bytes (a deferred-
+/// compressed one decompresses to them), so catch-up decodes and re-encodes
+/// nothing, and it is not a client read: it counts no read op and moves no
+/// recency clock.
 struct SessionCatchupSource {
     server: VssServer,
 }
@@ -702,48 +703,22 @@ impl CatchupSource for SessionCatchupSource {
         let manifest = self.server.inner.engine.route(name).0.with_engine_read(|engine| {
             engine.original_gop_spans(name, from_seq, max_gops)
         });
-        let manifest = match manifest {
-            Ok(Some(manifest)) if !manifest.spans.is_empty() => manifest,
-            // No video / no data / nothing at the cursor yet: the
-            // subscription waits (or seams onto the live feed).
-            Ok(_) | Err(VssError::VideoNotFound(_)) => return Ok(Vec::new()),
-            Err(error) => return Err(error),
-        };
-        let (first, last) = (manifest.spans[0], manifest.spans[manifest.spans.len() - 1]);
-        let request =
-            ReadRequest::new(name, first.start_time, last.end_time, manifest.codec).uncacheable();
-        let mut stream = self.server.inner.open_stream(&request)?;
-        let mut out = Vec::with_capacity(manifest.spans.len());
+        // No video / no data / nothing at the cursor yet: the subscription
+        // waits (or seams onto the live feed).
+        let Some(manifest) = manifest else { return Ok(Vec::new()) };
+        let mut gops = Vec::with_capacity(manifest.spans.len());
         for span in &manifest.spans {
-            let chunk = stream.next().ok_or_else(|| {
-                VssError::Unsatisfiable(format!(
-                    "catch-up stream of '{name}' ended before sequence {}",
-                    span.seq
-                ))
-            })??;
-            let gop = match chunk.encoded_gop {
-                Some(gop) => gop,
-                None => vss_codec::codec_instance(manifest.codec)
-                    .encode_slice(
-                        chunk.frames.frames(),
-                        manifest.frame_rate,
-                        &vss_codec::EncoderConfig { quality: 0, gop_size: span.frame_count.max(1) },
-                        1,
-                    )
-                    .map_err(|e| {
-                        VssError::Unsatisfiable(format!("catch-up raw re-pack failed: {e}"))
-                    })?,
-            };
-            out.push(LiveGop {
+            let bytes = std::fs::read(&span.path).map_err(CatalogError::from)?;
+            gops.push(LiveGop {
                 seq: span.seq,
                 start_time: span.start_time,
                 end_time: span.end_time,
                 frame_count: span.frame_count,
                 frame_rate: manifest.frame_rate,
-                gop: Arc::new(gop),
+                gop: vss_codec::read_page(bytes)?,
             });
         }
-        Ok(out)
+        Ok(gops)
     }
 }
 

@@ -1,10 +1,11 @@
 //! Live-subscription integration tests at the session layer: tailing
 //! byte-identity, late-joiner seam exactness, forced lag → catch-up →
-//! re-seam, gaps over evicted pages and subscriber-drop cleanup.
+//! re-seam, gaps over evicted pages, catch-up of deferred-compressed raw
+//! pages (beside a maintenance thread too) and subscriber-drop cleanup.
 
 use std::time::Duration;
 use vss_codec::Codec;
-use vss_core::{ReadRequest, VssConfig, WriteRequest};
+use vss_core::{Engine, ReadRequest, StorageBudget, VssConfig, WriteRequest};
 use vss_frame::{pattern, FrameSequence, PixelFormat};
 use vss_server::{ServerConfig, SubEvent, SubscribeFrom, VssServer};
 
@@ -25,6 +26,21 @@ fn sequence(frames: usize, seed: u64) -> FrameSequence {
     FrameSequence::new(frames, 30.0).unwrap()
 }
 
+/// `frames` 64×48 RGB frames: a raw original's GOP is [`RAW_GOP`] bytes of
+/// payload, which deferred compression shrinks.
+fn raw_sequence(frames: usize, seed: u64) -> FrameSequence {
+    let frames: Vec<_> = (0..frames)
+        .map(|i| pattern::gradient(64, 48, PixelFormat::Rgb8, seed + i as u64))
+        .collect();
+    FrameSequence::new(frames, 30.0).unwrap()
+}
+
+/// Frames per page of a raw original.
+const RAW_GOP_FRAMES: usize = 3;
+
+/// Payload bytes of one page of [`raw_sequence`].
+const RAW_GOP: u64 = (RAW_GOP_FRAMES * 64 * 48 * 3) as u64;
+
 fn open(tag: &str, config: ServerConfig) -> (VssServer, std::path::PathBuf) {
     let root = temp_root(tag);
     let server = VssServer::open_configured(VssConfig::new(&root), 2, config).unwrap();
@@ -40,7 +56,7 @@ fn drain_gops(sub: &mut vss_server::Subscription, n: usize) -> (Vec<u64>, Vec<u8
         match sub.next_timeout(Duration::from_secs(20)).unwrap() {
             Some(SubEvent::Gop(gop)) => {
                 seqs.push(gop.seq);
-                bytes.extend_from_slice(&gop.gop.to_bytes());
+                bytes.extend_from_slice(gop.gop.as_bytes());
             }
             Some(other) => panic!("expected a GOP, got {other:?}"),
             None => panic!("timed out draining GOP {} of {n}", seqs.len()),
@@ -60,7 +76,7 @@ fn full_read_bytes(server: &VssServer, name: &str) -> Vec<u8> {
     let mut bytes = Vec::new();
     for chunk in stream {
         let chunk = chunk.unwrap();
-        bytes.extend_from_slice(&chunk.encoded_gop.expect("passthrough read").to_bytes());
+        bytes.extend_from_slice(chunk.encoded_gop.expect("passthrough read").as_bytes());
     }
     bytes
 }
@@ -135,10 +151,11 @@ fn slow_subscriber_lags_catches_up_and_reseams() {
 }
 
 /// Catch-up across an evicted original page: the subscriber sees the hole
-/// as a gap and every GOP on its own sequence number. A catch-up batch must
-/// end at the hole: a stream over a range that spans it is served partly
-/// from the cached view, and its chunks no longer pair one-to-one with the
-/// original's sequence numbers.
+/// as a gap and every GOP on its own sequence number. Catch-up serves the
+/// original's stored pages by catalog index, so a batch ends at the hole
+/// and the cached view that covers the evicted range never stands in for
+/// it; each delivered GOP is checked against a passthrough read of its own
+/// time span.
 #[test]
 fn catchup_across_an_evicted_original_page_reports_a_gap() {
     let root = temp_root("evicted");
@@ -189,9 +206,97 @@ fn catchup_across_an_evicted_original_page_reports_a_gap() {
         let chunks: Vec<_> =
             session.read_stream(&span.uncacheable()).unwrap().map(Result::unwrap).collect();
         assert_eq!(chunks.len(), 1, "sequence {} is one GOP", gop.seq);
-        let stored = chunks[0].encoded_gop.as_ref().expect("passthrough read").to_bytes();
-        assert!(gop.gop.to_bytes() == stored, "sequence {} carries another GOP's bytes", gop.seq);
+        let stored = chunks[0].encoded_gop.as_ref().expect("passthrough read");
+        assert!(gop.gop.as_bytes() == stored.as_bytes(), "sequence {} carries another GOP's bytes", gop.seq);
     }
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Catch-up serves the stored pages: it plans no read, so it counts no read
+/// op (and moves no recency clock).
+#[test]
+fn catchup_is_not_a_read() {
+    let (server, root) = open("not-a-read", ServerConfig::default());
+    let session = server.session();
+    session.write(&WriteRequest::new("cam", Codec::H264), &sequence(90, 0)).unwrap();
+    let reads = server.stats().total_read_ops();
+    let mut sub = session.subscribe("cam", SubscribeFrom::Start);
+    let (seqs, _) = drain_gops(&mut sub, 3);
+    assert_eq!(seqs, [0, 1, 2]);
+    assert!(sub.catchup_rounds() >= 1, "the GOPs must come from catch-up");
+    let moved = server.stats().total_read_ops() - reads;
+    assert!(moved == 0, "catch-up counted {moved} read ops");
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A raw original whose pages are stored deferred-compressed, by the write
+/// itself and by maintenance afterwards, catches up to exactly the bytes
+/// its live subscriber received before the sweep.
+#[test]
+fn a_compressed_raw_original_catches_up_to_the_bytes_published_live() {
+    let (server, root) = open("raw-sweep", ServerConfig::default());
+    let session = server.session();
+    // Two raw GOPs of budget: the first page is stored raw, write-time
+    // deferral compresses the other three and maintenance the first.
+    session.create("cam", Some(StorageBudget::Bytes(2 * RAW_GOP))).unwrap();
+    let mut live = session.subscribe("cam", SubscribeFrom::Live);
+    let raw = WriteRequest::new("cam", Codec::Raw(PixelFormat::Rgb8));
+    let report = session.write(&raw, &raw_sequence(4 * RAW_GOP_FRAMES, 0)).unwrap();
+    assert_eq!(report.deferred_levels[0], 0);
+    assert!(report.deferred_levels[1..].iter().all(|&level| level > 0), "{:?}", report.deferred_levels);
+    let (_, published) = drain_gops(&mut live, 4);
+    let before = session.bytes_used("cam").unwrap();
+    assert!(session.with_engine("cam", Engine::background_maintenance).unwrap());
+    assert!(session.bytes_used("cam").unwrap() < before, "maintenance must compress the first page");
+    let mut replay = session.subscribe("cam", SubscribeFrom::Start);
+    let (seqs, caught_up) = drain_gops(&mut replay, 4);
+    assert_eq!(seqs, [0, 1, 2, 3]);
+    assert!(caught_up == published, "catch-up must serve the bytes published live");
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Catch-up beside maintenance: subscriptions replay a raw original from
+/// `Start`, one after another, while another thread's deferred compression
+/// rewrites the pages they are reading, and once more after it is done.
+/// Every GOP must be the one published live, and nothing may error. CI runs
+/// it pinned to one CPU, where preemption interleaves the two.
+#[test]
+fn catchup_beside_maintenance_serves_the_bytes_published_live() {
+    const GOPS: usize = 24;
+    let (server, root) = open("raw-race", ServerConfig::default());
+    let session = server.session();
+    session.create("cam", Some(StorageBudget::Unlimited)).unwrap();
+    let mut live = session.subscribe("cam", SubscribeFrom::Live);
+    let raw = WriteRequest::new("cam", Codec::Raw(PixelFormat::Rgb8));
+    session.write(&raw, &raw_sequence(RAW_GOP_FRAMES * GOPS, 0)).unwrap();
+    let (_, published) = drain_gops(&mut live, GOPS);
+    // Far over budget: the sweep compresses page after page until none is left.
+    session.with_engine("cam", |engine| engine.set_storage_budget_bytes("cam", Some(2 * RAW_GOP))).unwrap();
+    let before = session.bytes_used("cam").unwrap();
+    let maintenance = {
+        let session = server.session();
+        std::thread::spawn(move || {
+            let mut passes = 0;
+            while session.with_engine("cam", Engine::background_maintenance).unwrap() {
+                passes += 1;
+            }
+            passes
+        })
+    };
+    let mut replays = 0;
+    loop {
+        let last = maintenance.is_finished();
+        let mut replay = session.subscribe("cam", SubscribeFrom::Start);
+        let (seqs, caught_up) = drain_gops(&mut replay, GOPS);
+        assert_eq!(seqs, (0..GOPS as u64).collect::<Vec<_>>());
+        assert!(caught_up == published, "replay {replays} must serve the bytes published live");
+        replays += 1;
+        if last {
+            break;
+        }
+    }
+    assert!(maintenance.join().unwrap() > 0, "maintenance must have rewritten pages");
+    assert!(session.bytes_used("cam").unwrap() < before);
     let _ = std::fs::remove_dir_all(root);
 }
 

@@ -62,7 +62,7 @@ proptest! {
             "higher quality decoded worse: {} vs {}", high_psnr, low_psnr);
         prop_assert!(high_psnr.db() > 35.0, "quality-95 should be near-lossless, got {}", high_psnr);
         // Serialization round trip preserves decodability.
-        let reparsed = vss::codec::EncodedGop::from_bytes(&high.to_bytes()).unwrap();
+        let reparsed = vss::codec::EncodedGop::from_bytes(high.to_bytes()).unwrap();
         prop_assert_eq!(implementation.decode(&reparsed).unwrap(), implementation.decode(&high).unwrap());
     }
 
