@@ -90,14 +90,14 @@ pub mod records;
 pub mod wal;
 
 pub use records::{AtomicClock, GopRecord, LogicalVideoRecord, PhysicalVideoId, PhysicalVideoRecord};
-pub use wal::{RecoveryReport, WalRecord};
+pub use wal::RecoveryReport;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use wal::Wal;
+use wal::{Wal, WalRecord};
 
 /// Errors produced by catalog operations.
 #[derive(Debug)]
@@ -154,29 +154,6 @@ impl From<std::io::Error> for CatalogError {
     }
 }
 
-/// Last-folded journal sequence number stored inside the checkpoint.
-///
-/// Wrapped in a newtype so checkpoints written before the journal existed
-/// (no such field, which the JSON shim surfaces as `null`) load as 0 instead
-/// of failing to parse.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct CheckpointSeq(u64);
-
-impl serde::Serialize for CheckpointSeq {
-    fn to_value(&self) -> serde::json::Value {
-        self.0.to_value()
-    }
-}
-
-impl serde::Deserialize for CheckpointSeq {
-    fn from_value(value: &serde::json::Value) -> Result<Self, String> {
-        match value {
-            serde::json::Value::Null => Ok(Self(0)),
-            other => u64::from_value(other).map(Self),
-        }
-    }
-}
-
 #[derive(Debug, Default, serde::Serialize, serde::Deserialize)]
 struct CatalogState {
     /// Monotonically increasing id generator for physical videos.
@@ -188,7 +165,7 @@ struct CatalogState {
     videos: BTreeMap<String, LogicalVideoRecord>,
     /// Sequence number of the last journal record folded into this
     /// checkpoint; replay skips records at or below it.
-    journal_seq: CheckpointSeq,
+    journal_seq: u64,
 }
 
 impl CatalogState {
@@ -323,7 +300,7 @@ impl CatalogState {
                     .ok_or_else(|| format!("set-mse-bound on unknown physical video {physical}"))?
                     .mse_bound = *bound;
             }
-            WalRecord::Batch(records) => {
+            WalRecord::Batch { records } => {
                 for record in records {
                     self.apply(record)?;
                 }
@@ -424,7 +401,7 @@ impl Catalog {
             CatalogState::default()
         };
 
-        let mut seq = state.journal_seq.0;
+        let mut seq = state.journal_seq;
         let valid_len = match wal::read_wal_bytes(&root)? {
             Some(bytes) => {
                 let scanned = wal::scan(&bytes)?;
@@ -512,7 +489,7 @@ impl Catalog {
         if self.batch.is_some() {
             return Ok(());
         }
-        self.state.journal_seq = CheckpointSeq(self.seq);
+        self.state.journal_seq = self.seq;
         let serialized = serde_json::to_string_pretty(&self.state)
             .map_err(|e| CatalogError::Corrupt(e.to_string()))?;
         durable::write_atomic(&self.root.join(CATALOG_FILE), serialized.as_bytes())?;
@@ -599,7 +576,7 @@ impl Catalog {
             return Ok(());
         };
         if !records.is_empty() {
-            if let Err(error) = self.wal.append(self.seq + 1, &WalRecord::Batch(records)) {
+            if let Err(error) = self.wal.append(self.seq + 1, &WalRecord::Batch { records }) {
                 self.reload()?;
                 return Err(error.into());
             }
@@ -1324,6 +1301,31 @@ mod tests {
         fs::create_dir_all(&root).unwrap();
         fs::write(root.join(CATALOG_FILE), b"{ not json").unwrap();
         assert!(matches!(Catalog::open(&root), Err(CatalogError::Corrupt(_))));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A checkpoint without the journal position it was folded at cannot
+    /// say which journal records it already holds: refused, not read as 0.
+    #[test]
+    fn a_checkpoint_without_journal_seq_is_refused() {
+        let root = temp_root("noseq");
+        {
+            let mut cat = Catalog::open(&root).unwrap();
+            cat.create_video("v").unwrap();
+            cat.checkpoint().unwrap();
+        }
+        let path = root.join(CATALOG_FILE);
+        let text = fs::read_to_string(&path).unwrap();
+        let mut state: serde_json::Value = serde_json::from_str(&text).unwrap();
+        let serde_json::Value::Object(fields) = &mut state else {
+            panic!("checkpoint is not an object")
+        };
+        assert!(fields.remove("journal_seq").is_some());
+        fs::write(&path, serde_json::to_string_pretty(&state).unwrap()).unwrap();
+        match Catalog::open(&root) {
+            Err(CatalogError::Corrupt(message)) => assert!(message.contains("journal_seq"), "{message}"),
+            other => panic!("expected a corrupt checkpoint, got {other:?}"),
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -171,11 +171,6 @@ impl PhysicalVideoRecord {
         format!("{}x{}r{}.{}.{}", self.width, self.height, self.frame_rate, self.codec, self.id)
     }
 
-    /// GOPs overlapping `[start, end)`, in temporal order.
-    pub fn gops_overlapping(&self, start: f64, end: f64) -> Vec<&GopRecord> {
-        self.gops.iter().filter(|g| g.overlaps(start, end)).collect()
-    }
-
     /// Looks up a GOP by its index in `O(log n)`.
     ///
     /// GOP indices are assigned monotonically on append and evictions only
@@ -304,8 +299,6 @@ mod tests {
         assert_eq!(p.end_time(), 3.0);
         assert_eq!(p.byte_len(), 300);
         assert_eq!(p.directory_name(), "1920x1080r30.hevc.7");
-        assert_eq!(p.gops_overlapping(0.5, 1.5).len(), 2);
-        assert_eq!(p.gops_overlapping(5.0, 6.0).len(), 0);
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //! crc      = CRC-32 (IEEE) over seq_le ++ payload
 //! ```
 //!
+//! A record's payload layout is its row in the table that declares
+//! `WalRecord`: the `op` tag, then one JSON key per field.
+//!
 //! `seq` increases by exactly 1 per record; the checkpoint stores the last
 //! folded sequence number, so records that were already folded (a crash
 //! between checkpoint-rename and journal-reset) are recognized as stale and
@@ -88,307 +91,204 @@ fn record_crc(seq: u64, payload: &[u8]) -> u32 {
 
 // --- records ----------------------------------------------------------------
 
-/// One journaled catalog mutation. Records carry everything replay needs to
-/// reconstruct the in-memory state deterministically; GOP *data* never
-/// enters the journal (a durable GOP's bytes are synced in their own file
-/// before the record is appended; a derived GOP's record carries their
-/// checksum instead).
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
-    /// A logical video was created.
-    CreateVideo {
-        /// Logical video name.
-        name: String,
-        /// Requested budget as a multiple of the original's size, if any.
-        budget_multiple: Option<f64>,
-    },
-    /// A logical video and all its physical data were deleted.
-    DeleteVideo {
-        /// Logical video name.
-        name: String,
-    },
-    /// A physical video was registered.
-    AddPhysical {
-        /// Owning logical video.
-        video: String,
-        /// Assigned physical video id.
-        id: u64,
-        /// Width in pixels.
-        width: u32,
-        /// Height in pixels.
-        height: u32,
-        /// Frame rate in frames per second.
-        frame_rate: f64,
-        /// Codec name.
-        codec: String,
-        /// Whether this is the original representation.
-        is_original: bool,
-        /// Quality (MSE) bound relative to the original.
-        mse_bound: f64,
-    },
-    /// A physical video was removed.
-    RemovePhysical {
-        /// Owning logical video.
-        video: String,
-        /// Physical video id.
-        id: u64,
-    },
-    /// A GOP file was persisted (or, by compaction, linked in from another
-    /// physical video) and its metadata recorded.
-    AppendGop {
-        /// Owning logical video.
-        video: String,
-        /// Owning physical video id.
-        physical: u64,
-        /// GOP index (also the file stem).
-        index: u64,
-        /// Start time in seconds.
-        start_time: f64,
-        /// End time in seconds.
-        end_time: f64,
-        /// Frames in the GOP.
-        frame_count: usize,
-        /// Bytes on disk.
-        byte_len: u64,
-        /// Deferred-compression level, if applied.
-        lossless_level: Option<u8>,
-        /// Access-clock value at append time (keeps recency monotonic
-        /// across replay).
-        clock: u64,
-        /// CRC-32 of the file's bytes for a derived (unsynced) GOP; absent
-        /// for a durable one, and then omitted from the encoded record.
-        crc: Option<u32>,
-    },
-    /// A GOP file's stored form changed in place: deferred compression
-    /// rewrote its bytes, or eviction hardened a derived GOP (synced it and
-    /// cleared its checksum).
-    RewriteGop {
-        /// Owning logical video.
-        video: String,
-        /// Owning physical video id.
-        physical: u64,
-        /// GOP index.
-        index: u64,
-        /// New size on disk.
-        byte_len: u64,
-        /// New deferred-compression level.
-        lossless_level: Option<u8>,
-        /// New checksum, as in [`WalRecord::AppendGop`].
-        crc: Option<u32>,
-    },
-    /// A GOP file and its record were removed (eviction).
-    RemoveGop {
-        /// Owning logical video.
-        video: String,
-        /// Owning physical video id.
-        physical: u64,
-        /// GOP index.
-        index: u64,
-    },
-    /// A logical video's storage budget was set.
-    SetBudget {
-        /// Logical video name.
-        video: String,
-        /// New budget (`None` reverts to "unset").
-        bytes: Option<u64>,
-    },
-    /// A physical video's quality bound was updated (compaction).
-    SetMseBound {
-        /// Owning logical video.
-        video: String,
-        /// Physical video id.
-        physical: u64,
-        /// New MSE bound.
-        bound: f64,
-    },
-    /// Several mutations journaled as one record, so replay applies all of
-    /// them or none (a cache admission, a compaction merge).
-    Batch(Vec<WalRecord>),
+/// `true` for a field its table row marks `= omit`.
+macro_rules! omitted {
+    () => { false };
+    (omit) => { true };
 }
 
-fn object(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
+/// Declares [`WalRecord`] from the record table and generates its JSON codec
+/// from it: a record is one object whose `op` key is its row's tag and whose
+/// other keys are its fields. A field written `name: T = omit` is left out
+/// when it encodes to `null` (an `Option` that is `None`) and reads as `None`
+/// when it is missing; any other missing field, or an unknown `op`, fails.
+macro_rules! records {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $record:ident {
+            $(
+                $(#[$variant_meta:meta])*
+                $op:literal $name:ident {
+                    $($(#[$field_meta:meta])* $field:ident: $ty:ty $(= $omit:ident)?),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $record {
+            $(
+                $(#[$variant_meta])*
+                $name { $($(#[$field_meta])* $field: $ty),* },
+            )*
+        }
 
-/// `entries` plus a `crc` entry when there is one: a durable GOP's record
-/// carries no checksum key at all, so it encodes as it did before checksums.
-fn with_crc(mut entries: Vec<(&'static str, Value)>, crc: &Option<u32>) -> Value {
-    if let Some(crc) = crc {
-        entries.push(("crc", serde::Serialize::to_value(crc)));
-    }
-    object(entries)
-}
-
-fn get<'a>(map: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a Value, String> {
-    map.get(key).ok_or_else(|| format!("WAL record missing field '{key}'"))
-}
-
-fn field<T: serde::Deserialize>(map: &BTreeMap<String, Value>, key: &str) -> Result<T, String> {
-    T::from_value(get(map, key)?).map_err(|e| format!("WAL field '{key}': {e}"))
-}
-
-/// The `crc` entry [`with_crc`] writes only when there is one.
-fn crc_field(map: &BTreeMap<String, Value>) -> Result<Option<u32>, String> {
-    map.get("crc").map_or(Ok(None), |_| field(map, "crc"))
-}
-
-impl serde::Serialize for WalRecord {
-    fn to_value(&self) -> Value {
-        match self {
-            WalRecord::CreateVideo { name, budget_multiple } => object(vec![
-                ("op", "create-video".to_value()),
-                ("name", name.to_value()),
-                ("budget_multiple", budget_multiple.to_value()),
-            ]),
-            WalRecord::DeleteVideo { name } => {
-                object(vec![("op", "delete-video".to_value()), ("name", name.to_value())])
-            }
-            WalRecord::AddPhysical {
-                video,
-                id,
-                width,
-                height,
-                frame_rate,
-                codec,
-                is_original,
-                mse_bound,
-            } => object(vec![
-                ("op", "add-physical".to_value()),
-                ("video", video.to_value()),
-                ("id", id.to_value()),
-                ("width", width.to_value()),
-                ("height", height.to_value()),
-                ("frame_rate", frame_rate.to_value()),
-                ("codec", codec.to_value()),
-                ("is_original", is_original.to_value()),
-                ("mse_bound", mse_bound.to_value()),
-            ]),
-            WalRecord::RemovePhysical { video, id } => object(vec![
-                ("op", "remove-physical".to_value()),
-                ("video", video.to_value()),
-                ("id", id.to_value()),
-            ]),
-            WalRecord::AppendGop {
-                video,
-                physical,
-                index,
-                start_time,
-                end_time,
-                frame_count,
-                byte_len,
-                lossless_level,
-                clock,
-                crc,
-            } => with_crc(vec![
-                ("op", "append-gop".to_value()),
-                ("video", video.to_value()),
-                ("physical", physical.to_value()),
-                ("index", index.to_value()),
-                ("start_time", start_time.to_value()),
-                ("end_time", end_time.to_value()),
-                ("frame_count", frame_count.to_value()),
-                ("byte_len", byte_len.to_value()),
-                ("lossless_level", lossless_level.to_value()),
-                ("clock", clock.to_value()),
-            ], crc),
-            WalRecord::RewriteGop { video, physical, index, byte_len, lossless_level, crc } => {
-                with_crc(
-                    vec![
-                        ("op", "rewrite-gop".to_value()),
-                        ("video", video.to_value()),
-                        ("physical", physical.to_value()),
-                        ("index", index.to_value()),
-                        ("byte_len", byte_len.to_value()),
-                        ("lossless_level", lossless_level.to_value()),
-                    ],
-                    crc,
-                )
-            }
-            WalRecord::RemoveGop { video, physical, index } => object(vec![
-                ("op", "remove-gop".to_value()),
-                ("video", video.to_value()),
-                ("physical", physical.to_value()),
-                ("index", index.to_value()),
-            ]),
-            WalRecord::SetBudget { video, bytes } => object(vec![
-                ("op", "set-budget".to_value()),
-                ("video", video.to_value()),
-                ("bytes", bytes.to_value()),
-            ]),
-            WalRecord::SetMseBound { video, physical, bound } => object(vec![
-                ("op", "set-mse-bound".to_value()),
-                ("video", video.to_value()),
-                ("physical", physical.to_value()),
-                ("bound", bound.to_value()),
-            ]),
-            WalRecord::Batch(records) => {
-                object(vec![("op", "batch".to_value()), ("records", records.to_value())])
+        impl serde::Serialize for $record {
+            fn to_value(&self) -> Value {
+                let mut object = BTreeMap::new();
+                let op = match self {
+                    $($record::$name { $($field),* } => {
+                        $(put(&mut object, stringify!($field), $field, omitted!($($omit)?));)*
+                        $op
+                    })*
+                };
+                object.insert("op".to_string(), Value::String(op.to_string()));
+                Value::Object(object)
             }
         }
+
+        impl serde::Deserialize for $record {
+            fn from_value(value: &Value) -> Result<Self, String> {
+                let object = value.as_object().ok_or("WAL record is not an object")?;
+                let op: String = take(object, "op", false)?;
+                Ok(match op.as_str() {
+                    $($op => $record::$name {
+                        $($field: take(object, stringify!($field), omitted!($($omit)?))?),*
+                    },)*
+                    other => return Err(format!("unknown WAL op '{other}'")),
+                })
+            }
+        }
+    };
+}
+
+/// Writes one field into a record's object, unless it is `omit` and `null`.
+fn put(object: &mut BTreeMap<String, Value>, key: &str, value: &impl serde::Serialize, omit: bool) {
+    let value = value.to_value();
+    if !(omit && value == Value::Null) {
+        object.insert(key.to_string(), value);
     }
 }
 
-impl serde::Deserialize for WalRecord {
-    fn from_value(value: &Value) -> Result<Self, String> {
-        let map = value.as_object().ok_or("WAL record is not an object")?;
-        let op: String = field(map, "op")?;
-        match op.as_str() {
-            "create-video" => Ok(WalRecord::CreateVideo {
-                name: field(map, "name")?,
-                budget_multiple: field(map, "budget_multiple")?,
-            }),
-            "delete-video" => Ok(WalRecord::DeleteVideo { name: field(map, "name")? }),
-            "add-physical" => Ok(WalRecord::AddPhysical {
-                video: field(map, "video")?,
-                id: field(map, "id")?,
-                width: field(map, "width")?,
-                height: field(map, "height")?,
-                frame_rate: field(map, "frame_rate")?,
-                codec: field(map, "codec")?,
-                is_original: field(map, "is_original")?,
-                mse_bound: field(map, "mse_bound")?,
-            }),
-            "remove-physical" => Ok(WalRecord::RemovePhysical {
-                video: field(map, "video")?,
-                id: field(map, "id")?,
-            }),
-            "append-gop" => Ok(WalRecord::AppendGop {
-                video: field(map, "video")?,
-                physical: field(map, "physical")?,
-                index: field(map, "index")?,
-                start_time: field(map, "start_time")?,
-                end_time: field(map, "end_time")?,
-                frame_count: field(map, "frame_count")?,
-                byte_len: field(map, "byte_len")?,
-                lossless_level: field(map, "lossless_level")?,
-                clock: field(map, "clock")?,
-                crc: crc_field(map)?,
-            }),
-            "rewrite-gop" => Ok(WalRecord::RewriteGop {
-                video: field(map, "video")?,
-                physical: field(map, "physical")?,
-                index: field(map, "index")?,
-                byte_len: field(map, "byte_len")?,
-                lossless_level: field(map, "lossless_level")?,
-                crc: crc_field(map)?,
-            }),
-            "remove-gop" => Ok(WalRecord::RemoveGop {
-                video: field(map, "video")?,
-                physical: field(map, "physical")?,
-                index: field(map, "index")?,
-            }),
-            "set-budget" => Ok(WalRecord::SetBudget {
-                video: field(map, "video")?,
-                bytes: field(map, "bytes")?,
-            }),
-            "set-mse-bound" => Ok(WalRecord::SetMseBound {
-                video: field(map, "video")?,
-                physical: field(map, "physical")?,
-                bound: field(map, "bound")?,
-            }),
-            "batch" => Ok(WalRecord::Batch(field(map, "records")?)),
-            other => Err(format!("unknown WAL op '{other}'")),
-        }
+/// Reads one field of a record's object; a missing `omit` field reads as `null`.
+fn take<T: serde::Deserialize>(object: &BTreeMap<String, Value>, key: &str, omit: bool) -> Result<T, String> {
+    let value = match object.get(key) {
+        Some(value) => value,
+        None if omit => &Value::Null,
+        None => return Err(format!("WAL record missing field '{key}'")),
+    };
+    T::from_value(value).map_err(|e| format!("WAL field '{key}': {e}"))
+}
+
+records! {
+    /// One journaled catalog mutation. Records carry everything replay needs
+    /// to reconstruct the in-memory state deterministically; GOP *data*
+    /// never enters the journal (a durable GOP's bytes are synced in their
+    /// own file before the record is appended; a derived GOP's record
+    /// carries their checksum instead).
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) enum WalRecord {
+        /// A logical video was created.
+        "create-video" CreateVideo {
+            /// Logical video name.
+            name: String,
+            /// Requested budget as a multiple of the original's size, if any.
+            budget_multiple: Option<f64>,
+        },
+        /// A logical video and all its physical data were deleted.
+        "delete-video" DeleteVideo {
+            /// Logical video name.
+            name: String,
+        },
+        /// A physical video was registered.
+        "add-physical" AddPhysical {
+            /// Owning logical video.
+            video: String,
+            /// Assigned physical video id.
+            id: u64,
+            /// Width in pixels.
+            width: u32,
+            /// Height in pixels.
+            height: u32,
+            /// Frame rate in frames per second.
+            frame_rate: f64,
+            /// Codec name.
+            codec: String,
+            /// Whether this is the original representation.
+            is_original: bool,
+            /// Quality (MSE) bound relative to the original.
+            mse_bound: f64,
+        },
+        /// A physical video was removed.
+        "remove-physical" RemovePhysical {
+            /// Owning logical video.
+            video: String,
+            /// Physical video id.
+            id: u64,
+        },
+        /// A GOP file was persisted (or, by compaction, linked in from
+        /// another physical video) and its metadata recorded.
+        "append-gop" AppendGop {
+            /// Owning logical video.
+            video: String,
+            /// Owning physical video id.
+            physical: u64,
+            /// GOP index (also the file stem).
+            index: u64,
+            /// Start time in seconds.
+            start_time: f64,
+            /// End time in seconds.
+            end_time: f64,
+            /// Frames in the GOP.
+            frame_count: usize,
+            /// Bytes on disk.
+            byte_len: u64,
+            /// Deferred-compression level, if applied.
+            lossless_level: Option<u8>,
+            /// Access-clock value at append time (keeps recency monotonic
+            /// across replay).
+            clock: u64,
+            /// CRC-32 of the file's bytes for a derived (unsynced) GOP;
+            /// absent for a durable one.
+            crc: Option<u32> = omit,
+        },
+        /// A GOP file's stored form changed in place: deferred compression
+        /// rewrote its bytes, or eviction hardened a derived GOP (synced it
+        /// and cleared its checksum).
+        "rewrite-gop" RewriteGop {
+            /// Owning logical video.
+            video: String,
+            /// Owning physical video id.
+            physical: u64,
+            /// GOP index.
+            index: u64,
+            /// New size on disk.
+            byte_len: u64,
+            /// New deferred-compression level.
+            lossless_level: Option<u8>,
+            /// New checksum, as in [`WalRecord::AppendGop`].
+            crc: Option<u32> = omit,
+        },
+        /// A GOP file and its record were removed (eviction).
+        "remove-gop" RemoveGop {
+            /// Owning logical video.
+            video: String,
+            /// Owning physical video id.
+            physical: u64,
+            /// GOP index.
+            index: u64,
+        },
+        /// A logical video's storage budget was set.
+        "set-budget" SetBudget {
+            /// Logical video name.
+            video: String,
+            /// New budget (`None` reverts to "unset").
+            bytes: Option<u64>,
+        },
+        /// A physical video's quality bound was updated (compaction).
+        "set-mse-bound" SetMseBound {
+            /// Owning logical video.
+            video: String,
+            /// Physical video id.
+            physical: u64,
+            /// New MSE bound.
+            bound: f64,
+        },
+        /// Several mutations journaled as one record, so replay applies all
+        /// of them or none (a cache admission, a compaction merge).
+        "batch" Batch {
+            /// The mutations, in the order they apply.
+            records: Vec<WalRecord>,
+        },
     }
 }
 
@@ -698,29 +598,31 @@ mod tests {
                 lossless_level: None,
                 crc: None,
             },
-            WalRecord::Batch(vec![
-                WalRecord::AppendGop {
-                    video: "v".into(),
-                    physical: 1,
-                    index: 4,
-                    start_time: 1.0,
-                    end_time: 2.0,
-                    frame_count: 3,
-                    byte_len: 5678,
-                    lossless_level: None,
-                    clock: 8,
-                    crc: Some(0xDEAD_BEEF),
-                },
-                WalRecord::RewriteGop {
-                    video: "v".into(),
-                    physical: 1,
-                    index: 4,
-                    byte_len: 99,
-                    lossless_level: Some(2),
-                    crc: Some(7),
-                },
-                WalRecord::RemoveGop { video: "v".into(), physical: 1, index: 4 },
-            ]),
+            WalRecord::Batch {
+                records: vec![
+                    WalRecord::AppendGop {
+                        video: "v".into(),
+                        physical: 1,
+                        index: 4,
+                        start_time: 1.0,
+                        end_time: 2.0,
+                        frame_count: 3,
+                        byte_len: 5678,
+                        lossless_level: None,
+                        clock: 8,
+                        crc: Some(0xDEAD_BEEF),
+                    },
+                    WalRecord::RewriteGop {
+                        video: "v".into(),
+                        physical: 1,
+                        index: 4,
+                        byte_len: 99,
+                        lossless_level: Some(2),
+                        crc: Some(7),
+                    },
+                    WalRecord::RemoveGop { video: "v".into(), physical: 1, index: 4 },
+                ],
+            },
             WalRecord::SetBudget { video: "v".into(), bytes: Some(1 << 20) },
             WalRecord::SetMseBound { video: "v".into(), physical: 0, bound: 1.5 },
             WalRecord::RemoveGop { video: "v".into(), physical: 0, index: 0 },
@@ -730,29 +632,82 @@ mod tests {
         ]
     }
 
+    /// The exact JSON of each [`sample_records`] entry as journals already
+    /// on disk hold it (captured before the record table existed): a string
+    /// that moves breaks replay of every store written before it. A durable
+    /// GOP's records carry no `crc` key, and the shim writes a `u32`,
+    /// `usize` or `u8` as a float (`"width":64.0`).
+    const GOLDEN: [&str; 12] = [
+        r#"{"budget_multiple":null,"name":"v","op":"create-video"}"#,
+        r#"{"budget_multiple":2.5,"name":"w","op":"create-video"}"#,
+        r#"{"codec":"h264","frame_rate":30.0,"height":48.0,"id":0,"is_original":true,"mse_bound":0.0,"op":"add-physical","video":"v","width":64.0}"#,
+        r#"{"byte_len":1234,"clock":7,"end_time":1.0,"frame_count":30.0,"index":0,"lossless_level":3.0,"op":"append-gop","physical":0,"start_time":0.0,"video":"v"}"#,
+        r#"{"byte_len":99,"index":0,"lossless_level":null,"op":"rewrite-gop","physical":0,"video":"v"}"#,
+        r#"{"op":"batch","records":[{"byte_len":5678,"clock":8,"crc":3735928559.0,"end_time":2.0,"frame_count":3.0,"index":4,"lossless_level":null,"op":"append-gop","physical":1,"start_time":1.0,"video":"v"},{"byte_len":99,"crc":7.0,"index":4,"lossless_level":2.0,"op":"rewrite-gop","physical":1,"video":"v"},{"index":4,"op":"remove-gop","physical":1,"video":"v"}]}"#,
+        r#"{"bytes":1048576,"op":"set-budget","video":"v"}"#,
+        r#"{"bound":1.5,"op":"set-mse-bound","physical":0,"video":"v"}"#,
+        r#"{"index":0,"op":"remove-gop","physical":0,"video":"v"}"#,
+        r#"{"id":0,"op":"remove-physical","video":"v"}"#,
+        r#"{"name":"v","op":"delete-video"}"#,
+        r#"{"bytes":null,"op":"set-budget","video":"v"}"#,
+    ];
+
     #[test]
-    fn records_round_trip_through_json() {
-        for record in sample_records() {
-            let text = serde_json::to_string(&record).unwrap();
-            let back: WalRecord = serde_json::from_str(&text).unwrap();
-            assert_eq!(back, record, "round trip of {text}");
+    fn every_record_encodes_to_its_pinned_json_and_back() {
+        let records = sample_records();
+        assert_eq!(records.len(), GOLDEN.len());
+        for (record, golden) in records.iter().zip(GOLDEN) {
+            assert_eq!(serde_json::to_string(record).unwrap(), golden);
+            let back: WalRecord = serde_json::from_str(golden).unwrap();
+            assert_eq!(&back, record, "decode of {golden}");
         }
     }
 
-    /// A durable GOP's records encode exactly as they did before derived
-    /// GOPs carried checksums (the strings are the previous encoder's).
+    /// Each golden record, and each record nested in a batch, as a JSON map.
+    fn golden_objects() -> Vec<BTreeMap<String, Value>> {
+        let mut objects = Vec::new();
+        for golden in GOLDEN {
+            let value: Value = serde_json::from_str(golden).unwrap();
+            let nested = value.get("records").and_then(Value::as_array).cloned().unwrap_or_default();
+            for value in std::iter::once(value).chain(nested) {
+                objects.push(value.as_object().unwrap().clone());
+            }
+        }
+        objects
+    }
+
+    /// Replay refuses a record that lacks any field but a GOP's `crc`, which
+    /// a durable GOP's record leaves out and which then reads as `None`.
     #[test]
-    fn durable_gop_records_carry_no_crc_key() {
-        let records = sample_records();
-        assert_eq!(
-            serde_json::to_string(&records[3]).unwrap(),
-            r#"{"byte_len":1234,"clock":7,"end_time":1.0,"frame_count":30.0,"index":0,"lossless_level":3.0,"op":"append-gop","physical":0,"start_time":0.0,"video":"v"}"#
-        );
-        assert_eq!(
-            serde_json::to_string(&records[4]).unwrap(),
-            r#"{"byte_len":99,"index":0,"lossless_level":null,"op":"rewrite-gop","physical":0,"video":"v"}"#
-        );
-        assert!(serde_json::to_string(&records[5]).unwrap().contains(r#""crc":3735928559"#));
+    fn a_missing_field_fails_to_decode_except_an_omitted_crc() {
+        use serde::{Deserialize, Serialize};
+        for object in golden_objects() {
+            for key in object.keys().filter(|key| *key != "op") {
+                let mut cut = object.clone();
+                cut.remove(key);
+                let cut = Value::Object(cut);
+                match WalRecord::from_value(&cut) {
+                    Ok(record) => {
+                        assert_eq!(key, "crc", "decoded without '{key}': {record:?}");
+                        assert_eq!(record.to_value(), cut, "a missing crc reads as None");
+                    }
+                    Err(error) => {
+                        assert_ne!(key, "crc");
+                        assert_eq!(error, format!("WAL record missing field '{key}'"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unknown_op_fails_to_decode() {
+        use serde::Deserialize;
+        for mut object in golden_objects() {
+            object.insert("op".into(), Value::String("append-frame".into()));
+            let error = WalRecord::from_value(&Value::Object(object)).unwrap_err();
+            assert_eq!(error, "unknown WAL op 'append-frame'");
+        }
     }
 
     fn encode(records: &[WalRecord]) -> Vec<u8> {
