@@ -191,11 +191,19 @@ fn med(left: i32, above: i32, above_left: i32) -> i32 {
     }
 }
 
-/// Advanced inter predictor: a spatio-temporal gradient hypothesis, guarded
-/// by a median filter.
+/// Advanced inter predictor: the median of `left`, `temporal` and the
+/// spatio-temporal gradient `left + d` (clamped to 0..=255), where `d =
+/// temporal − prev_left`. The sign of `d` says on which side of `left` the
+/// gradient lies, so the median is one clamp of it, and the chain from one
+/// sample's reconstruction (`left`) to the next prediction is two ops and a
+/// select rather than the five of the clamped median.
 fn spatio_temporal(left: i32, temporal: i32, prev_left: i32) -> i32 {
-    let gradient = (temporal + left - prev_left).clamp(0, 255);
-    left.max(temporal).min(left.min(temporal).max(gradient))
+    let d = temporal - prev_left;
+    if d >= 0 {
+        left.max(temporal).min(left + d)
+    } else {
+        left.min(temporal).max(left + d)
+    }
 }
 
 // --- the plane kernel -----------------------------------------------------
@@ -714,6 +722,26 @@ mod tests {
                 let level = closed_form(residual, q);
                 let expected = [level as i16, (level * q) as i16];
                 assert_eq!(table[residual as usize % 2048], expected, "q {q} residual {residual}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_advanced_inter_predictor_equals_the_clamped_median() {
+        // The formula the select replaced, as the reference.
+        fn clamped_median(left: i32, temporal: i32, prev_left: i32) -> i32 {
+            let gradient = (temporal + left - prev_left).clamp(0, 255);
+            left.max(temporal).min(left.min(temporal).max(gradient))
+        }
+        for left in 0..=255 {
+            for temporal in 0..=255 {
+                for prev_left in 0..=255 {
+                    assert_eq!(
+                        spatio_temporal(left, temporal, prev_left),
+                        clamped_median(left, temporal, prev_left),
+                        "left {left} temporal {temporal} prev_left {prev_left}"
+                    );
+                }
             }
         }
     }
