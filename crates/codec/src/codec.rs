@@ -13,8 +13,9 @@ pub enum Codec {
     /// Simulated H.264: single-hypothesis prediction, coarser rate/quality
     /// trade-off, cheapest to encode and decode.
     H264,
-    /// Simulated HEVC: per-block mode decision and better intra prediction,
-    /// producing smaller output at higher computational cost.
+    /// Simulated HEVC: a second, spatio-temporal predictor family for P
+    /// frames, chosen once per GOP, producing smaller output on coherent
+    /// video at higher computational cost.
     Hevc,
     /// Uncompressed frames in the given physical layout.
     Raw(PixelFormat),
