@@ -607,7 +607,10 @@ fn decode_lossy(
             let (&flag, rest) = payload
                 .split_first()
                 .ok_or_else(|| CodecError::Corrupt("missing mode flag".into()))?;
-            advanced = flag != 0;
+            advanced = match flag {
+                0 | 1 => flag == 1,
+                _ => return Err(CodecError::Corrupt(format!("frame {i} has mode flag {flag}, not 0 or 1"))),
+            };
             payload = rest;
         }
         // The previous reconstruction is the previous output frame itself.
@@ -794,6 +797,27 @@ mod tests {
             let implementation = codec_instance(codec);
             assert_eq!(implementation.decode_prefix(&gop, 1).unwrap().len(), 1);
             assert!(matches!(implementation.decode(&gop), Err(CodecError::Corrupt(_))), "{codec}");
+        }
+    }
+
+    #[test]
+    fn a_mode_flag_other_than_0_or_1_is_corrupt() {
+        let gop = SimHevc.encode(&coherent_sequence(3, 32, 32), &EncoderConfig::default()).unwrap();
+        for frame in 0..gop.frame_count() {
+            for bad in [2, 0x80, 0xff] {
+                let mut payload = Vec::new();
+                for i in 0..gop.frame_count() {
+                    let start = payload.len();
+                    payload.extend_from_slice(gop.frame_payload(i).unwrap());
+                    if i == frame {
+                        payload[start] = bad;
+                    }
+                }
+                let (width, height, q) = (gop.width(), gop.height(), gop.quantizer());
+                let bad_gop = EncodedGop::new(Codec::Hevc, width, height, 30.0, q, gop.frames().to_vec(), payload);
+                assert!(matches!(SimHevc.decode(&bad_gop), Err(CodecError::Corrupt(_))), "flag {bad} on frame {frame}");
+                assert_eq!(SimHevc.decode_prefix(&bad_gop, frame).unwrap().len(), frame);
+            }
         }
     }
 
