@@ -6,16 +6,13 @@
 //! * [`SimH264`] — single-hypothesis prediction: intra frames predict each
 //!   sample from its left neighbour; predicted (P) frames predict from the
 //!   co-located sample of the previous reconstructed frame.
-//! * [`SimHevc`] — a second predictor family at higher cost: P frames may
-//!   use a spatio-temporal median predictor instead of H.264's, chosen once
-//!   per GOP. Frames 1 and 2 are coded with both families and keep the
-//!   smaller; frame 2's choice codes the rest of the GOP, and the intra frame
-//!   is coded as H.264's is. Each frame carries a one-byte flag naming its
-//!   family, so the decoder also reads the advanced intra predictor (the
-//!   gradient MED / LOCO-I) that earlier encoders could choose. On coherent
-//!   video the result is a smaller bitstream for the same quality, at higher
-//!   encode/decode cost — the same relative ordering as real H.264 vs HEVC,
-//!   which is what VSS's cost model relies on.
+//! * [`SimHevc`] — H.264's predictors or an advanced family (spatio-temporal
+//!   median for P frames), chosen once per GOP and flagged in every frame:
+//!   intra basic, frames 1 and 2 both ways keeping the smaller, then frame
+//!   2's winner. The decoder still reads the advanced intra predictor (MED /
+//!   LOCO-I) that earlier encoders chose. On coherent video the bitstream is
+//!   smaller for the same quality at higher cost — the relative ordering of
+//!   real H.264 vs HEVC, which is what VSS's cost model relies on.
 //!
 //! Both codecs quantize prediction residuals with a uniform step derived from
 //! the 0–100 quality setting, reconstruct exactly as the decoder will (so
@@ -59,30 +56,27 @@
 //! reconstruction of frame *n* — so what an encode can share with a second
 //! thread lies inside a frame, and a frame falls apart along two seams that
 //! cross nothing but read-only inputs (the source, the previous
-//! reconstruction, the quantiser table): its three planes, and, on the two
-//! frames where HEVC picks its predictor family, the two candidate encodes.
-//! `encode_frames` therefore makes each frame a batch of (family × {Y, U,
-//! V}) tasks — six on those two frames, three on every other — each writing
-//! its own payload buffer and its own plane of its candidate's
-//! reconstruction, and drains the batch on a [`vss_parallel::Crew`] that
-//! lives for the GOP. The mode decision, the flag byte and the
-//! concatenation in the order Y, U, V happen on the caller once the batch
-//! is done, from the tasks' buffers, so the bitstream is the same whichever
-//! thread ran what — and a crew of one (the thread
-//! budget 1 every multi-GOP write hands its GOPs) is the caller running the
-//! same tasks in order, not a second path. Frames too small to repay a
-//! hand-off stay on the caller (`MIN_SHARED_FRAME_SAMPLES`).
+//! reconstruction, the quantiser table): its three planes, and on HEVC's
+//! frames 1 and 2 the two candidate families. `encode_frames` therefore makes
+//! each frame a batch of {family} × {Y, U, V} tasks, each writing its own
+//! payload buffer and its own plane of its candidate's reconstruction, and
+//! drains the batch on a [`vss_parallel::Crew`] that lives for the GOP. The
+//! mode decision, the flag byte and the concatenation in the order Y, U, V
+//! happen on the caller once the batch is done, from the tasks' buffers, so
+//! the bitstream is the same whichever thread ran what — and a crew of one
+//! (the thread budget 1 every multi-GOP write hands its GOPs) is the caller
+//! running the same tasks in order, not a second path. Frames too small to
+//! repay a hand-off stay on the caller (`MIN_SHARED_FRAME_SAMPLES`).
 //!
 //! Tasks stop at planes. Splitting a plane into row bands would balance two
 //! threads exactly, but an intra plane is a wavefront (row *y* predicts from
 //! row *y − 1*), a band's bitstream cannot be placed until the bands above
 //! it are sized (zero runs cross rows), and interleaving rows inside one
 //! thread is the lockstep kernel rejected above. Largest-first claiming of
-//! whole planes already brings two threads to 0.53 of a two-family frame's
-//! serial time (advanced Y alone is 0.47) and about 0.67 of a one-family
-//! frame's (Y beside U + V): H.264's every frame, HEVC's intra frame and its
-//! frames 3 on. The decoder has no such seam yet, because plane *n + 1*'s
-//! offset is only known once plane *n* is parsed.
+//! whole planes brings two threads to 0.53 of a two-family frame's serial
+//! time and about 0.67 of a one-family frame's (Y beside U + V); the decoder
+//! has no such seam yet, because plane *n + 1*'s offset is only known once
+//! plane *n* is parsed.
 
 use crate::bitstream::{ResidualReader, ResidualWriter};
 use crate::{Codec, CodecError, EncodedGop, EncoderConfig, FrameInfo, VideoCodec};
@@ -201,18 +195,12 @@ fn med(left: i32, above: i32, above_left: i32) -> i32 {
 }
 
 /// Advanced inter predictor: the median of `left`, `temporal` and the
-/// spatio-temporal gradient `left + d` (clamped to 0..=255), where `d =
-/// temporal − prev_left`. The sign of `d` says on which side of `left` the
-/// gradient lies, so the median is one clamp of it, and the chain from one
-/// sample's reconstruction (`left`) to the next prediction is two ops and a
-/// select rather than the five of the clamped median.
+/// gradient `left + d`, `d = temporal − prev_left`, clamped to 0..=255. The
+/// sign of `d` puts the gradient on one side of `left`, so from `left` to the
+/// prediction is two ops and a select (the clamped median took five).
 fn spatio_temporal(left: i32, temporal: i32, prev_left: i32) -> i32 {
     let d = temporal - prev_left;
-    if d >= 0 {
-        left.max(temporal).min(left + d)
-    } else {
-        left.min(temporal).max(left + d)
-    }
+    if d >= 0 { left.max(temporal).min(left + d) } else { left.min(temporal).max(left + d) }
 }
 
 // --- the plane kernel -----------------------------------------------------
@@ -328,19 +316,15 @@ impl Residuals for Quantize<'_> {
     }
 }
 
-/// A frame's tasks as (advanced predictors, plane), in the order they are
-/// claimed: largest first. Of the six units of an HEVC frame coded with both
-/// families at 480×272 (measured with the clamped-median form of the
-/// advanced inter predictor), advanced Y is 2.8–3.0, basic Y 1.0–1.2, an
-/// advanced chroma plane 0.7 and a basic one 0.3, so two threads finish the
-/// frame in about 0.53 of its serial time. A frame coded with one family —
-/// every H.264 frame, HEVC's intra frame and its frames 3 on — runs its Y
-/// (4 of 6 units) beside U + V: about 0.67.
+/// A frame's tasks as (advanced predictors, plane), claimed largest first. Of
+/// the six units of an HEVC frame coded both ways at 480×272 (measured before
+/// the select predictor), advanced Y is 2.8–3.0, basic Y 1.0–1.2, an advanced
+/// chroma plane 0.7 and a basic one 0.3: two threads take about 0.53 of the
+/// serial time. A one-family frame runs Y (4 of 6) beside U + V: 0.67.
 const FRAME_TASKS: [(bool, usize); 6] =
     [(true, 0), (false, 0), (true, 1), (true, 2), (false, 1), (false, 2)];
 
-/// The tasks of a frame coded with predictor `family` (advanced or not), or
-/// with both when it is `None`, in claim order.
+/// The tasks of a frame coded with predictor `family` (advanced?), or both.
 fn frame_tasks(family: Option<bool>) -> Vec<(bool, usize)> {
     FRAME_TASKS.into_iter().filter(|&(advanced, _)| family.is_none_or(|f| f == advanced)).collect()
 }
@@ -450,14 +434,12 @@ fn encode_frames(
     vss_parallel::with_crew(threads.min(tasks.len()), run_task, |crew| {
         let mut payload = Vec::new();
         let mut infos = Vec::with_capacity(frames.len());
-        // HEVC-sim's mode decision, once per GOP: the intra frame codes the
-        // basic family only; frames 1 and 2 code both and keep the smaller;
-        // every later frame codes frame 2's winner only. The family is
-        // stable inside a GOP (on the benchmark's 480×272 rings advanced won
-        // 111 of 116 inter frames of the H.264-decoded ring and 0 of 116 of
-        // the raw one), and frame 1, after the intra frame, is the atypical
-        // one, so it does not decide. The choice rests on byte counts alone,
-        // so it is the same for every thread budget.
+        // HEVC-sim decides its family once per GOP: basic for the intra frame,
+        // both (keeping the smaller) for frames 1 and 2, frame 2's winner after.
+        // The family is stable in a GOP (at 480×272 advanced won 111 of 116
+        // inter frames of an H.264-decoded ring, 0 of 116 of the raw one), and
+        // frame 1, after the intra frame, is atypical. Byte counts decide, so
+        // every thread budget decides alike.
         let mut decided = None;
         for (i, frame) in frames.iter().enumerate() {
             let source = match frame.format() {
@@ -475,9 +457,7 @@ fn encode_frames(
             // again before the next batch.
             let [mut basic, mut advanced] =
                 slots.each_ref().map(|candidate| candidate.each_ref().map(lock));
-            let bytes = |planes: &[MutexGuard<TaskSlot>]| -> usize {
-                planes.iter().map(|slot| slot.payload.len()).sum()
-            };
+            let bytes = |planes: &[MutexGuard<TaskSlot>]| planes.iter().map(|slot| slot.payload.len()).sum::<usize>();
             let start = payload.len();
             let keep_advanced = family.unwrap_or_else(|| bytes(&advanced) <= bytes(&basic));
             if hevc {
